@@ -4,16 +4,23 @@ Two engines with identical contracts:
 
 * a fraction-free (Bareiss-style) elimination over the integers, the exact
   baseline for ranks, plus an exact reduced-echelon kernel over Fraction;
-* a certified modular engine that eliminates modulo word-size primes and
-  accepts a rank only once it holds an exact certificate in both directions:
-  a nonzero minor modulo some prime (rank lower bound over the rationals)
-  and a rationally reconstructed kernel whose vectors are re-verified to
-  annihilate the matrix exactly (rank upper bound).  On any reconstruction
-  or verification failure the engine falls back to the exact baseline, so
-  results never depend on the choice of primes.
+* a certified modular engine.  It eliminates A modulo one 31-bit prime,
+  recording the pivot columns P and the pivot rows R, and solves
+  A[R,P] X = A[R,F] over the rationals for the free columns F: first from
+  the echelon form itself, then, if that single p-adic digit does not give
+  a verified kernel, by Dixon's p-adic lifting with vector rational
+  reconstruction on a doubling schedule.  A rank r is accepted only with an
+  exact certificate in both directions: the r x r minor A[R,P] is nonzero
+  modulo the prime (rank >= r over the rationals), and the n - r
+  standard-form kernel vectors built from X are re-verified exactly against
+  every integer row (rank <= r).  Lifting stops at the latest at the
+  Hadamard bound of the system, where reconstruction is guaranteed, so a
+  failed certificate means the prime lowered the rank and the next prime is
+  tried.  Kernel requests also need two primes that agree on the rank and
+  the pivot columns, the smallest pivot tuple winning at the top rank.
 
-All operations are pure and deterministic: fixed prime list, fixed pivot
-rules, no randomness.
+All operations are pure and deterministic: primes are taken in descending
+order below 2^31, pivot rules are fixed and nothing is random.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from math import gcd, isqrt
 import numpy as np
 
 _MOD_THRESHOLD = 24  # below this size the exact baseline is used directly
-_MAX_PRIMES = 24
+_INT64_MAX = 2**63 - 1
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -52,17 +59,11 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _primes_below_2_31(count: int) -> tuple[int, ...]:
-    out = []
-    n = 2**31 - 1
-    while len(out) < count:
-        if _is_probable_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
-
-
-_PRIMES = _primes_below_2_31(_MAX_PRIMES)
+def _primes_below(n: int):
+    """The primes below n, in descending order."""
+    for c in range(n - 1, 1, -1):
+        if _is_probable_prime(c):
+            yield c
 
 
 class RatMatrix:
@@ -288,10 +289,17 @@ def _mod_array(dense: list[list[int]], p: int) -> np.ndarray:
     return np.array([[v % p for v in row] for row in dense], dtype=np.int64)
 
 
-def _rref_mod(a: np.ndarray, p: int) -> tuple[int, tuple[int, ...], np.ndarray]:
-    """Reduced row echelon form of a mod p.  Pivot rule: first nonzero row."""
+def _rref_mod(
+    a: np.ndarray, p: int
+) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """Reduced row echelon form of a mod p.  Pivot rule: first nonzero row.
+
+    Returns the pivot columns, the original indices of the pivot rows (in
+    pivot order) and the nonzero rows of the echelon form.
+    """
     a = a.copy()
     nrows, ncols = a.shape
+    order = list(range(nrows))
     pivot_cols: list[int] = []
     r = 0
     for c in range(ncols):
@@ -303,6 +311,7 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[int, tuple[int, ...], np.ndarray]:
         pr = r + int(nz[0])
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
+            order[r], order[pr] = order[pr], order[r]
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = (a[r] * inv) % p
         col = a[:, c].copy()
@@ -312,69 +321,176 @@ def _rref_mod(a: np.ndarray, p: int) -> tuple[int, tuple[int, ...], np.ndarray]:
             a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
         pivot_cols.append(c)
         r += 1
-    return r, tuple(pivot_cols), a[:r]
+    return tuple(pivot_cols), tuple(order[:r]), a[:r]
 
 
-def _kernel_mod(
-    rref: np.ndarray, pivot_cols: tuple[int, ...], ncols: int, p: int
-) -> list[list[int]]:
-    """Kernel vectors mod p in standard form, one per free column."""
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    vectors = []
-    for fc in free_cols:
-        v = [0] * ncols
-        v[fc] = 1
-        for i, pc in enumerate(pivot_cols):
-            v[pc] = (-int(rref[i, fc])) % p
-        vectors.append(v)
-    return vectors
+def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:
+    """The fraction n/d = a mod m with |n| <= num_bound and 0 < d <= den_bound.
 
-
-def _crt_merge(
-    combined: list[list[int]], modulus: int, vecs: list[list[int]], p: int
-) -> list[list[int]]:
-    """Merge residues mod p into residues mod modulus*p, in place."""
-    inv = pow(modulus % p, -1, p)
-    for v1, v2 in zip(combined, vecs):
-        for i, (a1, a2) in enumerate(zip(v1, v2)):
-            v1[i] = a1 + modulus * (((a2 - a1) * inv) % p)
-    return combined
-
-
-def _rat_reconstruct(a: int, m: int) -> Fraction | None:
-    """Rational number with numerator and denominator below sqrt(m/2)."""
-    bound = isqrt(m // 2)
-    if bound == 0:
-        return None
+    Unique when 2 * num_bound * den_bound < m.
+    """
     r0, r1 = m, a % m
     t0, t1 = 0, 1
-    while r1 > bound:
+    while r1 > num_bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if t1 == 0 or abs(t1) > bound:
+    if t1 == 0 or abs(t1) > den_bound:
         return None
-    num, den = r1, t1
-    if den < 0:
-        num, den = -num, -den
+    num, den = (r1, t1) if t1 > 0 else (-r1, -t1)
     if gcd(num, den) != 1:
         return None
-    if (num - a * den) % m != 0:
+    return num, den
+
+
+def _reconstruct_vector(residues: list[int], m: int) -> tuple[int, list[int]] | None:
+    """A common denominator D and the numerators D*x of residues x mod m.
+
+    Numerators and D are bounded by sqrt(m/2).  Once D is known most entries
+    cost one multiplication; the search stops at the first entry that has no
+    reconstruction within the bounds.
+    """
+    bound = isqrt(m // 2)
+    half = m // 2
+    den = 1
+    nums: list[int] = []
+    for x in residues:
+        y = den * x % m
+        if y > half:
+            y -= m
+        if abs(y) > bound:
+            rec = _rat_reconstruct(y, m, bound, bound // den)
+            if rec is None:
+                return None
+            y, d = rec
+            den *= d
+            nums = [u * d for u in nums]
+        nums.append(y)
+    return den, nums
+
+
+def _verify_kernel(matrix_int_rows: list[list[tuple[int, int]]], vec: list[int]) -> bool:
+    """Exact check that an integer-scaled copy of the matrix kills an integer vector."""
+    return all(sum(coef * vec[c] for c, coef in row) == 0 for row in matrix_int_rows)
+
+
+def _inverse_mod(b: list[list[int]], q: int) -> np.ndarray | None:
+    """Inverse of the square integer matrix b modulo q, None when singular mod q."""
+    r = len(b)
+    aug = np.concatenate([_mod_array(b, q), np.eye(r, dtype=np.int64)], axis=1)
+    pivots, _, rref = _rref_mod(aug, q)
+    if pivots != tuple(range(r)):
         return None
-    return Fraction(num, den)
+    return rref[:, r:]
 
 
-def _verify_kernel(matrix_int_rows: list[list[tuple[int, int]]], vec: tuple[Fraction, ...]) -> bool:
-    """Exact check that an integer-scaled copy of the matrix kills vec."""
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    for row in matrix_int_rows:
-        if sum(coef * ints[c] for c, coef in row) != 0:
-            return False
-    return True
+def _dixon(b: list[list[int]], c: list[list[int]], h2: int):
+    """Residues of X = b^-1 c modulo growing powers of a lifting prime q.
+
+    Yields (q^s, entries of X mod q^s in column-major order) after s = 1, 2,
+    4, ... digits and once q^s > 2*h2, then stops.  b must be nonsingular.
+    The prime keeps every int64 product exact: the digit b^-1 (res mod q)
+    needs r*(q-1)^2 <= 2^63 - 1, and the residual res - b*digit, whose
+    entries stay below M = max(|c|, r*|b|), needs M + r*|b|*(q-1) to fit.
+    A step on Python integers costs some 30 int64 steps, so int64 is used
+    whenever a prime of at least 2^8 qualifies; otherwise b and the residual
+    are kept as Python integers.
+    """
+    r = len(b)
+    bmax = max(abs(v) for row in b for v in row)
+    cmax = max((abs(v) for row in c for v in row), default=0)
+    cap = (_INT64_MAX - max(cmax, r * bmax)) // (r * bmax)
+    native = cap >= 2**8
+    cap = min(cap if native else 2**31, isqrt(_INT64_MAX // r) + 1, 2**31)
+    for q in _primes_below(cap):
+        binv = _inverse_mod(b, q)
+        if binv is not None:
+            break
+    dtype = np.int64 if native else object
+    bq = np.array(b, dtype=dtype)
+    res = np.array(c, dtype=dtype)
+    x = np.zeros(res.shape, dtype=object)
+    m, s = 1, 0
+    while True:
+        digit = binv @ (res % q).astype(np.int64) % q
+        res = (res - bq @ digit) // q
+        x += digit.astype(object) * m
+        m *= q
+        s += 1
+        done = m > 2 * h2
+        if done or s & (s - 1) == 0:
+            yield m, x.T.ravel().tolist()
+        if done:
+            return
+
+
+def _lifted_kernel(
+    dense: list[list[int]],
+    pivots: tuple[int, ...],
+    pivot_rows: tuple[int, ...],
+    rref: np.ndarray,
+    p: int,
+) -> tuple[int, list[list[int]]] | None:
+    """Standard-form kernel for the pivot columns of a mod-p elimination.
+
+    Returns a denominator D and the kernel vectors scaled by D, each with D
+    in its own free column, 0 in the other free columns, and re-verified
+    exactly against every row.  None when no such kernel exists, i.e. the
+    prime lowered the rank.
+    """
+    n = len(dense[0])
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
+    r = len(pivots)
+    int_rows = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
+
+    def certify(rec: tuple[int, list[int]] | None) -> tuple[int, list[list[int]]] | None:
+        if rec is None:
+            return None
+        den, nums = rec
+        vectors = []
+        for j, fc in enumerate(free):
+            vec = [0] * n
+            vec[fc] = den
+            for i, pc in enumerate(pivots):
+                vec[pc] = -nums[j * r + i]
+            if not _verify_kernel(int_rows, vec):
+                return None
+            vectors.append(vec)
+        return den, vectors
+
+    # The echelon form is b^-1 A[R,:] mod p, so its free columns are the
+    # first p-adic digit of the solution.
+    found = certify(_reconstruct_vector(rref[:, free].T.ravel().tolist(), p))
+    if found is not None:
+        return found
+    b = [[dense[i][c] for c in pivots] for i in pivot_rows]
+    c = [[dense[i][fc] for fc in free] for i in pivot_rows]
+    # Hadamard: det b and every Cramer numerator (b with one column replaced
+    # by a column of c) are at most sqrt(h2) in absolute value.
+    h2 = max([1] + [sum(v * v for v in col) for col in zip(*c)])
+    for col in zip(*b):
+        h2 *= sum(v * v for v in col)
+    if p > 2 * h2:  # the first digit was already conclusive
+        return None
+    for m, residues in _dixon(b, c, h2):
+        found = certify(_reconstruct_vector(residues, m))
+        if found is not None:
+            return found
+    return None
+
+
+def _prime_budget(dense: list[list[int]]) -> int:
+    """Primes after which the certificate must have been found.
+
+    A prime that lowers the rank or moves a pivot divides one fixed nonzero
+    minor of the matrix, which is below 2^(k*(bits + log2(k)/2)) for the
+    order k <= min(rows, cols).  Each such prime exceeds 2^30, so at most
+    that many bits / 30 of them exist; two more primes reach two good ones.
+    """
+    k = min(len(dense), len(dense[0]))
+    bits = max(max(map(abs, row)) for row in dense).bit_length()
+    return 2 + k * (2 * bits + k.bit_length()) // 60
 
 
 @dataclass
@@ -386,65 +502,42 @@ class _CertifiedResult:
 def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
     """Modular rank (and optionally kernel) with an exact certificate.
 
-    Returns None when reconstruction keeps failing within the prime budget;
-    the caller is expected to fall back to the exact baseline.
+    A rank or an empty kernel needs one prime; any other kernel needs two
+    primes that agree on the rank and the pivot columns.  At the top rank
+    the smallest pivot tuple wins: the pivots over the rationals are
+    componentwise at most those of any prime of that rank.  Returns None
+    only past the prime budget, which no matrix should reach; the caller
+    then falls back to the exact baseline.
     """
     dense = _int_dense(matrix)
-    int_rows = [
-        [(c, v) for c, v in enumerate(row) if v] for row in dense
-    ]
-    best_rank = -1
-    group_size = 0
-    group_pivots: tuple[int, ...] = ()
-    combined: list[list[int]] | None = None
-    modulus = 1
-    for p in _PRIMES:
-        a = _mod_array(dense, p)
-        rk, pivots, rref = _rref_mod(a, p)
-        if rk > best_rank:
-            best_rank = rk
-            group_size = 0
-            group_pivots = pivots
-            combined = None
-            modulus = 1
-        if rk == best_rank and pivots == group_pivots:
-            kdim = matrix.cols - best_rank
-            if kdim == 0:
-                if group_size >= 1:
-                    # full column rank mod two primes; a nonzero maximal minor
-                    # mod p already certifies the rank, the kernel is empty
-                    return _CertifiedResult(
-                        best_rank, KernelBasis(0, ()) if want_kernel else None
-                    )
-                group_size += 1
-                continue
-            vecs = _kernel_mod(rref, pivots, matrix.cols, p)
-            if combined is None:
-                combined = [list(v) for v in vecs]
-                modulus = p
-            else:
-                combined = _crt_merge(combined, modulus, vecs, p)
-                modulus *= p
-            group_size += 1
-        if group_size < 2:
-            continue
-        vectors: list[tuple[Fraction, ...]] = []
-        ok = True
-        for v in combined:
-            rec = [_rat_reconstruct(x, modulus) for x in v]
-            if any(r is None for r in rec):
-                ok = False
-                break
-            vectors.append(tuple(rec))
-        if ok:
-            for v in vectors:
-                if not _verify_kernel(int_rows, v):
-                    ok = False
-                    break
-        if ok:
-            kernel = KernelBasis(matrix.cols - best_rank, tuple(vectors)) if want_kernel else None
-            return _CertifiedResult(best_rank, kernel)
-        # otherwise keep adding primes for a larger modulus
+    needed = 2 if want_kernel else 1
+    budget = _prime_budget(dense)
+    best: tuple[int, tuple[int, ...]] | None = None
+    seen = 0
+    for tried, p in enumerate(_primes_below(2**31), start=1):
+        pivots, pivot_rows, rref = _rref_mod(_mod_array(dense, p), p)
+        if len(pivots) == matrix.cols:
+            # full column rank: a nonzero maximal minor mod p is the whole
+            # certificate, and the kernel is empty
+            return _CertifiedResult(matrix.cols, KernelBasis(0, ()) if want_kernel else None)
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, seen = key, 0
+        if key == best:
+            seen += 1
+            if seen == needed:
+                found = _lifted_kernel(dense, pivots, pivot_rows, rref, p)
+                if found is not None:
+                    kernel = None
+                    if want_kernel:
+                        den, vectors = found
+                        kernel = KernelBasis(
+                            len(vectors),
+                            tuple(tuple(Fraction(v, den) for v in vec) for vec in vectors),
+                        )
+                    return _CertifiedResult(len(pivots), kernel)
+        if tried >= budget:
+            return None
     return None
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conicfree import linalg
 from conicfree.jacobian import (
     AtLeast,
     JacobianContext,
@@ -19,6 +20,13 @@ from conicfree.poly import HomogeneousPolynomial, parse_polynomial
 
 PERSSON = "(x^2+y^2-z^2)*(2*x^2+y^2+2*x*z)*(2*x^2+y^2-2*x*z)"
 CELAL = "(-3*x^2+x*y+y*z+z*x)*(-3*y^2+x*y+y*z+z*x)*(-3*z^2+x*y+y*z+z*x)"
+# four dense conics in general position, drawn once from a fixed seed
+GENERIC_OCTIC = (
+    "3*x^2-5*y^2+3*z^2+5*x*y-2*x*z-2*y*z",
+    "2*x^2-y^2+3*z^2+2*x*y-x*z+y*z",
+    "5*x^2+y^2+3*z^2-5*x*y+x*z+5*y*z",
+    "-2*x^2-5*y^2-4*z^2-4*x*y-5*x*z-4*y*z",
+)
 
 
 def _ctx(text):
@@ -178,6 +186,22 @@ def test_hilbert_function_matches_resolution_prediction():
             - C(t - e1)
         )
         assert milnor_dim(ctx, t) == predicted, t
+
+
+def test_generic_octic_window_certifies_without_exact_engine(monkeypatch):
+    """Bezout: k = 4 conics meeting transversally give tau = 2k(k-1) = 24.
+
+    The window matrices' kernels have entries of several hundred bits; the
+    certified engine must reach them without the exact engine.
+    """
+
+    def refuse(matrix):
+        raise AssertionError(f"exact engine called on {matrix!r}")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    profile = hilbert_profile(_ctx("*".join(f"({q})" for q in GENERIC_OCTIC)))
+    assert [v for _, v in profile.window] == [24, 24, 24]
 
 
 def test_exact_policy_agrees_with_certified():

@@ -1,14 +1,18 @@
 """Exact linear algebra: ranks, kernels, certified modular engine."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conicfree import linalg
 from conicfree.linalg import (
+    _MOD_THRESHOLD,
     KernelBasis,
     RatMatrix,
     kernel_basis,
@@ -119,6 +123,55 @@ def test_prime_dependence_guard():
     assert rank_certified(RatMatrix.from_dense([[2]])) == 1
     big = RatMatrix(40, 40, {(i, i): Fraction(2) for i in range(40)})
     assert rank_certified(big) == 40
+
+
+@contextmanager
+def _exact_engine_refused():
+    """The certified engine must certify on its own, without falling back."""
+
+    def refuse(matrix):
+        raise AssertionError(f"exact engine called on {matrix!r}")
+
+    with mock.patch.object(linalg, "rank", refuse), mock.patch.object(
+        linalg, "kernel_basis", refuse
+    ):
+        yield
+
+
+def test_kernel_survives_a_pivot_shifting_first_prime():
+    # The first prime, 2^31 - 1, kills the (0, 0) entry, so it reports the
+    # full rank with the pivots shifted to columns 1..26.  Later primes see
+    # the rational pivots 0..25, which must win and certify.
+    entries = {(i, i): 1 for i in range(1, 26)}
+    entries[(0, 0)] = 2**31 - 1
+    entries[(0, 26)] = 1
+    m = RatMatrix(26, 30, entries)
+    expected = kernel_basis(m)
+    with _exact_engine_refused():
+        assert kernel_basis_certified(m) == expected
+        assert rank_certified(m) == 26
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(_MOD_THRESHOLD + 1, 34),
+    cols=st.integers(_MOD_THRESHOLD + 1, 34),
+    inner=st.integers(1, 34),
+    bits=st.tuples(st.sampled_from([1, 12, 25, 40]), st.sampled_from([1, 12, 25, 40])),
+    rng=st.randoms(use_true_random=False),
+)
+def test_certified_engine_matches_exact_engine_on_low_rank_products(rows, cols, inner, bits, rng):
+    """U*V of rank <= inner, entries up to 2^80: past int64 and near its edge."""
+    u = [[rng.randint(-(2 ** bits[0]), 2 ** bits[0]) for _ in range(inner)] for _ in range(rows)]
+    v = [[rng.randint(-(2 ** bits[1]), 2 ** bits[1]) for _ in range(cols)] for _ in range(inner)]
+    product = RatMatrix.from_dense(
+        [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
+    )
+    for m in (product, product.transpose()):
+        exact_rank, exact_kernel = rank(m), kernel_basis(m)
+        with _exact_engine_refused():
+            assert rank_certified(m) == exact_rank
+            assert repr(kernel_basis_certified(m)) == repr(exact_kernel)
 
 
 def test_certified_matches_exact_on_structured_matrix():

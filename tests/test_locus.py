@@ -284,7 +284,7 @@ def _conic_from(coeffs):
 
 
 def _rational_solutions_oracle(q1, q2):
-    """Rational common points via an independent solver."""
+    """Rational common points by a resultant and factorization over QQ (sympy)."""
     import sympy
 
     x, y, z = sympy.symbols("x y z")
@@ -295,22 +295,44 @@ def _rational_solutions_oracle(q1, q2):
             total += sympy.Rational(c.numerator, c.denominator) * x**i * y**j * z**k
         return sympy.expand(total)
 
+    def rational_roots(f, var):
+        _, factors = sympy.factor_list(f, var, domain="QQ")
+        roots = []
+        for factor, _ in factors:
+            poly = sympy.Poly(factor, var)
+            if poly.degree() == 1:
+                a, b = poly.all_coeffs()
+                roots.append(-b / a)
+        return roots
+
+    def common_roots(f, g, var):
+        return rational_roots(sympy.gcd(f, g), var)
+
     e1, e2 = expr(q1), expr(q2)
     found = set()
-    # affine chart z = 1
-    for sol in sympy.solve([e1.subs(z, 1), e2.subs(z, 1)], [x, y], dict=True):
-        vx, vy = sol[x], sol[y]
-        if vx.is_rational and vy.is_rational:
+    # affine chart z = 1: every common point has x among the resultant's roots
+    a1, a2 = e1.subs(z, 1), e2.subs(z, 1)
+    for vx in rational_roots(sympy.resultant(a1, a2, y), x):
+        for vy in common_roots(a1.subs(x, vx), a2.subs(x, vx), y):
             found.add(ProjectivePoint.of(Fraction(str(vx)), Fraction(str(vy)), 1))
     # line z = 0, chart y = 1
-    for sol in sympy.solve([e1.subs({z: 0, y: 1}), e2.subs({z: 0, y: 1})], [x], dict=True):
-        vx = sol[x]
-        if vx.is_rational:
-            found.add(ProjectivePoint.of(Fraction(str(vx)), 1, 0))
+    for vx in common_roots(e1.subs({z: 0, y: 1}), e2.subs({z: 0, y: 1}), x):
+        found.add(ProjectivePoint.of(Fraction(str(vx)), 1, 0))
     # the remaining point (1:0:0)
     if q1.evaluate((1, 0, 0)) == 0 and q2.evaluate((1, 0, 0)) == 0:
         found.add(ProjectivePoint.of(1, 0, 0))
     return found
+
+
+def _conic_through(rng, points):
+    """A random smooth integer conic through the given points, or None."""
+    import sympy
+
+    rows = [[x * x, y * y, z * z, x * y, x * z, y * z] for x, y, z in points]
+    basis = sympy.Matrix(rows or [[0] * 6]).nullspace()
+    combo = sum((rng.randint(-3, 3) * v for v in basis), sympy.zeros(6, 1))
+    den = sympy.ilcm(1, *(sympy.fraction(c)[1] for c in combo))
+    return _conic_from(tuple(int(c * den) for c in combo))
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,25 +355,39 @@ def test_pair_scan_bezout_bookkeeping_random(c1, c2):
 
 
 def test_pair_scan_against_independent_solver():
-    """Located rational points match an independent solver on a fixed sample."""
+    """Located rational points match an independent solver on a fixed sample.
+
+    Besides the named pairs, the sample plants up to three common points
+    from a pool that includes points on the line z = 0, among them (0:1:0):
+    through it both conics lose their y^2 term, so in the chart z = 1 the
+    leading coefficients in y vanish at a root of the resultant.
+    """
     import random
 
     rng = random.Random(424242)
+    on_z0 = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, -3, 0)]
+    pool = on_z0 + [(0, 0, 1), (1, 2, 1), (-1, 1, 2), (3, -1, 1)]
     pairs = [
         # the named pairs exercised elsewhere, plus deterministic random ones
-        (ConicForm.parse(P4_COMPONENTS[0]), ConicForm.parse(P4_COMPONENTS[3])),
-        (ConicForm.parse(PENCIL_F), ConicForm.parse(PENCIL_G)),
-        (ConicForm.parse("x^2-y*z"), ConicForm.parse("x^2-y*z+3*y^2")),
+        (ConicForm.parse(P4_COMPONENTS[0]), ConicForm.parse(P4_COMPONENTS[3]), ()),
+        (ConicForm.parse(PENCIL_F), ConicForm.parse(PENCIL_G), ()),
+        (ConicForm.parse("x^2-y*z"), ConicForm.parse("x^2-y*z+3*y^2"), ()),
     ]
-    while len(pairs) < 6:
-        q1 = _conic_from(tuple(rng.randint(-4, 4) for _ in range(6)))
-        q2 = _conic_from(tuple(rng.randint(-4, 4) for _ in range(6)))
+    while len(pairs) < 120:
+        planted = rng.sample(pool, rng.randint(0, 3))
+        q1, q2 = _conic_through(rng, planted), _conic_through(rng, planted)
         if q1 is None or q2 is None or q1.is_proportional_to(q2):
             continue
-        pairs.append((q1, q2))
-    for q1, q2 in pairs:
+        pairs.append((q1, q2, planted))
+    on_line = vanishing_lead = 0
+    for q1, q2, planted in pairs:
         pair = rational_pair_intersections(q1, q2)
-        assert {pt for pt, _ in pair.points} == _rational_solutions_oracle(q1, q2)
+        expected = _rational_solutions_oracle(q1, q2)
+        assert {ProjectivePoint.of(*pt) for pt in planted} <= expected
+        assert {pt for pt, _ in pair.points} == expected
+        on_line += any(pt.z == 0 for pt in expected)
+        vanishing_lead += q1.evaluate((0, 1, 0)) == 0 == q2.evaluate((0, 1, 0))
+    assert on_line >= 20 and vanishing_lead >= 10
 
 
 @settings(max_examples=20, deadline=None)
