@@ -4,7 +4,9 @@
 Prints a table of the freeness data (degree, minimal relation degree, total
 Tjurina number, defect, verdict) for all corpus curves, runs the three
 enumeration certificates, replays the tacnode deformation check, and exits
-nonzero if anything disagrees with the recorded expectations.
+nonzero if anything disagrees with the recorded expectations.  Each entry
+is analyzed once; the table, the deformation check and the regression all
+read that analysis.
 """
 
 import sys
@@ -15,38 +17,27 @@ from conicfree.combinatorics import (
     enumerate_theorem_char,
     enumerate_theorem_near,
 )
-from conicfree.corpus import corpus_entries, run_regression
-from conicfree.freeness import build_report, check_deformation
-from conicfree.jacobian import JacobianContext, SyzygyWitness, mdr, total_tjurina
-from conicfree.locus import survey
+from conicfree.corpus import RegressionTable, analyze_entry, check_entry, corpus_entries
+from conicfree.freeness import check_deformation
+from conicfree.report import Analysis
 
 
-def freeness_table() -> None:
+def freeness_table() -> dict[str, Analysis]:
     print(f"{'entry':28s} {'d':>3s} {'d1':>3s} {'tau':>4s} {'nu':>3s}  verdict")
+    analyses = {}
     for e in corpus_entries():
         t0 = time.time()
-        f = e.polynomial()
-        ctx = JacobianContext.for_curve(f)
-        w = mdr(ctx)
-        tau = total_tjurina(ctx)
-        d1 = w.r if isinstance(w, SyzygyWitness) else w
-        report = build_report(f.degree, d1, tau)
+        a = analyses[e.name] = analyze_entry(e)
         print(
-            f"{e.name:28s} {f.degree:3d} {report.d1_value():3d} {tau:4d} "
-            f"{report.nu:3d}  {report.verdict:12s} ({time.time() - t0:.1f}s)"
+            f"{e.name:28s} {a.ctx.d:3d} {a.report.d1_value():3d} {a.tau:4d} "
+            f"{a.report.nu:3d}  {a.report.verdict:12s} ({time.time() - t0:.1f}s)"
         )
+    return analyses
 
 
-def deformation_demo() -> bool:
-    results = []
-    for name in ("persson_triconical", "persson_deformed"):
-        e = next(x for x in corpus_entries() if x.name == name)
-        ctx = JacobianContext.for_curve(e.polynomial())
-        w = mdr(ctx)
-        tau = total_tjurina(ctx)
-        report = build_report(ctx.d, w.r, tau)
-        results.append((report, survey(e.arrangement())))
-    check = check_deformation(results[0], results[1])
+def deformation_demo(analyses: dict[str, Analysis]) -> bool:
+    before, after = analyses["persson_triconical"], analyses["persson_deformed"]
+    check = check_deformation((before.report, before.survey), (after.report, after.survey))
     print("\ntacnode-to-two-nodes deformation check:")
     for clause in check.clauses:
         print(f"  {'PASS' if clause.ok else 'FAIL'} {clause.name}: {clause.detail}")
@@ -70,11 +61,13 @@ def certificates() -> bool:
 
 def main() -> int:
     t0 = time.time()
-    freeness_table()
-    ok = deformation_demo()
+    analyses = freeness_table()
+    ok = deformation_demo(analyses)
     ok = certificates() and ok
     print("\nfull field-level regression against recorded expectations:")
-    table = run_regression()
+    table = RegressionTable(
+        rows=tuple(row for e in corpus_entries() for row in check_entry(e, analyses[e.name]))
+    )
     failures = table.failures()
     for row in failures:
         print(f"  FAIL {row.entry} {row.field}: expected {row.expected}, got {row.got}")

@@ -38,7 +38,14 @@ from conicfree.poly import (
     ProjectivePoint,
     parse_polynomial,
 )
-from conicfree.report import Analysis, analysis_document, analyze_curve, render_text, to_json
+from conicfree.report import (
+    Analysis,
+    analysis_document,
+    analyze_curve,
+    render_text,
+    survey_lines,
+    to_json,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -107,28 +114,23 @@ def _resolve_input(text: str) -> ResolvedInput:
     return ResolvedInput(parse_polynomial(text), None, f"<expression> {text}")
 
 
-def _run_analysis(args: argparse.Namespace) -> Analysis:
-    resolved = _resolve_input(args.input)
-    extra = _read_points_file(args.points) if args.points else None
-    analysis = analyze_curve(
+def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis:
+    return analyze_curve(
         resolved.f,
         arrangement=resolved.arrangement,
         source=resolved.source,
         policy=_policy(args),
         assume_qh=args.assume_qh or resolved.assume_qh,
-        extra_points=extra,
-        window_extend=args.window_extend,
+        extra_points=_read_points_file(args.points) if args.points else None,
+        window_extend=getattr(args, "window_extend", 0),
     )
-    analysis.provenance = resolved.provenance  # type: ignore[attr-defined]
-    return analysis
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    analysis = _run_analysis(args)
+    resolved = _resolve_input(args.input)
+    analysis = _run_analysis(args, resolved)
     doc = analysis_document(
-        analysis,
-        supersolvable=args.supersolvable,
-        provenance=getattr(analysis, "provenance", None),
+        analysis, supersolvable=args.supersolvable, provenance=resolved.provenance
     )
     print(to_json(doc) if args.json else render_text(doc))
     return EXIT_INCONCLUSIVE if analysis.inconclusive else EXIT_OK
@@ -141,15 +143,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "classify needs an arrangement (a corpus arrangement or a file "
             "with one conic per line)"
         )
-    analysis = analyze_curve(
-        resolved.f,
-        arrangement=resolved.arrangement,
-        source=resolved.source,
-        policy=_policy(args),
-        assume_qh=args.assume_qh or resolved.assume_qh,
-        extra_points=_read_points_file(args.points) if args.points else None,
-    )
-    doc = analysis_document(analysis, provenance=resolved.provenance)
+    doc = analysis_document(_run_analysis(args, resolved), provenance=resolved.provenance)
     survey_doc = {
         "schema": doc["schema"],
         "input": doc["input"],
@@ -159,21 +153,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.json:
         print(to_json(survey_doc))
     else:
-        sv = survey_doc["survey"]
         print(f"input: {survey_doc['input']['source']}")
-        print(
-            f"survey: {len(sv['records'])} rational singular point(s), "
-            f"complete = {sv['complete']}"
-        )
-        for rec in sv["records"]:
-            tau_text = "?" if rec["tau"] is None else rec["tau"]
-            print(
-                f"  {rec['point']} type {rec['type']} on components "
-                f"{rec['members']} (mu={rec['mu']}, tau={tau_text})"
-            )
-        residuals = {k: v for k, v in sv["residual_per_pair"].items() if v}
-        if residuals:
-            print(f"  unlocated intersection budget: {residuals}")
+        print("\n".join(survey_lines(survey_doc["survey"])))
     if not doc["survey"]["complete"]:
         print(
             "warning: survey incomplete (irrational intersection points remain)",
@@ -362,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--incidence", action="store_true", help="treat input as an incidence file")
     p.add_argument("--assume-qh", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--modular-linalg", choices=("on", "off"), default="on")
     p.set_defaults(func=cmd_supersolvable)
 
     p = sub.add_parser("corpus", help="list built-in example curves")

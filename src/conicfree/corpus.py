@@ -13,22 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from conicfree.freeness import (
-    FREE,
-    NEARLY_FREE,
-    NEITHER,
-    build_report,
-    effective_inventory,
-)
-from conicfree.jacobian import (
-    JacobianContext,
-    SyzygyWitness,
-    mdr,
-    total_tjurina,
-    verify_witness,
-)
+from conicfree.freeness import FREE, NEARLY_FREE, NEITHER, effective_inventory
+from conicfree.jacobian import SyzygyWitness, verify_witness
 from conicfree.linalg import DEFAULT_POLICY, LinalgPolicy
-from conicfree.locus import ConicArrangement, LocusSurvey, survey
+from conicfree.locus import ConicArrangement
 from conicfree.poly import (
     AffinePolynomial,
     HomogeneousPolynomial,
@@ -36,6 +24,7 @@ from conicfree.poly import (
     dehomogenize,
     parse_polynomial,
 )
+from conicfree.report import Analysis, analyze_curve
 
 
 class CorpusNotFoundError(KeyError):
@@ -423,10 +412,23 @@ def diagonal_germ_tau(g: AffinePolynomial) -> int | None:
     return None
 
 
-def check_entry(
-    e: CorpusEntry, policy: LinalgPolicy = DEFAULT_POLICY
-) -> list[RegressionRow]:
-    """Recompute an entry through the full pipeline; one row per field."""
+def analyze_entry(e: CorpusEntry, policy: LinalgPolicy = DEFAULT_POLICY) -> Analysis:
+    """Run an entry through the full analysis pipeline."""
+    return analyze_curve(
+        e.polynomial(),
+        arrangement=e.arrangement(),
+        source=f"corpus:{e.name}",
+        policy=policy,
+        assume_qh=e.assume_qh,
+    )
+
+
+def check_entry(e: CorpusEntry, analysis: Analysis) -> list[RegressionRow]:
+    """Compare an entry's expected fields with its analysis; one row per field.
+
+    An unstable window (``analysis.tau`` None) fails the fields that need
+    the Tjurina number instead of raising.
+    """
     rows: list[RegressionRow] = []
 
     def add(field_name: str, expected: object, got: object) -> None:
@@ -440,12 +442,10 @@ def check_entry(
             )
         )
 
-    f = e.polynomial()
+    f, witness, sv, report = analysis.f, analysis.witness, analysis.survey, analysis.report
     exp = e.expected
     if "d" in exp:
         add("d", exp["d"], f.degree)
-    ctx = JacobianContext.for_curve(f)
-    witness = mdr(ctx, policy)
     d1 = witness.r if isinstance(witness, SyzygyWitness) else None
     if "d1" in exp:
         add("d1", exp["d1"], d1)
@@ -460,24 +460,21 @@ def check_entry(
                 HomogeneousPolynomial.zero(0) if p.is_zero() else p for p in got_triple
             )
             add("witness", expected_triple, norm)
-            add("witness_verifies", True, verify_witness(ctx, witness))
+            add("witness_verifies", True, verify_witness(analysis.ctx, witness))
         else:
             add("witness", expected_triple, None)
-    tau = total_tjurina(ctx, policy)
+    tau = analysis.tau
     if "tau" in exp:
         add("tau", exp["tau"], tau)
-    report = build_report(f.degree, witness if d1 is None else d1, tau)
     if "nu" in exp:
-        add("nu", exp["nu"], report.nu)
+        add("nu", exp["nu"], None if report is None else report.nu)
     if "verdict" in exp:
-        add("verdict", exp["verdict"], report.verdict)
+        add("verdict", exp["verdict"], None if report is None else report.verdict)
 
-    arr = e.arrangement()
-    sv: LocusSurvey | None = None
-    if arr is not None:
-        sv = survey(arr, assume_qh=e.assume_qh)
+    if sv is not None:
         if "inventory" in exp:
-            add("inventory", exp["inventory"], effective_inventory(sv, tau))
+            inventory = None if tau is None else effective_inventory(sv, tau)
+            add("inventory", exp["inventory"], inventory)
         if "singular_points" in exp:
             add("singular_points", exp["singular_points"], len(sv.records))
         if "points_of_type" in exp:
@@ -517,5 +514,5 @@ def run_regression(
         selected = [entry(n) for n in names]
     rows: list[RegressionRow] = []
     for e in selected:
-        rows.extend(check_entry(e, policy))
+        rows.extend(check_entry(e, analyze_entry(e, policy)))
     return RegressionTable(rows=tuple(rows))

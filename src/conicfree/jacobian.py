@@ -55,10 +55,14 @@ class JacobianContext:
 
 @dataclass(frozen=True)
 class HilbertProfile:
-    """Graded dimensions over a degree window, plus the stabilized value."""
+    """Graded dimensions over a degree window, plus the total Tjurina number.
+
+    ``tau`` is the common value at 3d-6, 3d-5, 3d-4, 0 for the smooth
+    signature (1, 0, 0), and None when the window is unstable.
+    """
 
     window: tuple[tuple[int, int], ...]
-    stabilized_value: int | None
+    tau: int | None
     smooth: bool
 
 
@@ -133,27 +137,28 @@ def hilbert_profile(
     window = tuple(
         (t, milnor_dim(ctx, t, policy)) for t in range(lo, lo + 3 + max(extend, 0))
     )
-    values = [v for _, v in window[-3:]]
-    stabilized = values[0] if values[0] == values[1] == values[2] else None
     core = [v for _, v in window[:3]]
     smooth = core == [1, 0, 0]
-    return HilbertProfile(window=window, stabilized_value=stabilized, smooth=smooth)
+    tau: int | None
+    if core[0] == core[1] == core[2]:
+        tau = core[0]
+    elif smooth:
+        tau = 0
+    else:
+        tau = None
+    return HilbertProfile(window=window, tau=tau, smooth=smooth)
 
 
 def total_tjurina(ctx: JacobianContext, policy: LinalgPolicy = DEFAULT_POLICY) -> int:
     """Total Tjurina number via stabilization of the Hilbert function.
 
-    Reads the three values at 3d-6, 3d-5, 3d-4 and returns their common
-    value; the smooth signature (1, 0, 0) yields 0.  Raises
-    :class:`UnstableWindowError` otherwise.
+    Returns :attr:`HilbertProfile.tau`; raises :class:`UnstableWindowError`
+    when the window is unstable.
     """
-    profile = hilbert_profile(ctx, extend=0, policy=policy)
-    core = [v for _, v in profile.window]
-    if core[0] == core[1] == core[2]:
-        return core[0]
-    if profile.smooth:
-        return 0
-    raise UnstableWindowError(list(profile.window))
+    profile = hilbert_profile(ctx, policy=policy)
+    if profile.tau is None:
+        raise UnstableWindowError(list(profile.window))
+    return profile.tau
 
 
 def _vector_to_witness(

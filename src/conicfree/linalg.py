@@ -2,8 +2,9 @@
 
 Two engines with identical contracts:
 
-* a fraction-free (Bareiss-style) elimination over the integers, the exact
-  baseline for ranks, plus an exact reduced-echelon kernel over Fraction;
+* an exact engine: row echelon form over the integers with per-row content
+  stripping, whose pivot count is the rank and whose back substitution over
+  Fraction gives the kernel;
 * a certified modular engine.  It eliminates A modulo one 31-bit prime,
   recording the pivot columns P and the pivot rows R, and solves
   A[R,P] X = A[R,F] over the rationals for the free columns F: first from
@@ -158,52 +159,6 @@ class KernelBasis:
 # Exact baseline
 
 
-def rank(matrix: RatMatrix) -> int:
-    """Exact rank over the rationals via fraction-free elimination.
-
-    Bareiss updates: after pivoting on p_k, every remaining entry becomes a
-    (k+1)-minor of the original matrix and the division by the previous pivot
-    is exact.  Rows with a zero in the pivot column still get rescaled by
-    pivot/prev_pivot; skipping them would break the exact-division property.
-    """
-    rows = [dict(r) for r in matrix.integer_rows()]
-    rows = [r for r in rows if r]
-    prev_pivot = 1
-    rk = 0
-    while rows:
-        col_counts: dict[int, int] = {}
-        for r in rows:
-            for c in r:
-                col_counts[c] = col_counts.get(c, 0) + 1
-        if not col_counts:
-            break
-        pc = min(col_counts, key=lambda c: (col_counts[c], c))
-        candidates = [i for i, r in enumerate(rows) if pc in r]
-        pi = min(candidates, key=lambda i: (abs(rows[i][pc]).bit_length(), i))
-        pivot_row = rows.pop(pi)
-        pivot = pivot_row[pc]
-        rk += 1
-        next_rows = []
-        for r in rows:
-            factor = r.pop(pc, 0)
-            new_r: dict[int, int] = {}
-            if factor:
-                keys = set(r) | set(pivot_row)
-                keys.discard(pc)
-                for c in keys:
-                    v = (r.get(c, 0) * pivot - factor * pivot_row.get(c, 0)) // prev_pivot
-                    if v:
-                        new_r[c] = v
-            else:
-                for c, v in r.items():
-                    new_r[c] = v * pivot // prev_pivot
-            if new_r:
-                next_rows.append(new_r)
-        rows = next_rows
-        prev_pivot = pivot
-    return rk
-
-
 def _integer_ref(matrix: RatMatrix) -> tuple[list[dict[int, int]], list[int]]:
     """Row echelon form over the integers with per-row content stripping.
 
@@ -242,6 +197,11 @@ def _integer_ref(matrix: RatMatrix) -> tuple[list[dict[int, int]], list[int]]:
         echelon.append(pivot_row)
         pivot_cols.append(col)
     return echelon, pivot_cols
+
+
+def rank(matrix: RatMatrix) -> int:
+    """Exact rank over the rationals: the pivot count of the integer echelon form."""
+    return len(_integer_ref(matrix)[1])
 
 
 def kernel_basis(matrix: RatMatrix) -> KernelBasis:

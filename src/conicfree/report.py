@@ -55,7 +55,7 @@ def exact(value: object) -> object:
     raise TypeError(f"not an exact value: {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Analysis:
     """Everything the pipeline computed for one curve."""
 
@@ -89,14 +89,7 @@ def analyze_curve(
     ctx = JacobianContext.for_curve(f)
     witness = mdr(ctx, policy)
     profile = hilbert_profile(ctx, extend=window_extend, policy=policy)
-    core = [v for _, v in profile.window[:3]]
-    tau: int | None
-    if core[0] == core[1] == core[2]:
-        tau = core[0]
-    elif profile.smooth:
-        tau = 0
-    else:
-        tau = None
+    tau = profile.tau
     report = None
     if tau is not None:
         d1 = witness.r if isinstance(witness, SyzygyWitness) else witness
@@ -255,6 +248,24 @@ def to_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
+def survey_lines(sv: dict) -> list[str]:
+    """Human-readable rendering of the survey section of a document."""
+    lines = [
+        f"survey: {len(sv['records'])} rational singular point(s), "
+        f"complete = {sv['complete']}"
+    ]
+    for rec in sv["records"]:
+        tau_text = "?" if rec["tau"] is None else rec["tau"]
+        lines.append(
+            f"  {rec['point']} type {rec['type']} on components "
+            f"{rec['members']} (mu={rec['mu']}, tau={tau_text})"
+        )
+    residuals = {k: v for k, v in sv["residual_per_pair"].items() if v}
+    if residuals:
+        lines.append(f"  unlocated intersection budget: {residuals}")
+    return lines
+
+
 def render_text(doc: dict) -> str:
     """Human-readable rendering of an analysis document."""
     lines: list[str] = []
@@ -296,21 +307,8 @@ def render_text(doc: dict) -> str:
                 f"bound d1 >= {fr['mdr_lower_bound']}: "
                 f"{'holds' if fr['bound_check'] else 'VIOLATED'}"
             )
-    sv = doc["survey"]
-    if sv is not None:
-        lines.append(
-            f"survey: {len(sv['records'])} rational singular point(s), "
-            f"complete = {sv['complete']}"
-        )
-        for rec in sv["records"]:
-            tau_text = "?" if rec["tau"] is None else rec["tau"]
-            lines.append(
-                f"  {rec['point']} type {rec['type']} on components "
-                f"{rec['members']} (mu={rec['mu']}, tau={tau_text})"
-            )
-        residuals = {k: v for k, v in sv["residual_per_pair"].items() if v}
-        if residuals:
-            lines.append(f"  unlocated intersection budget: {residuals}")
+    if doc["survey"] is not None:
+        lines.extend(survey_lines(doc["survey"]))
     checks = doc["checks"]
     if checks:
         for key in sorted(checks):

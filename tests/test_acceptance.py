@@ -17,38 +17,16 @@ from conicfree.combinatorics import (
     enumerate_theorem_near,
     is_combinatorially_supersolvable,
 )
-from conicfree.corpus import corpus_entries, diagonal_germ_tau, entry
-from conicfree.freeness import (
-    FREE,
-    NEARLY_FREE,
-    NEITHER,
-    build_report,
-    eta_of,
-    lct,
-)
-from conicfree.jacobian import (
-    JacobianContext,
-    SyzygyWitness,
-    hilbert_profile,
-    mdr,
-    total_tjurina,
-    verify_witness,
-)
-from conicfree.locus import SingType, survey
+from conicfree.corpus import analyze_entry, corpus_entries, diagonal_germ_tau, entry
+from conicfree.freeness import FREE, NEARLY_FREE, NEITHER, eta_of, lct
+from conicfree.jacobian import SyzygyWitness, verify_witness
+from conicfree.locus import SingType
 from conicfree.poly import ProjectivePoint, dehomogenize, parse_polynomial
 
 
 def _pipeline(name: str):
-    e = entry(name)
-    f = e.polynomial()
-    ctx = JacobianContext.for_curve(f)
-    witness = mdr(ctx)
-    tau = total_tjurina(ctx)
-    d1 = witness.r if isinstance(witness, SyzygyWitness) else witness
-    report = build_report(f.degree, d1, tau)
-    arr = e.arrangement()
-    sv = survey(arr, assume_qh=e.assume_qh) if arr is not None else None
-    return ctx, witness, tau, report, sv
+    a = analyze_entry(entry(name))
+    return a.ctx, a.witness, a.tau, a.report, a.survey
 
 
 def _cli_json(*argv):
@@ -152,13 +130,9 @@ def test_criterion_5_pencil_families():
         assert report.nu == 3
         assert report.verdict == NEITHER
     for k in (2, 3, 4, 5, 6):
-        e = entry(f"pencil_two_points_k{k}")
-        f = e.polynomial()
-        ctx = JacobianContext.for_curve(f)
-        witness = mdr(ctx)
+        ctx, witness, tau, report, sv = _pipeline(f"pencil_two_points_k{k}")
+        f = ctx.f
         assert isinstance(witness, SyzygyWitness) and witness.r == 1
-        tau = total_tjurina(ctx)
-        report = build_report(f.degree, 1, tau)
         assert report.nu == 1
         assert report.verdict == NEARLY_FREE
         local = (2 * k - 1) * (k - 1)
@@ -204,18 +178,14 @@ def test_criterion_8_property_suite():
     # (b) every returned witness re-verifies to exactly zero
     # (c) the probed Hilbert window is constant on every corpus entry
     for e in corpus_entries():
-        f = e.polynomial()
-        ctx = JacobianContext.for_curve(f)
-        profile = hilbert_profile(ctx)
-        values = [v for _, v in profile.window]
+        a = analyze_entry(e)
+        values = [v for _, v in a.profile.window]
         assert values[0] == values[1] == values[2], e.name
         tau = values[0]
-        witness = mdr(ctx)
-        if isinstance(witness, SyzygyWitness):
-            assert verify_witness(ctx, witness), e.name
-        arr = e.arrangement()
-        if arr is not None:
-            sv = survey(arr, assume_qh=e.assume_qh)
+        if isinstance(a.witness, SyzygyWitness):
+            assert verify_witness(a.ctx, a.witness), e.name
+        sv = a.survey
+        if sv is not None:
             if sv.complete and sv.local_tau_total() is not None:
                 assert sv.local_tau_total() == tau, e.name
     # (d) eta symmetry on 1000 random (d, d1)

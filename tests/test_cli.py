@@ -125,6 +125,16 @@ def test_classify_p4(capsys):
     assert points == ["(-1:0:1)", "(-2:0:1)", "(0:0:1)", "(1:0:1)"]
 
 
+def test_classify_text_prints_the_analyze_survey_section(capsys):
+    _, analyzed, _ = run_cli(capsys, "analyze", "corpus:p4_four_conics")
+    _, classified, _ = run_cli(capsys, "classify", "corpus:p4_four_conics")
+    lines = analyzed.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("survey: "))
+    end = next(i for i, line in enumerate(lines) if line.startswith("check "))
+    assert classified.splitlines() == ["input: corpus:p4_four_conics"] + lines[start:end]
+    assert "unlocated intersection budget" in classified
+
+
 def test_classify_complete_survey_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "classify", "corpus:celal_three_conics", "--json")
     assert code == 0

@@ -1,11 +1,15 @@
 """Corpus entries and the regression harness."""
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from conicfree.corpus import (
+    CorpusEntry,
     CorpusNotFoundError,
+    analyze_entry,
     check_entry,
     corpus_entries,
     diagonal_germ_tau,
@@ -102,8 +106,57 @@ def test_mutated_expectation_fails_exactly_one_field():
     tampered = dataclasses.replace(
         e, expected={**e.expected, "tau": e.expected["tau"] + 1}
     )
-    rows = check_entry(tampered)
+    rows = check_entry(tampered, analyze_entry(tampered))
     failures = [r for r in rows if not r.ok]
     assert len(failures) == 1
     assert failures[0].field == "tau"
     assert failures[0].expected == 20 and failures[0].got == 19
+
+
+def test_unstable_window_fails_tau_fields_instead_of_raising():
+    e = CorpusEntry(
+        name="nonreduced",
+        description="x^2*y, a non-reduced cubic",
+        component_texts=None,
+        polynomial_text="x^2*y",
+        expected={"d": 3, "d1": 0, "tau": 4, "nu": 3, "verdict": "neither"},
+        provenance={},
+    )
+    analysis = analyze_entry(e)
+    assert analysis.tau is None
+    rows = check_entry(e, analysis)
+    assert [(r.field, r.ok, r.got) for r in rows] == [
+        ("d", True, 3),
+        ("d1", True, 0),
+        ("tau", False, None),
+        ("nu", False, None),
+        ("verdict", False, None),
+    ]
+
+
+def test_unstable_window_fails_inventory_on_an_arrangement():
+    # arrangements are reduced, so their windows are stable; check_entry only
+    # compares fields, so an analysis without tau stands in for one
+    e = entry("two_conics_a7_e1")
+    analysis = dataclasses.replace(analyze_entry(e), tau=None, report=None)
+    failures = [r.field for r in check_entry(e, analysis) if not r.ok]
+    assert failures == ["tau", "nu", "verdict", "inventory"]
+
+
+def test_reproduce_corpus_script(capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_corpus.py"
+    spec = importlib.util.spec_from_file_location("reproduce_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    table = lines[1 : lines.index("")]
+    entries = corpus_entries()
+    assert len(table) == len(entries) == 20
+    for line, e in zip(table, entries):
+        name, d, d1, tau, nu, verdict, _ = line.split()
+        exp = e.expected
+        assert (name, int(d), int(d1), int(tau), int(nu), verdict) == (
+            e.name, exp["d"], exp["d1"], exp["tau"], exp["nu"], exp["verdict"]
+        )
+    assert lines[-1].startswith("  171 checks, 0 failures")

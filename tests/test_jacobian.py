@@ -83,7 +83,7 @@ def test_window_equal_values_on_singular_curves():
         profile = hilbert_profile(_ctx(text))
         values = [v for _, v in profile.window]
         assert values[0] == values[1] == values[2]
-        assert profile.stabilized_value == values[0]
+        assert profile.tau == values[0]
 
 
 def test_mdr_moustache_degree_one():
