@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from conicfree.linalg import DEFAULT_POLICY, LinalgPolicy, RatMatrix
+import numpy as np
+
+from conicfree.linalg import DEFAULT_POLICY, LinalgPolicy, RatMatrix, integer_zeros
 from conicfree.poly import (
     VAR_NAMES,
     HomogeneousPolynomial,
@@ -96,19 +98,28 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
     """Matrix of (a, b, c) -> a*f_x + b*f_y + c*f_z on degree-r coefficients.
 
     Rows are indexed by degree r+d-1 monomials in descending grlex order,
-    columns by (component, degree-r monomial), component-major.
+    columns by (component, degree-r monomial), component-major.  The partials
+    are multiplied by the lcm of their coefficients' denominators, one
+    positive constant that changes neither the rank nor the kernel, so the
+    matrix is an integer array.
     """
     t = r + ctx.d - 1
-    row_index = {m: i for i, m in enumerate(monomials_of_degree(t))}
-    columns: list[dict[int, Fraction]] = []
-    for g in ctx.partials:
-        for mono in monomials_of_degree(r):
-            col: dict[int, Fraction] = {}
-            for gm, c in g.terms.items():
-                m = (gm[0] + mono[0], gm[1] + mono[1], gm[2] + mono[2])
-                col[row_index[m]] = col.get(row_index[m], Fraction(0)) + c
-            columns.append(col)
-    return RatMatrix.from_columns(len(row_index), columns)
+    monos = np.array(monomials_of_degree(r), dtype=np.int64).reshape(-1, 3)
+    n = len(monos)
+    scale = lcm(*(c.denominator for g in ctx.partials for c in g.terms.values()))
+    coefs = [[int(c * scale) for c in g.terms.values()] for g in ctx.partials]
+    a = integer_zeros(
+        (degree_dimension(t), 3 * n), max((abs(v) for vals in coefs for v in vals), default=0)
+    )
+    for k, (g, vals) in enumerate(zip(ctx.partials, coefs)):
+        if not vals:
+            continue
+        prods = np.array(list(g.terms), dtype=np.int64)[:, None, :] + monos[None, :, :]
+        # position of (i, j, l) among the degree-t monomials in descending grlex
+        top = t - prods[..., 0]
+        rows = top * (top + 1) // 2 + prods[..., 2]
+        a[rows, k * n + np.arange(n)] = np.array(vals, dtype=a.dtype)[:, None]
+    return RatMatrix.from_integer_array(a)
 
 
 def milnor_dim(

@@ -5,18 +5,33 @@ Two engines with identical contracts:
 * an exact engine: row echelon form over the integers with per-row content
   stripping, whose pivot count is the rank and whose back substitution over
   Fraction gives the kernel;
-* a certified modular engine.  It eliminates A modulo one 31-bit prime,
-  recording the pivot columns P and the pivot rows R, and solves
-  A[R,P] X = A[R,F] over the rationals for the free columns F: first from
-  the echelon form itself, then, if that single p-adic digit does not give
-  a verified kernel, by Dixon's p-adic lifting with vector rational
-  reconstruction on a doubling schedule.  A rank r is accepted only with an
-  exact certificate in both directions: the r x r minor A[R,P] is nonzero
-  modulo the prime (rank >= r over the rationals), and the n - r
-  standard-form kernel vectors built from X are re-verified exactly against
-  every integer row (rank <= r).  Lifting stops at the latest at the
-  Hadamard bound of the system, where reconstruction is guaranteed, so a
-  failed certificate means the prime lowered the rank and the next prime is
+* a certified modular engine that works on one integer array from the
+  matrix build to the certificate: int64, or Python integers in an object
+  array once an entry reaches 2^62.  It eliminates A modulo one 31-bit
+  prime, updating only the columns from each pivot on, records the pivot
+  columns P and the pivot rows R, and solves A[R,P] X = A[R,F] over the
+  rationals for the free columns F: first from the echelon form itself,
+  then, if that single p-adic digit does not give a verified kernel, by
+  Dixon's p-adic lifting.  The lifting prime is the largest that keeps
+  every int64 product exact for the largest row l1 norm of the pivot block,
+  through which the residual is updated as a sparse matrix.  Reconstruction
+  is gated by stability: the fractions of a few spread-out entries of X
+  are checked against every new digit, and the whole of X is
+  reconstructed only when they stay the same on a later digit (an entry
+  that then fails to reconstruct joins them), and always at the Hadamard
+  bound of the system, where reconstruction is guaranteed.
+
+  A rank r is accepted only with an exact certificate in both directions:
+  the r x r minor A[R,P] is nonzero modulo the prime (rank >= r over the
+  rationals), and the n - r standard-form kernel vectors built from X are
+  re-verified exactly against every integer row (rank <= r).  The
+  re-verification splits the vectors into signed w-bit limbs, w chosen from
+  the largest row l1 norm L of A so that L * 2^w fits in int64: every row
+  sum of a limb product is then exact, and A v = 0 holds exactly when each
+  limb sum plus the carry from the limb below is divisible by 2^w and the
+  last carry is 0.  Matrices whose entries leave no room for 8-bit limbs
+  are checked row by row with Python integers.  A failed certificate at the
+  Hadamard bound means the prime lowered the rank, and the next prime is
   tried.  Kernel requests also need two primes that agree on the rank and
   the pivot columns, the smallest pivot tuple winning at the top rank.
 
@@ -28,12 +43,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
 _MOD_THRESHOLD = 24  # below this size the exact baseline is used directly
 _INT64_MAX = 2**63 - 1
+_CHUNK = 1 << 18  # elements in one temporary of the lifting and verification loops
+_PROBES = 5  # entries of X in the lifting probe, and added to it after a failure
+_FOLD = 8  # lifting digits kept as int64 before they join the object array
+_CHECKS = 16  # probe reconstructions per doubling of the digit count
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -67,10 +87,23 @@ def _primes_below(n: int):
             yield c
 
 
-class RatMatrix:
-    """Sparse rational matrix keyed by (row, col)."""
+def integer_zeros(shape: tuple[int, int], bound: int) -> np.ndarray:
+    """A zero array for integer entries of absolute value at most bound.
 
-    __slots__ = ("rows", "cols", "entries")
+    int64 below 2^62, which keeps a sum of two entries exact, otherwise an
+    object array of Python integers.
+    """
+    return np.zeros(shape, dtype=np.int64 if bound < 2**62 else object)
+
+
+class RatMatrix:
+    """Sparse rational matrix keyed by (row, col).
+
+    A matrix made by :meth:`from_integer_array` is that integer array; its
+    ``entries`` (Python integers) are derived from the array on first use.
+    """
+
+    __slots__ = ("rows", "cols", "_entries", "_array")
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction | int]):
         if rows < 0 or cols < 0:
@@ -84,7 +117,19 @@ class RatMatrix:
                 clean[(r, c)] = f
         self.rows = rows
         self.cols = cols
-        self.entries = clean
+        self._entries: dict[tuple[int, int], Fraction | int] | None = clean
+        self._array: np.ndarray | None = None
+
+    @classmethod
+    def from_integer_array(cls, array: np.ndarray) -> "RatMatrix":
+        """The matrix of a 2-d array of integers, not copied: int64 with
+        entries below 2^62 in absolute value (see :func:`integer_zeros`), or
+        object."""
+        m = cls.__new__(cls)
+        m.rows, m.cols = array.shape
+        m._entries = None
+        m._array = array
+        return m
 
     @classmethod
     def from_dense(cls, dense: list[list[Fraction | int]]) -> "RatMatrix":
@@ -98,14 +143,22 @@ class RatMatrix:
         }
         return cls(rows, cols, entries)
 
-    @classmethod
-    def from_columns(cls, rows: int, columns: list[dict[int, Fraction | int]]) -> "RatMatrix":
-        entries = {
-            (r, c): v for c, col in enumerate(columns) for r, v in col.items() if v != 0
-        }
-        return cls(rows, len(columns), entries)
+    @property
+    def entries(self) -> dict[tuple[int, int], Fraction | int]:
+        if self._entries is None:
+            rr, cc = np.nonzero(self._array)
+            values = self._array[rr, cc].tolist()
+            self._entries = dict(zip(zip(rr.tolist(), cc.tolist()), values))
+        return self._entries
+
+    def is_zero(self) -> bool:
+        if self._array is not None:
+            return not self._array.any()
+        return not self._entries
 
     def transpose(self) -> "RatMatrix":
+        if self._array is not None:
+            return RatMatrix.from_integer_array(self._array.T)
         return RatMatrix(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
         )
@@ -135,13 +188,37 @@ class RatMatrix:
 
     def integer_rows(self) -> list[list[tuple[int, int]]]:
         """Rows scaled to integers (each row by the lcm of its denominators)."""
-        out: list[list[tuple[int, int]]] = []
+        if self._array is not None:
+            out = []
+            for row in self._array:
+                nz = np.flatnonzero(row)
+                out.append(list(zip(nz.tolist(), row[nz].tolist())))
+            return out
+        out = []
         for row in self.row_lists():
             m = 1
             for _, v in row:
                 m = m * v.denominator // gcd(m, v.denominator)
             out.append([(c, int(v * m)) for c, v in row])
         return out
+
+    def integer_array(self) -> np.ndarray:
+        """An integer array with the rank and kernel of this matrix.
+
+        The array itself for a matrix made from one, otherwise the rows of
+        :meth:`integer_rows`; int64, or object once an entry reaches 2^62.
+        """
+        if self._array is not None:
+            return self._array
+        rr, cc, vv = [], [], []
+        for r, row in enumerate(self.integer_rows()):
+            for c, v in row:
+                rr.append(r)
+                cc.append(c)
+                vv.append(v)
+        a = integer_zeros((self.rows, self.cols), max(map(abs, vv), default=0))
+        a[rr, cc] = np.array(vv, dtype=a.dtype)
+        return a
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -234,30 +311,30 @@ def kernel_basis(matrix: RatMatrix) -> KernelBasis:
 # Certified modular engine
 
 
-def _int_dense(matrix: RatMatrix) -> list[list[int]]:
-    dense = [[0] * matrix.cols for _ in range(matrix.rows)]
-    for r, row in enumerate(matrix.integer_rows()):
-        for c, v in row:
-            dense[r][c] = v
-    return dense
+def _max_abs(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
 
 
-def _mod_array(dense: list[list[int]], p: int) -> np.ndarray:
-    if dense and max((max(map(abs, row), default=0) for row in dense)) < 2**62:
-        a = np.array(dense, dtype=np.int64)
-        return np.mod(a, p)
-    return np.array([[v % p for v in row] for row in dense], dtype=np.int64)
+def _mod_array(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p as a C-ordered int64 array."""
+    if a.dtype == object:
+        return np.ascontiguousarray((a % p).astype(np.int64))
+    out = np.empty(a.shape, dtype=np.int64)
+    np.mod(a, p, out=out)
+    return out
 
 
 def _rref_mod(
     a: np.ndarray, p: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """Reduced row echelon form of a mod p.  Pivot rule: first nonzero row.
+    """Reduced row echelon form of a mod p, in place.  Pivot rule: first nonzero row.
 
-    Returns the pivot columns, the original indices of the pivot rows (in
-    pivot order) and the nonzero rows of the echelon form.
+    The entries of a lie in [0, p) with p < 2^31.  The rows from the current
+    one down are zero left of the pivot column, so each step updates only
+    the columns from the pivot on (only the pivot row's nonzero ones when
+    they are few).  Returns the pivot columns, the original indices of the
+    pivot rows (in pivot order) and the nonzero rows of the echelon form.
     """
-    a = a.copy()
     nrows, ncols = a.shape
     order = list(range(nrows))
     pivot_cols: list[int] = []
@@ -265,20 +342,26 @@ def _rref_mod(
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = np.flatnonzero(a[r:, c])
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr]] = a[[pr, r]]
+            a[[r, pr], c:] = a[[pr, r], c:]
             order[r], order[pr] = order[pr], order[r]
         inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+        row = a[r, c:] * inv % p
+        a[r, c:] = row
         col = a[:, c].copy()
         col[r] = 0
-        mask = np.nonzero(col)[0]
+        mask = np.flatnonzero(col)
         if mask.size:
-            a[mask] = (a[mask] - np.outer(col[mask], a[r])) % p
+            cols = np.flatnonzero(row)
+            if 2 * cols.size < row.size:
+                block = np.ix_(mask, cols + c)
+                a[block] = (a[block] - np.outer(col[mask], row[cols])) % p
+            else:
+                a[mask, c:] = (a[mask, c:] - np.outer(col[mask], row)) % p
         pivot_cols.append(c)
         r += 1
     return tuple(pivot_cols), tuple(order[:r]), a[:r]
@@ -303,30 +386,45 @@ def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int) -> tuple[in
     return num, den
 
 
-def _reconstruct_vector(residues: list[int], m: int) -> tuple[int, list[int]] | None:
+class _Reconstruction(NamedTuple):
+    den: int  # the common denominator D (so far, on failure)
+    nums: np.ndarray | None  # D*x as an object array; None on failure
+    failed_at: int | None  # the first entry without a reconstruction
+
+
+def _reconstruct_vector(residues, m: int, den: int = 1) -> _Reconstruction:
     """A common denominator D and the numerators D*x of residues x mod m.
 
-    Numerators and D are bounded by sqrt(m/2).  Once D is known most entries
-    cost one multiplication; the search stops at the first entry that has no
-    reconstruction within the bounds.
+    Numerators and D are bounded by sqrt(m/2); D is built up from den.
+    Once D is known an entry costs one multiplication; entries are
+    taken in blocks that double while D stays put, and the search stops at
+    the first entry that has no reconstruction within the bounds.
     """
+    x = np.asarray(residues, dtype=object)
     bound = isqrt(m // 2)
     half = m // 2
-    den = 1
-    nums: list[int] = []
-    for x in residues:
-        y = den * x % m
-        if y > half:
-            y -= m
-        if abs(y) > bound:
-            rec = _rat_reconstruct(y, m, bound, bound // den)
-            if rec is None:
-                return None
-            y, d = rec
-            den *= d
-            nums = [u * d for u in nums]
-        nums.append(y)
-    return den, nums
+    nums = np.empty(x.size, dtype=object)
+    start, block = 0, 16
+    while start < x.size:
+        y = x[start : start + block] * den % m
+        y[y > half] -= m
+        bad = np.flatnonzero((y > bound) | (y < -bound))
+        if bad.size == 0:
+            nums[start : start + block] = y
+            start += block
+            block *= 2
+            continue
+        i = start + int(bad[0])
+        nums[start:i] = y[: bad[0]]
+        rec = _rat_reconstruct(int(y[bad[0]]), m, bound, bound // den)
+        if rec is None:
+            return _Reconstruction(den, None, i)
+        num, d = rec
+        den *= d
+        nums[:i] *= d
+        nums[i] = num
+        start, block = i + 1, 16
+    return _Reconstruction(den, nums, None)
 
 
 def _verify_kernel(matrix_int_rows: list[list[tuple[int, int]]], vec: list[int]) -> bool:
@@ -334,113 +432,285 @@ def _verify_kernel(matrix_int_rows: list[list[tuple[int, int]]], vec: list[int])
     return all(sum(coef * vec[c] for c, coef in row) == 0 for row in matrix_int_rows)
 
 
-def _inverse_mod(b: list[list[int]], q: int) -> np.ndarray | None:
+class _SparseRows:
+    """The nonzeros of an integer array row by row, for exact chunked products."""
+
+    __slots__ = ("indptr", "cols", "vals", "l1")
+
+    def __init__(self, a: np.ndarray):
+        rr, cc = np.nonzero(a)
+        self.cols = cc
+        self.vals = a[rr, cc]
+        self.indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rr, minlength=a.shape[0]), out=self.indptr[1:])
+        mags = np.abs(a)
+        if a.size and a.dtype != object and int(mags.max()) * a.shape[1] > _INT64_MAX:
+            mags = mags.astype(object)
+        # the largest row l1 norm
+        self.l1 = int(mags.sum(axis=1).max()) if a.size else 0
+
+    def chunks(self, width: int):
+        """Row ranges whose products with `width` columns hold about _CHUNK elements."""
+        per = max(1, _CHUNK // max(width, 1))
+        n = len(self.indptr) - 1
+        start = 0
+        while start < n:
+            stop = int(np.searchsorted(self.indptr, self.indptr[start] + per, "right")) - 1
+            stop = min(n, max(stop, start + 1))
+            yield start, stop
+            start = stop
+
+    def dot(self, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of this matrix times x.
+
+        Exact in int64 when every row l1 norm times max |x| fits; every
+        partial sum is bounded by that product as well.
+        """
+        lo, hi = self.indptr[start], self.indptr[stop]
+        products = self.vals[lo:hi, None] * x[self.cols[lo:hi]]
+        out = np.zeros((stop - start, x.shape[1]), dtype=products.dtype)
+        nonempty = np.flatnonzero(np.diff(self.indptr[start : stop + 1]))
+        if nonempty.size:
+            # consecutive nonempty rows are separated only by empty ones, so
+            # each reduceat segment is exactly one row
+            out[nonempty] = np.add.reduceat(
+                products, self.indptr[start:stop][nonempty] - lo, axis=0
+            )
+        return out
+
+    def int_rows(self) -> list[list[tuple[int, int]]]:
+        cols, vals = self.cols.tolist(), self.vals.tolist()
+        bounds = self.indptr.tolist()
+        return [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _kills(a: _SparseRows, v: np.ndarray) -> bool:
+    """Exact test that the integer matrix a kills every column of the integer array v.
+
+    v = sum_l v_l 2^(w*l) with signed limbs |v_l| < 2^w, w the largest width
+    with L * 2^w <= 2^63 - 1 for the largest row l1 norm L of a.  Each limb
+    sum s_l = (a v_l)_i is then exact in int64, and so is s_l + c for an
+    incoming carry |c| <= L.  (a v)_i = sum_l s_l 2^(w*l) is zero exactly
+    when every s_l + c is divisible by 2^w, its quotient being the next
+    carry (again at most L), and the last carry is 0.  When no w >= 8 fits,
+    every row is summed with Python integers.
+    """
+    width = v.shape[1]
+    w = 63 - a.l1.bit_length()
+    if w < 8:
+        vectors = v.T.tolist()
+        rows = a.int_rows()
+        return all(_verify_kernel(rows, vec) for vec in vectors)
+    mag = np.abs(v).astype(object)
+    negative = v < 0
+    bits = int(max(mag.ravel().tolist(), default=0)).bit_length()
+    mask = (1 << w) - 1
+    limbs = np.empty((max(1, -(-bits // w)),) + v.shape, dtype=np.int64)
+    for l in range(len(limbs)):
+        limbs[l] = (mag >> (w * l)) & mask
+    limbs[:, negative] *= -1
+    for start, stop in a.chunks(width):
+        carry = np.zeros((stop - start, width), dtype=np.int64)
+        for limb in limbs:
+            s = a.dot(limb, start, stop) + carry
+            if (s & mask).any():
+                return False
+            carry = s >> w
+        if carry.any():
+            return False
+    return True
+
+
+def _inverse_mod(b: np.ndarray, q: int) -> np.ndarray | None:
     """Inverse of the square integer matrix b modulo q, None when singular mod q."""
     r = len(b)
     aug = np.concatenate([_mod_array(b, q), np.eye(r, dtype=np.int64)], axis=1)
     pivots, _, rref = _rref_mod(aug, q)
     if pivots != tuple(range(r)):
         return None
-    return rref[:, r:]
+    return np.ascontiguousarray(rref[:, r:])
 
 
-def _dixon(b: list[list[int]], c: list[list[int]], h2: int):
-    """Residues of X = b^-1 c modulo growing powers of a lifting prime q.
+def _column_norms2(a: np.ndarray) -> list[int]:
+    """Exact squared Euclidean norms of the columns of an integer array."""
+    if a.dtype == object or _max_abs(a) ** 2 * a.shape[0] > _INT64_MAX:
+        a = a.astype(object)
+    return (a * a).sum(axis=0).tolist()
 
-    Yields (q^s, entries of X mod q^s in column-major order) after s = 1, 2,
-    4, ... digits and once q^s > 2*h2, then stops.  b must be nonsingular.
+
+def _horner(digits: list[np.ndarray], q: int) -> np.ndarray:
+    """sum_s digits[s] * q^s as an object array; pairs of digits join in int64."""
+    words = [
+        digits[i] + q * digits[i + 1] if i + 1 < len(digits) else digits[i]
+        for i in range(0, len(digits), 2)
+    ]
+    value = words[-1].astype(object)
+    for word in reversed(words[:-1]):
+        value = value * (q * q) + word
+    return value
+
+
+def _probe_key(values: list[int], m: int, den: int) -> tuple[int, list[int]] | None:
+    rec = _reconstruct_vector(values, m, den)
+    return None if rec.nums is None else (rec.den, rec.nums.tolist())
+
+
+def _holds(key: tuple[int, list[int]], values: list[int], m: int) -> bool:
+    """Whether the fractions nums/D of key are still the values mod m.
+
+    Within the bounds the reconstruction is unique, so this is what a new
+    reconstruction modulo m would return, at the cost of a multiplication.
+    """
+    den, nums = key
+    return all((den * v - n) % m == 0 for v, n in zip(values, nums))
+
+
+def _spread(positions: np.ndarray) -> np.ndarray:
+    """At most _PROBES evenly spread members of positions, the first included."""
+    picks = np.linspace(0, len(positions) - 1, min(_PROBES, len(positions))).round()
+    return np.unique(positions[picks.astype(np.int64)])
+
+
+def _dixon(b: np.ndarray, c: np.ndarray, h2: int, accept):
+    """X = b^-1 c over the rationals by p-adic lifting; b is nonsingular.
+
+    Lifts modulo growing powers of a prime q; up to _FOLD digits wait as
+    int64 arrays before they join X's object array.  The probe is a few
+    spread-out entries of X, nonzero mod q.  Its fractions, reconstructed
+    from the denominator of the last failed reconstruction of X, are
+    checked against every later digit by one multiplication each; a new
+    reconstruction, whose cost is quadratic in the modulus' length, is made
+    after the first 16 digits only every s/_CHECKS digits.  X is
+    reconstructed in full, and handed to accept(D, numerators in
+    column-major order), only when the probe's fractions hold on a later
+    digit than the one that gave them, and always once q^s > 2*h2, where
+    reconstruction is guaranteed.  An entry that fails to reconstruct joins
+    the probe with a spread of the nonzero entries after it; after accept
+    rejects X the next attempt waits until the digit count has doubled.
+    Returns accept's first non-None value, or None after the attempt at the
+    Hadamard stop.
+
     The prime keeps every int64 product exact: the digit b^-1 (res mod q)
     needs r*(q-1)^2 <= 2^63 - 1, and the residual res - b*digit, whose
-    entries stay below M = max(|c|, r*|b|), needs M + r*|b|*(q-1) to fit.
-    A step on Python integers costs some 30 int64 steps, so int64 is used
-    whenever a prime of at least 2^8 qualifies; otherwise b and the residual
-    are kept as Python integers.
+    entries stay below M = max(|c|, L) for the largest row l1 norm L of b,
+    needs M + L*(q-1) to fit.  A step on Python integers costs some 30
+    int64 steps, so int64 is used whenever a prime of at least 2^8
+    qualifies; otherwise b and the residual are kept as Python integers.
     """
-    r = len(b)
-    bmax = max(abs(v) for row in b for v in row)
-    cmax = max((abs(v) for row in c for v in row), default=0)
-    cap = (_INT64_MAX - max(cmax, r * bmax)) // (r * bmax)
+    r, k = c.shape
+    bs = _SparseRows(b)
+    bound = max(_max_abs(c), bs.l1)
+    cap = (_INT64_MAX - bound) // bs.l1
     native = cap >= 2**8
     cap = min(cap if native else 2**31, isqrt(_INT64_MAX // r) + 1, 2**31)
     for q in _primes_below(cap):
         binv = _inverse_mod(b, q)
         if binv is not None:
             break
-    dtype = np.int64 if native else object
-    bq = np.array(b, dtype=dtype)
-    res = np.array(c, dtype=dtype)
-    x = np.zeros(res.shape, dtype=object)
-    m, s = 1, 0
+    if native:
+        res = c.astype(np.int64)
+        bs.vals = bs.vals.astype(np.int64)
+    else:
+        res = c.astype(object)
+        bs.vals = bs.vals.astype(object)
+    # the probe: positions in X.T.ravel(), and their values mod m
+    probe = np.zeros(0, dtype=np.int64)
+    probe_values: list[int] = []
+    digits: list[np.ndarray] = []
+    x, xm = np.zeros((r, k), dtype=object), 1  # the digits before `digits`, mod xm
+    den = 1  # the probe's starting denominator
+    m, s, wait, key, check = 1, 0, 0, None, 1
     while True:
         digit = binv @ (res % q).astype(np.int64) % q
-        res = (res - bq @ digit) // q
-        x += digit.astype(object) * m
+        for start, stop in bs.chunks(k):
+            res[start:stop] -= bs.dot(digit, start, stop)
+        res //= q
+        digits.append(digit)
+        if not probe.size:
+            # entries that are 0 mod q are mostly exact zeros, which settle
+            # at once; a probe of them would pass far too early
+            probe = _spread(np.flatnonzero(digit.T) if digit.any() else np.arange(r * k))
+            probe_values = [0] * probe.size
+        for t, v in enumerate(digit[probe % r, probe // r].tolist()):
+            probe_values[t] += v * m
         m *= q
         s += 1
         done = m > 2 * h2
-        if done or s & (s - 1) == 0:
-            yield m, x.T.ravel().tolist()
-        if done:
-            return
+        settled = key is not None and _holds(key, probe_values, m)
+        if not settled:
+            key = None
+            if s >= check:
+                check = s + 1 + s // _CHECKS
+                key = _probe_key(probe_values, m, den)
+        attempt = done or (settled and s >= wait)
+        if attempt or len(digits) == _FOLD:
+            x += _horner(digits, q) * xm
+            digits, xm = [], m
+        if attempt:
+            values = x.T.ravel()
+            rec = _reconstruct_vector(values, m)
+            if rec.nums is None:
+                # the failing entry and the nonzero entries after it, which
+                # were not reached, join the probe
+                tail = rec.failed_at + np.flatnonzero(values[rec.failed_at :])
+                fresh = np.setdiff1d(_spread(tail), probe)
+                probe = np.concatenate([probe, fresh])
+                probe_values += values[fresh].tolist()
+                den = rec.den
+                key = _probe_key(probe_values, m, den)
+            else:
+                found = accept(rec.den, rec.nums)
+                if found is not None:
+                    return found
+                wait = 2 * s
+            if done:
+                return None
 
 
 def _lifted_kernel(
-    dense: list[list[int]],
+    a: np.ndarray,
     pivots: tuple[int, ...],
     pivot_rows: tuple[int, ...],
     rref: np.ndarray,
     p: int,
-) -> tuple[int, list[list[int]]] | None:
+) -> tuple[int, np.ndarray] | None:
     """Standard-form kernel for the pivot columns of a mod-p elimination.
 
-    Returns a denominator D and the kernel vectors scaled by D, each with D
-    in its own free column, 0 in the other free columns, and re-verified
-    exactly against every row.  None when no such kernel exists, i.e. the
-    prime lowered the rank.
+    Returns a denominator D and the kernel vectors scaled by D as the
+    columns of an object array, each with D in its own free column, 0 in
+    the other free columns, and re-verified exactly against every row.
+    None when no such kernel exists, i.e. the prime lowered the rank.
     """
-    n = len(dense[0])
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
-    r = len(pivots)
-    int_rows = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
+    n = a.shape[1]
+    piv = np.array(pivots)
+    free = np.setdiff1d(np.arange(n), piv)
+    r, k = len(pivots), len(free)
+    rows = _SparseRows(a)
 
-    def certify(rec: tuple[int, list[int]] | None) -> tuple[int, list[list[int]]] | None:
-        if rec is None:
-            return None
-        den, nums = rec
-        vectors = []
-        for j, fc in enumerate(free):
-            vec = [0] * n
-            vec[fc] = den
-            for i, pc in enumerate(pivots):
-                vec[pc] = -nums[j * r + i]
-            if not _verify_kernel(int_rows, vec):
-                return None
-            vectors.append(vec)
-        return den, vectors
+    def certify(den: int, nums: np.ndarray) -> tuple[int, np.ndarray] | None:
+        vectors = np.zeros((n, k), dtype=object)
+        vectors[free, np.arange(k)] = den
+        vectors[piv] = -nums.reshape(k, r).T
+        return (den, vectors) if _kills(rows, vectors) else None
 
     # The echelon form is b^-1 A[R,:] mod p, so its free columns are the
     # first p-adic digit of the solution.
-    found = certify(_reconstruct_vector(rref[:, free].T.ravel().tolist(), p))
-    if found is not None:
-        return found
-    b = [[dense[i][c] for c in pivots] for i in pivot_rows]
-    c = [[dense[i][fc] for fc in free] for i in pivot_rows]
-    # Hadamard: det b and every Cramer numerator (b with one column replaced
-    # by a column of c) are at most sqrt(h2) in absolute value.
-    h2 = max([1] + [sum(v * v for v in col) for col in zip(*c)])
-    for col in zip(*b):
-        h2 *= sum(v * v for v in col)
-    if p > 2 * h2:  # the first digit was already conclusive
-        return None
-    for m, residues in _dixon(b, c, h2):
-        found = certify(_reconstruct_vector(residues, m))
+    rec = _reconstruct_vector(rref[:, free].T.ravel(), p)
+    if rec.nums is not None:
+        found = certify(rec.den, rec.nums)
         if found is not None:
             return found
-    return None
+    b = a[np.ix_(pivot_rows, pivots)]
+    c = a[np.ix_(pivot_rows, free)]
+    # Hadamard: det b and every Cramer numerator (b with one column replaced
+    # by a column of c) are at most sqrt(h2) in absolute value.
+    h2 = max([1] + _column_norms2(c)) * prod(_column_norms2(b))
+    if p > 2 * h2:  # the first digit was already conclusive
+        return None
+    return _dixon(b, c, h2, certify)
 
 
-def _prime_budget(dense: list[list[int]]) -> int:
+def _prime_budget(a: np.ndarray) -> int:
     """Primes after which the certificate must have been found.
 
     A prime that lowers the rank or moves a pivot divides one fixed nonzero
@@ -448,8 +718,8 @@ def _prime_budget(dense: list[list[int]]) -> int:
     order k <= min(rows, cols).  Each such prime exceeds 2^30, so at most
     that many bits / 30 of them exist; two more primes reach two good ones.
     """
-    k = min(len(dense), len(dense[0]))
-    bits = max(max(map(abs, row)) for row in dense).bit_length()
+    k = min(a.shape)
+    bits = _max_abs(a).bit_length()
     return 2 + k * (2 * bits + k.bit_length()) // 60
 
 
@@ -469,13 +739,13 @@ def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
     only past the prime budget, which no matrix should reach; the caller
     then falls back to the exact baseline.
     """
-    dense = _int_dense(matrix)
+    a = matrix.integer_array()
     needed = 2 if want_kernel else 1
-    budget = _prime_budget(dense)
+    budget = _prime_budget(a)
     best: tuple[int, tuple[int, ...]] | None = None
     seen = 0
     for tried, p in enumerate(_primes_below(2**31), start=1):
-        pivots, pivot_rows, rref = _rref_mod(_mod_array(dense, p), p)
+        pivots, pivot_rows, rref = _rref_mod(_mod_array(a, p), p)
         if len(pivots) == matrix.cols:
             # full column rank: a nonzero maximal minor mod p is the whole
             # certificate, and the kernel is empty
@@ -486,14 +756,15 @@ def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
         if key == best:
             seen += 1
             if seen == needed:
-                found = _lifted_kernel(dense, pivots, pivot_rows, rref, p)
+                found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
                 if found is not None:
                     kernel = None
                     if want_kernel:
                         den, vectors = found
+                        columns = vectors.T.tolist()
                         kernel = KernelBasis(
-                            len(vectors),
-                            tuple(tuple(Fraction(v, den) for v in vec) for vec in vectors),
+                            len(columns),
+                            tuple(tuple(Fraction(v, den) for v in vec) for vec in columns),
                         )
                     return _CertifiedResult(len(pivots), kernel)
         if tried >= budget:
@@ -503,7 +774,7 @@ def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
 
 def rank_certified(matrix: RatMatrix) -> int:
     """Exact rank; fast modular path with certification, exact fallback."""
-    if matrix.rows == 0 or matrix.cols == 0 or not matrix.entries:
+    if matrix.rows == 0 or matrix.cols == 0 or matrix.is_zero():
         return 0
     if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
         return rank(matrix)
@@ -520,7 +791,7 @@ def kernel_basis_certified(matrix: RatMatrix) -> KernelBasis:
     """Kernel basis through the certified modular path, exact fallback."""
     if matrix.cols == 0:
         return KernelBasis(0, ())
-    if matrix.rows == 0 or not matrix.entries:
+    if matrix.rows == 0 or matrix.is_zero():
         vectors = []
         for c in range(matrix.cols):
             v = [Fraction(0)] * matrix.cols

@@ -1,8 +1,11 @@
 """Gradient-ideal analysis: Hilbert window, Tjurina numbers, relations."""
 
+from fractions import Fraction
+
 import pytest
 
 from conicfree import linalg
+from conicfree.corpus import entry
 from conicfree.jacobian import (
     AtLeast,
     JacobianContext,
@@ -11,15 +14,18 @@ from conicfree.jacobian import (
     hilbert_profile,
     mdr,
     milnor_dim,
+    syzygy_matrix,
     syzygy_space_dimension,
     total_tjurina,
     verify_witness,
 )
 from conicfree.linalg import EXACT_POLICY
-from conicfree.poly import HomogeneousPolynomial, parse_polynomial
+from conicfree.poly import HomogeneousPolynomial, monomials_of_degree, parse_polynomial
+from conicfree.report import analyze_curve
 
 PERSSON = "(x^2+y^2-z^2)*(2*x^2+y^2+2*x*z)*(2*x^2+y^2-2*x*z)"
 CELAL = "(-3*x^2+x*y+y*z+z*x)*(-3*y^2+x*y+y*z+z*x)*(-3*z^2+x*y+y*z+z*x)"
+RATIONAL_PAIR = "(1/2*x^2+3/4*y^2-z^2)*(x^2-2/3*y*z)"
 # four dense conics in general position, drawn once from a fixed seed
 GENERIC_OCTIC = (
     "3*x^2-5*y^2+3*z^2+5*x*y-2*x*z-2*y*z",
@@ -217,3 +223,49 @@ def test_context_rejects_degenerate_input():
         JacobianContext.for_curve(parse_polynomial("x"))
     with pytest.raises(ValueError):
         JacobianContext.for_curve(HomogeneousPolynomial.zero(3))
+
+
+def _fraction_syzygy_matrix(ctx, r):
+    """The matrix of syzygy_matrix with the partials' own Fraction coefficients."""
+    t = r + ctx.d - 1
+    row_index = {m: i for i, m in enumerate(monomials_of_degree(t))}
+    monos = monomials_of_degree(r)
+    entries = {}
+    for k, g in enumerate(ctx.partials):
+        for j, mono in enumerate(monos):
+            for gm, c in g.terms.items():
+                m = (gm[0] + mono[0], gm[1] + mono[1], gm[2] + mono[2])
+                entries[(row_index[m], k * len(monos) + j)] = c
+    return len(row_index), 3 * len(monos), entries
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        parse_polynomial(RATIONAL_PAIR),
+        entry("p4_four_conics").polynomial(),
+        entry("ploski_m3").polynomial(),
+    ],
+)
+def test_integer_syzygy_matrix_is_a_positive_multiple_of_the_fraction_build(f):
+    ctx = JacobianContext.for_curve(f)
+    for r in range(0, 2 * ctx.d - 2):  # mdr and the whole Hilbert window
+        m = syzygy_matrix(ctx, r)
+        rows, cols, expected = _fraction_syzygy_matrix(ctx, r)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m.entries.keys() == expected.keys()
+        assert all(type(v) is int for v in m.entries.values())
+        ratios = {Fraction(v) / expected[key] for key, v in m.entries.items()}
+        assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def test_rational_input_analyzes_like_its_denominator_cleared_copy():
+    f = parse_polynomial(RATIONAL_PAIR)
+    cleared = f.scale(12)
+    assert all(c.denominator == 1 for c in cleared.terms.values())
+    a, b = analyze_curve(f), analyze_curve(cleared)
+    assert a.witness == b.witness and a.witness.r == 2
+    assert verify_witness(a.ctx, a.witness)
+    assert a.tau == b.tau
+    assert a.report.verdict == b.report.verdict
+    assert (a.report.d1, a.report.nu) == (b.report.d1, b.report.nu)

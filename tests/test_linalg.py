@@ -4,8 +4,10 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -230,3 +232,170 @@ def test_transpose_and_matvec():
 def test_out_of_range_entries_rejected():
     with pytest.raises(ValueError):
         RatMatrix(2, 2, {(2, 0): Fraction(1)})
+
+
+def _int_kernel(dense):
+    """Integer multiples of the exact kernel basis of an integer matrix."""
+    out = []
+    for vec in kernel_basis(RatMatrix.from_dense(dense)).vectors:
+        den = 1
+        for v in vec:
+            den = den * v.denominator // gcd(den, v.denominator)
+        out.append([int(v * den) for v in vec])
+    return out
+
+
+def _kills_oracle(dense, vectors):
+    rows = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
+    return all(linalg._verify_kernel(rows, vec) for vec in vectors)
+
+
+def _kills(dense, vectors):
+    a = np.array(dense, dtype=object)
+    if max((abs(v) for row in dense for v in row), default=0) < 2**62:
+        a = a.astype(np.int64)
+    v = np.array(vectors, dtype=object).T.reshape(len(dense[0]), len(vectors))
+    return linalg._kills(linalg._SparseRows(a), v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cols=st.integers(2, 9),
+    body=st.integers(1, 8),
+    empty=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    bits=st.sampled_from([3, 20, 40]),
+    scale_bits=st.sampled_from([0, 70, 200]),
+    chunk=st.sampled_from([1, 3, 1 << 18]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_limb_verifier_agrees_with_python_rows(cols, body, empty, bits, scale_bits, chunk, rng):
+    """Sparse rows with empty leading, middle and trailing rows; kernel
+    vectors exact, off by 1 in one entry, and off by 2^(w*l) at a limb
+    boundary, in chunks down to one row."""
+    lead, mid, trail = empty
+
+    def row():
+        return [rng.randint(-(2**bits), 2**bits) if rng.random() < 0.5 else 0 for _ in range(cols)]
+
+    half = body // 2
+    dense = (
+        [[0] * cols] * lead
+        + [row() for _ in range(half)]
+        + [[0] * cols] * mid
+        + [row() for _ in range(body - half)]
+        + [[0] * cols] * trail
+    )
+    kernel = _int_kernel(dense) or [[0] * cols]
+    big = rng.randint(2**scale_bits, 2 ** (scale_bits + 1))
+    vectors = [[v * big + u for v, u in zip(vec, kernel[-1])] for vec in kernel]
+    w = 63 - linalg._SparseRows(np.array(dense, dtype=np.int64)).l1.bit_length()
+    cases = [vectors]
+    for delta in (1, -1, 2**w, -(2**w), 2 ** (2 * w)):
+        bent = [list(vec) for vec in vectors]
+        bent[rng.randrange(len(bent))][rng.randrange(cols)] += delta
+        cases.append(bent)
+    with mock.patch.object(linalg, "_CHUNK", chunk):
+        for case in cases:
+            assert _kills(dense, case) == _kills_oracle(dense, case)
+    assert _kills(dense, vectors)
+
+
+def test_limb_verifier_takes_python_rows_past_the_limb_budget():
+    # row l1 norm >= 2^56 leaves no room for 8-bit limbs
+    dense = [[2**60, 3, 0], [0, 0, 0], [1, 2**57 + 1, -(2**60)]]
+    vectors = [[v * (2**90 + 7) for v in vec] for vec in _int_kernel(dense)]
+    assert len(vectors) == 1
+    with mock.patch.object(linalg, "_verify_kernel", wraps=linalg._verify_kernel) as spy:
+        assert _kills(dense, vectors)
+        vectors[0][1] += 1
+        assert not _kills(dense, vectors)
+    assert spy.call_count == 2
+    # object arrays: entries past 2^62
+    dense = [[2**70, 1], [0, 0], [2**71, 2]]
+    assert _kills(dense, [[1, -(2**70)]])
+    assert not _kills(dense, [[1, 1 - 2**70]])
+
+
+def _unipotent_system():
+    """[b | c] with b = [[I, 0], [E, I]]: det b = 1, so X = b^-1 c is integral,
+    but one 40-bit row of E makes the Hadamard bound ~1100 bits while the
+    largest entry of X has ~46."""
+    rng = random.Random(5)
+    h, r, k = 15, 30, 4
+    rows = []
+    for i in range(r):
+        row = [0] * (r + k)
+        row[i] = 1
+        if i >= h:
+            for j in range(h):
+                row[j] = rng.randint(-(2**40), 2**40) if i == r - 3 else rng.randint(-3, 3)
+        for j in range(k):
+            row[r + j] = rng.randint(-9, 9)
+        rows.append(row)
+    return RatMatrix.from_dense(rows)
+
+
+@contextmanager
+def _lifting_spy():
+    """Per lifting: h2, the size of X and every (modulus, reconstruction)
+    of the whole of X."""
+    log = []
+    dixon, reconstruct = linalg._dixon, linalg._reconstruct_vector
+
+    def spy_dixon(b, c, h2, accept):
+        log.append((h2, c.size, []))
+        return dixon(b, c, h2, accept)
+
+    def spy_reconstruct(residues, m, den=1):
+        out = reconstruct(residues, m, den)
+        if log and len(residues) == log[-1][1]:  # not the probe
+            log[-1][2].append((m, out))
+        return out
+
+    with mock.patch.object(linalg, "_dixon", spy_dixon), mock.patch.object(
+        linalg, "_reconstruct_vector", spy_reconstruct
+    ):
+        yield log
+
+
+def test_lifting_stops_long_before_the_hadamard_bound():
+    m = _unipotent_system()
+    expected = kernel_basis(m)
+    with _exact_engine_refused(), _lifting_spy() as log:
+        assert kernel_basis_certified(m) == expected
+        assert rank_certified(m) == 30
+    assert log
+    for h2, _, attempts in log:
+        # the probe settled while an entry outside it still needed digits
+        assert any(out.nums is None for _, out in attempts[:-1])
+        m_final, out = attempts[-1]
+        assert out.nums is not None
+        assert m_final.bit_length() < h2.bit_length() // 4
+
+
+def test_lifting_certifies_at_the_hadamard_stop_when_the_probe_never_settles():
+    # X = c, whose 200-bit entries need the whole Hadamard bound
+    rng = random.Random(7)
+    rows = []
+    for i in range(26):
+        row = [0] * 30
+        row[i] = 1
+        for j in range(4):
+            row[26 + j] = rng.choice([-1, 1]) * rng.randint(2**199, 2**200)
+        rows.append(row)
+    m = RatMatrix.from_dense(rows)
+    expected = kernel_basis(m)
+    with _exact_engine_refused(), _lifting_spy() as log:
+        assert kernel_basis_certified(m) == expected
+    assert log
+    for h2, _, attempts in log:
+        assert len(attempts) == 1 and attempts[0][0] > 2 * h2
+    # a probe that never settles leaves only the attempt at the Hadamard stop
+    m = _unipotent_system()
+    with _exact_engine_refused(), _lifting_spy() as log, mock.patch.object(
+        linalg, "_probe_key", lambda values, mod, den: None
+    ):
+        assert kernel_basis_certified(m) == kernel_basis(m)
+    assert log
+    for h2, _, attempts in log:
+        assert len(attempts) == 1 and attempts[0][0] > 2 * h2
