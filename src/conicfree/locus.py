@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
+from conicfree.linalg import _rat_reconstruct
 from conicfree.poly import (
-    AffinePolynomial,
     ConicForm,
     HomogeneousPolynomial,
     ProjectivePoint,
     conic_is_smooth,
-    dehomogenize,
 )
 
 
@@ -195,11 +194,34 @@ class LocusSurvey:
 
 def _affine_conic_coefficients(
     q: ConicForm, p: ProjectivePoint
-) -> tuple[int, dict[tuple[int, int], Fraction]]:
-    g = dehomogenize(q.polynomial(), p)
-    coords = [Fraction(c) for c in p.coords()]
-    chart = max(i for i in range(3) if coords[i] != 0)
-    return chart, dict(g.terms)
+) -> tuple[int, tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]]:
+    """Chart and local equation of q at p, in closed form.
+
+    The chart is the one :func:`dehomogenize` uses: the last nonzero
+    coordinate is scaled to 1 and the point c moved to the origin.  The local
+    equation g(u, v) = q(c + u*e_i + v*e_j), with i < j the other two
+    indices, is returned as (g00, g10, g01, g20, g11, g02): g00 = q(c), the
+    linear terms are the partials of q at c, the quadratic terms are q's own.
+    """
+    coords = p.coords()
+    chart = max(k for k in range(3) if coords[k] != 0)
+    i, j = (k for k in range(3) if k != chart)
+    # coefficient of X_a * X_b in q; the diagonal holds the squares
+    m = ((q.xx, q.xy, q.xz), (q.xy, q.yy, q.yz), (q.xz, q.yz, q.zz))
+    s = coords[chart]
+
+    def partial(a: int) -> Fraction:
+        # dq/dX_a at the integer point; at c = point/s it is this over s
+        return sum(m[a][b] * coords[b] * (2 if a == b else 1) for b in range(3))
+
+    return chart, (
+        q.evaluate(coords) / (s * s),
+        partial(i) / s,
+        partial(j) / s,
+        m[i][i],
+        m[i][j],
+        m[j][j],
+    )
 
 
 def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
@@ -210,23 +232,15 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     jets in the same frame and their coefficients compare directly.
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
-    if q.evaluate(point) != 0:
+    chart, (a00, t10, t01, a20, a11, a02) = _affine_conic_coefficients(q, point)
+    if a00 != 0:
         raise ValueError(f"point {point} does not lie on the conic {q}")
-    chart, terms = _affine_conic_coefficients(q, point)
-    a10 = terms.get((1, 0), Fraction(0))
-    a01 = terms.get((0, 1), Fraction(0))
-    if a10 == 0 and a01 == 0:
+    if t10 == 0 and t01 == 0:
         raise ValueError(f"conic is singular at {point}")
-    swapped = a01 == 0
+    swapped = t01 == 0
+    a10, a01 = t10, t01
     if swapped:
-        terms = {(j, i): c for (i, j), c in terms.items()}
-        a10, a01 = a01, a10
-        a10 = terms.get((1, 0), Fraction(0))
-        a01 = terms.get((0, 1), Fraction(0))
-
-    a20 = terms.get((2, 0), Fraction(0))
-    a11 = terms.get((1, 1), Fraction(0))
-    a02 = terms.get((0, 2), Fraction(0))
+        a10, a01, a20, a02 = a01, a10, a02, a20
     lam = a10 / a01
     # substitute v -> v - lam*u, killing the linear u coefficient
     b20 = a20 - a11 * lam + a02 * lam * lam
@@ -236,9 +250,6 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     c3 = -(b11 * c2) / a01
     c4 = -(b11 * c3 + b02 * c2 * c2) / a01
 
-    t10, t01 = terms.get((1, 0), Fraction(0)), terms.get((0, 1), Fraction(0))
-    if swapped:
-        t10, t01 = t01, t10
     denom_lcm = t10.denominator * t01.denominator // gcd(
         t10.denominator, t01.denominator
     )
@@ -259,17 +270,38 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     )
 
 
+# Jets computed during one survey, keyed by (id of the conic, point).  A
+# survey makes one table and drops it on return; its arrangement keeps every
+# keyed conic alive meanwhile, so an id cannot be reused inside the table.
+JetTable = dict[tuple[int, ProjectivePoint], BranchJet]
+
+
+def _jet(q: ConicForm, point: ProjectivePoint, jets: JetTable | None) -> BranchJet:
+    if jets is None:
+        return branch_jet(q, point)
+    key = (id(q), point)
+    jet = jets.get(key)
+    if jet is None:
+        jet = jets[key] = branch_jet(q, point)
+    return jet
+
+
 def local_intersection_multiplicity(
-    qi: ConicForm, qj: ConicForm, p: ProjectivePoint | tuple
+    qi: ConicForm,
+    qj: ConicForm,
+    p: ProjectivePoint | tuple,
+    *,
+    jets: JetTable | None = None,
 ) -> int:
     """Intersection multiplicity of two smooth conics at a common rational point.
 
     1 for distinct tangents, otherwise the vanishing order of the jet
     difference (2, 3 or 4; order 5 would force the conics to coincide).
+    Jets are taken from (and added to) ``jets`` when a table is given.
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
-    ji = branch_jet(qi, point)
-    jj = branch_jet(qj, point)
+    ji = _jet(qi, point, jets)
+    jj = _jet(qj, point, jets)
     if ji.tangent != jj.tangent:
         return 1
     if ji.c2 != jj.c2:
@@ -289,74 +321,112 @@ def local_intersection_multiplicity(
 
 def _shear_conic(q: ConicForm, a: int, b: int) -> ConicForm:
     """Coordinates x = X, y = Y + aX, z = Z + bX applied to the form."""
-    x = HomogeneousPolynomial.variable("x")
-    y = HomogeneousPolynomial.variable("y")
-    z = HomogeneousPolynomial.variable("z")
-    xs = x
-    ys = y + x.scale(a)
-    zs = z + x.scale(b)
-    out = HomogeneousPolynomial.zero(2)
-    for (i, j, k), c in q.polynomial().terms.items():
-        out = out + (xs**i * ys**j * zs**k).scale(c)
-    return ConicForm.from_polynomial(out)
+    return ConicForm(
+        xx=q.evaluate((1, a, b)),
+        yy=q.yy,
+        zz=q.zz,
+        xy=2 * q.yy * a + q.xy + q.yz * b,
+        xz=2 * q.zz * b + q.xz + q.yz * a,
+        yz=q.yz,
+    )
 
 
 def _conic_as_quadratic_in_x(
     q: ConicForm,
-) -> tuple[Fraction, AffinePolynomial, AffinePolynomial]:
-    """Split q = A*x^2 + B(y,z)*x + C(y,z)."""
-    terms = q.polynomial().terms
-    A = terms.get((2, 0, 0), Fraction(0))
-    B = AffinePolynomial(
-        {
-            (1, 0): terms.get((1, 1, 0), Fraction(0)),
-            (0, 1): terms.get((1, 0, 1), Fraction(0)),
-        },
-        ("y", "z"),
-    )
-    C = AffinePolynomial(
-        {
-            (2, 0): terms.get((0, 2, 0), Fraction(0)),
-            (1, 1): terms.get((0, 1, 1), Fraction(0)),
-            (0, 2): terms.get((0, 0, 2), Fraction(0)),
-        },
-        ("y", "z"),
-    )
-    return A, B, C
+) -> tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction, Fraction]]:
+    """Split q = A*x^2 + B(y,z)*x + C(y,z).
+
+    B and C are binary forms listed by ascending power of y: B = (z, y)
+    coefficients, C = (z^2, y*z, y^2) coefficients.
+    """
+    return q.xx, (q.xz, q.xy), (q.zz, q.yz, q.yy)
 
 
-def _resultant_in_x(q1: ConicForm, q2: ConicForm) -> AffinePolynomial:
+def _mul_forms(f: tuple, g: tuple) -> list:
+    """Product of binary forms listed by ascending power of y."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        for j, v in enumerate(g):
+            out[i + j] += u * v
+    return out
+
+
+def _resultant_in_x(q1: ConicForm, q2: ConicForm) -> list[Fraction]:
     """Resultant of two conics with respect to x, a binary quartic in (y, z).
 
     Bezoutian form for two quadratics: (A1*C2 - A2*C1)^2
-    - (A1*B2 - A2*B1)*(B1*C2 - B2*C1).
+    - (A1*B2 - A2*B1)*(B1*C2 - B2*C1).  Entry j is the coefficient of
+    y^j * z^(4-j).
     """
     A1, B1, C1 = _conic_as_quadratic_in_x(q1)
     A2, B2, C2 = _conic_as_quadratic_in_x(q2)
-    ac = C2.scale(A1) - C1.scale(A2)
-    ab = B2.scale(A1) - B1.scale(A2)
-    bc = B1 * C2 - B2 * C1
-    return ac * ac - ab * bc
+    ac = [A1 * c2 - A2 * c1 for c1, c2 in zip(C1, C2)]
+    ab = [A1 * b2 - A2 * b1 for b1, b2 in zip(B1, B2)]
+    bc = [u - v for u, v in zip(_mul_forms(B1, C2), _mul_forms(B2, C1))]
+    return [u - v for u, v in zip(_mul_forms(ac, ac), _mul_forms(ab, bc))]
+
+
+def _primes():
+    p = 2
+    while True:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            yield p
+        p += 1
+
+
+def _eval_mod(cs: list[int], t: int, m: int) -> int:
+    total = 0
+    for c in reversed(cs):
+        total = (total * t + c) % m
+    return total
+
+
+def _padic_rational_roots(g: list[int]) -> list[Fraction]:
+    """Rational roots of a squarefree integer polynomial with g(0) != 0.
+
+    A root n/d in lowest terms has |n| <= |g(0)| and d <= |lc(g)|, so d is
+    a unit modulo any prime p not dividing lc(g), and n/d reduces to a root
+    of g mod p.  Take the smallest such p at which every root of g mod p is
+    simple (every p not dividing lc(g) * disc(g) qualifies): each root mod p
+    then has exactly one p-adic lift, reached by Newton steps.  Lifting past
+    p^k > 2*|g(0)|*|lc(g)| makes rational reconstruction unique, and every
+    reconstructed candidate is checked exactly.
+    """
+    degree = len(g) - 1
+    if degree < 1:
+        return []
+    num_bound, den_bound = abs(g[0]), abs(g[-1])
+    bound = 2 * num_bound * den_bound
+    deriv = [i * c for i, c in enumerate(g)][1:]
+    for p in _primes():
+        if g[-1] % p == 0:
+            continue
+        residues = [r for r in range(p) if _eval_mod(g, r, p) == 0]
+        if all(_eval_mod(deriv, r, p) for r in residues):
+            break
+    roots = []
+    for r in residues:
+        m = p
+        while m <= bound:
+            m = m * m
+            r = (r - _eval_mod(g, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        rec = _rat_reconstruct(r, m, num_bound, den_bound)
+        if rec is None:
+            continue
+        n, d = rec
+        if sum(c * n**i * d ** (degree - i) for i, c in enumerate(g)) == 0:
+            roots.append(Fraction(n, d))
+    return sorted(roots)
 
 
 def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[int]]:
     """Rational roots with multiplicities of sum(coeffs[i] * t^i).
 
     Also returns the deflated polynomial left after dividing the rational
-    roots out (the part whose roots are all irrational).
+    roots out (the part whose roots are all irrational).  The roots are
+    found p-adically on the squarefree part; their multiplicities come from
+    exact deflation of the whole polynomial.
     """
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                if d != n // d:
-                    out.append(n // d)
-            d += 1
-        return out
 
     def evaluate(cs: list[int], t: Fraction) -> Fraction:
         total = Fraction(0)
@@ -388,21 +458,33 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list
         cs = cs[1:]
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
-    candidates = set()
-    for p_div in divisors(cs[0]):
-        for q_div in divisors(cs[-1]):
-            candidates.add(Fraction(p_div, q_div))
-            candidates.add(Fraction(-p_div, q_div))
-    for cand in sorted(candidates):
-        if len(cs) <= 1:
-            break
+    for cand in _padic_rational_roots(_squarefree_part(cs)):
         mult = 0
         while len(cs) > 1 and evaluate(cs, cand) == 0:
             cs = deflate(cs, cand)
             mult += 1
-        if mult:
-            roots.append((cand, mult))
+        roots.append((cand, mult))
     return roots, cs
+
+
+def _squarefree_part(cs: list[int]) -> list[int]:
+    """cs / gcd(cs, cs') as a primitive integer polynomial."""
+    f = [Fraction(c) for c in cs]
+    g = _poly_gcd(f, [i * c for i, c in enumerate(f)][1:])
+    # exact long division f / g, highest coefficient first
+    quotient = [Fraction(0)] * (len(f) - len(g) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        quotient[k] = f[k + len(g) - 1] / g[-1]
+        for i, c in enumerate(g):
+            f[k + i] -= quotient[k] * c
+    den = 1
+    for v in quotient:
+        den = den * v.denominator // gcd(den, v.denominator)
+    ints = [int(v * den) for v in quotient]
+    content = 0
+    for v in ints:
+        content = gcd(content, v)
+    return [v // content for v in ints]
 
 
 def _is_rational_square(f: Fraction) -> Fraction | None:
@@ -415,33 +497,29 @@ def _is_rational_square(f: Fraction) -> Fraction | None:
 
 
 def _binary_quartic_fibers(
-    res: AffinePolynomial,
+    res: list[Fraction],
 ) -> tuple[list[tuple[tuple[Fraction, Fraction], int]], bool]:
     """Rational roots (y0:z0) of a binary quartic, with multiplicities.
 
-    The second component reports whether the non-rational part of the form
-    is squarefree; in that case every irrational fiber carries exactly one
-    intersection point of multiplicity one.
+    ``res[j]`` is the coefficient of y^j * z^(4-j).  The second component
+    reports whether the non-rational part of the form is squarefree; in that
+    case every irrational fiber carries exactly one intersection point of
+    multiplicity one.
     """
-    coeff_int: dict[tuple[int, int], int] = {}
     m = 1
-    for _, c in res.terms.items():
+    for c in res:
         m = m * c.denominator // gcd(m, c.denominator)
-    for mono, c in res.terms.items():
-        coeff_int[mono] = int(c * m)
-    if not coeff_int:
+    coeff_int = [int(c * m) for c in res]
+    if not any(coeff_int):
         raise ValueError("identically zero resultant (components share a factor?)")
-    degree = 4
     # multiplicity of the fiber (1:0) equals the power of z dividing the form
-    z_power = min(k for (_, k) in coeff_int)
+    top = max(j for j, v in enumerate(coeff_int) if v)
+    z_power = 4 - top
     fibers: list[tuple[tuple[Fraction, Fraction], int]] = []
     if z_power > 0:
         fibers.append(((Fraction(1), Fraction(0)), z_power))
     # finite fibers (t:1) from the dehomogenization in t = y
-    univ = [0] * (degree - z_power + 1)
-    for (j, k), v in coeff_int.items():
-        univ[j] = v
-    roots, remainder = _rational_roots(univ)
+    roots, remainder = _rational_roots(coeff_int[: top + 1])
     for root, mult in roots:
         fibers.append(((root, Fraction(1)), mult))
     return fibers, _is_squarefree(remainder)
@@ -467,7 +545,7 @@ _MAX_CERT_SHEARS = 8
 
 
 def _scan_with_shear(
-    qi: ConicForm, qj: ConicForm, a: int, b: int
+    qi: ConicForm, qj: ConicForm, a: int, b: int, jets: JetTable | None
 ) -> tuple[list[tuple[ProjectivePoint, int]], int, bool]:
     """Locate rational common points through the projection (a, b).
 
@@ -498,7 +576,9 @@ def _scan_with_shear(
         mapped = [
             ProjectivePoint.of(x0, y0 + a * x0, z0 + b * x0) for x0 in points
         ]
-        jet_mults = [local_intersection_multiplicity(qi, qj, pt) for pt in mapped]
+        jet_mults = [
+            local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in mapped
+        ]
         if sum(jet_mults) != mult:
             raise AssertionError(
                 f"jet multiplicities {jet_mults} disagree with resultant order {mult}"
@@ -515,7 +595,9 @@ def _scan_with_shear(
     return located, residual, transversal
 
 
-def rational_pair_intersections(qi: ConicForm, qj: ConicForm) -> PairIntersections:
+def rational_pair_intersections(
+    qi: ConicForm, qj: ConicForm, *, jets: JetTable | None = None
+) -> PairIntersections:
     """All rational common points of two conics, with local multiplicities.
 
     The residual is the part of the Bezout budget (4) carried by points with
@@ -526,7 +608,7 @@ def rational_pair_intersections(qi: ConicForm, qj: ConicForm) -> PairIntersectio
     intersection multiplicity, so a projection whose unlocated fibers are
     all simple certifies the unlocated points transversal; several
     projections are tried because conjugate point clusters can share fibers
-    in unlucky directions.
+    in unlucky directions.  Jets are shared through ``jets`` when given.
     """
     if not conic_is_smooth(qi) or not conic_is_smooth(qj):
         raise ValueError("both conics must be smooth")
@@ -538,7 +620,7 @@ def rational_pair_intersections(qi: ConicForm, qj: ConicForm) -> PairIntersectio
     for a, b in _SHEAR_GRID:
         if qi.evaluate((1, a, b)) == 0 or qj.evaluate((1, a, b)) == 0:
             continue
-        scan = _scan_with_shear(qi, qj, a, b)
+        scan = _scan_with_shear(qi, qj, a, b, jets)
         if first is None:
             first = scan
         elif scan[0] != first[0]:
@@ -569,8 +651,8 @@ def _fiber_points(
     Returns None when the common roots are irrational (conjugate pair).
     """
     def restrict(q: ConicForm) -> tuple[Fraction, Fraction, Fraction]:
-        A, B, C = _conic_as_quadratic_in_x(q)
-        return (A, B.evaluate((y0, z0)), C.evaluate((y0, z0)))
+        A, (bz, by), (czz, cyz, cyy) = _conic_as_quadratic_in_x(q)
+        return (A, by * y0 + bz * z0, (cyy * y0 + cyz * z0) * y0 + czz * z0 * z0)
 
     p1 = restrict(ti)
     p2 = restrict(tj)
@@ -617,7 +699,11 @@ def _poly_gcd(p1: list[Fraction], p2: list[Fraction]) -> list[Fraction]:
 
 
 def classify_point(
-    arr: ConicArrangement, p: ProjectivePoint | tuple, assume_qh: bool = False
+    arr: ConicArrangement,
+    p: ProjectivePoint | tuple,
+    assume_qh: bool = False,
+    *,
+    jets: JetTable | None = None,
 ) -> SingularPointRecord:
     """Branch data and local type of a singular point of the arrangement.
 
@@ -637,7 +723,7 @@ def classify_point(
         for b_idx in range(a_idx + 1, len(members)):
             i, j = members[a_idx], members[b_idx]
             pair_mults[(i, j)] = local_intersection_multiplicity(
-                arr.components[i], arr.components[j], point
+                arr.components[i], arr.components[j], point, jets=jets
             )
     r = len(members)
     total = sum(pair_mults.values())
@@ -679,11 +765,14 @@ def survey(
     classified rational points.
     """
     k = arr.k
+    jets: JetTable = {}  # each (component, point) jet is built once per survey
     candidates: dict[ProjectivePoint, None] = {}
     residual_transversal = True
     for i in range(k):
         for j in range(i + 1, k):
-            pair = rational_pair_intersections(arr.components[i], arr.components[j])
+            pair = rational_pair_intersections(
+                arr.components[i], arr.components[j], jets=jets
+            )
             for pt, _ in pair.points:
                 candidates.setdefault(pt, None)
             if pair.residual and not pair.residual_transversal:
@@ -692,7 +781,7 @@ def survey(
         if len(arr.members_through(pt)) >= 2:
             candidates.setdefault(pt, None)
     records = tuple(
-        classify_point(arr, pt, assume_qh=assume_qh)
+        classify_point(arr, pt, assume_qh=assume_qh, jets=jets)
         for pt in sorted(candidates, key=lambda p: p.coords())
     )
     residual_per_pair: dict[tuple[int, int], int] = {}

@@ -292,13 +292,6 @@ class AffinePolynomial:
             return None
         return min(u + v for u, v in self.terms)
 
-    def evaluate(self, point: tuple[Fraction | int, Fraction | int]) -> Fraction:
-        pu, pv = (Fraction(v) for v in point)
-        total = Fraction(0)
-        for (u, v), c in self.terms.items():
-            total += c * pu**u * pv**v
-        return total
-
     def sorted_terms(self) -> list[tuple[Mono2, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
@@ -625,13 +618,15 @@ class ConicForm:
         )
 
     def evaluate(self, point: ProjectivePoint | tuple) -> Fraction:
-        coords = point.coords() if isinstance(point, ProjectivePoint) else point
-        return self.polynomial().evaluate(tuple(coords))
-
-    def gradient(self, point: ProjectivePoint | tuple) -> tuple[Fraction, Fraction, Fraction]:
-        coords = point.coords() if isinstance(point, ProjectivePoint) else point
-        f = self.polynomial()
-        return tuple(f.partial(v).evaluate(tuple(coords)) for v in VAR_NAMES)
+        x, y, z = point.coords() if isinstance(point, ProjectivePoint) else point
+        return (
+            self.xx * x * x
+            + self.yy * y * y
+            + self.zz * z * z
+            + self.xy * x * y
+            + self.xz * x * z
+            + self.yz * y * z
+        )
 
     def is_proportional_to(self, other: "ConicForm") -> bool:
         a = (self.xx, self.yy, self.zz, self.xy, self.xz, self.yz)

@@ -324,6 +324,44 @@ def _rational_solutions_oracle(q1, q2):
     return found
 
 
+def _coefficients(q):
+    return [q.xx, q.yy, q.zz, q.xy, q.xz, q.yz]
+
+
+def _det(m):
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+
+
+def _adjugate(m):
+    """adj(m) = det(m) * m^-1, so adj(m) maps points like m^-1."""
+    return [
+        [
+            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
+def _apply(m, p):
+    return tuple(sum(m[i][k] * p[k] for k in range(3)) for i in range(3))
+
+
+def _pull_back(q, m):
+    """The conic v -> q(m v); a point p of q maps to m^-1 p on it."""
+    s = q.matrix()
+    r = [
+        [sum(m[k][a] * s[k][l] * m[l][b] for k in range(3) for l in range(3)) for b in range(3)]
+        for a in range(3)
+    ]
+    return ConicForm(r[0][0], r[1][1], r[2][2], 2 * r[0][1], 2 * r[0][2], 2 * r[1][2])
+
+
 def _conic_through(rng, points):
     """A random smooth integer conic through the given points, or None."""
     import sympy
@@ -379,15 +417,32 @@ def test_pair_scan_against_independent_solver():
         if q1 is None or q2 is None or q1.is_proportional_to(q2):
             continue
         pairs.append((q1, q2, planted))
+    # pairs with 9- to 12-digit coefficients: planted pairs seen through an
+    # integer change of coordinates
+    large_rng = random.Random(515151)
+    large = []
+    while len(large) < 16:
+        planted = large_rng.sample(pool, large_rng.randint(0, 3))
+        q1, q2 = _conic_through(large_rng, planted), _conic_through(large_rng, planted)
+        m = [[large_rng.choice([-1, 1]) * large_rng.randint(300, 6000) for _ in range(3)] for _ in range(3)]
+        if q1 is None or q2 is None or q1.is_proportional_to(q2) or _det(m) == 0:
+            continue
+        q1, q2 = _pull_back(q1, m), _pull_back(q2, m)
+        size = max(abs(c) for c in _coefficients(q1) + _coefficients(q2))
+        if not 10**8 <= size < 10**12:
+            continue
+        large.append((q1, q2, [_apply(_adjugate(m), pt) for pt in planted]))
     on_line = vanishing_lead = 0
-    for q1, q2, planted in pairs:
+    for index, (q1, q2, planted) in enumerate(pairs + large):
         pair = rational_pair_intersections(q1, q2)
         expected = _rational_solutions_oracle(q1, q2)
         assert {ProjectivePoint.of(*pt) for pt in planted} <= expected
         assert {pt for pt, _ in pair.points} == expected
-        on_line += any(pt.z == 0 for pt in expected)
-        vanishing_lead += q1.evaluate((0, 1, 0)) == 0 == q2.evaluate((0, 1, 0))
+        if index < len(pairs):
+            on_line += any(pt.z == 0 for pt in expected)
+            vanishing_lead += q1.evaluate((0, 1, 0)) == 0 == q2.evaluate((0, 1, 0))
     assert on_line >= 20 and vanishing_lead >= 10
+    assert sum(len(planted) for _, _, planted in large) >= 10
 
 
 @settings(max_examples=20, deadline=None)
@@ -401,3 +456,58 @@ def test_mu_formula_for_a_series(c, lin):
     rec = classify_point(arr, (0, 0, 1))
     assert rec.mu == 2 * m - 1
     assert str(rec.sing_type) == f"A{2 * m - 1}"
+
+
+def test_survey_builds_each_branch_jet_once(monkeypatch):
+    """One jet per (component, point) in a survey: 8 members x 4 base points."""
+    import conicfree.locus as locus
+
+    f, g = PENCIL_F, PENCIL_G
+    arr = ConicArrangement.from_texts([f, g] + [f"({f})+{lam}*({g})" for lam in range(1, 7)])
+    calls = []
+    real = locus.branch_jet
+
+    def counting(q, p):
+        calls.append((q, p))
+        return real(q, p)
+
+    monkeypatch.setattr(locus, "branch_jet", counting)
+    sv = survey(arr)
+    assert sv.inventory() == {"ordinary(8)": 4} and sv.complete
+    assert len(calls) == len(set(calls)) == 32
+
+
+def test_survey_invariant_under_rational_coordinate_changes():
+    """Random rational PGL(3) changes of coordinates of the corpus arrangements
+    keep the points and types, the pair multiplicities, the residuals and the
+    completeness, and the surveyed points map onto the transformed survey's."""
+    import random
+
+    from conicfree.corpus import corpus_entries
+
+    rng = random.Random(20231)
+    entries = [e for e in corpus_entries() if e.component_texts]
+    assert len(entries) == 15
+    for e in entries:
+        arr = e.arrangement()
+        sv = survey(arr, assume_qh=e.assume_qh)
+        for _ in range(3):
+            while True:
+                m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+                if _det(m) != 0:
+                    break
+            moved = ConicArrangement(tuple(_pull_back(q, m) for q in arr.components))
+            tv = survey(moved, assume_qh=e.assume_qh)
+            assert tv.inventory() == sv.inventory()
+            assert tv.residual_per_pair == sv.residual_per_pair
+            assert tv.complete == sv.complete
+            inverse = _adjugate(m)
+            images = []
+            for rec in sv.records:
+                image = tv.record_at(ProjectivePoint.of(*_apply(inverse, rec.point.coords())))
+                assert image is not None, (e.name, rec.point)
+                assert (image.members, image.pair_mults, image.sing_type, image.mu, image.tau) == (
+                    rec.members, rec.pair_mults, rec.sing_type, rec.mu, rec.tau
+                )
+                images.append(image.point)
+            assert sorted(images, key=lambda p: p.coords()) == [r.point for r in tv.records]
