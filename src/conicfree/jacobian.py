@@ -5,17 +5,42 @@ graded pieces of the quotient by the gradient ideal, reads the total Tjurina
 number off the stabilized window of that Hilbert function, and finds the
 minimal degree of a relation among the three partial derivatives together
 with an explicit, exactly verified witness.
+
+The Hilbert value in degree t is dim S_t - rank A_s, s = t - d + 1, where
+A_s maps (a, b, c) of degree s to a*f_x + b*f_y + c*f_z; its kernel is
+AR(f)_s, the relations of degree s.  Under the modular policy each rank is
+certified two-sided with no kernel lifted at degree s.  rank_p(A_s), from
+one prime below 2^31, bounds it from below; cols - rank_p(F) bounds it from
+above, where F holds the monomial multiples into degree s of exact
+relations: generators found once per curve in degrees 0 .. d-2 (a certified
+kernel only where the multiples of the lower ones fall short; kernels are
+shared with mdr) and the three Koszul relations (f_y, -f_x, 0),
+(f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified by exact
+expansion.  rank_p(F) is bounded from below by rows with distinct leading
+columns before any elimination.  Bounds that overlap, or a row of F that a
+fixed pseudo-random combination shows is no relation mod p, raise: either
+means a fault in building F.  Where the bounds do not meet, the rank comes
+from the lifted-kernel certificate of linalg.rank_certified; a missing
+generator can only cause that fallback, never a wrong rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 
 import numpy as np
 
-from conicfree.linalg import DEFAULT_POLICY, LinalgPolicy, RatMatrix, integer_zeros
+from conicfree.linalg import (
+    DEFAULT_POLICY,
+    KernelBasis,
+    LinalgPolicy,
+    RatMatrix,
+    integer_zeros,
+    pivot_columns_mod,
+)
 from conicfree.poly import (
     VAR_NAMES,
     HomogeneousPolynomial,
@@ -44,6 +69,9 @@ class JacobianContext:
     f: HomogeneousPolynomial
     d: int
     partials: tuple[HomogeneousPolynomial, HomogeneousPolynomial, HomogeneousPolynomial]
+    # certified kernels of syzygy_matrix by (degree, policy), shared by mdr
+    # and the relation search of the Hilbert window
+    kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def for_curve(cls, f: HomogeneousPolynomial) -> "JacobianContext":
@@ -53,6 +81,12 @@ class JacobianContext:
             raise ValueError("the zero polynomial does not define a curve")
         partials = tuple(f.partial(v) for v in VAR_NAMES)
         return cls(f=f, d=f.degree, partials=partials)
+
+    @cached_property
+    def integer_partials(self) -> tuple[dict[Mono3, int], ...]:
+        """The partials times the lcm of their coefficients' denominators."""
+        scale = lcm(*(c.denominator for g in self.partials for c in g.terms.values()))
+        return tuple({m: int(c * scale) for m, c in g.terms.items()} for g in self.partials)
 
 
 @dataclass(frozen=True)
@@ -94,6 +128,17 @@ class AtLeast:
         return f">= {self.bound}"
 
 
+def _monomial_array(t: int) -> np.ndarray:
+    """The exponent triples of monomials_of_degree(t), as an n x 3 array."""
+    return np.array(monomials_of_degree(t), dtype=np.int64).reshape(-1, 3)
+
+
+def _grlex_position(exponents: np.ndarray, t: int) -> np.ndarray:
+    """Positions of degree-t exponent triples (last axis) in monomials_of_degree(t)."""
+    top = t - exponents[..., 0]
+    return top * (top + 1) // 2 + exponents[..., 2]
+
+
 def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
     """Matrix of (a, b, c) -> a*f_x + b*f_y + c*f_z on degree-r coefficients.
 
@@ -104,22 +149,223 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
     matrix is an integer array.
     """
     t = r + ctx.d - 1
-    monos = np.array(monomials_of_degree(r), dtype=np.int64).reshape(-1, 3)
+    monos = _monomial_array(r)
     n = len(monos)
-    scale = lcm(*(c.denominator for g in ctx.partials for c in g.terms.values()))
-    coefs = [[int(c * scale) for c in g.terms.values()] for g in ctx.partials]
+    partials = ctx.integer_partials
     a = integer_zeros(
-        (degree_dimension(t), 3 * n), max((abs(v) for vals in coefs for v in vals), default=0)
+        (degree_dimension(t), 3 * n), max((abs(v) for g in partials for v in g.values()), default=0)
     )
-    for k, (g, vals) in enumerate(zip(ctx.partials, coefs)):
-        if not vals:
+    for k, g in enumerate(partials):
+        if not g:
             continue
-        prods = np.array(list(g.terms), dtype=np.int64)[:, None, :] + monos[None, :, :]
-        # position of (i, j, l) among the degree-t monomials in descending grlex
-        top = t - prods[..., 0]
-        rows = top * (top + 1) // 2 + prods[..., 2]
-        a[rows, k * n + np.arange(n)] = np.array(vals, dtype=a.dtype)[:, None]
+        prods = np.array(list(g), dtype=np.int64)[:, None, :] + monos[None, :, :]
+        rows = _grlex_position(prods, t)
+        a[rows, k * n + np.arange(n)] = np.array(list(g.values()), dtype=a.dtype)[:, None]
     return RatMatrix.from_integer_array(a)
+
+
+# A prime below 2^31, as the mod-p elimination needs (the Mersenne prime).
+_PRIME = 2**31 - 1
+
+# A relation of degree e: its integer coefficient vector in the column layout
+# of syzygy_matrix(ctx, e).
+Relation = tuple[int, np.ndarray]
+
+
+def _relation_multiples(relations: list[Relation], s: int) -> np.ndarray:
+    """Every relation times every monomial of degree s - e, one row each.
+
+    The rows are in the column layout of syzygy_matrix(ctx, s), with the
+    dtype of the relation vectors; relations of degree above s give none.
+    """
+    n = degree_dimension(s)
+    blocks = [np.zeros((0, 3 * n), dtype=np.int64)]
+    for e, vec in relations:
+        if e > s:
+            continue
+        monos, mults = _monomial_array(e), _monomial_array(s - e)
+        nz = np.flatnonzero(vec)
+        comp, j = np.divmod(nz, len(monos))
+        cols = comp * n + _grlex_position(monos[j][None, :, :] + mults[:, None, :], s)
+        block = np.zeros((len(mults), 3 * n), dtype=vec.dtype)
+        block[np.arange(len(mults))[:, None], cols] = vec[nz]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _koszul_relations(ctx: JacobianContext) -> np.ndarray:
+    """(f_y, -f_x, 0), (f_z, 0, -f_x) and (0, f_z, -f_y) in the layout of
+    syzygy_matrix(ctx, d-1), as the rows of an object array.
+
+    Each is re-verified by exact expansion; zero triples are left out.
+    """
+    e = ctx.d - 1
+    n = degree_dimension(e)
+    partials = ctx.integer_partials
+    rows = []
+    for f, g in ((0, 1), (0, 2), (1, 2)):
+        vec = np.zeros(3 * n, dtype=object)
+        for k, h, sign in ((f, g, 1), (g, f, -1)):
+            if partials[h]:
+                positions = _grlex_position(np.array(list(partials[h])), e)
+                vec[k * n + positions] = [sign * c for c in partials[h].values()]
+        if not vec.any():
+            continue
+        if not verify_witness(ctx, _vector_to_witness(ctx, e, tuple(vec.tolist()))):
+            raise AssertionError("a Koszul relation failed exact re-verification")
+        rows.append(vec)
+    return np.array(rows, dtype=object).reshape(-1, 3 * n)
+
+
+def _rank_mod(a: np.ndarray) -> int:
+    """Rank of an integer array modulo _PRIME, eliminated along its shorter side."""
+    return len(pivot_columns_mod(a.T if a.shape[1] > a.shape[0] else a, _PRIME))
+
+
+def _independent_rows(multiples: np.ndarray) -> int:
+    """A lower bound for rank_p(multiples), read off the supports alone.
+
+    Rows whose leading columns under one order of the columns are pairwise
+    distinct form an echelon form up to order, so they are independent mod
+    p.  The orders tried: column order and its reverse, and the order by
+    monomial first and component second and its reverse.  Multiplication by
+    a monomial preserves all four, so the multiples of one relation have
+    distinct leading columns under each.  Returns the largest count.
+    """
+    support = multiples[multiples.any(axis=1)] != 0
+    cols = support.shape[1]
+    by_term = support.reshape(-1, 3, cols // 3).transpose(0, 2, 1).reshape(-1, cols)
+    orders = (support, support[:, ::-1], by_term, by_term[:, ::-1])
+    return max(len(np.unique(m.argmax(axis=1))) for m in orders)
+
+
+def _residues(relations: list[Relation]) -> list[Relation]:
+    """The relations with their vectors reduced mod _PRIME, as int64."""
+    return [(e, (vec % _PRIME).astype(np.int64)) for e, vec in relations]
+
+
+def _integer_kernel(kernel: KernelBasis, cols: int) -> np.ndarray:
+    """The kernel vectors cleared of denominators, as the rows of an object array."""
+    rows = []
+    for vec in kernel.vectors:
+        den = lcm(*(v.denominator for v in vec))
+        rows.append([int(v * den) for v in vec])
+    return np.array(rows, dtype=object).reshape(-1, cols)
+
+
+def _product_mod(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x mod _PRIME for an integer array a and int64 x in [0, _PRIME).
+
+    Runs over the nonzero entries of a, each term reduced before the row
+    sums, so every step is exact in int64.
+    """
+    rows, cols = np.nonzero(a)
+    terms = (a[rows, cols] % _PRIME).astype(np.int64) * x[cols] % _PRIME
+    out = np.zeros(a.shape[0], dtype=np.int64)
+    if rows.size:
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[starts]] = np.add.reduceat(terms, starts)
+    return out % _PRIME
+
+
+def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
+    """Whether matrix kills one fixed pseudo-random combination of the rows mod p.
+
+    A row that is not a relation mod p (a construction fault) leaves the
+    product nonzero unless the combination happens to cancel it.
+    """
+    weights = np.random.default_rng(0).integers(1, 2**16, len(multiples))
+    combo = _product_mod(multiples.T, weights)
+    return not _product_mod(matrix.integer_array(), combo).any()
+
+
+def _kernel(ctx: JacobianContext, e: int, policy: LinalgPolicy) -> KernelBasis:
+    """policy.kernel(syzygy_matrix(ctx, e)), computed once per curve."""
+    key = (e, policy)
+    if key not in ctx.kernels:
+        ctx.kernels[key] = policy.kernel(syzygy_matrix(ctx, e))
+    return ctx.kernels[key]
+
+
+def _certified_rank(matrix: RatMatrix, multiples: np.ndarray) -> int | None:
+    """rank_p(matrix) when rank_p(matrix) + rank_p(multiples) = cols, else None.
+
+    The rows of multiples are relations (mod p), so rank_p(matrix) <= rank
+    <= cols - rank_p(multiples) over the rationals: a nonzero minor mod p
+    is nonzero over Q, and relations independent mod p are independent
+    kernel vectors.  rank_p(multiples) is first bounded from below by
+    _independent_rows and eliminated only when that bound falls short.  A
+    sum above cols can only come from a row that is not a relation, and
+    raises; so does a row that _relations_mod_p catches before a rank is
+    accepted.
+    """
+    lower = _rank_mod(matrix.integer_array())
+    spanned = _independent_rows(multiples)
+    if lower + spanned < matrix.cols:
+        spanned = _rank_mod(multiples)
+    if lower + spanned > matrix.cols:
+        raise AssertionError(
+            f"rank {lower} mod p and {spanned} independent relations exceed "
+            f"{matrix.cols} columns: some row is not a relation"
+        )
+    if lower + spanned < matrix.cols:
+        return None
+    if not _relations_mod_p(matrix, multiples):
+        raise AssertionError("some row of the relation multiples is not a relation mod p")
+    return lower
+
+
+def relation_generators(
+    ctx: JacobianContext, top: int, policy: LinalgPolicy = DEFAULT_POLICY
+) -> list[Relation]:
+    """Exact relations whose monomial multiples span every relation of degree <= top.
+
+    Walks the degrees e = 0 .. min(top, d-2), where every kernel vector is
+    a relation that is not a Koszul one.  Where the multiples of the
+    relations found so far certify the rank of A_e, they span its kernel.
+    Elsewhere (and in every degree up to the first relation, as mdr does)
+    the certified kernel of A_e is taken, and its vectors outside the span
+    of those multiples mod p join: the greedy mod-p column basis of the
+    multiples followed by the kernel.  The kernel engine verifies its
+    vectors exactly.  So the generators are minimal, and their degrees are
+    the curve's exponents below d-1.
+    """
+    found: list[Relation] = []
+    for e in range(min(top, ctx.d - 2) + 1):
+        known = _relation_multiples(_residues(found), e)
+        if found and _certified_rank(syzygy_matrix(ctx, e), known) is not None:
+            continue
+        kernel = _integer_kernel(_kernel(ctx, e, policy), 3 * degree_dimension(e))
+        basis = pivot_columns_mod(np.concatenate([known, kernel]).T, _PRIME)
+        found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
+    return found
+
+
+def _syzygy_ranks(
+    ctx: JacobianContext, degrees: list[int], policy: LinalgPolicy
+) -> list[int]:
+    """rank syzygy_matrix(ctx, s) for each s in degrees, 0 for s < 0.
+
+    The exact engine ranks each matrix itself.  The modular policy finds
+    the relation generators once, in degrees up to min(max s, d-2), adds
+    the three Koszul relations once a degree reaches d-1, and certifies
+    each rank two-sided from their multiples (_certified_rank), with no
+    kernel lifted at degree s.  Where the bounds do not meet, the rank
+    comes from the lifted-kernel certificate of policy.rank.
+    """
+    if not policy.modular:
+        return [policy.rank(syzygy_matrix(ctx, s)) if s >= 0 else 0 for s in degrees]
+    relations = relation_generators(ctx, max(degrees), policy)
+    if max(degrees) >= ctx.d - 1:
+        relations += [(ctx.d - 1, v) for v in _koszul_relations(ctx)]
+    residues = _residues(relations)
+
+    def rank(s: int) -> int:
+        matrix = syzygy_matrix(ctx, s)
+        certified = _certified_rank(matrix, _relation_multiples(residues, s))
+        return policy.rank(matrix) if certified is None else certified
+
+    return [rank(s) if s >= 0 else 0 for s in degrees]
 
 
 def milnor_dim(
@@ -128,10 +374,7 @@ def milnor_dim(
     """Dimension of the degree-t piece of S modulo the gradient ideal."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    s = t - ctx.d + 1
-    if s < 0:
-        return degree_dimension(t)
-    return degree_dimension(t) - policy.rank(syzygy_matrix(ctx, s))
+    return degree_dimension(t) - _syzygy_ranks(ctx, [t - ctx.d + 1], policy)[0]
 
 
 def hilbert_profile(
@@ -142,12 +385,13 @@ def hilbert_profile(
     The probed values equal the total Tjurina number for every singular
     reduced curve; a smooth curve instead shows the signature (1, 0, 0)
     because the quotient ring is then a complete intersection whose socle
-    sits exactly at degree 3d-6.
+    sits exactly at degree 3d-6.  All window degrees share one search for
+    relation generators (see _syzygy_ranks).
     """
     lo = 3 * ctx.d - 6
-    window = tuple(
-        (t, milnor_dim(ctx, t, policy)) for t in range(lo, lo + 3 + max(extend, 0))
-    )
+    degrees = range(lo, lo + 3 + max(extend, 0))
+    ranks = _syzygy_ranks(ctx, [t - ctx.d + 1 for t in degrees], policy)
+    window = tuple((t, degree_dimension(t) - r) for t, r in zip(degrees, ranks))
     core = [v for _, v in window[:3]]
     smooth = core == [1, 0, 0]
     tau: int | None
@@ -211,8 +455,7 @@ def mdr(
     The returned witness is re-verified by exact expansion.
     """
     for r in range(0, ctx.d - 1):
-        matrix = syzygy_matrix(ctx, r)
-        kernel = policy.kernel(matrix)
+        kernel = _kernel(ctx, r, policy)
         if kernel.dimension > 0:
             witness = _vector_to_witness(ctx, r, kernel.vectors[0])
             if not verify_witness(ctx, witness):
@@ -232,7 +475,18 @@ def syzygy_space_dimension(
 
 
 def verify_witness(ctx: JacobianContext, witness: SyzygyWitness) -> bool:
-    """Exact expansion check of a*f_x + b*f_y + c*f_z = 0."""
-    fx, fy, fz = ctx.partials
-    total = witness.a * fx + witness.b * fy + witness.c * fz
-    return total.is_zero()
+    """Exact expansion check of a*f_x + b*f_y + c*f_z = 0.
+
+    Expanded over the integers: the witness and the partials are each
+    scaled by one positive common denominator, which keeps a zero sum zero
+    and a nonzero one nonzero.
+    """
+    den = lcm(*(c.denominator for g in witness.triple() for c in g.terms.values()))
+    total: dict[Mono3, int] = {}
+    for g, partial in zip(witness.triple(), ctx.integer_partials):
+        for (i, j, k), c in g.terms.items():
+            c = int(c * den)
+            for (u, v, w), e in partial.items():
+                m = (i + u, j + v, k + w)
+                total[m] = total.get(m, 0) + c * e
+    return not any(total.values())

@@ -35,6 +35,12 @@ Two engines with identical contracts:
   tried.  Kernel requests also need two primes that agree on the rank and
   the pivot columns, the smallest pivot tuple winning at the top rank.
 
+:func:`pivot_columns_mod` exposes the mod-p elimination alone.  Its pivot
+count is a rank mod p, a lower bound for the rank over the rationals; the
+Hilbert window (conicfree.jacobian) pairs it with explicit exact relations
+for the upper bound and calls :func:`rank_certified` only where the two
+bounds do not meet.
+
 All operations are pure and deterministic: primes are taken in descending
 order below 2^31, pivot rules are fixed and nothing is random.
 """
@@ -365,6 +371,16 @@ def _rref_mod(
         pivot_cols.append(c)
         r += 1
     return tuple(pivot_cols), tuple(order[:r]), a[:r]
+
+
+def pivot_columns_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
+    """Pivot columns of the integer array a modulo a prime p < 2^31.
+
+    Read left to right they are the greedy basis of the columns mod p.
+    Their count is the rank mod p, which is at most the rank over the
+    rationals: a nonzero minor mod p is nonzero over Q.
+    """
+    return _rref_mod(_mod_array(a, p), p)[0]
 
 
 def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:

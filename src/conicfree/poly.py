@@ -286,12 +286,6 @@ class AffinePolynomial:
     def constant_term(self) -> Fraction:
         return self.coefficient((0, 0))
 
-    def order_at_origin(self) -> int | None:
-        """Smallest total degree of a term, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return min(u + v for u, v in self.terms)
-
     def sorted_terms(self) -> list[tuple[Mono2, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
