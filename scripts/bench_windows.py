@@ -7,13 +7,14 @@ generic arrangements of k = 5..8 dense conics drawn by the benchmark's
 ``perfbench/inputs.py`` (``_generic_conics``) from a fresh
 ``random.Random(12345)`` for each k.
 
-    python scripts/bench_windows.py --before OLD/src --out BENCH.json
-        [--after NEW/src] [--repeats 3] [--repeats-for generic_k8=1] [--only NAME,...]
+    python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
 
 ``--after`` defaults to this checkout's ``src``.  Every timing runs in a
 fresh process that imports ``conicfree`` from one checkout, builds the
 curve, and times one ``hilbert_profile`` call; the two checkouts alternate
-run by run, so drift in the machine's speed falls on both alike.  The JSON
+run by run, so drift in the machine's speed falls on both alike.  Each input
+is run REPEATS times per side, generic k = 7 and 8 only once: their windows
+take minutes before the change.  The JSON
 file holds the machine's description, every time, the windows and taus of
 both checkouts, and per input the speedup (median before / median after).
 """
@@ -36,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PENCIL_F = "3*x^2+y^2-4*z^2"
 PENCIL_G = "x^2+3*y^2-4*z^2"
 GENERIC_SEED = 12345
+REPEATS = {"generic_k7": 1, "generic_k8": 1}  # runs per side; 3 for the other inputs
 
 
 def arrangements() -> dict[str, list[str]]:
@@ -96,19 +98,12 @@ def main() -> int:
     parser.add_argument("--before", required=True, help="src directory of the baseline checkout")
     parser.add_argument("--after", default=str(ROOT / "src"), help="src directory to compare")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--repeats-for", action="append", default=[], metavar="NAME=N")
-    parser.add_argument("--only", default="", help="comma-separated input names")
     args = parser.parse_args()
 
-    repeats = {name: int(n) for name, n in (item.split("=") for item in args.repeats_for)}
-    chosen = set(filter(None, args.only.split(",")))
     sides = {"before": args.before, "after": args.after}
     runs: dict[str, dict] = {side: {} for side in sides}
     for name in arrangements():
-        if chosen and name not in chosen:
-            continue
-        for _ in range(repeats.get(name, args.repeats)):
+        for _ in range(REPEATS.get(name, 3)):
             for side, src in sides.items():
                 child = [sys.executable, __file__, "--child", src, name]
                 out = subprocess.run(child, check=True, capture_output=True, text=True).stdout

@@ -40,6 +40,9 @@ from conicfree.linalg import (
     RatMatrix,
     integer_zeros,
     pivot_columns_mod,
+    product_mod,
+    rank_mod,
+    residues_mod,
 )
 from conicfree.poly import (
     VAR_NAMES,
@@ -164,9 +167,6 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
     return RatMatrix.from_integer_array(a)
 
 
-# A prime below 2^31, as the mod-p elimination needs (the Mersenne prime).
-_PRIME = 2**31 - 1
-
 # A relation of degree e: its integer coefficient vector in the column layout
 # of syzygy_matrix(ctx, e).
 Relation = tuple[int, np.ndarray]
@@ -217,11 +217,6 @@ def _koszul_relations(ctx: JacobianContext) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(-1, 3 * n)
 
 
-def _rank_mod(a: np.ndarray) -> int:
-    """Rank of an integer array modulo _PRIME, eliminated along its shorter side."""
-    return len(pivot_columns_mod(a.T if a.shape[1] > a.shape[0] else a, _PRIME))
-
-
 def _independent_rows(multiples: np.ndarray) -> int:
     """A lower bound for rank_p(multiples), read off the supports alone.
 
@@ -240,8 +235,8 @@ def _independent_rows(multiples: np.ndarray) -> int:
 
 
 def _residues(relations: list[Relation]) -> list[Relation]:
-    """The relations with their vectors reduced mod _PRIME, as int64."""
-    return [(e, (vec % _PRIME).astype(np.int64)) for e, vec in relations]
+    """The relations with their vectors reduced mod p, as int64."""
+    return [(e, residues_mod(vec)) for e, vec in relations]
 
 
 def _integer_kernel(kernel: KernelBasis, cols: int) -> np.ndarray:
@@ -253,21 +248,6 @@ def _integer_kernel(kernel: KernelBasis, cols: int) -> np.ndarray:
     return np.array(rows, dtype=object).reshape(-1, cols)
 
 
-def _product_mod(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x mod _PRIME for an integer array a and int64 x in [0, _PRIME).
-
-    Runs over the nonzero entries of a, each term reduced before the row
-    sums, so every step is exact in int64.
-    """
-    rows, cols = np.nonzero(a)
-    terms = (a[rows, cols] % _PRIME).astype(np.int64) * x[cols] % _PRIME
-    out = np.zeros(a.shape[0], dtype=np.int64)
-    if rows.size:
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        out[rows[starts]] = np.add.reduceat(terms, starts)
-    return out % _PRIME
-
-
 def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
     """Whether matrix kills one fixed pseudo-random combination of the rows mod p.
 
@@ -275,8 +255,8 @@ def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
     product nonzero unless the combination happens to cancel it.
     """
     weights = np.random.default_rng(0).integers(1, 2**16, len(multiples))
-    combo = _product_mod(multiples.T, weights)
-    return not _product_mod(matrix.integer_array(), combo).any()
+    combo = product_mod(multiples.T, weights)
+    return not product_mod(matrix.integer_array(), combo).any()
 
 
 def _kernel(ctx: JacobianContext, e: int, policy: LinalgPolicy) -> KernelBasis:
@@ -299,10 +279,10 @@ def _certified_rank(matrix: RatMatrix, multiples: np.ndarray) -> int | None:
     raises; so does a row that _relations_mod_p catches before a rank is
     accepted.
     """
-    lower = _rank_mod(matrix.integer_array())
+    lower = rank_mod(matrix.integer_array())
     spanned = _independent_rows(multiples)
     if lower + spanned < matrix.cols:
-        spanned = _rank_mod(multiples)
+        spanned = rank_mod(multiples)
     if lower + spanned > matrix.cols:
         raise AssertionError(
             f"rank {lower} mod p and {spanned} independent relations exceed "
@@ -327,8 +307,15 @@ def relation_generators(
     the certified kernel of A_e is taken, and its vectors outside the span
     of those multiples mod p join: the greedy mod-p column basis of the
     multiples followed by the kernel.  The kernel engine verifies its
-    vectors exactly.  So the generators are minimal, and their degrees are
-    the curve's exponents below d-1.
+    vectors exactly, so every generator is a relation.
+
+    The generators are minimal, and their degrees are the curve's exponents
+    below d-1, when at each degree the multiples of the lower generators
+    have the same rank mod p as over the rationals.  Where the prime lowers
+    that rank, a vector already in their span can join, or one outside it
+    be left out; the window ranks stay correct either way, since their
+    certificate is two-sided and a missing generator only costs the
+    fallback.
     """
     found: list[Relation] = []
     for e in range(min(top, ctx.d - 2) + 1):
@@ -336,7 +323,7 @@ def relation_generators(
         if found and _certified_rank(syzygy_matrix(ctx, e), known) is not None:
             continue
         kernel = _integer_kernel(_kernel(ctx, e, policy), 3 * degree_dimension(e))
-        basis = pivot_columns_mod(np.concatenate([known, kernel]).T, _PRIME)
+        basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
         found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
     return found
 

@@ -35,8 +35,9 @@ Two engines with identical contracts:
   tried.  Kernel requests also need two primes that agree on the rank and
   the pivot columns, the smallest pivot tuple winning at the top rank.
 
-:func:`pivot_columns_mod` exposes the mod-p elimination alone.  Its pivot
-count is a rank mod p, a lower bound for the rank over the rationals; the
+:func:`pivot_columns_mod`, :func:`rank_mod` and :func:`product_mod` work
+modulo one fixed prime, BOUND_PRIME, the first that the certified engine
+tries.  A rank mod p is a lower bound for the rank over the rationals; the
 Hilbert window (conicfree.jacobian) pairs it with explicit exact relations
 for the upper bound and calls :func:`rank_certified` only where the two
 bounds do not meet.
@@ -373,14 +374,43 @@ def _rref_mod(
     return tuple(pivot_cols), tuple(order[:r]), a[:r]
 
 
-def pivot_columns_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
-    """Pivot columns of the integer array a modulo a prime p < 2^31.
+# The prime of the one-prime helpers below: the first one _certified tries.
+BOUND_PRIME = next(_primes_below(2**31))
+
+
+def residues_mod(a: np.ndarray) -> np.ndarray:
+    """The integer array a modulo BOUND_PRIME, as int64."""
+    return _mod_array(a, BOUND_PRIME)
+
+
+def pivot_columns_mod(a: np.ndarray) -> tuple[int, ...]:
+    """Pivot columns of the integer array a modulo BOUND_PRIME.
 
     Read left to right they are the greedy basis of the columns mod p.
     Their count is the rank mod p, which is at most the rank over the
     rationals: a nonzero minor mod p is nonzero over Q.
     """
-    return _rref_mod(_mod_array(a, p), p)[0]
+    return _rref_mod(residues_mod(a), BOUND_PRIME)[0]
+
+
+def rank_mod(a: np.ndarray) -> int:
+    """Rank of the integer array a modulo BOUND_PRIME, eliminated along its shorter side."""
+    return len(pivot_columns_mod(a.T if a.shape[1] > a.shape[0] else a))
+
+
+def product_mod(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x modulo BOUND_PRIME for an integer array a and int64 x in [0, BOUND_PRIME).
+
+    Runs over the nonzero entries of a, each term reduced before the row
+    sums, so every step is exact in int64.
+    """
+    rows, cols = np.nonzero(a)
+    terms = residues_mod(a[rows, cols]) * x[cols] % BOUND_PRIME
+    out = np.zeros(a.shape[0], dtype=np.int64)
+    if rows.size:
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        out[rows[starts]] = np.add.reduceat(terms, starts)
+    return out % BOUND_PRIME
 
 
 def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:

@@ -186,8 +186,8 @@ def test_independent_rows_never_exceed_the_rank(rows, n, data):
     """The support count is a lower bound for the rank mod p (elimination as oracle)."""
     values = st.sampled_from([0, 0, 0, 1, 2, -1, 2**31 - 2])
     entries = data.draw(st.lists(values, min_size=3 * n * rows, max_size=3 * n * rows))
-    m = np.array(entries, dtype=np.int64).reshape(rows, 3 * n) % jacobian._PRIME
-    assert jacobian._independent_rows(m) <= jacobian._rank_mod(m)
+    m = np.array(entries, dtype=np.int64).reshape(rows, 3 * n) % linalg.BOUND_PRIME
+    assert jacobian._independent_rows(m) <= linalg.rank_mod(m)
 
 
 def test_a_row_that_is_no_relation_is_caught_mod_p():
@@ -197,7 +197,7 @@ def test_a_row_that_is_no_relation_is_caught_mod_p():
         matrix = syzygy_matrix(ctx, s)
         f = jacobian._relation_multiples(jacobian._residues(_relations(ctx)), s)
         assert jacobian._relations_mod_p(matrix, f)
-        f[len(f) // 2, 0] = (f[len(f) // 2, 0] + 1) % jacobian._PRIME
+        f[len(f) // 2, 0] = (f[len(f) // 2, 0] + 1) % linalg.BOUND_PRIME
         assert not jacobian._relations_mod_p(matrix, f), name
 
 
