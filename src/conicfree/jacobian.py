@@ -9,19 +9,25 @@ with an explicit, exactly verified witness.
 The Hilbert value in degree t is dim S_t - rank A_s, s = t - d + 1, where
 A_s maps (a, b, c) of degree s to a*f_x + b*f_y + c*f_z; its kernel is
 AR(f)_s, the relations of degree s.  Under the modular policy each rank is
-certified two-sided with no kernel lifted at degree s.  rank_p(A_s), from
-one prime below 2^31, bounds it from below; cols - rank_p(F) bounds it from
-above, where F holds the monomial multiples into degree s of exact
-relations: generators found once per curve in degrees 0 .. d-2 (a certified
-kernel only where the multiples of the lower ones fall short; kernels are
-shared with mdr) and the three Koszul relations (f_y, -f_x, 0),
-(f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified by exact
-expansion.  rank_p(F) is bounded from below by rows with distinct leading
-columns before any elimination.  Bounds that overlap, or a row of F that a
-fixed pseudo-random combination shows is no relation mod p, raise: either
-means a fault in building F.  Where the bounds do not meet, the rank comes
-from the lifted-kernel certificate of linalg.rank_certified; a missing
-generator can only cause that fallback, never a wrong rank.
+certified two-sided with no kernel lifted at degree s.  From below: the
+gradient ideal J is generated in degree d-1, so J_{t+1} = S_1 J_t, and a
+monomial times a grevlex leading monomial of J_t mod p (one prime below
+2^31) is one of J_{t+1}.  So the multiples into degree s+d-1 of the
+leading monomials recorded at the highest degree e <= s where A_e was
+eliminated number at most rank_p(A_s) <= rank A_s.  The relation search
+records them, and A_s is eliminated only where the two bounds fall short.
+From above: cols - rank_p(F), where F holds the monomial multiples into
+degree s of exact relations: generators found once per curve in degrees
+0 .. d-2 (a certified kernel only where the multiples of the lower ones
+fall short; kernels are shared with mdr) and the three Koszul relations
+(f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified
+by exact expansion.  rank_p(F) is bounded from below by rows with distinct
+leading columns before any elimination.  Bounds that overlap, or a row of
+F that a fixed pseudo-random combination shows is no relation mod p,
+raise: either means a fault in building F.  Where the bounds do not meet,
+the rank comes from the lifted-kernel certificate of
+linalg.rank_certified; a missing generator can only cause that fallback,
+never a wrong rank.
 """
 
 from __future__ import annotations
@@ -75,6 +81,9 @@ class JacobianContext:
     # certified kernels of syzygy_matrix by (degree, policy), shared by mdr
     # and the relation search of the Hilbert window
     kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # by degree s where A_s was eliminated: the grevlex leading monomials
+    # mod p of the gradient ideal in degree s+d-1 (_leading_monomials)
+    leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def for_curve(cls, f: HomogeneousPolynomial) -> "JacobianContext":
@@ -244,7 +253,7 @@ def _integer_kernel(kernel: KernelBasis, cols: int) -> np.ndarray:
     rows = []
     for vec in kernel.vectors:
         den = lcm(*(v.denominator for v in vec))
-        rows.append([int(v * den) for v in vec])
+        rows.append([v.numerator * (den // v.denominator) for v in vec])
     return np.array(rows, dtype=object).reshape(-1, cols)
 
 
@@ -267,26 +276,66 @@ def _kernel(ctx: JacobianContext, e: int, policy: LinalgPolicy) -> KernelBasis:
     return ctx.kernels[key]
 
 
-def _certified_rank(matrix: RatMatrix, multiples: np.ndarray) -> int | None:
-    """rank_p(matrix) when rank_p(matrix) + rank_p(multiples) = cols, else None.
+def _leading_monomials(ctx: JacobianContext, s: int, matrix: RatMatrix) -> np.ndarray:
+    """The grevlex leading monomials mod p of the gradient ideal in degree s+d-1.
 
-    The rows of multiples are relations (mod p), so rank_p(matrix) <= rank
-    <= cols - rank_p(multiples) over the rationals: a nonzero minor mod p
-    is nonzero over Q, and relations independent mod p are independent
-    kernel vectors.  rank_p(multiples) is first bounded from below by
-    _independent_rows and eliminated only when that bound falls short.  A
-    sum above cols can only come from a row that is not a relation, and
-    raises; so does a row that _relations_mod_p catches before a rank is
-    accepted.
+    They are the pivot columns of A_s^T (matrix = syzygy_matrix(ctx, s))
+    with its columns in descending grevlex order, where a smaller exponent
+    of z, then of y, is larger; their count is rank_p(A_s).  Returned, and
+    recorded in ctx.leading[s], as sorted row positions of A_s.
     """
-    lower = rank_mod(matrix.integer_array())
+    monos = _monomial_array(s + ctx.d - 1)
+    grevlex = np.lexsort((monos[:, 1], monos[:, 2]))
+    pivots = pivot_columns_mod(matrix.integer_array()[grevlex].T)
+    ctx.leading[s] = np.sort(grevlex[list(pivots)])
+    return ctx.leading[s]
+
+
+def _leading_multiples(ctx: JacobianContext, s: int) -> np.ndarray:
+    """S_{s-e} times the leading monomials recorded in the highest degree e <= s.
+
+    Sorted row positions of A_s, none without a record.  The gradient ideal
+    J is generated in degree d-1, so J_{t+1} = S_1 J_t, and a monomial
+    times a leading monomial is the leading monomial of the product: these
+    are leading monomials of J mod p in degree s+d-1, and their count is a
+    lower bound for rank_p(A_s), so for rank A_s.
+    """
+    below = [e for e in ctx.leading if e <= s]
+    if not below:
+        return np.zeros(0, dtype=np.int64)
+    e = max(below)
+    monos = _monomial_array(e + ctx.d - 1)[ctx.leading[e]]
+    products = monos[:, None, :] + _monomial_array(s - e)[None, :, :]
+    return np.unique(_grlex_position(products, s + ctx.d - 1))
+
+
+def _certified_rank(
+    ctx: JacobianContext, s: int, matrix: RatMatrix, multiples: np.ndarray
+) -> int | None:
+    """rank A_s (matrix = syzygy_matrix(ctx, s)) when two bounds meet, else None.
+
+    The lower bound counts the leading monomials of _leading_multiples;
+    only when it and rank_p(multiples) fall short of cols is A_s itself
+    eliminated, which records its leading monomials for the degrees above.
+    The rows of multiples are relations (mod p), so the count <= rank_p(A_s)
+    <= rank <= cols - rank_p(multiples) over the rationals: a nonzero
+    minor mod p is nonzero over Q, and relations independent mod p are
+    independent kernel vectors.  rank_p(multiples) is first bounded from
+    below by _independent_rows and eliminated only when that bound falls
+    short.  A sum above cols can only come from a row that is not a
+    relation, and raises; so does a row that _relations_mod_p catches
+    before a rank is accepted.
+    """
+    lower = len(_leading_multiples(ctx, s))
     spanned = _independent_rows(multiples)
     if lower + spanned < matrix.cols:
         spanned = rank_mod(multiples)
+    if lower + spanned < matrix.cols:
+        lower = len(_leading_monomials(ctx, s, matrix))
     if lower + spanned > matrix.cols:
         raise AssertionError(
-            f"rank {lower} mod p and {spanned} independent relations exceed "
-            f"{matrix.cols} columns: some row is not a relation"
+            f"{lower} leading monomials mod p and {spanned} independent relations "
+            f"exceed {matrix.cols} columns: some row is not a relation"
         )
     if lower + spanned < matrix.cols:
         return None
@@ -302,12 +351,13 @@ def relation_generators(
 
     Walks the degrees e = 0 .. min(top, d-2), where every kernel vector is
     a relation that is not a Koszul one.  Where the multiples of the
-    relations found so far certify the rank of A_e, they span its kernel.
-    Elsewhere (and in every degree up to the first relation, as mdr does)
-    the certified kernel of A_e is taken, and its vectors outside the span
-    of those multiples mod p join: the greedy mod-p column basis of the
-    multiples followed by the kernel.  The kernel engine verifies its
-    vectors exactly, so every generator is a relation.
+    relations found so far certify the rank of A_e (_certified_rank, which
+    records the leading monomials of A_e wherever it eliminates it), they
+    span its kernel; below the first relation, that is a certified full
+    rank.  Elsewhere the certified kernel of A_e is taken, and its vectors
+    outside the span of those multiples mod p join: the greedy mod-p column
+    basis of the multiples followed by the kernel.  The kernel engine
+    verifies its vectors exactly, so every generator is a relation.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -320,7 +370,7 @@ def relation_generators(
     found: list[Relation] = []
     for e in range(min(top, ctx.d - 2) + 1):
         known = _relation_multiples(_residues(found), e)
-        if found and _certified_rank(syzygy_matrix(ctx, e), known) is not None:
+        if _certified_rank(ctx, e, syzygy_matrix(ctx, e), known) is not None:
             continue
         kernel = _integer_kernel(_kernel(ctx, e, policy), 3 * degree_dimension(e))
         basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
@@ -336,9 +386,12 @@ def _syzygy_ranks(
     The exact engine ranks each matrix itself.  The modular policy finds
     the relation generators once, in degrees up to min(max s, d-2), adds
     the three Koszul relations once a degree reaches d-1, and certifies
-    each rank two-sided from their multiples (_certified_rank), with no
-    kernel lifted at degree s.  Where the bounds do not meet, the rank
-    comes from the lifted-kernel certificate of policy.rank.
+    each rank two-sided (_certified_rank): below by the multiples of the
+    leading monomials the search recorded, above by the multiples of the
+    relations.  No kernel is lifted at degree s, and A_s is eliminated only
+    where the count of those leading monomials falls short.  Where the
+    bounds do not meet, the rank comes from the lifted-kernel certificate
+    of policy.rank.
     """
     if not policy.modular:
         return [policy.rank(syzygy_matrix(ctx, s)) if s >= 0 else 0 for s in degrees]
@@ -349,7 +402,7 @@ def _syzygy_ranks(
 
     def rank(s: int) -> int:
         matrix = syzygy_matrix(ctx, s)
-        certified = _certified_rank(matrix, _relation_multiples(residues, s))
+        certified = _certified_rank(ctx, s, matrix, _relation_multiples(residues, s))
         return policy.rank(matrix) if certified is None else certified
 
     return [rank(s) if s >= 0 else 0 for s in degrees]
@@ -373,7 +426,8 @@ def hilbert_profile(
     reduced curve; a smooth curve instead shows the signature (1, 0, 0)
     because the quotient ring is then a complete intersection whose socle
     sits exactly at degree 3d-6.  All window degrees share one search for
-    relation generators (see _syzygy_ranks).
+    relation generators and the grevlex leading monomials it records (see
+    _syzygy_ranks).
     """
     lo = 3 * ctx.d - 6
     degrees = range(lo, lo + 3 + max(extend, 0))

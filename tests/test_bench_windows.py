@@ -1,0 +1,30 @@
+"""scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _script():
+    spec = importlib.util.spec_from_file_location(
+        "bench_windows", ROOT / "scripts" / "bench_windows.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["pencil_four_points_m7", "generic_k5"])
+def test_time_one_returns_the_recorded_window(name, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # time_one puts src first
+    recorded = json.loads((ROOT / "BENCH_6.json").read_text())["runs"]["after"][name]
+    result = _script().time_one(str(ROOT / "src"), name)
+    assert {k: result[k] for k in ("d", "window", "tau")} == {
+        k: recorded[k] for k in ("d", "window", "tau")
+    }
+    assert result["s"] > 0

@@ -1,12 +1,14 @@
 """Hilbert-window ranks certified by explicit relations.
 
-Under the modular policy each window rank is certified two-sided: rank mod
-p below, and the monomial multiples of exact relation generators (found in
-degrees <= d-2, plus the three Koszul relations) above.  These tests hold
-that certificate against the lifted-kernel engine, the exact engine, an
-exact containment check, elimination as the oracle of the support count,
-deliberately broken relation sets, the exponents of free and nearly free
-curves, and the du Plessis-Wall bounds.
+Under the modular policy each window rank is certified two-sided: below by
+the monomial multiples of grevlex leading monomials mod p recorded in the
+relation search, above by the monomial multiples of exact relation
+generators (found in degrees <= d-2, plus the three Koszul relations).
+These tests hold that certificate against the lifted-kernel engine, the
+exact engine, an exact containment check, elimination as the oracle of the
+support count and of the multiplied leading monomials, deliberately broken
+relation sets, the exponents of free and nearly free curves, and the du
+Plessis-Wall bounds.
 """
 
 import importlib.util
@@ -259,3 +261,65 @@ def test_du_plessis_wall_bounds_on_products_of_conics(conics):
     profile = hilbert_profile(ctx)
     assert profile.tau is not None
     _du_plessis_wall(ctx, profile.tau)
+
+
+def _fresh(ctx):
+    """The same curve with empty kernel and leading-monomial records."""
+    return JacobianContext.for_curve(ctx.f)
+
+
+def _window_eliminations(ctx, monkeypatch):
+    """The window degrees at which hilbert_profile eliminates A_s, fallback refused."""
+    degrees = []
+    original = jacobian._leading_monomials
+
+    def spy(ctx, s, matrix):
+        degrees.append(s)
+        return original(ctx, s, matrix)
+
+    with monkeypatch.context() as m:
+        m.setattr(jacobian, "_leading_monomials", spy)
+        m.setattr(linalg, "rank_certified", _refuse)
+        hilbert_profile(ctx)
+    return [s for s in degrees if s >= 2 * ctx.d - 5]
+
+
+def test_corpus_windows_eliminate_no_window_matrix(monkeypatch):
+    for e, ctx in _corpus():
+        assert _window_eliminations(_fresh(ctx), monkeypatch) == [], e.name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generic_windows_eliminate_no_window_matrix(seed, monkeypatch):
+    for ctx in _generic_inputs(seed):
+        assert _window_eliminations(_fresh(ctx), monkeypatch) == []
+
+
+def test_multiplied_leading_monomials_are_leading_monomials():
+    """Elimination as oracle: S_1 times LT(J_t) lies in LT(J_{t+1}), d-1 <= t < 3d-4."""
+    for ctx in [ctx for _, ctx in _corpus()] + list(_generic_inputs(1)):
+        ctx = _fresh(ctx)
+        for s in range(2 * ctx.d - 2):
+            multiplied = jacobian._leading_multiples(ctx, s)
+            fresh = jacobian._leading_monomials(ctx, s, syzygy_matrix(ctx, s))
+            assert np.isin(multiplied, fresh).all(), (ctx.d, s)
+            assert s == 0 or len(multiplied) > 0
+
+
+def _leading_count_at_most_rank(ctx):
+    hilbert_profile(ctx)
+    for s in _window_shifts(ctx):
+        count = len(jacobian._leading_multiples(ctx, s))
+        assert 0 < count <= linalg.rank(syzygy_matrix(ctx, s)), (ctx.d, s)
+
+
+def test_leading_count_never_exceeds_the_exact_rank_up_to_degree_eight():
+    for e, ctx in _corpus():
+        if ctx.d <= 8:
+            _leading_count_at_most_rank(_fresh(ctx))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_CONIC, min_size=2, max_size=3, unique_by=_primitive))
+def test_leading_count_never_exceeds_the_exact_rank_on_products_of_conics(conics):
+    _leading_count_at_most_rank(_curve([_conic_text(q) for q in conics]))
