@@ -120,8 +120,8 @@ def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis
         arrangement=resolved.arrangement,
         source=resolved.source,
         policy=_policy(args),
-        assume_qh=args.assume_qh or resolved.assume_qh,
-        extra_points=_read_points_file(args.points) if args.points else None,
+        assume_qh=getattr(args, "assume_qh", False) or resolved.assume_qh,
+        extra_points=_read_points_file(args.points) if getattr(args, "points", None) else None,
         window_extend=getattr(args, "window_extend", 0),
     )
 
@@ -204,13 +204,7 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
         resolved = _resolve_input(designator)
         if resolved.arrangement is None:
             raise InputError(f"{designator}: deformation checking needs arrangements")
-        analysis = analyze_curve(
-            resolved.f,
-            arrangement=resolved.arrangement,
-            source=resolved.source,
-            policy=_policy(args),
-            assume_qh=resolved.assume_qh,
-        )
+        analysis = _run_analysis(args, resolved)
         if analysis.tau is None or analysis.report is None:
             raise InputError(f"{designator}: Tjurina window unstable")
         results.append(analysis)

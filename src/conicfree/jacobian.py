@@ -8,18 +8,22 @@ with an explicit, exactly verified witness.
 
 The Hilbert value in degree t is dim S_t - rank A_s, s = t - d + 1, where
 A_s maps (a, b, c) of degree s to a*f_x + b*f_y + c*f_z; its kernel is
-AR(f)_s, the relations of degree s.  Under the modular policy each rank is
-certified two-sided with no kernel lifted at degree s.  From below: the
-gradient ideal J is generated in degree d-1, so J_{t+1} = S_1 J_t, and a
-monomial times a grevlex leading monomial of J_t mod p (one prime below
-2^31) is one of J_{t+1}.  So the multiples into degree s+d-1 of the
-leading monomials recorded at the highest degree e <= s where A_e was
-eliminated number at most rank_p(A_s) <= rank A_s.  The relation search
-records them, and A_s is eliminated only where the two bounds fall short.
-From above: cols - rank_p(F), where F holds the monomial multiples into
-degree s of exact relations: generators found once per curve in degrees
-0 .. d-2 (a certified kernel only where the multiples of the lower ones
-fall short; kernels are shared with mdr) and the three Koszul relations
+AR(f)_s, the relations of degree s.  Kernels come from conicfree.linalg
+as primitive integer vectors, so a kernel vector is a relation as it
+stands, and the witness of mdr is the first one with its sign fixed.
+
+Under the modular policy each rank is certified two-sided with no kernel
+lifted at degree s.  From below: the gradient ideal J is generated in
+degree d-1, so J_{t+1} = S_1 J_t, and a monomial times a grevlex leading
+monomial of J_t mod p (one prime below 2^31) is one of J_{t+1}.  So the
+multiples into degree s+d-1 of the leading monomials recorded at the
+highest degree e <= s where A_e was eliminated number at most
+rank_p(A_s) <= rank A_s.  The relation search records them, and A_s is
+eliminated only where the two bounds fall short.  From above:
+cols - rank_p(F), where F holds the monomial multiples into degree s of
+exact relations: generators found once per curve in degrees 0 .. d-2 (a
+certified kernel only where the multiples of the lower ones fall short;
+kernels are shared with mdr) and the three Koszul relations
 (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified
 by exact expansion.  rank_p(F) is bounded from below by rows with distinct
 leading columns before any elimination.  Bounds that overlap, or a row of
@@ -34,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
+from typing import Sequence
 
 import numpy as np
 
@@ -173,7 +177,7 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
         prods = np.array(list(g), dtype=np.int64)[:, None, :] + monos[None, :, :]
         rows = _grlex_position(prods, t)
         a[rows, k * n + np.arange(n)] = np.array(list(g.values()), dtype=a.dtype)[:, None]
-    return RatMatrix.from_integer_array(a)
+    return RatMatrix(a)
 
 
 # A relation of degree e: its integer coefficient vector in the column layout
@@ -220,7 +224,7 @@ def _koszul_relations(ctx: JacobianContext) -> np.ndarray:
                 vec[k * n + positions] = [sign * c for c in partials[h].values()]
         if not vec.any():
             continue
-        if not verify_witness(ctx, _vector_to_witness(ctx, e, tuple(vec.tolist()))):
+        if not verify_witness(ctx, _vector_to_witness(e, vec.tolist())):
             raise AssertionError("a Koszul relation failed exact re-verification")
         rows.append(vec)
     return np.array(rows, dtype=object).reshape(-1, 3 * n)
@@ -248,15 +252,6 @@ def _residues(relations: list[Relation]) -> list[Relation]:
     return [(e, residues_mod(vec)) for e, vec in relations]
 
 
-def _integer_kernel(kernel: KernelBasis, cols: int) -> np.ndarray:
-    """The kernel vectors cleared of denominators, as the rows of an object array."""
-    rows = []
-    for vec in kernel.vectors:
-        den = lcm(*(v.denominator for v in vec))
-        rows.append([v.numerator * (den // v.denominator) for v in vec])
-    return np.array(rows, dtype=object).reshape(-1, cols)
-
-
 def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
     """Whether matrix kills one fixed pseudo-random combination of the rows mod p.
 
@@ -265,7 +260,7 @@ def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
     """
     weights = np.random.default_rng(0).integers(1, 2**16, len(multiples))
     combo = product_mod(multiples.T, weights)
-    return not product_mod(matrix.integer_array(), combo).any()
+    return not product_mod(matrix.array, combo).any()
 
 
 def _kernel(ctx: JacobianContext, e: int, policy: LinalgPolicy) -> KernelBasis:
@@ -286,7 +281,7 @@ def _leading_monomials(ctx: JacobianContext, s: int, matrix: RatMatrix) -> np.nd
     """
     monos = _monomial_array(s + ctx.d - 1)
     grevlex = np.lexsort((monos[:, 1], monos[:, 2]))
-    pivots = pivot_columns_mod(matrix.integer_array()[grevlex].T)
+    pivots = pivot_columns_mod(matrix.array[grevlex].T)
     ctx.leading[s] = np.sort(grevlex[list(pivots)])
     return ctx.leading[s]
 
@@ -372,7 +367,8 @@ def relation_generators(
         known = _relation_multiples(_residues(found), e)
         if _certified_rank(ctx, e, syzygy_matrix(ctx, e), known) is not None:
             continue
-        kernel = _integer_kernel(_kernel(ctx, e, policy), 3 * degree_dimension(e))
+        vectors = _kernel(ctx, e, policy).vectors
+        kernel = np.array(vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
         basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
         found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
     return found
@@ -457,32 +453,18 @@ def total_tjurina(ctx: JacobianContext, policy: LinalgPolicy = DEFAULT_POLICY) -
     return profile.tau
 
 
-def _vector_to_witness(
-    ctx: JacobianContext, r: int, vec: tuple[Fraction, ...]
-) -> SyzygyWitness:
+def _vector_to_witness(r: int, vec: Sequence[int]) -> SyzygyWitness:
+    """The relation with integer coefficient vector vec in the column layout
+    of syzygy_matrix(ctx, r), its sign chosen to make the first nonzero
+    entry positive."""
     monos = monomials_of_degree(r)
     n = len(monos)
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    content = 0
-    for v in ints:
-        content = gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    parts = []
-    for comp in range(3):
-        terms: dict[Mono3, Fraction] = {}
-        for i, mono in enumerate(monos):
-            c = ints[comp * n + i]
-            if c:
-                terms[mono] = Fraction(c)
-        parts.append(HomogeneousPolynomial(r, terms))
-    return SyzygyWitness(r=r, a=parts[0], b=parts[1], c=parts[2])
+    sign = 1 if next(v for v in vec if v) > 0 else -1
+    parts = [
+        HomogeneousPolynomial(r, {m: sign * c for m, c in zip(monos, vec[k * n : (k + 1) * n])})
+        for k in range(3)
+    ]
+    return SyzygyWitness(r, *parts)
 
 
 def mdr(
@@ -498,7 +480,7 @@ def mdr(
     for r in range(0, ctx.d - 1):
         kernel = _kernel(ctx, r, policy)
         if kernel.dimension > 0:
-            witness = _vector_to_witness(ctx, r, kernel.vectors[0])
+            witness = _vector_to_witness(r, kernel.vectors[0])
             if not verify_witness(ctx, witness):
                 raise AssertionError(
                     f"kernel vector failed exact re-verification in degree {r}"

@@ -1,13 +1,17 @@
 """Exact linear algebra over the rationals for sparse matrices.
 
-Two engines with identical contracts:
+A matrix (:class:`RatMatrix`) is one 2-d integer array: int64, or Python
+integers in an object array once an entry reaches 2^62; a rational matrix
+enters with its rows scaled to integers.  A kernel (:class:`KernelBasis`)
+is a tuple of primitive integer vectors in standard form, each positive in
+its own free column, so both engines return the same basis.  Two engines
+with identical contracts:
 
 * an exact engine: row echelon form over the integers with per-row content
-  stripping, whose pivot count is the rank and whose back substitution over
-  Fraction gives the kernel;
-* a certified modular engine that works on one integer array from the
-  matrix build to the certificate: int64, or Python integers in an object
-  array once an entry reaches 2^62.  It eliminates A modulo one 31-bit
+  stripping, whose pivot count is the rank and whose back substitution
+  gives the kernel;
+* a certified modular engine that works on the integer array from the
+  matrix build to the certificate.  It eliminates A modulo one 31-bit
   prime, updating only the columns from each pivot on, records the pivot
   columns P and the pivot rows R, and solves A[R,P] X = A[R,F] over the
   rationals for the free columns F: first from the echelon form itself,
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
 import numpy as np
@@ -104,128 +108,41 @@ def integer_zeros(shape: tuple[int, int], bound: int) -> np.ndarray:
 
 
 class RatMatrix:
-    """Sparse rational matrix keyed by (row, col).
+    """A rational matrix, held as one 2-d integer array that is not copied.
 
-    A matrix made by :meth:`from_integer_array` is that integer array; its
-    ``entries`` (Python integers) are derived from the array on first use.
+    The array is int64 with entries below 2^62 in absolute value (see
+    :func:`integer_zeros`), or object with Python integers.  A rational
+    matrix enters with each row scaled to integers, which keeps its rank
+    and its kernel.  ``entries`` (Python integers by (row, col)) are
+    derived from the array on first use.
     """
 
-    __slots__ = ("rows", "cols", "_entries", "_array")
+    __slots__ = ("array", "_entries")
 
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], Fraction | int]):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimensions")
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry index {(r, c)} out of range")
-            f = Fraction(v)
-            if f != 0:
-                clean[(r, c)] = f
-        self.rows = rows
-        self.cols = cols
-        self._entries: dict[tuple[int, int], Fraction | int] | None = clean
-        self._array: np.ndarray | None = None
-
-    @classmethod
-    def from_integer_array(cls, array: np.ndarray) -> "RatMatrix":
-        """The matrix of a 2-d array of integers, not copied: int64 with
-        entries below 2^62 in absolute value (see :func:`integer_zeros`), or
-        object."""
-        m = cls.__new__(cls)
-        m.rows, m.cols = array.shape
-        m._entries = None
-        m._array = array
-        return m
-
-    @classmethod
-    def from_dense(cls, dense: list[list[Fraction | int]]) -> "RatMatrix":
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {
-            (r, c): v
-            for r, row in enumerate(dense)
-            for c, v in enumerate(row)
-            if v != 0
-        }
-        return cls(rows, cols, entries)
+    def __init__(self, array: np.ndarray):
+        if array.ndim != 2 or array.dtype not in (np.dtype(np.int64), np.dtype(object)):
+            raise ValueError(f"not a 2-d int64 or object array: {array.dtype}, {array.ndim}-d")
+        self.array = array
+        self._entries: dict[tuple[int, int], int] | None = None
 
     @property
-    def entries(self) -> dict[tuple[int, int], Fraction | int]:
+    def rows(self) -> int:
+        return self.array.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.array.shape[1]
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
         if self._entries is None:
-            rr, cc = np.nonzero(self._array)
-            values = self._array[rr, cc].tolist()
+            rr, cc = np.nonzero(self.array)
+            values = self.array[rr, cc].tolist()
             self._entries = dict(zip(zip(rr.tolist(), cc.tolist()), values))
         return self._entries
 
-    def is_zero(self) -> bool:
-        if self._array is not None:
-            return not self._array.any()
-        return not self._entries
-
     def transpose(self) -> "RatMatrix":
-        if self._array is not None:
-            return RatMatrix.from_integer_array(self._array.T)
-        return RatMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def to_dense(self) -> list[list[Fraction]]:
-        dense = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            dense[r][c] = v
-        return dense
-
-    def mul_vector(self, vec: list[Fraction]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        out = [Fraction(0)] * self.rows
-        for (r, c), v in self.entries.items():
-            if vec[c]:
-                out[r] += v * vec[c]
-        return out
-
-    def row_lists(self) -> list[list[tuple[int, Fraction]]]:
-        rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r].append((c, v))
-        for row in rows:
-            row.sort()
-        return rows
-
-    def integer_rows(self) -> list[list[tuple[int, int]]]:
-        """Rows scaled to integers (each row by the lcm of its denominators)."""
-        if self._array is not None:
-            out = []
-            for row in self._array:
-                nz = np.flatnonzero(row)
-                out.append(list(zip(nz.tolist(), row[nz].tolist())))
-            return out
-        out = []
-        for row in self.row_lists():
-            m = 1
-            for _, v in row:
-                m = m * v.denominator // gcd(m, v.denominator)
-            out.append([(c, int(v * m)) for c, v in row])
-        return out
-
-    def integer_array(self) -> np.ndarray:
-        """An integer array with the rank and kernel of this matrix.
-
-        The array itself for a matrix made from one, otherwise the rows of
-        :meth:`integer_rows`; int64, or object once an entry reaches 2^62.
-        """
-        if self._array is not None:
-            return self._array
-        rr, cc, vv = [], [], []
-        for r, row in enumerate(self.integer_rows()):
-            for c, v in row:
-                rr.append(r)
-                cc.append(c)
-                vv.append(v)
-        a = integer_zeros((self.rows, self.cols), max(map(abs, vv), default=0))
-        a[rr, cc] = np.array(vv, dtype=a.dtype)
-        return a
+        return RatMatrix(self.array.T)
 
     def __repr__(self) -> str:
         return f"RatMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
@@ -233,10 +150,15 @@ class RatMatrix:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """An exact basis of the right kernel; vectors annihilate the matrix."""
+    """An exact basis of the right kernel; vectors annihilate the matrix.
+
+    Each vector is in standard form (nonzero in its own free column, 0 in
+    the other free columns) and scaled to coprime Python integers, positive
+    in its free column, which makes the basis canonical.
+    """
 
     dimension: int
-    vectors: tuple[tuple[Fraction, ...], ...]
+    vectors: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +171,7 @@ def _integer_ref(matrix: RatMatrix) -> tuple[list[dict[int, int]], list[int]]:
     Columns are processed left to right so the pivot column set is canonical.
     Returns the echelon rows (as sparse dicts) and their pivot columns.
     """
-    rows = [dict(r) for r in matrix.integer_rows() if r]
+    rows = [dict(r) for r in _SparseRows(matrix.array).int_rows() if r]
     echelon: list[dict[int, int]] = []
     pivot_cols: list[int] = []
     for col in range(matrix.cols):
@@ -291,8 +213,9 @@ def rank(matrix: RatMatrix) -> int:
 def kernel_basis(matrix: RatMatrix) -> KernelBasis:
     """Exact basis of the right kernel, one vector per free column.
 
-    Each vector has entry 1 in its free column and 0 in the other free
-    columns, so the basis is independent by construction.
+    Each vector is nonzero in its free column and 0 in the other free
+    columns, so the basis is independent by construction; it is solved
+    with 1 in its free column and scaled to coprime integers.
     """
     echelon, pivot_cols = _integer_ref(matrix)
     pivot_set = set(pivot_cols)
@@ -310,7 +233,9 @@ def kernel_basis(matrix: RatMatrix) -> KernelBasis:
                 if c != pc and v[c]:
                     s += val * v[c]
             v[pc] = -s / echelon[i][pc]
-        vectors.append(tuple(v))
+        # the free entry 1 makes the lcm of the denominators primitive
+        den = lcm(*(x.denominator for x in v))
+        vectors.append(tuple(x.numerator * (den // x.denominator) for x in v))
     return KernelBasis(dimension=len(vectors), vectors=tuple(vectors))
 
 
@@ -525,6 +450,7 @@ class _SparseRows:
         return out
 
     def int_rows(self) -> list[list[tuple[int, int]]]:
+        """Each row's nonzeros as (column, Python integer) pairs."""
         cols, vals = self.cols.tolist(), self.vals.tolist()
         bounds = self.indptr.tolist()
         return [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
@@ -719,10 +645,10 @@ def _lifted_kernel(
     pivot_rows: tuple[int, ...],
     rref: np.ndarray,
     p: int,
-) -> tuple[int, np.ndarray] | None:
+) -> np.ndarray | None:
     """Standard-form kernel for the pivot columns of a mod-p elimination.
 
-    Returns a denominator D and the kernel vectors scaled by D as the
+    Returns the kernel vectors scaled by a common denominator D as the
     columns of an object array, each with D in its own free column, 0 in
     the other free columns, and re-verified exactly against every row.
     None when no such kernel exists, i.e. the prime lowered the rank.
@@ -733,11 +659,11 @@ def _lifted_kernel(
     r, k = len(pivots), len(free)
     rows = _SparseRows(a)
 
-    def certify(den: int, nums: np.ndarray) -> tuple[int, np.ndarray] | None:
+    def certify(den: int, nums: np.ndarray) -> np.ndarray | None:
         vectors = np.zeros((n, k), dtype=object)
         vectors[free, np.arange(k)] = den
         vectors[piv] = -nums.reshape(k, r).T
-        return (den, vectors) if _kills(rows, vectors) else None
+        return vectors if _kills(rows, vectors) else None
 
     # The echelon form is b^-1 A[R,:] mod p, so its free columns are the
     # first p-adic digit of the solution.
@@ -769,6 +695,12 @@ def _prime_budget(a: np.ndarray) -> int:
     return 2 + k * (2 * bits + k.bit_length()) // 60
 
 
+def _primitive(vec: list[int]) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*vec)
+    return tuple(v // g for v in vec)
+
+
 @dataclass
 class _CertifiedResult:
     rank: int
@@ -785,7 +717,7 @@ def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
     only past the prime budget, which no matrix should reach; the caller
     then falls back to the exact baseline.
     """
-    a = matrix.integer_array()
+    a = matrix.array
     needed = 2 if want_kernel else 1
     budget = _prime_budget(a)
     best: tuple[int, tuple[int, ...]] | None = None
@@ -806,11 +738,9 @@ def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
                 if found is not None:
                     kernel = None
                     if want_kernel:
-                        den, vectors = found
-                        columns = vectors.T.tolist()
+                        columns = found.T.tolist()
                         kernel = KernelBasis(
-                            len(columns),
-                            tuple(tuple(Fraction(v, den) for v in vec) for vec in columns),
+                            len(columns), tuple(_primitive(vec) for vec in columns)
                         )
                     return _CertifiedResult(len(pivots), kernel)
         if tried >= budget:
@@ -820,7 +750,7 @@ def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
 
 def rank_certified(matrix: RatMatrix) -> int:
     """Exact rank; fast modular path with certification, exact fallback."""
-    if matrix.rows == 0 or matrix.cols == 0 or matrix.is_zero():
+    if not matrix.array.any():
         return 0
     if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
         return rank(matrix)
@@ -835,15 +765,9 @@ def rank_certified(matrix: RatMatrix) -> int:
 
 def kernel_basis_certified(matrix: RatMatrix) -> KernelBasis:
     """Kernel basis through the certified modular path, exact fallback."""
-    if matrix.cols == 0:
-        return KernelBasis(0, ())
-    if matrix.rows == 0 or matrix.is_zero():
-        vectors = []
-        for c in range(matrix.cols):
-            v = [Fraction(0)] * matrix.cols
-            v[c] = Fraction(1)
-            vectors.append(tuple(v))
-        return KernelBasis(matrix.cols, tuple(vectors))
+    if not matrix.array.any():
+        unit = np.eye(matrix.cols, dtype=np.int64).tolist()
+        return KernelBasis(matrix.cols, tuple(map(tuple, unit)))
     if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
         return kernel_basis(matrix)
     result = _certified(matrix, want_kernel=True)

@@ -20,7 +20,9 @@ from conicfree.corpus import (
     run_regression,
     two_conics_a7,
 )
+from conicfree.linalg import EXACT_POLICY
 from conicfree.poly import AffinePolynomial, ProjectivePoint, dehomogenize
+from conicfree.report import analysis_document
 
 
 def test_entries_have_stable_names_and_provenance():
@@ -44,6 +46,16 @@ def test_entries_have_stable_names_and_provenance():
                 e.name,
                 field_name,
             )
+
+
+def test_exact_and_certified_engines_give_identical_documents():
+    """Both engines return the canonical primitive integer kernel, so the
+    whole document, the witness included, is the same under either."""
+    small = [e for e in corpus_entries() if e.polynomial().degree <= 8]
+    assert len(small) == 15
+    for e in small:
+        exact = analysis_document(analyze_entry(e, EXACT_POLICY))
+        assert exact == analysis_document(analyze_entry(e)), e.name
 
 
 def test_lookup_unknown_name():

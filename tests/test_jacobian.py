@@ -215,7 +215,7 @@ def test_exact_policy_agrees_with_certified():
     assert total_tjurina(ctx, EXACT_POLICY) == total_tjurina(ctx) == 19
     w1, w2 = mdr(ctx, EXACT_POLICY), mdr(ctx)
     assert isinstance(w1, SyzygyWitness) and isinstance(w2, SyzygyWitness)
-    assert w1.r == w2.r == 2
+    assert w1 == w2 and w1.r == 2
 
 
 def test_context_rejects_degenerate_input():

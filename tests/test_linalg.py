@@ -4,7 +4,7 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import numpy as np
@@ -15,13 +15,31 @@ from hypothesis import strategies as st
 from conicfree import linalg
 from conicfree.linalg import (
     _MOD_THRESHOLD,
-    KernelBasis,
     RatMatrix,
     kernel_basis,
     kernel_basis_certified,
     rank,
     rank_certified,
 )
+
+
+def _matrix(dense):
+    """The RatMatrix of a rational dense matrix, each row scaled to integers.
+
+    Scaling a row keeps the rank and the kernel.
+    """
+    rows = []
+    for row in dense:
+        den = lcm(*(Fraction(v).denominator for v in row))
+        rows.append([int(Fraction(v) * den) for v in row])
+    a = linalg.integer_zeros((len(rows), len(rows[0])), max(abs(v) for row in rows for v in row))
+    a[:] = rows
+    return RatMatrix(a)
+
+
+def _annihilates(dense, vec):
+    """Exact oracle: the rational matrix dense times the vector vec is zero."""
+    return not any(np.array(dense, dtype=object) @ np.array(vec, dtype=object))
 
 
 def _det(d):
@@ -50,20 +68,20 @@ def _rank_by_minors(dense):
 
 
 def test_identity_and_zero():
-    eye = RatMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    eye = RatMatrix(np.eye(3, dtype=np.int64))
     assert rank(eye) == rank_certified(eye) == 3
     assert kernel_basis(eye).dimension == 0
-    zero = RatMatrix(4, 7, {})
+    zero = RatMatrix(np.zeros((4, 7), dtype=np.int64))
     assert rank(zero) == rank_certified(zero) == 0
     assert kernel_basis(zero).dimension == 7
 
 
 def test_row_of_ones_kernel():
-    m = RatMatrix.from_dense([[1, 1, 1]])
-    kb = kernel_basis(m)
+    dense = [[1, 1, 1]]
+    kb = kernel_basis(_matrix(dense))
     assert kb.dimension == 2
     for vec in kb.vectors:
-        assert all(v == 0 for v in m.mul_vector(list(vec)))
+        assert _annihilates(dense, vec)
         assert sum(vec) == 0  # orthogonal to (1,1,1)
 
 
@@ -73,7 +91,7 @@ def test_rank_against_minor_oracle_fixed_seeds():
         dense = [
             [Fraction(rng.randint(-9, 9)) for _ in range(6)] for _ in range(6)
         ]
-        m = RatMatrix.from_dense(dense)
+        m = _matrix(dense)
         expected = _rank_by_minors(dense)
         assert rank(m) == expected
         assert rank_certified(m) == expected
@@ -88,11 +106,12 @@ def test_rank_against_minor_oracle_fixed_seeds():
     )
 )
 def test_kernel_properties_random(rows):
-    m = RatMatrix.from_dense([[Fraction(v) for v in row] for row in rows])
+    dense = [[Fraction(v) for v in row] for row in rows]
+    m = _matrix(dense)
     kb = kernel_basis(m)
     assert rank(m) + kb.dimension == m.cols
     for vec in kb.vectors:
-        assert all(v == 0 for v in m.mul_vector(list(vec)))
+        assert _annihilates(dense, vec)
 
 
 @settings(max_examples=25, deadline=None)
@@ -104,26 +123,26 @@ def test_kernel_properties_random(rows):
 )
 def test_rank_invariant_under_permutations(rows, rng):
     dense = [[Fraction(v) for v in row] for row in rows]
-    base = rank(RatMatrix.from_dense(dense))
+    base = rank(_matrix(dense))
     shuffled_rows = list(dense)
     rng.shuffle(shuffled_rows)
     cols = list(range(5))
     rng.shuffle(cols)
     permuted = [[row[c] for c in cols] for row in shuffled_rows]
-    assert rank(RatMatrix.from_dense(permuted)) == base
+    assert rank(_matrix(permuted)) == base
 
 
 def test_hilbert_matrix_full_rank():
     dense = [[Fraction(1, i + j + 1) for j in range(5)] for i in range(5)]
-    m = RatMatrix.from_dense(dense)
+    m = _matrix(dense)
     assert rank(m) == 5
     assert rank_certified(m) == 5
 
 
 def test_prime_dependence_guard():
     # rank drops mod 2 but not over the rationals
-    assert rank_certified(RatMatrix.from_dense([[2]])) == 1
-    big = RatMatrix(40, 40, {(i, i): Fraction(2) for i in range(40)})
+    assert rank_certified(_matrix([[2]])) == 1
+    big = RatMatrix(2 * np.eye(40, dtype=np.int64))
     assert rank_certified(big) == 40
 
 
@@ -144,10 +163,12 @@ def test_kernel_survives_a_pivot_shifting_first_prime():
     # The first prime, 2^31 - 1, kills the (0, 0) entry, so it reports the
     # full rank with the pivots shifted to columns 1..26.  Later primes see
     # the rational pivots 0..25, which must win and certify.
-    entries = {(i, i): 1 for i in range(1, 26)}
-    entries[(0, 0)] = 2**31 - 1
-    entries[(0, 26)] = 1
-    m = RatMatrix(26, 30, entries)
+    a = np.zeros((26, 30), dtype=np.int64)
+    diagonal = np.arange(1, 26)
+    a[diagonal, diagonal] = 1
+    a[0, 0] = 2**31 - 1
+    a[0, 26] = 1
+    m = RatMatrix(a)
     expected = kernel_basis(m)
     with _exact_engine_refused():
         assert kernel_basis_certified(m) == expected
@@ -163,17 +184,26 @@ def test_kernel_survives_a_pivot_shifting_first_prime():
     rng=st.randoms(use_true_random=False),
 )
 def test_certified_engine_matches_exact_engine_on_low_rank_products(rows, cols, inner, bits, rng):
-    """U*V of rank <= inner, entries up to 2^80: past int64 and near its edge."""
+    """U*V of rank <= inner, entries up to 2^80: past int64 and near its edge.
+
+    Both engines return the same kernel: primitive integer vectors in
+    standard form, each positive in its own free column (a non-pivot column
+    of the exact echelon form) and 0 in the others."""
     u = [[rng.randint(-(2 ** bits[0]), 2 ** bits[0]) for _ in range(inner)] for _ in range(rows)]
     v = [[rng.randint(-(2 ** bits[1]), 2 ** bits[1]) for _ in range(cols)] for _ in range(inner)]
-    product = RatMatrix.from_dense(
-        [[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u]
-    )
+    product = _matrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u])
     for m in (product, product.transpose()):
         exact_rank, exact_kernel = rank(m), kernel_basis(m)
         with _exact_engine_refused():
             assert rank_certified(m) == exact_rank
-            assert repr(kernel_basis_certified(m)) == repr(exact_kernel)
+            certified = kernel_basis_certified(m)
+            assert repr(certified) == repr(exact_kernel)
+        pivots = set(linalg._integer_ref(m)[1])
+        free = [c for c in range(m.cols) if c not in pivots]
+        assert certified.dimension == len(free)
+        for vec, own in zip(certified.vectors, free):
+            assert all(type(x) is int for x in vec) and gcd(*vec) == 1
+            assert vec[own] > 0 and all(vec[c] == 0 for c in free if c != own)
 
 
 def test_certified_matches_exact_on_structured_matrix():
@@ -196,10 +226,10 @@ def test_degree_one_syzygy_kernel_contains_the_known_relation():
     ctx = JacobianContext.for_curve(parse_polynomial("x^2*y^2+z^4"))
     m = syzygy_matrix(ctx, 1)
     monos = monomials_of_degree(1)  # [x, y, z]
-    vec = [Fraction(0)] * (3 * len(monos))
-    vec[monos.index((1, 0, 0))] = Fraction(1)  # a = x
-    vec[len(monos) + monos.index((0, 1, 0))] = Fraction(-1)  # b = -y
-    assert all(v == 0 for v in m.mul_vector(vec))
+    vec = [0] * (3 * len(monos))
+    vec[monos.index((1, 0, 0))] = 1  # a = x
+    vec[len(monos) + monos.index((0, 1, 0))] = -1  # b = -y
+    assert _annihilates(m.array, vec)
     kb = kernel_basis(m)
     assert kb.dimension == 1
     basis = kb.vectors[0]
@@ -217,32 +247,27 @@ def test_certified_kernel_is_exact_and_verified():
     kb_exact = kernel_basis(m)
     assert kb_mod.dimension == kb_exact.dimension
     for vec in kb_mod.vectors:
-        assert all(v == 0 for v in m.mul_vector(list(vec)))
+        assert _annihilates(m.array, vec)
 
 
 def test_transpose_and_matvec():
-    m = RatMatrix.from_dense([[1, 2], [3, 4], [5, 6]])
+    m = _matrix([[1, 2], [3, 4], [5, 6]])
     t = m.transpose()
     assert t.rows == 2 and t.cols == 3
-    assert m.mul_vector([Fraction(1), Fraction(1)]) == [3, 7, 11]
-    with pytest.raises(ValueError):
-        m.mul_vector([Fraction(1)])
+    assert t.entries == {(c, r): v for (r, c), v in m.entries.items()}
+    assert (m.array @ np.array([1, 1])).tolist() == [3, 7, 11]
 
 
-def test_out_of_range_entries_rejected():
+def test_non_matrix_arrays_rejected():
     with pytest.raises(ValueError):
-        RatMatrix(2, 2, {(2, 0): Fraction(1)})
+        RatMatrix(np.array([1, 2, 3], dtype=np.int64))
+    with pytest.raises(ValueError):
+        RatMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def _int_kernel(dense):
-    """Integer multiples of the exact kernel basis of an integer matrix."""
-    out = []
-    for vec in kernel_basis(RatMatrix.from_dense(dense)).vectors:
-        den = 1
-        for v in vec:
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append([int(v * den) for v in vec])
-    return out
+    """The exact kernel basis of an integer matrix, as lists."""
+    return [list(vec) for vec in kernel_basis(_matrix(dense)).vectors]
 
 
 def _kills_oracle(dense, vectors):
@@ -251,11 +276,8 @@ def _kills_oracle(dense, vectors):
 
 
 def _kills(dense, vectors):
-    a = np.array(dense, dtype=object)
-    if max((abs(v) for row in dense for v in row), default=0) < 2**62:
-        a = a.astype(np.int64)
     v = np.array(vectors, dtype=object).T.reshape(len(dense[0]), len(vectors))
-    return linalg._kills(linalg._SparseRows(a), v)
+    return linalg._kills(linalg._SparseRows(_matrix(dense).array), v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -332,7 +354,7 @@ def _unipotent_system():
         for j in range(k):
             row[r + j] = rng.randint(-9, 9)
         rows.append(row)
-    return RatMatrix.from_dense(rows)
+    return _matrix(rows)
 
 
 @contextmanager
@@ -383,7 +405,7 @@ def test_lifting_certifies_at_the_hadamard_stop_when_the_probe_never_settles():
         for j in range(4):
             row[26 + j] = rng.choice([-1, 1]) * rng.randint(2**199, 2**200)
         rows.append(row)
-    m = RatMatrix.from_dense(rows)
+    m = _matrix(rows)
     expected = kernel_basis(m)
     with _exact_engine_refused(), _lifting_spy() as log:
         assert kernel_basis_certified(m) == expected

@@ -121,7 +121,7 @@ def test_relation_multiples_lie_in_the_kernel():
         relations = _relations(ctx)
         assert relations
         for s in _window_shifts(ctx):
-            a = syzygy_matrix(ctx, s).integer_array()
+            a = syzygy_matrix(ctx, s).array
             f = jacobian._relation_multiples(relations, s)
             assert f.shape[1] == a.shape[1]
             assert linalg._kills(linalg._SparseRows(a), f.T)
