@@ -26,7 +26,12 @@ certified kernel only where the multiples of the lower ones fall short;
 kernels are shared with mdr) and the three Koszul relations
 (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified
 by exact expansion.  rank_p(F) is bounded from below by rows with distinct
-leading columns before any elimination.  Bounds that overlap, or a row of
+leading columns before any elimination, and where that count falls short
+by leading terms: every relation in F has degree <= d-1, so
+F_s = S_{s-d+1} F_{d-1}, and under position over grevlex (component
+first) a monomial times a leading term of F_{d-1} mod p is one of F_s.
+F_{d-1} is eliminated once per curve in that column order, and F_s only
+where both counts fall short.  Bounds that overlap, or a row of
 F that a fixed pseudo-random combination shows is no relation mod p,
 raise: either means a fault in building F.  Where the bounds do not meet,
 the rank comes from the lifted-kernel certificate of
@@ -39,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,6 +93,9 @@ class JacobianContext:
     # by degree s where A_s was eliminated: the grevlex leading monomials
     # mod p of the gradient ideal in degree s+d-1 (_leading_monomials)
     leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # by policy: the leading terms mod p, position over grevlex, of the
+    # window's relation multiples in degree d-1 (_module_leading_terms)
+    relation_leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def for_curve(cls, f: HomogeneousPolynomial) -> "JacobianContext":
@@ -271,16 +279,22 @@ def _kernel(ctx: JacobianContext, e: int, policy: LinalgPolicy) -> KernelBasis:
     return ctx.kernels[key]
 
 
+def _grevlex_order(t: int) -> np.ndarray:
+    """The positions of monomials_of_degree(t) in descending grevlex order,
+    where a smaller exponent of z, then of y, is larger."""
+    monos = _monomial_array(t)
+    return np.lexsort((monos[:, 1], monos[:, 2]))
+
+
 def _leading_monomials(ctx: JacobianContext, s: int, matrix: RatMatrix) -> np.ndarray:
     """The grevlex leading monomials mod p of the gradient ideal in degree s+d-1.
 
     They are the pivot columns of A_s^T (matrix = syzygy_matrix(ctx, s))
-    with its columns in descending grevlex order, where a smaller exponent
-    of z, then of y, is larger; their count is rank_p(A_s).  Returned, and
-    recorded in ctx.leading[s], as sorted row positions of A_s.
+    with its columns in descending grevlex order (_grevlex_order); their
+    count is rank_p(A_s).  Returned, and recorded in ctx.leading[s], as
+    sorted row positions of A_s.
     """
-    monos = _monomial_array(s + ctx.d - 1)
-    grevlex = np.lexsort((monos[:, 1], monos[:, 2]))
+    grevlex = _grevlex_order(s + ctx.d - 1)
     pivots = pivot_columns_mod(matrix.array[grevlex].T)
     ctx.leading[s] = np.sort(grevlex[list(pivots)])
     return ctx.leading[s]
@@ -304,25 +318,63 @@ def _leading_multiples(ctx: JacobianContext, s: int) -> np.ndarray:
     return np.unique(_grlex_position(products, s + ctx.d - 1))
 
 
+def _module_leading_terms(multiples: np.ndarray, t: int) -> np.ndarray:
+    """The leading terms mod p of the row span of multiples, position over grevlex.
+
+    multiples has the column layout of syzygy_matrix(ctx, t).  Its columns
+    are put in descending module order, component first and descending
+    grevlex (_grevlex_order) within each component, and the pivot columns
+    are the leading terms (component, monomial) of the span mod p; their
+    count is its rank mod p.  Returned as sorted column positions.
+    """
+    n = degree_dimension(t)
+    order = (np.arange(3)[:, None] * n + _grevlex_order(t)).ravel()
+    pivots = pivot_columns_mod(multiples[:, order])
+    return np.sort(order[list(pivots)])
+
+
+def _module_leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
+    """S_{s-e} times the degree-e leading terms, as sorted column positions
+    of syzygy_matrix(ctx, s).
+
+    Under a module order a monomial times a leading term is the leading
+    term of the product.  So for the leading terms of F_e mod p these are
+    leading terms of S_{s-e} F_e mod p, and their count is a lower bound
+    for its rank mod p.
+    """
+    comp, j = np.divmod(terms, degree_dimension(e))
+    products = _monomial_array(e)[j][:, None, :] + _monomial_array(s - e)[None, :, :]
+    return np.unique(comp[:, None] * degree_dimension(s) + _grlex_position(products, s))
+
+
 def _certified_rank(
-    ctx: JacobianContext, s: int, matrix: RatMatrix, multiples: np.ndarray
+    ctx: JacobianContext,
+    s: int,
+    matrix: RatMatrix,
+    multiples: np.ndarray,
+    terms: Callable[[], np.ndarray] | None = None,
 ) -> int | None:
     """rank A_s (matrix = syzygy_matrix(ctx, s)) when two bounds meet, else None.
 
-    The lower bound counts the leading monomials of _leading_multiples;
-    only when it and rank_p(multiples) fall short of cols is A_s itself
-    eliminated, which records its leading monomials for the degrees above.
+    The lower bound counts the leading monomials of _leading_multiples.
     The rows of multiples are relations (mod p), so the count <= rank_p(A_s)
     <= rank <= cols - rank_p(multiples) over the rationals: a nonzero
     minor mod p is nonzero over Q, and relations independent mod p are
-    independent kernel vectors.  rank_p(multiples) is first bounded from
-    below by _independent_rows and eliminated only when that bound falls
-    short.  A sum above cols can only come from a row that is not a
-    relation, and raises; so does a row that _relations_mod_p catches
+    independent kernel vectors.  rank_p(multiples) is bounded from below
+    by _independent_rows and, where that falls short, by the count of
+    _module_leading_multiples of terms(): for s >= d-1 the rows of
+    multiples span S_{s-d+1} times the relation multiples in degree d-1,
+    and terms() gives their leading terms (called only here).  multiples
+    is eliminated only when both counts fall short, and A_s itself only
+    when the bounds still do, which records its leading monomials for the
+    degrees above.  A sum above cols can only come from a row that is not
+    a relation, and raises; so does a row that _relations_mod_p catches
     before a rank is accepted.
     """
     lower = len(_leading_multiples(ctx, s))
     spanned = _independent_rows(multiples)
+    if lower + spanned < matrix.cols and terms is not None:
+        spanned = max(spanned, len(_module_leading_multiples(terms(), ctx.d - 1, s)))
     if lower + spanned < matrix.cols:
         spanned = rank_mod(multiples)
     if lower + spanned < matrix.cols:
@@ -384,10 +436,13 @@ def _syzygy_ranks(
     the three Koszul relations once a degree reaches d-1, and certifies
     each rank two-sided (_certified_rank): below by the multiples of the
     leading monomials the search recorded, above by the multiples of the
-    relations.  No kernel is lifted at degree s, and A_s is eliminated only
-    where the count of those leading monomials falls short.  Where the
-    bounds do not meet, the rank comes from the lifted-kernel certificate
-    of policy.rank.
+    relations.  Where the support count of those falls short at s >= d-1,
+    their rank mod p is bounded by the multiples of their leading terms in
+    degree d-1, eliminated once per curve and policy
+    (ctx.relation_leading).  No kernel is lifted at degree s, and A_s or
+    the relation multiples are eliminated only where those counts fall
+    short.  Where the bounds do not meet, the rank comes from the
+    lifted-kernel certificate of policy.rank.
     """
     if not policy.modular:
         return [policy.rank(syzygy_matrix(ctx, s)) if s >= 0 else 0 for s in degrees]
@@ -396,9 +451,18 @@ def _syzygy_ranks(
         relations += [(ctx.d - 1, v) for v in _koszul_relations(ctx)]
     residues = _residues(relations)
 
+    def terms() -> np.ndarray:
+        if policy not in ctx.relation_leading:
+            top = _relation_multiples(residues, ctx.d - 1)
+            ctx.relation_leading[policy] = _module_leading_terms(top, ctx.d - 1)
+        return ctx.relation_leading[policy]
+
     def rank(s: int) -> int:
         matrix = syzygy_matrix(ctx, s)
-        certified = _certified_rank(ctx, s, matrix, _relation_multiples(residues, s))
+        multiples = _relation_multiples(residues, s)
+        certified = _certified_rank(
+            ctx, s, matrix, multiples, terms if s >= ctx.d - 1 else None
+        )
         return policy.rank(matrix) if certified is None else certified
 
     return [rank(s) if s >= 0 else 0 for s in degrees]

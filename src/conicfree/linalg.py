@@ -281,7 +281,7 @@ def _rref_mod(
         if pr != r:
             a[[r, pr], c:] = a[[pr, r], c:]
             order[r], order[pr] = order[pr], order[r]
-        inv = pow(int(a[r, c]), p - 2, p)
+        inv = pow(int(a[r, c]), -1, p)
         row = a[r, c:] * inv % p
         a[r, c:] = row
         col = a[:, c].copy()

@@ -6,9 +6,10 @@ relation search, above by the monomial multiples of exact relation
 generators (found in degrees <= d-2, plus the three Koszul relations).
 These tests hold that certificate against the lifted-kernel engine, the
 exact engine, an exact containment check, elimination as the oracle of the
-support count and of the multiplied leading monomials, deliberately broken
-relation sets, the exponents of free and nearly free curves, and the du
-Plessis-Wall bounds.
+support count, of the multiplied leading monomials and of the multiplied
+leading terms of the relation multiples, deliberately broken relation sets,
+the exponents of free and nearly free curves, and the du Plessis-Wall
+bounds.
 """
 
 import importlib.util
@@ -323,3 +324,97 @@ def test_leading_count_never_exceeds_the_exact_rank_up_to_degree_eight():
 @given(st.lists(_CONIC, min_size=2, max_size=3, unique_by=_primitive))
 def test_leading_count_never_exceeds_the_exact_rank_on_products_of_conics(conics):
     _leading_count_at_most_rank(_curve([_conic_text(q) for q in conics]))
+
+
+def _bench_generic_k5():
+    """The generic k = 5 arrangement that scripts/bench_windows.py times."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_windows", ROOT / "scripts" / "bench_windows.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return _curve(module.arrangements()["generic_k5"])
+
+
+def _relation_eliminations(ctx, monkeypatch):
+    """The degrees at which hilbert_profile eliminates the relation multiples, and
+    the number of eliminations of their leading terms in degree d-1; fallback refused."""
+    degrees, current, module = [], [], []
+    original_certified = jacobian._certified_rank
+    original_rank_mod = jacobian.rank_mod
+    original_terms = jacobian._module_leading_terms
+
+    def certified(ctx, s, *args):
+        current.append(s)
+        return original_certified(ctx, s, *args)
+
+    def rank_mod(a):
+        degrees.append(current[-1])
+        return original_rank_mod(a)
+
+    def terms(multiples, t):
+        module.append(t)
+        return original_terms(multiples, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(jacobian, "_certified_rank", certified)
+        m.setattr(jacobian, "rank_mod", rank_mod)
+        m.setattr(jacobian, "_module_leading_terms", terms)
+        m.setattr(linalg, "rank_certified", _refuse)
+        hilbert_profile(ctx)
+    assert set(module) <= {ctx.d - 1}
+    return [s for s in degrees if s >= 2 * ctx.d - 5], len(module)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generic_windows_eliminate_no_relation_multiples(seed, monkeypatch):
+    for ctx in _generic_inputs(seed):
+        assert _relation_eliminations(_fresh(ctx), monkeypatch) == ([], 1)
+
+
+def test_large_generic_window_eliminates_no_relation_multiples(monkeypatch):
+    assert _relation_eliminations(_bench_generic_k5(), monkeypatch) == ([], 1)
+
+
+def test_corpus_windows_never_build_the_relation_leading_terms(monkeypatch):
+    for e, ctx in _corpus():
+        assert _relation_eliminations(_fresh(ctx), monkeypatch) == ([], 0), e.name
+
+
+def _relation_terms(ctx):
+    """The residues of the window relations and their leading terms in degree d-1."""
+    residues = jacobian._residues(_relations(ctx))
+    top = jacobian._relation_multiples(residues, ctx.d - 1)
+    return residues, jacobian._module_leading_terms(top, ctx.d - 1)
+
+
+def test_multiplied_leading_terms_are_leading_terms():
+    """Elimination as oracle: S_{s-d+1} LT(F_{d-1}) lies in LT(F_s) at each window degree."""
+    for ctx in [ctx for _, ctx in _corpus()] + list(_generic_inputs(1)):
+        residues, terms = _relation_terms(ctx)
+        for s in _window_shifts(ctx):
+            multiplied = jacobian._module_leading_multiples(terms, ctx.d - 1, s)
+            f = jacobian._relation_multiples(residues, s)
+            fresh = jacobian._module_leading_terms(f, s)
+            assert len(multiplied) > 0 and np.isin(multiplied, fresh).all(), (ctx.d, s)
+
+
+def _relation_count_at_most_rank(ctx):
+    residues, terms = _relation_terms(ctx)
+    for s in _window_shifts(ctx):
+        count = len(jacobian._module_leading_multiples(terms, ctx.d - 1, s))
+        matrix = syzygy_matrix(ctx, s)
+        assert count <= linalg.rank_mod(jacobian._relation_multiples(residues, s)), (ctx.d, s)
+        assert 0 < count <= matrix.cols - linalg.rank(matrix), (ctx.d, s)
+
+
+def test_relation_count_never_exceeds_the_nullity_up_to_degree_eight():
+    for e, ctx in _corpus():
+        if ctx.d <= 8:
+            _relation_count_at_most_rank(ctx)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(_CONIC, min_size=2, max_size=3, unique_by=_primitive))
+def test_relation_count_never_exceeds_the_nullity_on_products_of_conics(conics):
+    _relation_count_at_most_rank(_curve([_conic_text(q) for q in conics]))
