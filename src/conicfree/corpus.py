@@ -54,11 +54,6 @@ class CorpusEntry:
             return None
         return ConicArrangement.from_texts(list(self.component_texts))
 
-    def input_text(self) -> str:
-        if self.polynomial_text is not None:
-            return self.polynomial_text
-        return "*".join(f"({t})" for t in self.component_texts or ())
-
 
 def _persson_triconical() -> CorpusEntry:
     return CorpusEntry(

@@ -13,11 +13,16 @@ as primitive integer vectors, so a kernel vector is a relation as it
 stands, and the witness of mdr is the first one with its sign fixed.
 
 Under the modular policy each rank is certified two-sided with no kernel
-lifted at degree s.  From below: the gradient ideal J is generated in
-degree d-1, so J_{t+1} = S_1 J_t, and a monomial times a grevlex leading
-monomial of J_t mod p (one prime below 2^31) is one of J_{t+1}.  So the
-multiples into degree s+d-1 of the leading monomials recorded at the
-highest degree e <= s where A_e was eliminated number at most
+lifted at degree s, and both bounds count leading terms the same way.  One
+routine eliminates a span mod p (one prime below 2^31) with its columns in
+position-over-grevlex order (component first, descending grevlex within a
+component) and reads off its leading terms; a second multiplies them by
+the monomials of a higher degree.  Under that order a monomial times a
+leading term is the leading term of the product, so the products number
+at most the rank mod p of the multiplied span.  From below: the gradient
+ideal J is generated in degree d-1, so J_{t+1} = S_1 J_t; its leading
+monomials (one component) are recorded at the highest degree e <= s where
+A_e was eliminated, and their multiples into degree s+d-1 number at most
 rank_p(A_s) <= rank A_s.  The relation search records them, and A_s is
 eliminated only where the two bounds fall short.  From above:
 cols - rank_p(F), where F holds the monomial multiples into degree s of
@@ -25,24 +30,22 @@ exact relations: generators found once per curve in degrees 0 .. d-2 (a
 certified kernel only where the multiples of the lower ones fall short;
 kernels are shared with mdr) and the three Koszul relations
 (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified
-by exact expansion.  rank_p(F) is bounded from below by rows with distinct
-leading columns before any elimination, and where that count falls short
-by leading terms: every relation in F has degree <= d-1, so
-F_s = S_{s-d+1} F_{d-1}, and under position over grevlex (component
-first) a monomial times a leading term of F_{d-1} mod p is one of F_s.
-F_{d-1} is eliminated once per curve in that column order, and F_s only
-where both counts fall short.  Bounds that overlap, or a row of
-F that a fixed pseudo-random combination shows is no relation mod p,
-raise: either means a fault in building F.  Where the bounds do not meet,
-the rank comes from the lifted-kernel certificate of
-linalg.rank_certified; a missing generator can only cause that fallback,
-never a wrong rank.
+exactly as one array product.  rank_p(F) is bounded from below by rows
+with distinct leading columns before any elimination, and where that
+count falls short by leading terms (three components): every relation in
+F has degree <= d-1, so F_s = S_{s-d+1} F_{d-1}, and F_{d-1} is
+eliminated once per window, F_s only where both counts fall short.  Bounds
+that overlap, or a row of F that a fixed pseudo-random combination shows
+is no relation mod p, raise: either means a fault in building F.  Where
+the bounds do not meet, the rank comes from the lifted-kernel certificate
+of linalg.rank_certified; a missing generator can only cause that
+fallback, never a wrong rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Sequence
 
@@ -53,6 +56,8 @@ from conicfree.linalg import (
     KernelBasis,
     LinalgPolicy,
     RatMatrix,
+    _kills,
+    _SparseRows,
     integer_zeros,
     pivot_columns_mod,
     product_mod,
@@ -91,18 +96,15 @@ class JacobianContext:
     # and the relation search of the Hilbert window
     kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # by degree s where A_s was eliminated: the grevlex leading monomials
-    # mod p of the gradient ideal in degree s+d-1 (_leading_monomials)
+    # mod p of the gradient ideal in degree s+d-1 (_leading_terms of A_s^T)
     leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # by policy: the leading terms mod p, position over grevlex, of the
-    # window's relation multiples in degree d-1 (_module_leading_terms)
-    relation_leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def for_curve(cls, f: HomogeneousPolynomial) -> "JacobianContext":
-        if f.degree < 2:
-            raise ValueError("curve degree must be at least 2")
         if f.is_zero():
             raise ValueError("the zero polynomial does not define a curve")
+        if f.degree < 2:
+            raise ValueError("curve degree must be at least 2")
         partials = tuple(f.partial(v) for v in VAR_NAMES)
         return cls(f=f, d=f.degree, partials=partials)
 
@@ -218,24 +220,22 @@ def _koszul_relations(ctx: JacobianContext) -> np.ndarray:
     """(f_y, -f_x, 0), (f_z, 0, -f_x) and (0, f_z, -f_y) in the layout of
     syzygy_matrix(ctx, d-1), as the rows of an object array.
 
-    Each is re-verified by exact expansion; zero triples are left out.
+    Zero triples are left out; the rest are re-verified exactly as one
+    array product with syzygy_matrix(ctx, d-1) (linalg._kills).
     """
     e = ctx.d - 1
     n = degree_dimension(e)
     partials = ctx.integer_partials
-    rows = []
-    for f, g in ((0, 1), (0, 2), (1, 2)):
-        vec = np.zeros(3 * n, dtype=object)
+    rows = np.zeros((3, 3 * n), dtype=object)
+    for row, (f, g) in zip(rows, ((0, 1), (0, 2), (1, 2))):
         for k, h, sign in ((f, g, 1), (g, f, -1)):
             if partials[h]:
                 positions = _grlex_position(np.array(list(partials[h])), e)
-                vec[k * n + positions] = [sign * c for c in partials[h].values()]
-        if not vec.any():
-            continue
-        if not verify_witness(ctx, _vector_to_witness(e, vec.tolist())):
-            raise AssertionError("a Koszul relation failed exact re-verification")
-        rows.append(vec)
-    return np.array(rows, dtype=object).reshape(-1, 3 * n)
+                row[k * n + positions] = [sign * c for c in partials[h].values()]
+    rows = rows[(rows != 0).any(axis=1)]
+    if not _kills(_SparseRows(syzygy_matrix(ctx, e).array), rows.T):
+        raise AssertionError("a Koszul relation failed exact re-verification")
+    return rows
 
 
 def _independent_rows(multiples: np.ndarray) -> int:
@@ -264,9 +264,11 @@ def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
     """Whether matrix kills one fixed pseudo-random combination of the rows mod p.
 
     A row that is not a relation mod p (a construction fault) leaves the
-    product nonzero unless the combination happens to cancel it.
+    product nonzero unless the combination happens to cancel it.  The
+    weights, in [1, 2^16), are the top 16 bits of the Weyl sequence
+    i * 0x9E3779B9 mod 2^32, reduced mod 2^16 - 1, plus 1.
     """
-    weights = np.random.default_rng(0).integers(1, 2**16, len(multiples))
+    weights = (np.arange(1, len(multiples) + 1) * 0x9E3779B9 % 2**32 >> 16) % (2**16 - 1) + 1
     combo = product_mod(multiples.T, weights)
     return not product_mod(matrix.array, combo).any()
 
@@ -279,68 +281,33 @@ def _kernel(ctx: JacobianContext, e: int, policy: LinalgPolicy) -> KernelBasis:
     return ctx.kernels[key]
 
 
-def _grevlex_order(t: int) -> np.ndarray:
-    """The positions of monomials_of_degree(t) in descending grevlex order,
-    where a smaller exponent of z, then of y, is larger."""
+def _leading_terms(rows: np.ndarray, t: int) -> np.ndarray:
+    """The leading terms mod p of the row span of rows, position over grevlex.
+
+    The columns of rows are blocks of the degree-t monomials in the order of
+    monomials_of_degree(t), one block per component: one for A_s^T (the
+    gradient ideal in degree t = s+d-1), three for relation multiples in
+    the layout of syzygy_matrix(ctx, t).  They are put in descending module
+    order, component first and then descending grevlex, where a smaller
+    exponent of z, then of y, is larger; the pivot columns are the leading
+    terms (component, monomial) of the span mod p, and their count is its
+    rank mod p.  Returned as sorted column positions of rows.
+    """
     monos = _monomial_array(t)
-    return np.lexsort((monos[:, 1], monos[:, 2]))
-
-
-def _leading_monomials(ctx: JacobianContext, s: int, matrix: RatMatrix) -> np.ndarray:
-    """The grevlex leading monomials mod p of the gradient ideal in degree s+d-1.
-
-    They are the pivot columns of A_s^T (matrix = syzygy_matrix(ctx, s))
-    with its columns in descending grevlex order (_grevlex_order); their
-    count is rank_p(A_s).  Returned, and recorded in ctx.leading[s], as
-    sorted row positions of A_s.
-    """
-    grevlex = _grevlex_order(s + ctx.d - 1)
-    pivots = pivot_columns_mod(matrix.array[grevlex].T)
-    ctx.leading[s] = np.sort(grevlex[list(pivots)])
-    return ctx.leading[s]
-
-
-def _leading_multiples(ctx: JacobianContext, s: int) -> np.ndarray:
-    """S_{s-e} times the leading monomials recorded in the highest degree e <= s.
-
-    Sorted row positions of A_s, none without a record.  The gradient ideal
-    J is generated in degree d-1, so J_{t+1} = S_1 J_t, and a monomial
-    times a leading monomial is the leading monomial of the product: these
-    are leading monomials of J mod p in degree s+d-1, and their count is a
-    lower bound for rank_p(A_s), so for rank A_s.
-    """
-    below = [e for e in ctx.leading if e <= s]
-    if not below:
-        return np.zeros(0, dtype=np.int64)
-    e = max(below)
-    monos = _monomial_array(e + ctx.d - 1)[ctx.leading[e]]
-    products = monos[:, None, :] + _monomial_array(s - e)[None, :, :]
-    return np.unique(_grlex_position(products, s + ctx.d - 1))
-
-
-def _module_leading_terms(multiples: np.ndarray, t: int) -> np.ndarray:
-    """The leading terms mod p of the row span of multiples, position over grevlex.
-
-    multiples has the column layout of syzygy_matrix(ctx, t).  Its columns
-    are put in descending module order, component first and descending
-    grevlex (_grevlex_order) within each component, and the pivot columns
-    are the leading terms (component, monomial) of the span mod p; their
-    count is its rank mod p.  Returned as sorted column positions.
-    """
-    n = degree_dimension(t)
-    order = (np.arange(3)[:, None] * n + _grevlex_order(t)).ravel()
-    pivots = pivot_columns_mod(multiples[:, order])
+    grevlex = np.lexsort((monos[:, 1], monos[:, 2]))
+    order = np.arange(rows.shape[1]).reshape(-1, len(monos))[:, grevlex].ravel()
+    pivots = pivot_columns_mod(rows[:, order])
     return np.sort(order[list(pivots)])
 
 
-def _module_leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
-    """S_{s-e} times the degree-e leading terms, as sorted column positions
-    of syzygy_matrix(ctx, s).
+def _leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
+    """S_{s-e} times degree-e leading terms of _leading_terms, as sorted
+    column positions in the same layout in degree s.
 
-    Under a module order a monomial times a leading term is the leading
-    term of the product.  So for the leading terms of F_e mod p these are
-    leading terms of S_{s-e} F_e mod p, and their count is a lower bound
-    for its rank mod p.
+    Under position over grevlex a monomial times a leading term is the
+    leading term of the product.  So for the leading terms of a span V mod
+    p these are leading terms of S_{s-e} V mod p, and their count is a
+    lower bound for its rank mod p.
     """
     comp, j = np.divmod(terms, degree_dimension(e))
     products = _monomial_array(e)[j][:, None, :] + _monomial_array(s - e)[None, :, :]
@@ -356,29 +323,34 @@ def _certified_rank(
 ) -> int | None:
     """rank A_s (matrix = syzygy_matrix(ctx, s)) when two bounds meet, else None.
 
-    The lower bound counts the leading monomials of _leading_multiples.
-    The rows of multiples are relations (mod p), so the count <= rank_p(A_s)
-    <= rank <= cols - rank_p(multiples) over the rationals: a nonzero
-    minor mod p is nonzero over Q, and relations independent mod p are
-    independent kernel vectors.  rank_p(multiples) is bounded from below
-    by _independent_rows and, where that falls short, by the count of
-    _module_leading_multiples of terms(): for s >= d-1 the rows of
-    multiples span S_{s-d+1} times the relation multiples in degree d-1,
-    and terms() gives their leading terms (called only here).  multiples
-    is eliminated only when both counts fall short, and A_s itself only
-    when the bounds still do, which records its leading monomials for the
-    degrees above.  A sum above cols can only come from a row that is not
-    a relation, and raises; so does a row that _relations_mod_p catches
-    before a rank is accepted.
+    Both bounds count _leading_multiples of recorded _leading_terms.  The
+    lower one multiplies the leading monomials of J recorded in the highest
+    degree e <= s (ctx.leading): J is generated in degree d-1, so
+    J_{s+d-1} = S_{s-e} J_{e+d-1}, and the count is at most rank_p(A_s).
+    The rows of multiples are relations (mod p), so rank_p(A_s) <= rank <=
+    cols - rank_p(multiples) over the rationals: a nonzero minor mod p is
+    nonzero over Q, and relations independent mod p are independent kernel
+    vectors.  rank_p(multiples) is bounded from below by _independent_rows
+    and, where that falls short, by the multiples of terms(): for s >= d-1
+    the rows of multiples span S_{s-d+1} times the relation multiples in
+    degree d-1, and terms() gives their leading terms (called only here).
+    multiples is eliminated only when both counts fall short, and A_s
+    itself only when the bounds still do, which records its leading
+    monomials for the degrees above.  A sum above cols can only come from a
+    row that is not a relation, and raises; so does a row that
+    _relations_mod_p catches before a rank is accepted.
     """
-    lower = len(_leading_multiples(ctx, s))
+    shift = ctx.d - 1
+    e = max((r for r in ctx.leading if r <= s), default=None)
+    lower = 0 if e is None else len(_leading_multiples(ctx.leading[e], e + shift, s + shift))
     spanned = _independent_rows(multiples)
     if lower + spanned < matrix.cols and terms is not None:
-        spanned = max(spanned, len(_module_leading_multiples(terms(), ctx.d - 1, s)))
+        spanned = max(spanned, len(_leading_multiples(terms(), shift, s)))
     if lower + spanned < matrix.cols:
         spanned = rank_mod(multiples)
     if lower + spanned < matrix.cols:
-        lower = len(_leading_monomials(ctx, s, matrix))
+        ctx.leading[s] = _leading_terms(matrix.array.T, s + shift)
+        lower = len(ctx.leading[s])
     if lower + spanned > matrix.cols:
         raise AssertionError(
             f"{lower} leading monomials mod p and {spanned} independent relations "
@@ -436,10 +408,12 @@ def _syzygy_ranks(
     the three Koszul relations once a degree reaches d-1, and certifies
     each rank two-sided (_certified_rank): below by the multiples of the
     leading monomials the search recorded, above by the multiples of the
-    relations.  Where the support count of those falls short at s >= d-1,
-    their rank mod p is bounded by the multiples of their leading terms in
-    degree d-1, eliminated once per curve and policy
-    (ctx.relation_leading).  No kernel is lifted at degree s, and A_s or
+    relations.  Where the support count of the relation multiples falls
+    short at s >= d-1, their rank mod p is bounded by the multiples of
+    their leading terms in degree d-1, eliminated at most once per call.
+    Both bounds take their leading terms
+    and multiples from the same two routines, _leading_terms and
+    _leading_multiples.  No kernel is lifted at degree s, and A_s or
     the relation multiples are eliminated only where those counts fall
     short.  Where the bounds do not meet, the rank comes from the
     lifted-kernel certificate of policy.rank.
@@ -451,11 +425,9 @@ def _syzygy_ranks(
         relations += [(ctx.d - 1, v) for v in _koszul_relations(ctx)]
     residues = _residues(relations)
 
+    @cache
     def terms() -> np.ndarray:
-        if policy not in ctx.relation_leading:
-            top = _relation_multiples(residues, ctx.d - 1)
-            ctx.relation_leading[policy] = _module_leading_terms(top, ctx.d - 1)
-        return ctx.relation_leading[policy]
+        return _leading_terms(_relation_multiples(residues, ctx.d - 1), ctx.d - 1)
 
     def rank(s: int) -> int:
         matrix = syzygy_matrix(ctx, s)

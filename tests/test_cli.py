@@ -67,6 +67,11 @@ def test_analyze_parse_error_exit_one(capsys):
     assert code == 1
 
 
+def test_analyze_zero_polynomial_exit_one(capsys):
+    code, _, err = run_cli(capsys, "analyze", "0*x^2")
+    assert code == 1 and "the zero polynomial does not define a curve" in err
+
+
 def test_analyze_unknown_corpus_name(capsys):
     code, _, err = run_cli(capsys, "analyze", "corpus:nope")
     assert code == 1 and "unknown corpus entry" in err

@@ -1,11 +1,14 @@
 """Corpus entries and the regression harness."""
 
 import dataclasses
+import hashlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
+from conicfree.cli import main
 from conicfree.corpus import (
     CorpusEntry,
     CorpusNotFoundError,
@@ -46,6 +49,21 @@ def test_entries_have_stable_names_and_provenance():
                 e.name,
                 field_name,
             )
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)["corpus"]
+
+
+@pytest.mark.parametrize("name", [e.name for e in corpus_entries()])
+def test_analyze_json_matches_the_golden_digest(name, capsys):
+    """`conicfree analyze corpus:<name> --json`, without the trailing newline
+    print adds, hashes to the entry's digest in perfbench/golden.json."""
+    assert main(["analyze", f"corpus:{name}", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("}\n")
+    assert hashlib.sha256(out[:-1].encode()).hexdigest() == GOLDEN[name]
 
 
 def test_exact_and_certified_engines_give_identical_documents():

@@ -269,17 +269,24 @@ def _fresh(ctx):
     return JacobianContext.for_curve(ctx.f)
 
 
+def _is_gradient_ideal(rows, t):
+    """Whether _leading_terms(rows, t) eliminates A_s^T (one block of degree-t
+    monomial columns) rather than relation multiples (three blocks)."""
+    return rows.shape[1] == degree_dimension(t)
+
+
 def _window_eliminations(ctx, monkeypatch):
     """The window degrees at which hilbert_profile eliminates A_s, fallback refused."""
     degrees = []
-    original = jacobian._leading_monomials
+    original = jacobian._leading_terms
 
-    def spy(ctx, s, matrix):
-        degrees.append(s)
-        return original(ctx, s, matrix)
+    def spy(rows, t):
+        if _is_gradient_ideal(rows, t):
+            degrees.append(t - ctx.d + 1)
+        return original(rows, t)
 
     with monkeypatch.context() as m:
-        m.setattr(jacobian, "_leading_monomials", spy)
+        m.setattr(jacobian, "_leading_terms", spy)
         m.setattr(linalg, "rank_certified", _refuse)
         hilbert_profile(ctx)
     return [s for s in degrees if s >= 2 * ctx.d - 5]
@@ -296,13 +303,24 @@ def test_generic_windows_eliminate_no_window_matrix(seed, monkeypatch):
         assert _window_eliminations(_fresh(ctx), monkeypatch) == []
 
 
+def _recorded_multiples(ctx, s):
+    """S_{s-e} times the leading monomials recorded in the highest degree e <= s,
+    as row positions of A_s; none without a record."""
+    below = [e for e in ctx.leading if e <= s]
+    if not below:
+        return np.zeros(0, dtype=np.int64)
+    e, shift = max(below), ctx.d - 1
+    return jacobian._leading_multiples(ctx.leading[e], e + shift, s + shift)
+
+
 def test_multiplied_leading_monomials_are_leading_monomials():
     """Elimination as oracle: S_1 times LT(J_t) lies in LT(J_{t+1}), d-1 <= t < 3d-4."""
     for ctx in [ctx for _, ctx in _corpus()] + list(_generic_inputs(1)):
         ctx = _fresh(ctx)
         for s in range(2 * ctx.d - 2):
-            multiplied = jacobian._leading_multiples(ctx, s)
-            fresh = jacobian._leading_monomials(ctx, s, syzygy_matrix(ctx, s))
+            multiplied = _recorded_multiples(ctx, s)
+            a_t = syzygy_matrix(ctx, s).array.T
+            fresh = ctx.leading[s] = jacobian._leading_terms(a_t, s + ctx.d - 1)
             assert np.isin(multiplied, fresh).all(), (ctx.d, s)
             assert s == 0 or len(multiplied) > 0
 
@@ -310,7 +328,7 @@ def test_multiplied_leading_monomials_are_leading_monomials():
 def _leading_count_at_most_rank(ctx):
     hilbert_profile(ctx)
     for s in _window_shifts(ctx):
-        count = len(jacobian._leading_multiples(ctx, s))
+        count = len(_recorded_multiples(ctx, s))
         assert 0 < count <= linalg.rank(syzygy_matrix(ctx, s)), (ctx.d, s)
 
 
@@ -342,7 +360,7 @@ def _relation_eliminations(ctx, monkeypatch):
     degrees, current, module = [], [], []
     original_certified = jacobian._certified_rank
     original_rank_mod = jacobian.rank_mod
-    original_terms = jacobian._module_leading_terms
+    original_terms = jacobian._leading_terms
 
     def certified(ctx, s, *args):
         current.append(s)
@@ -352,14 +370,15 @@ def _relation_eliminations(ctx, monkeypatch):
         degrees.append(current[-1])
         return original_rank_mod(a)
 
-    def terms(multiples, t):
-        module.append(t)
-        return original_terms(multiples, t)
+    def terms(rows, t):
+        if not _is_gradient_ideal(rows, t):
+            module.append(t)
+        return original_terms(rows, t)
 
     with monkeypatch.context() as m:
         m.setattr(jacobian, "_certified_rank", certified)
         m.setattr(jacobian, "rank_mod", rank_mod)
-        m.setattr(jacobian, "_module_leading_terms", terms)
+        m.setattr(jacobian, "_leading_terms", terms)
         m.setattr(linalg, "rank_certified", _refuse)
         hilbert_profile(ctx)
     assert set(module) <= {ctx.d - 1}
@@ -385,7 +404,7 @@ def _relation_terms(ctx):
     """The residues of the window relations and their leading terms in degree d-1."""
     residues = jacobian._residues(_relations(ctx))
     top = jacobian._relation_multiples(residues, ctx.d - 1)
-    return residues, jacobian._module_leading_terms(top, ctx.d - 1)
+    return residues, jacobian._leading_terms(top, ctx.d - 1)
 
 
 def test_multiplied_leading_terms_are_leading_terms():
@@ -393,16 +412,16 @@ def test_multiplied_leading_terms_are_leading_terms():
     for ctx in [ctx for _, ctx in _corpus()] + list(_generic_inputs(1)):
         residues, terms = _relation_terms(ctx)
         for s in _window_shifts(ctx):
-            multiplied = jacobian._module_leading_multiples(terms, ctx.d - 1, s)
+            multiplied = jacobian._leading_multiples(terms, ctx.d - 1, s)
             f = jacobian._relation_multiples(residues, s)
-            fresh = jacobian._module_leading_terms(f, s)
+            fresh = jacobian._leading_terms(f, s)
             assert len(multiplied) > 0 and np.isin(multiplied, fresh).all(), (ctx.d, s)
 
 
 def _relation_count_at_most_rank(ctx):
     residues, terms = _relation_terms(ctx)
     for s in _window_shifts(ctx):
-        count = len(jacobian._module_leading_multiples(terms, ctx.d - 1, s))
+        count = len(jacobian._leading_multiples(terms, ctx.d - 1, s))
         matrix = syzygy_matrix(ctx, s)
         assert count <= linalg.rank_mod(jacobian._relation_multiples(residues, s)), (ctx.d, s)
         assert 0 < count <= matrix.cols - linalg.rank(matrix), (ctx.d, s)
