@@ -12,13 +12,20 @@ Only rational points are located; intersections that live in a proper
 extension field of the rationals are accounted for in per-pair residuals so
 the survey can say exactly how much of each pair's intersection budget
 (four, by Bezout) it has explained.
+
+A conic is defined up to scale, and every survey output is invariant under
+scaling one component.  So the survey works on content-free integer conics
+(each ConicForm times the lcm of its denominators, divided by the content):
+shears, resultants, rational fibers as coprime integer pairs, fiber points,
+root finding and jets are all integer arithmetic.  Fraction appears only in
+the returned roots and in the jet coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from conicfree.linalg import _rat_reconstruct
 from conicfree.poly import (
@@ -104,11 +111,6 @@ class ConicArrangement:
             product = product * q.polynomial()
         return product
 
-    def members_through(self, point: ProjectivePoint) -> list[int]:
-        return [
-            i for i, q in enumerate(self.components) if q.evaluate(point) == 0
-        ]
-
 
 @dataclass(frozen=True)
 class BranchJet:
@@ -189,35 +191,65 @@ class LocusSurvey:
 
 
 # ---------------------------------------------------------------------------
+# Integer conics
+
+# A conic as six content-free integers (xx, yy, zz, xy, xz, yz), the
+# coefficients of a ConicForm in field order after clearing denominators.
+IntConic = tuple[int, int, int, int, int, int]
+
+
+def _integer_conic(q: ConicForm) -> IntConic:
+    """q times the lcm of its denominators, divided by the content.
+
+    The scale factor is positive, so signs are kept.  Every survey output
+    is invariant under scaling one component: points, multiplicities,
+    residuals, and the jet fields, which are all ratios.
+    """
+    cs = (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _evaluate(q: IntConic, x: int, y: int, z: int) -> int:
+    xx, yy, zz, xy, xz, yz = q
+    return (xx * x + xy * y + xz * z) * x + (yy * y + yz * z) * y + zz * z * z
+
+
+# ---------------------------------------------------------------------------
 # Branch jets
 
 
 def _affine_conic_coefficients(
-    q: ConicForm, p: ProjectivePoint
-) -> tuple[int, tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]]:
-    """Chart and local equation of q at p, in closed form.
+    q: IntConic, p: ProjectivePoint
+) -> tuple[int, int, tuple[int, int, int, int, int, int]]:
+    """Chart, chart scale and integer local equation of q at p.
 
     The chart is the one :func:`dehomogenize` uses: the last nonzero
-    coordinate is scaled to 1 and the point c moved to the origin.  The local
-    equation g(u, v) = q(c + u*e_i + v*e_j), with i < j the other two
-    indices, is returned as (g00, g10, g01, g20, g11, g02): g00 = q(c), the
-    linear terms are the partials of q at c, the quadratic terms are q's own.
+    coordinate s of the integer point (positive) is scaled to 1 and the
+    point c = point/s moved to the origin.  With i < j the other two
+    indices, the local equation g(u, v) = q(c + u*e_i + v*e_j) satisfies
+    s^2 * g(u, v) = G(s*u, s*v) for the integer form
+    G(U, V) = q(point + U*e_i + V*e_j), returned as
+    (G00, G10, G01, G20, G11, G02): G00 = q(point), the linear terms are
+    the partials of q at the point, the quadratic terms are q's own.
     """
     coords = p.coords()
-    chart = max(k for k in range(3) if coords[k] != 0)
+    chart = 2 if coords[2] else (1 if coords[1] else 0)
     i, j = (k for k in range(3) if k != chart)
+    xx, yy, zz, xy, xz, yz = q
     # coefficient of X_a * X_b in q; the diagonal holds the squares
-    m = ((q.xx, q.xy, q.xz), (q.xy, q.yy, q.yz), (q.xz, q.yz, q.zz))
-    s = coords[chart]
+    m = ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))
+    x, y, z = coords
 
-    def partial(a: int) -> Fraction:
-        # dq/dX_a at the integer point; at c = point/s it is this over s
-        return sum(m[a][b] * coords[b] * (2 if a == b else 1) for b in range(3))
+    def partial(a: int) -> int:
+        return m[a][0] * x + m[a][1] * y + m[a][2] * z + m[a][a] * coords[a]
 
-    return chart, (
-        q.evaluate(coords) / (s * s),
-        partial(i) / s,
-        partial(j) / s,
+    return chart, coords[chart], (
+        _evaluate(q, x, y, z),
+        partial(i),
+        partial(j),
         m[i][i],
         m[i][j],
         m[j][j],
@@ -232,7 +264,9 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     jets in the same frame and their coefficients compare directly.
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
-    chart, (a00, t10, t01, a20, a11, a02) = _affine_conic_coefficients(q, point)
+    chart, s, (a00, t10, t01, a20, a11, a02) = _affine_conic_coefficients(
+        _integer_conic(q), point
+    )
     if a00 != 0:
         raise ValueError(f"point {point} does not lie on the conic {q}")
     if t10 == 0 and t01 == 0:
@@ -241,32 +275,23 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     a10, a01 = t10, t01
     if swapped:
         a10, a01, a20, a02 = a01, a10, a02, a20
-    lam = a10 / a01
-    # substitute v -> v - lam*u, killing the linear u coefficient
-    b20 = a20 - a11 * lam + a02 * lam * lam
-    b11 = a11 - 2 * a02 * lam
-    b02 = a02
-    c2 = -b20 / a01
-    c3 = -(b11 * c2) / a01
-    c4 = -(b11 * c3 + b02 * c2 * c2) / a01
-
-    denom_lcm = t10.denominator * t01.denominator // gcd(
-        t10.denominator, t01.denominator
-    )
-    ti, tj = int(t10 * denom_lcm), int(t01 * denom_lcm)
-    g = gcd(abs(ti), abs(tj))
-    ti, tj = ti // g, tj // g
-    if (tj, ti) < (0, 0) or tj < 0 or (tj == 0 and ti < 0):
+    # In (U, V) = (s*u, s*v) the branch is V = sum_k (c_k / s^(k-1)) U^k.
+    # The shear V -> V - (a10/a01)*U kills the linear U coefficient; b20 and
+    # b11 are its U^2 and U*V coefficients times a01^2 and a01.
+    b20 = (a20 * a01 - a11 * a10) * a01 + a02 * a10 * a10
+    b11 = a11 * a01 - 2 * a02 * a10
+    ti, tj = t10 // gcd(t10, t01), t01 // gcd(t10, t01)
+    if tj < 0 or (tj == 0 and ti < 0):
         ti, tj = -ti, -tj
     return BranchJet(
         center=point,
         chart=chart,
         swapped=swapped,
-        shear=lam,
+        shear=Fraction(a10, a01),
         tangent=(ti, tj),
-        c2=c2,
-        c3=c3,
-        c4=c4,
+        c2=Fraction(-b20 * s, a01**3),
+        c3=Fraction(b11 * b20 * s * s, a01**5),
+        c4=Fraction(-b20 * (b11 * b11 + a02 * b20) * s**3, a01**7),
     )
 
 
@@ -319,27 +344,20 @@ def local_intersection_multiplicity(
 # Pairwise rational intersections via resultants
 
 
-def _shear_conic(q: ConicForm, a: int, b: int) -> ConicForm:
-    """Coordinates x = X, y = Y + aX, z = Z + bX applied to the form."""
-    return ConicForm(
-        xx=q.evaluate((1, a, b)),
-        yy=q.yy,
-        zz=q.zz,
-        xy=2 * q.yy * a + q.xy + q.yz * b,
-        xz=2 * q.zz * b + q.xz + q.yz * a,
-        yz=q.yz,
-    )
+def _shear_conic(q: IntConic, a: int, b: int) -> IntConic:
+    """Coordinates x = X, y = Y + aX, z = Z + bX applied to the form.
 
-
-def _conic_as_quadratic_in_x(
-    q: ConicForm,
-) -> tuple[Fraction, tuple[Fraction, Fraction], tuple[Fraction, Fraction, Fraction]]:
-    """Split q = A*x^2 + B(y,z)*x + C(y,z).
-
-    B and C are binary forms listed by ascending power of y: B = (z, y)
-    coefficients, C = (z^2, y*z, y^2) coefficients.
+    The substitution is unimodular, so the result stays content-free.
     """
-    return q.xx, (q.xz, q.xy), (q.zz, q.yz, q.yy)
+    xx, yy, zz, xy, xz, yz = q
+    return (
+        _evaluate(q, 1, a, b),
+        yy,
+        zz,
+        2 * yy * a + xy + yz * b,
+        2 * zz * b + xz + yz * a,
+        yz,
+    )
 
 
 def _mul_forms(f: tuple, g: tuple) -> list:
@@ -351,15 +369,18 @@ def _mul_forms(f: tuple, g: tuple) -> list:
     return out
 
 
-def _resultant_in_x(q1: ConicForm, q2: ConicForm) -> list[Fraction]:
+def _resultant_in_x(q1: IntConic, q2: IntConic) -> list[int]:
     """Resultant of two conics with respect to x, a binary quartic in (y, z).
 
-    Bezoutian form for two quadratics: (A1*C2 - A2*C1)^2
-    - (A1*B2 - A2*B1)*(B1*C2 - B2*C1).  Entry j is the coefficient of
-    y^j * z^(4-j).
+    Each conic is split as q = A*x^2 + B(y,z)*x + C(y,z), with B = (z, y)
+    and C = (z^2, y*z, y^2) coefficients.  Bezoutian form for two
+    quadratics: (A1*C2 - A2*C1)^2 - (A1*B2 - A2*B1)*(B1*C2 - B2*C1).  Entry
+    j is the coefficient of y^j * z^(4-j).
     """
-    A1, B1, C1 = _conic_as_quadratic_in_x(q1)
-    A2, B2, C2 = _conic_as_quadratic_in_x(q2)
+    A1, yy1, zz1, xy1, xz1, yz1 = q1
+    A2, yy2, zz2, xy2, xz2, yz2 = q2
+    B1, C1 = (xz1, xy1), (zz1, yz1, yy1)
+    B2, C2 = (xz2, xy2), (zz2, yz2, yy2)
     ac = [A1 * c2 - A2 * c1 for c1, c2 in zip(C1, C2)]
     ab = [A1 * b2 - A2 * b1 for b1, b2 in zip(B1, B2)]
     bc = [u - v for u, v in zip(_mul_forms(B1, C2), _mul_forms(B2, C1))]
@@ -414,9 +435,33 @@ def _padic_rational_roots(g: list[int]) -> list[Fraction]:
         if rec is None:
             continue
         n, d = rec
-        if sum(c * n**i * d ** (degree - i) for i, c in enumerate(g)) == 0:
+        if _eval_homogeneous(g, n, d) == 0:
             roots.append(Fraction(n, d))
     return sorted(roots)
+
+
+def _eval_homogeneous(cs: list[int], n: int, d: int) -> int:
+    """d^deg * f(n/d) = sum(cs[i] * n^i * d^(deg-i)), which is zero exactly
+    when n/d is a root (d != 0)."""
+    total, d_power = 0, 1
+    for c in reversed(cs):
+        total = total * n + c * d_power
+        d_power *= d
+    return total
+
+
+def _deflate(cs: list[int], n: int, d: int) -> list[int]:
+    """cs / (d*t - n) for a root n/d in lowest terms, d > 0.
+
+    The divisor is primitive, so by Gauss's lemma the quotient has integer
+    coefficients and every step divides exactly.
+    """
+    out = [0] * (len(cs) - 1)
+    carry = 0
+    for i in range(len(cs) - 1, 0, -1):
+        carry = (cs[i] + n * carry) // d
+        out[i - 1] = carry
+    return out
 
 
 def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[int]]:
@@ -427,25 +472,6 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list
     found p-adically on the squarefree part; their multiplicities come from
     exact deflation of the whole polynomial.
     """
-
-    def evaluate(cs: list[int], t: Fraction) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(cs):
-            total = total * t + c
-        return total
-
-    def deflate(cs: list[int], t: Fraction) -> list[int]:
-        # synthetic division by (x - t) over the rationals, result re-integered
-        out: list[Fraction] = [Fraction(0)] * (len(cs) - 1)
-        carry = Fraction(0)
-        for i in range(len(cs) - 1, 0, -1):
-            carry = Fraction(cs[i]) + carry * t
-            out[i - 1] = carry
-        m = 1
-        for v in out:
-            m = m * v.denominator // gcd(m, v.denominator)
-        return [int(v * m) for v in out]
-
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
@@ -459,82 +485,120 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
     for cand in _padic_rational_roots(_squarefree_part(cs)):
+        n, d = cand.numerator, cand.denominator
         mult = 0
-        while len(cs) > 1 and evaluate(cs, cand) == 0:
-            cs = deflate(cs, cand)
+        while len(cs) > 1 and _eval_homogeneous(cs, n, d) == 0:
+            cs = _deflate(cs, n, d)
             mult += 1
         roots.append((cand, mult))
     return roots, cs
 
 
+def _primitive(f: list[int]) -> list[int]:
+    g = gcd(*f)
+    return [c // g for c in f]
+
+
+def _poly_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Primitive gcd of integer polynomials (low-to-high, no trailing zeros,
+    f nonzero), by primitive pseudo-remainder sequences."""
+    a, b = _primitive(f), (_primitive(g) if g else [])
+    while b:
+        lead = b[-1]
+        while len(a) >= len(b):
+            top, shift = a[-1], len(a) - len(b)
+            a = [c * lead for c in a]
+            for i, c in enumerate(b):
+                a[shift + i] -= top * c
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, (_primitive(a) if a else [])
+    return a
+
+
 def _squarefree_part(cs: list[int]) -> list[int]:
     """cs / gcd(cs, cs') as a primitive integer polynomial."""
-    f = [Fraction(c) for c in cs]
-    g = _poly_gcd(f, [i * c for i, c in enumerate(f)][1:])
-    # exact long division f / g, highest coefficient first
-    quotient = [Fraction(0)] * (len(f) - len(g) + 1)
+    g = _poly_gcd(cs, [i * c for i, c in enumerate(cs)][1:])
+    # exact long division cs / g over the integers (g is primitive, so the
+    # quotient is integral by Gauss's lemma), highest coefficient first
+    f = list(cs)
+    quotient = [0] * (len(f) - len(g) + 1)
     for k in range(len(quotient) - 1, -1, -1):
-        quotient[k] = f[k + len(g) - 1] / g[-1]
+        quotient[k] = f[k + len(g) - 1] // g[-1]
         for i, c in enumerate(g):
             f[k + i] -= quotient[k] * c
-    den = 1
-    for v in quotient:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in quotient]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    return [v // content for v in ints]
+    return _primitive(quotient)
 
 
-def _is_rational_square(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    rn, rd = isqrt(f.numerator), isqrt(f.denominator)
-    if rn * rn == f.numerator and rd * rd == f.denominator:
-        return Fraction(rn, rd)
-    return None
+def _is_squarefree(cs: list[int]) -> bool:
+    """Whether an integer polynomial (low-to-high, nonzero leading
+    coefficient) is squarefree."""
+    return len(cs) <= 2 or len(_poly_gcd(cs, [i * c for i, c in enumerate(cs)][1:])) == 1
 
 
 def _binary_quartic_fibers(
-    res: list[Fraction],
-) -> tuple[list[tuple[tuple[Fraction, Fraction], int]], bool]:
+    res: list[int],
+) -> tuple[list[tuple[tuple[int, int], int]], bool]:
     """Rational roots (y0:z0) of a binary quartic, with multiplicities.
 
-    ``res[j]`` is the coefficient of y^j * z^(4-j).  The second component
-    reports whether the non-rational part of the form is squarefree; in that
-    case every irrational fiber carries exactly one intersection point of
-    multiplicity one.
+    ``res[j]`` is the integer coefficient of y^j * z^(4-j).  Each fiber is a
+    coprime integer pair.  The second component reports whether the
+    non-rational part of the form is squarefree; in that case every
+    irrational fiber carries exactly one intersection point of multiplicity
+    one.
     """
-    m = 1
-    for c in res:
-        m = m * c.denominator // gcd(m, c.denominator)
-    coeff_int = [int(c * m) for c in res]
-    if not any(coeff_int):
+    if not any(res):
         raise ValueError("identically zero resultant (components share a factor?)")
     # multiplicity of the fiber (1:0) equals the power of z dividing the form
-    top = max(j for j, v in enumerate(coeff_int) if v)
+    top = max(j for j, v in enumerate(res) if v)
     z_power = 4 - top
-    fibers: list[tuple[tuple[Fraction, Fraction], int]] = []
+    fibers: list[tuple[tuple[int, int], int]] = []
     if z_power > 0:
-        fibers.append(((Fraction(1), Fraction(0)), z_power))
+        fibers.append(((1, 0), z_power))
     # finite fibers (t:1) from the dehomogenization in t = y
-    roots, remainder = _rational_roots(coeff_int[: top + 1])
+    roots, remainder = _rational_roots(res[: top + 1])
     for root, mult in roots:
-        fibers.append(((root, Fraction(1)), mult))
+        fibers.append(((root.numerator, root.denominator), mult))
     return fibers, _is_squarefree(remainder)
 
 
-def _is_squarefree(coeffs: list[int]) -> bool:
-    """Whether an integer polynomial (low-to-high coefficients) is squarefree."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) <= 2:
-        return True
-    deriv = [i * c for i, c in enumerate(cs)][1:]
-    g = _poly_gcd(cs, deriv)
-    return len(g) == 1
+def _fiber_points(
+    ti: IntConic, tj: IntConic, y0: int, z0: int
+) -> list[tuple[int, int, int]] | None:
+    """Common points of the two sheared conics on the fiber (y0 : z0).
+
+    Returns integer triples in the sheared coordinates, or None when the
+    common points are irrational (a conjugate pair).  On the fiber each
+    conic restricts to a quadratic in x whose leading coefficient is the
+    conic's xx, nonzero because the shear keeps (1:0:0) off both conics.
+    """
+
+    def restrict(q: IntConic) -> tuple[int, int, int]:
+        xx, yy, zz, xy, xz, yz = q
+        return xx, xy * y0 + xz * z0, (yy * y0 + yz * z0) * y0 + zz * z0 * z0
+
+    # p = a2*x^2 + a1*x + a0 and q = b2*x^2 + b1*x + b0 restrict ti and tj
+    a2, a1, a0 = restrict(ti)
+    b2, b1, b0 = restrict(tj)
+    # r = b2*p - a2*q vanishes at every common root and has degree <= 1
+    r1, r0 = b2 * a1 - a2 * b1, b2 * a0 - a2 * b0
+    if r1:
+        # the one candidate root x = -r0/r1; where p and r vanish, so does
+        # a2*q and hence q
+        if (a2 * r0 - a1 * r1) * r0 + a0 * r1 * r1 != 0:
+            raise AssertionError("resultant fiber without a common root")
+        return [(-r0, r1 * y0, r1 * z0)]
+    if r0:
+        raise AssertionError("resultant fiber without a common root")
+    # r = 0: p and q are proportional, and their common roots are p's
+    disc = a1 * a1 - 4 * a2 * a0
+    if disc < 0 or isqrt(disc) ** 2 != disc:
+        return None
+    root = isqrt(disc)
+    den_y, den_z = 2 * a2 * y0, 2 * a2 * z0
+    if root == 0:
+        return [(-a1, den_y, den_z)]
+    return [(-a1 + root, den_y, den_z), (-a1 - root, den_y, den_z)]
 
 
 _SHEAR_GRID = sorted(
@@ -545,20 +609,24 @@ _MAX_CERT_SHEARS = 8
 
 
 def _scan_with_shear(
-    qi: ConicForm, qj: ConicForm, a: int, b: int, jets: JetTable | None
+    qi: ConicForm,
+    qj: ConicForm,
+    ti: IntConic,
+    tj: IntConic,
+    a: int,
+    b: int,
+    jets: JetTable | None,
 ) -> tuple[list[tuple[ProjectivePoint, int]], int, bool]:
     """Locate rational common points through the projection (a, b).
 
-    Returns (located points with jet multiplicities, residual budget,
-    residual certified transversal under this projection).
+    ``ti`` and ``tj`` are the integer conics of qi and qj under the shear
+    (a, b).  Returns (located points with jet multiplicities, residual
+    budget, residual certified transversal under this projection).
     """
-    ti = _shear_conic(qi, a, b)
-    tj = _shear_conic(qj, a, b)
-    res = _resultant_in_x(ti, tj)
     located: list[tuple[ProjectivePoint, int]] = []
     residual = 0
     transversal = True
-    fibers, irrational_part_squarefree = _binary_quartic_fibers(res)
+    fibers, irrational_part_squarefree = _binary_quartic_fibers(_resultant_in_x(ti, tj))
     located_fiber_budget = 0
     for (y0, z0), mult in fibers:
         points = _fiber_points(ti, tj, y0, z0)
@@ -573,9 +641,7 @@ def _scan_with_shear(
             if mult != 2:
                 transversal = False
             continue
-        mapped = [
-            ProjectivePoint.of(x0, y0 + a * x0, z0 + b * x0) for x0 in points
-        ]
+        mapped = [ProjectivePoint.of(x, y + a * x, z + b * x) for x, y, z in points]
         jet_mults = [
             local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in mapped
         ]
@@ -595,32 +661,22 @@ def _scan_with_shear(
     return located, residual, transversal
 
 
-def rational_pair_intersections(
-    qi: ConicForm, qj: ConicForm, *, jets: JetTable | None = None
+def _pair_scan(
+    qi: ConicForm, qj: ConicForm, iqi: IntConic, iqj: IntConic, jets: JetTable | None
 ) -> PairIntersections:
-    """All rational common points of two conics, with local multiplicities.
-
-    The residual is the part of the Bezout budget (4) carried by points with
-    irrational coordinates.  Multiplicities of located points come from the
-    resultant root order and are cross-checked against branch jets.
-
-    A point's fiber multiplicity in every projection is at least its local
-    intersection multiplicity, so a projection whose unlocated fibers are
-    all simple certifies the unlocated points transversal; several
-    projections are tried because conjugate point clusters can share fibers
-    in unlucky directions.  Jets are shared through ``jets`` when given.
-    """
-    if not conic_is_smooth(qi) or not conic_is_smooth(qj):
-        raise ValueError("both conics must be smooth")
-    if qi.is_proportional_to(qj):
-        raise ValueError("conics coincide")
+    """:func:`rational_pair_intersections` on two smooth, distinct conics,
+    given also as their integer conics."""
     first: tuple[list[tuple[ProjectivePoint, int]], int, bool] | None = None
     certified = False
     tried = 0
     for a, b in _SHEAR_GRID:
-        if qi.evaluate((1, a, b)) == 0 or qj.evaluate((1, a, b)) == 0:
+        ti = _shear_conic(iqi, a, b)
+        if ti[0] == 0:
             continue
-        scan = _scan_with_shear(qi, qj, a, b, jets)
+        tj = _shear_conic(iqj, a, b)
+        if tj[0] == 0:
+            continue
+        scan = _scan_with_shear(qi, qj, ti, tj, a, b, jets)
         if first is None:
             first = scan
         elif scan[0] != first[0]:
@@ -643,55 +699,26 @@ def rational_pair_intersections(
     )
 
 
-def _fiber_points(
-    ti: ConicForm, tj: ConicForm, y0: Fraction, z0: Fraction
-) -> list[Fraction] | None:
-    """Common x-roots of the two sheared conics on the fiber (y0 : z0).
+def rational_pair_intersections(
+    qi: ConicForm, qj: ConicForm, *, jets: JetTable | None = None
+) -> PairIntersections:
+    """All rational common points of two conics, with local multiplicities.
 
-    Returns None when the common roots are irrational (conjugate pair).
+    The residual is the part of the Bezout budget (4) carried by points with
+    irrational coordinates.  Multiplicities of located points come from the
+    resultant root order and are cross-checked against branch jets.
+
+    A point's fiber multiplicity in every projection is at least its local
+    intersection multiplicity, so a projection whose unlocated fibers are
+    all simple certifies the unlocated points transversal; several
+    projections are tried because conjugate point clusters can share fibers
+    in unlucky directions.  Jets are shared through ``jets`` when given.
     """
-    def restrict(q: ConicForm) -> tuple[Fraction, Fraction, Fraction]:
-        A, (bz, by), (czz, cyz, cyy) = _conic_as_quadratic_in_x(q)
-        return (A, by * y0 + bz * z0, (cyy * y0 + cyz * z0) * y0 + czz * z0 * z0)
-
-    p1 = restrict(ti)
-    p2 = restrict(tj)
-    g = _poly_gcd([p1[2], p1[1], p1[0]], [p2[2], p2[1], p2[0]])
-    if len(g) == 2:  # linear: one rational root
-        return [-g[0] / g[1]]
-    if len(g) == 3:  # the restrictions are proportional quadratics
-        a2, a1, a0 = g[2], g[1], g[0]
-        disc = a1 * a1 - 4 * a2 * a0
-        root = _is_rational_square(disc)
-        if root is None:
-            return None
-        if root == 0:
-            return [-a1 / (2 * a2)]
-        return [(-a1 + root) / (2 * a2), (-a1 - root) / (2 * a2)]
-    raise AssertionError("resultant fiber without a common root")
-
-
-def _poly_gcd(p1: list[Fraction], p2: list[Fraction]) -> list[Fraction]:
-    """Euclidean gcd of univariate polynomials, coefficients low-to-high."""
-
-    def normalize(p: list[Fraction]) -> list[Fraction]:
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a = normalize(list(p1))
-    b = normalize(list(p2))
-    while b:
-        while len(a) >= len(b):
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i in range(len(b)):
-                a[shift + i] -= factor * b[i]
-            a = normalize(a)
-            if not a:
-                break
-        a, b = b, a
-    return a
+    if not conic_is_smooth(qi) or not conic_is_smooth(qj):
+        raise ValueError("both conics must be smooth")
+    if qi.is_proportional_to(qj):
+        raise ValueError("conics coincide")
+    return _pair_scan(qi, qj, _integer_conic(qi), _integer_conic(qj), jets)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +740,24 @@ def classify_point(
     the assume_qh flag) and is unknown otherwise.
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
-    members = arr.members_through(point)
+    ints = [_integer_conic(q) for q in arr.components]
+    return _classify(arr, ints, point, assume_qh, jets)
+
+
+def _members(ints: list[IntConic], point: ProjectivePoint) -> list[int]:
+    x, y, z = point.coords()
+    return [i for i, q in enumerate(ints) if _evaluate(q, x, y, z) == 0]
+
+
+def _classify(
+    arr: ConicArrangement,
+    ints: list[IntConic],
+    point: ProjectivePoint,
+    assume_qh: bool,
+    jets: JetTable | None,
+) -> SingularPointRecord:
+    """:func:`classify_point`, given also the integer conics of arr."""
+    members = _members(ints, point)
     if len(members) < 2:
         raise NotSingularError(
             f"{point} lies on {len(members)} component(s); not a singular point"
@@ -765,23 +809,25 @@ def survey(
     classified rational points.
     """
     k = arr.k
+    comps = arr.components
+    # the arrangement already checked that its components are smooth and
+    # pairwise distinct, so the pairs go straight to the scan
+    ints = [_integer_conic(q) for q in comps]
     jets: JetTable = {}  # each (component, point) jet is built once per survey
     candidates: dict[ProjectivePoint, None] = {}
     residual_transversal = True
     for i in range(k):
         for j in range(i + 1, k):
-            pair = rational_pair_intersections(
-                arr.components[i], arr.components[j], jets=jets
-            )
+            pair = _pair_scan(comps[i], comps[j], ints[i], ints[j], jets)
             for pt, _ in pair.points:
                 candidates.setdefault(pt, None)
             if pair.residual and not pair.residual_transversal:
                 residual_transversal = False
     for pt in extra_points or []:
-        if len(arr.members_through(pt)) >= 2:
+        if len(_members(ints, pt)) >= 2:
             candidates.setdefault(pt, None)
     records = tuple(
-        classify_point(arr, pt, assume_qh=assume_qh, jets=jets)
+        _classify(arr, ints, pt, assume_qh, jets)
         for pt in sorted(candidates, key=lambda p: p.coords())
     )
     residual_per_pair: dict[tuple[int, int], int] = {}

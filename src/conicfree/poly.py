@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Mono3 = tuple[int, int, int]
 Mono2 = tuple[int, int]
@@ -319,14 +319,14 @@ class ProjectivePoint:
 
     @classmethod
     def of(cls, x: Fraction | int, y: Fraction | int, z: Fraction | int) -> "ProjectivePoint":
-        fx, fy, fz = Fraction(x), Fraction(y), Fraction(z)
-        if fx == fy == fz == 0:
+        ix, iy, iz = x, y, z
+        if not (type(x) is int and type(y) is int and type(z) is int):
+            fx, fy, fz = Fraction(x), Fraction(y), Fraction(z)
+            denom_lcm = lcm(fx.denominator, fy.denominator, fz.denominator)
+            ix, iy, iz = (f.numerator * (denom_lcm // f.denominator) for f in (fx, fy, fz))
+        if ix == iy == iz == 0:
             raise ValueError("(0,0,0) is not a projective point")
-        denom_lcm = 1
-        for f in (fx, fy, fz):
-            denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-        ix, iy, iz = (int(f * denom_lcm) for f in (fx, fy, fz))
-        g = gcd(gcd(abs(ix), abs(iy)), abs(iz))
+        g = gcd(ix, iy, iz)
         ix, iy, iz = ix // g, iy // g, iz // g
         last = iz if iz != 0 else (iy if iy != 0 else ix)
         if last < 0:

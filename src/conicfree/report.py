@@ -35,7 +35,7 @@ from conicfree.jacobian import (
     SyzygyWitness,
     hilbert_profile,
     mdr,
-    verify_witness,
+    verify_witness,  # unused here; perfbench/spans.py hooks report.verify_witness
 )
 from conicfree.linalg import DEFAULT_POLICY, LinalgPolicy
 from conicfree.locus import ConicArrangement, LocusSurvey, survey
@@ -122,11 +122,13 @@ def _witness_block(analysis: Analysis) -> dict:
     w = analysis.witness
     if isinstance(w, AtLeast):
         return {"d1": None, "d1_at_least": w.bound, "witness": None, "verified": None}
+    # the witness comes from mdr, which re-verifies it by exact expansion and
+    # raises instead of returning one that fails
     return {
         "d1": w.r,
         "d1_at_least": None,
         "witness": {"a": str(w.a), "b": str(w.b), "c": str(w.c)},
-        "verified": verify_witness(analysis.ctx, w),
+        "verified": True,
     }
 
 

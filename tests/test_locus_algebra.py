@@ -4,28 +4,36 @@ The closed forms are checked against the generic polynomial code they
 replace (dehomogenization, evaluation, substitution), which stays as the
 oracle.  The root finder is checked against trial division on small
 coefficients and against a factorization over QQ (sympy) on coefficients
-up to 2^64.
+up to 2^64.  The survey runs on content-free integer conics, so its
+results must not change when a component is scaled.
 """
 
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conicfree.locus import (
     _affine_conic_coefficients,
     _binary_quartic_fibers,
+    _fiber_points,
+    _integer_conic,
     _rational_roots,
     _resultant_in_x,
     _shear_conic,
+    ConicArrangement,
+    branch_jet,
     rational_pair_intersections,
+    survey,
 )
 from conicfree.poly import (
     VAR_NAMES,
     ConicForm,
     HomogeneousPolynomial,
     ProjectivePoint,
+    conic_is_smooth,
     dehomogenize,
 )
 
@@ -56,10 +64,15 @@ def _shear_by_substitution(q: ConicForm, a: int, b: int) -> ConicForm:
 @example(q=ConicForm(1, 2, 3, 4, 5, 6), p=ProjectivePoint.of(1, 0, 0))
 @example(q=ConicForm(1, 2, 3, 4, 5, 6), p=ProjectivePoint.of(2, -3, 0))
 def test_affine_coefficients_match_dehomogenize(q, p):
-    chart, coeffs = _affine_conic_coefficients(q, p)
-    oracle = dehomogenize(q.polynomial(), p)
+    iq = _integer_conic(q)
+    chart, s, coeffs = _affine_conic_coefficients(iq, p)
+    oracle = dehomogenize(ConicForm(*iq).polynomial(), p)
     monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    assert {m: c for m, c in zip(monos, coeffs) if c != 0} == oracle.terms
+    # s^2 * g(u, v) = G(s*u, s*v): the coefficient of u^a*v^b is G_ab / s^(2-a-b)
+    assert s == p.coords()[chart] > 0
+    assert {m: Fraction(c, s ** (2 - sum(m))) for m, c in zip(monos, coeffs) if c != 0} == (
+        oracle.terms
+    )
     assert VAR_NAMES[chart] not in oracle.var_names
 
 
@@ -73,7 +86,7 @@ def test_conic_evaluate_matches_polynomial(q, p):
 @settings(max_examples=200, deadline=None)
 @given(q=_conics, a=st.integers(-3, 4), b=st.integers(-3, 4))
 def test_shear_matches_substitution(q, a, b):
-    assert _shear_conic(q, a, b) == _shear_by_substitution(q, a, b)
+    assert _shear_conic(_integer_conic(q), a, b) == _integer_conic(_shear_by_substitution(q, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +303,7 @@ NINE_DIGIT_PAIR = (
 
 def test_nine_digit_pair_resultant_roots():
     q1, q2 = (ConicForm.parse(t) for t in NINE_DIGIT_PAIR)
-    res = _resultant_in_x(q1, q2)
-    den = prod(c.denominator for c in res)
-    coeffs = [int(c * den) for c in res]
+    res = coeffs = _resultant_in_x(_integer_conic(q1), _integer_conic(q2))
     assert max(abs(c) for c in coeffs) > 10**30
     roots, remainder = _rational_roots(coeffs)
     assert roots == _sympy_roots(coeffs)
@@ -310,3 +321,141 @@ def test_nine_digit_pair_resultant_roots():
         key=lambda pm: pm[0].coords(),
     )
     assert all(q1.evaluate(p) == 0 == q2.evaluate(p) for p, _ in pair.points)
+
+
+def test_fiber_points_solve_the_fiber_exactly():
+    # x^2 + y^2 - z^2 and x^2 + 4*y^2 - z^2 are tangent at (1:0:1) and (-1:0:1)
+    ti = _integer_conic(ConicForm.parse("x^2+y^2-z^2"))
+    tj = _integer_conic(ConicForm.parse("x^2+4*y^2-z^2"))
+    points = _fiber_points(ti, tj, 0, 1)
+    assert {ProjectivePoint.of(*pt) for pt in points} == {
+        ProjectivePoint.of(1, 0, 1),
+        ProjectivePoint.of(-1, 0, 1),
+    }
+    # x^2 + z^2 and x^2 + y^2 + z^2 share the conjugate pair (+-i:0:1)
+    conj = _integer_conic(ConicForm.parse("x^2+z^2")), _integer_conic(ConicForm.parse("x^2+y^2+z^2"))
+    assert _fiber_points(*conj, 0, 1) is None
+    # one common root on a fiber where the restrictions are not proportional
+    tk = _integer_conic(ConicForm.parse("x^2+x*y+y^2-z^2"))
+    assert [ProjectivePoint.of(*pt) for pt in _fiber_points(ti, tk, 1, 1)] == [
+        ProjectivePoint.of(0, 1, 1)
+    ]
+    # a fiber that is not a root of the resultant has no common point
+    with pytest.raises(AssertionError, match="without a common root"):
+        _fiber_points(ti, tj, 1, 1)
+    with pytest.raises(AssertionError, match="without a common root"):
+        _fiber_points(ti, tk, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Scale invariance
+
+_scales = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 12)
+)
+
+
+def _scaled(q: ConicForm, c: Fraction) -> ConicForm:
+    return ConicForm(*(c * v for v in (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)))
+
+
+def _assert_survey_scale_invariant(arr, scales, assume_qh=False):
+    """Scaling each component by a nonzero rational changes no survey output
+    and no branch jet; the jet fields stay exact Fractions."""
+    moved = ConicArrangement(tuple(_scaled(q, c) for q, c in zip(arr.components, scales)))
+    sv = survey(arr, assume_qh=assume_qh)
+    tv = survey(moved, assume_qh=assume_qh)
+    assert tv.records == sv.records
+    assert tv.residual_per_pair == sv.residual_per_pair
+    assert tv.complete == sv.complete
+    assert tv.residual_transversal == sv.residual_transversal
+    for rec in sv.records:
+        for i in rec.members:
+            jet = branch_jet(moved.components[i], rec.point)
+            assert jet == branch_jet(arr.components[i], rec.point)
+            assert all(type(v) is Fraction for v in (jet.shear, jet.c2, jet.c3, jet.c4))
+    return sv
+
+
+def _corpus_arrangements():
+    from conicfree.corpus import corpus_entries
+
+    return [(e.arrangement(), e.assume_qh) for e in corpus_entries() if e.component_texts]
+
+
+@settings(max_examples=30, deadline=None)
+@given(index=st.integers(0, 14), data=st.data())
+def test_survey_invariant_under_scaling_corpus_components(index, data):
+    arrangements = _corpus_arrangements()
+    assert len(arrangements) == 15
+    arr, assume_qh = arrangements[index]
+    scales = data.draw(st.lists(_scales, min_size=arr.k, max_size=arr.k))
+    _assert_survey_scale_invariant(arr, scales, assume_qh)
+
+
+def _tangent(q: ConicForm, p: tuple) -> tuple:
+    x, y, z = p
+    return (
+        2 * q.xx * x + q.xy * y + q.xz * z,
+        q.xy * x + 2 * q.yy * y + q.yz * z,
+        q.xz * x + q.yz * y + 2 * q.zz * z,
+    )
+
+
+def _line_product(t: tuple, m: tuple) -> tuple:
+    return (
+        t[0] * m[0],
+        t[1] * m[1],
+        t[2] * m[2],
+        t[0] * m[1] + t[1] * m[0],
+        t[0] * m[2] + t[2] * m[0],
+        t[1] * m[2] + t[2] * m[1],
+    )
+
+
+@st.composite
+def _contact_pairs(draw):
+    """q and q + lam*T*M with T the tangent of q at a rational point P of q:
+    contact of order 4 (M = T), 3 (M through P) or 2 (M any other line)."""
+    from hypothesis import assume
+
+    p = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
+    base = ConicForm(*draw(st.tuples(*[st.integers(-9, 9)] * 6).filter(any)))
+    # m(P)*base - base(P)*m passes through P for the square m of a coordinate
+    # that does not vanish at P
+    i = next(n for n in range(3) if p[n])
+    square = ConicForm(*(1 if n == i else 0 for n in range(6)))
+    q = _scaled(base, Fraction(p[i] * p[i])).polynomial() - square.polynomial().scale(
+        base.evaluate(p)
+    )
+    assume(not q.is_zero())
+    q = ConicForm.from_polynomial(q)
+    t = _tangent(q, p)
+    kind = draw(st.sampled_from(["tangent", "through", "other"]))
+    if kind == "tangent":
+        m = t
+    else:
+        u = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+        m = tuple(
+            p[(k + 1) % 3] * u[(k + 2) % 3] - p[(k + 2) % 3] * u[(k + 1) % 3] for k in range(3)
+        ) if kind == "through" else u
+    lam = draw(st.integers(-4, 4).filter(bool))
+    contact = ConicForm(*(a + lam * b for a, b in zip(_coefficients(q), _line_product(t, m))))
+    assume(conic_is_smooth(q) and conic_is_smooth(contact))
+    assume(not q.is_proportional_to(contact))
+    return ConicArrangement((q, contact))
+
+
+def _coefficients(q: ConicForm) -> tuple:
+    return (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)
+
+
+@settings(max_examples=80, deadline=None)
+@given(arr=_contact_pairs(), c1=_scales, c2=_scales)
+def test_survey_invariant_under_scaling_contact_pairs(arr, c1, c2):
+    sv = _assert_survey_scale_invariant(arr, [c1, c2])
+    q1, q2 = arr.components
+    pair = rational_pair_intersections(_scaled(q1, c1), _scaled(q2, c2))
+    assert pair == rational_pair_intersections(q1, q2)
+    assert sum(m for _, m in pair.points) + pair.residual == 4
+    assert sv.residual_per_pair[(0, 1)] == pair.residual
