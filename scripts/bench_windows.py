@@ -11,12 +11,16 @@ generic arrangements of k = 5..8 dense conics drawn by the benchmark's
 
 ``--after`` defaults to this checkout's ``src``.  Every timing runs in a
 fresh process that imports ``conicfree`` from one checkout, builds the
-curve, and times one ``hilbert_profile`` call; the two checkouts alternate
-run by run, so drift in the machine's speed falls on both alike.  Each input
+curve, and times one ``hilbert_profile`` call on a fresh context (``s``,
+comparable with the earlier BENCH files), then ``mdr`` followed by
+``hilbert_profile`` on a second fresh context, the order ``analyze_curve``
+runs them in (``pipeline_s``); the two checkouts alternate run by run, so
+drift in the machine's speed falls on both alike.  Each input
 is run REPEATS times per side, generic k = 7 and 8 only once: their windows
 take minutes before the change.  The JSON
-file holds the machine's description, every time, the windows and taus of
-both checkouts, and per input the speedup (median before / median after).
+file holds the machine's description, every time, the windows, taus and d1
+of both checkouts, and per input the speedup of the window (median before /
+median after).
 """
 
 from __future__ import annotations
@@ -57,18 +61,29 @@ def arrangements() -> dict[str, list[str]]:
 
 
 def time_one(src: str, name: str) -> dict:
-    """Run in a child process: one timed hilbert_profile of one input."""
+    """Run in a child process: the timed window of one input, then mdr and the window."""
     sys.path.insert(0, src)
-    from conicfree.jacobian import JacobianContext, hilbert_profile
+    from conicfree.jacobian import JacobianContext, SyzygyWitness, hilbert_profile, mdr
     from conicfree.poly import parse_polynomial
 
-    texts = arrangements()[name]
-    ctx = JacobianContext.for_curve(parse_polynomial("*".join(f"({t})" for t in texts)))
+    f = parse_polynomial("*".join(f"({t})" for t in arrangements()[name]))
+    ctx = JacobianContext.for_curve(f)
     t0 = time.perf_counter()
     profile = hilbert_profile(ctx)
     seconds = time.perf_counter() - t0
-    window = [list(w) for w in profile.window]
-    return {"d": ctx.d, "window": window, "tau": profile.tau, "s": seconds}
+    ctx = JacobianContext.for_curve(f)
+    t0 = time.perf_counter()
+    witness = mdr(ctx)
+    hilbert_profile(ctx)
+    pipeline = time.perf_counter() - t0
+    return {
+        "d": ctx.d,
+        "d1": witness.r if isinstance(witness, SyzygyWitness) else None,
+        "window": [list(w) for w in profile.window],
+        "tau": profile.tau,
+        "s": seconds,
+        "pipeline_s": pipeline,
+    }
 
 
 def machine() -> dict:
@@ -109,18 +124,23 @@ def main() -> int:
                 out = subprocess.run(child, check=True, capture_output=True, text=True).stdout
                 result = json.loads(out)
                 entry = runs[side].setdefault(
-                    name, {k: result[k] for k in ("d", "window", "tau")} | {"seconds": []}
+                    name,
+                    {k: result[k] for k in ("d", "d1", "window", "tau")}
+                    | {"seconds": [], "pipeline_seconds": []},
                 )
                 entry["seconds"].append(round(result["s"], 3))
+                entry["pipeline_seconds"].append(round(result["pipeline_s"], 3))
         for side in sides:
             entry = runs[side][name]
             entry["median_s"] = round(statistics.median(entry["seconds"]), 3)
-            print(f"{side:6s} {name:24s} tau={entry['tau']} median {entry['median_s']} s",
-                  flush=True)
+            entry["median_pipeline_s"] = round(statistics.median(entry["pipeline_seconds"]), 3)
+            print(f"{side:6s} {name:24s} tau={entry['tau']} d1={entry['d1']} median "
+                  f"{entry['median_s']} s, with mdr {entry['median_pipeline_s']} s", flush=True)
 
     doc = {
-        "what": "seconds of one hilbert_profile call per input, each in a fresh process; "
-        "the two checkouts alternate run by run",
+        "what": "seconds of one hilbert_profile call per input on a fresh context (seconds), "
+        "and of mdr then hilbert_profile on another (pipeline_seconds), each input in a "
+        "fresh process; the two checkouts alternate run by run",
         "machine": machine(),
         "runs": runs,
         "speedup": {

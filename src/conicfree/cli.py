@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 from conicfree.combinatorics import (
     IncidenceStructure,
@@ -74,13 +76,18 @@ def _read_points_file(path: str) -> list[ProjectivePoint]:
 
 @dataclass
 class ResolvedInput:
-    f: HomogeneousPolynomial
+    polynomial: Callable[[], HomogeneousPolynomial]  # read once, through f
     arrangement: ConicArrangement | None
     source: str
     provenance: dict | None = None
     # a corpus entry may assert the quasi-homogeneity hypothesis for its
     # ordinary points (pencil base points); honored alongside --assume-qh
     assume_qh: bool = False
+
+    @cached_property
+    def f(self) -> HomogeneousPolynomial:
+        """The curve, computed on first use: a survey alone never expands it."""
+        return self.polynomial()
 
 
 def _resolve_input(text: str) -> ResolvedInput:
@@ -92,7 +99,7 @@ def _resolve_input(text: str) -> ResolvedInput:
             known = ", ".join(x.name for x in corpus_entries())
             raise InputError(f"unknown corpus entry {name!r}; known: {known}")
         return ResolvedInput(
-            f=e.polynomial(),
+            polynomial=e.polynomial,
             arrangement=e.arrangement(),
             source=text,
             provenance=dict(e.provenance),
@@ -108,10 +115,12 @@ def _resolve_input(text: str) -> ResolvedInput:
         if not lines:
             raise InputError(f"{text}: no expressions found")
         if len(lines) == 1:
-            return ResolvedInput(parse_polynomial(lines[0]), None, text)
+            f = parse_polynomial(lines[0])
+            return ResolvedInput(lambda: f, None, text)
         arrangement = ConicArrangement.from_texts(lines)
-        return ResolvedInput(arrangement.polynomial(), arrangement, text)
-    return ResolvedInput(parse_polynomial(text), None, f"<expression> {text}")
+        return ResolvedInput(arrangement.polynomial, arrangement, text)
+    f = parse_polynomial(text)
+    return ResolvedInput(lambda: f, None, f"<expression> {text}")
 
 
 def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis:

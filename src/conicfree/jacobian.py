@@ -26,9 +26,10 @@ A_e was eliminated, and their multiples into degree s+d-1 number at most
 rank_p(A_s) <= rank A_s.  The relation search records them, and A_s is
 eliminated only where the two bounds fall short.  From above:
 cols - rank_p(F), where F holds the monomial multiples into degree s of
-exact relations: generators found once per curve in degrees 0 .. d-2 (a
-certified kernel only where the multiples of the lower ones fall short;
-kernels are shared with mdr) and the three Koszul relations
+exact relations: generators found by one walk per curve over degrees
+0 .. d-2 (a certified kernel only where the multiples of the lower ones
+fall short; mdr reads d1 and its witness off the first generator) and the
+three Koszul relations
 (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified
 exactly as one array product.  rank_p(F) is bounded from below by rows
 with distinct leading columns before any elimination, and where that
@@ -53,7 +54,6 @@ import numpy as np
 
 from conicfree.linalg import (
     DEFAULT_POLICY,
-    KernelBasis,
     LinalgPolicy,
     RatMatrix,
     _kills,
@@ -92,9 +92,9 @@ class JacobianContext:
     f: HomogeneousPolynomial
     d: int
     partials: tuple[HomogeneousPolynomial, HomogeneousPolynomial, HomogeneousPolynomial]
-    # certified kernels of syzygy_matrix by (degree, policy), shared by mdr
-    # and the relation search of the Hilbert window
-    kernels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # relation_generators by policy: the one relation walk per curve, read
+    # by mdr and by the ranks of the Hilbert window
+    generators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # by degree s where A_s was eliminated: the grevlex leading monomials
     # mod p of the gradient ideal in degree s+d-1 (_leading_terms of A_s^T)
     leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -195,7 +195,7 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
 Relation = tuple[int, np.ndarray]
 
 
-def _relation_multiples(relations: list[Relation], s: int) -> np.ndarray:
+def _relation_multiples(relations: Sequence[Relation], s: int) -> np.ndarray:
     """Every relation times every monomial of degree s - e, one row each.
 
     The rows are in the column layout of syzygy_matrix(ctx, s), with the
@@ -255,7 +255,7 @@ def _independent_rows(multiples: np.ndarray) -> int:
     return max(len(np.unique(m.argmax(axis=1))) for m in orders)
 
 
-def _residues(relations: list[Relation]) -> list[Relation]:
+def _residues(relations: Sequence[Relation]) -> list[Relation]:
     """The relations with their vectors reduced mod p, as int64."""
     return [(e, residues_mod(vec)) for e, vec in relations]
 
@@ -271,14 +271,6 @@ def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
     weights = (np.arange(1, len(multiples) + 1) * 0x9E3779B9 % 2**32 >> 16) % (2**16 - 1) + 1
     combo = product_mod(multiples.T, weights)
     return not product_mod(matrix.array, combo).any()
-
-
-def _kernel(ctx: JacobianContext, e: int, policy: LinalgPolicy) -> KernelBasis:
-    """policy.kernel(syzygy_matrix(ctx, e)), computed once per curve."""
-    key = (e, policy)
-    if key not in ctx.kernels:
-        ctx.kernels[key] = policy.kernel(syzygy_matrix(ctx, e))
-    return ctx.kernels[key]
 
 
 def _leading_terms(rows: np.ndarray, t: int) -> np.ndarray:
@@ -364,19 +356,22 @@ def _certified_rank(
 
 
 def relation_generators(
-    ctx: JacobianContext, top: int, policy: LinalgPolicy = DEFAULT_POLICY
-) -> list[Relation]:
-    """Exact relations whose monomial multiples span every relation of degree <= top.
+    ctx: JacobianContext, policy: LinalgPolicy = DEFAULT_POLICY
+) -> tuple[Relation, ...]:
+    """Exact relations whose monomial multiples span every relation of degree <= d-2.
 
-    Walks the degrees e = 0 .. min(top, d-2), where every kernel vector is
-    a relation that is not a Koszul one.  Where the multiples of the
+    The one relation walk of a curve, memoised per policy in ctx.generators.
+    It walks the degrees e = 0 .. d-2, where every kernel vector is a
+    relation that is not a Koszul one.  Where the multiples of the
     relations found so far certify the rank of A_e (_certified_rank, which
     records the leading monomials of A_e wherever it eliminates it), they
     span its kernel; below the first relation, that is a certified full
     rank.  Elsewhere the certified kernel of A_e is taken, and its vectors
     outside the span of those multiples mod p join: the greedy mod-p column
     basis of the multiples followed by the kernel.  The kernel engine
-    verifies its vectors exactly, so every generator is a relation.
+    verifies its vectors exactly, so every generator is a relation.  The
+    first generator is (d1, the first vector of the certified kernel of
+    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -386,16 +381,20 @@ def relation_generators(
     certificate is two-sided and a missing generator only costs the
     fallback.
     """
+    if policy in ctx.generators:
+        return ctx.generators[policy]
     found: list[Relation] = []
-    for e in range(min(top, ctx.d - 2) + 1):
+    for e in range(ctx.d - 1):
         known = _relation_multiples(_residues(found), e)
-        if _certified_rank(ctx, e, syzygy_matrix(ctx, e), known) is not None:
+        matrix = syzygy_matrix(ctx, e)
+        if _certified_rank(ctx, e, matrix, known) is not None:
             continue
-        vectors = _kernel(ctx, e, policy).vectors
+        vectors = policy.kernel(matrix).vectors
         kernel = np.array(vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
         basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
         found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
-    return found
+    ctx.generators[policy] = tuple(found)
+    return ctx.generators[policy]
 
 
 def _syzygy_ranks(
@@ -403,26 +402,20 @@ def _syzygy_ranks(
 ) -> list[int]:
     """rank syzygy_matrix(ctx, s) for each s in degrees, 0 for s < 0.
 
-    The exact engine ranks each matrix itself.  The modular policy finds
-    the relation generators once, in degrees up to min(max s, d-2), adds
-    the three Koszul relations once a degree reaches d-1, and certifies
-    each rank two-sided (_certified_rank): below by the multiples of the
-    leading monomials the search recorded, above by the multiples of the
-    relations.  Where the support count of the relation multiples falls
-    short at s >= d-1, their rank mod p is bounded by the multiples of
-    their leading terms in degree d-1, eliminated at most once per call.
-    Both bounds take their leading terms
-    and multiples from the same two routines, _leading_terms and
-    _leading_multiples.  No kernel is lifted at degree s, and A_s or
-    the relation multiples are eliminated only where those counts fall
-    short.  Where the bounds do not meet, the rank comes from the
+    The exact engine ranks each matrix itself.  The modular policy
+    certifies each rank two-sided (_certified_rank): below by the multiples
+    of the leading monomials recorded by relation_generators, the curve's
+    one relation walk; above by the multiples of its generators and, once a
+    degree reaches d-1, of the three Koszul relations, whose leading terms
+    in degree d-1 are taken at most once per call.  No kernel is lifted at
+    degree s; where the bounds do not meet, the rank comes from the
     lifted-kernel certificate of policy.rank.
     """
     if not policy.modular:
         return [policy.rank(syzygy_matrix(ctx, s)) if s >= 0 else 0 for s in degrees]
-    relations = relation_generators(ctx, max(degrees), policy)
+    relations = relation_generators(ctx, policy)
     if max(degrees) >= ctx.d - 1:
-        relations += [(ctx.d - 1, v) for v in _koszul_relations(ctx)]
+        relations += tuple((ctx.d - 1, v) for v in _koszul_relations(ctx))
     residues = _residues(relations)
 
     @cache
@@ -508,21 +501,23 @@ def mdr(
 ) -> SyzygyWitness | AtLeast:
     """Minimal degree of a gradient relation, with a canonical witness.
 
-    Searches degrees 0 .. d-2 in order; every kernel element in that range
-    is a genuine relation (the Koszul relations only start in degree d-1).
-    Returns :class:`AtLeast` (d-1) when all searched kernels are trivial.
-    The returned witness is re-verified by exact expansion.
+    The witness is the first vector of the first nonzero kernel in degrees
+    0 .. d-2, where every kernel vector is a relation: the first of
+    relation_generators under the modular policy, while the exact policy
+    takes the kernels itself.  Returns :class:`AtLeast` (d-1) when there
+    is none.  The witness is re-verified by exact expansion.
     """
-    for r in range(0, ctx.d - 1):
-        kernel = _kernel(ctx, r, policy)
-        if kernel.dimension > 0:
-            witness = _vector_to_witness(r, kernel.vectors[0])
-            if not verify_witness(ctx, witness):
-                raise AssertionError(
-                    f"kernel vector failed exact re-verification in degree {r}"
-                )
-            return witness
-    return AtLeast(ctx.d - 1)
+    if policy.modular:
+        first = next(iter(relation_generators(ctx, policy)), None)
+    else:
+        kernels = ((r, policy.kernel(syzygy_matrix(ctx, r)).vectors) for r in range(ctx.d - 1))
+        first = next(((r, vectors[0]) for r, vectors in kernels if vectors), None)
+    if first is None:
+        return AtLeast(ctx.d - 1)
+    witness = _vector_to_witness(*first)
+    if not verify_witness(ctx, witness):
+        raise AssertionError(f"kernel vector failed exact re-verification in degree {witness.r}")
+    return witness
 
 
 def syzygy_space_dimension(

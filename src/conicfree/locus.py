@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from conicfree.linalg import _rat_reconstruct
@@ -92,10 +93,9 @@ class ConicArrangement:
         for i, q in enumerate(self.components):
             if not conic_is_smooth(q):
                 raise ValueError(f"component {i} is not a smooth conic: {q}")
-        for i in range(len(self.components)):
-            for j in range(i + 1, len(self.components)):
-                if self.components[i].is_proportional_to(self.components[j]):
-                    raise ValueError(f"components {i} and {j} coincide")
+        for i, j in combinations(range(len(self.components)), 2):
+            if self.components[i].is_proportional_to(self.components[j]):
+                raise ValueError(f"components {i} and {j} coincide")
 
     @classmethod
     def from_texts(cls, texts: list[str]) -> "ConicArrangement":
@@ -740,8 +740,13 @@ def classify_point(
     the assume_qh flag) and is unknown otherwise.
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
-    ints = [_integer_conic(q) for q in arr.components]
-    return _classify(arr, ints, point, assume_qh, jets)
+    comps = arr.components
+    members = _members([_integer_conic(q) for q in comps], point)
+    mults = {
+        (i, j): local_intersection_multiplicity(comps[i], comps[j], point, jets=jets)
+        for i, j in combinations(members, 2)
+    }
+    return _classify(point, members, mults, assume_qh)
 
 
 def _members(ints: list[IntConic], point: ProjectivePoint) -> list[int]:
@@ -750,25 +755,19 @@ def _members(ints: list[IntConic], point: ProjectivePoint) -> list[int]:
 
 
 def _classify(
-    arr: ConicArrangement,
-    ints: list[IntConic],
     point: ProjectivePoint,
+    members: list[int],
+    pair_mults: dict[tuple[int, int], int],
     assume_qh: bool,
-    jets: JetTable | None,
 ) -> SingularPointRecord:
-    """:func:`classify_point`, given also the integer conics of arr."""
-    members = _members(ints, point)
+    """:func:`classify_point`, given the components through point and the
+    intersection multiplicity there of every pair of them."""
     if len(members) < 2:
         raise NotSingularError(
             f"{point} lies on {len(members)} component(s); not a singular point"
         )
-    pair_mults: dict[tuple[int, int], int] = {}
-    for a_idx in range(len(members)):
-        for b_idx in range(a_idx + 1, len(members)):
-            i, j = members[a_idx], members[b_idx]
-            pair_mults[(i, j)] = local_intersection_multiplicity(
-                arr.components[i], arr.components[j], point, jets=jets
-            )
+    if pair_mults.keys() != set(combinations(members, 2)):
+        raise AssertionError(f"scans located {point} on pairs {sorted(pair_mults)} of {members}")
     r = len(members)
     total = sum(pair_mults.values())
     mu = 2 * total - r + 1
@@ -808,37 +807,33 @@ def survey(
     complete exactly when every pair's Bezout budget of 4 is explained by
     classified rational points.
     """
-    k = arr.k
     comps = arr.components
     # the arrangement already checked that its components are smooth and
     # pairwise distinct, so the pairs go straight to the scan
     ints = [_integer_conic(q) for q in comps]
     jets: JetTable = {}  # each (component, point) jet is built once per survey
-    candidates: dict[ProjectivePoint, None] = {}
+    # point -> {(i, j): multiplicity} for every pair whose scan located it
+    located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
     residual_transversal = True
-    for i in range(k):
-        for j in range(i + 1, k):
-            pair = _pair_scan(comps[i], comps[j], ints[i], ints[j], jets)
-            for pt, _ in pair.points:
-                candidates.setdefault(pt, None)
-            if pair.residual and not pair.residual_transversal:
-                residual_transversal = False
+    for i, j in combinations(range(arr.k), 2):
+        pair = _pair_scan(comps[i], comps[j], ints[i], ints[j], jets)
+        for pt, m in pair.points:
+            located.setdefault(pt, {})[(i, j)] = m
+        if pair.residual and not pair.residual_transversal:
+            residual_transversal = False
     for pt in extra_points or []:
         if len(_members(ints, pt)) >= 2:
-            candidates.setdefault(pt, None)
+            located.setdefault(pt, {})
     records = tuple(
-        _classify(arr, ints, pt, assume_qh, jets)
-        for pt in sorted(candidates, key=lambda p: p.coords())
+        _classify(pt, _members(ints, pt), located[pt], assume_qh)
+        for pt in sorted(located, key=lambda p: p.coords())
     )
     residual_per_pair: dict[tuple[int, int], int] = {}
-    for i in range(k):
-        for j in range(i + 1, k):
-            located = sum(rec.mult(i, j) for rec in records)
-            if located > 4:
-                raise AssertionError(
-                    f"pair ({i},{j}) exceeds its Bezout budget: {located}"
-                )
-            residual_per_pair[(i, j)] = 4 - located
+    for i, j in combinations(range(arr.k), 2):
+        explained = sum(rec.mult(i, j) for rec in records)
+        if explained > 4:
+            raise AssertionError(f"pair ({i},{j}) exceeds its Bezout budget: {explained}")
+        residual_per_pair[(i, j)] = 4 - explained
     complete = all(v == 0 for v in residual_per_pair.values())
     return LocusSurvey(
         arrangement=arr,

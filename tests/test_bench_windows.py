@@ -1,4 +1,5 @@
-"""scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json."""
+"""scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
+with the curve's d1 and a timed mdr plus window."""
 
 import importlib.util
 import json
@@ -19,6 +20,9 @@ def _script():
     return module
 
 
+D1 = {"pencil_four_points_m7": 2, "generic_k5": 8}
+
+
 @pytest.mark.parametrize("name", ["pencil_four_points_m7", "generic_k5"])
 def test_time_one_returns_the_recorded_window(name, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # time_one puts src first
@@ -27,4 +31,5 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
     assert {k: result[k] for k in ("d", "window", "tau")} == {
         k: recorded[k] for k in ("d", "window", "tau")
     }
-    assert result["s"] > 0
+    assert result["d1"] == D1[name]
+    assert result["s"] > 0 and result["pipeline_s"] > 0

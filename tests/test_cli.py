@@ -262,6 +262,23 @@ def test_supersolvable_geometric_and_incidence(tmp_path, capsys):
     assert code == 2 and "incomplete" in err
 
 
+def test_supersolvable_never_expands_the_arrangement(tmp_path, capsys, monkeypatch):
+    """The survey reads the components alone; the product polynomial is left unbuilt."""
+    from conicfree.corpus import CorpusEntry, entry
+    from conicfree.locus import ConicArrangement
+
+    def refuse(self):
+        raise AssertionError("the curve polynomial was expanded")
+
+    monkeypatch.setattr(ConicArrangement, "polynomial", refuse)
+    monkeypatch.setattr(CorpusEntry, "polynomial", refuse)
+    arr = tmp_path / "ploski.txt"
+    arr.write_text("\n".join(entry("ploski_m3").component_texts) + "\n")
+    for source in (str(arr), "corpus:ploski_m3"):
+        code, out, _ = run_cli(capsys, "supersolvable", source, "--json")
+        assert code == 0 and json.loads(out)["supersolvable"] is True, source
+
+
 def test_corpus_listing(capsys):
     code, out, _ = run_cli(capsys, "corpus")
     assert code == 0

@@ -511,3 +511,67 @@ def test_survey_invariant_under_rational_coordinate_changes():
                 )
                 images.append(image.point)
             assert sorted(images, key=lambda p: p.coords()) == [r.point for r in tv.records]
+
+
+def _bench_inputs():
+    """The benchmark's input generators (perfbench/inputs.py)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_INPUTS = _bench_inputs()
+
+
+def _records_match_classify_point(arr, assume_qh=False):
+    """Every survey record equals classify_point, which measures the pair
+    multiplicities from branch jets instead of reading the pair scans."""
+    sv = survey(arr, assume_qh=assume_qh)
+    for rec in sv.records:
+        assert classify_point(arr, rec.point, assume_qh) == rec, rec.point
+    return sv
+
+
+def test_survey_records_match_classify_point_on_the_corpus():
+    from conicfree.corpus import corpus_entries
+
+    entries = [e for e in corpus_entries() if e.component_texts]
+    records = [_records_match_classify_point(e.arrangement(), e.assume_qh).records for e in entries]
+    assert len(entries) == 15 and all(records)
+
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), contact=st.sampled_from([2, 3, 4]))
+def test_survey_records_match_classify_point_on_planted_pairs(seed, contact):
+    import random
+
+    conics, expect = BENCH_INPUTS._planted_pair(random.Random(seed), contact, (1, 64))
+    arr = ConicArrangement.from_texts([BENCH_INPUTS.conic_text(q) for q in conics])
+    sv = _records_match_classify_point(arr)
+    assert expect["type"] in {str(rec.sing_type) for rec in sv.records}
+
+
+def test_survey_refuses_a_point_a_member_pair_scan_missed(monkeypatch):
+    """The three pencil members meet at four base points; if the scan of the
+    first pair locates none of them, classifying them must fail, not guess."""
+    import dataclasses
+
+    import conicfree.locus as locus
+
+    arr = ConicArrangement.from_texts([PENCIL_F, PENCIL_G, f"({PENCIL_F})+({PENCIL_G})"])
+    real = locus._pair_scan
+    scans = []
+
+    def first_pair_blind(*args):
+        scans.append(real(*args))
+        return dataclasses.replace(scans[-1], points=()) if len(scans) == 1 else scans[-1]
+
+    monkeypatch.setattr(locus, "_pair_scan", first_pair_blind)
+    with pytest.raises(AssertionError, match="located"):
+        survey(arr)

@@ -45,14 +45,19 @@ def _curve(texts):
 
 
 @lru_cache(maxsize=None)
-def _generic_inputs(seed):
+def _generic_texts(seed):
     """The benchmark's generic arrangements for a seed: eight sextics and one octic."""
     spec = importlib.util.spec_from_file_location(
         "bench_inputs", ROOT / "perfbench" / "inputs.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return tuple(_curve(item["texts"]) for item in module.generic_inputs(seed))
+    return tuple(tuple(item["texts"]) for item in module.generic_inputs(seed))
+
+
+@lru_cache(maxsize=None)
+def _generic_inputs(seed):
+    return tuple(_curve(texts) for texts in _generic_texts(seed))
 
 
 @lru_cache(maxsize=None)
@@ -67,8 +72,8 @@ def _window_shifts(ctx):
 
 def _relations(ctx):
     """The exact relations whose multiples form F at the window degrees."""
-    koszul = [(ctx.d - 1, v) for v in jacobian._koszul_relations(ctx)]
-    return relation_generators(ctx, ctx.d - 2) + koszul
+    koszul = tuple((ctx.d - 1, v) for v in jacobian._koszul_relations(ctx))
+    return relation_generators(ctx) + koszul
 
 
 def _refuse(matrix):
@@ -97,6 +102,20 @@ def fallbacks(monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(linalg, "rank_certified", spy)
+    return calls
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """Count the calls of the certified kernel."""
+    calls = []
+    original = linalg.kernel_basis_certified
+
+    def spy(matrix):
+        calls.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "kernel_basis_certified", spy)
     return calls
 
 
@@ -208,7 +227,7 @@ def test_generator_degrees_are_the_exponents():
     checked = 0
     for e, ctx in _corpus():
         d, d1, verdict = ctx.d, e.expected["d1"], e.expected["verdict"]
-        degrees = sorted(r for r, _ in relation_generators(ctx, d - 2))
+        degrees = sorted(r for r, _ in relation_generators(ctx))
         if verdict == FREE:
             assert degrees == sorted([d1, d - 1 - d1]), e.name
             checked += 1
@@ -437,3 +456,48 @@ def test_relation_count_never_exceeds_the_nullity_up_to_degree_eight():
 @given(st.lists(_CONIC, min_size=2, max_size=3, unique_by=_primitive))
 def test_relation_count_never_exceeds_the_nullity_on_products_of_conics(conics):
     _relation_count_at_most_rank(_curve([_conic_text(q) for q in conics]))
+
+
+def test_mdr_and_the_window_share_one_relation_walk(monkeypatch, kernels):
+    """mdr then hilbert_profile on a fresh context of the generic octic build
+    each matrix of degree <= d-2 once and take one certified kernel, at d1,
+    whose first vector is the witness."""
+    ctx = _curve(_generic_texts(1)[-1])
+    builds = []
+    original = jacobian.syzygy_matrix
+
+    def spy(curve, r):
+        builds.append(r)
+        return original(curve, r)
+
+    monkeypatch.setattr(jacobian, "syzygy_matrix", spy)
+    witness = mdr(ctx)
+    assert hilbert_profile(ctx).tau == 24 and ctx.d == 8
+    assert sorted(r for r in builds if r <= ctx.d - 2) == list(range(ctx.d - 1))
+    generators = relation_generators(ctx)
+    assert len(kernels) == 1 and generators[0][0] == witness.r
+    assert witness == jacobian._vector_to_witness(*generators[0])
+
+
+def test_one_certified_kernel_per_generator_degree(kernels):
+    """On fresh contexts of the corpus and generic curves the walk takes a
+    kernel exactly where a generator joins, and mdr takes none of its own."""
+    curves = [JacobianContext.for_curve(e.polynomial()) for e in corpus_entries()]
+    curves += [_curve(texts) for texts in _generic_texts(1)]
+    for ctx in curves:
+        kernels.clear()
+        generators = relation_generators(ctx)
+        assert len(kernels) == len({e for e, _ in generators}), ctx.f
+        witness = mdr(ctx)
+        assert len(kernels) == len({e for e, _ in generators}), ctx.f
+        if generators:
+            assert witness == jacobian._vector_to_witness(*generators[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_CONIC, min_size=2, max_size=3, unique_by=_primitive))
+def test_mdr_engines_agree_on_products_of_conics(conics):
+    """The modular mdr (the first generator of the walk) equals the exact
+    engine's kernel loop, witness included."""
+    ctx = _curve([_conic_text(q) for q in conics])
+    assert mdr(ctx) == mdr(ctx, EXACT_POLICY)
