@@ -43,19 +43,14 @@ from conicfree.jacobian import (
     HilbertProfile,
     JacobianContext,
     SyzygyWitness,
-    UnstableWindowError,
     hilbert_profile,
     mdr,
     milnor_dim,
     syzygy_matrix,
-    total_tjurina,
     verify_witness,
 )
 from conicfree.linalg import (
-    DEFAULT_POLICY,
-    EXACT_POLICY,
     KernelBasis,
-    LinalgPolicy,
     RatMatrix,
     kernel_basis,
     rank,
@@ -64,7 +59,6 @@ from conicfree.linalg import (
 from conicfree.locus import (
     BranchJet,
     ConicArrangement,
-    IrrationalTangentFrameError,
     LocusSurvey,
     NotSingularError,
     SingType,

@@ -30,8 +30,6 @@ from conicfree.combinatorics import (
 )
 from conicfree.corpus import CorpusNotFoundError, corpus_entries, entry, run_regression
 from conicfree.freeness import check_deformation
-from conicfree.jacobian import UnstableWindowError
-from conicfree.linalg import DEFAULT_POLICY, EXACT_POLICY, LinalgPolicy
 from conicfree.locus import ConicArrangement
 from conicfree.poly import (
     HomogeneousPolynomial,
@@ -57,12 +55,6 @@ EXIT_INTERNAL = 3
 
 class InputError(ValueError):
     pass
-
-
-def _policy(args: argparse.Namespace) -> LinalgPolicy:
-    if getattr(args, "modular_linalg", "on") == "off":
-        return EXACT_POLICY
-    return DEFAULT_POLICY
 
 
 def _read_points_file(path: str) -> list[ProjectivePoint]:
@@ -128,7 +120,6 @@ def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis
         resolved.f,
         arrangement=resolved.arrangement,
         source=resolved.source,
-        policy=_policy(args),
         assume_qh=getattr(args, "assume_qh", False) or resolved.assume_qh,
         extra_points=_read_points_file(args.points) if getattr(args, "points", None) else None,
         window_extend=getattr(args, "window_extend", 0),
@@ -291,7 +282,7 @@ def cmd_corpus(args: argparse.Namespace) -> int:
 
 def cmd_regress(args: argparse.Namespace) -> int:
     names = args.names or None
-    table = run_regression(names, policy=_policy(args))
+    table = run_regression(names)
     print(table.render())
     failures = table.failures()
     print(f"{len(table.rows)} checks, {len(failures)} failures")
@@ -307,12 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, points: bool = True) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument(
-            "--modular-linalg",
-            choices=("on", "off"),
-            default="on",
-            help="certified modular linear algebra (on) or pure rational (off)",
-        )
         if points:
             p.add_argument("--assume-qh", action="store_true", help="treat ordinary points of multiplicity >= 5 as quasi-homogeneous")
             p.add_argument("--points", metavar="FILE", help="extra rational points, one x:y:z per line")
@@ -353,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="recompute expected corpus invariants")
     p.add_argument("names", nargs="*", help="entry names (default: all)")
-    p.add_argument("--modular-linalg", choices=("on", "off"), default="on")
     p.set_defaults(func=cmd_regress)
 
     return parser
@@ -370,13 +354,11 @@ def main(argv: list[str] | None = None) -> int:
         NonHomogeneousError,
         CorpusNotFoundError,
         FileNotFoundError,
+        IsADirectoryError,
         ValueError,
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except UnstableWindowError as err:
-        print(f"inconclusive: {err}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except Exception as err:  # pragma: no cover - internal faults
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL

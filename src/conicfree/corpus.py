@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from conicfree.freeness import FREE, NEARLY_FREE, NEITHER, effective_inventory
 from conicfree.jacobian import SyzygyWitness, verify_witness
-from conicfree.linalg import DEFAULT_POLICY, LinalgPolicy
 from conicfree.locus import ConicArrangement
 from conicfree.poly import (
     AffinePolynomial,
@@ -407,13 +406,12 @@ def diagonal_germ_tau(g: AffinePolynomial) -> int | None:
     return None
 
 
-def analyze_entry(e: CorpusEntry, policy: LinalgPolicy = DEFAULT_POLICY) -> Analysis:
+def analyze_entry(e: CorpusEntry) -> Analysis:
     """Run an entry through the full analysis pipeline."""
     return analyze_curve(
         e.polynomial(),
         arrangement=e.arrangement(),
         source=f"corpus:{e.name}",
-        policy=policy,
         assume_qh=e.assume_qh,
     )
 
@@ -499,9 +497,7 @@ def check_entry(e: CorpusEntry, analysis: Analysis) -> list[RegressionRow]:
     return rows
 
 
-def run_regression(
-    names: list[str] | None = None, policy: LinalgPolicy = DEFAULT_POLICY
-) -> RegressionTable:
+def run_regression(names: list[str] | None = None) -> RegressionTable:
     """Recompute expected fields for the selected entries (all by default)."""
     if names is None:
         selected = list(corpus_entries())
@@ -509,5 +505,5 @@ def run_regression(
         selected = [entry(n) for n in names]
     rows: list[RegressionRow] = []
     for e in selected:
-        rows.extend(check_entry(e, analyze_entry(e, policy)))
+        rows.extend(check_entry(e, analyze_entry(e)))
     return RegressionTable(rows=tuple(rows))

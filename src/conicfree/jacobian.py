@@ -12,12 +12,12 @@ AR(f)_s, the relations of degree s.  Kernels come from conicfree.linalg
 as primitive integer vectors, so a kernel vector is a relation as it
 stands, and the witness of mdr is the first one with its sign fixed.
 
-Under the modular policy each rank is certified two-sided with no kernel
-lifted at degree s, and both bounds count leading terms the same way.  One
-routine eliminates a span mod p (one prime below 2^31) with its columns in
-position-over-grevlex order (component first, descending grevlex within a
-component) and reads off its leading terms; a second multiplies them by
-the monomials of a higher degree.  Under that order a monomial times a
+Each rank is certified two-sided with no kernel lifted at degree s, and
+both bounds count leading terms the same way.  One routine eliminates a
+span mod p (one prime below 2^31) with its columns in position-over-grevlex
+order (component first, descending grevlex within a component) and reads
+off its leading terms; a second multiplies them by the monomials of a
+higher degree.  Under that order a monomial times a
 leading term is the leading term of the product, so the products number
 at most the rank mod p of the multiplied span.  From below: the gradient
 ideal J is generated in degree d-1, so J_{t+1} = S_1 J_t; its leading
@@ -31,11 +31,10 @@ exact relations: generators found by one walk per curve over degrees
 fall short; mdr reads d1 and its witness off the first generator) and the
 three Koszul relations
 (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified
-exactly as one array product.  rank_p(F) is bounded from below by rows
-with distinct leading columns before any elimination, and where that
-count falls short by leading terms (three components): every relation in
-F has degree <= d-1, so F_s = S_{s-d+1} F_{d-1}, and F_{d-1} is
-eliminated once per window, F_s only where both counts fall short.  Bounds
+exactly as one array product.  At the window degrees rank_p(F) is
+bounded from below by leading terms (three components): every relation
+in F has degree <= d-1, so F_s = S_{s-d+1} F_{d-1}, and F_{d-1} is
+eliminated once per window, F_s only where that count falls short.  Bounds
 that overlap, or a row of F that a fixed pseudo-random combination shows
 is no relation mod p, raise: either means a fault in building F.  Where
 the bounds do not meet, the rank comes from the lifted-kernel certificate
@@ -52,9 +51,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# the certified engine is called as linalg.rank_certified and
+# linalg.kernel_basis_certified, looked up at call time, so that code
+# replacing those attributes of conicfree.linalg reaches these calls
+from conicfree import linalg
 from conicfree.linalg import (
-    DEFAULT_POLICY,
-    LinalgPolicy,
     RatMatrix,
     _kills,
     _SparseRows,
@@ -73,18 +74,6 @@ from conicfree.poly import (
 )
 
 
-class UnstableWindowError(ArithmeticError):
-    """The three probed Hilbert values disagree.
-
-    For squarefree input the graded dimensions are constant on the probed
-    window, so disagreement signals a non-reduced curve (or a caller bug).
-    """
-
-    def __init__(self, window: list[tuple[int, int]]):
-        super().__init__(f"Hilbert window did not stabilize: {window}")
-        self.window = window
-
-
 @dataclass(frozen=True)
 class JacobianContext:
     """A curve together with its degree and partial derivatives."""
@@ -92,9 +81,9 @@ class JacobianContext:
     f: HomogeneousPolynomial
     d: int
     partials: tuple[HomogeneousPolynomial, HomogeneousPolynomial, HomogeneousPolynomial]
-    # relation_generators by policy: the one relation walk per curve, read
-    # by mdr and by the ranks of the Hilbert window
-    generators: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # relation_generators, None until it runs: the one relation walk per
+    # curve, read by mdr and by the ranks of the Hilbert window
+    generators: tuple | None = field(default=None, init=False, compare=False, repr=False)
     # by degree s where A_s was eliminated: the grevlex leading monomials
     # mod p of the gradient ideal in degree s+d-1 (_leading_terms of A_s^T)
     leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -238,23 +227,6 @@ def _koszul_relations(ctx: JacobianContext) -> np.ndarray:
     return rows
 
 
-def _independent_rows(multiples: np.ndarray) -> int:
-    """A lower bound for rank_p(multiples), read off the supports alone.
-
-    Rows whose leading columns under one order of the columns are pairwise
-    distinct form an echelon form up to order, so they are independent mod
-    p.  The orders tried: column order and its reverse, and the order by
-    monomial first and component second and its reverse.  Multiplication by
-    a monomial preserves all four, so the multiples of one relation have
-    distinct leading columns under each.  Returns the largest count.
-    """
-    support = multiples[multiples.any(axis=1)] != 0
-    cols = support.shape[1]
-    by_term = support.reshape(-1, 3, cols // 3).transpose(0, 2, 1).reshape(-1, cols)
-    orders = (support, support[:, ::-1], by_term, by_term[:, ::-1])
-    return max(len(np.unique(m.argmax(axis=1))) for m in orders)
-
-
 def _residues(relations: Sequence[Relation]) -> list[Relation]:
     """The relations with their vectors reduced mod p, as int64."""
     return [(e, residues_mod(vec)) for e, vec in relations]
@@ -322,22 +294,22 @@ def _certified_rank(
     The rows of multiples are relations (mod p), so rank_p(A_s) <= rank <=
     cols - rank_p(multiples) over the rationals: a nonzero minor mod p is
     nonzero over Q, and relations independent mod p are independent kernel
-    vectors.  rank_p(multiples) is bounded from below by _independent_rows
-    and, where that falls short, by the multiples of terms(): for s >= d-1
-    the rows of multiples span S_{s-d+1} times the relation multiples in
-    degree d-1, and terms() gives their leading terms (called only here).
-    multiples is eliminated only when both counts fall short, and A_s
-    itself only when the bounds still do, which records its leading
-    monomials for the degrees above.  A sum above cols can only come from a
-    row that is not a relation, and raises; so does a row that
-    _relations_mod_p catches before a rank is accepted.
+    vectors.  Given terms(), rank_p(multiples) is bounded from below by the
+    multiples of its leading terms: for s >= d-1 the rows of multiples span
+    S_{s-d+1} times the relation multiples in degree d-1, and terms() gives
+    their leading terms (called only here).  multiples is eliminated only
+    when the bounds fall short without it, and A_s itself only when they
+    still do, which records its leading monomials for the degrees above.  A
+    sum above cols can only come from a row that is not a relation, and
+    raises; so does a row that _relations_mod_p catches before a rank is
+    accepted.
     """
     shift = ctx.d - 1
     e = max((r for r in ctx.leading if r <= s), default=None)
     lower = 0 if e is None else len(_leading_multiples(ctx.leading[e], e + shift, s + shift))
-    spanned = _independent_rows(multiples)
-    if lower + spanned < matrix.cols and terms is not None:
-        spanned = max(spanned, len(_leading_multiples(terms(), shift, s)))
+    spanned = 0
+    if lower < matrix.cols and terms is not None:
+        spanned = len(_leading_multiples(terms(), shift, s))
     if lower + spanned < matrix.cols:
         spanned = rank_mod(multiples)
     if lower + spanned < matrix.cols:
@@ -355,12 +327,10 @@ def _certified_rank(
     return lower
 
 
-def relation_generators(
-    ctx: JacobianContext, policy: LinalgPolicy = DEFAULT_POLICY
-) -> tuple[Relation, ...]:
+def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """Exact relations whose monomial multiples span every relation of degree <= d-2.
 
-    The one relation walk of a curve, memoised per policy in ctx.generators.
+    The one relation walk of a curve, memoised in ctx.generators.
     It walks the degrees e = 0 .. d-2, where every kernel vector is a
     relation that is not a Koszul one.  Where the multiples of the
     relations found so far certify the rank of A_e (_certified_rank, which
@@ -381,39 +351,34 @@ def relation_generators(
     certificate is two-sided and a missing generator only costs the
     fallback.
     """
-    if policy in ctx.generators:
-        return ctx.generators[policy]
+    if ctx.generators is not None:
+        return ctx.generators
     found: list[Relation] = []
     for e in range(ctx.d - 1):
         known = _relation_multiples(_residues(found), e)
         matrix = syzygy_matrix(ctx, e)
         if _certified_rank(ctx, e, matrix, known) is not None:
             continue
-        vectors = policy.kernel(matrix).vectors
+        vectors = linalg.kernel_basis_certified(matrix).vectors
         kernel = np.array(vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
         basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
         found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
-    ctx.generators[policy] = tuple(found)
-    return ctx.generators[policy]
+    object.__setattr__(ctx, "generators", tuple(found))
+    return ctx.generators
 
 
-def _syzygy_ranks(
-    ctx: JacobianContext, degrees: list[int], policy: LinalgPolicy
-) -> list[int]:
+def _syzygy_ranks(ctx: JacobianContext, degrees: list[int]) -> list[int]:
     """rank syzygy_matrix(ctx, s) for each s in degrees, 0 for s < 0.
 
-    The exact engine ranks each matrix itself.  The modular policy
-    certifies each rank two-sided (_certified_rank): below by the multiples
+    Each rank is certified two-sided (_certified_rank): below by the multiples
     of the leading monomials recorded by relation_generators, the curve's
     one relation walk; above by the multiples of its generators and, once a
     degree reaches d-1, of the three Koszul relations, whose leading terms
     in degree d-1 are taken at most once per call.  No kernel is lifted at
     degree s; where the bounds do not meet, the rank comes from the
-    lifted-kernel certificate of policy.rank.
+    lifted-kernel certificate of linalg.rank_certified.
     """
-    if not policy.modular:
-        return [policy.rank(syzygy_matrix(ctx, s)) if s >= 0 else 0 for s in degrees]
-    relations = relation_generators(ctx, policy)
+    relations = relation_generators(ctx)
     if max(degrees) >= ctx.d - 1:
         relations += tuple((ctx.d - 1, v) for v in _koszul_relations(ctx))
     residues = _residues(relations)
@@ -428,23 +393,19 @@ def _syzygy_ranks(
         certified = _certified_rank(
             ctx, s, matrix, multiples, terms if s >= ctx.d - 1 else None
         )
-        return policy.rank(matrix) if certified is None else certified
+        return linalg.rank_certified(matrix) if certified is None else certified
 
     return [rank(s) if s >= 0 else 0 for s in degrees]
 
 
-def milnor_dim(
-    ctx: JacobianContext, t: int, policy: LinalgPolicy = DEFAULT_POLICY
-) -> int:
+def milnor_dim(ctx: JacobianContext, t: int) -> int:
     """Dimension of the degree-t piece of S modulo the gradient ideal."""
     if t < 0:
         raise ValueError("degree must be nonnegative")
-    return degree_dimension(t) - _syzygy_ranks(ctx, [t - ctx.d + 1], policy)[0]
+    return degree_dimension(t) - _syzygy_ranks(ctx, [t - ctx.d + 1])[0]
 
 
-def hilbert_profile(
-    ctx: JacobianContext, extend: int = 0, policy: LinalgPolicy = DEFAULT_POLICY
-) -> HilbertProfile:
+def hilbert_profile(ctx: JacobianContext, extend: int = 0) -> HilbertProfile:
     """Hilbert values on [3d-6, 3d-4 + extend] with the stabilization verdict.
 
     The probed values equal the total Tjurina number for every singular
@@ -456,7 +417,7 @@ def hilbert_profile(
     """
     lo = 3 * ctx.d - 6
     degrees = range(lo, lo + 3 + max(extend, 0))
-    ranks = _syzygy_ranks(ctx, [t - ctx.d + 1 for t in degrees], policy)
+    ranks = _syzygy_ranks(ctx, [t - ctx.d + 1 for t in degrees])
     window = tuple((t, degree_dimension(t) - r) for t, r in zip(degrees, ranks))
     core = [v for _, v in window[:3]]
     smooth = core == [1, 0, 0]
@@ -468,18 +429,6 @@ def hilbert_profile(
     else:
         tau = None
     return HilbertProfile(window=window, tau=tau, smooth=smooth)
-
-
-def total_tjurina(ctx: JacobianContext, policy: LinalgPolicy = DEFAULT_POLICY) -> int:
-    """Total Tjurina number via stabilization of the Hilbert function.
-
-    Returns :attr:`HilbertProfile.tau`; raises :class:`UnstableWindowError`
-    when the window is unstable.
-    """
-    profile = hilbert_profile(ctx, policy=policy)
-    if profile.tau is None:
-        raise UnstableWindowError(list(profile.window))
-    return profile.tau
 
 
 def _vector_to_witness(r: int, vec: Sequence[int]) -> SyzygyWitness:
@@ -496,36 +445,21 @@ def _vector_to_witness(r: int, vec: Sequence[int]) -> SyzygyWitness:
     return SyzygyWitness(r, *parts)
 
 
-def mdr(
-    ctx: JacobianContext, policy: LinalgPolicy = DEFAULT_POLICY
-) -> SyzygyWitness | AtLeast:
+def mdr(ctx: JacobianContext) -> SyzygyWitness | AtLeast:
     """Minimal degree of a gradient relation, with a canonical witness.
 
     The witness is the first vector of the first nonzero kernel in degrees
     0 .. d-2, where every kernel vector is a relation: the first of
-    relation_generators under the modular policy, while the exact policy
-    takes the kernels itself.  Returns :class:`AtLeast` (d-1) when there
-    is none.  The witness is re-verified by exact expansion.
+    relation_generators.  Returns :class:`AtLeast` (d-1) when there is
+    none.  The witness is re-verified by exact expansion.
     """
-    if policy.modular:
-        first = next(iter(relation_generators(ctx, policy)), None)
-    else:
-        kernels = ((r, policy.kernel(syzygy_matrix(ctx, r)).vectors) for r in range(ctx.d - 1))
-        first = next(((r, vectors[0]) for r, vectors in kernels if vectors), None)
+    first = next(iter(relation_generators(ctx)), None)
     if first is None:
         return AtLeast(ctx.d - 1)
     witness = _vector_to_witness(*first)
     if not verify_witness(ctx, witness):
         raise AssertionError(f"kernel vector failed exact re-verification in degree {witness.r}")
     return witness
-
-
-def syzygy_space_dimension(
-    ctx: JacobianContext, r: int, policy: LinalgPolicy = DEFAULT_POLICY
-) -> int:
-    """Dimension of the space of degree-r relations among the partials."""
-    matrix = syzygy_matrix(ctx, r)
-    return matrix.cols - policy.rank(matrix)
 
 
 def verify_witness(ctx: JacobianContext, witness: SyzygyWitness) -> bool:

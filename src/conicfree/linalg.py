@@ -774,20 +774,3 @@ def kernel_basis_certified(matrix: RatMatrix) -> KernelBasis:
     if result is not None and result.kernel is not None:
         return result.kernel
     return kernel_basis(matrix)
-
-
-@dataclass(frozen=True)
-class LinalgPolicy:
-    """Chooses between the exact baseline and the certified modular engine."""
-
-    modular: bool = True
-
-    def rank(self, matrix: RatMatrix) -> int:
-        return rank_certified(matrix) if self.modular else rank(matrix)
-
-    def kernel(self, matrix: RatMatrix) -> KernelBasis:
-        return kernel_basis_certified(matrix) if self.modular else kernel_basis(matrix)
-
-
-DEFAULT_POLICY = LinalgPolicy(modular=True)
-EXACT_POLICY = LinalgPolicy(modular=False)

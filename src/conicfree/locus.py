@@ -41,15 +41,6 @@ class NotSingularError(ValueError):
     """Fewer than two components pass through the point."""
 
 
-class IrrationalTangentFrameError(ValueError):
-    """Tangent normalization would need an irrational frame.
-
-    Unreachable for rational points on rational conics (the tangent of a
-    rational conic at a rational point is rational); kept as a declared
-    failure mode of the jet construction.
-    """
-
-
 @dataclass(frozen=True)
 class SingType:
     """Local singularity type in the vocabulary this tool recognizes."""

@@ -37,7 +37,6 @@ from conicfree.jacobian import (
     mdr,
     verify_witness,  # unused here; perfbench/spans.py hooks report.verify_witness
 )
-from conicfree.linalg import DEFAULT_POLICY, LinalgPolicy
 from conicfree.locus import ConicArrangement, LocusSurvey, survey
 from conicfree.poly import HomogeneousPolynomial, ProjectivePoint
 
@@ -80,15 +79,14 @@ def analyze_curve(
     f: HomogeneousPolynomial,
     arrangement: ConicArrangement | None = None,
     source: str = "<expression>",
-    policy: LinalgPolicy = DEFAULT_POLICY,
     assume_qh: bool = False,
     extra_points: list[ProjectivePoint] | None = None,
     window_extend: int = 0,
 ) -> Analysis:
     """Run the full pipeline: relation degree, Tjurina window, verdict, survey."""
     ctx = JacobianContext.for_curve(f)
-    witness = mdr(ctx, policy)
-    profile = hilbert_profile(ctx, extend=window_extend, policy=policy)
+    witness = mdr(ctx)
+    profile = hilbert_profile(ctx, extend=window_extend)
     tau = profile.tau
     report = None
     if tau is not None:

@@ -86,14 +86,6 @@ def test_analyze_window_extend(capsys):
     assert [v for _, v in doc["tjurina"]["window"]] == [7] * 5
 
 
-def test_analyze_modular_off_matches_default(capsys):
-    _, out_on, _ = run_cli(capsys, "analyze", "corpus:ploski_m2", "--json")
-    _, out_off, _ = run_cli(
-        capsys, "analyze", "corpus:ploski_m2", "--json", "--modular-linalg", "off"
-    )
-    assert json.loads(out_on) == json.loads(out_off)
-
-
 def test_analyze_arrangement_file(tmp_path, capsys):
     path = tmp_path / "arr.txt"
     path.write_text(
@@ -192,6 +184,20 @@ def test_classify_assume_qh_and_points_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert all(rec["tau"] == 16 for rec in doc["survey"]["records"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{dir}"),
+        ("supersolvable", "{dir}"),
+        ("classify", "corpus:pencil_four_points_m5", "--points", "{dir}"),
+    ],
+    ids=["analyze", "supersolvable", "points"],
+)
+def test_a_directory_for_a_file_is_an_input_error(argv, tmp_path, capsys):
+    code, _, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 1 and str(tmp_path) in err
 
 
 def test_theorems_commands(capsys):

@@ -23,9 +23,9 @@ from conicfree.corpus import (
     run_regression,
     two_conics_a7,
 )
-from conicfree.linalg import EXACT_POLICY
 from conicfree.poly import AffinePolynomial, ProjectivePoint, dehomogenize
 from conicfree.report import analysis_document
+from exact_engine import exact_mdr, exact_window
 
 
 def test_entries_have_stable_names_and_provenance():
@@ -68,12 +68,18 @@ def test_analyze_json_matches_the_golden_digest(name, capsys):
 
 def test_exact_and_certified_engines_give_identical_documents():
     """Both engines return the canonical primitive integer kernel, so the
-    whole document, the witness included, is the same under either."""
+    mdr block, the witness included, and the tjurina block are the same
+    under either; every other field is a function of those and the survey."""
     small = [e for e in corpus_entries() if e.polynomial().degree <= 8]
     assert len(small) == 15
     for e in small:
-        exact = analysis_document(analyze_entry(e, EXACT_POLICY))
-        assert exact == analysis_document(analyze_entry(e)), e.name
+        analysis = analyze_entry(e)
+        doc = analysis_document(analysis)
+        exact = dataclasses.replace(analysis, witness=exact_mdr(analysis.ctx))
+        assert doc["mdr"] == analysis_document(exact)["mdr"], e.name
+        window = exact_window(analysis.ctx)
+        assert doc["tjurina"]["window"] == [[t, v] for t, v in window], e.name
+        assert doc["tjurina"]["stabilized"] == window[0][1] == e.expected["tau"], e.name
 
 
 def test_lookup_unknown_name():

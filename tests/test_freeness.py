@@ -21,7 +21,7 @@ from conicfree.freeness import (
     lct,
     mdr_lower_bound,
 )
-from conicfree.jacobian import AtLeast, JacobianContext, mdr, total_tjurina
+from conicfree.jacobian import AtLeast, JacobianContext, hilbert_profile, mdr
 from conicfree.locus import ConicArrangement, SingType, survey
 from conicfree.poly import parse_polynomial
 
@@ -111,14 +111,14 @@ def test_bound_consistency_on_computed_arrangements():
     sv = survey(celal)
     assert arnold_exponent(sv) == Fraction(2, 3)
     ctx = JacobianContext.for_curve(celal.polynomial())
-    rep = build_report(6, mdr(ctx).r, total_tjurina(ctx))
+    rep = build_report(6, mdr(ctx).r, hilbert_profile(ctx).tau)
     assert check_bound_consistency(rep, sv)
 
     pair = ConicArrangement.from_texts(["x^2-y*z", "x^2-y*z+y^2"])
     sv2 = survey(pair)
     assert arnold_exponent(sv2) == Fraction(5, 8)
     ctx2 = JacobianContext.for_curve(pair.polynomial())
-    rep2 = build_report(4, mdr(ctx2).r, total_tjurina(ctx2))
+    rep2 = build_report(4, mdr(ctx2).r, hilbert_profile(ctx2).tau)
     # bound 5/8*4 - 2 = 1/2 <= 1
     assert check_bound_consistency(rep2, sv2)
 
@@ -148,7 +148,7 @@ def test_arnold_exponent_through_node_completion():
     )
     sv = survey(p4)
     ctx = JacobianContext.for_curve(p4.polynomial())
-    rep = build_report(8, mdr(ctx).r, total_tjurina(ctx))
+    rep = build_report(8, mdr(ctx).r, hilbert_profile(ctx).tau)
     assert arnold_exponent(sv, rep.tau) == Fraction(5, 8)
     # the bound 5/8*8 - 2 = 3 <= d1 = 3 is tight here
     assert mdr_lower_bound(Fraction(5, 8), 8) == 3
@@ -194,7 +194,7 @@ def _persson_pair():
     out = []
     for arr in (arr_f, arr_g):
         ctx = JacobianContext.for_curve(arr.polynomial())
-        rep = build_report(6, mdr(ctx).r, total_tjurina(ctx))
+        rep = build_report(6, mdr(ctx).r, hilbert_profile(ctx).tau)
         out.append((rep, survey(arr)))
     return out
 

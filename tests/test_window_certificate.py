@@ -1,15 +1,14 @@
 """Hilbert-window ranks certified by explicit relations.
 
-Under the modular policy each window rank is certified two-sided: below by
-the monomial multiples of grevlex leading monomials mod p recorded in the
-relation search, above by the monomial multiples of exact relation
-generators (found in degrees <= d-2, plus the three Koszul relations).
-These tests hold that certificate against the lifted-kernel engine, the
-exact engine, an exact containment check, elimination as the oracle of the
-support count, of the multiplied leading monomials and of the multiplied
-leading terms of the relation multiples, deliberately broken relation sets,
-the exponents of free and nearly free curves, and the du Plessis-Wall
-bounds.
+Each window rank is certified two-sided: below by the monomial multiples
+of grevlex leading monomials mod p recorded in the relation search, above
+by the monomial multiples of exact relation generators (found in degrees
+<= d-2, plus the three Koszul relations).  These tests hold that
+certificate against the lifted-kernel engine, the exact engine, an exact
+containment check, elimination as the oracle of the multiplied leading
+monomials and of the multiplied leading terms of the relation multiples,
+deliberately broken relation sets, the exponents of free and nearly free
+curves, and the du Plessis-Wall bounds.
 """
 
 import importlib.util
@@ -34,8 +33,9 @@ from conicfree.jacobian import (
     relation_generators,
     syzygy_matrix,
 )
-from conicfree.linalg import EXACT_POLICY, rank_certified
+from conicfree.linalg import rank_certified
 from conicfree.poly import degree_dimension, parse_polynomial
+from exact_engine import exact_mdr, exact_window
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -131,7 +131,7 @@ def test_window_agrees_with_lifted_kernel_ranks():
 def test_window_agrees_with_exact_engine_up_to_degree_eight():
     for e, ctx in _corpus():
         if ctx.d <= 8:
-            assert hilbert_profile(ctx) == hilbert_profile(ctx, policy=EXACT_POLICY), e.name
+            assert hilbert_profile(ctx).window == exact_window(ctx), e.name
 
 
 def test_relation_multiples_lie_in_the_kernel():
@@ -200,16 +200,6 @@ def test_shifted_monomial_index_never_gives_a_wrong_tau(name, monkeypatch, fallb
         return
     assert fallbacks
     assert profile.tau == e.expected["tau"]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 9), st.integers(1, 4), st.data())
-def test_independent_rows_never_exceed_the_rank(rows, n, data):
-    """The support count is a lower bound for the rank mod p (elimination as oracle)."""
-    values = st.sampled_from([0, 0, 0, 1, 2, -1, 2**31 - 2])
-    entries = data.draw(st.lists(values, min_size=3 * n * rows, max_size=3 * n * rows))
-    m = np.array(entries, dtype=np.int64).reshape(rows, 3 * n) % linalg.BOUND_PRIME
-    assert jacobian._independent_rows(m) <= linalg.rank_mod(m)
 
 
 def test_a_row_that_is_no_relation_is_caught_mod_p():
@@ -414,9 +404,9 @@ def test_large_generic_window_eliminates_no_relation_multiples(monkeypatch):
     assert _relation_eliminations(_bench_generic_k5(), monkeypatch) == ([], 1)
 
 
-def test_corpus_windows_never_build_the_relation_leading_terms(monkeypatch):
+def test_corpus_windows_eliminate_no_relation_multiples(monkeypatch):
     for e, ctx in _corpus():
-        assert _relation_eliminations(_fresh(ctx), monkeypatch) == ([], 0), e.name
+        assert _relation_eliminations(_fresh(ctx), monkeypatch) == ([], 1), e.name
 
 
 def _relation_terms(ctx):
@@ -500,4 +490,4 @@ def test_mdr_engines_agree_on_products_of_conics(conics):
     """The modular mdr (the first generator of the walk) equals the exact
     engine's kernel loop, witness included."""
     ctx = _curve([_conic_text(q) for q in conics])
-    assert mdr(ctx) == mdr(ctx, EXACT_POLICY)
+    assert mdr(ctx) == exact_mdr(ctx)
