@@ -83,6 +83,9 @@ class ResolvedInput:
 
 
 def _resolve_input(text: str) -> ResolvedInput:
+    if not text.strip():
+        # Path("") is the current directory, so a blank argument would be read as one
+        raise InputError("empty expression: the input is blank")
     if text.startswith("corpus:"):
         name = text[len("corpus:") :]
         try:

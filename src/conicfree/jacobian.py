@@ -143,9 +143,12 @@ class AtLeast:
         return f">= {self.bound}"
 
 
+@cache
 def _monomial_array(t: int) -> np.ndarray:
-    """The exponent triples of monomials_of_degree(t), as an n x 3 array."""
-    return np.array(monomials_of_degree(t), dtype=np.int64).reshape(-1, 3)
+    """The exponent triples of monomials_of_degree(t), as a read-only n x 3 array."""
+    monos = np.array(monomials_of_degree(t), dtype=np.int64).reshape(-1, 3)
+    monos.flags.writeable = False
+    return monos
 
 
 def _grlex_position(exponents: np.ndarray, t: int) -> np.ndarray:
@@ -275,7 +278,10 @@ def _leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
     """
     comp, j = np.divmod(terms, degree_dimension(e))
     products = _monomial_array(e)[j][:, None, :] + _monomial_array(s - e)[None, :, :]
-    return np.unique(comp[:, None] * degree_dimension(s) + _grlex_position(products, s))
+    # at most three components, so the positions lie below 3 * dim S_s
+    hit = np.zeros(3 * degree_dimension(s), dtype=bool)
+    hit[comp[:, None] * degree_dimension(s) + _grlex_position(products, s)] = True
+    return np.flatnonzero(hit)
 
 
 def _certified_rank(
@@ -340,8 +346,10 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     outside the span of those multiples mod p join: the greedy mod-p column
     basis of the multiples followed by the kernel.  The kernel engine
     verifies its vectors exactly, so every generator is a relation.  The
-    first generator is (d1, the first vector of the certified kernel of
-    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
+    first generator is (d1, the first vector of the canonical certified
+    kernel of A_d1): nothing precedes it, and a primitive vector is nonzero
+    mod p.  Above d1 any exact kernel basis serves the span, so those
+    kernels take the first prime that certifies one (canonical=False).
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -359,7 +367,7 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         matrix = syzygy_matrix(ctx, e)
         if _certified_rank(ctx, e, matrix, known) is not None:
             continue
-        vectors = linalg.kernel_basis_certified(matrix).vectors
+        vectors = linalg.kernel_basis_certified(matrix, canonical=not found).vectors
         kernel = np.array(vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
         basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
         found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))

@@ -36,15 +36,26 @@ with identical contracts:
   last carry is 0.  Matrices whose entries leave no room for 8-bit limbs
   are checked row by row with Python integers.  A failed certificate at the
   Hadamard bound means the prime lowered the rank, and the next prime is
-  tried.  Kernel requests also need two primes that agree on the rank and
-  the pivot columns, the smallest pivot tuple winning at the top rank.
+  tried.  A canonical kernel, the default, also needs two primes that
+  agree on the rank and the pivot columns, the smallest pivot tuple
+  winning at the top rank; any other kernel request takes the first prime
+  whose kernel is certified.
+
+The engine eliminates mod p in two ways, by what the caller reads.  Where
+a kernel is lifted (the certificate and the inverse mod q of Dixon's
+lifting), :func:`_rref_mod` builds the reduced row echelon form with the
+pivot rows.  Where only the pivot columns are read, :func:`_pivots_mod`
+builds a row echelon form: each step clears the pivot column below the
+pivot row only, and the pivot row is neither normalised nor kept.  The
+pivot columns depend only on the row space, so both give the same ones.
 
 :func:`pivot_columns_mod`, :func:`rank_mod` and :func:`product_mod` work
 modulo one fixed prime, BOUND_PRIME, the first that the certified engine
-tries.  A rank mod p is a lower bound for the rank over the rationals; the
-Hilbert window (conicfree.jacobian) pairs it with explicit exact relations
-for the upper bound and calls :func:`rank_certified` only where the two
-bounds do not meet.
+tries; the first two read pivot columns only.  A rank mod p is a lower
+bound for the rank over the rationals; the Hilbert window
+(conicfree.jacobian) pairs it with explicit exact relations for the upper
+bound and calls :func:`rank_certified` only where the two bounds do not
+meet.
 
 All operations are pure and deterministic: primes are taken in descending
 order below 2^31, pivot rules are fixed and nothing is random.
@@ -274,29 +285,66 @@ def _rref_mod(
     for c in range(ncols):
         if r == nrows:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            a[[r, pr], c:] = a[[pr, r], c:]
+            # both rows are zero left of c, so whole rows swap
+            a[[r, pr]] = a[[pr, r]]
             order[r], order[pr] = order[pr], order[r]
         inv = pow(int(a[r, c]), -1, p)
         row = a[r, c:] * inv % p
         a[r, c:] = row
         col = a[:, c].copy()
         col[r] = 0
-        mask = np.flatnonzero(col)
+        mask = col.nonzero()[0]
         if mask.size:
-            cols = np.flatnonzero(row)
+            cols = row.nonzero()[0]
             if 2 * cols.size < row.size:
-                block = np.ix_(mask, cols + c)
-                a[block] = (a[block] - np.outer(col[mask], row[cols])) % p
+                block = (mask[:, None], cols + c)
+                a[block] = (a[block] - col[mask, None] * row[cols]) % p
             else:
-                a[mask, c:] = (a[mask, c:] - np.outer(col[mask], row)) % p
+                a[mask, c:] = (a[mask, c:] - col[mask, None] * row) % p
         pivot_cols.append(c)
         r += 1
     return tuple(pivot_cols), tuple(order[:r]), a[:r]
+
+
+def _pivots_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
+    """The pivot columns of the reduced echelon form of a mod p, a eliminated in place.
+
+    The entries of a lie in [0, p) with p < 2^31.  The pivot columns depend
+    only on the row space, so a row echelon form gives them: each step
+    clears the pivot column in the rows below the pivot row only, without
+    normalising it, and then overwrites the pivot row with the current one,
+    which is never read again (the order of the rows is not kept).
+    """
+    nrows, ncols = a.shape
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = a[r:, c].nonzero()[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if nz.size > 1:
+            below = r + nz[1:]
+            row = a[pr, c:]
+            factor = a[below, c] * pow(int(row[0]), -1, p) % p
+            cols = row.nonzero()[0]
+            if 2 * cols.size < row.size:
+                block = (below[:, None], cols + c)
+                a[block] = (a[block] - factor[:, None] * row[cols]) % p
+            else:
+                a[below, c:] = (a[below, c:] - factor[:, None] * row) % p
+        if pr != r:
+            a[pr, c:] = a[r, c:]
+        pivot_cols.append(c)
+        r += 1
+    return tuple(pivot_cols)
 
 
 # The prime of the one-prime helpers below: the first one _certified tries.
@@ -315,7 +363,7 @@ def pivot_columns_mod(a: np.ndarray) -> tuple[int, ...]:
     Their count is the rank mod p, which is at most the rank over the
     rationals: a nonzero minor mod p is nonzero over Q.
     """
-    return _rref_mod(residues_mod(a), BOUND_PRIME)[0]
+    return _pivots_mod(residues_mod(a), BOUND_PRIME)
 
 
 def rank_mod(a: np.ndarray) -> int:
@@ -538,9 +586,14 @@ def _holds(key: tuple[int, list[int]], values: list[int], m: int) -> bool:
 
 
 def _spread(positions: np.ndarray) -> np.ndarray:
-    """At most _PROBES evenly spread members of positions, the first included."""
+    """At most _PROBES evenly spread members of the sorted distinct positions,
+    the first included, in their order.
+
+    The picks are distinct: they are the integers 0 .. len-1 themselves, or
+    points more than 1 apart, which rounding keeps apart.
+    """
     picks = np.linspace(0, len(positions) - 1, min(_PROBES, len(positions))).round()
-    return np.unique(positions[picks.astype(np.int64)])
+    return positions[picks.astype(np.int64)]
 
 
 def _dixon(b: np.ndarray, c: np.ndarray, h2: int, accept):
@@ -625,7 +678,8 @@ def _dixon(b: np.ndarray, c: np.ndarray, h2: int, accept):
                 # the failing entry and the nonzero entries after it, which
                 # were not reached, join the probe
                 tail = rec.failed_at + np.flatnonzero(values[rec.failed_at :])
-                fresh = np.setdiff1d(_spread(tail), probe)
+                spread = _spread(tail)
+                fresh = spread[(spread[:, None] != probe).all(axis=1)]
                 probe = np.concatenate([probe, fresh])
                 probe_values += values[fresh].tolist()
                 den = rec.den
@@ -654,8 +708,10 @@ def _lifted_kernel(
     None when no such kernel exists, i.e. the prime lowered the rank.
     """
     n = a.shape[1]
-    piv = np.array(pivots)
-    free = np.setdiff1d(np.arange(n), piv)
+    piv = np.array(pivots, dtype=np.int64)
+    is_free = np.ones(n, dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)
     r, k = len(pivots), len(free)
     rows = _SparseRows(a)
 
@@ -707,18 +763,24 @@ class _CertifiedResult:
     kernel: KernelBasis | None  # kernel of the oriented matrix, when requested
 
 
-def _certified(matrix: RatMatrix, want_kernel: bool) -> _CertifiedResult | None:
+def _certified(
+    matrix: RatMatrix, want_kernel: bool, canonical: bool = True
+) -> _CertifiedResult | None:
     """Modular rank (and optionally kernel) with an exact certificate.
 
-    A rank or an empty kernel needs one prime; any other kernel needs two
-    primes that agree on the rank and the pivot columns.  At the top rank
-    the smallest pivot tuple wins: the pivots over the rationals are
-    componentwise at most those of any prime of that rank.  Returns None
-    only past the prime budget, which no matrix should reach; the caller
-    then falls back to the exact baseline.
+    A rank, an empty kernel or a kernel that need not be canonical needs one
+    prime; a canonical kernel needs two primes that agree on the rank and
+    the pivot columns.  At the top rank the smallest pivot tuple wins: the
+    pivots over the rationals are componentwise at most those of any prime
+    of that rank.  A prime that keeps the rank but moves a pivot still
+    gives an exact kernel basis, in the standard form of its own free
+    columns; a prime that lowers the rank gives none, and a later prime of
+    higher rank replaces it.  Returns None only past the prime budget, which
+    no matrix should reach; the caller then falls back to the exact
+    baseline.
     """
     a = matrix.array
-    needed = 2 if want_kernel else 1
+    needed = 2 if want_kernel and canonical else 1
     budget = _prime_budget(a)
     best: tuple[int, tuple[int, ...]] | None = None
     seen = 0
@@ -763,14 +825,20 @@ def rank_certified(matrix: RatMatrix) -> int:
     return rank(matrix)
 
 
-def kernel_basis_certified(matrix: RatMatrix) -> KernelBasis:
-    """Kernel basis through the certified modular path, exact fallback."""
+def kernel_basis_certified(matrix: RatMatrix, canonical: bool = True) -> KernelBasis:
+    """Kernel basis through the certified modular path, exact fallback.
+
+    Every vector is re-verified exactly either way.  The canonical basis,
+    the default, is the one kernel_basis returns; with canonical=False the
+    basis may be in the standard form of other free columns, when the first
+    prime moves a pivot but keeps the rank.
+    """
     if not matrix.array.any():
         unit = np.eye(matrix.cols, dtype=np.int64).tolist()
         return KernelBasis(matrix.cols, tuple(map(tuple, unit)))
     if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
         return kernel_basis(matrix)
-    result = _certified(matrix, want_kernel=True)
+    result = _certified(matrix, want_kernel=True, canonical=canonical)
     if result is not None and result.kernel is not None:
         return result.kernel
     return kernel_basis(matrix)

@@ -1,9 +1,14 @@
 """Command-line surface: addressing, exit codes, deterministic reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conicfree
 from conicfree.cli import main
 
 
@@ -200,6 +205,12 @@ def test_a_directory_for_a_file_is_an_input_error(argv, tmp_path, capsys):
     assert code == 1 and str(tmp_path) in err
 
 
+@pytest.mark.parametrize("blank", ["", " "], ids=["empty", "space"])
+def test_a_blank_input_is_an_empty_expression(blank, capsys):
+    code, _, err = run_cli(capsys, "analyze", blank)
+    assert code == 1 and "empty expression" in err and "directory" not in err
+
+
 def test_theorems_commands(capsys):
     code, out, _ = run_cli(capsys, "theorems", "near", "--kmax", "30", "--json")
     assert code == 0
@@ -315,3 +326,23 @@ def test_regress_subset(capsys):
     code, out, _ = run_cli(capsys, "regress", "two_conics_a7_e2")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_analyze_does_not_import_numpy_ma():
+    """numpy.unique imports numpy.ma on its first call (some 13 ms); the
+    analysis path uses none of numpy's set routines, so a fresh process
+    that analyzes a corpus entry never loads it."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from conicfree.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['analyze', 'corpus:persson_triconical', '--json'])\n"
+        "assert code == 0, code\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(conicfree.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

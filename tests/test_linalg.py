@@ -173,6 +173,12 @@ def test_kernel_survives_a_pivot_shifting_first_prime():
     with _exact_engine_refused():
         assert kernel_basis_certified(m) == expected
         assert rank_certified(m) == 26
+        # A kernel that need not be canonical takes the first prime: exact
+        # and of full dimension, in the standard form of other free columns.
+        loose = kernel_basis_certified(m, canonical=False)
+    assert loose.dimension == expected.dimension == 4 and loose != expected
+    assert all(_annihilates(a.tolist(), vec) for vec in loose.vectors)
+    assert rank(_matrix([list(v) for v in loose.vectors + expected.vectors])) == 4
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,6 +204,10 @@ def test_certified_engine_matches_exact_engine_on_low_rank_products(rows, cols, 
             assert rank_certified(m) == exact_rank
             certified = kernel_basis_certified(m)
             assert repr(certified) == repr(exact_kernel)
+            loose = kernel_basis_certified(m, canonical=False)
+        assert loose.dimension == exact_kernel.dimension
+        vectors = np.array(loose.vectors, dtype=object).reshape(-1, m.cols)
+        assert linalg._kills(linalg._SparseRows(m.array), vectors.T)
         pivots = set(linalg._integer_ref(m)[1])
         free = [c for c in range(m.cols) if c not in pivots]
         assert certified.dimension == len(free)
@@ -421,3 +431,72 @@ def test_lifting_certifies_at_the_hadamard_stop_when_the_probe_never_settles():
     assert log
     for h2, _, attempts in log:
         assert len(attempts) == 1 and attempts[0][0] > 2 * h2
+
+
+def _rref_reference(rows, ncols, p):
+    """Reduced echelon form mod p in pure Python, first nonzero row as pivot.
+
+    Returns the pivot columns, the original indices of the pivot rows and
+    the nonzero rows of the echelon form, as _rref_mod does."""
+    a = [[v % p for v in row] for row in rows]
+    order = list(range(len(a)))
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        order[r], order[pr] = order[pr], order[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [v * inv % p for v in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                factor = a[i][c]
+                a[i] = [(v - factor * w) % p for v, w in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(pivots), tuple(order[:r]), a[:r]
+
+
+@st.composite
+def _sparse_integer_arrays(draw):
+    """Sparse integer arrays of any shape, 0 x n and n x 0 included, with zero
+    rows and columns and rows that are multiples of others: int64 below
+    2^62, or object arrays holding entries of at least 2^62."""
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    big = draw(st.booleans())
+    magnitude = st.integers(2**62, 2**80) if big else st.integers(1, 2**62 - 1)
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3), magnitude, magnitude.map(lambda v: -v))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.integers(0, 3)) == 0:
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(-2, 2))
+            rows[i] = [k * v for v in rows[j]]
+    zero_cols = draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)) if ncols else set()
+    for row in rows:
+        for c in zero_cols:
+            row[c] = 0
+    a = np.zeros((nrows, ncols), dtype=object if big else np.int64)
+    if nrows and ncols:
+        a[:] = rows
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_sparse_integer_arrays(), p=st.sampled_from([linalg.BOUND_PRIME, 2, 3, 7]))
+def test_pivot_kernel_and_reduced_form_match_a_reference(a, p):
+    """The row echelon pivot kernel and the reduced form agree with a pure
+    Python elimination mod p, on the residues of int64 and object arrays."""
+    x = linalg.residues_mod(a) if p == linalg.BOUND_PRIME else linalg._mod_array(a, p)
+    assert x.dtype == np.int64 and x.shape == a.shape
+    pivots, pivot_rows, echelon = _rref_reference(x.tolist(), a.shape[1], p)
+    assert linalg._pivots_mod(x.copy(), p) == linalg._rref_mod(x.copy(), p)[0] == pivots
+    got_pivots, got_rows, got_echelon = linalg._rref_mod(x.copy(), p)
+    assert got_rows == pivot_rows
+    assert got_echelon.dtype == np.int64 and got_echelon.shape == (len(pivots), a.shape[1])
+    assert got_echelon.tolist() == echelon
+    if p == linalg.BOUND_PRIME:
+        assert linalg.pivot_columns_mod(a) == pivots
+        assert linalg.rank_mod(a) == len(pivots)
+

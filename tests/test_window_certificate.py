@@ -34,7 +34,7 @@ from conicfree.jacobian import (
     syzygy_matrix,
 )
 from conicfree.linalg import rank_certified
-from conicfree.poly import degree_dimension, parse_polynomial
+from conicfree.poly import degree_dimension, monomials_of_degree, parse_polynomial
 from exact_engine import exact_mdr, exact_window
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,9 +111,9 @@ def kernels(monkeypatch):
     calls = []
     original = linalg.kernel_basis_certified
 
-    def spy(matrix):
+    def spy(matrix, **options):
         calls.append((matrix.rows, matrix.cols))
-        return original(matrix)
+        return original(matrix, **options)
 
     monkeypatch.setattr(linalg, "kernel_basis_certified", spy)
     return calls
@@ -491,3 +491,24 @@ def test_mdr_engines_agree_on_products_of_conics(conics):
     engine's kernel loop, witness included."""
     ctx = _curve([_conic_text(q) for q in conics])
     assert mdr(ctx) == exact_mdr(ctx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    e=st.integers(0, 6),
+    step=st.integers(0, 4),
+    picks=st.sets(st.integers(0, 3 * degree_dimension(6) - 1), max_size=30),
+)
+def test_leading_multiples_are_the_distinct_sorted_products(e, step, picks):
+    """Against np.unique of the products, built from the monomial lists."""
+    s, n = e + step, degree_dimension(e)
+    terms = np.array(sorted(t for t in picks if t < 3 * n), dtype=np.int64)
+    monos, targets = monomials_of_degree(e), monomials_of_degree(s)
+    products = [
+        t // n * len(targets) + targets.index(tuple(u + v for u, v in zip(monos[t % n], m)))
+        for t in terms.tolist()
+        for m in monomials_of_degree(step)
+    ]
+    expected = np.unique(np.array(products, dtype=np.int64))
+    got = jacobian._leading_multiples(terms, e, s)
+    assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
