@@ -15,12 +15,10 @@ curve, and times one ``hilbert_profile`` call on a fresh context (``s``,
 comparable with the earlier BENCH files), then ``mdr`` followed by
 ``hilbert_profile`` on a second fresh context, the order ``analyze_curve``
 runs them in (``pipeline_s``); the two checkouts alternate run by run, so
-drift in the machine's speed falls on both alike.  Each input
-is run REPEATS times per side, generic k = 7 and 8 only once: their windows
-take minutes before the change.  The JSON
-file holds the machine's description, every time, the windows, taus and d1
-of both checkouts, and per input the speedup of the window (median before /
-median after).
+drift in the machine's speed falls on both alike.  Each input is run
+REPEATS times per side.  The JSON file holds the machine's description,
+every time, the windows, taus and d1 of both checkouts, and per input the
+speedup of the window (median before / median after).
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PENCIL_F = "3*x^2+y^2-4*z^2"
 PENCIL_G = "x^2+3*y^2-4*z^2"
 GENERIC_SEED = 12345
-REPEATS = {"generic_k7": 1, "generic_k8": 1}  # runs per side; 3 for the other inputs
+REPEATS = 3  # runs per side, for every input
 
 
 def arrangements() -> dict[str, list[str]]:
@@ -118,7 +116,7 @@ def main() -> int:
     sides = {"before": args.before, "after": args.after}
     runs: dict[str, dict] = {side: {} for side in sides}
     for name in arrangements():
-        for _ in range(REPEATS.get(name, 3)):
+        for _ in range(REPEATS):
             for side, src in sides.items():
                 child = [sys.executable, __file__, "--child", src, name]
                 out = subprocess.run(child, check=True, capture_output=True, text=True).stdout

@@ -79,7 +79,6 @@ from conicfree.poly import (
     conic_is_smooth,
     dehomogenize,
     parse_polynomial,
-    partial_derivative,
 )
 from conicfree.report import Analysis, analysis_document, analyze_curve, render_text, to_json
 

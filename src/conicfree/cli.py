@@ -35,7 +35,6 @@ from conicfree.poly import (
     HomogeneousPolynomial,
     NonHomogeneousError,
     PolynomialSyntaxError,
-    ProjectivePoint,
     parse_polynomial,
 )
 from conicfree.report import (
@@ -55,15 +54,6 @@ EXIT_INTERNAL = 3
 
 class InputError(ValueError):
     pass
-
-
-def _read_points_file(path: str) -> list[ProjectivePoint]:
-    points = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            points.append(ProjectivePoint.parse(line))
-    return points
 
 
 @dataclass
@@ -124,7 +114,6 @@ def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis
         arrangement=resolved.arrangement,
         source=resolved.source,
         assume_qh=getattr(args, "assume_qh", False) or resolved.assume_qh,
-        extra_points=_read_points_file(args.points) if getattr(args, "points", None) else None,
         window_extend=getattr(args, "window_extend", 0),
     )
 
@@ -299,11 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, points: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, assume_qh: bool = True) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if points:
+        if assume_qh:
             p.add_argument("--assume-qh", action="store_true", help="treat ordinary points of multiplicity >= 5 as quasi-homogeneous")
-            p.add_argument("--points", metavar="FILE", help="extra rational points, one x:y:z per line")
 
     p = sub.add_parser("analyze", help="full pipeline on a curve or arrangement")
     p.add_argument("input", help="corpus:<name>, a file, or an inline expression")
@@ -326,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform-check", help="tacnode-to-two-nodes deformation check")
     p.add_argument("before")
     p.add_argument("after")
-    common(p, points=False)
+    common(p, assume_qh=False)
     p.set_defaults(func=cmd_deform_check)
 
     p = sub.add_parser("supersolvable", help="combinatorial modular point search")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from conicfree.locus import LocusSurvey
 
@@ -121,40 +122,44 @@ def enumerate_theorem_near(
     )
 
 
-def _free_interval(k: int, upper: int) -> tuple[int, int]:
-    """Admissible d1 interval [ceil((5/8)*2k - 2), upper]."""
-    lower = math.ceil(Fraction(5, 8) * 2 * k - 2)
-    return (lower, upper)
-
-
-def enumerate_theorem_char(kmax: int) -> EnumerationCertificate:
-    """Admissible component counts for free arrangements: exactly {2, 3, 4}.
+def _k_scan(
+    theorem: str, kmax: int, upper: Callable[[int], int], last: int
+) -> EnumerationCertificate:
+    """Admissible component counts k in [2, kmax]; any k > last is a counterexample.
 
     The lower bound on d1 comes from the Arnold exponent 5/8 (attained by
-    A7) through d1 >= (5/8)*d - 2; freeness requires d1 <= (d-1)/2.  A
-    component count is admissible when the integer interval is nonempty;
-    any admissible k > 4 would be a counterexample.
+    A7) through d1 >= (5/8)*d - 2 with d = 2k; the upper bound is upper(k).
+    A component count is admissible when the integer interval is nonempty.
     """
-    if kmax < 4:
-        raise ValueError("kmax must be at least 4")
+    if kmax < last:
+        raise ValueError(f"kmax must be at least {last}")
     admissible: list[int] = []
     intervals: dict[int, tuple[int, int]] = {}
     counterexamples: list[dict] = []
     for k in range(2, kmax + 1):
-        lo, hi = _free_interval(k, (2 * k - 1) // 2)
+        lo, hi = math.ceil(Fraction(5, 8) * 2 * k - 2), upper(k)
         intervals[k] = (lo, hi)
         if lo <= hi:
             admissible.append(k)
-            if k > 4:
+            if k > last:
                 counterexamples.append({"k": k, "interval": (lo, hi)})
     return EnumerationCertificate(
-        theorem="char",
+        theorem=theorem,
         kmax=kmax,
         candidates_examined=kmax - 1,
         counterexamples=tuple(counterexamples),
         admissible=tuple(admissible),
         intervals=intervals,
     )
+
+
+def enumerate_theorem_char(kmax: int) -> EnumerationCertificate:
+    """Admissible component counts for free arrangements: exactly {2, 3, 4}.
+
+    Freeness requires d1 <= (d-1)/2; any admissible k > 4 would be a
+    counterexample.
+    """
+    return _k_scan("char", kmax, lambda k: (2 * k - 1) // 2, 4)
 
 
 def enumerate_nearly_free_bound(kmax: int) -> EnumerationCertificate:
@@ -162,26 +167,7 @@ def enumerate_nearly_free_bound(kmax: int) -> EnumerationCertificate:
 
     Same scan as the freeness bound with the weaker upper bound d1 <= d/2.
     """
-    if kmax < 8:
-        raise ValueError("kmax must be at least 8")
-    admissible: list[int] = []
-    intervals: dict[int, tuple[int, int]] = {}
-    counterexamples: list[dict] = []
-    for k in range(2, kmax + 1):
-        lo, hi = _free_interval(k, k)
-        intervals[k] = (lo, hi)
-        if lo <= hi:
-            admissible.append(k)
-            if k > 8:
-                counterexamples.append({"k": k, "interval": (lo, hi)})
-    return EnumerationCertificate(
-        theorem="nfbound",
-        kmax=kmax,
-        candidates_examined=kmax - 1,
-        counterexamples=tuple(counterexamples),
-        admissible=tuple(admissible),
-        intervals=intervals,
-    )
+    return _k_scan("nfbound", kmax, lambda k: k, 8)
 
 
 @dataclass(frozen=True)

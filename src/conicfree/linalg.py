@@ -757,18 +757,10 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vec)
 
 
-@dataclass
-class _CertifiedResult:
-    rank: int
-    kernel: KernelBasis | None  # kernel of the oriented matrix, when requested
+def _certified(matrix: RatMatrix, canonical: bool) -> KernelBasis | None:
+    """Modular kernel with an exact certificate.
 
-
-def _certified(
-    matrix: RatMatrix, want_kernel: bool, canonical: bool = True
-) -> _CertifiedResult | None:
-    """Modular rank (and optionally kernel) with an exact certificate.
-
-    A rank, an empty kernel or a kernel that need not be canonical needs one
+    An empty kernel or a kernel that need not be canonical needs one
     prime; a canonical kernel needs two primes that agree on the rank and
     the pivot columns.  At the top rank the smallest pivot tuple wins: the
     pivots over the rationals are componentwise at most those of any prime
@@ -780,7 +772,7 @@ def _certified(
     baseline.
     """
     a = matrix.array
-    needed = 2 if want_kernel and canonical else 1
+    needed = 2 if canonical else 1
     budget = _prime_budget(a)
     best: tuple[int, tuple[int, ...]] | None = None
     seen = 0
@@ -789,7 +781,7 @@ def _certified(
         if len(pivots) == matrix.cols:
             # full column rank: a nonzero maximal minor mod p is the whole
             # certificate, and the kernel is empty
-            return _CertifiedResult(matrix.cols, KernelBasis(0, ()) if want_kernel else None)
+            return KernelBasis(0, ())
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, seen = key, 0
@@ -798,31 +790,21 @@ def _certified(
             if seen == needed:
                 found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
                 if found is not None:
-                    kernel = None
-                    if want_kernel:
-                        columns = found.T.tolist()
-                        kernel = KernelBasis(
-                            len(columns), tuple(_primitive(vec) for vec in columns)
-                        )
-                    return _CertifiedResult(len(pivots), kernel)
+                    columns = found.T.tolist()
+                    return KernelBasis(len(columns), tuple(_primitive(vec) for vec in columns))
         if tried >= budget:
             return None
     return None
 
 
 def rank_certified(matrix: RatMatrix) -> int:
-    """Exact rank; fast modular path with certification, exact fallback."""
-    if not matrix.array.any():
-        return 0
-    if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
-        return rank(matrix)
-    # The kernel certificate is cheapest on the orientation with fewer
-    # columns, and rank is invariant under transposition.
+    """Exact rank: the columns less the dimension of the certified kernel.
+
+    The kernel certificate is cheapest on the orientation with fewer
+    columns, and rank is invariant under transposition.
+    """
     oriented = matrix.transpose() if matrix.cols > matrix.rows else matrix
-    result = _certified(oriented, want_kernel=False)
-    if result is not None:
-        return result.rank
-    return rank(matrix)
+    return oriented.cols - kernel_basis_certified(oriented, canonical=False).dimension
 
 
 def kernel_basis_certified(matrix: RatMatrix, canonical: bool = True) -> KernelBasis:
@@ -838,7 +820,4 @@ def kernel_basis_certified(matrix: RatMatrix, canonical: bool = True) -> KernelB
         return KernelBasis(matrix.cols, tuple(map(tuple, unit)))
     if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
         return kernel_basis(matrix)
-    result = _certified(matrix, want_kernel=True, canonical=canonical)
-    if result is not None and result.kernel is not None:
-        return result.kernel
-    return kernel_basis(matrix)
+    return _certified(matrix, canonical) or kernel_basis(matrix)

@@ -787,11 +787,7 @@ def _classify(
     )
 
 
-def survey(
-    arr: ConicArrangement,
-    extra_points: list[ProjectivePoint] | None = None,
-    assume_qh: bool = False,
-) -> LocusSurvey:
+def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     """Locate, classify and account for the rational singular points.
 
     Per-pair residuals track the multiplicity still unlocated; the survey is
@@ -812,9 +808,6 @@ def survey(
             located.setdefault(pt, {})[(i, j)] = m
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False
-    for pt in extra_points or []:
-        if len(_members(ints, pt)) >= 2:
-            located.setdefault(pt, {})
     records = tuple(
         _classify(pt, _members(ints, pt), located[pt], assume_qh)
         for pt in sorted(located, key=lambda p: p.coords())

@@ -23,9 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 Mono3 = tuple[int, int, int]
 Mono2 = tuple[int, int]
+Terms = dict[tuple[int, ...], Fraction | int]
 
 VAR_NAMES = ("x", "y", "z")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -55,8 +57,59 @@ def monomials_of_degree(t: int) -> list[Mono3]:
     return [(i, j, t - i - j) for i in range(t, -1, -1) for j in range(t - i, -1, -1)]
 
 
+# ---------------------------------------------------------------------------
+# Sparse arithmetic on term maps (exponent tuple -> nonzero coefficient), for
+# exponent tuples of any length.  Sums start from the integer 0, so a map with
+# integer coefficients stays integer.
+
+
+def _add(a: Terms, b: Terms) -> Terms:
+    out = dict(a)
+    for mono, c in b.items():
+        v = out.get(mono, 0) + c
+        if v:
+            out[mono] = v
+        else:
+            out.pop(mono, None)
+    return out
+
+
+def _scale(a: Terms, c: Fraction | int) -> Terms:
+    if c == 0:
+        return {}
+    return {m: c * v for m, v in a.items()}
+
+
+def _mul(a: Terms, b: Terms) -> Terms:
+    out: Terms = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    # cancellation is rare: drop the zeros once per product
+    return {m: c for m, c in out.items() if c}
+
+
+def _power(a: Terms, n: int, arity: int) -> Terms:
+    result: Terms = {(0,) * arity: 1}
+    for _ in range(n):
+        result = _mul(result, a)
+    return result
+
+
 def _grlex_key(mono: tuple[int, ...]) -> tuple[int, ...]:
     return (sum(mono),) + mono[:-1]
+
+
+def _mono_text(mono: tuple[int, ...], names: tuple[str, ...]) -> str:
+    factors = []
+    for name, e in zip(names, mono):
+        if e == 1:
+            factors.append(name)
+        elif e > 1:
+            factors.append(f"{name}^{e}")
+    return "*".join(factors)
 
 
 def _format_terms(items: list[tuple[str, Fraction]]) -> str:
@@ -73,16 +126,6 @@ def _format_terms(items: list[tuple[str, Fraction]]) -> str:
         else:
             parts.append(f"{'+' if coeff > 0 else '-'} {body}")
     return " ".join(parts) if parts else "0"
-
-
-def _mono3_text(mono: Mono3) -> str:
-    factors = []
-    for name, e in zip(VAR_NAMES, mono):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
 
 
 class HomogeneousPolynomial:
@@ -116,10 +159,6 @@ class HomogeneousPolynomial:
         return cls(degree, {})
 
     @classmethod
-    def monomial(cls, mono: Mono3, coeff: Fraction | int = 1) -> "HomogeneousPolynomial":
-        return cls(sum(mono), {mono: Fraction(coeff)})
-
-    @classmethod
     def variable(cls, name: str) -> "HomogeneousPolynomial":
         mono = [0, 0, 0]
         mono[_VAR_INDEX[name]] = 1
@@ -141,43 +180,29 @@ class HomogeneousPolynomial:
             raise ValueError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return HomogeneousPolynomial(self.degree, out)
+        return HomogeneousPolynomial(self.degree, _add(self.terms, other.terms))
 
     def __sub__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "HomogeneousPolynomial":
-        return HomogeneousPolynomial(
-            self.degree, {m: -c for m, c in self.terms.items()}
-        )
+        return self.scale(-1)
 
     def __mul__(self, other: "HomogeneousPolynomial") -> "HomogeneousPolynomial":
-        out: dict[Mono3, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return HomogeneousPolynomial(self.degree + other.degree, out)
+        return HomogeneousPolynomial(self.degree + other.degree, _mul(self.terms, other.terms))
 
     def __pow__(self, n: int) -> "HomogeneousPolynomial":
         if n < 0:
             raise ValueError("negative power")
-        result = HomogeneousPolynomial(0, {(0, 0, 0): Fraction(1)})
-        for _ in range(n):
-            result = result * self
-        return result
+        return HomogeneousPolynomial(self.degree * n, _power(self.terms, n, 3))
 
     def scale(self, c: Fraction | int) -> "HomogeneousPolynomial":
-        c = Fraction(c)
-        return HomogeneousPolynomial(
-            self.degree, {m: c * v for m, v in self.terms.items()}
-        )
+        return HomogeneousPolynomial(self.degree, _scale(self.terms, c))
 
     def partial(self, var: str) -> "HomogeneousPolynomial":
         """Formal partial derivative; the degree drops by one."""
+        if var not in _VAR_INDEX:
+            raise ValueError(f"unknown variable {var!r}")
         if self.degree < 1:
             raise ValueError("derivative needs degree >= 1")
         i = _VAR_INDEX[var]
@@ -201,7 +226,7 @@ class HomogeneousPolynomial:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def __str__(self) -> str:
-        return _format_terms([(_mono3_text(m), c) for m, c in self.sorted_terms()])
+        return _format_terms([(_mono_text(m, VAR_NAMES), c) for m, c in self.sorted_terms()])
 
     def __repr__(self) -> str:
         return f"HomogeneousPolynomial({self.degree}, {self})"
@@ -210,10 +235,11 @@ class HomogeneousPolynomial:
 class AffinePolynomial:
     """A bivariate polynomial with exact rational coefficients.
 
-    Used for local equations of curves in an affine chart centered at a
-    point of interest.  ``var_names`` records which projective coordinates
-    the two local variables came from; it is display metadata only and does
-    not participate in equality.
+    The local equation of a curve in an affine chart centered at a point of
+    interest, as :func:`dehomogenize` returns it; a value, with no arithmetic
+    of its own.  ``var_names`` records which projective coordinates the two
+    local variables came from; it is display metadata only and does not
+    participate in equality.
     """
 
     __slots__ = ("terms", "var_names")
@@ -234,10 +260,6 @@ class AffinePolynomial:
         self.terms = clean
         self.var_names = var_names
 
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "AffinePolynomial":
-        return cls({(0, 0): Fraction(c)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -249,57 +271,14 @@ class AffinePolynomial:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "AffinePolynomial") -> "AffinePolynomial":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return AffinePolynomial(out, self.var_names)
-
-    def __sub__(self, other: "AffinePolynomial") -> "AffinePolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "AffinePolynomial":
-        return AffinePolynomial({m: -c for m, c in self.terms.items()}, self.var_names)
-
-    def __mul__(self, other: "AffinePolynomial") -> "AffinePolynomial":
-        out: dict[Mono2, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1])
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return AffinePolynomial(out, self.var_names)
-
-    def __pow__(self, n: int) -> "AffinePolynomial":
-        result = AffinePolynomial.constant(1)
-        result.var_names = self.var_names
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def scale(self, c: Fraction | int) -> "AffinePolynomial":
-        c = Fraction(c)
-        return AffinePolynomial({m: c * v for m, v in self.terms.items()}, self.var_names)
-
-    def coefficient(self, mono: Mono2) -> Fraction:
-        return self.terms.get(mono, Fraction(0))
-
     def constant_term(self) -> Fraction:
-        return self.coefficient((0, 0))
+        return self.terms.get((0, 0), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Mono2, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def __str__(self) -> str:
-        def mono_text(mono: Mono2) -> str:
-            factors = []
-            for name, e in zip(self.var_names, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            return "*".join(factors)
-
-        return _format_terms([(mono_text(m), c) for m, c in self.sorted_terms()])
+        return _format_terms([(_mono_text(m, self.var_names), c) for m, c in self.sorted_terms()])
 
     def __repr__(self) -> str:
         return f"AffinePolynomial({self})"
@@ -376,13 +355,13 @@ class _Parser:
         self.pos += 1
         return ch
 
-    def parse(self) -> dict[Mono3, Fraction]:
+    def parse(self) -> Terms:
         result = self.parse_expr()
         if self.peek():
             raise self.error(f"unexpected character {self.peek()!r}")
         return result
 
-    def parse_expr(self) -> dict[Mono3, Fraction]:
+    def parse_expr(self) -> Terms:
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.take() == "-" else 1
@@ -393,22 +372,22 @@ class _Parser:
             total = _add(total, _scale(term, -1 if op == "-" else 1))
         return total
 
-    def parse_term(self) -> dict[Mono3, Fraction]:
+    def parse_term(self) -> Terms:
         product = self.parse_factor()
         while self.peek() == "*":
             self.take()
             product = _mul(product, self.parse_factor())
         return product
 
-    def parse_factor(self) -> dict[Mono3, Fraction]:
+    def parse_factor(self) -> Terms:
         base = self.parse_base()
         if self.peek() == "^":
             self.take()
             exponent = self.parse_nat()
-            return _power(base, exponent)
+            return _power(base, exponent, 3)
         return base
 
-    def parse_base(self) -> dict[Mono3, Fraction]:
+    def parse_base(self) -> Terms:
         ch = self.peek()
         if ch == "(":
             self.take()
@@ -421,7 +400,7 @@ class _Parser:
             self.take()
             mono = [0, 0, 0]
             mono[_VAR_INDEX[ch]] = 1
-            return {tuple(mono): Fraction(1)}
+            return {tuple(mono): 1}
         if ch.isdigit():
             num = self.parse_nat()
             if self.peek() == "/":
@@ -432,7 +411,7 @@ class _Parser:
                 if den == 0:
                     raise self.error("zero denominator")
                 return {(0, 0, 0): Fraction(num, den)}
-            return {(0, 0, 0): Fraction(num)}
+            return {(0, 0, 0): num}
         if ch == "":
             raise self.error("unexpected end of expression")
         raise self.error(f"unexpected character {ch!r}")
@@ -445,44 +424,6 @@ class _Parser:
         if self.pos == start:
             raise self.error("expected a number")
         return int(self.text[start : self.pos])
-
-
-def _add(a: dict[Mono3, Fraction], b: dict[Mono3, Fraction]) -> dict[Mono3, Fraction]:
-    out = dict(a)
-    for mono, c in b.items():
-        v = out.get(mono, Fraction(0)) + c
-        if v == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = v
-    return out
-
-
-def _scale(a: dict[Mono3, Fraction], c: Fraction | int) -> dict[Mono3, Fraction]:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in a.items()}
-
-
-def _mul(a: dict[Mono3, Fraction], b: dict[Mono3, Fraction]) -> dict[Mono3, Fraction]:
-    out: dict[Mono3, Fraction] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            v = out.get(m, Fraction(0)) + c1 * c2
-            if v == 0:
-                out.pop(m, None)
-            else:
-                out[m] = v
-    return out
-
-
-def _power(a: dict[Mono3, Fraction], n: int) -> dict[Mono3, Fraction]:
-    result: dict[Mono3, Fraction] = {(0, 0, 0): Fraction(1)}
-    for _ in range(n):
-        result = _mul(result, a)
-    return result
 
 
 def parse_polynomial(text: str) -> HomogeneousPolynomial:
@@ -501,13 +442,6 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(degree, expanded)
 
 
-def partial_derivative(f: HomogeneousPolynomial, var: str) -> HomogeneousPolynomial:
-    """Exact formal derivative of f with respect to x, y, or z."""
-    if var not in _VAR_INDEX:
-        raise ValueError(f"unknown variable {var!r}")
-    return f.partial(var)
-
-
 def dehomogenize(
     f: HomogeneousPolynomial, point: ProjectivePoint | tuple
 ) -> AffinePolynomial:
@@ -518,26 +452,16 @@ def dehomogenize(
     at (0, 0) exactly when f vanishes at the point.
     """
     p = point if isinstance(point, ProjectivePoint) else ProjectivePoint.of(*point)
-    coords = [Fraction(c) for c in p.coords()]
+    coords = p.coords()
     chart = max(i for i in range(3) if coords[i] != 0)
-    scale = coords[chart]
-    center = [c / scale for c in coords]
-    local_vars = [i for i in range(3) if i != chart]
-    names = (VAR_NAMES[local_vars[0]], VAR_NAMES[local_vars[1]])
-
-    u_shift = AffinePolynomial(
-        {(1, 0): Fraction(1), (0, 0): center[local_vars[0]]}, names
-    )
-    v_shift = AffinePolynomial(
-        {(0, 1): Fraction(1), (0, 0): center[local_vars[1]]}, names
-    )
-    result = AffinePolynomial({}, names)
+    u, v = (i for i in range(3) if i != chart)
+    u_shift = {(1, 0): 1, (0, 0): Fraction(coords[u], coords[chart])}
+    v_shift = {(0, 1): 1, (0, 0): Fraction(coords[v], coords[chart])}
+    result: Terms = {}
     for mono, c in f.terms.items():
-        e_u = mono[local_vars[0]]
-        e_v = mono[local_vars[1]]
-        term = AffinePolynomial({(0, 0): c}, names) * (u_shift**e_u) * (v_shift**e_v)
-        result = result + term
-    return result
+        term = _mul(_power(u_shift, mono[u], 2), _power(v_shift, mono[v], 2))
+        result = _add(result, _scale(term, c))
+    return AffinePolynomial(result, (VAR_NAMES[u], VAR_NAMES[v]))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from conicfree.jacobian import (
     verify_witness,  # unused here; perfbench/spans.py hooks report.verify_witness
 )
 from conicfree.locus import ConicArrangement, LocusSurvey, survey
-from conicfree.poly import HomogeneousPolynomial, ProjectivePoint
+from conicfree.poly import HomogeneousPolynomial
 
 SCHEMA_VERSION = "conicfree-report/1"
 
@@ -80,7 +80,6 @@ def analyze_curve(
     arrangement: ConicArrangement | None = None,
     source: str = "<expression>",
     assume_qh: bool = False,
-    extra_points: list[ProjectivePoint] | None = None,
     window_extend: int = 0,
 ) -> Analysis:
     """Run the full pipeline: relation degree, Tjurina window, verdict, survey."""
@@ -94,7 +93,7 @@ def analyze_curve(
         report = build_report(ctx.d, d1, tau)
     sv = None
     if arrangement is not None:
-        sv = survey(arrangement, extra_points=extra_points, assume_qh=assume_qh)
+        sv = survey(arrangement, assume_qh=assume_qh)
     if report is not None and sv is not None and report.d1_value() is not None:
         alpha = arnold_exponent(sv, tau)
         if alpha is not None:

@@ -174,17 +174,9 @@ def test_classify_disjoint_pair_incomplete_exit_two(tmp_path, capsys):
     assert doc["survey"]["residual_per_pair"] == {"0,1": 4}
 
 
-def test_classify_assume_qh_and_points_file(tmp_path, capsys):
-    points = tmp_path / "points.txt"
-    points.write_text("1:1:1\n# comment\n-1:1:1\n")
+def test_classify_assume_qh(capsys):
     code, out, _ = run_cli(
-        capsys,
-        "classify",
-        "corpus:pencil_four_points_m5",
-        "--json",
-        "--assume-qh",
-        "--points",
-        str(points),
+        capsys, "classify", "corpus:pencil_four_points_m5", "--json", "--assume-qh"
     )
     assert code == 0
     doc = json.loads(out)
@@ -196,9 +188,8 @@ def test_classify_assume_qh_and_points_file(tmp_path, capsys):
     [
         ("analyze", "{dir}"),
         ("supersolvable", "{dir}"),
-        ("classify", "corpus:pencil_four_points_m5", "--points", "{dir}"),
     ],
-    ids=["analyze", "supersolvable", "points"],
+    ids=["analyze", "supersolvable"],
 )
 def test_a_directory_for_a_file_is_an_input_error(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))

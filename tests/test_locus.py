@@ -226,16 +226,6 @@ def test_survey_bezout_bookkeeping():
                 assert located + sv.residual_per_pair[(i, j)] == 4
 
 
-def test_survey_extra_points_merge_and_skip():
-    arr = ConicArrangement.from_texts([PENCIL_F, PENCIL_G])
-    base = survey(arr)
-    with_extras = survey(
-        arr,
-        extra_points=[ProjectivePoint.of(1, 1, 1), ProjectivePoint.of(0, 1, 1)],
-    )
-    assert [r.point for r in with_extras.records] == [r.point for r in base.records]
-
-
 def test_survey_classification_order_independent():
     texts = [
         "-3*x^2+x*y+y*z+z*x",

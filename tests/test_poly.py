@@ -17,7 +17,6 @@ from conicfree.poly import (
     dehomogenize,
     monomials_of_degree,
     parse_polynomial,
-    partial_derivative,
 )
 
 X, Y, Z = (HomogeneousPolynomial.variable(v) for v in "xyz")
@@ -65,19 +64,15 @@ def test_parse_rejects_general_division():
 
 def test_partial_derivative_power_rule():
     f = parse_polynomial("x^2*y^2+z^4")
-    assert partial_derivative(f, "z") == parse_polynomial("4*z^3")
-    assert partial_derivative(parse_polynomial("x^2+y^2-z^2"), "x") == parse_polynomial(
-        "2*x"
-    )
+    assert f.partial("z") == parse_polynomial("4*z^3")
+    assert parse_polynomial("x^2+y^2-z^2").partial("x") == parse_polynomial("2*x")
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        f.partial("w")
 
 
 def test_euler_identity_on_named_sextic():
     f = parse_polynomial("(x^2+y^2-z^2)*(2*x^2+y^2+2*x*z)*(2*x^2+y^2-2*x*z)")
-    euler = (
-        X * partial_derivative(f, "x")
-        + Y * partial_derivative(f, "y")
-        + Z * partial_derivative(f, "z")
-    )
+    euler = X * f.partial("x") + Y * f.partial("y") + Z * f.partial("z")
     assert euler == f.scale(f.degree)
 
 
@@ -113,6 +108,17 @@ def _poly_strategy(degree: int):
 @given(f=_poly_strategy(2), g=_poly_strategy(2), h=_poly_strategy(3))
 def test_ring_distributivity(f, g, h):
     assert (f + g) * h == f * h + g * h
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_poly_strategy(2))
+def test_powers_negation_and_difference(f):
+    product = HomogeneousPolynomial(0, {(0, 0, 0): 1})
+    for n in range(4):
+        assert f**n == product
+        product = product * f
+    assert f - f == HomogeneousPolynomial.zero(f.degree)
+    assert -(-f) == f
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,6 +171,38 @@ def test_dehomogenize_off_curve_nonzero_constant():
     f = parse_polynomial("x^2+y^2-z^2")
     g = dehomogenize(f, (0, 0, 1))
     assert g.constant_term() == -1
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+# points in each of the three charts: the chart coordinate is nonzero, the later ones 0
+_chart_points = st.sampled_from((0, 1, 2)).flatmap(
+    lambda chart: st.tuples(
+        *(st.integers(-3, 3) for _ in range(chart)),
+        st.integers(-3, 3).filter(bool),
+        *(st.just(0) for _ in range(2 - chart)),
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=st.integers(0, 5).flatmap(_poly_strategy),
+    p=_chart_points,
+    u=_rationals,
+    v=_rationals,
+)
+def test_dehomogenize_evaluates_like_the_form_in_its_chart(f, p, u, v):
+    # the chart is the last nonzero coordinate; c is p with that coordinate 1
+    chart = max(i for i in range(3) if p[i])
+    i, j = (k for k in range(3) if k != chart)
+    c = [Fraction(x, p[chart]) for x in p]
+    c[i] += u
+    c[j] += v
+    g = dehomogenize(f, p)
+    local = sum(
+        (coeff * u**a * v**b for (a, b), coeff in g.terms.items()), Fraction(0)
+    )
+    assert local == f.evaluate(tuple(c))
 
 
 def test_projective_point_canonical_form():
