@@ -11,7 +11,6 @@ everything through the full pipeline and reports field-level differences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from conicfree.freeness import FREE, NEARLY_FREE, NEITHER, effective_inventory
 from conicfree.jacobian import SyzygyWitness, verify_witness
@@ -21,6 +20,7 @@ from conicfree.poly import (
     HomogeneousPolynomial,
     ProjectivePoint,
     dehomogenize,
+    expand_product,
     parse_polynomial,
 )
 from conicfree.report import Analysis, analyze_curve
@@ -43,10 +43,7 @@ class CorpusEntry:
     def polynomial(self) -> HomogeneousPolynomial:
         if self.polynomial_text is not None:
             return parse_polynomial(self.polynomial_text)
-        product = HomogeneousPolynomial(0, {(0, 0, 0): Fraction(1)})
-        for text in self.component_texts or ():
-            product = product * parse_polynomial(text)
-        return product
+        return expand_product(parse_polynomial(text) for text in self.component_texts or ())
 
     def arrangement(self) -> ConicArrangement | None:
         if self.component_texts is None:

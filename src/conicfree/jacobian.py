@@ -56,6 +56,7 @@ import numpy as np
 # replacing those attributes of conicfree.linalg reaches these calls
 from conicfree import linalg
 from conicfree.linalg import (
+    BOUND_PRIME,
     RatMatrix,
     _kills,
     _SparseRows,
@@ -102,6 +103,16 @@ class JacobianContext:
         """The partials times the lcm of their coefficients' denominators."""
         scale = lcm(*(c.denominator for g in self.partials for c in g.terms.values()))
         return tuple({m: int(c * scale) for m, c in g.terms.items()} for g in self.partials)
+
+    @cached_property
+    def row_l1(self) -> int:
+        """Sum of the l1 norms of the integer partials.
+
+        A row of syzygy_matrix(ctx, s) holds, per component, coefficients
+        of one integer partial at distinct monomials, so this bounds its l1
+        norm in every degree s.
+        """
+        return sum(abs(v) for g in self.integer_partials for v in g.values())
 
 
 @dataclass(frozen=True)
@@ -186,6 +197,8 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
 # of syzygy_matrix(ctx, e).
 Relation = tuple[int, np.ndarray]
 
+_WEIGHED_ROWS = 2**16  # rows of relation multiples per int64 product in _relations_mod_p
+
 
 def _relation_multiples(relations: Sequence[Relation], s: int) -> np.ndarray:
     """Every relation times every monomial of degree s - e, one row each.
@@ -235,17 +248,28 @@ def _residues(relations: Sequence[Relation]) -> list[Relation]:
     return [(e, residues_mod(vec)) for e, vec in relations]
 
 
-def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray) -> bool:
+def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray, l1: int | None = None) -> bool:
     """Whether matrix kills one fixed pseudo-random combination of the rows mod p.
 
-    A row that is not a relation mod p (a construction fault) leaves the
-    product nonzero unless the combination happens to cancel it.  The
-    weights, in [1, 2^16), are the top 16 bits of the Weyl sequence
-    i * 0x9E3779B9 mod 2^32, reduced mod 2^16 - 1, plus 1.
+    The rows of multiples are residues mod p, int64 in [0, p), as
+    _relation_multiples makes them from _residues.  A row that is not a
+    relation mod p (a construction fault) leaves the product nonzero unless
+    the combination happens to cancel it.  The weights, in [1, 2^16), are
+    the top 16 bits of the Weyl sequence i * 0x9E3779B9 mod 2^32, reduced
+    mod 2^16 - 1, plus 1.  The combination is one int64 product per
+    _WEIGHED_ROWS rows, exact since 2^16 terms below 2^16 (p - 1) sum to
+    less than 2^63.  l1, a bound on the row l1 norms of the matrix, lets
+    linalg.product_mod multiply the combination by the matrix as one dense
+    int64 product.
     """
+    if not len(multiples):
+        return True
     weights = (np.arange(1, len(multiples) + 1) * 0x9E3779B9 % 2**32 >> 16) % (2**16 - 1) + 1
-    combo = product_mod(multiples.T, weights)
-    return not product_mod(matrix.array, combo).any()
+    combo = sum(
+        weights[i : i + _WEIGHED_ROWS] @ multiples[i : i + _WEIGHED_ROWS] % BOUND_PRIME
+        for i in range(0, len(multiples), _WEIGHED_ROWS)
+    )
+    return not product_mod(matrix.array, combo % BOUND_PRIME, l1).any()
 
 
 def _leading_terms(rows: np.ndarray, t: int) -> np.ndarray:
@@ -328,7 +352,7 @@ def _certified_rank(
         )
     if lower + spanned < matrix.cols:
         return None
-    if not _relations_mod_p(matrix, multiples):
+    if not _relations_mod_p(matrix, multiples, ctx.row_l1):
         raise AssertionError("some row of the relation multiples is not a relation mod p")
     return lower
 

@@ -36,10 +36,12 @@ with identical contracts:
   last carry is 0.  Matrices whose entries leave no room for 8-bit limbs
   are checked row by row with Python integers.  A failed certificate at the
   Hadamard bound means the prime lowered the rank, and the next prime is
-  tried.  A canonical kernel, the default, also needs two primes that
-  agree on the rank and the pivot columns, the smallest pivot tuple
-  winning at the top rank; any other kernel request takes the first prime
-  whose kernel is certified.
+  tried.  Every kernel request takes the first prime whose kernel is
+  certified; a canonical kernel, the default, is accepted from it only
+  when an exact support test on the lifted basis shows that the prime's
+  free columns are those of the rational reduced echelon form (every
+  vector 0 past its own free column), and otherwise the next prime is
+  tried.
 
 The engine eliminates mod p in two ways, by what the caller reads.  Where
 a kernel is lifted (the certificate and the inverse mod q of Dixon's
@@ -51,11 +53,12 @@ pivot columns depend only on the row space, so both give the same ones.
 
 :func:`pivot_columns_mod`, :func:`rank_mod` and :func:`product_mod` work
 modulo one fixed prime, BOUND_PRIME, the first that the certified engine
-tries; the first two read pivot columns only.  A rank mod p is a lower
-bound for the rank over the rationals; the Hilbert window
-(conicfree.jacobian) pairs it with explicit exact relations for the upper
-bound and calls :func:`rank_certified` only where the two bounds do not
-meet.
+tries; the first two read pivot columns only, and the third is one dense
+int64 product wherever a bound on the row l1 norms keeps it exact.  A
+rank mod p is a lower bound for the rank over the rationals; the Hilbert
+window (conicfree.jacobian) pairs it with explicit exact relations for the
+upper bound and calls :func:`rank_certified` only where the two bounds do
+not meet.
 
 All operations are pure and deterministic: primes are taken in descending
 order below 2^31, pivot rules are fixed and nothing is random.
@@ -371,12 +374,17 @@ def rank_mod(a: np.ndarray) -> int:
     return len(pivot_columns_mod(a.T if a.shape[1] > a.shape[0] else a))
 
 
-def product_mod(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def product_mod(a: np.ndarray, x: np.ndarray, l1: int | None = None) -> np.ndarray:
     """a @ x modulo BOUND_PRIME for an integer array a and int64 x in [0, BOUND_PRIME).
 
-    Runs over the nonzero entries of a, each term reduced before the row
-    sums, so every step is exact in int64.
+    Given l1, a bound on every row l1 norm of a, an int64 a with
+    l1 * (BOUND_PRIME - 1) <= 2^63 - 1 takes one dense int64 product: every
+    partial row sum is bounded by that.  Otherwise (an object array, a
+    larger bound or none) the product runs over the nonzero entries of a,
+    each term reduced before the row sums, so every step is exact in int64.
     """
+    if l1 is not None and a.dtype != object and l1 * (BOUND_PRIME - 1) <= _INT64_MAX:
+        return a @ x % BOUND_PRIME
     rows, cols = np.nonzero(a)
     terms = residues_mod(a[rows, cols]) * x[cols] % BOUND_PRIME
     out = np.zeros(a.shape[0], dtype=np.int64)
@@ -744,11 +752,11 @@ def _prime_budget(a: np.ndarray) -> int:
     A prime that lowers the rank or moves a pivot divides one fixed nonzero
     minor of the matrix, which is below 2^(k*(bits + log2(k)/2)) for the
     order k <= min(rows, cols).  Each such prime exceeds 2^30, so at most
-    that many bits / 30 of them exist; two more primes reach two good ones.
+    that many bits / 30 of them exist; one more prime reaches a good one.
     """
     k = min(a.shape)
     bits = _max_abs(a).bit_length()
-    return 2 + k * (2 * bits + k.bit_length()) // 60
+    return 1 + k * (2 * bits + k.bit_length()) // 60
 
 
 def _primitive(vec: list[int]) -> tuple[int, ...]:
@@ -757,41 +765,53 @@ def _primitive(vec: list[int]) -> tuple[int, ...]:
     return tuple(v // g for v in vec)
 
 
-def _certified(matrix: RatMatrix, canonical: bool) -> KernelBasis | None:
-    """Modular kernel with an exact certificate.
+def _canonical_support(vectors: np.ndarray, free: np.ndarray) -> bool:
+    """Whether every kernel vector (column j of vectors) is 0 past its own
+    free column free[j].
 
-    An empty kernel or a kernel that need not be canonical needs one
-    prime; a canonical kernel needs two primes that agree on the rank and
-    the pivot columns.  At the top rank the smallest pivot tuple wins: the
-    pivots over the rationals are componentwise at most those of any prime
-    of that rank.  A prime that keeps the rank but moves a pivot still
-    gives an exact kernel basis, in the standard form of its own free
-    columns; a prime that lowers the rank gives none, and a later prime of
-    higher rank replaces it.  Returns None only past the prime budget, which
-    no matrix should reach; the caller then falls back to the exact
-    baseline.
+    For an exact basis of the kernel K in the standard form of the free
+    columns F, this holds exactly when F is the set of free columns of the
+    reduced echelon form over the rationals.  The columns on which nonzero
+    vectors of K end form one set of dim K columns: a basis whose vectors
+    end on distinct columns puts the end of every combination on one of
+    them.  The rational standard basis ends on the rational free columns
+    (each vector is supported on its free column and the pivots before
+    it), and a basis that passes the test ends on F (each vector holds the
+    common denominator in its own free column); so both are that set.
+    Conversely, for the rational F the standard-form basis is unique, and
+    it passes.
+    """
+    past = np.arange(len(vectors))[:, None] > free[None, :]
+    return not (past & (vectors != 0)).any()
+
+
+def _certified(matrix: RatMatrix, canonical: bool) -> KernelBasis | None:
+    """Modular kernel with an exact certificate, from one prime.
+
+    The first prime whose lifted kernel is certified gives the basis; a
+    prime that lowers the rank gives none, and the next prime is tried.  A
+    canonical kernel is taken from that prime only when it passes
+    _canonical_support: the prime's free columns are then the rational
+    ones, and the basis is the one kernel_basis returns.  A prime that keeps
+    the rank but moves a pivot fails the test, and the next prime is
+    tried; with canonical=False its basis, exact and of full dimension in
+    the standard form of its own free columns, is returned.  Returns None
+    only past the prime budget, which no matrix should reach; the caller
+    then falls back to the exact baseline.
     """
     a = matrix.array
-    needed = 2 if canonical else 1
     budget = _prime_budget(a)
-    best: tuple[int, tuple[int, ...]] | None = None
-    seen = 0
     for tried, p in enumerate(_primes_below(2**31), start=1):
         pivots, pivot_rows, rref = _rref_mod(_mod_array(a, p), p)
         if len(pivots) == matrix.cols:
             # full column rank: a nonzero maximal minor mod p is the whole
             # certificate, and the kernel is empty
             return KernelBasis(0, ())
-        key = (-len(pivots), pivots)
-        if best is None or key < best:
-            best, seen = key, 0
-        if key == best:
-            seen += 1
-            if seen == needed:
-                found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
-                if found is not None:
-                    columns = found.T.tolist()
-                    return KernelBasis(len(columns), tuple(_primitive(vec) for vec in columns))
+        found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
+        free = np.delete(np.arange(matrix.cols), pivots)
+        if found is not None and (not canonical or _canonical_support(found, free)):
+            columns = found.T.tolist()
+            return KernelBasis(len(columns), tuple(_primitive(vec) for vec in columns))
         if tried >= budget:
             return None
     return None

@@ -34,6 +34,7 @@ from conicfree.poly import (
     HomogeneousPolynomial,
     ProjectivePoint,
     conic_is_smooth,
+    expand_product,
 )
 
 
@@ -97,10 +98,7 @@ class ConicArrangement:
         return len(self.components)
 
     def polynomial(self) -> HomogeneousPolynomial:
-        product = HomogeneousPolynomial(0, {(0, 0, 0): Fraction(1)})
-        for q in self.components:
-            product = product * q.polynomial()
-        return product
+        return expand_product(q.polynomial() for q in self.components)
 
 
 @dataclass(frozen=True)

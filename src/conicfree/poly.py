@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
+from typing import Iterable
 
 Mono3 = tuple[int, int, int]
 Mono2 = tuple[int, int]
@@ -230,6 +231,21 @@ class HomogeneousPolynomial:
 
     def __repr__(self) -> str:
         return f"HomogeneousPolynomial({self.degree}, {self})"
+
+
+def expand_product(forms: Iterable[HomogeneousPolynomial]) -> HomogeneousPolynomial:
+    """The product of forms, expanded once.
+
+    Integral coefficients enter _mul as Python integers (the numerator where
+    the denominator is 1), so integer input multiplies in integers and the
+    product is converted to Fraction once; other coefficients stay Fraction.
+    """
+    degree, terms = 0, {(0, 0, 0): 1}
+    for g in forms:
+        degree += g.degree
+        integral = {m: c.numerator if c.denominator == 1 else c for m, c in g.terms.items()}
+        terms = _mul(terms, integral)
+    return HomogeneousPolynomial(degree, terms)
 
 
 class AffinePolynomial:

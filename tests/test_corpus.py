@@ -4,9 +4,14 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicfree.cli import main
 from conicfree.corpus import (
@@ -23,7 +28,15 @@ from conicfree.corpus import (
     run_regression,
     two_conics_a7,
 )
-from conicfree.poly import AffinePolynomial, ProjectivePoint, dehomogenize
+from conicfree.locus import ConicArrangement
+from conicfree.poly import (
+    AffinePolynomial,
+    ConicForm,
+    ProjectivePoint,
+    conic_is_smooth,
+    dehomogenize,
+    parse_polynomial,
+)
 from conicfree.report import analysis_document
 from exact_engine import exact_mdr, exact_window
 
@@ -196,3 +209,49 @@ def test_reproduce_corpus_script(capsys):
             e.name, exp["d"], exp["d1"], exp["tau"], exp["nu"], exp["verdict"]
         )
     assert lines[-1].startswith("  171 checks, 0 failures")
+
+
+def _assert_expands_like_fractions(got, forms):
+    """got is the product of forms expanded in Fraction arithmetic (by *),
+    with Fraction coefficients."""
+    assert got == reduce(mul, forms)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def test_arrangement_expansion_equals_the_fraction_product_on_the_corpus():
+    checked = 0
+    for e in corpus_entries():
+        if e.component_texts is None:
+            continue
+        forms = [parse_polynomial(t) for t in e.component_texts]
+        _assert_expands_like_fractions(e.polynomial(), forms)
+        _assert_expands_like_fractions(e.arrangement().polynomial(), forms)
+        checked += 1
+    assert checked >= 10
+
+
+_coefficients = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 1, 2, 3, 7]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    conics=st.lists(
+        st.tuples(*[_coefficients] * 6).map(lambda c: ConicForm(*c) if any(c) else None),
+        min_size=2,
+        max_size=4,
+    )
+)
+def test_arrangement_expansion_equals_the_fraction_product(conics):
+    """Integer and p/q coefficients: the arrangement and a corpus entry built
+    from the same texts expand to the Fraction product."""
+    conics = [q for q in conics if q is not None and conic_is_smooth(q)]
+    distinct = [
+        q for i, q in enumerate(conics) if not any(q.is_proportional_to(o) for o in conics[:i])
+    ]
+    if len(distinct) < 2:
+        return
+    forms = [q.polynomial() for q in distinct]
+    _assert_expands_like_fractions(ConicArrangement(tuple(distinct)).polynomial(), forms)
+    texts = tuple(str(f) for f in forms)
+    e = CorpusEntry("drawn", "drawn conics", texts, {}, {})
+    _assert_expands_like_fractions(e.polynomial(), forms)

@@ -181,6 +181,21 @@ def test_kernel_survives_a_pivot_shifting_first_prime():
     assert rank(_matrix([list(v) for v in loose.vectors + expected.vectors])) == 4
 
 
+def test_support_test_rejects_a_vector_past_its_free_column():
+    # [2 1 1]: over Q the pivot is column 0 and the free columns are 1, 2.
+    # Both bases below are exact and of full dimension; the second is in the
+    # standard form of the free columns 0, 2 (a pivot moved to column 1), and
+    # its vector for free column 0 is nonzero in column 1.
+    a = [[2, 1, 1]]
+    canonical = np.array([[-1, -1], [2, 0], [0, 2]], dtype=object)
+    shifted = np.array([[1, 0], [-2, -1], [0, 1]], dtype=object)
+    for basis in (canonical, shifted):
+        assert all(_annihilates(a, vec) for vec in basis.T.tolist())
+    assert linalg._canonical_support(canonical, np.array([1, 2]))
+    assert not linalg._canonical_support(shifted, np.array([0, 2]))
+    assert [list(v) for v in kernel_basis(_matrix(a)).vectors] == canonical.T.tolist()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     rows=st.integers(_MOD_THRESHOLD + 1, 34),

@@ -213,6 +213,124 @@ def test_a_row_that_is_no_relation_is_caught_mod_p():
         assert not jacobian._relations_mod_p(matrix, f), name
 
 
+_P = linalg.BOUND_PRIME
+_DENSE_L1 = (2**63 - 1) // (_P - 1)  # the largest row l1 norm of a dense product mod p
+
+
+def _weights(n):
+    """The weights of _relations_mod_p, from the Weyl sequence its docstring gives."""
+    return [((i * 0x9E3779B9) % 2**32 >> 16) % (2**16 - 1) + 1 for i in range(1, n + 1)]
+
+
+@st.composite
+def _relation_checks(draw):
+    """A matrix with the bound on its row l1 norms that the check is given,
+    and residues mod p as relation multiples.
+
+    The matrix is int64 with a row whose l1 norm is just below or just above
+    _DENSE_L1 (entries of one sign, so a dense product at the wrong side of
+    the bound overflows), small int64 with or without a bound, or object with
+    entries up to 2^80; it may have zero rows.  The multiples number 0 to
+    3 * 2^16, mostly p - 1, with a last row that may cancel the combination.
+    """
+    cols = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["below", "above", "small", "object"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            rows.append([0] * cols)
+        elif kind == "object":
+            rows.append([draw(st.integers(-(2**80), 2**80)) for _ in range(cols)])
+        else:
+            rows.append([draw(st.integers(-3, 3)) for _ in range(cols)])
+    if kind in ("below", "above"):
+        total = _DENSE_L1 + (1 if kind == "above" else -draw(st.integers(0, 2)))
+        sign = draw(st.sampled_from([1, -1]))
+        row = [total // cols] * cols
+        row[0] += total - sum(row)
+        rows.insert(draw(st.integers(0, len(rows))), [sign * v for v in row])
+    matrix = np.zeros((len(rows), cols), dtype=object if kind == "object" else np.int64)
+    if rows:
+        matrix[:] = rows
+    l1 = max((sum(map(abs, row)) for row in rows), default=0)
+    if kind == "small" and draw(st.booleans()):
+        l1 = None
+    n = draw(st.sampled_from([0, 1, 3, 2**16 - 1, 2**16, 2**16 + 2, 3 * 2**16]))
+    multiples = np.full((n, cols), _P - 1, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 3)) if n else 0):
+        multiples[draw(st.integers(0, n - 1)), draw(st.integers(0, cols - 1))] = draw(
+            st.integers(0, _P - 1)
+        )
+    if n and draw(st.booleans()):
+        _cancel(multiples)
+    return matrix, l1, multiples
+
+
+def _cancel(multiples):
+    """Set the last row so that the weighted combination of the rows is 0 mod p."""
+    weights = _weights(len(multiples))
+    head = multiples[:-1].astype(object).T.dot(np.array(weights[:-1], dtype=object))
+    multiples[-1] = [-v * pow(weights[-1], -1, _P) % _P for v in head.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_relation_checks(), st.lists(st.sampled_from([0, 1, _P - 1]), min_size=4, max_size=4))
+def test_relation_check_matches_a_python_reference(check, x):
+    """product_mod and _relations_mod_p against sums of Python integers mod p:
+    the dense int64 product at and past its bound, the sparse path on object
+    arrays, zero rows, and combinations of more than 2^16 rows."""
+    matrix, l1, multiples = check
+    a = matrix.tolist()
+    x = np.array(x[: matrix.shape[1]], dtype=np.int64)
+    got = linalg.product_mod(matrix, x, l1)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sum(v * w for v, w in zip(row, x.tolist())) % _P for row in a]
+    weights = _weights(len(multiples))
+    combo = [sum(w * v for w, v in zip(weights, col)) % _P for col in multiples.T.tolist()]
+    expected = all(sum(v * c for v, c in zip(row, combo)) % _P == 0 for row in a)
+    assert jacobian._relations_mod_p(linalg.RatMatrix(matrix), multiples, l1) is expected
+
+
+def test_relation_check_combines_many_rows_exactly():
+    """3 * 2^16 rows of p - 1: one int64 product of them all would overflow,
+    and only an exact combination is 0 mod p."""
+    multiples = np.full((3 * 2**16, 2), _P - 1, dtype=np.int64)
+    _cancel(multiples)
+    matrix = linalg.RatMatrix(np.array([[1, 0], [0, 1], [5, -7]], dtype=np.int64))
+    for l1 in (12, None):
+        assert jacobian._relations_mod_p(matrix, multiples, l1)
+        multiples[7, 1] -= 1
+        assert not jacobian._relations_mod_p(matrix, multiples, l1)
+        multiples[7, 1] += 1
+
+
+def test_each_canonical_kernel_takes_one_prime(monkeypatch):
+    """The d1 kernels of the corpus and of the generic octic, on fresh
+    contexts, eliminate their matrix once: one _rref_mod of its shape (the
+    inverse of Dixon's lifting eliminates [b | I], of another shape)."""
+    shapes, eliminations = [], []
+    rref, kernel = linalg._rref_mod, linalg.kernel_basis_certified
+
+    def spy_rref(a, p):
+        shapes.append(a.shape)
+        return rref(a, p)
+
+    def spy_kernel(matrix, canonical=True):
+        shapes.clear()
+        basis = kernel(matrix, canonical=canonical)
+        if canonical and max(matrix.rows, matrix.cols) > linalg._MOD_THRESHOLD:
+            eliminations.append(shapes.count(matrix.array.shape))
+        return basis
+
+    monkeypatch.setattr(linalg, "_rref_mod", spy_rref)
+    monkeypatch.setattr(linalg, "kernel_basis_certified", spy_kernel)
+    curves = [JacobianContext.for_curve(e.polynomial()) for e in corpus_entries()]
+    curves.append(_curve(_generic_texts(1)[-1]))
+    for ctx in curves:
+        relation_generators(ctx)
+    assert len(eliminations) >= 10 and set(eliminations) == {1}, eliminations
+
+
 def test_generator_degrees_are_the_exponents():
     checked = 0
     for e, ctx in _corpus():
