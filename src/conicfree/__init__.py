@@ -1,12 +1,10 @@
 """Exact freeness and nearly-freeness analysis for plane conic arrangements."""
 
 from conicfree.combinatorics import (
-    DArrangementType,
     EnumerationCertificate,
     IncidenceStructure,
     WeakCombinatorialType,
     bezout_count_check,
-    d_arrangement_count,
     enumerate_nearly_free_bound,
     enumerate_theorem_char,
     enumerate_theorem_near,

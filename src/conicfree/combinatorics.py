@@ -10,9 +10,8 @@ tangential types A3, A5, A7:
   d1 >= (5/8)*d - 2 against d1 <= (d-1)/2 empties every larger k);
 * a nearly free one has k <= 8 (same scan with upper bound d/2).
 
-Also the Bezout intersection count per arrangement type, the analogous count
-for arrangements of higher-degree smooth curves with ordinary singularities,
-and the combinatorial supersolvability test on incidence structures.
+Also the Bezout intersection count per arrangement type and the
+combinatorial supersolvability test on incidence structures.
 """
 
 from __future__ import annotations
@@ -168,36 +167,6 @@ def enumerate_nearly_free_bound(kmax: int) -> EnumerationCertificate:
     Same scan as the freeness bound with the weaker upper bound d1 <= d/2.
     """
     return _k_scan("nfbound", kmax, lambda k: k, 8)
-
-
-@dataclass(frozen=True)
-class DArrangementType:
-    """Arrangement of k smooth degree-d curves with ordinary singularities."""
-
-    d: int
-    k: int
-    n2: int = 0
-    n3: int = 0
-    n4: int = 0
-
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.k < 2:
-            raise ValueError("need degree >= 1 and k >= 2")
-        if min(self.n2, self.n3, self.n4) < 0:
-            raise ValueError("singularity counts are nonnegative")
-
-
-def d_arrangement_count(t: DArrangementType) -> tuple[bool, bool]:
-    """Evaluate both forms of the intersection count for d-arrangements.
-
-    Returns (as_printed, bezout): the printed count d*C(k,2) and the
-    Bezout-consistent count d^2*C(k,2) (two degree-d curves meet in d^2
-    points; at d = 1 the two agree).  Both are surfaced because the printed
-    form conflicts with the conic case 2k(k-1) = 4*C(k,2) at d = 2.
-    """
-    pairs = t.k * (t.k - 1) // 2
-    rhs = t.n2 + 3 * t.n3 + 6 * t.n4
-    return (t.d * pairs == rhs, t.d * t.d * pairs == rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _residues(relations: Sequence[Relation]) -> list[Relation]:
     return [(e, residues_mod(vec)) for e, vec in relations]
 
 
-def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray, l1: int | None = None) -> bool:
+def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray, l1: int) -> bool:
     """Whether matrix kills one fixed pseudo-random combination of the rows mod p.
 
     The rows of multiples are residues mod p, int64 in [0, p), as
@@ -258,9 +258,9 @@ def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray, l1: int | None = 
     the top 16 bits of the Weyl sequence i * 0x9E3779B9 mod 2^32, reduced
     mod 2^16 - 1, plus 1.  The combination is one int64 product per
     _WEIGHED_ROWS rows, exact since 2^16 terms below 2^16 (p - 1) sum to
-    less than 2^63.  l1, a bound on the row l1 norms of the matrix, lets
-    linalg.product_mod multiply the combination by the matrix as one dense
-    int64 product.
+    less than 2^63.  l1 bounds the row l1 norms of the matrix; where it is
+    small enough, linalg.product_mod multiplies the combination by the
+    matrix as one dense int64 product.
     """
     if not len(multiples):
         return True
@@ -370,10 +370,9 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     outside the span of those multiples mod p join: the greedy mod-p column
     basis of the multiples followed by the kernel.  The kernel engine
     verifies its vectors exactly, so every generator is a relation.  The
-    first generator is (d1, the first vector of the canonical certified
-    kernel of A_d1): nothing precedes it, and a primitive vector is nonzero
-    mod p.  Above d1 any exact kernel basis serves the span, so those
-    kernels take the first prime that certifies one (canonical=False).
+    first generator is (d1, the first vector of the certified kernel of
+    A_d1, the basis linalg.kernel_basis returns): nothing precedes it, and
+    a primitive vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -391,7 +390,7 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         matrix = syzygy_matrix(ctx, e)
         if _certified_rank(ctx, e, matrix, known) is not None:
             continue
-        vectors = linalg.kernel_basis_certified(matrix, canonical=not found).vectors
+        vectors = linalg.kernel_basis_certified(matrix).vectors
         kernel = np.array(vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
         basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
         found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
@@ -505,7 +504,7 @@ def verify_witness(ctx: JacobianContext, witness: SyzygyWitness) -> bool:
     total: dict[Mono3, int] = {}
     for g, partial in zip(witness.triple(), ctx.integer_partials):
         for (i, j, k), c in g.terms.items():
-            c = int(c * den)
+            c = c.numerator * (den // c.denominator)
             for (u, v, w), e in partial.items():
                 m = (i + u, j + v, k + w)
                 total[m] = total.get(m, 0) + c * e

@@ -36,12 +36,12 @@ with identical contracts:
   last carry is 0.  Matrices whose entries leave no room for 8-bit limbs
   are checked row by row with Python integers.  A failed certificate at the
   Hadamard bound means the prime lowered the rank, and the next prime is
-  tried.  Every kernel request takes the first prime whose kernel is
-  certified; a canonical kernel, the default, is accepted from it only
-  when an exact support test on the lifted basis shows that the prime's
-  free columns are those of the rational reduced echelon form (every
-  vector 0 past its own free column), and otherwise the next prime is
-  tried.
+  tried.  A certified kernel is accepted from a prime only when an exact
+  support test on the lifted basis shows that the prime's free columns
+  are those of the rational reduced echelon form (every vector 0 past its
+  own free column), so it is the basis the exact engine returns; otherwise
+  the next prime is tried.  Zero and full-column-rank matrices take the
+  same path.
 
 The engine eliminates mod p in two ways, by what the caller reads.  Where
 a kernel is lifted (the certificate and the inverse mod q of Dixon's
@@ -374,16 +374,16 @@ def rank_mod(a: np.ndarray) -> int:
     return len(pivot_columns_mod(a.T if a.shape[1] > a.shape[0] else a))
 
 
-def product_mod(a: np.ndarray, x: np.ndarray, l1: int | None = None) -> np.ndarray:
+def product_mod(a: np.ndarray, x: np.ndarray, l1: int) -> np.ndarray:
     """a @ x modulo BOUND_PRIME for an integer array a and int64 x in [0, BOUND_PRIME).
 
-    Given l1, a bound on every row l1 norm of a, an int64 a with
+    l1 bounds every row l1 norm of a.  An int64 a with
     l1 * (BOUND_PRIME - 1) <= 2^63 - 1 takes one dense int64 product: every
-    partial row sum is bounded by that.  Otherwise (an object array, a
-    larger bound or none) the product runs over the nonzero entries of a,
-    each term reduced before the row sums, so every step is exact in int64.
+    partial row sum is bounded by that.  Otherwise (an object array or a
+    larger bound) the product runs over the nonzero entries of a, each term
+    reduced before the row sums, so every step is exact in int64.
     """
-    if l1 is not None and a.dtype != object and l1 * (BOUND_PRIME - 1) <= _INT64_MAX:
+    if a.dtype != object and l1 * (BOUND_PRIME - 1) <= _INT64_MAX:
         return a @ x % BOUND_PRIME
     rows, cols = np.nonzero(a)
     terms = residues_mod(a[rows, cols]) * x[cols] % BOUND_PRIME
@@ -604,6 +604,15 @@ def _spread(positions: np.ndarray) -> np.ndarray:
     return positions[picks.astype(np.int64)]
 
 
+def _lifting_prime(b: np.ndarray, cap: int) -> tuple[int, np.ndarray] | None:
+    """The largest prime q below cap modulo which b is invertible, with b^-1 mod q."""
+    for q in _primes_below(cap):
+        binv = _inverse_mod(b, q)
+        if binv is not None:
+            return q, binv
+    return None
+
+
 def _dixon(b: np.ndarray, c: np.ndarray, h2: int, accept):
     """X = b^-1 c over the rationals by p-adic lifting; b is nonsingular.
 
@@ -628,18 +637,18 @@ def _dixon(b: np.ndarray, c: np.ndarray, h2: int, accept):
     entries stay below M = max(|c|, L) for the largest row l1 norm L of b,
     needs M + L*(q-1) to fit.  A step on Python integers costs some 30
     int64 steps, so int64 is used whenever a prime of at least 2^8
-    qualifies; otherwise b and the residual are kept as Python integers.
+    qualifies and b is invertible modulo one of them; otherwise b and the
+    residual are kept as Python integers, and the prime need only keep the
+    digit exact.
     """
     r, k = c.shape
     bs = _SparseRows(b)
     bound = max(_max_abs(c), bs.l1)
-    cap = (_INT64_MAX - bound) // bs.l1
-    native = cap >= 2**8
-    cap = min(cap if native else 2**31, isqrt(_INT64_MAX // r) + 1, 2**31)
-    for q in _primes_below(cap):
-        binv = _inverse_mod(b, q)
-        if binv is not None:
-            break
+    cap = min(isqrt(_INT64_MAX // r) + 1, 2**31)
+    native_cap = (_INT64_MAX - bound) // bs.l1
+    lifting = _lifting_prime(b, min(native_cap, cap)) if native_cap >= 2**8 else None
+    native = lifting is not None
+    q, binv = lifting or _lifting_prime(b, cap)
     if native:
         res = c.astype(np.int64)
         bs.vals = bs.vals.astype(np.int64)
@@ -785,31 +794,27 @@ def _canonical_support(vectors: np.ndarray, free: np.ndarray) -> bool:
     return not (past & (vectors != 0)).any()
 
 
-def _certified(matrix: RatMatrix, canonical: bool) -> KernelBasis | None:
+def _certified(matrix: RatMatrix) -> KernelBasis | None:
     """Modular kernel with an exact certificate, from one prime.
 
-    The first prime whose lifted kernel is certified gives the basis; a
-    prime that lowers the rank gives none, and the next prime is tried.  A
-    canonical kernel is taken from that prime only when it passes
-    _canonical_support: the prime's free columns are then the rational
-    ones, and the basis is the one kernel_basis returns.  A prime that keeps
-    the rank but moves a pivot fails the test, and the next prime is
-    tried; with canonical=False its basis, exact and of full dimension in
-    the standard form of its own free columns, is returned.  Returns None
-    only past the prime budget, which no matrix should reach; the caller
-    then falls back to the exact baseline.
+    The first prime whose lifted kernel is certified and passes
+    _canonical_support gives the basis: the prime's free columns are then
+    the rational ones, and the basis is the one kernel_basis returns.  A
+    prime that lowers the rank gives no certified kernel, and one that
+    keeps the rank but moves a pivot fails the support test; either way the
+    next prime is tried.  A zero matrix and one of full column rank take
+    the same path: every column free and the unit vectors, or no free
+    column and the empty kernel.  Returns None only past the prime budget,
+    which no matrix should reach; the caller then falls back to the exact
+    baseline.
     """
     a = matrix.array
     budget = _prime_budget(a)
     for tried, p in enumerate(_primes_below(2**31), start=1):
         pivots, pivot_rows, rref = _rref_mod(_mod_array(a, p), p)
-        if len(pivots) == matrix.cols:
-            # full column rank: a nonzero maximal minor mod p is the whole
-            # certificate, and the kernel is empty
-            return KernelBasis(0, ())
         found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
         free = np.delete(np.arange(matrix.cols), pivots)
-        if found is not None and (not canonical or _canonical_support(found, free)):
+        if found is not None and _canonical_support(found, free):
             columns = found.T.tolist()
             return KernelBasis(len(columns), tuple(_primitive(vec) for vec in columns))
         if tried >= budget:
@@ -824,20 +829,16 @@ def rank_certified(matrix: RatMatrix) -> int:
     columns, and rank is invariant under transposition.
     """
     oriented = matrix.transpose() if matrix.cols > matrix.rows else matrix
-    return oriented.cols - kernel_basis_certified(oriented, canonical=False).dimension
+    return oriented.cols - kernel_basis_certified(oriented).dimension
 
 
-def kernel_basis_certified(matrix: RatMatrix, canonical: bool = True) -> KernelBasis:
-    """Kernel basis through the certified modular path, exact fallback.
+def kernel_basis_certified(matrix: RatMatrix) -> KernelBasis:
+    """The basis kernel_basis returns, through the certified modular path.
 
-    Every vector is re-verified exactly either way.  The canonical basis,
-    the default, is the one kernel_basis returns; with canonical=False the
-    basis may be in the standard form of other free columns, when the first
-    prime moves a pivot but keeps the rank.
+    Matrices of at most _MOD_THRESHOLD rows and columns, and any matrix
+    past the prime budget, go to the exact engine; the certified path
+    re-verifies every vector exactly.
     """
-    if not matrix.array.any():
-        unit = np.eye(matrix.cols, dtype=np.int64).tolist()
-        return KernelBasis(matrix.cols, tuple(map(tuple, unit)))
     if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
         return kernel_basis(matrix)
-    return _certified(matrix, canonical) or kernel_basis(matrix)
+    return _certified(matrix) or kernel_basis(matrix)

@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicfree.combinatorics import (
-    DArrangementType,
     IncidenceStructure,
     WeakCombinatorialType,
     bezout_count_check,
-    d_arrangement_count,
     enumerate_nearly_free_bound,
     enumerate_theorem_char,
     enumerate_theorem_near,
@@ -86,15 +84,6 @@ def test_scan_preconditions():
         enumerate_theorem_char(3)
     with pytest.raises(ValueError):
         enumerate_nearly_free_bound(7)
-
-
-def test_d_arrangement_counts_surface_both_forms():
-    # three conics with twelve nodes: printed form fails, Bezout form holds
-    assert d_arrangement_count(DArrangementType(d=2, k=3, n2=12)) == (False, True)
-    # lines: the two forms agree
-    assert d_arrangement_count(DArrangementType(d=1, k=3, n3=1)) == (True, True)
-    # two cubics meeting in nine nodes
-    assert d_arrangement_count(DArrangementType(d=3, k=2, n2=9)) == (False, True)
 
 
 def test_supersolvable_single_point():

@@ -173,12 +173,56 @@ def test_kernel_survives_a_pivot_shifting_first_prime():
     with _exact_engine_refused():
         assert kernel_basis_certified(m) == expected
         assert rank_certified(m) == 26
-        # A kernel that need not be canonical takes the first prime: exact
-        # and of full dimension, in the standard form of other free columns.
-        loose = kernel_basis_certified(m, canonical=False)
-    assert loose.dimension == expected.dimension == 4 and loose != expected
-    assert all(_annihilates(a.tolist(), vec) for vec in loose.vectors)
-    assert rank(_matrix([list(v) for v in loose.vectors + expected.vectors])) == 4
+    assert expected.dimension == 4
+
+
+def test_zero_and_full_column_rank_matrices_take_the_certified_path():
+    """Every column free and the unit vectors, or no free column and the
+    empty kernel, certified without the exact engine above _MOD_THRESHOLD."""
+    n = _MOD_THRESHOLD + 1
+    rng = random.Random(7)
+    full = [[rng.randint(-5, 5) for _ in range(30)] for _ in range(40)]
+    full_tall = [[rng.randint(-(2**70), 2**70) for _ in range(n + 1)] for _ in range(60)]
+    zeros = [
+        np.zeros(shape, dtype=dtype)
+        for shape in ((30, 40), (40, 30), (n, n))
+        for dtype in (np.int64, object)
+    ]
+    for a in zeros:
+        m = RatMatrix(a)
+        unit = tuple(map(tuple, np.eye(m.cols, dtype=np.int64).tolist()))
+        with _exact_engine_refused():
+            assert kernel_basis_certified(m) == linalg.KernelBasis(m.cols, unit)
+            assert rank_certified(m) == 0
+    for dense in (full, full_tall):
+        m = _matrix(dense)
+        assert rank(m) == m.cols
+        with _exact_engine_refused():
+            assert kernel_basis_certified(m) == linalg.KernelBasis(0, ())
+            assert rank_certified(m) == rank_certified(m.transpose()) == m.cols
+
+
+def test_lifting_survives_a_pivot_block_no_native_prime_inverts():
+    """The pivot block is diagonal, with the primes below 300 as its entries
+    (grouped into products below 2^40), and its largest entry leaves 289 as
+    the cap of an exact int64 lift, so every prime below the cap divides
+    det b: the lift must run on Python integers instead."""
+    groups = [1]
+    for p in sorted(linalg._primes_below(300)):
+        if groups[-1] * p >= 2**40:
+            groups.append(1)
+        groups[-1] *= p
+    limit = (2**63 - 1) // 290
+    groups[0] *= next(linalg._primes_below(limit // groups[0] + 1))
+    assert len(groups) == 11 and (2**63 - 1 - groups[0]) // groups[0] == 289
+    a = np.zeros((11, 30), dtype=np.int64)
+    a[range(11), range(11)] = groups
+    a[:, 11:] = 1
+    m = RatMatrix(a)
+    expected = kernel_basis(m)
+    with _exact_engine_refused():
+        assert kernel_basis_certified(m) == expected
+        assert rank_certified(m) == 11
 
 
 def test_support_test_rejects_a_vector_past_its_free_column():
@@ -219,9 +263,7 @@ def test_certified_engine_matches_exact_engine_on_low_rank_products(rows, cols, 
             assert rank_certified(m) == exact_rank
             certified = kernel_basis_certified(m)
             assert repr(certified) == repr(exact_kernel)
-            loose = kernel_basis_certified(m, canonical=False)
-        assert loose.dimension == exact_kernel.dimension
-        vectors = np.array(loose.vectors, dtype=object).reshape(-1, m.cols)
+        vectors = np.array(certified.vectors, dtype=object).reshape(-1, m.cols)
         assert linalg._kills(linalg._SparseRows(m.array), vectors.T)
         pivots = set(linalg._integer_ref(m)[1])
         free = [c for c in range(m.cols) if c not in pivots]

@@ -208,9 +208,9 @@ def test_a_row_that_is_no_relation_is_caught_mod_p():
         s = 2 * ctx.d - 5
         matrix = syzygy_matrix(ctx, s)
         f = jacobian._relation_multiples(jacobian._residues(_relations(ctx)), s)
-        assert jacobian._relations_mod_p(matrix, f)
+        assert jacobian._relations_mod_p(matrix, f, ctx.row_l1)
         f[len(f) // 2, 0] = (f[len(f) // 2, 0] + 1) % linalg.BOUND_PRIME
-        assert not jacobian._relations_mod_p(matrix, f), name
+        assert not jacobian._relations_mod_p(matrix, f, ctx.row_l1), name
 
 
 _P = linalg.BOUND_PRIME
@@ -229,9 +229,10 @@ def _relation_checks(draw):
 
     The matrix is int64 with a row whose l1 norm is just below or just above
     _DENSE_L1 (entries of one sign, so a dense product at the wrong side of
-    the bound overflows), small int64 with or without a bound, or object with
-    entries up to 2^80; it may have zero rows.  The multiples number 0 to
-    3 * 2^16, mostly p - 1, with a last row that may cancel the combination.
+    the bound overflows), small int64 with its own bound or one past
+    _DENSE_L1, or object with entries up to 2^80; it may have zero rows.
+    The multiples number 0 to 3 * 2^16, mostly p - 1, with a last row that
+    may cancel the combination.
     """
     cols = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["below", "above", "small", "object"]))
@@ -254,7 +255,7 @@ def _relation_checks(draw):
         matrix[:] = rows
     l1 = max((sum(map(abs, row)) for row in rows), default=0)
     if kind == "small" and draw(st.booleans()):
-        l1 = None
+        l1 = _DENSE_L1 + 1
     n = draw(st.sampled_from([0, 1, 3, 2**16 - 1, 2**16, 2**16 + 2, 3 * 2**16]))
     multiples = np.full((n, cols), _P - 1, dtype=np.int64)
     for _ in range(draw(st.integers(0, 3)) if n else 0):
@@ -297,7 +298,7 @@ def test_relation_check_combines_many_rows_exactly():
     multiples = np.full((3 * 2**16, 2), _P - 1, dtype=np.int64)
     _cancel(multiples)
     matrix = linalg.RatMatrix(np.array([[1, 0], [0, 1], [5, -7]], dtype=np.int64))
-    for l1 in (12, None):
+    for l1 in (12, _DENSE_L1 + 1):
         assert jacobian._relations_mod_p(matrix, multiples, l1)
         multiples[7, 1] -= 1
         assert not jacobian._relations_mod_p(matrix, multiples, l1)
@@ -305,9 +306,10 @@ def test_relation_check_combines_many_rows_exactly():
 
 
 def test_each_canonical_kernel_takes_one_prime(monkeypatch):
-    """The d1 kernels of the corpus and of the generic octic, on fresh
-    contexts, eliminate their matrix once: one _rref_mod of its shape (the
-    inverse of Dixon's lifting eliminates [b | I], of another shape)."""
+    """The certified kernels of the relation walks of the corpus and of the
+    generic octic, on fresh contexts, eliminate their matrix once: one
+    _rref_mod of its shape (the inverse of Dixon's lifting eliminates
+    [b | I], of another shape)."""
     shapes, eliminations = [], []
     rref, kernel = linalg._rref_mod, linalg.kernel_basis_certified
 
@@ -315,10 +317,10 @@ def test_each_canonical_kernel_takes_one_prime(monkeypatch):
         shapes.append(a.shape)
         return rref(a, p)
 
-    def spy_kernel(matrix, canonical=True):
+    def spy_kernel(matrix):
         shapes.clear()
-        basis = kernel(matrix, canonical=canonical)
-        if canonical and max(matrix.rows, matrix.cols) > linalg._MOD_THRESHOLD:
+        basis = kernel(matrix)
+        if max(matrix.rows, matrix.cols) > linalg._MOD_THRESHOLD:
             eliminations.append(shapes.count(matrix.array.shape))
         return basis
 
