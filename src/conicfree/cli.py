@@ -51,6 +51,10 @@ EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INTERNAL = 3
 
+# the window's matrices, and so its time and memory, grow with every extra
+# degree; a larger --window-extend is refused as oversized input
+MAX_WINDOW_EXTEND = 10
+
 
 class InputError(ValueError):
     pass
@@ -70,6 +74,12 @@ class ResolvedInput:
     def f(self) -> HomogeneousPolynomial:
         """The curve, computed on first use: a survey alone never expands it."""
         return self.polynomial()
+
+
+def _content_lines(text: str) -> list[str]:
+    """The lines of an input file without ``#`` comments, blank lines dropped."""
+    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [line for line in lines if line]
 
 
 def _resolve_input(text: str) -> ResolvedInput:
@@ -92,11 +102,7 @@ def _resolve_input(text: str) -> ResolvedInput:
         )
     path = Path(text)
     if path.exists():
-        lines = [
-            line.split("#", 1)[0].strip()
-            for line in path.read_text().splitlines()
-        ]
-        lines = [line for line in lines if line]
+        lines = _content_lines(path.read_text())
         if not lines:
             raise InputError(f"{text}: no expressions found")
         if len(lines) == 1:
@@ -119,6 +125,11 @@ def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0 <= args.window_extend <= MAX_WINDOW_EXTEND:
+        raise InputError(
+            f"--window-extend must be between 0 and {MAX_WINDOW_EXTEND}, "
+            f"got {args.window_extend}"
+        )
     resolved = _resolve_input(args.input)
     analysis = _run_analysis(args, resolved)
     doc = analysis_document(
@@ -226,9 +237,10 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
 
 def cmd_supersolvable(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    if args.incidence or (
-        path.exists() and "point" in path.read_text().split(":", 1)[0]
-    ):
+    # a conic expression never starts with "point"; comments are skipped
+    # here as both parsers skip them
+    first = _content_lines(path.read_text())[:1] if path.exists() else []
+    if args.incidence or (first and first[0].startswith("point")):
         if not path.exists():
             raise InputError(f"{args.input}: incidence file not found")
         inc = IncidenceStructure.parse(path.read_text())

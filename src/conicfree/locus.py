@@ -14,11 +14,12 @@ the survey can say exactly how much of each pair's intersection budget
 (four, by Bezout) it has explained.
 
 A conic is defined up to scale, and every survey output is invariant under
-scaling one component.  So the survey works on content-free integer conics
-(each ConicForm times the lcm of its denominators, divided by the content):
-shears, resultants, rational fibers as coprime integer pairs, fiber points,
-root finding and jets are all integer arithmetic.  Fraction appears only in
-the returned roots and in the jet coefficients.
+scaling one component.  So the survey works on content-free integer conics,
+each component's ``ConicForm.integer``, computed once per form and cached on
+it: shears, resultants, rational fibers as coprime integer pairs, fiber
+points, root finding and jets are all integer arithmetic, and the jets of a
+survey are keyed by the integer conic and the point.  Fraction appears only
+in the returned roots and in the jet coefficients.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from conicfree.linalg import _rat_reconstruct
 from conicfree.poly import (
@@ -182,23 +183,11 @@ class LocusSurvey:
 # ---------------------------------------------------------------------------
 # Integer conics
 
-# A conic as six content-free integers (xx, yy, zz, xy, xz, yz), the
-# coefficients of a ConicForm in field order after clearing denominators.
+# A conic as six content-free integers (xx, yy, zz, xy, xz, yz): the
+# ConicForm.integer of a component.  Every survey output is invariant under
+# scaling one component: points, multiplicities, residuals, and the jet
+# fields, which are all ratios.
 IntConic = tuple[int, int, int, int, int, int]
-
-
-def _integer_conic(q: ConicForm) -> IntConic:
-    """q times the lcm of its denominators, divided by the content.
-
-    The scale factor is positive, so signs are kept.  Every survey output
-    is invariant under scaling one component: points, multiplicities,
-    residuals, and the jet fields, which are all ratios.
-    """
-    cs = (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)
-    den = lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    g = gcd(*ints)
-    return tuple(v // g for v in ints)
 
 
 def _evaluate(q: IntConic, x: int, y: int, z: int) -> int:
@@ -254,7 +243,7 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
     chart, s, (a00, t10, t01, a20, a11, a02) = _affine_conic_coefficients(
-        _integer_conic(q), point
+        q.integer, point
     )
     if a00 != 0:
         raise ValueError(f"point {point} does not lie on the conic {q}")
@@ -284,16 +273,14 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     )
 
 
-# Jets computed during one survey, keyed by (id of the conic, point).  A
-# survey makes one table and drops it on return; its arrangement keeps every
-# keyed conic alive meanwhile, so an id cannot be reused inside the table.
-JetTable = dict[tuple[int, ProjectivePoint], BranchJet]
+# Jets computed during one survey, keyed by (integer conic, point).
+JetTable = dict[tuple[IntConic, ProjectivePoint], BranchJet]
 
 
 def _jet(q: ConicForm, point: ProjectivePoint, jets: JetTable | None) -> BranchJet:
     if jets is None:
         return branch_jet(q, point)
-    key = (id(q), point)
+    key = (q.integer, point)
     jet = jets.get(key)
     if jet is None:
         jet = jets[key] = branch_jet(q, point)
@@ -650,19 +637,16 @@ def _scan_with_shear(
     return located, residual, transversal
 
 
-def _pair_scan(
-    qi: ConicForm, qj: ConicForm, iqi: IntConic, iqj: IntConic, jets: JetTable | None
-) -> PairIntersections:
-    """:func:`rational_pair_intersections` on two smooth, distinct conics,
-    given also as their integer conics."""
+def _pair_scan(qi: ConicForm, qj: ConicForm, jets: JetTable | None) -> PairIntersections:
+    """:func:`rational_pair_intersections` on two smooth, distinct conics."""
     first: tuple[list[tuple[ProjectivePoint, int]], int, bool] | None = None
     certified = False
     tried = 0
     for a, b in _SHEAR_GRID:
-        ti = _shear_conic(iqi, a, b)
+        ti = _shear_conic(qi.integer, a, b)
         if ti[0] == 0:
             continue
-        tj = _shear_conic(iqj, a, b)
+        tj = _shear_conic(qj.integer, a, b)
         if tj[0] == 0:
             continue
         scan = _scan_with_shear(qi, qj, ti, tj, a, b, jets)
@@ -707,7 +691,7 @@ def rational_pair_intersections(
         raise ValueError("both conics must be smooth")
     if qi.is_proportional_to(qj):
         raise ValueError("conics coincide")
-    return _pair_scan(qi, qj, _integer_conic(qi), _integer_conic(qj), jets)
+    return _pair_scan(qi, qj, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +714,7 @@ def classify_point(
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
     comps = arr.components
-    members = _members([_integer_conic(q) for q in comps], point)
+    members = _members(comps, point)
     mults = {
         (i, j): local_intersection_multiplicity(comps[i], comps[j], point, jets=jets)
         for i, j in combinations(members, 2)
@@ -738,9 +722,9 @@ def classify_point(
     return _classify(point, members, mults, assume_qh)
 
 
-def _members(ints: list[IntConic], point: ProjectivePoint) -> list[int]:
+def _members(comps: tuple[ConicForm, ...], point: ProjectivePoint) -> list[int]:
     x, y, z = point.coords()
-    return [i for i, q in enumerate(ints) if _evaluate(q, x, y, z) == 0]
+    return [i for i, q in enumerate(comps) if _evaluate(q.integer, x, y, z) == 0]
 
 
 def _classify(
@@ -795,19 +779,18 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     comps = arr.components
     # the arrangement already checked that its components are smooth and
     # pairwise distinct, so the pairs go straight to the scan
-    ints = [_integer_conic(q) for q in comps]
     jets: JetTable = {}  # each (component, point) jet is built once per survey
     # point -> {(i, j): multiplicity} for every pair whose scan located it
     located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
     residual_transversal = True
     for i, j in combinations(range(arr.k), 2):
-        pair = _pair_scan(comps[i], comps[j], ints[i], ints[j], jets)
+        pair = _pair_scan(comps[i], comps[j], jets)
         for pt, m in pair.points:
             located.setdefault(pt, {})[(i, j)] = m
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False
     records = tuple(
-        _classify(pt, _members(ints, pt), located[pt], assume_qh)
+        _classify(pt, _members(comps, pt), located[pt], assume_qh)
         for pt in sorted(located, key=lambda p: p.coords())
     )
     residual_per_pair: dict[tuple[int, int], int] = {}

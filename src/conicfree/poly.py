@@ -5,6 +5,9 @@ coefficients.  Homogeneous forms carry an explicit degree so that the zero
 form of each degree stays well typed under graded maps.  Coefficients are
 restricted to the rationals; every value is immutable after construction and
 every operation is pure, so the module is safe to use from multiple threads.
+A ConicForm computes its content-free integer coefficients (``integer``) on
+first use and caches them; the cached value is a function of the immutable
+fields, so two threads racing on it store equal tuples.
 
 The expression grammar accepted by :func:`parse_polynomial`::
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import add
 from typing import Iterable
@@ -521,6 +525,20 @@ class ConicForm:
     def parse(cls, text: str) -> "ConicForm":
         return cls.from_polynomial(parse_polynomial(text))
 
+    @cached_property
+    def integer(self) -> tuple[int, int, int, int, int, int]:
+        """The six coefficients times the lcm of their denominators, divided
+        by the content.
+
+        The scale factor is positive, so signs are kept: two forms are
+        proportional exactly when their integer forms are equal or opposite.
+        """
+        cs = (self.xx, self.yy, self.zz, self.xy, self.xz, self.yz)
+        den = lcm(*(c.denominator for c in cs))
+        ints = [c.numerator * (den // c.denominator) for c in cs]
+        g = gcd(*ints)
+        return tuple(v // g for v in ints)
+
     def polynomial(self) -> HomogeneousPolynomial:
         return HomogeneousPolynomial(
             2,
@@ -532,23 +550,6 @@ class ConicForm:
                 (1, 0, 1): self.xz,
                 (0, 1, 1): self.yz,
             },
-        )
-
-    def matrix(self) -> list[list[Fraction]]:
-        """Symmetric 3x3 matrix M with q(v) = v^T M v."""
-        half = Fraction(1, 2)
-        return [
-            [self.xx, half * self.xy, half * self.xz],
-            [half * self.xy, self.yy, half * self.yz],
-            [half * self.xz, half * self.yz, self.zz],
-        ]
-
-    def determinant(self) -> Fraction:
-        m = self.matrix()
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
         )
 
     def evaluate(self, point: ProjectivePoint | tuple) -> Fraction:
@@ -563,24 +564,18 @@ class ConicForm:
         )
 
     def is_proportional_to(self, other: "ConicForm") -> bool:
-        a = (self.xx, self.yy, self.zz, self.xy, self.xz, self.yz)
-        b = (other.xx, other.yy, other.zz, other.xy, other.xz, other.yz)
-        ratio = None
-        for u, v in zip(a, b):
-            if u == 0 and v == 0:
-                continue
-            if u == 0 or v == 0:
-                return False
-            if ratio is None:
-                ratio = u / v
-            elif u / v != ratio:
-                return False
-        return True
+        a, b = self.integer, other.integer
+        return a == b or a == tuple(-v for v in b)
 
     def __str__(self) -> str:
         return str(self.polynomial())
 
 
 def conic_is_smooth(q: ConicForm) -> bool:
-    """True exactly when the symmetric matrix of q has nonzero determinant."""
-    return q.determinant() != 0
+    """True exactly when the symmetric matrix M of q has nonzero determinant.
+
+    For the integer form, 2M has the coefficients themselves off the
+    diagonal, and the expression below is det(2M)/2.
+    """
+    xx, yy, zz, xy, xz, yz = q.integer
+    return 4 * xx * yy * zz + xy * xz * yz - xx * yz * yz - yy * xz * xz - zz * xy * xy != 0

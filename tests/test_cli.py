@@ -83,12 +83,22 @@ def test_analyze_unknown_corpus_name(capsys):
 
 
 def test_analyze_window_extend(capsys):
-    code, out, _ = run_cli(
-        capsys, "analyze", "corpus:two_conics_a7_e1", "--json", "--window-extend", "2"
+    for extend in (2, 10):  # 10 is the largest extension taken
+        code, out, _ = run_cli(
+            capsys, "analyze", "corpus:two_conics_a7_e1", "--json", "--window-extend", str(extend)
+        )
+        doc = json.loads(out)
+        assert code == 0
+        assert [v for _, v in doc["tjurina"]["window"]] == [7] * (3 + extend)
+
+
+@pytest.mark.parametrize("extend", ["-1", "11", "80"])
+def test_analyze_refuses_a_window_extension_out_of_range(extend, capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "corpus:two_conics_a7_e1", "--window-extend", extend
     )
-    doc = json.loads(out)
-    assert len(doc["tjurina"]["window"]) == 5
-    assert [v for _, v in doc["tjurina"]["window"]] == [7] * 5
+    assert code == 1 and out == ""
+    assert "--window-extend must be between 0 and 10" in err
 
 
 def test_analyze_arrangement_file(tmp_path, capsys):
@@ -268,6 +278,34 @@ def test_supersolvable_geometric_and_incidence(tmp_path, capsys):
     arr.write_text("x^2+y^2-z^2\nx^2+y^2-2*z^2\n")
     code, _, err = run_cli(capsys, "supersolvable", str(arr))
     assert code == 2 and "incomplete" in err
+
+
+def test_supersolvable_tells_the_file_format_past_comments(tmp_path, capsys):
+    """The format is read from the first line that is not a comment, so a
+    colon in a leading comment does not decide it."""
+    from conicfree.corpus import entry
+
+    arr = tmp_path / "arr.txt"
+    arr.write_text(
+        "# three conics through a point: a pencil\n"
+        + "\n".join(entry("ploski_m3").component_texts)
+        + "\n"
+    )
+    code, out, err = run_cli(capsys, "supersolvable", str(arr), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["mode"] == "geometric" and doc["supersolvable"] is True
+
+    inc = tmp_path / "inc.txt"
+    inc.write_text(
+        "# from the paper: two points\n\n"
+        "point p: components 0,1,2  # the common point\n"
+        "point q: components 0,1\n"
+    )
+    code, out, err = run_cli(capsys, "supersolvable", str(inc), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["mode"] == "user-incidence" and doc["modular_point"] == "p"
 
 
 def test_supersolvable_never_expands_the_arrangement(tmp_path, capsys, monkeypatch):

@@ -344,7 +344,12 @@ def _apply(m, p):
 
 def _pull_back(q, m):
     """The conic v -> q(m v); a point p of q maps to m^-1 p on it."""
-    s = q.matrix()
+    h = Fraction(1, 2)
+    s = [
+        [q.xx, h * q.xy, h * q.xz],
+        [h * q.xy, q.yy, h * q.yz],
+        [h * q.xz, h * q.yz, q.zz],
+    ]
     r = [
         [sum(m[k][a] * s[k][l] * m[l][b] for k in range(3) for l in range(3)) for b in range(3)]
         for a in range(3)
@@ -465,6 +470,23 @@ def test_survey_builds_each_branch_jet_once(monkeypatch):
     sv = survey(arr)
     assert sv.inventory() == {"ordinary(8)": 4} and sv.complete
     assert len(calls) == len(set(calls)) == 32
+
+
+def test_jet_table_is_keyed_by_the_integer_conic():
+    """A jet depends only on the integer conic and the point, so a scaled
+    copy of a component finds the jet its original left in the table."""
+    q, r = ConicForm.parse("x^2-y*z"), ConicForm.parse("x^2-y*z+3*y^2")
+    p = ProjectivePoint.of(0, 0, 1)
+    jets = {}
+    assert local_intersection_multiplicity(q, r, p, jets=jets) == 4
+    assert jets.keys() == {(q.integer, p), (r.integer, p)}
+    half = ConicForm(*(Fraction(-1, 2) * c for c in (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)))
+    assert half.integer == tuple(-v for v in q.integer)
+    assert local_intersection_multiplicity(half, r, p, jets=jets) == 4
+    assert len(jets) == 3 and jets[(half.integer, p)] == branch_jet(half, p)
+    third = ConicForm(*(Fraction(1, 3) * c for c in (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)))
+    assert local_intersection_multiplicity(third, r, p, jets=jets) == 4
+    assert len(jets) == 3
 
 
 def test_survey_invariant_under_rational_coordinate_changes():

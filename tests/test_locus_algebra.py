@@ -19,7 +19,6 @@ from conicfree.locus import (
     _affine_conic_coefficients,
     _binary_quartic_fibers,
     _fiber_points,
-    _integer_conic,
     _rational_roots,
     _resultant_in_x,
     _shear_conic,
@@ -64,7 +63,7 @@ def _shear_by_substitution(q: ConicForm, a: int, b: int) -> ConicForm:
 @example(q=ConicForm(1, 2, 3, 4, 5, 6), p=ProjectivePoint.of(1, 0, 0))
 @example(q=ConicForm(1, 2, 3, 4, 5, 6), p=ProjectivePoint.of(2, -3, 0))
 def test_affine_coefficients_match_dehomogenize(q, p):
-    iq = _integer_conic(q)
+    iq = q.integer
     chart, s, coeffs = _affine_conic_coefficients(iq, p)
     oracle = dehomogenize(ConicForm(*iq).polynomial(), p)
     monos = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -86,7 +85,7 @@ def test_conic_evaluate_matches_polynomial(q, p):
 @settings(max_examples=200, deadline=None)
 @given(q=_conics, a=st.integers(-3, 4), b=st.integers(-3, 4))
 def test_shear_matches_substitution(q, a, b):
-    assert _shear_conic(_integer_conic(q), a, b) == _integer_conic(_shear_by_substitution(q, a, b))
+    assert _shear_conic(q.integer, a, b) == _shear_by_substitution(q, a, b).integer
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +302,7 @@ NINE_DIGIT_PAIR = (
 
 def test_nine_digit_pair_resultant_roots():
     q1, q2 = (ConicForm.parse(t) for t in NINE_DIGIT_PAIR)
-    res = coeffs = _resultant_in_x(_integer_conic(q1), _integer_conic(q2))
+    res = coeffs = _resultant_in_x(q1.integer, q2.integer)
     assert max(abs(c) for c in coeffs) > 10**30
     roots, remainder = _rational_roots(coeffs)
     assert roots == _sympy_roots(coeffs)
@@ -325,18 +324,18 @@ def test_nine_digit_pair_resultant_roots():
 
 def test_fiber_points_solve_the_fiber_exactly():
     # x^2 + y^2 - z^2 and x^2 + 4*y^2 - z^2 are tangent at (1:0:1) and (-1:0:1)
-    ti = _integer_conic(ConicForm.parse("x^2+y^2-z^2"))
-    tj = _integer_conic(ConicForm.parse("x^2+4*y^2-z^2"))
+    ti = ConicForm.parse("x^2+y^2-z^2").integer
+    tj = ConicForm.parse("x^2+4*y^2-z^2").integer
     points = _fiber_points(ti, tj, 0, 1)
     assert {ProjectivePoint.of(*pt) for pt in points} == {
         ProjectivePoint.of(1, 0, 1),
         ProjectivePoint.of(-1, 0, 1),
     }
     # x^2 + z^2 and x^2 + y^2 + z^2 share the conjugate pair (+-i:0:1)
-    conj = _integer_conic(ConicForm.parse("x^2+z^2")), _integer_conic(ConicForm.parse("x^2+y^2+z^2"))
+    conj = ConicForm.parse("x^2+z^2").integer, ConicForm.parse("x^2+y^2+z^2").integer
     assert _fiber_points(*conj, 0, 1) is None
     # one common root on a fiber where the restrictions are not proportional
-    tk = _integer_conic(ConicForm.parse("x^2+x*y+y^2-z^2"))
+    tk = ConicForm.parse("x^2+x*y+y^2-z^2").integer
     assert [ProjectivePoint.of(*pt) for pt in _fiber_points(ti, tk, 1, 1)] == [
         ProjectivePoint.of(0, 1, 1)
     ]
@@ -357,6 +356,18 @@ _scales = st.builds(
 
 def _scaled(q: ConicForm, c: Fraction) -> ConicForm:
     return ConicForm(*(c * v for v in (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=_conics, c=_scales)
+def test_integer_conic_is_content_free_and_keeps_the_sign_of_the_scale(q, c):
+    iq = q.integer
+    assert all(type(v) is int for v in iq) and gcd(*iq) == 1
+    # a positive multiple of q: one positive ratio over the nonzero coefficients
+    assert [v == 0 for v in iq] == [u == 0 for u in _coefficients(q)]
+    ratios = {v / u for u, v in zip(_coefficients(q), iq) if u}
+    assert len(ratios) == 1 and ratios.pop() > 0
+    assert _scaled(q, c).integer == (iq if c > 0 else tuple(-v for v in iq))
 
 
 def _assert_survey_scale_invariant(arr, scales, assume_qh=False):

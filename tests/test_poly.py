@@ -221,6 +221,37 @@ def _det3(m):
     )
 
 
+def _symmetric_matrix(q):
+    """M with q(v) = v^T M v: the squares on the diagonal, half of each
+    cross term off it."""
+    h = Fraction(1, 2)
+    return [
+        [q.xx, h * q.xy, h * q.xz],
+        [h * q.xy, q.yy, h * q.yz],
+        [h * q.xz, h * q.yz, q.zz],
+    ]
+
+
+def _coefficients(q):
+    return (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)
+
+
+def _proportional_by_ratios(q, other):
+    """One common ratio over the nonzero coefficients, with the zeros in the
+    same places."""
+    ratio = None
+    for u, v in zip(_coefficients(q), _coefficients(other)):
+        if u == 0 and v == 0:
+            continue
+        if u == 0 or v == 0:
+            return False
+        if ratio is None:
+            ratio = u / v
+        elif u / v != ratio:
+            return False
+    return True
+
+
 @pytest.mark.parametrize(
     "text,smooth",
     [
@@ -233,7 +264,31 @@ def _det3(m):
 def test_conic_smoothness_matches_cofactor_oracle(text, smooth):
     q = ConicForm.parse(text)
     assert conic_is_smooth(q) is smooth
-    assert (_det3(q.matrix()) != 0) is smooth
+    assert (_det3(_symmetric_matrix(q)) != 0) is smooth
+
+
+# small coefficients over small denominators, so that singular and
+# proportional forms are drawn often
+_small_rationals = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 1, 2, 3]))
+_small_conics = st.tuples(*[_small_rationals] * 6).filter(any).map(lambda c: ConicForm(*c))
+_scales = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_small_conics)
+def test_conic_smoothness_matches_the_fraction_determinant(q):
+    assert conic_is_smooth(q) is (_det3(_symmetric_matrix(q)) != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_small_conics, other=_small_conics, c=_scales, scaled=st.booleans())
+def test_proportionality_matches_the_fraction_ratios(q, other, c, scaled):
+    if scaled:
+        other = ConicForm(*(c * v for v in _coefficients(q)))
+    assert q.is_proportional_to(other) is _proportional_by_ratios(q, other)
+    assert other.is_proportional_to(q) is _proportional_by_ratios(q, other)
+    if scaled:
+        assert q.is_proportional_to(other)
 
 
 def test_conic_rejects_wrong_degree_and_zero():
