@@ -30,11 +30,13 @@ from conicfree.combinatorics import (
 )
 from conicfree.corpus import CorpusNotFoundError, corpus_entries, entry, run_regression
 from conicfree.freeness import check_deformation
+from conicfree.jacobian import MAX_WINDOW_EXTEND
 from conicfree.locus import ConicArrangement
 from conicfree.poly import (
     HomogeneousPolynomial,
     NonHomogeneousError,
     PolynomialSyntaxError,
+    content_lines,
     parse_polynomial,
 )
 from conicfree.report import (
@@ -50,10 +52,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INTERNAL = 3
-
-# the window's matrices, and so its time and memory, grow with every extra
-# degree; a larger --window-extend is refused as oversized input
-MAX_WINDOW_EXTEND = 10
 
 
 class InputError(ValueError):
@@ -76,12 +74,6 @@ class ResolvedInput:
         return self.polynomial()
 
 
-def _content_lines(text: str) -> list[str]:
-    """The lines of an input file without ``#`` comments, blank lines dropped."""
-    lines = (line.split("#", 1)[0].strip() for line in text.splitlines())
-    return [line for line in lines if line]
-
-
 def _resolve_input(text: str) -> ResolvedInput:
     if not text.strip():
         # Path("") is the current directory, so a blank argument would be read as one
@@ -102,16 +94,21 @@ def _resolve_input(text: str) -> ResolvedInput:
         )
     path = Path(text)
     if path.exists():
-        lines = _content_lines(path.read_text())
-        if not lines:
-            raise InputError(f"{text}: no expressions found")
-        if len(lines) == 1:
-            f = parse_polynomial(lines[0])
-            return ResolvedInput(lambda: f, None, text)
-        arrangement = ConicArrangement.from_texts(lines)
-        return ResolvedInput(arrangement.polynomial, arrangement, text)
+        return _resolve_file(text, content_lines(path.read_text()))
     f = parse_polynomial(text)
     return ResolvedInput(lambda: f, None, f"<expression> {text}")
+
+
+def _resolve_file(name: str, lines: list[tuple[int, str]]) -> ResolvedInput:
+    """A file's content lines: one curve expression, or one conic per line."""
+    texts = [line for _, line in lines]
+    if not texts:
+        raise InputError(f"{name}: no expressions found")
+    if len(texts) == 1:
+        f = parse_polynomial(texts[0])
+        return ResolvedInput(lambda: f, None, name)
+    arrangement = ConicArrangement.from_texts(texts)
+    return ResolvedInput(arrangement.polynomial, arrangement, name)
 
 
 def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis:
@@ -237,16 +234,16 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
 
 def cmd_supersolvable(args: argparse.Namespace) -> int:
     path = Path(args.input)
-    # a conic expression never starts with "point"; comments are skipped
-    # here as both parsers skip them
-    first = _content_lines(path.read_text())[:1] if path.exists() else []
-    if args.incidence or (first and first[0].startswith("point")):
-        if not path.exists():
+    text = path.read_text() if path.exists() else None
+    lines = [] if text is None else content_lines(text)
+    # a conic expression never starts with "point"
+    if args.incidence or (lines and lines[0][1].startswith("point")):
+        if text is None:
             raise InputError(f"{args.input}: incidence file not found")
-        inc = IncidenceStructure.parse(path.read_text())
+        inc = IncidenceStructure.parse(text)
         mode = "user-incidence"
     else:
-        resolved = _resolve_input(args.input)
+        resolved = _resolve_input(args.input) if text is None else _resolve_file(args.input, lines)
         if resolved.arrangement is None:
             raise InputError("supersolvable needs an arrangement or incidence file")
         from conicfree.locus import survey as run_survey

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from conicfree.locus import LocusSurvey
+from conicfree.poly import content_lines
 
 
 @dataclass(frozen=True)
@@ -212,10 +213,7 @@ class IncidenceStructure:
     def parse(cls, text: str) -> "IncidenceStructure":
         """Parse lines of the form ``point <id>: components <i,j,...>``."""
         pairs: list[tuple[str, set[int]]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, line in content_lines(text):
             if not line.startswith("point"):
                 raise ValueError(f"line {lineno}: expected 'point <id>: components ...'")
             head, _, tail = line.partition(":")

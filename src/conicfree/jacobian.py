@@ -197,6 +197,8 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
 # of syzygy_matrix(ctx, e).
 Relation = tuple[int, np.ndarray]
 
+MAX_WINDOW_EXTEND = 10  # extra window degrees; each one grows the window's matrices
+
 _WEIGHED_ROWS = 2**16  # rows of relation multiples per int64 product in _relations_mod_p
 
 
@@ -444,10 +446,12 @@ def hilbert_profile(ctx: JacobianContext, extend: int = 0) -> HilbertProfile:
     because the quotient ring is then a complete intersection whose socle
     sits exactly at degree 3d-6.  All window degrees share one search for
     relation generators and the grevlex leading monomials it records (see
-    _syzygy_ranks).
+    _syzygy_ranks).  extend must lie in 0 .. MAX_WINDOW_EXTEND.
     """
+    if not 0 <= extend <= MAX_WINDOW_EXTEND:
+        raise ValueError(f"window extension {extend} is not in 0..{MAX_WINDOW_EXTEND}")
     lo = 3 * ctx.d - 6
-    degrees = range(lo, lo + 3 + max(extend, 0))
+    degrees = range(lo, lo + 3 + extend)
     ranks = _syzygy_ranks(ctx, [t - ctx.d + 1 for t in degrees])
     window = tuple((t, degree_dimension(t) - r) for t, r in zip(degrees, ranks))
     core = [v for _, v in window[:3]]

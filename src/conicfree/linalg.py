@@ -4,13 +4,14 @@ A matrix (:class:`RatMatrix`) is one 2-d integer array: int64, or Python
 integers in an object array once an entry reaches 2^62; a rational matrix
 enters with its rows scaled to integers.  A kernel (:class:`KernelBasis`)
 is a tuple of primitive integer vectors in standard form, each positive in
-its own free column, so both engines return the same basis.  Two engines
-with identical contracts:
+its own free column, so both engines return the same basis:
 
-* an exact engine: row echelon form over the integers with per-row content
-  stripping, whose pivot count is the rank and whose back substitution
-  gives the kernel;
-* a certified modular engine that works on the integer array from the
+* the reference engine, :func:`rank` and :func:`kernel_basis`: row echelon
+  form over the integers with per-row content stripping, whose pivot count
+  is the rank and whose back substitution gives the kernel.  No code in the
+  package calls it; the tests compare against it;
+* the certified modular engine, which every kernel and rank of the package
+  goes through, at every size.  It works on the integer array from the
   matrix build to the certificate.  It eliminates A modulo one 31-bit
   prime, updating only the columns from each pivot on, records the pivot
   columns P and the pivot rows R, and solves A[R,P] X = A[R,F] over the
@@ -39,9 +40,9 @@ with identical contracts:
   tried.  A certified kernel is accepted from a prime only when an exact
   support test on the lifted basis shows that the prime's free columns
   are those of the rational reduced echelon form (every vector 0 past its
-  own free column), so it is the basis the exact engine returns; otherwise
-  the next prime is tried.  Zero and full-column-rank matrices take the
-  same path.
+  own free column), so it is the reference engine's basis; otherwise the
+  next prime is tried.  Zero and full-column-rank matrices take the same
+  path.  Past a prime budget that no matrix reaches, the engine raises.
 
 The engine eliminates mod p in two ways, by what the caller reads.  Where
 a kernel is lifted (the certificate and the inverse mod q of Dixon's
@@ -73,7 +74,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-_MOD_THRESHOLD = 24  # below this size the exact baseline is used directly
+# perfbench/run.py reads it to count certified kernel calls: every nonzero
+# matrix is certified.  It goes with the benchmark's linalg.exact hooks.
+_MOD_THRESHOLD = 0
 _INT64_MAX = 2**63 - 1
 _CHUNK = 1 << 18  # elements in one temporary of the lifting and verification loops
 _PROBES = 5  # entries of X in the lifting probe, and added to it after a failure
@@ -176,7 +179,7 @@ class KernelBasis:
 
 
 # ---------------------------------------------------------------------------
-# Exact baseline
+# Reference engine: for tests only
 
 
 def _integer_ref(matrix: RatMatrix) -> tuple[list[dict[int, int]], list[int]]:
@@ -350,7 +353,7 @@ def _pivots_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
     return tuple(pivot_cols)
 
 
-# The prime of the one-prime helpers below: the first one _certified tries.
+# The prime of the one-prime helpers below: the first one the certified engine tries.
 BOUND_PRIME = next(_primes_below(2**31))
 
 
@@ -758,10 +761,14 @@ def _lifted_kernel(
 def _prime_budget(a: np.ndarray) -> int:
     """Primes after which the certificate must have been found.
 
-    A prime that lowers the rank or moves a pivot divides one fixed nonzero
-    minor of the matrix, which is below 2^(k*(bits + log2(k)/2)) for the
-    order k <= min(rows, cols).  Each such prime exceeds 2^30, so at most
-    that many bits / 30 of them exist; one more prime reaches a good one.
+    Let P be the rational pivot columns, k = |P| <= min(rows, cols), and R
+    rows with det A[R,P] != 0.  A prime that does not divide this minor keeps
+    P independent mod p, and keeps every non-pivot column c in the span of
+    the pivots left of it: c = A[:,P] x with x = A[R,P]^-1 c_R, whose
+    denominators divide the minor.  So P is the greedy basis mod p, and the
+    prime certifies.  Hadamard bounds the minor by 2^(k*(bits + log2(k)/2)),
+    and each prime tried exceeds 2^30, so at most that many bits / 30 primes
+    divide it; one more prime reaches a good one.
     """
     k = min(a.shape)
     bits = _max_abs(a).bit_length()
@@ -794,34 +801,6 @@ def _canonical_support(vectors: np.ndarray, free: np.ndarray) -> bool:
     return not (past & (vectors != 0)).any()
 
 
-def _certified(matrix: RatMatrix) -> KernelBasis | None:
-    """Modular kernel with an exact certificate, from one prime.
-
-    The first prime whose lifted kernel is certified and passes
-    _canonical_support gives the basis: the prime's free columns are then
-    the rational ones, and the basis is the one kernel_basis returns.  A
-    prime that lowers the rank gives no certified kernel, and one that
-    keeps the rank but moves a pivot fails the support test; either way the
-    next prime is tried.  A zero matrix and one of full column rank take
-    the same path: every column free and the unit vectors, or no free
-    column and the empty kernel.  Returns None only past the prime budget,
-    which no matrix should reach; the caller then falls back to the exact
-    baseline.
-    """
-    a = matrix.array
-    budget = _prime_budget(a)
-    for tried, p in enumerate(_primes_below(2**31), start=1):
-        pivots, pivot_rows, rref = _rref_mod(_mod_array(a, p), p)
-        found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
-        free = np.delete(np.arange(matrix.cols), pivots)
-        if found is not None and _canonical_support(found, free):
-            columns = found.T.tolist()
-            return KernelBasis(len(columns), tuple(_primitive(vec) for vec in columns))
-        if tried >= budget:
-            return None
-    return None
-
-
 def rank_certified(matrix: RatMatrix) -> int:
     """Exact rank: the columns less the dimension of the certified kernel.
 
@@ -833,12 +812,23 @@ def rank_certified(matrix: RatMatrix) -> int:
 
 
 def kernel_basis_certified(matrix: RatMatrix) -> KernelBasis:
-    """The basis kernel_basis returns, through the certified modular path.
+    """The basis kernel_basis returns, with an exact certificate, from one prime.
 
-    Matrices of at most _MOD_THRESHOLD rows and columns, and any matrix
-    past the prime budget, go to the exact engine; the certified path
-    re-verifies every vector exactly.
+    The first prime whose lifted kernel is certified and passes
+    _canonical_support gives the basis.  A prime that lowers the rank gives
+    no certified kernel, and one that moves a pivot fails the support test;
+    either way the next prime is tried.  A zero matrix and one of full
+    column rank take the same path.  Past the prime budget, which no matrix
+    reaches (see _prime_budget), it raises AssertionError.
     """
-    if max(matrix.rows, matrix.cols) <= _MOD_THRESHOLD:
-        return kernel_basis(matrix)
-    return _certified(matrix) or kernel_basis(matrix)
+    a = matrix.array
+    budget = _prime_budget(a)
+    for tried, p in enumerate(_primes_below(2**31), start=1):
+        pivots, pivot_rows, rref = _rref_mod(_mod_array(a, p), p)
+        found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
+        free = np.delete(np.arange(matrix.cols), pivots)
+        if found is not None and _canonical_support(found, free):
+            columns = found.T.tolist()
+            return KernelBasis(len(columns), tuple(_primitive(vec) for vec in columns))
+        if tried >= budget:
+            raise AssertionError(f"{matrix!r}: no certificate in the prime budget of {budget}")

@@ -462,6 +462,12 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(degree, expanded)
 
 
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number from 1, line) of an input file, ``#`` comments and blank lines dropped."""
+    lines = ((n, line.split("#", 1)[0].strip()) for n, line in enumerate(text.splitlines(), 1))
+    return [(n, line) for n, line in lines if line]
+
+
 def dehomogenize(
     f: HomogeneousPolynomial, point: ProjectivePoint | tuple
 ) -> AffinePolynomial:

@@ -308,6 +308,29 @@ def test_supersolvable_tells_the_file_format_past_comments(tmp_path, capsys):
     assert doc["mode"] == "user-incidence" and doc["modular_point"] == "p"
 
 
+def test_supersolvable_reads_a_commented_incidence_file_once(tmp_path, capsys, monkeypatch):
+    """The error names the bad line by its number in the file, comments and
+    blank lines counted, and the file is read once."""
+    inc = tmp_path / "inc.txt"
+    inc.write_text(
+        "# two points\n\n"
+        "point p: components 0,1,2  # the common point\n"
+        "point q components 0,1\n"
+    )
+    reads = []
+    read_text = Path.read_text
+
+    def spy(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", spy)
+    code, out, err = run_cli(capsys, "supersolvable", str(inc))
+    assert code == 1 and out == ""
+    assert "line 4: expected 'point <id>: components ...'" in err
+    assert reads == [inc]
+
+
 def test_supersolvable_never_expands_the_arrangement(tmp_path, capsys, monkeypatch):
     """The survey reads the components alone; the product polynomial is left unbuilt."""
     from conicfree.corpus import CorpusEntry, entry

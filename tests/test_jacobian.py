@@ -7,6 +7,7 @@ import pytest
 from conicfree import linalg
 from conicfree.corpus import entry
 from conicfree.jacobian import (
+    MAX_WINDOW_EXTEND,
     AtLeast,
     JacobianContext,
     SyzygyWitness,
@@ -221,6 +222,18 @@ def test_exact_policy_agrees_with_certified():
     w1, w2 = exact_mdr(ctx), mdr(ctx)
     assert isinstance(w1, SyzygyWitness) and isinstance(w2, SyzygyWitness)
     assert w1 == w2 and w1.r == 2
+
+
+@pytest.mark.parametrize("extend", [-1, 11])
+def test_window_extension_out_of_range_is_refused(extend):
+    """The library refuses what the CLI refuses: a negative extension is no
+    silent 0, and past MAX_WINDOW_EXTEND the matrices grow without bound."""
+    assert MAX_WINDOW_EXTEND == 10
+    f = entry("two_conics_a7_e1").polynomial()
+    with pytest.raises(ValueError, match=f"extension {extend} is not in 0..10"):
+        hilbert_profile(JacobianContext.for_curve(f), extend=extend)
+    with pytest.raises(ValueError, match=f"extension {extend} is not in 0..10"):
+        analyze_curve(f, window_extend=extend)
 
 
 def test_context_rejects_degenerate_input():

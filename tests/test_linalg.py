@@ -3,8 +3,8 @@
 import random
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from itertools import combinations, islice
+from math import gcd, lcm, prod
 from unittest import mock
 
 import numpy as np
@@ -223,6 +223,78 @@ def test_lifting_survives_a_pivot_block_no_native_prime_inverts():
     with _exact_engine_refused():
         assert kernel_basis_certified(m) == expected
         assert rank_certified(m) == 11
+
+
+def _bad_prime_diagonal():
+    """diag(1, p1*p2*p3) for the three largest primes below 2^31, the first
+    three the certified engine tries: each of them lowers the rank."""
+    primes = list(islice(linalg._primes_below(2**31), 4))
+    a = linalg.integer_zeros((2, 2), prod(primes[:3]))
+    a[0, 0], a[1, 1] = 1, prod(primes[:3])
+    return RatMatrix(a), primes
+
+
+def test_a_small_matrix_is_certified_from_the_fourth_prime():
+    """A 2 x 2 matrix takes the certified path too, past three bad primes."""
+    m, primes = _bad_prime_diagonal()
+    tried = []
+    rref = linalg._rref_mod
+
+    def spy(a, p):
+        tried.append(p)
+        return rref(a, p)
+
+    with _exact_engine_refused(), mock.patch.object(linalg, "_rref_mod", spy):
+        assert kernel_basis_certified(m) == linalg.KernelBasis(0, ())
+        assert tried == primes
+        assert rank_certified(m) == 2
+    assert kernel_basis(m) == linalg.KernelBasis(0, ())
+
+
+def test_past_the_prime_budget_the_engine_raises(monkeypatch, capsys):
+    """Past the budget the engine raises an internal fault instead of
+    answering another way, and the CLI maps it to exit code 3."""
+    from conicfree.cli import main
+
+    m, primes = _bad_prime_diagonal()
+    monkeypatch.setattr(linalg, "_prime_budget", lambda a: 2)
+    with _exact_engine_refused(), pytest.raises(AssertionError, match="prime budget of 2"):
+        kernel_basis_certified(m)
+    # the y-partial of this quartic vanishes modulo the same three primes
+    code = main(["analyze", f"x^4+{prod(primes[:3])}*y^4+z^4", "--json"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "internal error: AssertionError" in captured.err
+    assert "prime budget of 2" in captured.err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 30),
+    cols=st.integers(1, 30),
+    inner=st.integers(0, 30),
+    bits=st.sampled_from([1, 8, 40]),
+    sparsity=st.sampled_from([0.0, 0.5, 0.9]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_certified_engine_matches_the_reference_at_every_size(
+    rows, cols, inner, bits, sparsity, rng
+):
+    """Shapes 1..30 on each side, small ones included: the certified basis
+    and rank are the reference engine's, which is refused inside them."""
+
+    def entry():
+        return 0 if rng.random() < sparsity else rng.randint(-(2**bits), 2**bits)
+
+    u = [[entry() for _ in range(inner)] for _ in range(rows)]
+    v = [[entry() for _ in range(cols)] for _ in range(inner)]
+    m = _matrix(
+        [[sum(u[i][t] * v[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+    )
+    expected_rank, expected = rank(m), kernel_basis(m)
+    with _exact_engine_refused():
+        assert kernel_basis_certified(m) == expected
+        assert rank_certified(m) == expected_rank
 
 
 def test_support_test_rejects_a_vector_past_its_free_column():

@@ -9,15 +9,19 @@ the tracer's attribute readers on the objects its hooks see.
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from conicfree import linalg
+from conicfree import combinatorics, corpus, linalg, locus, poly, report
 from conicfree.corpus import entry
 from conicfree.jacobian import JacobianContext, relation_generators, syzygy_matrix
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _spans():
@@ -41,7 +45,8 @@ def test_every_trace_hook_resolves():
     assert hooks
     missing = [f"{m}.{p}" for m, p, _ in hooks if not _resolves(m, p)]
     assert not missing
-    # perfbench/run.py reads it to tell certified calls from small exact ones
+    # perfbench/run.py reads it to tell certified kernel calls apart; it is
+    # 0 because every nonzero matrix is certified
     assert isinstance(linalg._MOD_THRESHOLD, int)
 
 
@@ -70,3 +75,42 @@ def test_trace_attributes_read_the_hooked_matrices(monkeypatch):
             assert spans.ARG_ATTRS[name]((m,)) == {"rows": m.rows, "cols": m.cols, "nnz": nnz}
         bits = max(abs(v).bit_length() for v in m.array.ravel().tolist())
         assert spans.RESULT_ATTRS["jacobian.matrix_build"](m) == {"nnz": nnz, "max_bits": bits}
+
+
+def test_traced_corpus_batch_reports_every_per_layer_metric(monkeypatch):
+    """One corpus batch, plain and traced, through the benchmark's own Runner,
+    Tracer and per_layer, in process: every input is correct, and every
+    per-layer metric BENCHMARK.json declares has a number, none missing.
+    main() is never called, so nothing is written under perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # run.py imports its siblings by their bare names
+    for name in ("inputs", "oracles", "spans", "speed", "program", "run"):
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+    run, spans = sys.modules["run"], sys.modules["spans"]
+    mods = SimpleNamespace(
+        poly=poly, locus=locus, report=report, combinatorics=combinatorics, corpus=corpus,
+        linalg=linalg,
+    )
+    golden = json.loads((PERFBENCH / "golden.json").read_text())["corpus"]
+    plain = run.Runner(mods, "corpus", 1, golden)
+    plain.run(0, batches=1)
+    tracer = spans.Tracer()
+    traced = run.Runner(mods, "corpus", 1, golden, tracer)
+    tracer.install()
+    try:
+        traced.run(0, batches=1)
+    finally:
+        tracer.uninstall()
+    run.compare_outputs(plain, traced)
+    records = plain.records + traced.records
+    assert len(records) == 2 * len(corpus.corpus_entries())
+    assert [r["id"] for r in records if r["problems"]] == []
+    metrics = run.per_layer(mods, plain, traced, tracer)
+    declared = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    for metric in declared:
+        value = metrics[metric["name"]]
+        assert "missing" not in value, metric["name"]
+        assert isinstance(value["value"], (int, float)), metric["name"]
