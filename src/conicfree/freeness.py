@@ -211,12 +211,8 @@ def effective_inventory(survey: LocusSurvey, global_tau: int) -> dict[str, int] 
     the node tally; in all other cases the inventory is not determined.
     """
     local = survey.local_tau_total()
-    if local is None:
-        return None
-    if not survey.residual_transversal:
-        return None
     residual_sum = sum(survey.residual_per_pair.values())
-    if global_tau - local != residual_sum:
+    if local is None or not survey.residual_transversal or global_tau - local != residual_sum:
         return None
     counts = survey.inventory()
     if residual_sum:

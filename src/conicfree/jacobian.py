@@ -438,6 +438,12 @@ def milnor_dim(ctx: JacobianContext, t: int) -> int:
     return degree_dimension(t) - _syzygy_ranks(ctx, [t - ctx.d + 1])[0]
 
 
+def check_window_extend(extend: int) -> None:
+    """Refuse a window extension outside 0 .. MAX_WINDOW_EXTEND."""
+    if not 0 <= extend <= MAX_WINDOW_EXTEND:
+        raise ValueError(f"window extension {extend} is not in 0..{MAX_WINDOW_EXTEND}")
+
+
 def hilbert_profile(ctx: JacobianContext, extend: int = 0) -> HilbertProfile:
     """Hilbert values on [3d-6, 3d-4 + extend] with the stabilization verdict.
 
@@ -448,8 +454,7 @@ def hilbert_profile(ctx: JacobianContext, extend: int = 0) -> HilbertProfile:
     relation generators and the grevlex leading monomials it records (see
     _syzygy_ranks).  extend must lie in 0 .. MAX_WINDOW_EXTEND.
     """
-    if not 0 <= extend <= MAX_WINDOW_EXTEND:
-        raise ValueError(f"window extension {extend} is not in 0..{MAX_WINDOW_EXTEND}")
+    check_window_extend(extend)
     lo = 3 * ctx.d - 6
     degrees = range(lo, lo + 3 + extend)
     ranks = _syzygy_ranks(ctx, [t - ctx.d + 1 for t in degrees])

@@ -33,6 +33,7 @@ from conicfree.jacobian import (
     HilbertProfile,
     JacobianContext,
     SyzygyWitness,
+    check_window_extend,
     hilbert_profile,
     mdr,
     verify_witness,  # unused here; perfbench/spans.py hooks report.verify_witness
@@ -83,6 +84,7 @@ def analyze_curve(
     window_extend: int = 0,
 ) -> Analysis:
     """Run the full pipeline: relation degree, Tjurina window, verdict, survey."""
+    check_window_extend(window_extend)
     ctx = JacobianContext.for_curve(f)
     witness = mdr(ctx)
     profile = hilbert_profile(ctx, extend=window_extend)

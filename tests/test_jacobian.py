@@ -225,13 +225,19 @@ def test_exact_policy_agrees_with_certified():
 
 
 @pytest.mark.parametrize("extend", [-1, 11])
-def test_window_extension_out_of_range_is_refused(extend):
+def test_window_extension_out_of_range_is_refused(extend, monkeypatch):
     """The library refuses what the CLI refuses: a negative extension is no
-    silent 0, and past MAX_WINDOW_EXTEND the matrices grow without bound."""
+    silent 0, and past MAX_WINDOW_EXTEND the matrices grow without bound.
+    analyze_curve refuses before it starts the relation walk."""
     assert MAX_WINDOW_EXTEND == 10
     f = entry("two_conics_a7_e1").polynomial()
     with pytest.raises(ValueError, match=f"extension {extend} is not in 0..10"):
         hilbert_profile(JacobianContext.for_curve(f), extend=extend)
+
+    def walk(ctx):
+        raise AssertionError("relation walk started before the extension was checked")
+
+    monkeypatch.setattr("conicfree.report.mdr", walk)
     with pytest.raises(ValueError, match=f"extension {extend} is not in 0..10"):
         analyze_curve(f, window_extend=extend)
 

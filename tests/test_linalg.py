@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from conicfree import linalg
 from conicfree.linalg import (
-    _MOD_THRESHOLD,
     RatMatrix,
     kernel_basis,
     kernel_basis_certified,
@@ -178,8 +177,9 @@ def test_kernel_survives_a_pivot_shifting_first_prime():
 
 def test_zero_and_full_column_rank_matrices_take_the_certified_path():
     """Every column free and the unit vectors, or no free column and the
-    empty kernel, certified without the exact engine above _MOD_THRESHOLD."""
-    n = _MOD_THRESHOLD + 1
+    empty kernel, certified without the exact engine: 25 x 25 zero matrices
+    and a 60 x 26 full-column-rank one with entries up to 2^70 among them."""
+    n = 25
     rng = random.Random(7)
     full = [[rng.randint(-5, 5) for _ in range(30)] for _ in range(40)]
     full_tall = [[rng.randint(-(2**70), 2**70) for _ in range(n + 1)] for _ in range(60)]
@@ -268,35 +268,6 @@ def test_past_the_prime_budget_the_engine_raises(monkeypatch, capsys):
     assert "prime budget of 2" in captured.err
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    rows=st.integers(1, 30),
-    cols=st.integers(1, 30),
-    inner=st.integers(0, 30),
-    bits=st.sampled_from([1, 8, 40]),
-    sparsity=st.sampled_from([0.0, 0.5, 0.9]),
-    rng=st.randoms(use_true_random=False),
-)
-def test_certified_engine_matches_the_reference_at_every_size(
-    rows, cols, inner, bits, sparsity, rng
-):
-    """Shapes 1..30 on each side, small ones included: the certified basis
-    and rank are the reference engine's, which is refused inside them."""
-
-    def entry():
-        return 0 if rng.random() < sparsity else rng.randint(-(2**bits), 2**bits)
-
-    u = [[entry() for _ in range(inner)] for _ in range(rows)]
-    v = [[entry() for _ in range(cols)] for _ in range(inner)]
-    m = _matrix(
-        [[sum(u[i][t] * v[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
-    )
-    expected_rank, expected = rank(m), kernel_basis(m)
-    with _exact_engine_refused():
-        assert kernel_basis_certified(m) == expected
-        assert rank_certified(m) == expected_rank
-
-
 def test_support_test_rejects_a_vector_past_its_free_column():
     # [2 1 1]: over Q the pivot is column 0 and the free columns are 1, 2.
     # Both bases below are exact and of full dimension; the second is in the
@@ -312,23 +283,39 @@ def test_support_test_rejects_a_vector_past_its_free_column():
     assert [list(v) for v in kernel_basis(_matrix(a)).vectors] == canonical.T.tolist()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(
-    rows=st.integers(_MOD_THRESHOLD + 1, 34),
-    cols=st.integers(_MOD_THRESHOLD + 1, 34),
-    inner=st.integers(1, 34),
+    shape=st.one_of(
+        st.tuples(st.integers(25, 34), st.integers(25, 34)),
+        st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    ),
+    inner=st.integers(0, 34),
     bits=st.tuples(st.sampled_from([1, 12, 25, 40]), st.sampled_from([1, 12, 25, 40])),
+    sparsity=st.sampled_from([0.0, 0.5, 0.9]),
     rng=st.randoms(use_true_random=False),
 )
-def test_certified_engine_matches_exact_engine_on_low_rank_products(rows, cols, inner, bits, rng):
-    """U*V of rank <= inner, entries up to 2^80: past int64 and near its edge.
+def test_certified_engine_matches_exact_engine_on_low_rank_products(
+    shape, inner, bits, sparsity, rng
+):
+    """U*V of rank <= inner, entries up to 2^80: past int64 and near its edge,
+    dense or sparse, the zero matrix (inner = 0) included.  Shapes are 25..34
+    on each side, or 1..30 so that small matrices are certified too.
 
     Both engines return the same kernel: primitive integer vectors in
     standard form, each positive in its own free column (a non-pivot column
     of the exact echelon form) and 0 in the others."""
-    u = [[rng.randint(-(2 ** bits[0]), 2 ** bits[0]) for _ in range(inner)] for _ in range(rows)]
-    v = [[rng.randint(-(2 ** bits[1]), 2 ** bits[1]) for _ in range(cols)] for _ in range(inner)]
-    product = _matrix([[sum(a * b for a, b in zip(row, col)) for col in zip(*v)] for row in u])
+    rows, cols = shape
+
+    def factor(height, width, b):
+        return [
+            [0 if rng.random() < sparsity else rng.randint(-(2**b), 2**b) for _ in range(width)]
+            for _ in range(height)
+        ]
+
+    u, v = factor(rows, inner, bits[0]), factor(inner, cols, bits[1])
+    product = _matrix(
+        [[sum(u[i][t] * v[t][j] for t in range(inner)) for j in range(cols)] for i in range(rows)]
+    )
     for m in (product, product.transpose()):
         exact_rank, exact_kernel = rank(m), kernel_basis(m)
         with _exact_engine_refused():
@@ -352,7 +339,7 @@ def test_certified_matches_exact_on_structured_matrix():
 
     f = parse_polynomial("(x^2+y^2-z^2)*(2*x^2+y^2+2*x*z)*(2*x^2+y^2-2*x*z)")
     ctx = JacobianContext.for_curve(f)
-    m = syzygy_matrix(ctx, 9)  # 120 x 165, above the modular threshold
+    m = syzygy_matrix(ctx, 9)  # 120 x 165
     assert rank_certified(m) == rank(m) == 101
 
 
