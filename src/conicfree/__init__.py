@@ -51,6 +51,7 @@ from conicfree.linalg import (
     KernelBasis,
     RatMatrix,
     kernel_basis,
+    kernel_basis_certified,
     rank,
     rank_certified,
 )

@@ -31,7 +31,7 @@ from conicfree.combinatorics import (
 from conicfree.corpus import CorpusNotFoundError, corpus_entries, entry, run_regression
 from conicfree.freeness import check_deformation
 from conicfree.jacobian import MAX_WINDOW_EXTEND
-from conicfree.locus import ConicArrangement
+from conicfree.locus import ConicArrangement, survey
 from conicfree.poly import (
     HomogeneousPolynomial,
     NonHomogeneousError,
@@ -246,9 +246,7 @@ def cmd_supersolvable(args: argparse.Namespace) -> int:
         resolved = _resolve_input(args.input) if text is None else _resolve_file(args.input, lines)
         if resolved.arrangement is None:
             raise InputError("supersolvable needs an arrangement or incidence file")
-        from conicfree.locus import survey as run_survey
-
-        sv = run_survey(resolved.arrangement, assume_qh=args.assume_qh or resolved.assume_qh)
+        sv = survey(resolved.arrangement, assume_qh=args.assume_qh or resolved.assume_qh)
         if not sv.complete:
             print(
                 "survey incomplete; supply incidence explicitly with --incidence",

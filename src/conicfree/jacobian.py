@@ -49,8 +49,6 @@ from functools import cache, cached_property
 from math import lcm
 from typing import Callable, Sequence
 
-import numpy as np
-
 # the certified engine is called as linalg.rank_certified and
 # linalg.kernel_basis_certified, looked up at call time, so that code
 # replacing those attributes of conicfree.linalg reaches these calls
@@ -61,6 +59,7 @@ from conicfree.linalg import (
     _kills,
     _SparseRows,
     integer_zeros,
+    np,
     pivot_columns_mod,
     product_mod,
     rank_mod,
@@ -195,7 +194,7 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
 
 # A relation of degree e: its integer coefficient vector in the column layout
 # of syzygy_matrix(ctx, e).
-Relation = tuple[int, np.ndarray]
+Relation = tuple[int, "np.ndarray"]
 
 MAX_WINDOW_EXTEND = 10  # extra window degrees; each one grows the window's matrices
 

@@ -67,12 +67,37 @@ order below 2^31, pivot rules are fixed and nothing is random.
 
 from __future__ import annotations
 
+import importlib
+import threading
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-import numpy as np
+
+class _DeferredModule(types.ModuleType):
+    """A module imported on the first attribute read, not when it is named.
+
+    The first read imports the module under a lock, copies its namespace in
+    and turns this object into a plain module, so later reads cost what
+    reads of the module itself cost, and a thread never sees a half-filled
+    namespace.  ``sys.modules`` holds the real module, as after any import.
+    """
+
+    _lock = threading.Lock()
+
+    def __getattr__(self, name: str):
+        with self._lock:
+            if type(self) is _DeferredModule:
+                vars(self).update(vars(importlib.import_module(self.__name__)))
+                self.__class__ = types.ModuleType
+        return getattr(self, name)
+
+
+# surveys, incidence structures and the theorem scans never eliminate, so
+# they start without numpy; the first elimination imports it
+np = _DeferredModule("numpy")
 
 # perfbench/run.py reads it to count certified kernel calls: every nonzero
 # matrix is certified.  It goes with the benchmark's linalg.exact hooks.

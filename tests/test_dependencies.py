@@ -16,6 +16,14 @@ def _imported_roots(path: Path):
                 yield node.lineno, alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.lineno, node.module.split(".")[0]
+        elif (
+            # linalg imports numpy on first use, through _DeferredModule("numpy")
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_DeferredModule"
+        ):
+            for arg in node.args:
+                yield node.lineno, arg.value.split(".")[0]
 
 
 def test_package_imports_only_stdlib_and_numpy():
@@ -24,6 +32,8 @@ def test_package_imports_only_stdlib_and_numpy():
     package = Path(conicfree.__file__).parent
     sources = sorted(package.rglob("*.py"))
     assert len(sources) >= 10
+    roots = {root for path in sources for _, root in _imported_roots(path)}
+    assert "numpy" in roots  # the deferred import is seen
     found = {
         f"{path.name}:{line} imports {root}"
         for path in sources

@@ -376,6 +376,21 @@ def test_certified_kernel_is_exact_and_verified():
         assert _annihilates(m.array, vec)
 
 
+def test_package_exports_the_certified_kernel():
+    """`from conicfree import kernel_basis_certified` is the engine every
+    production path runs; on a corpus A_d1 it returns the reference basis."""
+    import conicfree
+    from conicfree.corpus import entry
+    from conicfree.jacobian import JacobianContext, mdr, syzygy_matrix
+
+    assert conicfree.kernel_basis_certified is linalg.kernel_basis_certified
+    ctx = JacobianContext.for_curve(entry("celal_three_conics").polynomial())
+    m = syzygy_matrix(ctx, mdr(ctx).r)
+    expected = kernel_basis(m)
+    assert expected.dimension > 0
+    assert conicfree.kernel_basis_certified(m) == expected
+
+
 def test_transpose_and_matvec():
     m = _matrix([[1, 2], [3, 4], [5, 6]])
     t = m.transpose()
