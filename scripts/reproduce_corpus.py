@@ -5,8 +5,9 @@ Prints a table of the freeness data (degree, minimal relation degree, total
 Tjurina number, defect, verdict) for all corpus curves, runs the three
 enumeration certificates, replays the tacnode deformation check, and exits
 nonzero if anything disagrees with the recorded expectations.  Each entry
-is analyzed once; the table, the deformation check and the regression all
-read that analysis.
+is analyzed once; the table and the regression read its analysis document
+(the one ``conicfree analyze --json`` prints), the deformation check reads
+the analysis itself.
 """
 
 import sys
@@ -19,20 +20,23 @@ from conicfree.combinatorics import (
 )
 from conicfree.corpus import RegressionTable, analyze_entry, check_entry, corpus_entries
 from conicfree.freeness import check_deformation
-from conicfree.report import Analysis
+from conicfree.report import Analysis, analysis_document
 
 
-def freeness_table() -> dict[str, Analysis]:
+def freeness_table() -> tuple[dict[str, Analysis], dict[str, dict]]:
     print(f"{'entry':28s} {'d':>3s} {'d1':>3s} {'tau':>4s} {'nu':>3s}  verdict")
-    analyses = {}
+    analyses, docs = {}, {}
     for e in corpus_entries():
         t0 = time.time()
-        a = analyses[e.name] = analyze_entry(e)
+        analyses[e.name] = analyze_entry(e)
+        doc = docs[e.name] = analysis_document(analyses[e.name])
+        fr = doc["freeness"]
         print(
-            f"{e.name:28s} {a.ctx.d:3d} {a.report.d1_value():3d} {a.tau:4d} "
-            f"{a.report.nu:3d}  {a.report.verdict:12s} ({time.time() - t0:.1f}s)"
+            f"{e.name:28s} {doc['input']['degree']:3d} {doc['mdr']['d1']:3d} "
+            f"{doc['tjurina']['stabilized']:4d} {fr['nu']:3d}  {fr['verdict']:12s} "
+            f"({time.time() - t0:.1f}s)"
         )
-    return analyses
+    return analyses, docs
 
 
 def deformation_demo(analyses: dict[str, Analysis]) -> bool:
@@ -61,12 +65,12 @@ def certificates() -> bool:
 
 def main() -> int:
     t0 = time.time()
-    analyses = freeness_table()
+    analyses, docs = freeness_table()
     ok = deformation_demo(analyses)
     ok = certificates() and ok
     print("\nfull field-level regression against recorded expectations:")
     table = RegressionTable(
-        rows=tuple(row for e in corpus_entries() for row in check_entry(e, analyses[e.name]))
+        rows=tuple(row for e in corpus_entries() for row in check_entry(e, docs[e.name]))
     )
     failures = table.failures()
     for row in failures:

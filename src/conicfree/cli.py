@@ -79,12 +79,7 @@ def _resolve_input(text: str) -> ResolvedInput:
         # Path("") is the current directory, so a blank argument would be read as one
         raise InputError("empty expression: the input is blank")
     if text.startswith("corpus:"):
-        name = text[len("corpus:") :]
-        try:
-            e = entry(name)
-        except CorpusNotFoundError:
-            known = ", ".join(x.name for x in corpus_entries())
-            raise InputError(f"unknown corpus entry {name!r}; known: {known}")
+        e = entry(text[len("corpus:") :])
         return ResolvedInput(
             polynomial=e.polynomial,
             arrangement=e.arrangement(),

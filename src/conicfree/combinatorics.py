@@ -212,7 +212,7 @@ class IncidenceStructure:
     @classmethod
     def parse(cls, text: str) -> "IncidenceStructure":
         """Parse lines of the form ``point <id>: components <i,j,...>``."""
-        pairs: list[tuple[str, set[int]]] = []
+        through: dict[str, set[int]] = {}
         for lineno, line in content_lines(text):
             if not line.startswith("point"):
                 raise ValueError(f"line {lineno}: expected 'point <id>: components ...'")
@@ -221,12 +221,18 @@ class IncidenceStructure:
             tail = tail.strip()
             if not pid or not tail.startswith("components"):
                 raise ValueError(f"line {lineno}: expected 'point <id>: components ...'")
+            if pid in through:
+                raise ValueError(f"line {lineno}: point {pid!r} is given twice")
             ids = tail[len("components") :].strip()
-            members = {int(tok) for tok in ids.split(",") if tok.strip()}
-            pairs.append((pid, members))
-        if not pairs:
+            tokens = [tok.strip() for tok in ids.split(",") if tok.strip()]
+            if not all(tok.isdecimal() for tok in tokens):
+                raise ValueError(
+                    f"line {lineno}: component indices are nonnegative integers, got {ids!r}"
+                )
+            through[pid] = {int(tok) for tok in tokens}
+        if not through:
             raise ValueError("no incidence lines found")
-        return cls.from_pairs(pairs)
+        return cls.from_pairs(list(through.items()))
 
 
 def _id_sort_key(pid: str) -> tuple[int, int | str]:

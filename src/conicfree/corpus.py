@@ -5,15 +5,16 @@ rational, otherwise the defining polynomial), the expected values of the
 pipeline outputs, and a provenance tag per expected field: "literature" for
 values stated in the sources the examples come from, "derived" for values
 computed here by independent means.  The regression runner recomputes
-everything through the full pipeline and reports field-level differences.
+each entry through the full pipeline and compares the expected fields with
+its analysis document, the one ``analyze --json`` prints, reporting
+field-level differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from conicfree.freeness import FREE, NEARLY_FREE, NEITHER, effective_inventory
-from conicfree.jacobian import SyzygyWitness, verify_witness
+from conicfree.freeness import FREE, NEARLY_FREE, NEITHER
 from conicfree.locus import ConicArrangement
 from conicfree.poly import (
     AffinePolynomial,
@@ -23,11 +24,15 @@ from conicfree.poly import (
     expand_product,
     parse_polynomial,
 )
-from conicfree.report import Analysis, analyze_curve
+from conicfree.report import Analysis, analysis_document, analyze_curve
 
 
 class CorpusNotFoundError(KeyError):
     """No corpus entry with the requested name."""
+
+    def __str__(self) -> str:
+        # KeyError's own str() quotes the message
+        return str(self.args[0])
 
 
 @dataclass(frozen=True)
@@ -347,10 +352,12 @@ def corpus_entries() -> tuple[CorpusEntry, ...]:
 
 
 def entry(name: str) -> CorpusEntry:
-    for e in corpus_entries():
+    entries = corpus_entries()
+    for e in entries:
         if e.name == name:
             return e
-    raise CorpusNotFoundError(name)
+    known = ", ".join(e.name for e in entries)
+    raise CorpusNotFoundError(f"unknown corpus entry {name!r}; known: {known}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +420,12 @@ def analyze_entry(e: CorpusEntry) -> Analysis:
     )
 
 
-def check_entry(e: CorpusEntry, analysis: Analysis) -> list[RegressionRow]:
-    """Compare an entry's expected fields with its analysis; one row per field.
+def check_entry(e: CorpusEntry, doc: dict) -> list[RegressionRow]:
+    """Compare an entry's expected fields with its analysis document.
 
-    An unstable window (``analysis.tau`` None) fails the fields that need
-    the Tjurina number instead of raising.
+    ``doc`` is the dict :func:`analysis_document` builds and ``analyze --json``
+    prints; one row per field.  An unstable window (``tjurina.stabilized``
+    None) fails the fields that need the Tjurina number instead of raising.
     """
     rows: list[RegressionRow] = []
 
@@ -432,65 +440,36 @@ def check_entry(e: CorpusEntry, analysis: Analysis) -> list[RegressionRow]:
             )
         )
 
-    f, witness, sv, report = analysis.f, analysis.witness, analysis.survey, analysis.report
-    exp = e.expected
+    m, freeness, exp = doc["mdr"], doc["freeness"] or {}, e.expected
+    records = {rec["point"]: rec for rec in (doc["survey"] or {"records": []})["records"]}
     if "d" in exp:
-        add("d", exp["d"], f.degree)
-    d1 = witness.r if isinstance(witness, SyzygyWitness) else None
+        add("d", exp["d"], doc["input"]["degree"])
     if "d1" in exp:
-        add("d1", exp["d1"], d1)
+        add("d1", exp["d1"], m["d1"])
     if "witness" in exp:
-        expected_triple = tuple(
-            parse_polynomial(t) if t != "0" else HomogeneousPolynomial.zero(0)
-            for t in exp["witness"]
-        )
-        if isinstance(witness, SyzygyWitness):
-            got_triple = witness.triple()
-            norm = tuple(
-                HomogeneousPolynomial.zero(0) if p.is_zero() else p for p in got_triple
-            )
-            add("witness", expected_triple, norm)
-            add("witness_verifies", True, verify_witness(analysis.ctx, witness))
-        else:
-            add("witness", expected_triple, None)
-    tau = analysis.tau
+        w = m["witness"]
+        got = None if w is None else [w["a"], w["b"], w["c"]]
+        add("witness", [str(parse_polynomial(t)) for t in exp["witness"]], got)
+        add("witness_verifies", True, m["verified"])
     if "tau" in exp:
-        add("tau", exp["tau"], tau)
-    if "nu" in exp:
-        add("nu", exp["nu"], None if report is None else report.nu)
-    if "verdict" in exp:
-        add("verdict", exp["verdict"], None if report is None else report.verdict)
-
-    if sv is not None:
-        if "inventory" in exp:
-            inventory = None if tau is None else effective_inventory(sv, tau)
-            add("inventory", exp["inventory"], inventory)
-        if "singular_points" in exp:
-            add("singular_points", exp["singular_points"], len(sv.records))
-        if "points_of_type" in exp:
-            for type_name, points in exp["points_of_type"].items():
-                got = sorted(str(p) for p in sv.points_of_type(type_name))
-                add(f"points[{type_name}]", sorted(points), got)
-        if "mu_at" in exp:
-            for point_text, mu in exp["mu_at"].items():
-                rec = sv.record_at(ProjectivePoint.parse(point_text))
-                add(f"mu@{point_text}", mu, rec.mu if rec else None)
-        if "type_at" in exp:
-            for point_text, type_name in exp["type_at"].items():
-                rec = sv.record_at(ProjectivePoint.parse(point_text))
-                add(
-                    f"type@{point_text}",
-                    type_name,
-                    str(rec.sing_type) if rec else None,
-                )
-        if "local_tau_at" in exp:
-            for point_text, local in exp["local_tau_at"].items():
-                rec = sv.record_at(ProjectivePoint.parse(point_text))
-                add(f"tau@{point_text}", local, rec.tau if rec else None)
-    if "germ_tau_at" in exp:
-        for point_text, local in exp["germ_tau_at"].items():
-            germ = dehomogenize(f, ProjectivePoint.parse(point_text))
-            add(f"germ_tau@{point_text}", local, diagonal_germ_tau(germ))
+        add("tau", exp["tau"], doc["tjurina"]["stabilized"])
+    for key in ("nu", "verdict"):
+        if key in exp:
+            add(key, exp[key], freeness.get(key))
+    if "inventory" in exp:
+        add("inventory", exp["inventory"], doc["checks"].get("effective_inventory"))
+    if "singular_points" in exp:
+        add("singular_points", exp["singular_points"], len(records))
+    for type_name, points in exp.get("points_of_type", {}).items():
+        got = sorted(p for p, rec in records.items() if rec["type"] == type_name)
+        add(f"points[{type_name}]", sorted(points), got)
+    for key, field_name in (("mu_at", "mu"), ("type_at", "type"), ("local_tau_at", "tau")):
+        for point_text, value in exp.get(key, {}).items():
+            rec = records.get(str(ProjectivePoint.parse(point_text)))
+            add(f"{field_name}@{point_text}", value, rec[field_name] if rec else None)
+    for point_text, local in exp.get("germ_tau_at", {}).items():
+        germ = dehomogenize(e.polynomial(), ProjectivePoint.parse(point_text))
+        add(f"germ_tau@{point_text}", local, diagonal_germ_tau(germ))
     return rows
 
 
@@ -502,5 +481,5 @@ def run_regression(names: list[str] | None = None) -> RegressionTable:
         selected = [entry(n) for n in names]
     rows: list[RegressionRow] = []
     for e in selected:
-        rows.extend(check_entry(e, analyze_entry(e)))
+        rows.extend(check_entry(e, analysis_document(analyze_entry(e))))
     return RegressionTable(rows=tuple(rows))

@@ -35,14 +35,15 @@ its own free column, so both engines return the same basis:
   sum of a limb product is then exact, and A v = 0 holds exactly when each
   limb sum plus the carry from the limb below is divisible by 2^w and the
   last carry is 0.  Matrices whose entries leave no room for 8-bit limbs
-  are checked row by row with Python integers.  A failed certificate at the
-  Hadamard bound means the prime lowered the rank, and the next prime is
-  tried.  A certified kernel is accepted from a prime only when an exact
-  support test on the lifted basis shows that the prime's free columns
-  are those of the rational reduced echelon form (every vector 0 past its
-  own free column), so it is the reference engine's basis; otherwise the
-  next prime is tried.  Zero and full-column-rank matrices take the same
-  path.  Past a prime budget that no matrix reaches, the engine raises.
+  go through the same chunked product on Python integers.  A failed
+  certificate at the Hadamard bound means the prime lowered the rank, and
+  the next prime is tried.  A certified kernel is accepted from a prime
+  only when an exact support test on the lifted basis shows that the
+  prime's free columns are those of the rational reduced echelon form
+  (every vector 0 past its own free column), so it is the reference
+  engine's basis; otherwise the next prime is tried.  Zero and
+  full-column-rank matrices take the same path.  Past a prime budget that
+  no matrix reaches, the engine raises.
 
 The engine eliminates mod p in two ways, by what the caller reads.  Where
 a kernel is lifted (the certificate and the inverse mod q of Dixon's
@@ -482,11 +483,6 @@ def _reconstruct_vector(residues, m: int, den: int = 1) -> _Reconstruction:
     return _Reconstruction(den, nums, None)
 
 
-def _verify_kernel(matrix_int_rows: list[list[tuple[int, int]]], vec: list[int]) -> bool:
-    """Exact check that an integer-scaled copy of the matrix kills an integer vector."""
-    return all(sum(coef * vec[c] for c, coef in row) == 0 for row in matrix_int_rows)
-
-
 class _SparseRows:
     """The nonzeros of an integer array row by row, for exact chunked products."""
 
@@ -549,14 +545,13 @@ def _kills(a: _SparseRows, v: np.ndarray) -> bool:
     incoming carry |c| <= L.  (a v)_i = sum_l s_l 2^(w*l) is zero exactly
     when every s_l + c is divisible by 2^w, its quotient being the next
     carry (again at most L), and the last carry is 0.  When no w >= 8 fits,
-    every row is summed with Python integers.
+    the same chunked product runs on Python integers.
     """
     width = v.shape[1]
     w = 63 - a.l1.bit_length()
     if w < 8:
-        vectors = v.T.tolist()
-        rows = a.int_rows()
-        return all(_verify_kernel(rows, vec) for vec in vectors)
+        v = v.astype(object)
+        return not any(a.dot(v, start, stop).any() for start, stop in a.chunks(width))
     mag = np.abs(v).astype(object)
     negative = v < 0
     bits = int(max(mag.ravel().tolist(), default=0)).bit_length()

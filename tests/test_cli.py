@@ -10,6 +10,7 @@ import pytest
 
 import conicfree
 from conicfree.cli import main
+from conicfree.corpus import corpus_entries
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +309,13 @@ def test_supersolvable_tells_the_file_format_past_comments(tmp_path, capsys):
     assert doc["mode"] == "user-incidence" and doc["modular_point"] == "p"
 
 
+def test_supersolvable_refuses_a_repeated_point(tmp_path, capsys):
+    inc = tmp_path / "inc.txt"
+    inc.write_text("point 1: components 0,1\npoint 2: components 2,3\npoint 1: components 0,2,3\n")
+    code, out, err = run_cli(capsys, "supersolvable", str(inc), "--incidence")
+    assert (code, out, err) == (1, "", "error: line 3: point '1' is given twice\n")
+
+
 def test_supersolvable_reads_a_commented_incidence_file_once(tmp_path, capsys, monkeypatch):
     """The error names the bad line by its number in the file, comments and
     blank lines counted, and the file is read once."""
@@ -372,6 +380,13 @@ def test_internal_fault_exit_three(capsys, monkeypatch):
     monkeypatch.setattr(cli_module, "analyze_curve", boom)
     code, _, err = run_cli(capsys, "analyze", "x^2+y^2-z^2")
     assert code == 3 and "internal error" in err
+
+
+def test_regress_unknown_name_reads_like_analyze(capsys):
+    known = ", ".join(e.name for e in corpus_entries())
+    message = f"error: unknown corpus entry 'nosuch'; known: {known}\n"
+    assert run_cli(capsys, "regress", "nosuch") == (1, "", message)
+    assert run_cli(capsys, "analyze", "corpus:nosuch") == (1, "", message)
 
 
 def test_regress_subset(capsys):

@@ -114,6 +114,29 @@ def test_incidence_parser_and_validation():
         IncidenceStructure.parse("garbage\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "point 1: components 0,1\npoint 2: components 1,2\npoint 1: components 2,3\n",
+            "line 3: point '1' is given twice",
+        ),
+        (
+            "point a: components 0,1\npoint b: components 1,x\n",
+            "line 2: component indices are nonnegative integers, got '1,x'",
+        ),
+        (
+            "# negative\npoint a: components -1,2\n",
+            "line 2: component indices are nonnegative integers, got '-1,2'",
+        ),
+    ],
+)
+def test_incidence_parser_names_the_bad_line(text, message):
+    with pytest.raises(ValueError) as caught:
+        IncidenceStructure.parse(text)
+    assert str(caught.value) == message
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),

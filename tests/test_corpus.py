@@ -37,7 +37,7 @@ from conicfree.poly import (
     dehomogenize,
     parse_polynomial,
 )
-from conicfree.report import analysis_document
+from conicfree.report import analysis_document, to_json
 from exact_engine import exact_mdr, exact_window
 
 
@@ -97,8 +97,9 @@ def test_exact_and_certified_engines_give_identical_documents():
 
 def test_lookup_unknown_name():
     assert entry("celal_three_conics").expected["tau"] == 19
-    with pytest.raises(CorpusNotFoundError):
+    with pytest.raises(CorpusNotFoundError) as caught:
         entry("no_such_curve")
+    assert str(caught.value).startswith("unknown corpus entry 'no_such_curve'; known: ")
 
 
 def test_family_parameter_validation():
@@ -155,11 +156,34 @@ def test_mutated_expectation_fails_exactly_one_field():
     tampered = dataclasses.replace(
         e, expected={**e.expected, "tau": e.expected["tau"] + 1}
     )
-    rows = check_entry(tampered, analyze_entry(tampered))
+    rows = check_entry(tampered, analysis_document(analyze_entry(tampered)))
     failures = [r for r in rows if not r.ok]
     assert len(failures) == 1
     assert failures[0].field == "tau"
     assert failures[0].expected == 20 and failures[0].got == 19
+
+
+def test_altered_document_verdict_fails_exactly_the_verdict_row():
+    e = entry("celal_three_conics")
+    doc = analysis_document(analyze_entry(e))
+    altered = {**doc, "freeness": {**doc["freeness"], "verdict": "nearly_free"}}
+    assert all(r.ok for r in check_entry(e, doc))
+    failures = [r for r in check_entry(e, altered) if not r.ok]
+    assert [(r.field, r.expected, r.got) for r in failures] == [
+        ("verdict", "free", "nearly_free")
+    ]
+
+
+def test_regression_rows_describe_the_printed_document():
+    """check_entry reads the same rows from a document and from its JSON,
+    and the document is the one `analyze --json` prints (golden digest)."""
+    for e in corpus_entries():
+        doc = analysis_document(analyze_entry(e), provenance=dict(e.provenance))
+        text = to_json(doc)
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[e.name], e.name
+        rows = check_entry(e, doc)
+        assert rows and all(r.ok for r in rows), e.name
+        assert check_entry(e, json.loads(text)) == rows, e.name
 
 
 def test_unstable_window_fails_tau_fields_instead_of_raising():
@@ -173,7 +197,7 @@ def test_unstable_window_fails_tau_fields_instead_of_raising():
     )
     analysis = analyze_entry(e)
     assert analysis.tau is None
-    rows = check_entry(e, analysis)
+    rows = check_entry(e, analysis_document(analysis))
     assert [(r.field, r.ok, r.got) for r in rows] == [
         ("d", True, 3),
         ("d1", True, 0),
@@ -188,7 +212,7 @@ def test_unstable_window_fails_inventory_on_an_arrangement():
     # compares fields, so an analysis without tau stands in for one
     e = entry("two_conics_a7_e1")
     analysis = dataclasses.replace(analyze_entry(e), tau=None, report=None)
-    failures = [r.field for r in check_entry(e, analysis) if not r.ok]
+    failures = [r.field for r in check_entry(e, analysis_document(analysis)) if not r.ok]
     assert failures == ["tau", "nu", "verdict", "inventory"]
 
 

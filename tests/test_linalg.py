@@ -412,8 +412,7 @@ def _int_kernel(dense):
 
 
 def _kills_oracle(dense, vectors):
-    rows = [[(c, v) for c, v in enumerate(row) if v] for row in dense]
-    return all(linalg._verify_kernel(rows, vec) for vec in vectors)
+    return all(sum(a * x for a, x in zip(row, vec)) == 0 for row in dense for vec in vectors)
 
 
 def _kills(dense, vectors):
@@ -426,15 +425,16 @@ def _kills(dense, vectors):
     cols=st.integers(2, 9),
     body=st.integers(1, 8),
     empty=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
-    bits=st.sampled_from([3, 20, 40]),
+    bits=st.sampled_from([3, 20, 40, 56]),
     scale_bits=st.sampled_from([0, 70, 200]),
     chunk=st.sampled_from([1, 3, 1 << 18]),
     rng=st.randoms(use_true_random=False),
 )
 def test_limb_verifier_agrees_with_python_rows(cols, body, empty, bits, scale_bits, chunk, rng):
-    """Sparse rows with empty leading, middle and trailing rows; kernel
-    vectors exact, off by 1 in one entry, and off by 2^(w*l) at a limb
-    boundary, in chunks down to one row."""
+    """Sparse rows with empty leading, middle and trailing rows, 56-bit
+    entries past the limb budget among them; kernel vectors exact, off by 1
+    in one entry, and off by 2^(w*l) at a limb boundary, in chunks down to
+    one row."""
     lead, mid, trail = empty
 
     def row():
@@ -466,13 +466,13 @@ def test_limb_verifier_agrees_with_python_rows(cols, body, empty, bits, scale_bi
 def test_limb_verifier_takes_python_rows_past_the_limb_budget():
     # row l1 norm >= 2^56 leaves no room for 8-bit limbs
     dense = [[2**60, 3, 0], [0, 0, 0], [1, 2**57 + 1, -(2**60)]]
+    l1 = linalg._SparseRows(np.array(dense, dtype=np.int64)).l1
+    assert 63 - l1.bit_length() < 8
     vectors = [[v * (2**90 + 7) for v in vec] for vec in _int_kernel(dense)]
     assert len(vectors) == 1
-    with mock.patch.object(linalg, "_verify_kernel", wraps=linalg._verify_kernel) as spy:
-        assert _kills(dense, vectors)
-        vectors[0][1] += 1
-        assert not _kills(dense, vectors)
-    assert spy.call_count == 2
+    assert _kills(dense, vectors) and _kills_oracle(dense, vectors)
+    vectors[0][1] += 1
+    assert not _kills(dense, vectors) and not _kills_oracle(dense, vectors)
     # object arrays: entries past 2^62
     dense = [[2**70, 1], [0, 0], [2**71, 2]]
     assert _kills(dense, [[1, -(2**70)]])
@@ -608,6 +608,8 @@ def _sparse_integer_arrays(draw):
     for row in rows:
         for c in zero_cols:
             row[c] = 0
+    # a doubled row of int64 entries can reach 2^62 or more
+    big = big or any(abs(v) >= 2**62 for row in rows for v in row)
     a = np.zeros((nrows, ncols), dtype=object if big else np.int64)
     if nrows and ncols:
         a[:] = rows
