@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the Hilbert window (``hilbert_profile``) of two checkouts on large inputs.
+"""Time the Hilbert window (``hilbert_profile``) and the survey of two checkouts on large inputs.
 
 Inputs: the pencil through four general points with m = 7 and 8 members
 (d = 14, 16; built as ``corpus.pencil_four_points`` builds m <= 6), and the
@@ -14,11 +14,12 @@ fresh process that imports ``conicfree`` from one checkout, builds the
 curve, and times one ``hilbert_profile`` call on a fresh context (``s``,
 comparable with the earlier BENCH files), then ``mdr`` followed by
 ``hilbert_profile`` on a second fresh context, the order ``analyze_curve``
-runs them in (``pipeline_s``); the two checkouts alternate run by run, so
-drift in the machine's speed falls on both alike.  Each input is run
-REPEATS times per side.  The JSON file holds the machine's description,
-every time, the windows, taus and d1 of both checkouts, and per input the
-speedup of the window (median before / median after).
+runs them in (``pipeline_s``), then one ``survey`` of the arrangement
+(``survey_s``); the two checkouts alternate run by run, so drift in the
+machine's speed falls on both alike.  Each input is run REPEATS times per
+side.  The JSON file holds the machine's description, every time, the
+windows, taus, d1, survey inventories and completeness of both checkouts,
+and per input the speedup of the window (median before / median after).
 """
 
 from __future__ import annotations
@@ -59,12 +60,15 @@ def arrangements() -> dict[str, list[str]]:
 
 
 def time_one(src: str, name: str) -> dict:
-    """Run in a child process: the timed window of one input, then mdr and the window."""
+    """Run in a child process: the timed window of one input, then mdr and the
+    window, then the survey of the arrangement."""
     sys.path.insert(0, src)
     from conicfree.jacobian import JacobianContext, SyzygyWitness, hilbert_profile, mdr
+    from conicfree.locus import ConicArrangement, survey
     from conicfree.poly import parse_polynomial
 
-    f = parse_polynomial("*".join(f"({t})" for t in arrangements()[name]))
+    texts = arrangements()[name]
+    f = parse_polynomial("*".join(f"({t})" for t in texts))
     ctx = JacobianContext.for_curve(f)
     t0 = time.perf_counter()
     profile = hilbert_profile(ctx)
@@ -74,13 +78,20 @@ def time_one(src: str, name: str) -> dict:
     witness = mdr(ctx)
     hilbert_profile(ctx)
     pipeline = time.perf_counter() - t0
+    arr = ConicArrangement.from_texts(texts)
+    t0 = time.perf_counter()
+    sv = survey(arr)
+    survey_seconds = time.perf_counter() - t0
     return {
         "d": ctx.d,
         "d1": witness.r if isinstance(witness, SyzygyWitness) else None,
         "window": [list(w) for w in profile.window],
         "tau": profile.tau,
+        "inventory": sv.inventory(),
+        "complete": sv.complete,
         "s": seconds,
         "pipeline_s": pipeline,
+        "survey_s": survey_seconds,
     }
 
 
@@ -123,22 +134,26 @@ def main() -> int:
                 result = json.loads(out)
                 entry = runs[side].setdefault(
                     name,
-                    {k: result[k] for k in ("d", "d1", "window", "tau")}
-                    | {"seconds": [], "pipeline_seconds": []},
+                    {k: result[k] for k in ("d", "d1", "window", "tau", "inventory", "complete")}
+                    | {"seconds": [], "pipeline_seconds": [], "survey_seconds": []},
                 )
                 entry["seconds"].append(round(result["s"], 3))
                 entry["pipeline_seconds"].append(round(result["pipeline_s"], 3))
+                entry["survey_seconds"].append(round(result["survey_s"], 5))
         for side in sides:
             entry = runs[side][name]
             entry["median_s"] = round(statistics.median(entry["seconds"]), 3)
             entry["median_pipeline_s"] = round(statistics.median(entry["pipeline_seconds"]), 3)
+            entry["median_survey_s"] = round(statistics.median(entry["survey_seconds"]), 5)
             print(f"{side:6s} {name:24s} tau={entry['tau']} d1={entry['d1']} median "
-                  f"{entry['median_s']} s, with mdr {entry['median_pipeline_s']} s", flush=True)
+                  f"{entry['median_s']} s, with mdr {entry['median_pipeline_s']} s, "
+                  f"survey {entry['median_survey_s']} s", flush=True)
 
     doc = {
         "what": "seconds of one hilbert_profile call per input on a fresh context (seconds), "
-        "and of mdr then hilbert_profile on another (pipeline_seconds), each input in a "
-        "fresh process; the two checkouts alternate run by run",
+        "of mdr then hilbert_profile on another (pipeline_seconds), and of one survey of "
+        "the arrangement (survey_seconds), each input in a fresh process; the two "
+        "checkouts alternate run by run",
         "machine": machine(),
         "runs": runs,
         "speedup": {
@@ -147,6 +162,12 @@ def main() -> int:
         },
         "same_window": {
             name: runs["before"][name]["window"] == runs["after"][name]["window"]
+            for name in runs["after"]
+        },
+        "same_survey": {
+            name: all(
+                runs["before"][name][k] == runs["after"][name][k] for k in ("inventory", "complete")
+            )
             for name in runs["after"]
         },
     }

@@ -13,6 +13,13 @@ extension field of the rationals are accounted for in per-pair residuals so
 the survey can say exactly how much of each pair's intersection budget
 (four, by Bezout) it has explained.
 
+A survey locates each point once.  A pair fully explained by points that
+are already located (their jet multiplicities sum to four, as for any two
+members of a pencil with rational base points) is certified by exact
+division of its resultant by those points' fiber forms instead of a new
+root search, so its resultant and jet multiplicities are still measured
+twice and must agree.
+
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
 each component's ``ConicForm.integer``, computed once per form and cached on
@@ -418,7 +425,7 @@ def _padic_rational_roots(g: list[int]) -> list[Fraction]:
 
 def _eval_homogeneous(cs: list[int], n: int, d: int) -> int:
     """d^deg * f(n/d) = sum(cs[i] * n^i * d^(deg-i)), which is zero exactly
-    when n/d is a root (d != 0)."""
+    when n/d is a root (d != 0); at (n, d) = (1, 0) it is cs[-1]."""
     total, d_power = 0, 1
     for c in reversed(cs):
         total = total * n + c * d_power
@@ -637,11 +644,9 @@ def _scan_with_shear(
     return located, residual, transversal
 
 
-def _pair_scan(qi: ConicForm, qj: ConicForm, jets: JetTable | None) -> PairIntersections:
-    """:func:`rational_pair_intersections` on two smooth, distinct conics."""
-    first: tuple[list[tuple[ProjectivePoint, int]], int, bool] | None = None
-    certified = False
-    tried = 0
+def _projections(qi: ConicForm, qj: ConicForm):
+    """The shears (a, b) of the grid that keep (1:0:0) off both conics, in
+    grid order, each with the two sheared integer conics."""
     for a, b in _SHEAR_GRID:
         ti = _shear_conic(qi.integer, a, b)
         if ti[0] == 0:
@@ -649,6 +654,15 @@ def _pair_scan(qi: ConicForm, qj: ConicForm, jets: JetTable | None) -> PairInter
         tj = _shear_conic(qj.integer, a, b)
         if tj[0] == 0:
             continue
+        yield a, b, ti, tj
+
+
+def _pair_scan(qi: ConicForm, qj: ConicForm, jets: JetTable | None) -> PairIntersections:
+    """:func:`rational_pair_intersections` on two smooth, distinct conics."""
+    first: tuple[list[tuple[ProjectivePoint, int]], int, bool] | None = None
+    certified = False
+    tried = 0
+    for a, b, ti, tj in _projections(qi, qj):
         scan = _scan_with_shear(qi, qj, ti, tj, a, b, jets)
         if first is None:
             first = scan
@@ -669,6 +683,51 @@ def _pair_scan(qi: ConicForm, qj: ConicForm, jets: JetTable | None) -> PairInter
         points=tuple(located),
         residual=residual,
         residual_transversal=certified or residual == 0,
+    )
+
+
+def _pair_from_known_points(
+    qi: ConicForm, qj: ConicForm, points: list[ProjectivePoint], jets: JetTable | None
+) -> PairIntersections | None:
+    """The pair's intersections when rational points already located on both
+    conics explain its whole Bezout budget, else None.
+
+    Their jet multiplicities summing to 4 leave no other common point.  The
+    resultant of the first projection :func:`_pair_scan` would take must
+    then be a nonzero constant times the product of the points' fiber forms,
+    each raised to the jet multiplicities summed on its fiber; that is
+    checked by exact division, so the resultant root orders and the jets
+    still agree on every fiber.
+    """
+    mults = [local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in points]
+    if sum(mults) < 4:
+        return None
+    if sum(mults) > 4:
+        raise AssertionError(f"jet multiplicities {mults} exceed the Bezout budget")
+    a, b, ti, tj = next(_projections(qi, qj))
+    fibers: dict[tuple[int, int], int] = {}
+    for pt, m in zip(points, mults):
+        x, y, z = pt.coords()
+        # the fiber (y0 : z0) of the point, coprime with z0 > 0, or (1 : 0)
+        y0, z0 = y - a * x, z - b * x
+        g = -gcd(y0, z0) if z0 < 0 or (z0 == 0 and y0 < 0) else gcd(y0, z0)
+        fiber = (y0 // g, z0 // g)
+        fibers[fiber] = fibers.get(fiber, 0) + m
+    quotient = _resultant_in_x(ti, tj)
+    for (y0, z0), m in fibers.items():
+        for _ in range(m):
+            # the form must vanish on the fiber; on (1:0) its degree drops
+            if _eval_homogeneous(quotient, y0, z0) != 0:
+                raise AssertionError(
+                    f"jet multiplicities {mults} disagree with the resultant at ({y0}:{z0})"
+                )
+            quotient = _deflate(quotient, y0, z0) if z0 else quotient[:-1]
+    # four divisions leave a constant, nonzero unless the resultant vanishes
+    if quotient[0] == 0:
+        raise AssertionError("identically zero resultant")
+    return PairIntersections(
+        points=tuple(sorted(zip(points, mults), key=lambda pm: pm[0].coords())),
+        residual=0,
     )
 
 
@@ -772,25 +831,36 @@ def _classify(
 def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     """Locate, classify and account for the rational singular points.
 
-    Per-pair residuals track the multiplicity still unlocated; the survey is
-    complete exactly when every pair's Bezout budget of 4 is explained by
+    Each point is located once.  A pair whose Bezout budget of 4 is fully
+    explained by points that earlier pairs already located, by their jet
+    multiplicities, is certified by exact division of its resultant by those
+    points' fiber forms (:func:`_pair_from_known_points`); every other pair
+    is scanned.  Either way the pair's resultant root orders and jets must
+    agree.  Per-pair residuals track the multiplicity still unlocated; the
+    survey is complete exactly when every pair's budget is explained by
     classified rational points.
     """
     comps = arr.components
     # the arrangement already checked that its components are smooth and
     # pairwise distinct, so the pairs go straight to the scan
     jets: JetTable = {}  # each (component, point) jet is built once per survey
-    # point -> {(i, j): multiplicity} for every pair whose scan located it
+    # point -> {(i, j): multiplicity} for every pair that located it
     located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
+    members: dict[ProjectivePoint, list[int]] = {}  # the components through each point
     residual_transversal = True
     for i, j in combinations(range(arr.k), 2):
-        pair = _pair_scan(comps[i], comps[j], jets)
+        known = [pt for pt, on in members.items() if i in on and j in on]
+        pair = _pair_from_known_points(comps[i], comps[j], known, jets) if known else None
+        if pair is None:
+            pair = _pair_scan(comps[i], comps[j], jets)
         for pt, m in pair.points:
             located.setdefault(pt, {})[(i, j)] = m
+            if pt not in members:
+                members[pt] = _members(comps, pt)
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False
     records = tuple(
-        _classify(pt, _members(comps, pt), located[pt], assume_qh)
+        _classify(pt, members[pt], located[pt], assume_qh)
         for pt in sorted(located, key=lambda p: p.coords())
     )
     residual_per_pair: dict[tuple[int, int], int] = {}

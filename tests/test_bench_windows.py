@@ -1,5 +1,5 @@
 """scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
-with the curve's d1 and a timed mdr plus window."""
+with the curve's d1, a timed mdr plus window and a timed survey."""
 
 import importlib.util
 import json
@@ -21,6 +21,8 @@ def _script():
 
 
 D1 = {"pencil_four_points_m7": 2, "generic_k5": 8}
+# the generic conics meet in four transverse points per pair, one of them rational
+INVENTORY = {"pencil_four_points_m7": {"ordinary(7)": 4}, "generic_k5": {"A1": 1}}
 
 
 @pytest.mark.parametrize("name", ["pencil_four_points_m7", "generic_k5"])
@@ -32,4 +34,6 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
         k: recorded[k] for k in ("d", "window", "tau")
     }
     assert result["d1"] == D1[name]
-    assert result["s"] > 0 and result["pipeline_s"] > 0
+    assert result["s"] > 0 and result["pipeline_s"] > 0 and result["survey_s"] > 0
+    assert result["inventory"] == INVENTORY[name]
+    assert result["complete"] == (name == "pencil_four_points_m7")

@@ -587,3 +587,128 @@ def test_survey_refuses_a_point_a_member_pair_scan_missed(monkeypatch):
     monkeypatch.setattr(locus, "_pair_scan", first_pair_blind)
     with pytest.raises(AssertionError, match="located"):
         survey(arr)
+
+
+def _survey_matches_the_pair_oracle(arr, assume_qh=False):
+    """Every pair's multiplicities over the survey records and its residual
+    equal a standalone rational_pair_intersections of the pair, and the
+    survey equals one that scans every pair."""
+    import conicfree.locus as locus
+
+    sv = survey(arr, assume_qh=assume_qh)
+    for (i, j), residual in sv.residual_per_pair.items():
+        oracle = rational_pair_intersections(arr.components[i], arr.components[j])
+        assert {rec.point: rec.mult(i, j) for rec in sv.records if rec.mult(i, j)} == dict(
+            oracle.points
+        ), (i, j)
+        assert residual == oracle.residual, (i, j)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(locus, "_pair_from_known_points", lambda *args: None)
+        assert survey(arr, assume_qh=assume_qh) == sv
+    return sv
+
+
+def test_survey_pairs_match_the_pair_oracle_on_the_corpus():
+    from conicfree.corpus import corpus_entries
+
+    entries = [e for e in corpus_entries() if e.component_texts]
+    assert len(entries) == 15
+    for e in entries:
+        _survey_matches_the_pair_oracle(e.arrangement(), e.assume_qh)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(4, 8))
+def test_survey_pairs_match_the_pair_oracle_on_shuffled_bench_pencils(seed, k):
+    import random
+
+    rng = random.Random(seed)
+    members, expect = BENCH_INPUTS._pencil(rng, k)
+    rng.shuffle(members)
+    arr = ConicArrangement.from_texts([BENCH_INPUTS.conic_text(q) for q in members])
+    sv = _survey_matches_the_pair_oracle(arr)
+    assert sv.inventory() == {f"ordinary({k})": 4} and sv.complete
+    assert [rec.point for rec in sv.records] == sorted(
+        (ProjectivePoint.parse(p) for p in expect["base_points"]), key=lambda p: p.coords()
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_survey_pairs_match_the_pair_oracle_on_moved_pencils(seed):
+    import random
+
+    rng = random.Random(seed)
+    while True:
+        m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
+        if _det(m) != 0:
+            break
+    f, g = PENCIL_F, PENCIL_G
+    pencil = ConicArrangement.from_texts([f, g] + [f"({f})+{lam}*({g})" for lam in range(1, 5)])
+    moved = ConicArrangement(tuple(_pull_back(q, m) for q in pencil.components))
+    sv = _survey_matches_the_pair_oracle(moved)
+    assert sv.inventory() == {"ordinary(6)": 4} and sv.complete
+
+
+# x^2 - y*z and x^2 + y^2 - 2*y*z = (x^2 - y*z) + y*(y - z) meet on y*(y - z):
+# tangent at P = (0:0:1) (the tangent line y = 0) and transversally at
+# Q = (1:1:1) and R = (-1:1:1).  The first component passes through P, Q and R,
+# so the first two pairs locate all three before the contact pair comes up.
+CONTACT_TRIPLE = ["x^2+x*y-x*z+y^2-2*y*z", "x^2-y*z", "x^2+y^2-2*y*z"]
+
+
+def _spy_on_pair_scan(monkeypatch):
+    import conicfree.locus as locus
+
+    real = locus._pair_scan
+    scanned = []
+
+    def spy(qi, qj, jets):
+        scanned.append((qi, qj))
+        return real(qi, qj, jets)
+
+    monkeypatch.setattr(locus, "_pair_scan", spy)
+    return scanned
+
+
+def test_contact_pair_is_certified_from_known_points(monkeypatch):
+    arr = ConicArrangement.from_texts(CONTACT_TRIPLE)
+    scanned = _spy_on_pair_scan(monkeypatch)
+    sv = survey(arr)
+    assert len(scanned) == 2
+    P, Q, R = (ProjectivePoint.of(*p) for p in ((0, 0, 1), (1, 1, 1), (-1, 1, 1)))
+    assert {p: sv.record_at(p).mult(1, 2) for p in (P, Q, R)} == {P: 2, Q: 1, R: 1}
+    assert sv.residual_per_pair[(1, 2)] == 0
+
+
+def test_known_point_certificate_refuses_corrupted_jet_multiplicities(monkeypatch):
+    """Multiplicities P: 1, Q: 2 still sum to four, but the resultant's root
+    orders (2 on P's fiber, 1 on Q's) refuse them."""
+    import conicfree.locus as locus
+
+    arr = ConicArrangement.from_texts(CONTACT_TRIPLE)
+    contact = {arr.components[1].integer, arr.components[2].integer}
+    corrupt = {ProjectivePoint.of(0, 0, 1): 1, ProjectivePoint.of(1, 1, 1): 2}
+    real = locus.local_intersection_multiplicity
+
+    def corrupted(qi, qj, p, *, jets=None):
+        if {qi.integer, qj.integer} == contact and p in corrupt:
+            return corrupt[p]
+        return real(qi, qj, p, jets=jets)
+
+    monkeypatch.setattr(locus, "local_intersection_multiplicity", corrupted)
+    scanned = _spy_on_pair_scan(monkeypatch)
+    with pytest.raises(AssertionError, match="disagree with the resultant"):
+        survey(arr)
+    assert len(scanned) == 2
+
+
+def test_survey_scans_one_pair_of_a_pencil_and_of_a_contact_pair(monkeypatch):
+    f, g = PENCIL_F, PENCIL_G
+    pencil = ConicArrangement.from_texts([f, g] + [f"({f})+{lam}*({g})" for lam in range(1, 7)])
+    scanned = _spy_on_pair_scan(monkeypatch)
+    assert survey(pencil).inventory() == {"ordinary(8)": 4}
+    assert len(scanned) == 1
+    scanned.clear()
+    assert survey(ConicArrangement.from_texts(CONTACT_TRIPLE[1:])).inventory() == {"A1": 2, "A3": 1}
+    assert len(scanned) == 1
