@@ -30,7 +30,6 @@ from conicfree.combinatorics import (
 )
 from conicfree.corpus import CorpusNotFoundError, corpus_entries, entry, run_regression
 from conicfree.freeness import check_deformation
-from conicfree.jacobian import MAX_WINDOW_EXTEND
 from conicfree.locus import ConicArrangement, survey
 from conicfree.poly import (
     HomogeneousPolynomial,
@@ -90,7 +89,10 @@ def _resolve_input(text: str) -> ResolvedInput:
     path = Path(text)
     if path.exists():
         return _resolve_file(text, content_lines(path.read_text()))
-    f = parse_polynomial(text)
+    try:
+        f = parse_polynomial(text)
+    except PolynomialSyntaxError as err:
+        raise InputError(f"{text}: no such file, and not an expression: {err}") from None
     return ResolvedInput(lambda: f, None, f"<expression> {text}")
 
 
@@ -117,11 +119,6 @@ def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if not 0 <= args.window_extend <= MAX_WINDOW_EXTEND:
-        raise InputError(
-            f"--window-extend must be between 0 and {MAX_WINDOW_EXTEND}, "
-            f"got {args.window_extend}"
-        )
     resolved = _resolve_input(args.input)
     analysis = _run_analysis(args, resolved)
     doc = analysis_document(

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 # the certified engine is called as linalg.rank_certified and
 # linalg.kernel_basis_certified, looked up at call time, so that code
@@ -314,7 +314,7 @@ def _certified_rank(
     s: int,
     matrix: RatMatrix,
     multiples: np.ndarray,
-    terms: Callable[[], np.ndarray] | None = None,
+    terms: np.ndarray | None = None,
 ) -> int | None:
     """rank A_s (matrix = syzygy_matrix(ctx, s)) when two bounds meet, else None.
 
@@ -325,22 +325,19 @@ def _certified_rank(
     The rows of multiples are relations (mod p), so rank_p(A_s) <= rank <=
     cols - rank_p(multiples) over the rationals: a nonzero minor mod p is
     nonzero over Q, and relations independent mod p are independent kernel
-    vectors.  Given terms(), rank_p(multiples) is bounded from below by the
+    vectors.  Given terms, rank_p(multiples) is bounded from below by the
     multiples of its leading terms: for s >= d-1 the rows of multiples span
-    S_{s-d+1} times the relation multiples in degree d-1, and terms() gives
-    their leading terms (called only here).  multiples is eliminated only
-    when the bounds fall short without it, and A_s itself only when they
-    still do, which records its leading monomials for the degrees above.  A
-    sum above cols can only come from a row that is not a relation, and
-    raises; so does a row that _relations_mod_p catches before a rank is
-    accepted.
+    S_{s-d+1} times the relation multiples in degree d-1, and terms are
+    their leading terms.  multiples is eliminated only when the bounds fall
+    short without it, and A_s itself only when they still do, which records
+    its leading monomials for the degrees above.  A sum above cols can only
+    come from a row that is not a relation, and raises; so does a row that
+    _relations_mod_p catches before a rank is accepted.
     """
     shift = ctx.d - 1
     e = max((r for r in ctx.leading if r <= s), default=None)
     lower = 0 if e is None else len(_leading_multiples(ctx.leading[e], e + shift, s + shift))
-    spanned = 0
-    if lower < matrix.cols and terms is not None:
-        spanned = len(_leading_multiples(terms(), shift, s))
+    spanned = 0 if terms is None else len(_leading_multiples(terms, shift, s))
     if lower + spanned < matrix.cols:
         spanned = rank_mod(multiples)
     if lower + spanned < matrix.cols:
@@ -406,18 +403,15 @@ def _syzygy_ranks(ctx: JacobianContext, degrees: list[int]) -> list[int]:
     of the leading monomials recorded by relation_generators, the curve's
     one relation walk; above by the multiples of its generators and, once a
     degree reaches d-1, of the three Koszul relations, whose leading terms
-    in degree d-1 are taken at most once per call.  No kernel is lifted at
+    in degree d-1 are then taken once per call.  No kernel is lifted at
     degree s; where the bounds do not meet, the rank comes from the
     lifted-kernel certificate of linalg.rank_certified.
     """
-    relations = relation_generators(ctx)
+    residues = _residues(relation_generators(ctx))
+    terms = None
     if max(degrees) >= ctx.d - 1:
-        relations += tuple((ctx.d - 1, v) for v in _koszul_relations(ctx))
-    residues = _residues(relations)
-
-    @cache
-    def terms() -> np.ndarray:
-        return _leading_terms(_relation_multiples(residues, ctx.d - 1), ctx.d - 1)
+        residues += _residues([(ctx.d - 1, v) for v in _koszul_relations(ctx)])
+        terms = _leading_terms(_relation_multiples(residues, ctx.d - 1), ctx.d - 1)
 
     def rank(s: int) -> int:
         matrix = syzygy_matrix(ctx, s)

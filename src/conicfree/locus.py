@@ -13,12 +13,13 @@ extension field of the rationals are accounted for in per-pair residuals so
 the survey can say exactly how much of each pair's intersection budget
 (four, by Bezout) it has explained.
 
-A survey locates each point once.  A pair fully explained by points that
-are already located (their jet multiplicities sum to four, as for any two
-members of a pencil with rational base points) is certified by exact
-division of its resultant by those points' fiber forms instead of a new
-root search, so its resultant and jet multiplicities are still measured
-twice and must agree.
+A survey locates each point once.  Every pair takes one path: its
+resultant is divided exactly by the fiber forms of the points already
+located on both conics, each raised to that point's jet multiplicity, and
+only the quotient is searched for rational roots, so the resultant and the
+jets still measure every multiplicity twice and must agree.  A pair fully
+explained by located points (as any two members of a pencil with rational
+base points) leaves a nonzero constant, and no root search at all.
 
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
@@ -447,13 +448,18 @@ def _deflate(cs: list[int], n: int, d: int) -> list[int]:
     return out
 
 
-def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[int]]:
+def _rational_roots(
+    coeffs: list[int],
+) -> tuple[list[tuple[Fraction, int]], list[int], bool]:
     """Rational roots with multiplicities of sum(coeffs[i] * t^i).
 
     Also returns the deflated polynomial left after dividing the rational
-    roots out (the part whose roots are all irrational).  The roots are
-    found p-adically on the squarefree part; their multiplicities come from
-    exact deflation of the whole polynomial.
+    roots out (the part whose roots are all irrational), and whether that
+    part is squarefree.  The roots are found p-adically on the squarefree
+    part; their multiplicities come from exact deflation of the whole
+    polynomial.  The squarefree part has one root per distinct root, so the
+    deflated part is squarefree exactly when its degree is the squarefree
+    part's less the number of nonzero rational roots.
     """
     cs = list(coeffs)
     while cs and cs[-1] == 0:
@@ -467,14 +473,16 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list
         cs = cs[1:]
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
-    for cand in _padic_rational_roots(_squarefree_part(cs)):
+    squarefree = _squarefree_part(cs)
+    nonzero = _padic_rational_roots(squarefree)
+    for cand in nonzero:
         n, d = cand.numerator, cand.denominator
         mult = 0
         while len(cs) > 1 and _eval_homogeneous(cs, n, d) == 0:
             cs = _deflate(cs, n, d)
             mult += 1
         roots.append((cand, mult))
-    return roots, cs
+    return roots, cs, len(cs) == len(squarefree) - len(nonzero)
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -513,36 +521,31 @@ def _squarefree_part(cs: list[int]) -> list[int]:
     return _primitive(quotient)
 
 
-def _is_squarefree(cs: list[int]) -> bool:
-    """Whether an integer polynomial (low-to-high, nonzero leading
-    coefficient) is squarefree."""
-    return len(cs) <= 2 or len(_poly_gcd(cs, [i * c for i, c in enumerate(cs)][1:])) == 1
-
-
-def _binary_quartic_fibers(
+def _binary_form_fibers(
     res: list[int],
 ) -> tuple[list[tuple[tuple[int, int], int]], bool]:
-    """Rational roots (y0:z0) of a binary quartic, with multiplicities.
+    """Rational roots (y0:z0) of a nonzero binary form, with multiplicities.
 
-    ``res[j]`` is the integer coefficient of y^j * z^(4-j).  Each fiber is a
-    coprime integer pair.  The second component reports whether the
-    non-rational part of the form is squarefree; in that case every
-    irrational fiber carries exactly one intersection point of multiplicity
-    one.
+    ``res[j]`` is the integer coefficient of y^j * z^(n-j), n = len(res) - 1.
+    Each fiber is a coprime integer pair.  The second component reports
+    whether the non-rational part of the form is squarefree; in that case
+    every irrational fiber carries exactly one intersection point of
+    multiplicity one.  A form c*z^n has no finite fiber to search.
     """
     if not any(res):
         raise ValueError("identically zero resultant (components share a factor?)")
     # multiplicity of the fiber (1:0) equals the power of z dividing the form
     top = max(j for j, v in enumerate(res) if v)
-    z_power = 4 - top
     fibers: list[tuple[tuple[int, int], int]] = []
-    if z_power > 0:
-        fibers.append(((1, 0), z_power))
+    if top < len(res) - 1:
+        fibers.append(((1, 0), len(res) - 1 - top))
+    if top == 0:
+        return fibers, True
     # finite fibers (t:1) from the dehomogenization in t = y
-    roots, remainder = _rational_roots(res[: top + 1])
+    roots, _, squarefree = _rational_roots(res[: top + 1])
     for root, mult in roots:
         fibers.append(((root.numerator, root.denominator), mult))
-    return fibers, _is_squarefree(remainder)
+    return fibers, squarefree
 
 
 def _fiber_points(
@@ -598,18 +601,44 @@ def _scan_with_shear(
     tj: IntConic,
     a: int,
     b: int,
+    known: dict[ProjectivePoint, int],
     jets: JetTable | None,
 ) -> tuple[list[tuple[ProjectivePoint, int]], int, bool]:
     """Locate rational common points through the projection (a, b).
 
     ``ti`` and ``tj`` are the integer conics of qi and qj under the shear
-    (a, b).  Returns (located points with jet multiplicities, residual
-    budget, residual certified transversal under this projection).
+    (a, b), and ``known`` maps points already located on both conics to
+    their jet multiplicities.  The resultant is divided exactly by each
+    known point's fiber form, raised to the jet multiplicities summed on
+    that fiber, and only the quotient is searched for rational roots: none
+    are searched when it is a nonzero constant.  On each fiber the search
+    finds, the points not already known must carry the quotient's root
+    order in jet multiplicities.  Returns (all located points with jet
+    multiplicities, residual budget, residual certified transversal under
+    this projection).
     """
-    located: list[tuple[ProjectivePoint, int]] = []
+    quotient = _resultant_in_x(ti, tj)
+    known_fibers: dict[tuple[int, int], int] = {}
+    for pt, m in known.items():
+        x, y, z = pt.coords()
+        # the fiber (y0 : z0) of the point, coprime with z0 > 0, or (1 : 0)
+        y0, z0 = y - a * x, z - b * x
+        g = -gcd(y0, z0) if z0 < 0 or (z0 == 0 and y0 < 0) else gcd(y0, z0)
+        fiber = (y0 // g, z0 // g)
+        known_fibers[fiber] = known_fibers.get(fiber, 0) + m
+    for (y0, z0), m in known_fibers.items():
+        for _ in range(m):
+            # the form must vanish on the fiber; on (1:0) its degree drops
+            if _eval_homogeneous(quotient, y0, z0) != 0:
+                raise AssertionError(
+                    f"jet multiplicities {list(known.values())} disagree with the "
+                    f"resultant at ({y0}:{z0})"
+                )
+            quotient = _deflate(quotient, y0, z0) if z0 else quotient[:-1]
+    located = list(known.items())
     residual = 0
     transversal = True
-    fibers, irrational_part_squarefree = _binary_quartic_fibers(_resultant_in_x(ti, tj))
+    fibers, irrational_part_squarefree = _binary_form_fibers(quotient)
     located_fiber_budget = 0
     for (y0, z0), mult in fibers:
         points = _fiber_points(ti, tj, y0, z0)
@@ -625,18 +654,17 @@ def _scan_with_shear(
                 transversal = False
             continue
         mapped = [ProjectivePoint.of(x, y + a * x, z + b * x) for x, y, z in points]
-        jet_mults = [
-            local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in mapped
-        ]
+        new = [pt for pt in mapped if pt not in known]
+        jet_mults = [local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in new]
         if sum(jet_mults) != mult:
             raise AssertionError(
                 f"jet multiplicities {jet_mults} disagree with resultant order {mult}"
             )
-        located.extend(zip(mapped, jet_mults))
+        located.extend(zip(new, jet_mults))
         located_fiber_budget += mult
     # what remains sits on irrational fibers; multiplicity-one fibers carry
     # exactly one transversal point each
-    irrational_fiber_budget = 4 - located_fiber_budget - residual
+    irrational_fiber_budget = len(quotient) - 1 - located_fiber_budget - residual
     residual += irrational_fiber_budget
     if irrational_fiber_budget and not irrational_part_squarefree:
         transversal = False
@@ -657,13 +685,20 @@ def _projections(qi: ConicForm, qj: ConicForm):
         yield a, b, ti, tj
 
 
-def _pair_scan(qi: ConicForm, qj: ConicForm, jets: JetTable | None) -> PairIntersections:
-    """:func:`rational_pair_intersections` on two smooth, distinct conics."""
+def _pair_scan(
+    qi: ConicForm,
+    qj: ConicForm,
+    known: list[ProjectivePoint],
+    jets: JetTable | None,
+) -> PairIntersections:
+    """The rational common points of two smooth, distinct conics, of which
+    ``known`` are already located; see :func:`_scan_with_shear`."""
+    mults = {pt: local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in known}
     first: tuple[list[tuple[ProjectivePoint, int]], int, bool] | None = None
     certified = False
     tried = 0
     for a, b, ti, tj in _projections(qi, qj):
-        scan = _scan_with_shear(qi, qj, ti, tj, a, b, jets)
+        scan = _scan_with_shear(qi, qj, ti, tj, a, b, mults, jets)
         if first is None:
             first = scan
         elif scan[0] != first[0]:
@@ -686,51 +721,6 @@ def _pair_scan(qi: ConicForm, qj: ConicForm, jets: JetTable | None) -> PairInter
     )
 
 
-def _pair_from_known_points(
-    qi: ConicForm, qj: ConicForm, points: list[ProjectivePoint], jets: JetTable | None
-) -> PairIntersections | None:
-    """The pair's intersections when rational points already located on both
-    conics explain its whole Bezout budget, else None.
-
-    Their jet multiplicities summing to 4 leave no other common point.  The
-    resultant of the first projection :func:`_pair_scan` would take must
-    then be a nonzero constant times the product of the points' fiber forms,
-    each raised to the jet multiplicities summed on its fiber; that is
-    checked by exact division, so the resultant root orders and the jets
-    still agree on every fiber.
-    """
-    mults = [local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in points]
-    if sum(mults) < 4:
-        return None
-    if sum(mults) > 4:
-        raise AssertionError(f"jet multiplicities {mults} exceed the Bezout budget")
-    a, b, ti, tj = next(_projections(qi, qj))
-    fibers: dict[tuple[int, int], int] = {}
-    for pt, m in zip(points, mults):
-        x, y, z = pt.coords()
-        # the fiber (y0 : z0) of the point, coprime with z0 > 0, or (1 : 0)
-        y0, z0 = y - a * x, z - b * x
-        g = -gcd(y0, z0) if z0 < 0 or (z0 == 0 and y0 < 0) else gcd(y0, z0)
-        fiber = (y0 // g, z0 // g)
-        fibers[fiber] = fibers.get(fiber, 0) + m
-    quotient = _resultant_in_x(ti, tj)
-    for (y0, z0), m in fibers.items():
-        for _ in range(m):
-            # the form must vanish on the fiber; on (1:0) its degree drops
-            if _eval_homogeneous(quotient, y0, z0) != 0:
-                raise AssertionError(
-                    f"jet multiplicities {mults} disagree with the resultant at ({y0}:{z0})"
-                )
-            quotient = _deflate(quotient, y0, z0) if z0 else quotient[:-1]
-    # four divisions leave a constant, nonzero unless the resultant vanishes
-    if quotient[0] == 0:
-        raise AssertionError("identically zero resultant")
-    return PairIntersections(
-        points=tuple(sorted(zip(points, mults), key=lambda pm: pm[0].coords())),
-        residual=0,
-    )
-
-
 def rational_pair_intersections(
     qi: ConicForm, qj: ConicForm, *, jets: JetTable | None = None
 ) -> PairIntersections:
@@ -750,7 +740,7 @@ def rational_pair_intersections(
         raise ValueError("both conics must be smooth")
     if qi.is_proportional_to(qj):
         raise ValueError("conics coincide")
-    return _pair_scan(qi, qj, jets)
+    return _pair_scan(qi, qj, [], jets)
 
 
 # ---------------------------------------------------------------------------
@@ -831,12 +821,12 @@ def _classify(
 def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     """Locate, classify and account for the rational singular points.
 
-    Each point is located once.  A pair whose Bezout budget of 4 is fully
-    explained by points that earlier pairs already located, by their jet
-    multiplicities, is certified by exact division of its resultant by those
-    points' fiber forms (:func:`_pair_from_known_points`); every other pair
-    is scanned.  Either way the pair's resultant root orders and jets must
-    agree.  Per-pair residuals track the multiplicity still unlocated; the
+    Each point is located once: every pair is scanned with the points that
+    earlier pairs located on both of its conics (:func:`_pair_scan`), whose
+    fiber forms divide its resultant exactly, raised to their jet
+    multiplicities, before only the quotient is root-searched; so the
+    pair's resultant root orders and jets must agree at known and new points
+    alike.  Per-pair residuals track the multiplicity still unlocated; the
     survey is complete exactly when every pair's budget is explained by
     classified rational points.
     """
@@ -850,9 +840,7 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     residual_transversal = True
     for i, j in combinations(range(arr.k), 2):
         known = [pt for pt, on in members.items() if i in on and j in on]
-        pair = _pair_from_known_points(comps[i], comps[j], known, jets) if known else None
-        if pair is None:
-            pair = _pair_scan(comps[i], comps[j], jets)
+        pair = _pair_scan(comps[i], comps[j], known, jets)
         for pt, m in pair.points:
             located.setdefault(pt, {})[(i, j)] = m
             if pt not in members:

@@ -99,7 +99,7 @@ def test_analyze_refuses_a_window_extension_out_of_range(extend, capsys):
         capsys, "analyze", "corpus:two_conics_a7_e1", "--window-extend", extend
     )
     assert code == 1 and out == ""
-    assert "--window-extend must be between 0 and 10" in err
+    assert f"window extension {extend} is not in 0..10" in err
 
 
 def test_analyze_arrangement_file(tmp_path, capsys):
@@ -205,6 +205,14 @@ def test_classify_assume_qh(capsys):
 def test_a_directory_for_a_file_is_an_input_error(argv, tmp_path, capsys):
     code, _, err = run_cli(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert code == 1 and str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "supersolvable"])
+def test_a_missing_file_is_reported_as_neither_file_nor_expression(command, tmp_path, capsys):
+    missing = tmp_path / "nonexist.txt"
+    code, out, err = run_cli(capsys, command, str(missing))
+    assert code == 1 and out == ""
+    assert f"error: {missing}: no such file, and not an expression: unexpected character" in err
 
 
 @pytest.mark.parametrize("blank", ["", " "], ids=["empty", "space"])

@@ -592,7 +592,7 @@ def test_survey_refuses_a_point_a_member_pair_scan_missed(monkeypatch):
 def _survey_matches_the_pair_oracle(arr, assume_qh=False):
     """Every pair's multiplicities over the survey records and its residual
     equal a standalone rational_pair_intersections of the pair, and the
-    survey equals one that scans every pair."""
+    survey equals one that root-searches every pair's whole resultant."""
     import conicfree.locus as locus
 
     sv = survey(arr, assume_qh=assume_qh)
@@ -602,8 +602,9 @@ def _survey_matches_the_pair_oracle(arr, assume_qh=False):
             oracle.points
         ), (i, j)
         assert residual == oracle.residual, (i, j)
+    real = locus._pair_scan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(locus, "_pair_from_known_points", lambda *args: None)
+        mp.setattr(locus, "_pair_scan", lambda qi, qj, known, jets: real(qi, qj, [], jets))
         assert survey(arr, assume_qh=assume_qh) == sv
     return sv
 
@@ -657,25 +658,27 @@ def test_survey_pairs_match_the_pair_oracle_on_moved_pencils(seed):
 CONTACT_TRIPLE = ["x^2+x*y-x*z+y^2-2*y*z", "x^2-y*z", "x^2+y^2-2*y*z"]
 
 
-def _spy_on_pair_scan(monkeypatch):
+def _spy_on_root_searches(monkeypatch, name="_rational_roots"):
+    """The polynomials the survey root-searches (locus._rational_roots), or
+    the binary forms whose fibers it takes (name="_binary_form_fibers")."""
     import conicfree.locus as locus
 
-    real = locus._pair_scan
-    scanned = []
+    real = getattr(locus, name)
+    searched = []
 
-    def spy(qi, qj, jets):
-        scanned.append((qi, qj))
-        return real(qi, qj, jets)
+    def spy(coeffs):
+        searched.append(coeffs)
+        return real(coeffs)
 
-    monkeypatch.setattr(locus, "_pair_scan", spy)
-    return scanned
+    monkeypatch.setattr(locus, name, spy)
+    return searched
 
 
 def test_contact_pair_is_certified_from_known_points(monkeypatch):
     arr = ConicArrangement.from_texts(CONTACT_TRIPLE)
-    scanned = _spy_on_pair_scan(monkeypatch)
+    searched = _spy_on_root_searches(monkeypatch)
     sv = survey(arr)
-    assert len(scanned) == 2
+    assert len(searched) == 2
     P, Q, R = (ProjectivePoint.of(*p) for p in ((0, 0, 1), (1, 1, 1), (-1, 1, 1)))
     assert {p: sv.record_at(p).mult(1, 2) for p in (P, Q, R)} == {P: 2, Q: 1, R: 1}
     assert sv.residual_per_pair[(1, 2)] == 0
@@ -697,18 +700,87 @@ def test_known_point_certificate_refuses_corrupted_jet_multiplicities(monkeypatc
         return real(qi, qj, p, jets=jets)
 
     monkeypatch.setattr(locus, "local_intersection_multiplicity", corrupted)
-    scanned = _spy_on_pair_scan(monkeypatch)
+    searched = _spy_on_root_searches(monkeypatch)
     with pytest.raises(AssertionError, match="disagree with the resultant"):
         survey(arr)
-    assert len(scanned) == 2
+    assert len(searched) == 2
 
 
 def test_survey_scans_one_pair_of_a_pencil_and_of_a_contact_pair(monkeypatch):
     f, g = PENCIL_F, PENCIL_G
     pencil = ConicArrangement.from_texts([f, g] + [f"({f})+{lam}*({g})" for lam in range(1, 7)])
-    scanned = _spy_on_pair_scan(monkeypatch)
+    searched = _spy_on_root_searches(monkeypatch)
     assert survey(pencil).inventory() == {"ordinary(8)": 4}
-    assert len(scanned) == 1
-    scanned.clear()
+    assert len(searched) == 1
+    searched.clear()
     assert survey(ConicArrangement.from_texts(CONTACT_TRIPLE[1:])).inventory() == {"A1": 2, "A3": 1}
-    assert len(scanned) == 1
+    assert len(searched) == 1
+
+
+def _celal_pair_through_the_d4_point():
+    """celal_three_conics: the first pair locates the ordinary triple point
+    (1:1:1) and the A5 point (0:0:1); the pair (0, 2) meets transversally at
+    (1:1:1) and with contact order 3 at the A5 point (0:1:0), not yet
+    located."""
+    from conicfree.corpus import entry
+
+    arr = entry("celal_three_conics").arrangement()
+    return arr, arr.components[0], arr.components[2], ProjectivePoint.of(1, 1, 1)
+
+
+def test_partly_explained_pair_divides_out_the_located_point(monkeypatch):
+    import conicfree.locus as locus
+
+    arr, q0, q2, d4 = _celal_pair_through_the_d4_point()
+    forms = _spy_on_root_searches(monkeypatch, "_binary_form_fibers")
+    pair = locus._pair_scan(q0, q2, [d4], {})
+    # the D4 fiber is divided out, so only a binary cubic is left
+    assert [len(form) - 1 for form in forms] == [3]
+    assert pair == rational_pair_intersections(q0, q2)
+    assert dict(pair.points) == {d4: 1, ProjectivePoint.of(0, 1, 0): 3}
+    forms.clear()
+    sv = survey(arr)
+    assert sv.inventory() == {"A5": 3, "D4": 1} and sv.complete
+    assert [len(form) - 1 for form in forms] == [4, 3, 3]
+
+
+def test_partly_explained_pair_refuses_a_corrupted_jet_multiplicity(monkeypatch):
+    """The located D4 point given multiplicity 2 on the pair (0, 2): the
+    resultant's root order on its fiber refuses it."""
+    import conicfree.locus as locus
+
+    arr, q0, q2, d4 = _celal_pair_through_the_d4_point()
+    pair = {q0.integer, q2.integer}
+    real = locus.local_intersection_multiplicity
+
+    def corrupted(qi, qj, p, *, jets=None):
+        if {qi.integer, qj.integer} == pair and p == d4:
+            return 2
+        return real(qi, qj, p, jets=jets)
+
+    monkeypatch.setattr(locus, "local_intersection_multiplicity", corrupted)
+    with pytest.raises(AssertionError, match="disagree with the resultant"):
+        locus._pair_scan(q0, q2, [d4], {})
+    with pytest.raises(AssertionError, match="disagree with the resultant"):
+        survey(arr)
+
+
+# The pair (1, 2) meets at the ordinary triple point (1:1:1), which the pair
+# (0, 1) locates first, and at (2:1:1): both on the fiber (1:1) of its first
+# projection, the shear (0, 0) from (1:0:0).  So that fiber is still a root
+# of the quotient, and only (2:1:1) is new on it.
+SHARED_FIBER = [
+    "5*x^2-6*y^2+z^2-x*y+2*x*z-y*z",
+    "-5*x^2-25*y^2+9*z^2+6*x*y+9*x*z+6*y*z",
+    "2*x^2-11*y^2+6*z^2+3*x*y-9*x*z+9*y*z",
+]
+
+
+def test_a_new_point_on_the_fiber_of_a_known_point_is_located():
+    import conicfree.locus as locus
+
+    arr = ConicArrangement.from_texts(SHARED_FIBER)
+    assert next(locus._projections(arr.components[1], arr.components[2]))[:2] == (0, 0)
+    sv = _survey_matches_the_pair_oracle(arr)
+    assert sv.inventory() == {"A1": 3, "D4": 1} and sv.residual_per_pair[(1, 2)] == 0
+    assert sv.record_at(ProjectivePoint.of(2, 1, 1)).members == (1, 2)

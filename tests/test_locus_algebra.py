@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conicfree.locus import (
     _affine_conic_coefficients,
-    _binary_quartic_fibers,
+    _binary_form_fibers,
     _fiber_points,
     _rational_roots,
     _resultant_in_x,
@@ -253,7 +253,7 @@ def _large_polynomials(draw):
 @settings(max_examples=60, deadline=None)
 @given(coeffs=_small_polynomials())
 def test_rational_roots_match_trial_division(coeffs):
-    roots, remainder = _rational_roots(coeffs)
+    roots, remainder, _ = _rational_roots(coeffs)
     expected_roots, expected_remainder = _trial_division_roots(coeffs)
     assert roots == expected_roots
     assert _proportional(remainder, expected_remainder)
@@ -265,27 +265,64 @@ def test_rational_roots_match_trial_division(coeffs):
 @example(coeffs=_planted([(65521, 2310 * 17, 1), (-65519, 65497, 2)], 0, [5, 1, 210]))
 def test_rational_roots_match_factorization_up_to_2_64(coeffs):
     assert max(abs(c) for c in coeffs) < 2**64
-    roots, remainder = _rational_roots(coeffs)
+    roots, remainder, squarefree = _rational_roots(coeffs)
     assert sorted(roots) == _sympy_roots(coeffs)
     assert [r for r, _ in roots[1:]] == sorted(r for r, _ in roots[1:])
     # what is left has no rational root, and the roots account for the degree
     assert _sympy_roots(remainder) == []
     assert sum(m for _, m in roots) + len(remainder) - 1 == len(coeffs) - 1
+    # the planted irrational part is a constant or an irreducible quadratic
+    assert squarefree
 
 
 def test_rational_roots_prime_choice_skips_bad_primes():
     # the leading coefficient rules out 2..11, and t^2 + 13 has the double root 0 mod 13
     coeffs = _planted([(1, 2310, 2), (-7, 3, 1)], 1, [13, 0, 1])
-    roots, remainder = _rational_roots(coeffs)
+    roots, remainder, _ = _rational_roots(coeffs)
     assert roots == [(Fraction(0), 1), (Fraction(-7, 3), 1), (Fraction(1, 2310), 2)]
     assert _proportional(remainder, [13, 0, 1])
 
 
 def test_rational_roots_constant_and_linear():
-    assert _rational_roots([5]) == ([], [5])
-    assert _rational_roots([0, 0, 3]) == ([(Fraction(0), 2)], [3])
-    roots, remainder = _rational_roots([-3, 4])
+    assert _rational_roots([5]) == ([], [5], True)
+    assert _rational_roots([0, 0, 3]) == ([(Fraction(0), 2)], [3], True)
+    roots, remainder, _ = _rational_roots([-3, 4])
     assert roots == [(Fraction(3, 4), 1)] and len(remainder) == 1
+
+
+@st.composite
+def _binary_quartics(draw):
+    """A binary quartic (coefficients low to high in y) with the product of its
+    irrational factors: up to two irreducible quadratics, possibly equal, and
+    rational linear factors, possibly repeated, possibly z."""
+    quadratics = draw(st.lists(_irreducible_quadratics(1), max_size=2))
+    if len(quadratics) == 2 and draw(st.booleans()):
+        quadratics[1] = quadratics[0]
+    irrational = [1]
+    for q in quadratics:
+        irrational = _mul(irrational, q)
+    linear = 4 - 2 * len(quadratics)
+    at_infinity = draw(st.integers(0, linear))
+    factors = st.tuples(st.integers(-6, 6), st.integers(1, 6))
+    quartic = irrational
+    for n, d in draw(st.lists(factors, min_size=linear - at_infinity, max_size=linear - at_infinity)):
+        quartic = _mul(quartic, [-n, d])
+    return quartic + [0] * at_infinity, irrational
+
+
+@settings(max_examples=200, deadline=None)
+@given(quartic=_binary_quartics())
+def test_binary_form_fibers_tell_a_squarefree_irrational_part(quartic):
+    """The flag read off the squarefree part's degree equals a gcd test of the
+    planted irrational part, and the rational fibers carry the rest."""
+    import sympy
+
+    res, irrational = quartic
+    t = sympy.Symbol("t")
+    part = sympy.Poly(list(reversed(irrational)), t)
+    fibers, squarefree = _binary_form_fibers(res)
+    assert squarefree == (sympy.gcd(part, part.diff(t)).degree() == 0)
+    assert sum(m for _, m in fibers) == 4 - (len(irrational) - 1)
 
 
 # A conic pair with nine-digit coefficients: x^2 + y^2 - z^2 and
@@ -304,10 +341,10 @@ def test_nine_digit_pair_resultant_roots():
     q1, q2 = (ConicForm.parse(t) for t in NINE_DIGIT_PAIR)
     res = coeffs = _resultant_in_x(q1.integer, q2.integer)
     assert max(abs(c) for c in coeffs) > 10**30
-    roots, remainder = _rational_roots(coeffs)
+    roots, remainder, _ = _rational_roots(coeffs)
     assert roots == _sympy_roots(coeffs)
     assert [m for _, m in roots] == [2, 2] and len(remainder) == 1
-    fibers, squarefree = _binary_quartic_fibers(res)
+    fibers, squarefree = _binary_form_fibers(res)
     assert sorted(m for _, m in fibers) == [2, 2] and squarefree
     # the tangency points are the images of (1:0:1) and (-1:0:1)
     pair = rational_pair_intersections(q1, q2)
