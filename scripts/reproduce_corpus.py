@@ -5,9 +5,8 @@ Prints a table of the freeness data (degree, minimal relation degree, total
 Tjurina number, defect, verdict) for all corpus curves, runs the three
 enumeration certificates, replays the tacnode deformation check, and exits
 nonzero if anything disagrees with the recorded expectations.  Each entry
-is analyzed once; the table and the regression read its analysis document
-(the one ``conicfree analyze --json`` prints), the deformation check reads
-the analysis itself.
+is analyzed once; the table, the deformation check and the regression all
+read its analysis document (the one ``conicfree analyze --json`` prints).
 """
 
 import sys
@@ -19,33 +18,28 @@ from conicfree.combinatorics import (
     enumerate_theorem_near,
 )
 from conicfree.corpus import RegressionTable, analyze_entry, check_entry, corpus_entries
-from conicfree.freeness import check_deformation
-from conicfree.report import Analysis, analysis_document
+from conicfree.report import analysis_document, deformation_document, render_deformation
 
 
-def freeness_table() -> tuple[dict[str, Analysis], dict[str, dict]]:
+def freeness_table() -> dict[str, dict]:
     print(f"{'entry':28s} {'d':>3s} {'d1':>3s} {'tau':>4s} {'nu':>3s}  verdict")
-    analyses, docs = {}, {}
+    docs = {}
     for e in corpus_entries():
         t0 = time.time()
-        analyses[e.name] = analyze_entry(e)
-        doc = docs[e.name] = analysis_document(analyses[e.name])
+        doc = docs[e.name] = analysis_document(analyze_entry(e))
         fr = doc["freeness"]
         print(
             f"{e.name:28s} {doc['input']['degree']:3d} {doc['mdr']['d1']:3d} "
             f"{doc['tjurina']['stabilized']:4d} {fr['nu']:3d}  {fr['verdict']:12s} "
             f"({time.time() - t0:.1f}s)"
         )
-    return analyses, docs
+    return docs
 
 
-def deformation_demo(analyses: dict[str, Analysis]) -> bool:
-    before, after = analyses["persson_triconical"], analyses["persson_deformed"]
-    check = check_deformation((before.report, before.survey), (after.report, after.survey))
-    print("\ntacnode-to-two-nodes deformation check:")
-    for clause in check.clauses:
-        print(f"  {'PASS' if clause.ok else 'FAIL'} {clause.name}: {clause.detail}")
-    return check.passed
+def deformation_demo(docs: dict[str, dict]) -> bool:
+    doc = deformation_document(docs["persson_triconical"], docs["persson_deformed"])
+    print("\n" + render_deformation(doc))
+    return doc["passed"]
 
 
 def certificates() -> bool:
@@ -65,8 +59,8 @@ def certificates() -> bool:
 
 def main() -> int:
     t0 = time.time()
-    analyses, docs = freeness_table()
-    ok = deformation_demo(analyses)
+    docs = freeness_table()
+    ok = deformation_demo(docs)
     ok = certificates() and ok
     print("\nfull field-level regression against recorded expectations:")
     table = RegressionTable(

@@ -29,9 +29,9 @@ from conicfree.combinatorics import (
     is_combinatorially_supersolvable,
 )
 from conicfree.corpus import CorpusNotFoundError, corpus_entries, entry, run_regression
-from conicfree.freeness import check_deformation
 from conicfree.locus import ConicArrangement, survey
 from conicfree.poly import (
+    MAX_DEGREE,
     HomogeneousPolynomial,
     NonHomogeneousError,
     PolynomialSyntaxError,
@@ -42,8 +42,15 @@ from conicfree.report import (
     Analysis,
     analysis_document,
     analyze_curve,
+    certificate_document,
+    deformation_document,
+    render_certificate,
+    render_deformation,
+    render_supersolvable,
+    render_survey,
     render_text,
-    survey_lines,
+    supersolvable_document,
+    survey_document,
     to_json,
 )
 
@@ -51,6 +58,10 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INTERNAL = 3
+
+# the theorem scans' largest kmax: 'near' grows as kmax^4 (kmax = 100 takes
+# about 4 s), the other two linearly
+KMAX_CAPS = {"near": 100, "char": 10**4, "nfbound": 10**4}
 
 
 class InputError(ValueError):
@@ -109,6 +120,14 @@ def _resolve_file(name: str, lines: list[tuple[int, str]]) -> ResolvedInput:
 
 
 def _run_analysis(args: argparse.Namespace, resolved: ResolvedInput) -> Analysis:
+    # an expression above the limit is refused by the parser; an arrangement
+    # is refused here, before its product is expanded
+    if resolved.arrangement is not None:
+        k = len(resolved.arrangement.components)
+        if 2 * k > MAX_DEGREE:
+            raise InputError(
+                f"{k} conics make a curve of degree {2 * k}, above the limit of {MAX_DEGREE}"
+            )
     return analyze_curve(
         resolved.f,
         arrangement=resolved.arrangement,
@@ -135,18 +154,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
             "classify needs an arrangement (a corpus arrangement or a file "
             "with one conic per line)"
         )
-    doc = analysis_document(_run_analysis(args, resolved), provenance=resolved.provenance)
-    survey_doc = {
-        "schema": doc["schema"],
-        "input": doc["input"],
-        "survey": doc["survey"],
-        "checks": doc["checks"],
-    }
-    if args.json:
-        print(to_json(survey_doc))
-    else:
-        print(f"input: {survey_doc['input']['source']}")
-        print("\n".join(survey_lines(survey_doc["survey"])))
+    doc = survey_document(
+        analysis_document(_run_analysis(args, resolved), provenance=resolved.provenance)
+    )
+    print(to_json(doc) if args.json else render_survey(doc))
     if not doc["survey"]["complete"]:
         print(
             "warning: survey incomplete (irrational intersection points remain)",
@@ -157,71 +168,33 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_theorems(args: argparse.Namespace) -> int:
-    if args.kmax > 10**4:
-        raise InputError("kmax is capped at 10^4")
+    cap = KMAX_CAPS[args.which]
+    if args.kmax > cap:
+        raise InputError(f"kmax for '{args.which}' is capped at {cap}")
     if args.which == "near":
         cert = enumerate_theorem_near(args.kmax)
     elif args.which == "char":
         cert = enumerate_theorem_char(args.kmax)
     else:
         cert = enumerate_nearly_free_bound(args.kmax)
-    doc = {
-        "schema": "conicfree-certificate/1",
-        "theorem": cert.theorem,
-        "kmax": cert.kmax,
-        "candidates_examined": cert.candidates_examined,
-        "counterexamples": list(cert.counterexamples),
-        "passed": cert.passed,
-    }
-    if cert.admissible is not None:
-        doc["admissible_k"] = list(cert.admissible)
-        doc["intervals"] = {str(k): list(v) for k, v in (cert.intervals or {}).items()}
-    if args.json:
-        print(to_json(doc))
-    else:
-        print(f"theorem scan '{cert.theorem}' up to k = {cert.kmax}:")
-        print(f"  candidates examined: {cert.candidates_examined}")
-        if cert.admissible is not None:
-            print(f"  admissible k: {sorted(cert.admissible)}")
-        if cert.passed:
-            print("  counterexamples: none (PASS)")
-        else:
-            print(f"  counterexamples: {list(cert.counterexamples)} (FAIL)")
-    return EXIT_OK if cert.passed else EXIT_INCONCLUSIVE
+    doc = certificate_document(cert)
+    print(to_json(doc) if args.json else render_certificate(doc))
+    return EXIT_OK if doc["passed"] else EXIT_INCONCLUSIVE
 
 
 def cmd_deform_check(args: argparse.Namespace) -> int:
-    results = []
+    docs = []
     for designator in (args.before, args.after):
         resolved = _resolve_input(designator)
         if resolved.arrangement is None:
             raise InputError(f"{designator}: deformation checking needs arrangements")
-        analysis = _run_analysis(args, resolved)
-        if analysis.tau is None or analysis.report is None:
+        doc = analysis_document(_run_analysis(args, resolved))
+        if doc["freeness"] is None:
             raise InputError(f"{designator}: Tjurina window unstable")
-        results.append(analysis)
-    before, after = results
-    check = check_deformation(
-        (before.report, before.survey), (after.report, after.survey)
-    )
-    doc = {
-        "schema": "conicfree-deformation/1",
-        "before": before.source,
-        "after": after.source,
-        "clauses": [
-            {"name": c.name, "ok": c.ok, "detail": c.detail} for c in check.clauses
-        ],
-        "passed": check.passed,
-        "conclusion": check.conclusion,
-    }
-    if args.json:
-        print(to_json(doc))
-    else:
-        print(f"deformation check: {before.source} -> {after.source}")
-        for c in check.clauses:
-            print(f"  {'PASS' if c.ok else 'FAIL'} {c.name}: {c.detail}")
-        print(f"conclusion: {check.conclusion or 'hypotheses not satisfied'}")
-    return EXIT_OK if check.passed else EXIT_INCONCLUSIVE
+        docs.append(doc)
+    doc = deformation_document(*docs)
+    print(to_json(doc) if args.json else render_deformation(doc))
+    return EXIT_OK if doc["passed"] else EXIT_INCONCLUSIVE
 
 
 def cmd_supersolvable(args: argparse.Namespace) -> int:
@@ -238,7 +211,7 @@ def cmd_supersolvable(args: argparse.Namespace) -> int:
         resolved = _resolve_input(args.input) if text is None else _resolve_file(args.input, lines)
         if resolved.arrangement is None:
             raise InputError("supersolvable needs an arrangement or incidence file")
-        sv = survey(resolved.arrangement, assume_qh=args.assume_qh or resolved.assume_qh)
+        sv = survey(resolved.arrangement)
         if not sv.complete:
             print(
                 "survey incomplete; supply incidence explicitly with --incidence",
@@ -247,21 +220,8 @@ def cmd_supersolvable(args: argparse.Namespace) -> int:
             return EXIT_INCONCLUSIVE
         inc = IncidenceStructure.from_survey(sv)
         mode = "geometric"
-    modular = is_combinatorially_supersolvable(inc)
-    doc = {
-        "schema": "conicfree-supersolvable/1",
-        "mode": mode,
-        "modular_point": modular,
-        "supersolvable": modular is not None,
-    }
-    if args.json:
-        print(to_json(doc))
-    else:
-        print(f"mode: {mode}")
-        print(
-            f"combinatorially supersolvable: {modular is not None}"
-            + (f" (modular point {modular})" if modular else "")
-        )
+    doc = supersolvable_document(mode, is_combinatorially_supersolvable(inc))
+    print(to_json(doc) if args.json else render_supersolvable(doc))
     return EXIT_OK
 
 
@@ -319,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("supersolvable", help="combinatorial modular point search")
     p.add_argument("input", help="arrangement, corpus:<name>, or incidence file")
     p.add_argument("--incidence", action="store_true", help="treat input as an incidence file")
-    p.add_argument("--assume-qh", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_supersolvable)
 

@@ -39,8 +39,6 @@ class FreenessReport:
     nu: int | None
     verdict: str
     notes: tuple[str, ...] = ()
-    arnold_exponent: Fraction | None = None
-    mdr_bound: Fraction | None = None
 
     def d1_value(self) -> int | None:
         return self.d1 if isinstance(self.d1, int) else None
@@ -234,48 +232,41 @@ class ClauseResult:
 @dataclass(frozen=True)
 class DeformationCheck:
     clauses: tuple[ClauseResult, ...]
-    conclusion: str | None  # verdict of the deformed curve when all clauses hold
 
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.clauses)
 
+    @property
+    def conclusion(self) -> str | None:
+        """The deformed curve's verdict, nearly free, when every clause holds."""
+        return NEARLY_FREE if self.passed else None
+
     def failed_clauses(self) -> list[str]:
         return [c.name for c in self.clauses if not c.ok]
 
 
-def check_deformation(
-    before: tuple[FreenessReport, LocusSurvey],
-    after: tuple[FreenessReport, LocusSurvey],
-) -> DeformationCheck:
+def check_deformation(before: dict, after: dict) -> DeformationCheck:
     """Check the tacnode-to-two-nodes deformation hypotheses clause by clause.
 
-    Requires the starting curve to be free, the inventory to change by
-    exactly (one A3 out, two A1 in), the total Tjurina number to drop by
-    one, and eta to be preserved; the deformed curve is then nearly free.
+    ``before`` and ``after`` are analysis documents, the dicts that
+    ``analyze --json`` prints, each with a stable Tjurina window.  Requires
+    the starting curve to be free, the inventory to change by exactly (one
+    A3 out, two A1 in), the total Tjurina number to drop by one, and eta to
+    be preserved; the deformed curve is then nearly free, which the last
+    clause checks once the four hypotheses hold.
     """
-    rep_b, sv_b = before
-    rep_a, sv_a = after
-    clauses: list[ClauseResult] = []
-
-    clauses.append(
+    fr_b, fr_a = before["freeness"], after["freeness"]
+    tau_b, tau_a = before["tjurina"]["stabilized"], after["tjurina"]["stabilized"]
+    inv_b = before["checks"].get("effective_inventory")
+    inv_a = after["checks"].get("effective_inventory")
+    clauses = [
         ClauseResult(
-            "before_free",
-            rep_b.verdict == FREE,
-            f"starting verdict is {rep_b.verdict}",
+            "before_free", fr_b["verdict"] == FREE, f"starting verdict is {fr_b['verdict']}"
         )
-    )
-
-    inv_b = effective_inventory(sv_b, rep_b.tau)
-    inv_a = effective_inventory(sv_a, rep_a.tau)
+    ]
     if inv_b is None or inv_a is None:
-        clauses.append(
-            ClauseResult(
-                "inventory",
-                False,
-                "singularity inventory not determined (unlocated non-nodal points)",
-            )
-        )
+        ok, detail = False, "singularity inventory not determined (unlocated non-nodal points)"
     else:
         expected = dict(inv_b)
         expected["A3"] = expected.get("A3", 0) - 1
@@ -283,42 +274,22 @@ def check_deformation(
         expected = {k: v for k, v in expected.items() if v != 0}
         got = {k: v for k, v in inv_a.items() if v != 0}
         ok = expected == got and inv_b.get("A3", 0) >= 1
-        clauses.append(
-            ClauseResult(
-                "inventory",
-                ok,
-                f"before {inv_b}, after {got}, expected after {expected}",
-            )
-        )
-
+        detail = f"before {inv_b}, after {got}, expected after {expected}"
+    clauses.append(ClauseResult("inventory", ok, detail))
     clauses.append(
-        ClauseResult(
-            "tjurina_drop",
-            rep_a.tau == rep_b.tau - 1,
-            f"tau {rep_b.tau} -> {rep_a.tau}",
-        )
+        ClauseResult("tjurina_drop", tau_a == tau_b - 1, f"tau {tau_b} -> {tau_a}")
     )
-
-    eta_b, eta_a = rep_b.eta, rep_a.eta
+    eta_b, eta_a = fr_b["eta"], fr_a["eta"]
     if eta_b is None or eta_a is None:
-        clauses.append(
-            ClauseResult("eta_equal", False, "eta unknown on one side (d1 not exact)")
-        )
+        ok, detail = False, "eta unknown on one side (d1 not exact)"
     else:
-        clauses.append(
-            ClauseResult("eta_equal", eta_b == eta_a, f"eta {eta_b} vs {eta_a}")
-        )
-
-    conclusion: str | None = None
+        ok, detail = eta_b == eta_a, f"eta {eta_b} vs {eta_a}"
+    clauses.append(ClauseResult("eta_equal", ok, detail))
     if all(c.ok for c in clauses):
-        conclusion = rep_a.verdict
+        verdict = fr_a["verdict"]
         clauses.append(
             ClauseResult(
-                "conclusion_nearly_free",
-                rep_a.verdict == NEARLY_FREE,
-                f"deformed verdict is {rep_a.verdict}",
+                "conclusion_nearly_free", verdict == NEARLY_FREE, f"deformed verdict is {verdict}"
             )
         )
-        if rep_a.verdict != NEARLY_FREE:
-            conclusion = None
-    return DeformationCheck(clauses=tuple(clauses), conclusion=conclusion)
+    return DeformationCheck(clauses=tuple(clauses))

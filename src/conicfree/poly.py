@@ -37,6 +37,10 @@ Terms = dict[tuple[int, ...], Fraction | int]
 VAR_NAMES = ("x", "y", "z")
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
+# the largest curve degree accepted: d = 24 (twelve conics) takes some 10 s
+# to analyze, and the time grows steeply with d
+MAX_DEGREE = 24
+
 
 class PolynomialSyntaxError(ValueError):
     """Malformed polynomial expression.  ``position`` is a 0-based offset."""
@@ -48,6 +52,10 @@ class PolynomialSyntaxError(ValueError):
 
 class NonHomogeneousError(ValueError):
     """An expression expanded to terms of mixed total degree."""
+
+
+class DegreeLimitError(ValueError):
+    """A curve of degree above :data:`MAX_DEGREE`."""
 
 
 def degree_dimension(t: int) -> int:
@@ -101,6 +109,10 @@ def _power(a: Terms, n: int, arity: int) -> Terms:
     for _ in range(n):
         result = _mul(result, a)
     return result
+
+
+def _degree(a: Terms) -> int:
+    return max(map(sum, a), default=0)
 
 
 def _grlex_key(mono: tuple[int, ...]) -> tuple[int, ...]:
@@ -392,11 +404,20 @@ class _Parser:
             total = _add(total, _scale(term, -1 if op == "-" else 1))
         return total
 
+    def check_degree(self, degree: int) -> None:
+        """Refuse to expand a product whose degree would pass the limit."""
+        if degree > MAX_DEGREE:
+            raise DegreeLimitError(
+                f"degree {degree} is above the limit of {MAX_DEGREE} (at position {self.pos})"
+            )
+
     def parse_term(self) -> Terms:
         product = self.parse_factor()
         while self.peek() == "*":
             self.take()
-            product = _mul(product, self.parse_factor())
+            factor = self.parse_factor()
+            self.check_degree(_degree(product) + _degree(factor))
+            product = _mul(product, factor)
         return product
 
     def parse_factor(self) -> Terms:
@@ -404,6 +425,7 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exponent = self.parse_nat()
+            self.check_degree(_degree(base) * exponent)
             return _power(base, exponent, 3)
         return base
 
@@ -449,8 +471,10 @@ class _Parser:
 def parse_polynomial(text: str) -> HomogeneousPolynomial:
     """Parse and expand an expression into a homogeneous form.
 
-    Raises :class:`PolynomialSyntaxError` on malformed input and
-    :class:`NonHomogeneousError` when the expansion mixes total degrees.
+    Raises :class:`PolynomialSyntaxError` on malformed input,
+    :class:`NonHomogeneousError` when the expansion mixes total degrees and
+    :class:`DegreeLimitError`, before expanding it, on a product of degree
+    above :data:`MAX_DEGREE`.
     """
     expanded = _Parser(text).parse()
     degrees = {sum(mono) for mono in expanded}

@@ -1,6 +1,8 @@
-"""Analysis pipeline and the serialized report document.
+"""Analysis pipeline, the serialized report document and the other documents
+the commands print (the survey, theorem certificates, deformation checks and
+supersolvability answers), each with one builder and one text renderer.
 
-The document is a single self-describing dict (versioned ``schema`` field)
+Each document is a single self-describing dict (versioned ``schema`` field)
 with every numeric value exact: integers stay integers, rationals are
 rendered as ``p/q`` strings, and no floats appear anywhere.  Serialization
 is deterministic (sorted keys), so identical inputs and flags produce
@@ -9,12 +11,12 @@ byte-identical output.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from conicfree.combinatorics import (
+    EnumerationCertificate,
     IncidenceStructure,
     bezout_count_check,
     is_combinatorially_supersolvable,
@@ -25,6 +27,7 @@ from conicfree.freeness import (
     arnold_exponent,
     build_report,
     check_bound_consistency,
+    check_deformation,
     effective_inventory,
     mdr_lower_bound,
 )
@@ -96,14 +99,6 @@ def analyze_curve(
     sv = None
     if arrangement is not None:
         sv = survey(arrangement, assume_qh=assume_qh)
-    if report is not None and sv is not None and report.d1_value() is not None:
-        alpha = arnold_exponent(sv, tau)
-        if alpha is not None:
-            report = dataclasses.replace(
-                report,
-                arnold_exponent=alpha,
-                mdr_bound=mdr_lower_bound(alpha, ctx.d),
-            )
     return Analysis(
         source=source,
         f=f,
@@ -141,7 +136,7 @@ def _tjurina_block(analysis: Analysis) -> dict:
 
 
 def _freeness_block(analysis: Analysis) -> dict | None:
-    rep = analysis.report
+    rep, sv = analysis.report, analysis.survey
     if rep is None:
         return None
     block = {
@@ -153,10 +148,11 @@ def _freeness_block(analysis: Analysis) -> dict | None:
         "mdr_lower_bound": None,
         "bound_check": None,
     }
-    if rep.arnold_exponent is not None and analysis.survey is not None:
-        block["arnold_exponent"] = exact(rep.arnold_exponent)
-        block["mdr_lower_bound"] = exact(rep.mdr_bound)
-        block["bound_check"] = check_bound_consistency(rep, analysis.survey)
+    alpha = None if sv is None or rep.d1_value() is None else arnold_exponent(sv, rep.tau)
+    if alpha is not None:
+        block["arnold_exponent"] = exact(alpha)
+        block["mdr_lower_bound"] = exact(mdr_lower_bound(alpha, rep.d))
+        block["bound_check"] = check_bound_consistency(rep, sv)
     return block
 
 
@@ -315,3 +311,77 @@ def render_text(doc: dict) -> str:
         for key in sorted(checks):
             lines.append(f"check {key}: {checks[key]}")
     return "\n".join(lines)
+
+
+def survey_document(doc: dict) -> dict:
+    """The part of an analysis document that ``classify`` prints."""
+    return {key: doc[key] for key in ("schema", "input", "survey", "checks")}
+
+
+def render_survey(doc: dict) -> str:
+    return "\n".join([f"input: {doc['input']['source']}"] + survey_lines(doc["survey"]))
+
+
+def certificate_document(cert: EnumerationCertificate) -> dict:
+    doc = {
+        "schema": "conicfree-certificate/1",
+        "theorem": cert.theorem,
+        "kmax": cert.kmax,
+        "candidates_examined": cert.candidates_examined,
+        "counterexamples": list(cert.counterexamples),
+        "passed": cert.passed,
+    }
+    if cert.admissible is not None:
+        doc["admissible_k"] = list(cert.admissible)
+        doc["intervals"] = {str(k): list(v) for k, v in (cert.intervals or {}).items()}
+    return doc
+
+
+def render_certificate(doc: dict) -> str:
+    lines = [
+        f"theorem scan '{doc['theorem']}' up to k = {doc['kmax']}:",
+        f"  candidates examined: {doc['candidates_examined']}",
+    ]
+    if "admissible_k" in doc:
+        lines.append(f"  admissible k: {sorted(doc['admissible_k'])}")
+    found = "none (PASS)" if doc["passed"] else f"{doc['counterexamples']} (FAIL)"
+    return "\n".join(lines + [f"  counterexamples: {found}"])
+
+
+def deformation_document(before: dict, after: dict) -> dict:
+    """The deformation check between two analysis documents."""
+    check = check_deformation(before, after)
+    return {
+        "schema": "conicfree-deformation/1",
+        "before": before["input"]["source"],
+        "after": after["input"]["source"],
+        "clauses": [asdict(c) for c in check.clauses],
+        "passed": check.passed,
+        "conclusion": check.conclusion,
+    }
+
+
+def render_deformation(doc: dict) -> str:
+    lines = [f"deformation check: {doc['before']} -> {doc['after']}"]
+    for c in doc["clauses"]:
+        lines.append(f"  {'PASS' if c['ok'] else 'FAIL'} {c['name']}: {c['detail']}")
+    lines.append(f"conclusion: {doc['conclusion'] or 'hypotheses not satisfied'}")
+    return "\n".join(lines)
+
+
+def supersolvable_document(mode: str, modular_point: str | None) -> dict:
+    return {
+        "schema": "conicfree-supersolvable/1",
+        "mode": mode,
+        "modular_point": modular_point,
+        "supersolvable": modular_point is not None,
+    }
+
+
+def render_supersolvable(doc: dict) -> str:
+    modular = doc["modular_point"]
+    return (
+        f"mode: {doc['mode']}\n"
+        f"combinatorially supersolvable: {doc['supersolvable']}"
+        + (f" (modular point {modular})" if modular else "")
+    )

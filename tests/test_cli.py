@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import conicfree
 from conicfree.cli import main
+from conicfree import report
 from conicfree.corpus import corpus_entries
 
 
@@ -238,6 +240,89 @@ def test_theorems_commands(capsys):
 
     code, _, err = run_cli(capsys, "theorems", "near", "--kmax", "20000")
     assert code == 1 and "capped" in err
+
+
+@pytest.mark.parametrize("which, cap", [("near", 100), ("char", 10**4), ("nfbound", 10**4)])
+def test_theorems_kmax_caps(which, cap, capsys):
+    code, out, err = run_cli(capsys, "theorems", which, "--kmax", str(cap + 1))
+    assert (code, out) == (1, "")
+    assert f"kmax for '{which}' is capped at {cap}" in err
+
+
+def _text_renders_the_json(capsys, render, *argv):
+    """The text output of a command is its renderer applied to the document
+    that --json prints in the same run; returns the exit code."""
+    code, text, _ = run_cli(capsys, *argv)
+    json_code, printed, _ = run_cli(capsys, *argv, "--json")
+    assert code == json_code
+    assert text == render(json.loads(printed)) + "\n"
+    return code
+
+
+@pytest.mark.parametrize("which, kmax", [("near", 30), ("char", 20), ("nfbound", 20)])
+def test_theorems_text_renders_the_json_document(which, kmax, capsys):
+    argv = ("theorems", which, "--kmax", str(kmax))
+    assert _text_renders_the_json(capsys, report.render_certificate, *argv) == 0
+
+
+@pytest.mark.parametrize(
+    "before, after, code",
+    [("persson_triconical", "persson_deformed", 0), ("persson_deformed", "persson_triconical", 2)],
+)
+def test_deform_check_text_renders_the_json_document(before, after, code, capsys):
+    argv = ("deform-check", f"corpus:{before}", f"corpus:{after}")
+    assert _text_renders_the_json(capsys, report.render_deformation, *argv) == code
+
+
+def test_supersolvable_text_renders_the_json_document(tmp_path, capsys):
+    inc = tmp_path / "inc.txt"
+    inc.write_text("point p: components 0,1,2\npoint q: components 0,1\n")
+    for source in ("corpus:ploski_m3", str(inc)):
+        argv = ("supersolvable", source)
+        assert _text_renders_the_json(capsys, report.render_supersolvable, *argv) == 0
+
+
+@pytest.mark.parametrize("name, code", [("celal_three_conics", 0), ("p4_four_conics", 2)])
+def test_classify_text_renders_the_json_document(name, code, capsys):
+    argv = ("classify", f"corpus:{name}")
+    assert _text_renders_the_json(capsys, report.render_survey, *argv) == code
+
+
+@pytest.mark.parametrize(
+    "expression, degree", [("x^60*y+z^61", 60), ("x^20000", 20000), ("x^99999999", 99999999)]
+)
+def test_analyze_refuses_a_curve_above_the_degree_limit_at_once(expression, degree, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", expression)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert f"degree {degree} is above the limit of 24" in err
+
+
+def test_an_arrangement_above_the_degree_limit_is_refused_before_expansion(
+    tmp_path, capsys, monkeypatch
+):
+    from conicfree.locus import ConicArrangement
+
+    def refuse(self):
+        raise AssertionError("the curve polynomial was expanded")
+
+    path = tmp_path / "thirteen.txt"
+    path.write_text("".join(f"x^2+y^2-{k}*z^2\n" for k in range(1, 14)))
+    monkeypatch.setattr(ConicArrangement, "polynomial", refuse)
+    for command in ("analyze", "classify"):
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (1, "")
+        assert "13 conics make a curve of degree 26, above the limit of 24" in err
+    code, _, err = run_cli(capsys, "deform-check", "corpus:persson_triconical", str(path))
+    assert code == 1 and "above the limit of 24" in err
+
+
+def test_a_curve_of_the_limit_degree_is_analyzed(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "x^23*y+z^24", "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["input"]["degree"] == 24
+    assert doc["tjurina"]["stabilized"] is not None
 
 
 def test_deform_check_command(capsys):

@@ -1,11 +1,14 @@
 """Verdict engine: defining equalities, threshold table, deformation."""
 
+import copy
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conicfree.corpus import entry
 from conicfree.freeness import (
     FREE,
     INDETERMINATE,
@@ -24,6 +27,7 @@ from conicfree.freeness import (
 from conicfree.jacobian import AtLeast, JacobianContext, hilbert_profile, mdr
 from conicfree.locus import ConicArrangement, SingType, survey
 from conicfree.poly import parse_polynomial
+from conicfree.report import analysis_document, analyze_curve, to_json
 
 
 def test_build_report_named_examples():
@@ -207,8 +211,16 @@ def test_effective_inventory_completes_conjugate_nodes():
     assert effective_inventory(sv_f, rep_f.tau + 1) is None
 
 
+def _persson_docs():
+    """The analysis documents of the free triconical sextic and its deformation."""
+    return [
+        analysis_document(analyze_curve(e.polynomial(), arrangement=e.arrangement()))
+        for e in map(entry, ("persson_triconical", "persson_deformed"))
+    ]
+
+
 def test_deformation_check_passes_on_the_published_example():
-    before, after = _persson_pair()
+    before, after = _persson_docs()
     check = check_deformation(before, after)
     assert check.passed
     assert check.conclusion == NEARLY_FREE
@@ -222,7 +234,7 @@ def test_deformation_check_passes_on_the_published_example():
 
 
 def test_deformation_check_same_curve_fails_inventory():
-    before, _ = _persson_pair()
+    before, _ = _persson_docs()
     check = check_deformation(before, before)
     assert not check.passed
     assert "inventory" in check.failed_clauses()
@@ -230,15 +242,44 @@ def test_deformation_check_same_curve_fails_inventory():
 
 
 def test_deformation_check_eta_mismatch_detected():
-    (rep_f, sv_f), (rep_g, sv_g) = _persson_pair()
+    doc_f, doc_g = _persson_docs()
     # synthetic: pretend the deformed curve had relation degree 1; note that
     # degree 2 would be invisible here since eta(6, 2) = eta(6, 3) by symmetry
-    fake_g = build_report(rep_g.d, 1, rep_g.tau)
-    check = check_deformation((rep_f, sv_f), (fake_g, sv_g))
+    fake_g = copy.deepcopy(doc_g)
+    fake_g["freeness"]["eta"] = eta_of(doc_g["input"]["degree"], 1)
+    check = check_deformation(doc_f, fake_g)
     assert "eta_equal" in check.failed_clauses()
 
 
 def test_deformation_check_requires_free_start():
-    (rep_f, sv_f), (rep_g, sv_g) = _persson_pair()
-    check = check_deformation((rep_g, sv_g), (rep_f, sv_f))
+    doc_f, doc_g = _persson_docs()
+    check = check_deformation(doc_g, doc_f)
     assert "before_free" in check.failed_clauses()
+
+
+def test_deformation_check_reads_the_inventory_and_eta_of_the_document():
+    """Editing the deformed document's inventory fails exactly the inventory
+    clause, editing its eta exactly eta_equal; the unedited pair passes."""
+    before, after = _persson_docs()
+    assert check_deformation(before, after).passed
+    edits = (
+        ("checks", "effective_inventory", dict(before["checks"]["effective_inventory"]), "inventory"),
+        ("freeness", "eta", after["freeness"]["eta"] + 1, "eta_equal"),
+    )
+    for block, key, value, clause in edits:
+        edited = copy.deepcopy(after)
+        edited[block][key] = value
+        check = check_deformation(before, edited)
+        assert check.failed_clauses() == [clause] and check.conclusion is None
+
+
+def test_deformation_check_reads_printed_documents_alike():
+    """The documents as ``analyze --json`` prints them, read back, give the
+    same clause verdicts as the documents in memory."""
+    docs = _persson_docs()
+    printed = [json.loads(to_json(doc)) for doc in docs]
+    for order in ((0, 1), (1, 0), (0, 0)):
+        direct = check_deformation(*(docs[i] for i in order))
+        read = check_deformation(*(printed[i] for i in order))
+        assert [(c.name, c.ok) for c in read.clauses] == [(c.name, c.ok) for c in direct.clauses]
+        assert read.conclusion == direct.conclusion
