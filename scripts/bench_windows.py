@@ -2,10 +2,12 @@
 """Time the Hilbert window (``hilbert_profile``) and the survey of two checkouts on large inputs.
 
 Inputs: the pencil through four general points with m = 7 and 8 members
-(d = 14, 16; built as ``corpus.pencil_four_points`` builds m <= 6), and the
+(d = 14, 16; built as ``corpus.pencil_four_points`` builds m <= 6), the
 generic arrangements of k = 5..8 dense conics drawn by the benchmark's
 ``perfbench/inputs.py`` (``_generic_conics``) from a fresh
-``random.Random(12345)`` for each k.
+``random.Random(12345)`` for each k, and the k = 8 one at height: each
+coefficient c at position i of a conic becomes c * 10^6 + (i mod 3), which
+puts the Dixon lifting on Python integers.
 
     python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
 
@@ -40,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PENCIL_F = "3*x^2+y^2-4*z^2"
 PENCIL_G = "x^2+3*y^2-4*z^2"
 GENERIC_SEED = 12345
+HEIGHT = 10**6  # the scale of the height input
 REPEATS = 3  # runs per side, for every input
 
 
@@ -56,6 +59,9 @@ def arrangements() -> dict[str, list[str]]:
     for k in range(5, 9):
         conics = inputs._generic_conics(random.Random(GENERIC_SEED), k)
         out[f"generic_k{k}"] = [inputs.conic_text(q) for q in conics]
+    conics = inputs._generic_conics(random.Random(GENERIC_SEED), 8)
+    high = [tuple(c * HEIGHT + i % 3 for i, c in enumerate(q)) for q in conics]
+    out["generic_k8_s1e6"] = [inputs.conic_text(q) for q in high]
     return out
 
 

@@ -8,8 +8,8 @@ to list the built-in examples and ``regress`` to recompute them.
 
 Inputs can be ``corpus:<name>``, a file (one conic expression per line for
 arrangements, a single expression otherwise, ``#`` comments allowed), or an
-inline expression.  Exit codes: 0 success, 1 input error, 2 inconclusive or
-hypothesis failure, 3 internal fault.
+inline expression.  Exit codes: 0 success, 1 input or usage error, 2
+inconclusive or hypothesis failure, 3 internal fault.
 """
 
 from __future__ import annotations
@@ -294,7 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 0 after --help and 2 on a usage error, which is an
+        # input error here (2 means inconclusive)
+        return EXIT_OK if stop.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except (

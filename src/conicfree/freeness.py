@@ -274,7 +274,11 @@ def check_deformation(before: dict, after: dict) -> DeformationCheck:
         expected = {k: v for k, v in expected.items() if v != 0}
         got = {k: v for k, v in inv_a.items() if v != 0}
         ok = expected == got and inv_b.get("A3", 0) >= 1
-        detail = f"before {inv_b}, after {got}, expected after {expected}"
+        # sorted keys: a document read back from JSON lists them sorted
+        detail = ", ".join(
+            f"{label} {dict(sorted(inv.items()))}"
+            for label, inv in (("before", inv_b), ("after", got), ("expected after", expected))
+        )
     clauses.append(ClauseResult("inventory", ok, detail))
     clauses.append(
         ClauseResult("tjurina_drop", tau_a == tau_b - 1, f"tau {tau_b} -> {tau_a}")

@@ -19,12 +19,10 @@ its own free column, so both engines return the same basis:
   then, if that single p-adic digit does not give a verified kernel, by
   Dixon's p-adic lifting.  The lifting prime is the largest that keeps
   every int64 product exact for the largest row l1 norm of the pivot block,
-  through which the residual is updated as a sparse matrix.  Reconstruction
-  is gated by stability: the fractions of a few spread-out entries of X
-  are checked against every new digit, and the whole of X is
-  reconstructed only when they stay the same on a later digit (an entry
-  that then fails to reconstruct joins them), and always at the Hadamard
-  bound of the system, where reconstruction is guaranteed.
+  through which the residual is updated as a sparse matrix.  After every
+  digit the whole of X is reconstructed, and the lifting stops at the
+  first reconstruction whose kernel is certified, or at the Hadamard bound
+  of the system, where reconstruction is guaranteed.
 
   A rank r is accepted only with an exact certificate in both directions:
   the r x r minor A[R,P] is nonzero modulo the prime (rank >= r over the
@@ -74,7 +72,6 @@ import types
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
-from typing import NamedTuple
 
 
 class _DeferredModule(types.ModuleType):
@@ -105,9 +102,6 @@ np = _DeferredModule("numpy")
 _MOD_THRESHOLD = 0
 _INT64_MAX = 2**63 - 1
 _CHUNK = 1 << 18  # elements in one temporary of the lifting and verification loops
-_PROBES = 5  # entries of X in the lifting probe, and added to it after a failure
-_FOLD = 8  # lifting digits kept as int64 before they join the object array
-_CHECKS = 16  # probe reconstructions per doubling of the digit count
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -442,23 +436,20 @@ def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int) -> tuple[in
     return num, den
 
 
-class _Reconstruction(NamedTuple):
-    den: int  # the common denominator D (so far, on failure)
-    nums: np.ndarray | None  # D*x as an object array; None on failure
-    failed_at: int | None  # the first entry without a reconstruction
-
-
-def _reconstruct_vector(residues, m: int, den: int = 1) -> _Reconstruction:
+def _reconstruct_vector(residues, m: int) -> tuple[int, np.ndarray] | None:
     """A common denominator D and the numerators D*x of residues x mod m.
 
-    Numerators and D are bounded by sqrt(m/2); D is built up from den.
-    Once D is known an entry costs one multiplication; entries are
-    taken in blocks that double while D stays put, and the search stops at
-    the first entry that has no reconstruction within the bounds.
+    D is bounded by sqrt(m/2), and so is each numerator over the part of D
+    known when its entry is reached (a later factor of D scales it), so the
+    result is x itself when its D and numerators are within sqrt(m/2).
+    Once D is known an entry costs one multiplication; entries are taken in
+    blocks that double while D stays put.  None at the first entry that has
+    no reconstruction within the bounds.
     """
     x = np.asarray(residues, dtype=object)
     bound = isqrt(m // 2)
     half = m // 2
+    den = 1
     nums = np.empty(x.size, dtype=object)
     start, block = 0, 16
     while start < x.size:
@@ -474,13 +465,13 @@ def _reconstruct_vector(residues, m: int, den: int = 1) -> _Reconstruction:
         nums[start:i] = y[: bad[0]]
         rec = _rat_reconstruct(int(y[bad[0]]), m, bound, bound // den)
         if rec is None:
-            return _Reconstruction(den, None, i)
+            return None
         num, d = rec
         den *= d
         nums[:i] *= d
         nums[i] = num
         start, block = i + 1, 16
-    return _Reconstruction(den, nums, None)
+    return den, nums
 
 
 class _SparseRows:
@@ -589,44 +580,6 @@ def _column_norms2(a: np.ndarray) -> list[int]:
     return (a * a).sum(axis=0).tolist()
 
 
-def _horner(digits: list[np.ndarray], q: int) -> np.ndarray:
-    """sum_s digits[s] * q^s as an object array; pairs of digits join in int64."""
-    words = [
-        digits[i] + q * digits[i + 1] if i + 1 < len(digits) else digits[i]
-        for i in range(0, len(digits), 2)
-    ]
-    value = words[-1].astype(object)
-    for word in reversed(words[:-1]):
-        value = value * (q * q) + word
-    return value
-
-
-def _probe_key(values: list[int], m: int, den: int) -> tuple[int, list[int]] | None:
-    rec = _reconstruct_vector(values, m, den)
-    return None if rec.nums is None else (rec.den, rec.nums.tolist())
-
-
-def _holds(key: tuple[int, list[int]], values: list[int], m: int) -> bool:
-    """Whether the fractions nums/D of key are still the values mod m.
-
-    Within the bounds the reconstruction is unique, so this is what a new
-    reconstruction modulo m would return, at the cost of a multiplication.
-    """
-    den, nums = key
-    return all((den * v - n) % m == 0 for v, n in zip(values, nums))
-
-
-def _spread(positions: np.ndarray) -> np.ndarray:
-    """At most _PROBES evenly spread members of the sorted distinct positions,
-    the first included, in their order.
-
-    The picks are distinct: they are the integers 0 .. len-1 themselves, or
-    points more than 1 apart, which rounding keeps apart.
-    """
-    picks = np.linspace(0, len(positions) - 1, min(_PROBES, len(positions))).round()
-    return positions[picks.astype(np.int64)]
-
-
 def _lifting_prime(b: np.ndarray, cap: int) -> tuple[int, np.ndarray] | None:
     """The largest prime q below cap modulo which b is invertible, with b^-1 mod q."""
     for q in _primes_below(cap):
@@ -639,21 +592,12 @@ def _lifting_prime(b: np.ndarray, cap: int) -> tuple[int, np.ndarray] | None:
 def _dixon(b: np.ndarray, c: np.ndarray, h2: int, accept):
     """X = b^-1 c over the rationals by p-adic lifting; b is nonsingular.
 
-    Lifts modulo growing powers of a prime q; up to _FOLD digits wait as
-    int64 arrays before they join X's object array.  The probe is a few
-    spread-out entries of X, nonzero mod q.  Its fractions, reconstructed
-    from the denominator of the last failed reconstruction of X, are
-    checked against every later digit by one multiplication each; a new
-    reconstruction, whose cost is quadratic in the modulus' length, is made
-    after the first 16 digits only every s/_CHECKS digits.  X is
-    reconstructed in full, and handed to accept(D, numerators in
-    column-major order), only when the probe's fractions hold on a later
-    digit than the one that gave them, and always once q^s > 2*h2, where
-    reconstruction is guaranteed.  An entry that fails to reconstruct joins
-    the probe with a spread of the nonzero entries after it; after accept
-    rejects X the next attempt waits until the digit count has doubled.
-    Returns accept's first non-None value, or None after the attempt at the
-    Hadamard stop.
+    Lifts modulo growing powers m = q^s of a prime q.  After every digit the
+    whole of X is reconstructed modulo m (the reconstruction stops at the
+    first entry that has none), and a reconstruction is handed to
+    accept(D, numerators in column-major order).  Returns accept's first
+    non-None value, or None once q^s > 2*h2, where reconstruction is
+    guaranteed.
 
     The prime keeps every int64 product exact: the digit b^-1 (res mod q)
     needs r*(q-1)^2 <= 2^63 - 1, and the residual res - b*digit, whose
@@ -678,59 +622,21 @@ def _dixon(b: np.ndarray, c: np.ndarray, h2: int, accept):
     else:
         res = c.astype(object)
         bs.vals = bs.vals.astype(object)
-    # the probe: positions in X.T.ravel(), and their values mod m
-    probe = np.zeros(0, dtype=np.int64)
-    probe_values: list[int] = []
-    digits: list[np.ndarray] = []
-    x, xm = np.zeros((r, k), dtype=object), 1  # the digits before `digits`, mod xm
-    den = 1  # the probe's starting denominator
-    m, s, wait, key, check = 1, 0, 0, None, 1
+    x, m = np.zeros((r, k), dtype=object), 1
     while True:
         digit = binv @ (res % q).astype(np.int64) % q
         for start, stop in bs.chunks(k):
             res[start:stop] -= bs.dot(digit, start, stop)
         res //= q
-        digits.append(digit)
-        if not probe.size:
-            # entries that are 0 mod q are mostly exact zeros, which settle
-            # at once; a probe of them would pass far too early
-            probe = _spread(np.flatnonzero(digit.T) if digit.any() else np.arange(r * k))
-            probe_values = [0] * probe.size
-        for t, v in enumerate(digit[probe % r, probe // r].tolist()):
-            probe_values[t] += v * m
+        x += digit.astype(object) * m
         m *= q
-        s += 1
-        done = m > 2 * h2
-        settled = key is not None and _holds(key, probe_values, m)
-        if not settled:
-            key = None
-            if s >= check:
-                check = s + 1 + s // _CHECKS
-                key = _probe_key(probe_values, m, den)
-        attempt = done or (settled and s >= wait)
-        if attempt or len(digits) == _FOLD:
-            x += _horner(digits, q) * xm
-            digits, xm = [], m
-        if attempt:
-            values = x.T.ravel()
-            rec = _reconstruct_vector(values, m)
-            if rec.nums is None:
-                # the failing entry and the nonzero entries after it, which
-                # were not reached, join the probe
-                tail = rec.failed_at + np.flatnonzero(values[rec.failed_at :])
-                spread = _spread(tail)
-                fresh = spread[(spread[:, None] != probe).all(axis=1)]
-                probe = np.concatenate([probe, fresh])
-                probe_values += values[fresh].tolist()
-                den = rec.den
-                key = _probe_key(probe_values, m, den)
-            else:
-                found = accept(rec.den, rec.nums)
-                if found is not None:
-                    return found
-                wait = 2 * s
-            if done:
-                return None
+        rec = _reconstruct_vector(x.T.ravel(), m)
+        if rec is not None:
+            found = accept(*rec)
+            if found is not None:
+                return found
+        if m > 2 * h2:
+            return None
 
 
 def _lifted_kernel(
@@ -764,8 +670,8 @@ def _lifted_kernel(
     # The echelon form is b^-1 A[R,:] mod p, so its free columns are the
     # first p-adic digit of the solution.
     rec = _reconstruct_vector(rref[:, free].T.ravel(), p)
-    if rec.nums is not None:
-        found = certify(rec.den, rec.nums)
+    if rec is not None:
+        found = certify(*rec)
         if found is not None:
             return found
     b = a[np.ix_(pivot_rows, pivots)]

@@ -75,6 +75,17 @@ def test_analyze_parse_error_exit_one(capsys):
     assert code == 1
 
 
+def test_usage_errors_exit_one_and_help_exits_zero(capsys):
+    """A usage error is an input error, exit 1; argparse's own 2 would read
+    as inconclusive."""
+    code, _, err = run_cli(capsys, "supersolvable", "corpus:ploski_m3", "--assume-qh")
+    assert code == 1 and "unrecognized arguments: --assume-qh" in err
+    code, _, err = run_cli(capsys, "analyze")
+    assert code == 1 and "the following arguments are required: input" in err
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: conicfree")
+
+
 def test_analyze_zero_polynomial_exit_one(capsys):
     code, _, err = run_cli(capsys, "analyze", "0*x^2")
     assert code == 1 and "the zero polynomial does not define a curve" in err

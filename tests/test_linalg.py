@@ -4,15 +4,16 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, islice
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicfree import linalg
+from conicfree.jacobian import JacobianContext, hilbert_profile, mdr
 from conicfree.linalg import (
     RatMatrix,
     kernel_basis,
@@ -20,6 +21,8 @@ from conicfree.linalg import (
     rank,
     rank_certified,
 )
+from conicfree.poly import parse_polynomial
+from test_jacobian import GENERIC_OCTIC
 
 
 def _matrix(dense):
@@ -500,19 +503,30 @@ def _unipotent_system():
 
 @contextmanager
 def _lifting_spy():
-    """Per lifting: h2, the size of X and every (modulus, reconstruction)
-    of the whole of X."""
+    """Per lifting: h2, every (modulus, reconstruction) of the whole of X,
+    and the common denominators that accept was called with."""
     log = []
+    lifting = []  # the attempts of the lifting under way
     dixon, reconstruct = linalg._dixon, linalg._reconstruct_vector
 
     def spy_dixon(b, c, h2, accept):
-        log.append((h2, c.size, []))
-        return dixon(b, c, h2, accept)
+        attempts, accepted = [], []
+        log.append((h2, attempts, accepted))
 
-    def spy_reconstruct(residues, m, den=1):
-        out = reconstruct(residues, m, den)
-        if log and len(residues) == log[-1][1]:  # not the probe
-            log[-1][2].append((m, out))
+        def spy_accept(den, nums):
+            accepted.append(den)
+            return accept(den, nums)
+
+        lifting.append(attempts)
+        try:
+            return dixon(b, c, h2, spy_accept)
+        finally:
+            lifting.pop()
+
+    def spy_reconstruct(residues, m):
+        out = reconstruct(residues, m)
+        if lifting:  # not the first-digit attempt of _lifted_kernel
+            lifting[-1].append((m, out))
         return out
 
     with mock.patch.object(linalg, "_dixon", spy_dixon), mock.patch.object(
@@ -528,15 +542,15 @@ def test_lifting_stops_long_before_the_hadamard_bound():
         assert kernel_basis_certified(m) == expected
         assert rank_certified(m) == 30
     assert log
-    for h2, _, attempts in log:
-        # the probe settled while an entry outside it still needed digits
-        assert any(out.nums is None for _, out in attempts[:-1])
+    for h2, attempts, _ in log:
+        # an entry of X still needed digits on the earlier attempts
+        assert len(attempts) > 1 and all(out is None for _, out in attempts[:-1])
         m_final, out = attempts[-1]
-        assert out.nums is not None
+        assert out is not None
         assert m_final.bit_length() < h2.bit_length() // 4
 
 
-def test_lifting_certifies_at_the_hadamard_stop_when_the_probe_never_settles():
+def test_lifting_certifies_at_the_hadamard_stop_when_entries_need_the_whole_bound():
     # X = c, whose 200-bit entries need the whole Hadamard bound
     rng = random.Random(7)
     rows = []
@@ -551,17 +565,69 @@ def test_lifting_certifies_at_the_hadamard_stop_when_the_probe_never_settles():
     with _exact_engine_refused(), _lifting_spy() as log:
         assert kernel_basis_certified(m) == expected
     assert log
-    for h2, _, attempts in log:
-        assert len(attempts) == 1 and attempts[0][0] > 2 * h2
-    # a probe that never settles leaves only the attempt at the Hadamard stop
+    for h2, attempts, _ in log:
+        assert attempts[-1][0] > 2 * h2 and attempts[-1][1] is not None
+        assert all(out is None for _, out in attempts[:-1])
+
+
+def test_lifting_ends_at_the_first_reconstruction_and_accepts_it_once():
+    """Each lifting stops at the first modulus whose reconstruction of X is
+    not None, the only one handed to accept: on the unipotent system and on
+    every kernel that the relation walk of the benchmark's generic octic
+    lifts."""
     m = _unipotent_system()
-    with _exact_engine_refused(), _lifting_spy() as log, mock.patch.object(
-        linalg, "_probe_key", lambda values, mod, den: None
-    ):
+    with _exact_engine_refused(), _lifting_spy() as log:
         assert kernel_basis_certified(m) == kernel_basis(m)
-    assert log
-    for h2, _, attempts in log:
-        assert len(attempts) == 1 and attempts[0][0] > 2 * h2
+        f = parse_polynomial("*".join(f"({t})" for t in GENERIC_OCTIC))
+        ctx = JacobianContext.for_curve(f)
+        mdr(ctx)
+        assert hilbert_profile(ctx).tau == 24
+    assert len(log) >= 2
+    for _, attempts, accepted in log:
+        found = [out is not None for _, out in attempts]
+        assert found == [False] * (len(found) - 1) + [True]
+        assert accepted == [attempts[-1][1][0]]
+
+
+@st.composite
+def _rational_vectors(draw):
+    """Rational vectors of any length, zeros included, with numerators and
+    denominators of up to `bits` bits."""
+    bits = draw(st.integers(1, 80))
+    num = st.integers(-(2**bits), 2**bits)
+    den = st.integers(1, 2**bits)
+    size = draw(st.integers(0, 70))
+    return [Fraction(draw(num), draw(den)) for _ in range(size)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=_rational_vectors(),
+    q=st.sampled_from([101, 2**31 - 1, 2**61 - 1, 2**89 - 1]),
+    more=st.integers(-3, 2),
+)
+def test_reconstruct_vector_against_a_fraction_oracle(x, q, more):
+    """x modulo a prime power m, as in the lifting.  With D the common
+    denominator of x and N the largest |D*x_i|, m > 2*max(N, D)^2 gives
+    exactly (D, D*x): both then lie within the bound sqrt(m/2).  Below it
+    any result still has D <= sqrt(m/2) and D*x = nums (mod m)."""
+    den = lcm(*(v.denominator for v in x))
+    assume(den % q)
+    nums = [int(v * den) for v in x]
+    top = max([den] + [abs(n) for n in nums])
+    e = 1  # the least exponent above the bound
+    while q**e <= 2 * top * top:
+        e += 1
+    m = q ** max(1, e + more)
+    residues = [v.numerator * pow(v.denominator, -1, m) % m for v in x]
+    out = linalg._reconstruct_vector(residues, m)
+    if m > 2 * top * top:
+        assert out is not None
+        assert out[0] == den and out[1].tolist() == nums
+    elif out is not None:
+        got_den, got_nums = out[0], out[1].tolist()
+        assert 0 < got_den <= isqrt(m // 2)
+        assert all((got_den * r - n) % m == 0 for r, n in zip(residues, got_nums))
 
 
 def _rref_reference(rows, ncols, p):
