@@ -15,6 +15,7 @@ inconclusive or hypothesis failure, 3 internal fault.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,9 +98,10 @@ def _resolve_input(text: str) -> ResolvedInput:
             provenance=dict(e.provenance),
             assume_qh=e.assume_qh,
         )
-    path = Path(text)
-    if path.exists():
-        return _resolve_file(text, content_lines(path.read_text()))
+    # os.path.exists, unlike Path.exists before Python 3.12, reads a name the
+    # OS refuses (such as one past 255 bytes) as no file
+    if os.path.exists(text):
+        return _resolve_file(text, content_lines(Path(text).read_text()))
     try:
         f = parse_polynomial(text)
     except PolynomialSyntaxError as err:
@@ -198,8 +200,7 @@ def cmd_deform_check(args: argparse.Namespace) -> int:
 
 
 def cmd_supersolvable(args: argparse.Namespace) -> int:
-    path = Path(args.input)
-    text = path.read_text() if path.exists() else None
+    text = Path(args.input).read_text() if os.path.exists(args.input) else None
     lines = [] if text is None else content_lines(text)
     # a conic expression never starts with "point"
     if args.incidence or (lines and lines[0][1].startswith("point")):

@@ -11,15 +11,20 @@ is reported as a raw descriptor with its branch-count Milnor number.
 Only rational points are located; intersections that live in a proper
 extension field of the rationals are accounted for in per-pair residuals so
 the survey can say exactly how much of each pair's intersection budget
-(four, by Bezout) it has explained.
+(four, by Bezout) it has explained.  Whether those unlocated points are
+transversal is a property of the pair, not of a projection: the
+determinant cubic of the pair's pencil counts the distinct common points
+over C, and the unlocated ones are transversal exactly when they number as
+many as the residual.
 
-A survey locates each point once.  Every pair takes one path: its
-resultant is divided exactly by the fiber forms of the points already
-located on both conics, each raised to that point's jet multiplicity, and
-only the quotient is searched for rational roots, so the resultant and the
-jets still measure every multiplicity twice and must agree.  A pair fully
-explained by located points (as any two members of a pencil with rational
-base points) leaves a nonzero constant, and no root search at all.
+A survey locates each point once.  Every pair takes one path and one
+projection: its resultant is divided exactly by the fiber forms of the
+points already located on both conics, each raised to that point's jet
+multiplicity, and only the quotient is searched for rational roots, so the
+resultant and the jets still measure every multiplicity twice and must
+agree.  A pair fully explained by located points (as any two members of a
+pencil with rational base points) leaves a nonzero constant, and no root
+search at all.
 
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
@@ -36,6 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
+from operator import mul
 
 from conicfree.linalg import _rat_reconstruct
 from conicfree.poly import (
@@ -147,8 +153,8 @@ class SingularPointRecord:
 class PairIntersections:
     points: tuple[tuple[ProjectivePoint, int], ...]
     residual: int
-    # True when every unlocated intersection point is certified to meet this
-    # pair transversally (each conjugate point carries multiplicity one).
+    # True when every unlocated intersection point meets this pair
+    # transversally (each carries multiplicity one).
     residual_transversal: bool = True
 
 
@@ -448,18 +454,13 @@ def _deflate(cs: list[int], n: int, d: int) -> list[int]:
     return out
 
 
-def _rational_roots(
-    coeffs: list[int],
-) -> tuple[list[tuple[Fraction, int]], list[int], bool]:
+def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[int]]:
     """Rational roots with multiplicities of sum(coeffs[i] * t^i).
 
     Also returns the deflated polynomial left after dividing the rational
-    roots out (the part whose roots are all irrational), and whether that
-    part is squarefree.  The roots are found p-adically on the squarefree
-    part; their multiplicities come from exact deflation of the whole
-    polynomial.  The squarefree part has one root per distinct root, so the
-    deflated part is squarefree exactly when its degree is the squarefree
-    part's less the number of nonzero rational roots.
+    roots out (the part whose roots are all irrational).  The roots are
+    found p-adically on the squarefree part; their multiplicities come from
+    exact deflation of the whole polynomial.
     """
     cs = list(coeffs)
     while cs and cs[-1] == 0:
@@ -473,16 +474,14 @@ def _rational_roots(
         cs = cs[1:]
     if zero_mult:
         roots.append((Fraction(0), zero_mult))
-    squarefree = _squarefree_part(cs)
-    nonzero = _padic_rational_roots(squarefree)
-    for cand in nonzero:
+    for cand in _padic_rational_roots(_squarefree_part(cs)):
         n, d = cand.numerator, cand.denominator
         mult = 0
         while len(cs) > 1 and _eval_homogeneous(cs, n, d) == 0:
             cs = _deflate(cs, n, d)
             mult += 1
         roots.append((cand, mult))
-    return roots, cs, len(cs) == len(squarefree) - len(nonzero)
+    return roots, cs
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -521,16 +520,12 @@ def _squarefree_part(cs: list[int]) -> list[int]:
     return _primitive(quotient)
 
 
-def _binary_form_fibers(
-    res: list[int],
-) -> tuple[list[tuple[tuple[int, int], int]], bool]:
+def _binary_form_fibers(res: list[int]) -> list[tuple[tuple[int, int], int]]:
     """Rational roots (y0:z0) of a nonzero binary form, with multiplicities.
 
     ``res[j]`` is the integer coefficient of y^j * z^(n-j), n = len(res) - 1.
-    Each fiber is a coprime integer pair.  The second component reports
-    whether the non-rational part of the form is squarefree; in that case
-    every irrational fiber carries exactly one intersection point of
-    multiplicity one.  A form c*z^n has no finite fiber to search.
+    Each fiber is a coprime integer pair.  A form c*z^n has no finite fiber
+    to search.
     """
     if not any(res):
         raise ValueError("identically zero resultant (components share a factor?)")
@@ -540,12 +535,12 @@ def _binary_form_fibers(
     if top < len(res) - 1:
         fibers.append(((1, 0), len(res) - 1 - top))
     if top == 0:
-        return fibers, True
+        return fibers
     # finite fibers (t:1) from the dehomogenization in t = y
-    roots, _, squarefree = _rational_roots(res[: top + 1])
+    roots, _ = _rational_roots(res[: top + 1])
     for root, mult in roots:
         fibers.append(((root.numerator, root.denominator), mult))
-    return fibers, squarefree
+    return fibers
 
 
 def _fiber_points(
@@ -591,32 +586,32 @@ _SHEAR_GRID = sorted(
     ((a, b) for a in range(-2, 5) for b in range(-2, 5)),
     key=lambda ab: (abs(ab[0]) + abs(ab[1]), ab),
 )
-_MAX_CERT_SHEARS = 8
 
 
 def _scan_with_shear(
     qi: ConicForm,
     qj: ConicForm,
-    ti: IntConic,
-    tj: IntConic,
-    a: int,
-    b: int,
     known: dict[ProjectivePoint, int],
     jets: JetTable | None,
-) -> tuple[list[tuple[ProjectivePoint, int]], int, bool]:
-    """Locate rational common points through the projection (a, b).
+) -> tuple[list[tuple[ProjectivePoint, int]], int]:
+    """Locate rational common points through one projection.
 
-    ``ti`` and ``tj`` are the integer conics of qi and qj under the shear
-    (a, b), and ``known`` maps points already located on both conics to
-    their jet multiplicities.  The resultant is divided exactly by each
-    known point's fiber form, raised to the jet multiplicities summed on
-    that fiber, and only the quotient is searched for rational roots: none
-    are searched when it is a nonzero constant.  On each fiber the search
-    finds, the points not already known must carry the quotient's root
-    order in jet multiplicities.  Returns (all located points with jet
-    multiplicities, residual budget, residual certified transversal under
-    this projection).
+    The projection is from (1:0:0) after the first shear (a, b) of the grid
+    that keeps that point off both conics.  ``known`` maps points already
+    located on both conics to their jet multiplicities.  The resultant is
+    divided exactly by each known point's fiber form, raised to the jet
+    multiplicities summed on that fiber, and only the quotient is searched
+    for rational roots: none are searched when it is a nonzero constant.  On
+    each fiber the search finds, the points not already known must carry the
+    quotient's root order in jet multiplicities.  Returns (all located
+    points with jet multiplicities, residual budget).
     """
+    # a smooth conic holds at most two of the grid's points (1:a:b) on each
+    # line y = a*x, 14 of 49, so some shear keeps (1:0:0) off both conics
+    for a, b in _SHEAR_GRID:  # pragma: no branch
+        ti, tj = _shear_conic(qi.integer, a, b), _shear_conic(qj.integer, a, b)
+        if ti[0] and tj[0]:
+            break
     quotient = _resultant_in_x(ti, tj)
     known_fibers: dict[tuple[int, int], int] = {}
     for pt, m in known.items():
@@ -636,11 +631,8 @@ def _scan_with_shear(
                 )
             quotient = _deflate(quotient, y0, z0) if z0 else quotient[:-1]
     located = list(known.items())
-    residual = 0
-    transversal = True
-    fibers, irrational_part_squarefree = _binary_form_fibers(quotient)
     located_fiber_budget = 0
-    for (y0, z0), mult in fibers:
+    for (y0, z0), mult in _binary_form_fibers(quotient):
         points = _fiber_points(ti, tj, y0, z0)
         if points is None:
             # a conjugate pair of points sharing this rational fiber; by
@@ -649,9 +641,6 @@ def _scan_with_shear(
                 raise AssertionError(
                     "odd resultant order split over a conjugate point pair"
                 )
-            residual += mult
-            if mult != 2:
-                transversal = False
             continue
         mapped = [ProjectivePoint.of(x, y + a * x, z + b * x) for x, y, z in points]
         new = [pt for pt in mapped if pt not in known]
@@ -662,27 +651,47 @@ def _scan_with_shear(
             )
         located.extend(zip(new, jet_mults))
         located_fiber_budget += mult
-    # what remains sits on irrational fibers; multiplicity-one fibers carry
-    # exactly one transversal point each
-    irrational_fiber_budget = len(quotient) - 1 - located_fiber_budget - residual
-    residual += irrational_fiber_budget
-    if irrational_fiber_budget and not irrational_part_squarefree:
-        transversal = False
     located.sort(key=lambda pm: pm[0].coords())
-    return located, residual, transversal
+    return located, len(quotient) - 1 - located_fiber_budget
 
 
-def _projections(qi: ConicForm, qj: ConicForm):
-    """The shears (a, b) of the grid that keep (1:0:0) off both conics, in
-    grid order, each with the two sheared integer conics."""
-    for a, b in _SHEAR_GRID:
-        ti = _shear_conic(qi.integer, a, b)
-        if ti[0] == 0:
-            continue
-        tj = _shear_conic(qj.integer, a, b)
-        if tj[0] == 0:
-            continue
-        yield a, b, ti, tj
+def _cofactors(m: list[list[int]]) -> list[int]:
+    """The nine signed cofactors of a 3x3 matrix, row by row."""
+    return [
+        m[r - 2][s - 2] * m[r - 1][s - 1] - m[r - 2][s - 1] * m[r - 1][s - 2]
+        for r in range(3)
+        for s in range(3)
+    ]
+
+
+def _distinct_common_points(qi: ConicForm, qj: ConicForm) -> int:
+    """How many distinct points two smooth, distinct conics share over C.
+
+    The Segre symbol of the pencil A + t*B of the conics' symmetric matrices
+    fixes their intersection pattern, and c(t) = det(A + t*B) reads it off.
+    Four points when c has no multiple root.  A cubic over Q has at most one
+    multiple root t0, so t0 is rational; of order k, it merges k - 1 points,
+    and one more where A + t0*B has rank one (all cofactors zero).
+    """
+    a, b = (
+        [[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]]
+        for xx, yy, zz, xy, xz, yz in (qi.integer, qj.integer)
+    )
+    flat_a, flat_b, cof_a, cof_b = sum(a, []), sum(b, []), _cofactors(a), _cofactors(b)
+    cubic = [
+        sum(map(mul, flat_a[:3], cof_a[:3])),  # det A
+        sum(map(mul, flat_b, cof_a)),
+        sum(map(mul, flat_a, cof_b)),
+        sum(map(mul, flat_b[:3], cof_b[:3])),  # det B
+    ]
+    g = _poly_gcd(cubic, [cubic[1], 2 * cubic[2], 3 * cubic[3]])
+    order = len(g)  # of the multiple root, or 1 when there is none
+    if order == 1:
+        return 4
+    # t0 = n/d is the root of g, or of g' when g is a square
+    n, d = (-g[0], g[1]) if order == 2 else (-g[1], 2 * g[2])
+    member = [[d * u + n * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return 4 - (order - 1) - (not any(_cofactors(member)))
 
 
 def _pair_scan(
@@ -692,33 +701,21 @@ def _pair_scan(
     jets: JetTable | None,
 ) -> PairIntersections:
     """The rational common points of two smooth, distinct conics, of which
-    ``known`` are already located; see :func:`_scan_with_shear`."""
+    ``known`` are already located; see :func:`_scan_with_shear`.  The
+    unlocated ones, counted by :func:`_distinct_common_points`, carry the
+    residual budget and are transversal exactly when each carries one.
+    """
     mults = {pt: local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in known}
-    first: tuple[list[tuple[ProjectivePoint, int]], int, bool] | None = None
-    certified = False
-    tried = 0
-    for a, b, ti, tj in _projections(qi, qj):
-        scan = _scan_with_shear(qi, qj, ti, tj, a, b, mults, jets)
-        if first is None:
-            first = scan
-        elif scan[0] != first[0]:
+    located, residual = _scan_with_shear(qi, qj, mults, jets)
+    transversal = True
+    if residual:
+        unlocated = _distinct_common_points(qi, qj) - len(located)
+        if not 0 < unlocated <= residual:
             raise AssertionError(
-                "projections disagree on the located rational points"
+                f"{unlocated} unlocated points cannot carry the residual budget {residual}"
             )
-        if first[1] == 0 or scan[2]:
-            certified = True
-            break
-        tried += 1
-        if tried >= _MAX_CERT_SHEARS:
-            break
-    if first is None:  # pragma: no cover - the grid always has a good shear
-        raise AssertionError("no valid shear found")
-    located, residual, _ = first
-    return PairIntersections(
-        points=tuple(located),
-        residual=residual,
-        residual_transversal=certified or residual == 0,
-    )
+        transversal = unlocated == residual
+    return PairIntersections(tuple(located), residual, transversal)
 
 
 def rational_pair_intersections(
@@ -728,13 +725,11 @@ def rational_pair_intersections(
 
     The residual is the part of the Bezout budget (4) carried by points with
     irrational coordinates.  Multiplicities of located points come from the
-    resultant root order and are cross-checked against branch jets.
-
-    A point's fiber multiplicity in every projection is at least its local
-    intersection multiplicity, so a projection whose unlocated fibers are
-    all simple certifies the unlocated points transversal; several
-    projections are tried because conjugate point clusters can share fibers
-    in unlucky directions.  Jets are shared through ``jets`` when given.
+    resultant root order of one projection and are cross-checked against
+    branch jets.  The unlocated points are transversal exactly when there
+    are as many of them as the residual, counted from the pencil's
+    determinant cubic (:func:`_distinct_common_points`).  Jets are shared
+    through ``jets`` when given.
     """
     if not conic_is_smooth(qi) or not conic_is_smooth(qj):
         raise ValueError("both conics must be smooth")

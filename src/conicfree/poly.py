@@ -23,10 +23,11 @@ part of the grammar).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from operator import add
 from typing import Iterable
 
@@ -425,9 +426,26 @@ class _Parser:
         if self.peek() == "^":
             self.take()
             exponent = self.parse_nat()
+            if _degree(base) == 0:
+                return self.constant_power(base.get((0, 0, 0), 0), exponent)
             self.check_degree(_degree(base) * exponent)
             return _power(base, exponent, 3)
         return base
+
+    def constant_power(self, c: Fraction | int, exponent: int) -> Terms:
+        """c^exponent in one power, refused when its numerator or denominator
+        would have more digits than int() accepts in a literal."""
+        size = max(abs(c.numerator), c.denominator)
+        # int() has no digit limit, and this function none, before Python 3.10.7
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # size^exponent has floor(exponent*log10(size)) + 1 digits
+        if limit and size > 1 and exponent >= limit / log10(size):
+            raise ValueError(
+                f"the constant {c} to the power {exponent} has more than {limit} digits,"
+                f" the limit for integers (at position {self.pos})"
+            )
+        value = c**exponent
+        return {(0, 0, 0): value} if value else {}
 
     def parse_base(self) -> Terms:
         ch = self.peek()
@@ -474,7 +492,8 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
     Raises :class:`PolynomialSyntaxError` on malformed input,
     :class:`NonHomogeneousError` when the expansion mixes total degrees and
     :class:`DegreeLimitError`, before expanding it, on a product of degree
-    above :data:`MAX_DEGREE`.
+    above :data:`MAX_DEGREE`, and ``ValueError`` on a constant power with
+    more digits than ``sys.get_int_max_str_digits()``.
     """
     expanded = _Parser(text).parse()
     degrees = {sum(mono) for mono in expanded}

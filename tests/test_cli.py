@@ -310,6 +310,59 @@ def test_analyze_refuses_a_curve_above_the_degree_limit_at_once(expression, degr
     assert f"degree {degree} is above the limit of 24" in err
 
 
+_DIGITS = f"more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize(
+    "expression, message",
+    [
+        ("2^99999999*x", _DIGITS),
+        ("(1/2)^9999999*x", _DIGITS),
+        ("(-3)^9999*x", _DIGITS),
+        # raised at once, then refused as a line
+        ("1^99999999*x", "degree must be at least 2"),
+    ],
+)
+def test_analyze_refuses_a_huge_constant_power_at_once(expression, message, capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", expression)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+# seven conics: 265 characters, past the 255-byte limit most file systems put
+# on a file name
+LONG_PRODUCT = "*".join(
+    f"({a}*x^2+{b}*y^2-{c}*z^2+{d}*x*y+{e}*x*z+{f}*y*z)"
+    for a, b, c, d, e, f in [
+        (1, 3, 5, 1, 1, 2),
+        (2, 1, 3, 1, 2, 1),
+        (1, 2, 7, 3, 1, 1),
+        (3, 1, 2, 1, 1, 3),
+        (1, 5, 3, 2, 1, 1),
+        (2, 3, 5, 1, 3, 1),
+        (1, 1, 6, 1, 2, 2),
+    ]
+)
+
+
+def test_an_expression_longer_than_a_file_name_is_read_as_an_expression(capsys):
+    assert len(LONG_PRODUCT.encode()) > 255
+    code, out, _ = run_cli(capsys, "analyze", LONG_PRODUCT, "--json")
+    assert code == 0 and json.loads(out)["input"]["degree"] == 14
+    code, _, err = run_cli(capsys, "supersolvable", LONG_PRODUCT)
+    assert code == 1 and "supersolvable needs an arrangement or incidence file" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "supersolvable"])
+def test_a_name_longer_than_a_file_name_is_neither_file_nor_expression(command, capsys):
+    name = "q" * 300
+    code, out, err = run_cli(capsys, command, name)
+    assert code == 1 and out == ""
+    assert f"error: {name}: no such file, and not an expression: unexpected character" in err
+
+
 def test_an_arrangement_above_the_degree_limit_is_refused_before_expansion(
     tmp_path, capsys, monkeypatch
 ):

@@ -61,14 +61,54 @@ def test_pair_disjoint_over_the_rationals():
     assert not pair.residual_transversal
 
 
-def test_pair_residual_transversality_certificate():
-    # the octic's pair with eight complex nodes across two projections
+def test_pair_residual_transversality_certificate(monkeypatch):
+    """The octic's pair whose four complex nodes lie on two conjugate fibers
+    of its projection: the determinant cubic still certifies them transversal,
+    from the pair's one resultant."""
+    import conicfree.locus as locus
+
+    real = locus._resultant_in_x
+    resultants = []
+
+    def spy(q1, q2):
+        resultants.append((q1, q2))
+        return real(q1, q2)
+
+    monkeypatch.setattr(locus, "_resultant_in_x", spy)
     pair = rational_pair_intersections(
-        ConicForm.parse("2*x^2+y^2+2*x*z"),
-        ConicForm.parse("4*x^2+6*y^2+4*x*z-8*z^2"),
+        ConicForm.parse(P4_COMPONENTS[1]), ConicForm.parse(P4_COMPONENTS[3])
     )
     assert pair.points == () and pair.residual == 4
     assert pair.residual_transversal
+    assert len(resultants) == 1
+
+
+@pytest.mark.parametrize(
+    "q1, q2, transversal",
+    [
+        # bitangent at two conjugate points: the second conic is the first
+        # plus (x - 2*z)^2
+        ("x^2+y^2-z^2", "2*x^2+y^2-4*x*z+3*z^2", False),
+        # a pencil with four irrational base points
+        ("x^2+y^2-3*z^2", "x^2-2*y^2+z^2", True),
+    ],
+)
+def test_pair_residual_transversality_of_irrational_points(q1, q2, transversal):
+    pair = rational_pair_intersections(ConicForm.parse(q1), ConicForm.parse(q2))
+    assert pair.points == () and pair.residual == 4
+    assert pair.residual_transversal is transversal
+
+
+@pytest.mark.parametrize("wrong", [0, 5])
+def test_pair_refuses_a_point_count_that_cannot_carry_the_residual(wrong, monkeypatch):
+    """0 unlocated points for a residual of 4, or 5 points for it."""
+    import conicfree.locus as locus
+
+    monkeypatch.setattr(locus, "_distinct_common_points", lambda qi, qj: wrong)
+    with pytest.raises(AssertionError, match="cannot carry the residual budget 4"):
+        rational_pair_intersections(
+            ConicForm.parse("x^2+y^2-z^2"), ConicForm.parse("2*x^2+y^2-4*x*z+3*z^2")
+        )
 
 
 def test_pair_rejects_degenerate_input():
@@ -780,7 +820,8 @@ def test_a_new_point_on_the_fiber_of_a_known_point_is_located():
     import conicfree.locus as locus
 
     arr = ConicArrangement.from_texts(SHARED_FIBER)
-    assert next(locus._projections(arr.components[1], arr.components[2]))[:2] == (0, 0)
+    # the pair's projection is the grid's first shear, (0, 0): (1:0:0) lies on neither conic
+    assert locus._SHEAR_GRID[0] == (0, 0) and all(q.integer[0] for q in arr.components[1:])
     sv = _survey_matches_the_pair_oracle(arr)
     assert sv.inventory() == {"A1": 3, "D4": 1} and sv.residual_per_pair[(1, 2)] == 0
     assert sv.record_at(ProjectivePoint.of(2, 1, 1)).members == (1, 2)

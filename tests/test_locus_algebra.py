@@ -5,7 +5,9 @@ replace (dehomogenization, evaluation, substitution), which stays as the
 oracle.  The root finder is checked against trial division on small
 coefficients and against a factorization over QQ (sympy) on coefficients
 up to 2^64.  The survey runs on content-free integer conics, so its
-results must not change when a component is scaled.
+results must not change when a component is scaled.  The distinct-point
+count read off a pair's determinant cubic is checked against pairs
+q, q + lam*l1*l2 whose common points are solved exactly (sympy).
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from conicfree.locus import (
     _affine_conic_coefficients,
     _binary_form_fibers,
+    _distinct_common_points,
     _fiber_points,
     _rational_roots,
     _resultant_in_x,
@@ -253,7 +256,7 @@ def _large_polynomials(draw):
 @settings(max_examples=60, deadline=None)
 @given(coeffs=_small_polynomials())
 def test_rational_roots_match_trial_division(coeffs):
-    roots, remainder, _ = _rational_roots(coeffs)
+    roots, remainder = _rational_roots(coeffs)
     expected_roots, expected_remainder = _trial_division_roots(coeffs)
     assert roots == expected_roots
     assert _proportional(remainder, expected_remainder)
@@ -265,28 +268,26 @@ def test_rational_roots_match_trial_division(coeffs):
 @example(coeffs=_planted([(65521, 2310 * 17, 1), (-65519, 65497, 2)], 0, [5, 1, 210]))
 def test_rational_roots_match_factorization_up_to_2_64(coeffs):
     assert max(abs(c) for c in coeffs) < 2**64
-    roots, remainder, squarefree = _rational_roots(coeffs)
+    roots, remainder = _rational_roots(coeffs)
     assert sorted(roots) == _sympy_roots(coeffs)
     assert [r for r, _ in roots[1:]] == sorted(r for r, _ in roots[1:])
     # what is left has no rational root, and the roots account for the degree
     assert _sympy_roots(remainder) == []
     assert sum(m for _, m in roots) + len(remainder) - 1 == len(coeffs) - 1
-    # the planted irrational part is a constant or an irreducible quadratic
-    assert squarefree
 
 
 def test_rational_roots_prime_choice_skips_bad_primes():
     # the leading coefficient rules out 2..11, and t^2 + 13 has the double root 0 mod 13
     coeffs = _planted([(1, 2310, 2), (-7, 3, 1)], 1, [13, 0, 1])
-    roots, remainder, _ = _rational_roots(coeffs)
+    roots, remainder = _rational_roots(coeffs)
     assert roots == [(Fraction(0), 1), (Fraction(-7, 3), 1), (Fraction(1, 2310), 2)]
     assert _proportional(remainder, [13, 0, 1])
 
 
 def test_rational_roots_constant_and_linear():
-    assert _rational_roots([5]) == ([], [5], True)
-    assert _rational_roots([0, 0, 3]) == ([(Fraction(0), 2)], [3], True)
-    roots, remainder, _ = _rational_roots([-3, 4])
+    assert _rational_roots([5]) == ([], [5])
+    assert _rational_roots([0, 0, 3]) == ([(Fraction(0), 2)], [3])
+    roots, remainder = _rational_roots([-3, 4])
     assert roots == [(Fraction(3, 4), 1)] and len(remainder) == 1
 
 
@@ -313,15 +314,10 @@ def _binary_quartics(draw):
 @settings(max_examples=200, deadline=None)
 @given(quartic=_binary_quartics())
 def test_binary_form_fibers_tell_a_squarefree_irrational_part(quartic):
-    """The flag read off the squarefree part's degree equals a gcd test of the
-    planted irrational part, and the rational fibers carry the rest."""
-    import sympy
-
+    """The rational fibers carry exactly what the planted irrational part,
+    squarefree or not, leaves of the quartic's degree."""
     res, irrational = quartic
-    t = sympy.Symbol("t")
-    part = sympy.Poly(list(reversed(irrational)), t)
-    fibers, squarefree = _binary_form_fibers(res)
-    assert squarefree == (sympy.gcd(part, part.diff(t)).degree() == 0)
+    fibers = _binary_form_fibers(res)
     assert sum(m for _, m in fibers) == 4 - (len(irrational) - 1)
 
 
@@ -341,11 +337,10 @@ def test_nine_digit_pair_resultant_roots():
     q1, q2 = (ConicForm.parse(t) for t in NINE_DIGIT_PAIR)
     res = coeffs = _resultant_in_x(q1.integer, q2.integer)
     assert max(abs(c) for c in coeffs) > 10**30
-    roots, remainder, _ = _rational_roots(coeffs)
+    roots, remainder = _rational_roots(coeffs)
     assert roots == _sympy_roots(coeffs)
     assert [m for _, m in roots] == [2, 2] and len(remainder) == 1
-    fibers, squarefree = _binary_form_fibers(res)
-    assert sorted(m for _, m in fibers) == [2, 2] and squarefree
+    assert sorted(m for _, m in _binary_form_fibers(res)) == [2, 2]
     # the tangency points are the images of (1:0:1) and (-1:0:1)
     pair = rational_pair_intersections(q1, q2)
     assert pair.residual == 0
@@ -462,9 +457,8 @@ def _line_product(t: tuple, m: tuple) -> tuple:
 
 
 @st.composite
-def _contact_pairs(draw):
-    """q and q + lam*T*M with T the tangent of q at a rational point P of q:
-    contact of order 4 (M = T), 3 (M through P) or 2 (M any other line)."""
+def _conics_through_a_point(draw):
+    """A smooth conic q through a rational point P, with P."""
     from hypothesis import assume
 
     p = draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any))
@@ -478,18 +472,38 @@ def _contact_pairs(draw):
     )
     assume(not q.is_zero())
     q = ConicForm.from_polynomial(q)
+    assume(conic_is_smooth(q))
+    return q, p
+
+
+def _line_through(p: tuple, u: tuple) -> tuple:
+    """The line through p and u (the zero vector when they coincide)."""
+    return tuple(
+        p[(k + 1) % 3] * u[(k + 2) % 3] - p[(k + 2) % 3] * u[(k + 1) % 3] for k in range(3)
+    )
+
+
+def _plus_line_pair(q: ConicForm, lam: int, l1: tuple, l2: tuple) -> ConicForm:
+    return ConicForm(*(a + lam * b for a, b in zip(_coefficients(q), _line_product(l1, l2))))
+
+
+@st.composite
+def _contact_pairs(draw):
+    """q and q + lam*T*M with T the tangent of q at a rational point P of q:
+    contact of order 4 (M = T), 3 (M through P) or 2 (M any other line)."""
+    from hypothesis import assume
+
+    q, p = draw(_conics_through_a_point())
     t = _tangent(q, p)
     kind = draw(st.sampled_from(["tangent", "through", "other"]))
     if kind == "tangent":
         m = t
     else:
         u = draw(st.tuples(*[st.integers(-3, 3)] * 3))
-        m = tuple(
-            p[(k + 1) % 3] * u[(k + 2) % 3] - p[(k + 2) % 3] * u[(k + 1) % 3] for k in range(3)
-        ) if kind == "through" else u
+        m = _line_through(p, u) if kind == "through" else u
     lam = draw(st.integers(-4, 4).filter(bool))
-    contact = ConicForm(*(a + lam * b for a, b in zip(_coefficients(q), _line_product(t, m))))
-    assume(conic_is_smooth(q) and conic_is_smooth(contact))
+    contact = _plus_line_pair(q, lam, t, m)
+    assume(conic_is_smooth(contact))
     assume(not q.is_proportional_to(contact))
     return ConicArrangement((q, contact))
 
@@ -507,3 +521,86 @@ def test_survey_invariant_under_scaling_contact_pairs(arr, c1, c2):
     assert pair == rational_pair_intersections(q1, q2)
     assert sum(m for _, m in pair.points) + pair.residual == 4
     assert sv.residual_per_pair[(0, 1)] == pair.residual
+
+
+# ---------------------------------------------------------------------------
+# Distinct common points from the pencil's determinant cubic
+
+
+def _points_on_line(q: ConicForm, line: tuple) -> list:
+    """The common points of q and a line over C, exactly (sympy)."""
+    import sympy
+
+    s = sympy.Symbol("s")
+    u, v = sympy.Matrix([line]).nullspace()
+    # the line is {s*u + v} together with u
+    xx, yy, zz, xy, xz, yz = q.integer
+    x, y, z = s * u + v
+    f = sympy.Poly(xx * x**2 + yy * y**2 + zz * z**2 + xy * x * y + xz * x * z + yz * y * z, s)
+    points = [list(r * u + v) for r in sympy.roots(f)]
+    if f.degree() < 2:
+        points.append(list(u))
+    return points
+
+
+def _distinct_points_oracle(q: ConicForm, l1: tuple, l2: tuple) -> int:
+    """How many distinct points q shares with q + lam*l1*l2: those of q on l1
+    and on l2, merged when all 2x2 minors of their coordinates vanish."""
+    import sympy
+
+    distinct: list = []
+    for p in _points_on_line(q, l1) + _points_on_line(q, l2):
+        if not any(
+            all(sympy.simplify(p[i] * r[j] - p[j] * r[i]) == 0 for i, j in ((0, 1), (0, 2), (1, 2)))
+            for r in distinct
+        ):
+            distinct.append(p)
+    return len(distinct)
+
+
+@st.composite
+def _line_pair_pencils(draw):
+    """(q, lam, l1, l2) for the pair q, q + lam*l1*l2, with P a rational
+    point of q and T its tangent there.  The Segre symbol of the pencil is
+    [1,1,1] for general lines, [2,1] for l1 = T, [(1,1),1] for l1 = l2,
+    [3] for l1 = T and l2 through P, and [(2,1)] for l1 = l2 = T."""
+    from hypothesis import assume
+
+    q, p = draw(_conics_through_a_point())
+    lines = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+    l1 = _tangent(q, p) if draw(st.booleans()) else draw(lines)
+    kind = draw(st.sampled_from(["same", "through", "other"]))
+    l2 = l1 if kind == "same" else draw(lines)
+    if kind == "through":
+        l2 = _line_through(p, l2)
+    assume(any(l2))
+    lam = draw(st.integers(-4, 4).filter(bool))
+    assume(conic_is_smooth(_plus_line_pair(q, lam, l1, l2)))
+    return q, lam, l1, l2
+
+
+@settings(max_examples=60, deadline=None)
+@given(pencil=_line_pair_pencils())
+def test_distinct_common_points_match_the_line_pair_oracle(pencil):
+    q, lam, l1, l2 = pencil
+    count = _distinct_common_points(q, _plus_line_pair(q, lam, l1, l2))
+    assert count == _distinct_points_oracle(q, l1, l2)
+
+
+# one pair per Segre symbol: the unit circle q with P = (1:0:1) and T = x - z
+@pytest.mark.parametrize(
+    "l1, l2, lam, count",
+    [
+        ((1, 1, 0), (1, -1, 2), 1, 4),  # [1,1,1]
+        ((1, 0, -1), (0, 1, -2), 2, 3),  # [2,1]
+        ((1, 0, -2), (1, 0, -2), 1, 2),  # [(1,1),1], bitangent at conjugate points
+        ((1, 0, -1), (1, 1, -1), 2, 2),  # [3]
+        ((1, 0, -1), (1, 0, -1), 1, 1),  # [(2,1)]
+    ],
+)
+def test_distinct_common_points_read_each_segre_symbol(l1, l2, lam, count):
+    q = ConicForm.parse("x^2+y^2-z^2")
+    other = _plus_line_pair(q, lam, l1, l2)
+    assert conic_is_smooth(other)
+    assert _distinct_points_oracle(q, l1, l2) == count
+    assert _distinct_common_points(q, other) == count

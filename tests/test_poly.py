@@ -57,6 +57,17 @@ def test_parse_rational_literals_and_unary_minus():
     assert f.terms[(0, 2, 0)] == Fraction(3, 4)
 
 
+def test_parse_raises_a_constant_in_one_power():
+    f = parse_polynomial("2^10*x^2+y^2-z^2")
+    assert f.terms == {(2, 0, 0): 1024, (0, 2, 0): 1, (0, 0, 2): -1}
+    assert parse_polynomial("(1/2)^3*x+(-2)^3*y+0^0*z+(1-1)^2*x").terms == {
+        (1, 0, 0): Fraction(1, 8),
+        (0, 1, 0): -8,
+        (0, 0, 1): 1,
+    }
+    assert parse_polynomial("1^99999999*x").terms == {(1, 0, 0): 1}
+
+
 def test_parse_rejects_general_division():
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("x/2")
