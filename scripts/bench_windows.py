@@ -69,7 +69,7 @@ def time_one(src: str, name: str) -> dict:
     """Run in a child process: the timed window of one input, then mdr and the
     window, then the survey of the arrangement."""
     sys.path.insert(0, src)
-    from conicfree.jacobian import JacobianContext, SyzygyWitness, hilbert_profile, mdr
+    from conicfree.jacobian import JacobianContext, hilbert_profile, mdr
     from conicfree.locus import ConicArrangement, survey
     from conicfree.poly import parse_polynomial
 
@@ -90,7 +90,7 @@ def time_one(src: str, name: str) -> dict:
     survey_seconds = time.perf_counter() - t0
     return {
         "d": ctx.d,
-        "d1": witness.r if isinstance(witness, SyzygyWitness) else None,
+        "d1": witness.r,
         "window": [list(w) for w in profile.window],
         "tau": profile.tau,
         "inventory": sv.inventory(),

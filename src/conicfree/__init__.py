@@ -20,7 +20,6 @@ from conicfree.corpus import (
 )
 from conicfree.freeness import (
     FREE,
-    INDETERMINATE,
     NEARLY_FREE,
     NEITHER,
     DeformationCheck,
@@ -37,7 +36,6 @@ from conicfree.freeness import (
     mdr_lower_bound,
 )
 from conicfree.jacobian import (
-    AtLeast,
     HilbertProfile,
     JacobianContext,
     SyzygyWitness,

@@ -17,13 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from conicfree.jacobian import AtLeast
 from conicfree.locus import LocusSurvey, SingType
 
 FREE = "free"
 NEARLY_FREE = "nearly_free"
 NEITHER = "neither"
-INDETERMINATE = "indeterminate"
 
 
 class UnsupportedTypeError(ValueError):
@@ -33,44 +31,28 @@ class UnsupportedTypeError(ValueError):
 @dataclass(frozen=True)
 class FreenessReport:
     d: int
-    d1: int | AtLeast
+    d1: int
     tau: int
-    eta: int | None
-    nu: int | None
+    eta: int
+    nu: int
     verdict: str
     notes: tuple[str, ...] = ()
-
-    def d1_value(self) -> int | None:
-        return self.d1 if isinstance(self.d1, int) else None
 
 
 def eta_of(d: int, d1: int) -> int:
     return d1 * d1 - d1 * (d - 1) + (d - 1) * (d - 1)
 
 
-def build_report(d: int, d1: int | AtLeast, tau: int) -> FreenessReport:
-    """Combine degree, minimal relation degree and total Tjurina number.
+def build_report(d: int, d1: int, tau: int) -> FreenessReport:
+    """Combine degree, exact minimal relation degree and total Tjurina number.
 
-    An exhausted relation search (d1 known only as a lower bound) cannot be
-    scored against the equalities, so the verdict is indeterminate.
+    d1 is always exact (jacobian.mdr ends its search at d-1), so every
+    report is scored against the equalities.
     """
     if d < 2:
         raise ValueError("curve degree must be at least 2")
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    if isinstance(d1, AtLeast):
-        return FreenessReport(
-            d=d,
-            d1=d1,
-            tau=tau,
-            eta=None,
-            nu=None,
-            verdict=INDETERMINATE,
-            notes=(
-                f"minimal relation degree only bounded below by {d1.bound}; "
-                "the freeness equalities need its exact value",
-            ),
-        )
     eta = eta_of(d, d1)
     nu = eta - tau
     notes: list[str] = []
@@ -173,19 +155,16 @@ def arnold_exponent(
 def check_bound_consistency(report: FreenessReport, survey: LocusSurvey) -> bool:
     """Assert d1 >= alpha*d - 2 on computed data; False when it fails.
 
-    Raises ValueError when the ingredients (exact d1, an Arnold exponent
-    determined by the survey and the global Tjurina number) are missing.
+    Raises ValueError when the survey and the global Tjurina number leave
+    the Arnold exponent undetermined.
     """
-    d1 = report.d1_value()
-    if d1 is None:
-        raise ValueError("exact minimal relation degree required")
     alpha = arnold_exponent(survey, report.tau)
     if alpha is None:
         raise ValueError(
             "Arnold exponent undetermined (unlocated non-nodal points or an "
             "unsupported local type)"
         )
-    return Fraction(d1) >= mdr_lower_bound(alpha, report.d)
+    return Fraction(report.d1) >= mdr_lower_bound(alpha, report.d)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +263,7 @@ def check_deformation(before: dict, after: dict) -> DeformationCheck:
         ClauseResult("tjurina_drop", tau_a == tau_b - 1, f"tau {tau_b} -> {tau_a}")
     )
     eta_b, eta_a = fr_b["eta"], fr_a["eta"]
-    if eta_b is None or eta_a is None:
-        ok, detail = False, "eta unknown on one side (d1 not exact)"
-    else:
-        ok, detail = eta_b == eta_a, f"eta {eta_b} vs {eta_a}"
-    clauses.append(ClauseResult("eta_equal", ok, detail))
+    clauses.append(ClauseResult("eta_equal", eta_b == eta_a, f"eta {eta_b} vs {eta_a}"))
     if all(c.ok for c in clauses):
         verdict = fr_a["verdict"]
         clauses.append(

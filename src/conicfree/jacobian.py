@@ -11,6 +11,8 @@ A_s maps (a, b, c) of degree s to a*f_x + b*f_y + c*f_z; its kernel is
 AR(f)_s, the relations of degree s.  Kernels come from conicfree.linalg
 as primitive integer vectors, so a kernel vector is a relation as it
 stands, and the witness of mdr is the first one with its sign fixed.
+A kernel in degree d-1 always exists: the Koszul relations.  So d1 is
+exact for every curve, and it is d-1 when the degrees below hold none.
 
 Each rank is certified two-sided with no kernel lifted at degree s, and
 both bounds count leading terms the same way.  One routine eliminates a
@@ -28,13 +30,14 @@ eliminated only where the two bounds fall short.  From above:
 cols - rank_p(F), where F holds the monomial multiples into degree s of
 exact relations: generators found by one walk per curve over degrees
 0 .. d-2 (a certified kernel only where the multiples of the lower ones
-fall short; mdr reads d1 and its witness off the first generator) and the
-three Koszul relations
-(f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, re-verified
-exactly as one array product.  At the window degrees rank_p(F) is
-bounded from below by leading terms (three components): every relation
-in F has degree <= d-1, so F_s = S_{s-d+1} F_{d-1}, and F_{d-1} is
-eliminated once per window, F_s only where that count falls short.  Bounds
+fall short; mdr reads d1 and its witness off the first generator, or
+off the first Koszul relation when there is none) and the three Koszul
+relations (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1,
+re-verified exactly as one array product.  At the window degrees
+rank_p(F) is bounded from below by leading terms (three components):
+every relation in F has degree <= d-1, so F_s = S_{s-d+1} F_{d-1}, and
+F_{d-1} is eliminated once per window, F_s only where that count falls
+short.  Bounds
 that overlap, or a row of F that a fixed pseudo-random combination shows
 is no relation mod p, raise: either means a fault in building F.  Where
 the bounds do not meet, the rank comes from the lifted-kernel certificate
@@ -141,16 +144,6 @@ class SyzygyWitness:
 
     def __str__(self) -> str:
         return f"degree {self.r}: ({self.a}, {self.b}, {self.c})"
-
-
-@dataclass(frozen=True)
-class AtLeast:
-    """Outcome of an exhausted relation search: the degree is >= bound."""
-
-    bound: int
-
-    def __str__(self) -> str:
-        return f">= {self.bound}"
 
 
 @cache
@@ -478,17 +471,20 @@ def _vector_to_witness(r: int, vec: Sequence[int]) -> SyzygyWitness:
     return SyzygyWitness(r, *parts)
 
 
-def mdr(ctx: JacobianContext) -> SyzygyWitness | AtLeast:
-    """Minimal degree of a gradient relation, with a canonical witness.
+def mdr(ctx: JacobianContext) -> SyzygyWitness:
+    """Minimal degree d1 of a gradient relation, with a canonical witness.
 
     The witness is the first vector of the first nonzero kernel in degrees
     0 .. d-2, where every kernel vector is a relation: the first of
-    relation_generators.  Returns :class:`AtLeast` (d-1) when there is
-    none.  The witness is re-verified by exact expansion.
+    relation_generators.  When the walk certifies that there is none, d1 is
+    d-1: the Koszul relations have degree d-1, and one of them is nonzero
+    since its entries are partials.  The witness is then the first of
+    _koszul_relations, made primitive.  Either way it is re-verified by
+    exact expansion.
     """
     first = next(iter(relation_generators(ctx)), None)
     if first is None:
-        return AtLeast(ctx.d - 1)
+        first = (ctx.d - 1, linalg._primitive(list(_koszul_relations(ctx)[0])))
     witness = _vector_to_witness(*first)
     if not verify_witness(ctx, witness):
         raise AssertionError(f"kernel vector failed exact re-verification in degree {witness.r}")

@@ -367,6 +367,12 @@ class ProjectivePoint:
 # Parsing
 
 
+def _digit_limit() -> int:
+    """sys.get_int_max_str_digits(), the most digits int() reads, or 0 for
+    no limit: Python has none before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -436,8 +442,7 @@ class _Parser:
         """c^exponent in one power, refused when its numerator or denominator
         would have more digits than int() accepts in a literal."""
         size = max(abs(c.numerator), c.denominator)
-        # int() has no digit limit, and this function none, before Python 3.10.7
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        limit = _digit_limit()
         # size^exponent has floor(exponent*log10(size)) + 1 digits
         if limit and size > 1 and exponent >= limit / log10(size):
             raise ValueError(
@@ -483,17 +488,25 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise self.error("expected a number")
+        limit = _digit_limit()
+        if limit and self.pos - start > limit:
+            raise PolynomialSyntaxError(
+                f"the number has {self.pos - start} digits, more than {limit},"
+                " the limit for integers",
+                start,
+            )
         return int(self.text[start : self.pos])
 
 
 def parse_polynomial(text: str) -> HomogeneousPolynomial:
     """Parse and expand an expression into a homogeneous form.
 
-    Raises :class:`PolynomialSyntaxError` on malformed input,
-    :class:`NonHomogeneousError` when the expansion mixes total degrees and
+    Raises :class:`PolynomialSyntaxError` on malformed input and on a
+    number literal with more digits than ``sys.get_int_max_str_digits()``,
+    :class:`NonHomogeneousError` when the expansion mixes total degrees,
     :class:`DegreeLimitError`, before expanding it, on a product of degree
     above :data:`MAX_DEGREE`, and ``ValueError`` on a constant power with
-    more digits than ``sys.get_int_max_str_digits()``.
+    more digits than that limit.
     """
     expanded = _Parser(text).parse()
     degrees = {sum(mono) for mono in expanded}

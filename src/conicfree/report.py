@@ -32,7 +32,6 @@ from conicfree.freeness import (
     mdr_lower_bound,
 )
 from conicfree.jacobian import (
-    AtLeast,
     HilbertProfile,
     JacobianContext,
     SyzygyWitness,
@@ -66,7 +65,7 @@ class Analysis:
     f: HomogeneousPolynomial
     arrangement: ConicArrangement | None
     ctx: JacobianContext
-    witness: SyzygyWitness | AtLeast
+    witness: SyzygyWitness
     profile: HilbertProfile
     tau: int | None  # None when the window is unstable
     report: FreenessReport | None
@@ -74,9 +73,7 @@ class Analysis:
 
     @property
     def inconclusive(self) -> bool:
-        if self.tau is None:
-            return True
-        return self.report is not None and self.report.verdict == "indeterminate"
+        return self.tau is None
 
 
 def analyze_curve(
@@ -94,8 +91,7 @@ def analyze_curve(
     tau = profile.tau
     report = None
     if tau is not None:
-        d1 = witness.r if isinstance(witness, SyzygyWitness) else witness
-        report = build_report(ctx.d, d1, tau)
+        report = build_report(ctx.d, witness.r, tau)
     sv = None
     if arrangement is not None:
         sv = survey(arrangement, assume_qh=assume_qh)
@@ -114,10 +110,9 @@ def analyze_curve(
 
 def _witness_block(analysis: Analysis) -> dict:
     w = analysis.witness
-    if isinstance(w, AtLeast):
-        return {"d1": None, "d1_at_least": w.bound, "witness": None, "verified": None}
     # the witness comes from mdr, which re-verifies it by exact expansion and
-    # raises instead of returning one that fails
+    # raises instead of returning one that fails; d1 is always exact, and
+    # d1_at_least, always null, is kept so that SCHEMA_VERSION still holds
     return {
         "d1": w.r,
         "d1_at_least": None,
@@ -148,7 +143,7 @@ def _freeness_block(analysis: Analysis) -> dict | None:
         "mdr_lower_bound": None,
         "bound_check": None,
     }
-    alpha = None if sv is None or rep.d1_value() is None else arnold_exponent(sv, rep.tau)
+    alpha = None if sv is None else arnold_exponent(sv, rep.tau)
     if alpha is not None:
         block["arnold_exponent"] = exact(alpha)
         block["mdr_lower_bound"] = exact(mdr_lower_bound(alpha, rep.d))
@@ -274,15 +269,12 @@ def render_text(doc: dict) -> str:
         for i, c in enumerate(inp["components"]):
             lines.append(f"    [{i}] {c}")
     m = doc["mdr"]
-    if m["d1"] is None:
-        lines.append(f"minimal relation degree: at least {m['d1_at_least']}")
-    else:
-        w = m["witness"]
-        lines.append(
-            f"minimal relation degree: d1 = {m['d1']}"
-            f" (witness verified: {m['verified']})"
-        )
-        lines.append(f"  witness: a = {w['a']}; b = {w['b']}; c = {w['c']}")
+    w = m["witness"]
+    lines.append(
+        f"minimal relation degree: d1 = {m['d1']}"
+        f" (witness verified: {m['verified']})"
+    )
+    lines.append(f"  witness: a = {w['a']}; b = {w['b']}; c = {w['c']}")
     t = doc["tjurina"]
     window = ", ".join(f"dim[{a}]={b}" for a, b in t["window"])
     lines.append(f"Hilbert window: {window}")

@@ -182,8 +182,7 @@ def test_criterion_8_property_suite():
         values = [v for _, v in a.profile.window]
         assert values[0] == values[1] == values[2], e.name
         tau = values[0]
-        if isinstance(a.witness, SyzygyWitness):
-            assert verify_witness(a.ctx, a.witness), e.name
+        assert verify_witness(a.ctx, a.witness), e.name
         sv = a.survey
         if sv is not None:
             if sv.complete and sv.local_tau_total() is not None:

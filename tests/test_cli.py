@@ -53,10 +53,13 @@ def test_analyze_report_has_no_floats(capsys):
     assert no_floats(json.loads(out))
 
 
-def test_analyze_smooth_conic_is_inconclusive(capsys):
+def test_analyze_smooth_conic_is_nearly_free(capsys):
+    """No relation below d-1 = 1: d1 = 1 from a Koszul relation, tau = 0,
+    nu = 1, a verdict and exit 0."""
     code, out, _ = run_cli(capsys, "analyze", "x^2+y^2-z^2")
-    assert code == 2
+    assert code == 0
     assert "tau = 0" in out and "smooth" in out
+    assert "d1 = 1" in out and "verdict = nearly_free" in out
 
 
 def test_analyze_nonreduced_input_unstable_window(capsys):
@@ -329,6 +332,31 @@ def test_analyze_refuses_a_huge_constant_power_at_once(expression, message, caps
     assert time.perf_counter() - start < 1
     assert (code, out) == (1, "")
     assert message in err
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+
+@pytest.mark.parametrize(
+    "expression, position",
+    [
+        ("1" * (_LIMIT + 700) + "*x^2+y^2-z^2", 0),
+        ("x^2+y^2-1/" + "3" * (_LIMIT + 700) + "*z^2", 10),
+    ],
+)
+def test_analyze_refuses_a_literal_past_the_digit_limit_with_its_position(
+    expression, position, capsys
+):
+    code, out, err = run_cli(capsys, "analyze", expression)
+    assert (code, out) == (1, "")
+    assert f"has {_LIMIT + 700} digits, more than {_LIMIT}" in err
+    assert err.rstrip().endswith(f"(at position {position})")
+
+
+def test_analyze_takes_a_literal_at_the_digit_limit(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "1" * _LIMIT + "*x^2+y^2-z^2", "--json")
+    assert code == 0
+    assert json.loads(out)["input"]["polynomial"].startswith("1" * _LIMIT + "*x^2")
 
 
 # seven conics: 265 characters, past the 255-byte limit most file systems put

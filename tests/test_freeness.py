@@ -5,13 +5,12 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicfree.corpus import entry
 from conicfree.freeness import (
     FREE,
-    INDETERMINATE,
     NEARLY_FREE,
     NEITHER,
     UnsupportedTypeError,
@@ -24,10 +23,11 @@ from conicfree.freeness import (
     lct,
     mdr_lower_bound,
 )
-from conicfree.jacobian import AtLeast, JacobianContext, hilbert_profile, mdr
+from conicfree.jacobian import JacobianContext, hilbert_profile, mdr
 from conicfree.locus import ConicArrangement, SingType, survey
-from conicfree.poly import parse_polynomial
+from conicfree.poly import HomogeneousPolynomial, monomials_of_degree, parse_polynomial
 from conicfree.report import analysis_document, analyze_curve, to_json
+from exact_engine import agrees_with_exact_mdr, exact_mdr
 
 
 def test_build_report_named_examples():
@@ -39,12 +39,6 @@ def test_build_report_named_examples():
 
     pencil10 = build_report(10, 2, 64)
     assert (pencil10.nu, pencil10.verdict) == (3, NEITHER)
-
-
-def test_build_report_indeterminate_on_lower_bound():
-    rep = build_report(2, AtLeast(1), 0)
-    assert rep.verdict == INDETERMINATE
-    assert rep.eta is None and rep.nu is None
 
 
 def test_build_report_range_hypothesis_for_freeness():
@@ -62,6 +56,48 @@ def test_build_report_flags_large_d1_nearly_free():
     rep = build_report(d, d1, tau)
     assert rep.verdict == NEARLY_FREE
     assert any("manual review" in note for note in rep.notes)
+
+
+@st.composite
+def _perturbed_fermat(draw):
+    """x^d + y^d + z^d plus small integer coefficients, d in 2..5."""
+    d = draw(st.integers(2, 5))
+    coefficients = draw(st.lists(st.integers(-3, 3), min_size=(d + 1) * (d + 2) // 2))
+    terms = dict(zip(monomials_of_degree(d), coefficients))
+    for mono in ((d, 0, 0), (0, d, 0), (0, 0, d)):
+        terms[mono] = terms.get(mono, 0) + 1
+    return HomogeneousPolynomial(d, {m: c for m, c in terms.items() if c})
+
+
+@settings(max_examples=30, deadline=None)
+@given(f=_perturbed_fermat())
+def test_smooth_curves_have_d1_equal_to_d_minus_one(f):
+    """A smooth curve has only Koszul relations, all of degree d-1, so d1 =
+    d-1, tau = 0, eta = nu = (d-1)^2: nearly free for the conic and
+    neither above it.  The exact engine finds no kernel below d-1 and one
+    in degree d-1; the witness is checked by expanding a*f_x + b*f_y + c*f_z."""
+    ctx = JacobianContext.for_curve(f)
+    assume(hilbert_profile(ctx).smooth)
+    d = ctx.d
+    w = mdr(ctx)
+    assert w.r == d - 1
+    fx, fy, fz = ctx.partials
+    assert (w.a * fx + w.b * fy + w.c * fz).is_zero()
+    assert exact_mdr(ctx).r == d - 1 and agrees_with_exact_mdr(ctx, w)
+    rep = analyze_curve(f).report
+    assert (rep.d1, rep.tau, rep.eta, rep.nu) == (d - 1, 0, (d - 1) ** 2, (d - 1) ** 2)
+    assert rep.verdict == build_report(d, d - 1, 0).verdict
+    assert rep.verdict == (NEARLY_FREE if d == 2 else NEITHER)
+
+
+@pytest.mark.parametrize(
+    "text, d1, tau, verdict",
+    [("x^2+y^2-z^2", 1, 0, NEARLY_FREE), ("y^2*z-x^3-x^2*z", 2, 1, NEITHER)],
+)
+def test_curves_without_a_relation_below_d_minus_one_get_a_verdict(text, d1, tau, verdict):
+    """The smooth conic (nu = 1) and the nodal cubic (eta = 4, nu = 3)."""
+    rep = analyze_curve(parse_polynomial(text)).report
+    assert (rep.d1, rep.tau, rep.verdict) == (d1, tau, verdict)
 
 
 def _solve_weights(support):

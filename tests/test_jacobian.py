@@ -8,7 +8,6 @@ from conicfree import linalg
 from conicfree.corpus import entry
 from conicfree.jacobian import (
     MAX_WINDOW_EXTEND,
-    AtLeast,
     JacobianContext,
     SyzygyWitness,
     hilbert_profile,
@@ -117,8 +116,13 @@ def test_mdr_pencil_witness_is_the_symmetric_triple():
 
 
 def test_mdr_smooth_conic_exhausts_search():
-    w = mdr(_ctx("x^2+y^2-z^2"))
-    assert w == AtLeast(1)
+    """No relation in degree 0, so d1 = d-1 = 1 with the first Koszul
+    relation (f_y, -f_x, 0) = (2y, -2x, 0), made primitive."""
+    ctx = _ctx("x^2+y^2-z^2")
+    w = mdr(ctx)
+    assert w.r == 1
+    assert (w.a, w.b) == (parse_polynomial("y"), parse_polynomial("-x")) and w.c.is_zero()
+    assert verify_witness(ctx, w)
 
 
 def test_mdr_minimality_reasserted():
