@@ -5,9 +5,11 @@ Inputs: the pencil through four general points with m = 7 and 8 members
 (d = 14, 16; built as ``corpus.pencil_four_points`` builds m <= 6), the
 generic arrangements of k = 5..8 dense conics drawn by the benchmark's
 ``perfbench/inputs.py`` (``_generic_conics``) from a fresh
-``random.Random(12345)`` for each k, and the k = 8 one at height: each
+``random.Random(12345)`` for each k, the k = 8 one at height: each
 coefficient c at position i of a conic becomes c * 10^6 + (i mod 3), which
-puts the Dixon lifting on Python integers.
+puts the Dixon lifting on Python integers, and three seeds on which the
+relation bound of the window needs leading terms above degree d-1: k = 7
+seed 4 and k = 8 seeds 4 and 19, each coefficient c made c + (i mod 3).
 
     python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
 
@@ -36,6 +38,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,7 +46,24 @@ PENCIL_F = "3*x^2+y^2-4*z^2"
 PENCIL_G = "x^2+3*y^2-4*z^2"
 GENERIC_SEED = 12345
 HEIGHT = 10**6  # the scale of the height input
+SHIFTED_SEEDS = ((7, 4), (8, 4), (8, 19))  # (k, seed) of the shifted inputs at scale 1
 REPEATS = 3  # runs per side, for every input
+
+
+@cache
+def _inputs():
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def shifted_texts(k: int, seed: int, scale: int = 1) -> list[str]:
+    """The generic k conics of random.Random(seed), each coefficient c at
+    position i of a conic made c * scale + (i mod 3)."""
+    inputs = _inputs()
+    conics = inputs._generic_conics(random.Random(seed), k)
+    return [inputs.conic_text(tuple(c * scale + i % 3 for i, c in enumerate(q))) for q in conics]
 
 
 def arrangements() -> dict[str, list[str]]:
@@ -53,15 +73,13 @@ def arrangements() -> dict[str, list[str]]:
         pencil = [PENCIL_F, PENCIL_G]
         pencil += [f"({PENCIL_F})+{lam}*({PENCIL_G})" for lam in range(1, m - 1)]
         out[f"pencil_four_points_m{m}"] = pencil
-    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
+    inputs = _inputs()
     for k in range(5, 9):
         conics = inputs._generic_conics(random.Random(GENERIC_SEED), k)
         out[f"generic_k{k}"] = [inputs.conic_text(q) for q in conics]
-    conics = inputs._generic_conics(random.Random(GENERIC_SEED), 8)
-    high = [tuple(c * HEIGHT + i % 3 for i, c in enumerate(q)) for q in conics]
-    out["generic_k8_s1e6"] = [inputs.conic_text(q) for q in high]
+    out["generic_k8_s1e6"] = shifted_texts(8, GENERIC_SEED, HEIGHT)
+    for k, seed in SHIFTED_SEEDS:
+        out[f"generic_k{k}_seed{seed}"] = shifted_texts(k, seed)
     return out
 
 

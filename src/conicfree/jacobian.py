@@ -33,23 +33,26 @@ exact relations: generators found by one walk per curve over degrees
 fall short; mdr reads d1 and its witness off the first generator, or
 off the first Koszul relation when there is none) and the three Koszul
 relations (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1,
-re-verified exactly as one array product.  At the window degrees
-rank_p(F) is bounded from below by leading terms (three components):
-every relation in F has degree <= d-1, so F_s = S_{s-d+1} F_{d-1}, and
-F_{d-1} is eliminated once per window, F_s only where that count falls
-short.  Bounds
-that overlap, or a row of F that a fixed pseudo-random combination shows
-is no relation mod p, raise: either means a fault in building F.  Where
-the bounds do not meet, the rank comes from the lifted-kernel certificate
-of linalg.rank_certified; a missing generator can only cause that
-fallback, never a wrong rank.
+re-verified exactly as one array product, once per curve (ctx.koszul).
+rank_p(F_s) is bounded from below by leading terms too (three
+components), on a ladder of rungs t = min(s, d-1) .. s: every relation
+has degree <= d-1, so F_s = S_{s-t} F_t.  Each F_t is eliminated at most
+once per window, and the ladder stops at the first rung that closes the
+bounds; its last rung is F_s itself, the only one in the walk (s <= d-2).
+The rungs are a truncated Groebner basis built degree by degree from
+Macaulay matrices (Lazard 1983; Faugere's F4, 1999).  Bounds that
+overlap, or a row of F that a fixed pseudo-random combination shows is
+no relation mod p, raise: either means a fault in building F.  Where the
+bounds do not meet, the rank comes from the lifted-kernel certificate of
+linalg.rank_certified; a missing generator can only cause that fallback,
+never a wrong rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 # the certified engine is called as linalg.rank_certified and
@@ -65,7 +68,6 @@ from conicfree.linalg import (
     np,
     pivot_columns_mod,
     product_mod,
-    rank_mod,
     residues_mod,
 )
 from conicfree.poly import (
@@ -115,6 +117,26 @@ class JacobianContext:
         norm in every degree s.
         """
         return sum(abs(v) for g in self.integer_partials for v in g.values())
+
+    @cached_property
+    def koszul(self) -> tuple[Relation, ...]:
+        """(f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, made
+        primitive, as object vectors in the layout of syzygy_matrix(ctx, d-1);
+        zero triples are left out, and the rest re-verified exactly, once per
+        curve, as one array product with that matrix (linalg._kills)."""
+        e = self.d - 1
+        n = degree_dimension(e)
+        partials = self.integer_partials
+        rows = np.zeros((3, 3 * n), dtype=object)
+        for row, (f, g) in zip(rows, ((0, 1), (0, 2), (1, 2))):
+            for k, h, sign in ((f, g, 1), (g, f, -1)):
+                if partials[h]:
+                    positions = _grlex_position(np.array(list(partials[h])), e)
+                    row[k * n + positions] = [sign * c for c in partials[h].values()]
+        rows = rows[(rows != 0).any(axis=1)]
+        if not _kills(_SparseRows(syzygy_matrix(self, e).array), rows.T):
+            raise AssertionError("a Koszul relation failed exact re-verification")
+        return tuple((e, row // gcd(*row)) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -215,28 +237,6 @@ def _relation_multiples(relations: Sequence[Relation], s: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _koszul_relations(ctx: JacobianContext) -> np.ndarray:
-    """(f_y, -f_x, 0), (f_z, 0, -f_x) and (0, f_z, -f_y) in the layout of
-    syzygy_matrix(ctx, d-1), as the rows of an object array.
-
-    Zero triples are left out; the rest are re-verified exactly as one
-    array product with syzygy_matrix(ctx, d-1) (linalg._kills).
-    """
-    e = ctx.d - 1
-    n = degree_dimension(e)
-    partials = ctx.integer_partials
-    rows = np.zeros((3, 3 * n), dtype=object)
-    for row, (f, g) in zip(rows, ((0, 1), (0, 2), (1, 2))):
-        for k, h, sign in ((f, g, 1), (g, f, -1)):
-            if partials[h]:
-                positions = _grlex_position(np.array(list(partials[h])), e)
-                row[k * n + positions] = [sign * c for c in partials[h].values()]
-    rows = rows[(rows != 0).any(axis=1)]
-    if not _kills(_SparseRows(syzygy_matrix(ctx, e).array), rows.T):
-        raise AssertionError("a Koszul relation failed exact re-verification")
-    return rows
-
-
 def _residues(relations: Sequence[Relation]) -> list[Relation]:
     """The relations with their vectors reduced mod p, as int64."""
     return [(e, residues_mod(vec)) for e, vec in relations]
@@ -307,7 +307,8 @@ def _certified_rank(
     s: int,
     matrix: RatMatrix,
     multiples: np.ndarray,
-    terms: np.ndarray | None = None,
+    residues: Sequence[Relation],
+    rungs: dict[int, np.ndarray],
 ) -> int | None:
     """rank A_s (matrix = syzygy_matrix(ctx, s)) when two bounds meet, else None.
 
@@ -315,14 +316,13 @@ def _certified_rank(
     lower one multiplies the leading monomials of J recorded in the highest
     degree e <= s (ctx.leading): J is generated in degree d-1, so
     J_{s+d-1} = S_{s-e} J_{e+d-1}, and the count is at most rank_p(A_s).
-    The rows of multiples are relations (mod p), so rank_p(A_s) <= rank <=
-    cols - rank_p(multiples) over the rationals: a nonzero minor mod p is
-    nonzero over Q, and relations independent mod p are independent kernel
-    vectors.  Given terms, rank_p(multiples) is bounded from below by the
-    multiples of its leading terms: for s >= d-1 the rows of multiples span
-    S_{s-d+1} times the relation multiples in degree d-1, and terms are
-    their leading terms.  multiples is eliminated only when the bounds fall
-    short without it, and A_s itself only when they still do, which records
+    The rows of multiples (F_s, from residues) are relations (mod p), so
+    rank_p(A_s) <= rank <= cols - rank_p(F_s) over the rationals: a nonzero
+    minor mod p is nonzero over Q, and relations independent mod p are
+    independent kernel vectors.  rank_p(F_s) is bounded from below on the
+    ladder of rungs t = min(s, d-1) .. s (module docstring), whose leading
+    terms rungs records by t; the rung t = s eliminates multiples itself.
+    A_s is eliminated only when the last rung falls short, which records
     its leading monomials for the degrees above.  A sum above cols can only
     come from a row that is not a relation, and raises; so does a row that
     _relations_mod_p catches before a rank is accepted.
@@ -330,9 +330,14 @@ def _certified_rank(
     shift = ctx.d - 1
     e = max((r for r in ctx.leading if r <= s), default=None)
     lower = 0 if e is None else len(_leading_multiples(ctx.leading[e], e + shift, s + shift))
-    spanned = 0 if terms is None else len(_leading_multiples(terms, shift, s))
-    if lower + spanned < matrix.cols:
-        spanned = rank_mod(multiples)
+    spanned = 0
+    for t in range(min(s, shift), s + 1):
+        if lower + spanned >= matrix.cols:
+            break
+        if t not in rungs:
+            rows = multiples if t == s else _relation_multiples(residues, t)
+            rungs[t] = _leading_terms(rows, t)
+        spanned = len(_leading_multiples(rungs[t], t, s))
     if lower + spanned < matrix.cols:
         ctx.leading[s] = _leading_terms(matrix.array.T, s + shift)
         lower = len(ctx.leading[s])
@@ -377,9 +382,10 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         return ctx.generators
     found: list[Relation] = []
     for e in range(ctx.d - 1):
-        known = _relation_multiples(_residues(found), e)
+        residues = _residues(found)
+        known = _relation_multiples(residues, e)
         matrix = syzygy_matrix(ctx, e)
-        if _certified_rank(ctx, e, matrix, known) is not None:
+        if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
             continue
         vectors = linalg.kernel_basis_certified(matrix).vectors
         kernel = np.array(vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
@@ -395,23 +401,20 @@ def _syzygy_ranks(ctx: JacobianContext, degrees: list[int]) -> list[int]:
     Each rank is certified two-sided (_certified_rank): below by the multiples
     of the leading monomials recorded by relation_generators, the curve's
     one relation walk; above by the multiples of its generators and, once a
-    degree reaches d-1, of the three Koszul relations, whose leading terms
-    in degree d-1 are then taken once per call.  No kernel is lifted at
-    degree s; where the bounds do not meet, the rank comes from the
-    lifted-kernel certificate of linalg.rank_certified.
+    degree reaches d-1, of the three Koszul relations (ctx.koszul), with one
+    ladder of rungs for all the degrees.  No kernel is lifted at degree s;
+    where the bounds do not meet, the rank comes from the lifted-kernel
+    certificate of linalg.rank_certified.
     """
     residues = _residues(relation_generators(ctx))
-    terms = None
     if max(degrees) >= ctx.d - 1:
-        residues += _residues([(ctx.d - 1, v) for v in _koszul_relations(ctx)])
-        terms = _leading_terms(_relation_multiples(residues, ctx.d - 1), ctx.d - 1)
+        residues += _residues(ctx.koszul)
+    rungs: dict[int, np.ndarray] = {}
 
     def rank(s: int) -> int:
         matrix = syzygy_matrix(ctx, s)
         multiples = _relation_multiples(residues, s)
-        certified = _certified_rank(
-            ctx, s, matrix, multiples, terms if s >= ctx.d - 1 else None
-        )
+        certified = _certified_rank(ctx, s, matrix, multiples, residues, rungs)
         return linalg.rank_certified(matrix) if certified is None else certified
 
     return [rank(s) if s >= 0 else 0 for s in degrees]
@@ -479,13 +482,10 @@ def mdr(ctx: JacobianContext) -> SyzygyWitness:
     relation_generators.  When the walk certifies that there is none, d1 is
     d-1: the Koszul relations have degree d-1, and one of them is nonzero
     since its entries are partials.  The witness is then the first of
-    _koszul_relations, made primitive.  Either way it is re-verified by
-    exact expansion.
+    ctx.koszul.  Either way it is re-verified by exact expansion.
     """
-    first = next(iter(relation_generators(ctx)), None)
-    if first is None:
-        first = (ctx.d - 1, linalg._primitive(list(_koszul_relations(ctx)[0])))
-    witness = _vector_to_witness(*first)
+    generators = relation_generators(ctx)
+    witness = _vector_to_witness(*(generators[0] if generators else ctx.koszul[0]))
     if not verify_witness(ctx, witness):
         raise AssertionError(f"kernel vector failed exact re-verification in degree {witness.r}")
     return witness

@@ -51,14 +51,14 @@ builds a row echelon form: each step clears the pivot column below the
 pivot row only, and the pivot row is neither normalised nor kept.  The
 pivot columns depend only on the row space, so both give the same ones.
 
-:func:`pivot_columns_mod`, :func:`rank_mod` and :func:`product_mod` work
-modulo one fixed prime, BOUND_PRIME, the first that the certified engine
-tries; the first two read pivot columns only, and the third is one dense
-int64 product wherever a bound on the row l1 norms keeps it exact.  A
-rank mod p is a lower bound for the rank over the rationals; the Hilbert
-window (conicfree.jacobian) pairs it with explicit exact relations for the
-upper bound and calls :func:`rank_certified` only where the two bounds do
-not meet.
+:func:`pivot_columns_mod` and :func:`product_mod` work modulo one fixed
+prime, BOUND_PRIME, the first that the certified engine tries; the first
+reads pivot columns only, and the second is one dense int64 product
+wherever a bound on the row l1 norms keeps it exact.  A rank mod p (the
+count of pivot columns) is a lower bound for the rank over the rationals;
+the Hilbert window (conicfree.jacobian) pairs it with explicit exact
+relations for the upper bound and calls :func:`rank_certified` only where
+the two bounds do not meet.
 
 All operations are pure and deterministic: primes are taken in descending
 order below 2^31, pivot rules are fixed and nothing is random.
@@ -390,11 +390,6 @@ def pivot_columns_mod(a: np.ndarray) -> tuple[int, ...]:
     rationals: a nonzero minor mod p is nonzero over Q.
     """
     return _pivots_mod(residues_mod(a), BOUND_PRIME)
-
-
-def rank_mod(a: np.ndarray) -> int:
-    """Rank of the integer array a modulo BOUND_PRIME, eliminated along its shorter side."""
-    return len(pivot_columns_mod(a.T if a.shape[1] > a.shape[0] else a))
 
 
 def product_mod(a: np.ndarray, x: np.ndarray, l1: int) -> np.ndarray:

@@ -256,12 +256,14 @@ def expand_product(forms: Iterable[HomogeneousPolynomial]) -> HomogeneousPolynom
     Integral coefficients enter _mul as Python integers (the numerator where
     the denominator is 1), so integer input multiplies in integers and the
     product is converted to Fraction once; other coefficients stay Fraction.
+    Raises ValueError on a coefficient past the digit limit (_check_digits).
     """
     degree, terms = 0, {(0, 0, 0): 1}
     for g in forms:
         degree += g.degree
         integral = {m: c.numerator if c.denominator == 1 else c for m, c in g.terms.items()}
         terms = _mul(terms, integral)
+    _check_digits(terms)
     return HomogeneousPolynomial(degree, terms)
 
 
@@ -371,6 +373,18 @@ def _digit_limit() -> int:
     """sys.get_int_max_str_digits(), the most digits int() reads, or 0 for
     no limit: Python has none before 3.10.7."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _check_digits(terms: Terms) -> None:
+    """Refuse an expansion with a coefficient whose numerator or denominator
+    has more digits than the limit, which str() would refuse to print."""
+    limit = _digit_limit()
+    sizes = (max(abs(c.numerator), c.denominator) for c in terms.values())
+    # below 2^(3.32 * limit) < 10^limit a number has at most limit digits
+    if limit and any(n.bit_length() > 3.32 * limit and n >= 10**limit for n in sizes):
+        raise ValueError(
+            f"an expanded coefficient has more than {limit} digits, the limit for integers"
+        )
 
 
 class _Parser:
@@ -505,10 +519,11 @@ def parse_polynomial(text: str) -> HomogeneousPolynomial:
     number literal with more digits than ``sys.get_int_max_str_digits()``,
     :class:`NonHomogeneousError` when the expansion mixes total degrees,
     :class:`DegreeLimitError`, before expanding it, on a product of degree
-    above :data:`MAX_DEGREE`, and ``ValueError`` on a constant power with
-    more digits than that limit.
+    above :data:`MAX_DEGREE`, and ``ValueError`` on a constant power or an
+    expanded coefficient with more digits than that limit.
     """
     expanded = _Parser(text).parse()
+    _check_digits(expanded)
     degrees = {sum(mono) for mono in expanded}
     if len(degrees) > 1:
         raise NonHomogeneousError(

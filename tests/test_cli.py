@@ -359,6 +359,29 @@ def test_analyze_takes_a_literal_at_the_digit_limit(capsys):
     assert json.loads(out)["input"]["polynomial"].startswith("1" * _LIMIT + "*x^2")
 
 
+_NINES = "9" * 3000  # a literal below the digit limit whose square passes it
+
+
+@pytest.mark.parametrize("form", ["expression", "file"])
+def test_analyze_refuses_an_expansion_past_the_digit_limit_before_linear_algebra(
+    form, tmp_path, capsys, monkeypatch
+):
+    from conicfree import jacobian
+
+    def refuse(*args):
+        raise AssertionError("the linear algebra ran")
+
+    monkeypatch.setattr(jacobian, "syzygy_matrix", refuse)
+    conics = [f"{_NINES}*x^2+y^2-z^2", f"{_NINES}*x^2-y^2+2*z^2"]
+    target = "*".join(f"({q})" for q in conics)
+    if form == "file":
+        target = tmp_path / "two.txt"
+        target.write_text("\n".join(conics) + "\n")
+    code, out, err = run_cli(capsys, "analyze", str(target), "--json")
+    assert (code, out) == (1, "")
+    assert f"an expanded coefficient has more than {_LIMIT} digits" in err
+
+
 # seven conics: 265 characters, past the 255-byte limit most file systems put
 # on a file name
 LONG_PRODUCT = "*".join(

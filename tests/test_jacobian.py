@@ -1,10 +1,11 @@
 """Gradient-ideal analysis: Hilbert window, Tjurina numbers, relations."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conicfree import linalg
+from conicfree import jacobian, linalg
 from conicfree.corpus import entry
 from conicfree.jacobian import (
     MAX_WINDOW_EXTEND,
@@ -297,3 +298,22 @@ def test_rational_input_analyzes_like_its_denominator_cleared_copy():
     assert a.tau == b.tau
     assert a.report.verdict == b.report.verdict
     assert (a.report.d1, a.report.nu) == (b.report.d1, b.report.nu)
+
+
+@pytest.mark.parametrize("text", ["x^4+y^4+z^4", PERSSON])
+def test_koszul_relations_are_built_once_per_analysis(text, monkeypatch):
+    """mdr (with no relation below d-1 for the Fermat quartic) and the window
+    share one build of the Koszul relations, with one exact check: the only
+    _kills of the jacobian module."""
+    checks = []
+    original = jacobian._kills
+
+    def spy(a, v):
+        checks.append(v.shape)
+        return original(a, v)
+
+    monkeypatch.setattr(jacobian, "_kills", spy)
+    analysis = analyze_curve(parse_polynomial(text))
+    koszul = analysis.ctx.koszul
+    assert checks == [(3 * len(monomials_of_degree(analysis.ctx.d - 1)), len(koszul))]
+    assert all(e == analysis.ctx.d - 1 and gcd(*vec) == 1 for e, vec in koszul)

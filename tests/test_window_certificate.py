@@ -71,8 +71,7 @@ def _window_shifts(ctx):
 
 def _relations(ctx):
     """The exact relations whose multiples form F at the window degrees."""
-    koszul = tuple((ctx.d - 1, v) for v in jacobian._koszul_relations(ctx))
-    return relation_generators(ctx) + koszul
+    return relation_generators(ctx) + ctx.koszul
 
 
 def _refuse(matrix):
@@ -471,60 +470,72 @@ def test_leading_count_never_exceeds_the_exact_rank_on_products_of_conics(conics
     _leading_count_at_most_rank(_curve([_conic_text(q) for q in conics]))
 
 
-def _bench_generic_k5():
-    """The generic k = 5 arrangement that scripts/bench_windows.py times."""
+@lru_cache(maxsize=None)
+def _bench_windows():
+    """scripts/bench_windows.py, for its inputs."""
     spec = importlib.util.spec_from_file_location(
         "bench_windows", ROOT / "scripts" / "bench_windows.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return _curve(module.arrangements()["generic_k5"])
+    return module
 
 
-def _relation_eliminations(ctx, monkeypatch):
-    """The degrees at which hilbert_profile eliminates the relation multiples, and
-    the number of eliminations of their leading terms in degree d-1; fallback refused."""
-    degrees, current, module = [], [], []
-    original_certified = jacobian._certified_rank
-    original_rank_mod = jacobian.rank_mod
-    original_terms = jacobian._leading_terms
+def _relation_rungs(ctx, monkeypatch):
+    """The rungs t at which hilbert_profile eliminates relation multiples (their
+    leading terms in degree t), with the relation walk run before, and tau;
+    fallback refused."""
+    relation_generators(ctx)
+    rungs = []
+    original = jacobian._leading_terms
 
-    def certified(ctx, s, *args):
-        current.append(s)
-        return original_certified(ctx, s, *args)
-
-    def rank_mod(a):
-        degrees.append(current[-1])
-        return original_rank_mod(a)
-
-    def terms(rows, t):
+    def spy(rows, t):
         if not _is_gradient_ideal(rows, t):
-            module.append(t)
-        return original_terms(rows, t)
+            rungs.append(t)
+        return original(rows, t)
 
     with monkeypatch.context() as m:
-        m.setattr(jacobian, "_certified_rank", certified)
-        m.setattr(jacobian, "rank_mod", rank_mod)
-        m.setattr(jacobian, "_leading_terms", terms)
+        m.setattr(jacobian, "_leading_terms", spy)
         m.setattr(linalg, "rank_certified", _refuse)
-        hilbert_profile(ctx)
-    assert set(module) <= {ctx.d - 1}
-    return [s for s in degrees if s >= 2 * ctx.d - 5], len(module)
+        tau = hilbert_profile(ctx).tau
+    return rungs, tau
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_generic_windows_eliminate_no_relation_multiples(seed, monkeypatch):
     for ctx in _generic_inputs(seed):
-        assert _relation_eliminations(_fresh(ctx), monkeypatch) == ([], 1)
+        k = ctx.d // 2
+        assert _relation_rungs(_fresh(ctx), monkeypatch) == ([ctx.d - 1], 2 * k * (k - 1))
 
 
 def test_large_generic_window_eliminates_no_relation_multiples(monkeypatch):
-    assert _relation_eliminations(_bench_generic_k5(), monkeypatch) == ([], 1)
+    ctx = _curve(_bench_windows().arrangements()["generic_k5"])
+    assert _relation_rungs(ctx, monkeypatch) == ([ctx.d - 1], 40)
 
 
 def test_corpus_windows_eliminate_no_relation_multiples(monkeypatch):
     for e, ctx in _corpus():
-        assert _relation_eliminations(_fresh(ctx), monkeypatch) == ([], 1), e.name
+        rungs = _relation_rungs(_fresh(ctx), monkeypatch)
+        assert rungs == ([ctx.d - 1], e.expected["tau"]), e.name
+
+
+# (k, seed) -> tau of the shifted generic inputs whose relation bound needs
+# leading terms above degree d-1: a ladder cut at d-1 falls to the full
+# elimination of F_s, 3-10 s on each of them
+CLIFF_TAUS = {(7, 4): 85, (8, 4): 115, (8, 19): 115}
+
+
+@pytest.mark.parametrize(
+    "k, seed", [(k, seed) for k in (4, 5, 6) for seed in range(1, 21)] + list(CLIFF_TAUS)
+)
+def test_no_relation_rung_reaches_a_window_degree(k, seed, monkeypatch):
+    """The seed ladder of the shifted generic inputs (scripts/bench_windows.py):
+    every window rank closes on rungs below the first window degree 2d-5, so no
+    window degree eliminates its relation multiples."""
+    ctx = _curve(_bench_windows().shifted_texts(k, seed))
+    rungs, tau = _relation_rungs(ctx, monkeypatch)
+    assert rungs and max(rungs) < 2 * ctx.d - 5, rungs
+    assert tau == CLIFF_TAUS.get((k, seed), tau)
 
 
 def _relation_terms(ctx):
@@ -550,7 +561,8 @@ def _relation_count_at_most_rank(ctx):
     for s in _window_shifts(ctx):
         count = len(jacobian._leading_multiples(terms, ctx.d - 1, s))
         matrix = syzygy_matrix(ctx, s)
-        assert count <= linalg.rank_mod(jacobian._relation_multiples(residues, s)), (ctx.d, s)
+        f = jacobian._relation_multiples(residues, s)
+        assert count <= len(linalg.pivot_columns_mod(f)), (ctx.d, s)
         assert 0 < count <= matrix.cols - linalg.rank(matrix), (ctx.d, s)
 
 
