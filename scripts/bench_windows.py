@@ -3,13 +3,15 @@
 
 Inputs: the pencil through four general points with m = 7 and 8 members
 (d = 14, 16; built as ``corpus.pencil_four_points`` builds m <= 6), the
-generic arrangements of k = 5..8 dense conics drawn by the benchmark's
-``perfbench/inputs.py`` (``_generic_conics``) from a fresh
-``random.Random(12345)`` for each k, the k = 8 one at height: each
-coefficient c at position i of a conic becomes c * 10^6 + (i mod 3), which
-puts the Dixon lifting on Python integers, and three seeds on which the
-relation bound of the window needs leading terms above degree d-1: k = 7
-seed 4 and k = 8 seeds 4 and 19, each coefficient c made c + (i mod 3).
+generic arrangements of k = 5..8 and 10 dense conics drawn by the
+benchmark's ``perfbench/inputs.py`` (``_generic_conics``) from a fresh
+``random.Random(12345)`` for each k, the k = 8 one at two heights: each
+coefficient c at position i of a conic becomes c * s + (i mod 3) for
+s = 10^6 and 10^12, and three seeds on which the relation bound of the
+window needs leading terms above degree d-1: k = 7 seed 4 and k = 8 seeds
+4 and 19, each coefficient c made c + (i mod 3).  Every context is built
+with the arrangement's integer conics where the checkout's
+``JacobianContext.for_curve`` takes them, as ``analyze_curve`` builds it.
 
     python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import json
 import os
 import platform
@@ -45,7 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PENCIL_F = "3*x^2+y^2-4*z^2"
 PENCIL_G = "x^2+3*y^2-4*z^2"
 GENERIC_SEED = 12345
-HEIGHT = 10**6  # the scale of the height input
+HEIGHTS = {"1e6": 10**6, "1e12": 10**12}  # the scales of the height inputs, by name
 SHIFTED_SEEDS = ((7, 4), (8, 4), (8, 19))  # (k, seed) of the shifted inputs at scale 1
 REPEATS = 3  # runs per side, for every input
 
@@ -74,10 +77,11 @@ def arrangements() -> dict[str, list[str]]:
         pencil += [f"({PENCIL_F})+{lam}*({PENCIL_G})" for lam in range(1, m - 1)]
         out[f"pencil_four_points_m{m}"] = pencil
     inputs = _inputs()
-    for k in range(5, 9):
+    for k in (5, 6, 7, 8, 10):
         conics = inputs._generic_conics(random.Random(GENERIC_SEED), k)
         out[f"generic_k{k}"] = [inputs.conic_text(q) for q in conics]
-    out["generic_k8_s1e6"] = shifted_texts(8, GENERIC_SEED, HEIGHT)
+    for tag, scale in HEIGHTS.items():
+        out[f"generic_k8_s{tag}"] = shifted_texts(8, GENERIC_SEED, scale)
     for k, seed in SHIFTED_SEEDS:
         out[f"generic_k{k}_seed{seed}"] = shifted_texts(k, seed)
     return out
@@ -93,16 +97,19 @@ def time_one(src: str, name: str) -> dict:
 
     texts = arrangements()[name]
     f = parse_polynomial("*".join(f"({t})" for t in texts))
-    ctx = JacobianContext.for_curve(f)
+    arr = ConicArrangement.from_texts(texts)
+    # a checkout older than the pair relations takes the curve alone
+    takes_conics = "conics" in inspect.signature(JacobianContext.for_curve).parameters
+    options = {"conics": [q.integer for q in arr.components]} if takes_conics else {}
+    ctx = JacobianContext.for_curve(f, **options)
     t0 = time.perf_counter()
     profile = hilbert_profile(ctx)
     seconds = time.perf_counter() - t0
-    ctx = JacobianContext.for_curve(f)
+    ctx = JacobianContext.for_curve(f, **options)
     t0 = time.perf_counter()
     witness = mdr(ctx)
     hilbert_profile(ctx)
     pipeline = time.perf_counter() - t0
-    arr = ConicArrangement.from_texts(texts)
     t0 = time.perf_counter()
     sv = survey(arr)
     survey_seconds = time.perf_counter() - t0

@@ -46,6 +46,22 @@ no relation mod p, raise: either means a fault in building F.  Where the
 bounds do not meet, the rank comes from the lifted-kernel certificate of
 linalg.rank_certified; a missing generator can only cause that fallback,
 never a wrong rank.
+
+A conic arrangement has closed-form relations in degree d-2, the
+logarithmic derivations of pairs of conics (K. Saito 1980; Schenck and
+Tohaneanu 2009): for the pairs (0, j), d*P*rho - (rho . grad P)*(x, y, z)
+with rho = grad q_0 x grad q_j and P the product of the other conics
+(pair_relations).  When the context carries the integer conics
+(ctx.conics, which report.analyze_curve passes from the arrangement; an
+expression is not factored and gets none), the walk builds them only
+where it would otherwise lift the kernel at d-2, checks them exactly
+against A_{d-2}, and adds their residues to the multiples of the lower
+generators.  Where that closes the two-sided bound they span the kernel,
+and linalg.kernel_basis_from_span puts them in the standard form a lift
+returns, so the generators, the witness and the window are unchanged.  On
+a generic arrangement no kernel is then lifted at all.  Where they fall
+short (a triple point, a pencil) or the support test fails, the kernel is
+lifted.
 """
 
 from __future__ import annotations
@@ -86,6 +102,9 @@ class JacobianContext:
     f: HomogeneousPolynomial
     d: int
     partials: tuple[HomogeneousPolynomial, HomogeneousPolynomial, HomogeneousPolynomial]
+    # the integer conics (ConicForm.integer) whose product is a constant
+    # times f, where known; the walk builds their pair relations at d-2
+    conics: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
     # relation_generators, None until it runs: the one relation walk per
     # curve, read by mdr and by the ranks of the Hilbert window
     generators: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -94,13 +113,22 @@ class JacobianContext:
     leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
-    def for_curve(cls, f: HomogeneousPolynomial) -> "JacobianContext":
+    def for_curve(
+        cls, f: HomogeneousPolynomial, conics: Sequence[Sequence[int]] | None = None
+    ) -> "JacobianContext":
+        """The context of f; conics, when given, are integer conics whose
+        product is a nonzero constant times f (report.analyze_curve checks
+        it), and a pair relation that is no relation of f raises."""
         if f.is_zero():
             raise ValueError("the zero polynomial does not define a curve")
         if f.degree < 2:
             raise ValueError("curve degree must be at least 2")
+        if conics is not None:
+            conics = tuple(tuple(q) for q in conics)
+            if 2 * len(conics) != f.degree:
+                raise ValueError(f"{len(conics)} conics do not make a curve of degree {f.degree}")
         partials = tuple(f.partial(v) for v in VAR_NAMES)
-        return cls(f=f, d=f.degree, partials=partials)
+        return cls(f=f, d=f.degree, partials=partials, conics=conics)
 
     @cached_property
     def integer_partials(self) -> tuple[dict[Mono3, int], ...]:
@@ -205,6 +233,69 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
         rows = _grlex_position(prods, t)
         a[rows, k * n + np.arange(n)] = np.array(list(g.values()), dtype=a.dtype)[:, None]
     return RatMatrix(a)
+
+
+@cache
+def _product_positions(s: int, t: int) -> np.ndarray:
+    """Positions in monomials_of_degree(s + t) of each degree-s monomial
+    (rows) times each degree-t monomial (columns)."""
+    return _grlex_position(_monomial_array(s)[:, None, :] + _monomial_array(t)[None, :, :], s + t)
+
+
+def _times(a: np.ndarray, s: int, b: np.ndarray, t: int) -> np.ndarray:
+    """Products of coefficient vectors (last axis, in the order of
+    monomials_of_degree) of degrees s and t, broadcast over the other axes,
+    as an object array."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(shape + (degree_dimension(s + t),), dtype=object)
+    np.add.at(out, (..., _product_positions(s, t)), a[..., :, None] * b[..., None, :])
+    return out
+
+
+def _gradient(p: np.ndarray, t: int) -> np.ndarray:
+    """The three derivatives of coefficient vectors p of degree t >= 1 (last
+    axis), on a new axis before it."""
+    monos = _monomial_array(t)
+    out = np.zeros(p.shape[:-1] + (3, degree_dimension(t - 1)), dtype=object)
+    for v in range(3):
+        keep = np.flatnonzero(monos[:, v])
+        lower = monos[keep]
+        lower[:, v] -= 1
+        out[..., v, _grlex_position(lower, t - 1)] = p[..., keep] * monos[keep, v]
+    return out
+
+
+def pair_relations(conics: Sequence[Sequence[int]]) -> np.ndarray:
+    """The k-1 relations of degree d-2 = 2k-2 built from the pairs (0, j) of
+    k >= 2 integer conics (xx, yy, zz, xy, xz, yz), one row each in the
+    column layout of syzygy_matrix(ctx, d-2) for their product f.
+
+    For rho = grad q_0 x grad q_j (degree 2) and P the product of the other
+    conics, theta = P*rho kills q_0 and q_j, so theta . grad f = g*f with
+    g = rho . grad P of degree d-3 (K. Saito 1980; Schenck and Tohaneanu
+    2009).  By Euler's identity, d*theta - g*(x, y, z) is a relation.
+    All k-1 pairs are built at once, on the first axis.
+    """
+    k = len(conics)
+    d = 2 * k
+    q = np.array(conics, dtype=object)
+    forms = q[:, [0, 3, 4, 1, 5, 2]]  # the order of monomials_of_degree(2)
+    # row c: the coefficients of the derivative in variable c, a linear form
+    grads = q[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]] * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    u, w = grads[0], grads[1:]
+    rho = _times(np.roll(u, -1, 0), 1, np.roll(w, -2, 1), 1) - _times(
+        np.roll(u, -2, 0), 1, np.roll(w, -1, 1), 1
+    )
+    others = [[l for l in range(1, k) if l != j] for j in range(1, k)]
+    p, t = np.ones((k - 1, 1), dtype=object), 0
+    for m in range(k - 2):
+        p, t = _times(forms[[row[m] for row in others]], 2, p, t), t + 2
+    g = np.zeros((k - 1, degree_dimension(d - 3)), dtype=object)
+    if t:
+        g = _times(rho, 2, _gradient(p, t), t - 1).sum(axis=1)
+    theta = _times(rho, 2, p[:, None, :], t)
+    rows = d * theta - _times(np.eye(3, dtype=object), 1, g[:, None, :], d - 3)
+    return rows.reshape(k - 1, 3 * degree_dimension(d - 2))
 
 
 # A relation of degree e: its integer coefficient vector in the column layout
@@ -322,10 +413,11 @@ def _certified_rank(
     independent kernel vectors.  rank_p(F_s) is bounded from below on the
     ladder of rungs t = min(s, d-1) .. s (module docstring), whose leading
     terms rungs records by t; the rung t = s eliminates multiples itself.
-    A_s is eliminated only when the last rung falls short, which records
-    its leading monomials for the degrees above.  A sum above cols can only
-    come from a row that is not a relation, and raises; so does a row that
-    _relations_mod_p catches before a rank is accepted.
+    A_s is eliminated only when the last rung falls short and its leading
+    monomials are not yet recorded; they then serve the degrees above.  A
+    sum above cols can only come from a row that is not a relation, and
+    raises; so does a row that _relations_mod_p catches before a rank is
+    accepted.
     """
     shift = ctx.d - 1
     e = max((r for r in ctx.leading if r <= s), default=None)
@@ -338,7 +430,7 @@ def _certified_rank(
             rows = multiples if t == s else _relation_multiples(residues, t)
             rungs[t] = _leading_terms(rows, t)
         spanned = len(_leading_multiples(rungs[t], t, s))
-    if lower + spanned < matrix.cols:
+    if lower + spanned < matrix.cols and e != s:
         ctx.leading[s] = _leading_terms(matrix.array.T, s + shift)
         lower = len(ctx.leading[s])
     if lower + spanned > matrix.cols:
@@ -353,6 +445,30 @@ def _certified_rank(
     return lower
 
 
+def _pair_kernel(
+    ctx: JacobianContext, e: int, matrix: RatMatrix, found: list[Relation], known: np.ndarray
+) -> linalg.KernelBasis | None:
+    """The certified kernel of A_e (matrix) at e = d-2 from the pair relations
+    of ctx.conics, None elsewhere or where they do not close the bound.
+
+    The pair relations are checked exactly against matrix, and a failure
+    raises.  With their residues added to known (the multiples of the
+    generators found below), a certified rank shows that these exact
+    relations span the kernel; linalg.kernel_basis_from_span then puts them
+    in standard form, or returns None, when the walk lifts the kernel.
+    """
+    if e != ctx.d - 2 or ctx.conics is None or len(ctx.conics) < 2:
+        return None
+    pairs = pair_relations(ctx.conics)
+    if not _kills(_SparseRows(matrix.array), pairs.T):
+        raise AssertionError("a pair relation failed exact re-verification")
+    rank = _certified_rank(ctx, e, matrix, np.concatenate([known, residues_mod(pairs)]), (), {})
+    if rank is None:
+        return None
+    spanning = np.concatenate([_relation_multiples(found, e), pairs])
+    return linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
+
+
 def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """Exact relations whose monomial multiples span every relation of degree <= d-2.
 
@@ -364,11 +480,13 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     span its kernel; below the first relation, that is a certified full
     rank.  Elsewhere the certified kernel of A_e is taken, and its vectors
     outside the span of those multiples mod p join: the greedy mod-p column
-    basis of the multiples followed by the kernel.  The kernel engine
-    verifies its vectors exactly, so every generator is a relation.  The
-    first generator is (d1, the first vector of the certified kernel of
-    A_d1, the basis linalg.kernel_basis returns): nothing precedes it, and
-    a primitive vector is nonzero mod p.
+    basis of the multiples followed by the kernel.  At e = d-2 with
+    ctx.conics known, that kernel comes from the pair relations where they
+    close the bound (_pair_kernel), else from a lift; both give the basis
+    linalg.kernel_basis returns, with every vector verified exactly, so
+    every generator is a relation.  The first generator is (d1, the first
+    vector of the certified kernel of A_d1): nothing precedes it, and a
+    primitive vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -387,8 +505,10 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         matrix = syzygy_matrix(ctx, e)
         if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
             continue
-        vectors = linalg.kernel_basis_certified(matrix).vectors
-        kernel = np.array(vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
+        kernel = _pair_kernel(ctx, e, matrix, found, known)
+        if kernel is None:
+            kernel = linalg.kernel_basis_certified(matrix)
+        kernel = np.array(kernel.vectors, dtype=object).reshape(-1, matrix.cols)
         basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
         found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
     object.__setattr__(ctx, "generators", tuple(found))

@@ -722,6 +722,44 @@ def _canonical_support(vectors: np.ndarray, free: np.ndarray) -> bool:
     return not (past & (vectors != 0)).any()
 
 
+def kernel_basis_from_span(
+    matrix: RatMatrix, rows: np.ndarray, dimension: int
+) -> KernelBasis | None:
+    """The basis kernel_basis returns, from exact integer kernel vectors (the
+    rows) that span a kernel of the given dimension, or None.
+
+    dimension rows independent mod p (all of them when there are no more)
+    are a rational basis.  Their echelon form from the right mod p puts its
+    pivots on the columns F where the vectors of their span end mod p;
+    their block on F is invertible mod p, so over Q.  Fraction-free
+    Gauss-Jordan on that block gives one vector per column of F, 0 in the
+    other columns of F, and _canonical_support proves F the rational free
+    set, or the result is None.
+    """
+    if len(rows) > dimension:
+        rows = rows[list(pivot_columns_mod(rows.T))]
+    picked = rows.astype(object)
+    free = np.sort(matrix.cols - 1 - np.array(pivot_columns_mod(picked[:, ::-1]), dtype=np.int64))
+    if len(free) != dimension:
+        raise AssertionError(f"the rows have rank {len(free)} mod p, not {dimension}")
+    for i, c in enumerate(free):
+        r = i + int(np.flatnonzero(picked[i:, c])[0])
+        picked[[i, r]] = picked[[r, i]]
+        for j in np.flatnonzero(picked[:, c]):
+            if j != i:
+                picked[j] = picked[i, c] * picked[j] - picked[j, c] * picked[i]
+                picked[j] //= gcd(*picked[j].tolist())
+    vectors = [
+        _primitive(row if row[c] > 0 else [-v for v in row]) for row, c in zip(picked.tolist(), free)
+    ]
+    found = np.array(vectors, dtype=object).reshape(-1, matrix.cols).T
+    if not _canonical_support(found, free):
+        return None
+    if not _kills(_SparseRows(matrix.array), found):
+        raise AssertionError(f"{matrix!r}: a combination of kernel vectors is no kernel vector")
+    return KernelBasis(len(vectors), tuple(vectors))
+
+
 def rank_certified(matrix: RatMatrix) -> int:
     """Exact rank: the columns less the dimension of the certified kernel.
 

@@ -38,6 +38,7 @@ in the returned roots and in the jet coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
@@ -112,8 +113,13 @@ class ConicArrangement:
     def k(self) -> int:
         return len(self.components)
 
-    def polynomial(self) -> HomogeneousPolynomial:
+    @cached_property
+    def product(self) -> HomogeneousPolynomial:
+        """The product of the components, expanded on first use only."""
         return expand_product(q.polynomial() for q in self.components)
+
+    def polynomial(self) -> HomogeneousPolynomial:
+        return self.product
 
 
 @dataclass(frozen=True)

@@ -83,9 +83,21 @@ def analyze_curve(
     assume_qh: bool = False,
     window_extend: int = 0,
 ) -> Analysis:
-    """Run the full pipeline: relation degree, Tjurina window, verdict, survey."""
+    """Run the full pipeline: relation degree, Tjurina window, verdict, survey.
+
+    An arrangement must be the factorisation of f: f is a nonzero constant
+    times its product, or ValueError is raised.  Its integer conics then
+    give the relation walk its pair relations.
+    """
     check_window_extend(window_extend)
-    ctx = JacobianContext.for_curve(f)
+    conics = None
+    if arrangement is not None:
+        product = arrangement.product
+        lead = next(iter(product.terms))
+        if f != product and f != product.scale(f.terms.get(lead, 0) / product.terms[lead]):
+            raise ValueError("the arrangement's product is not a constant multiple of the curve")
+        conics = [q.integer for q in arrangement.components]
+    ctx = JacobianContext.for_curve(f, conics)
     witness = mdr(ctx)
     profile = hilbert_profile(ctx, extend=window_extend)
     tau = profile.tau

@@ -1,5 +1,6 @@
 """scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
-with the curve's d1, a timed mdr plus window and a timed survey."""
+with the curve's d1, a timed mdr plus window and a timed survey, on contexts that
+carry the arrangement's conics."""
 
 import importlib.util
 import json
@@ -27,9 +28,23 @@ INVENTORY = {"pencil_four_points_m7": {"ordinary(7)": 4}, "generic_k5": {"A1": 1
 
 @pytest.mark.parametrize("name", ["pencil_four_points_m7", "generic_k5"])
 def test_time_one_returns_the_recorded_window(name, monkeypatch):
+    """The generic input takes its kernel at d-2 from the pair relations of
+    its conics, so neither timed walk lifts one; the pencil lifts one at d1 = 2
+    in each."""
+    from conicfree import linalg
+
     monkeypatch.setattr(sys, "path", list(sys.path))  # time_one puts src first
+    lifts = []
+    original = linalg.kernel_basis_certified
+
+    def spy(matrix):
+        lifts.append(matrix.cols)
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "kernel_basis_certified", spy)
     recorded = json.loads((ROOT / "BENCH_6.json").read_text())["runs"]["after"][name]
     result = _script().time_one(str(ROOT / "src"), name)
+    assert lifts == ([] if name == "generic_k5" else [18, 18])
     assert {k: result[k] for k in ("d", "window", "tau")} == {
         k: recorded[k] for k in ("d", "window", "tau")
     }

@@ -335,6 +335,41 @@ def test_certified_engine_matches_exact_engine_on_low_rank_products(
             assert vec[own] > 0 and all(vec[c] == 0 for c in free if c != own)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 12), st.integers(2, 14)),
+    inner=st.integers(1, 12),
+    extra=st.integers(0, 3),
+    bits=st.sampled_from([1, 8, 40]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_kernel_from_a_span_is_the_reference_basis(shape, inner, extra, bits, rng):
+    """Random integer combinations of the reference kernel basis, with
+    extra rows that depend on the others, give back that basis exactly."""
+    rows, cols = shape
+    u = [[rng.randint(-(2**bits), 2**bits) for _ in range(inner)] for _ in range(rows)]
+    v = [[rng.randint(-(2**bits), 2**bits) for _ in range(cols)] for _ in range(inner)]
+    m = _matrix([[sum(a * b for a, b in zip(r, c)) for c in zip(*v)] for r in u])
+    reference = kernel_basis(m)
+    assume(reference.dimension)
+    basis = np.array(reference.vectors, dtype=object)
+    mix = np.array(
+        [[rng.randint(-5, 5) for _ in basis] for _ in range(len(basis) + extra)], dtype=object
+    )
+    spanning = mix @ basis
+    assume(rank(_matrix(spanning.tolist())) == len(basis))
+    with _exact_engine_refused():
+        found = linalg.kernel_basis_from_span(m, spanning, reference.dimension)
+    assert found is not None and repr(found) == repr(reference)
+
+
+def test_kernel_from_a_span_is_none_when_the_support_test_fails(monkeypatch):
+    m = _matrix([[1, 1, 1]])
+    spanning = np.array(kernel_basis(m).vectors, dtype=object)
+    monkeypatch.setattr(linalg, "_canonical_support", lambda vectors, free: False)
+    assert linalg.kernel_basis_from_span(m, spanning, 2) is None
+
+
 def test_certified_matches_exact_on_structured_matrix():
     # syzygy-style matrix: multiplication by the gradient of a curve
     from conicfree.jacobian import JacobianContext, syzygy_matrix

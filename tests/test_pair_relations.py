@@ -1,0 +1,234 @@
+"""Pair relations of a conic arrangement at degree d-2.
+
+When the components are known, the relation walk takes the kernel at d-2
+from the closed-form relations of the pairs (0, j) where they span it, and
+lifts it otherwise.  These tests hold the relations against a sympy
+construction, the walk with components against the walk without them
+(generators, witness, window and the printed document), count the lifted
+kernels, and break the relations and the support test on purpose.
+"""
+
+import importlib.util
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conicfree import jacobian, linalg, report
+from conicfree.corpus import entry
+from conicfree.jacobian import (
+    JacobianContext,
+    hilbert_profile,
+    mdr,
+    pair_relations,
+    relation_generators,
+    syzygy_matrix,
+)
+from conicfree.locus import ConicArrangement
+from conicfree.poly import ConicForm, degree_dimension, monomials_of_degree, parse_polynomial
+from conicfree.report import analysis_document, analyze_curve, to_json
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@lru_cache(maxsize=None)
+def _generic_arrangements(seed):
+    """The benchmark's generic arrangements for a seed: eight sextics and one octic."""
+    inputs = _load("bench_inputs", "perfbench/inputs.py")
+    return tuple(ConicArrangement.from_texts(item["texts"]) for item in inputs.generic_inputs(seed))
+
+
+def _shifted(k, seed):
+    texts = _load("bench_windows", "scripts/bench_windows.py").shifted_texts(k, seed)
+    return ConicArrangement.from_texts(texts)
+
+
+def _context(arr, components=True):
+    conics = [q.integer for q in arr.components] if components else None
+    return JacobianContext.for_curve(arr.polynomial(), conics)
+
+
+def _generators(ctx):
+    return [(e, tuple(vec)) for e, vec in relation_generators(ctx)]
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The (rows, cols) of every certified kernel lifted."""
+    calls = []
+    original = linalg.kernel_basis_certified
+
+    def spy(matrix):
+        calls.append((matrix.rows, matrix.cols))
+        return original(matrix)
+
+    monkeypatch.setattr(linalg, "kernel_basis_certified", spy)
+    return calls
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _arrangements(draw):
+    """k = 2..4 smooth, pairwise distinct conics of small height.  After the
+    first, each is dense, a member of the pencil of the first two, or the
+    first plus a multiple of the square of a line, which touches the first
+    at the points where the line meets it."""
+    k = draw(st.integers(2, 4))
+    conics = [draw(st.tuples(*[_SMALL] * 6))]
+    for _ in range(k - 1):
+        kind = draw(st.sampled_from(("dense", "pencil", "tangent")))
+        lam = draw(st.integers(1, 3))
+        if kind == "dense":
+            q = draw(st.tuples(*[_SMALL] * 6))
+        elif kind == "pencil" and len(conics) >= 2:
+            q = tuple(a + lam * b for a, b in zip(conics[0], conics[1]))
+        else:
+            a, b, c = draw(st.tuples(_SMALL, _SMALL, _SMALL))
+            square = (a * a, b * b, c * c, 2 * a * b, 2 * a * c, 2 * b * c)
+            q = tuple(u + lam * v for u, v in zip(conics[0], square))
+        conics.append(q)
+    try:
+        return ConicArrangement(tuple(ConicForm(*q) for q in conics))
+    except ValueError:  # a zero or singular form, or two that coincide
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_arrangements())
+def test_components_change_no_generator_witness_or_window(arr):
+    with_components, without = _context(arr), _context(arr, components=False)
+    assert mdr(with_components) == mdr(without)
+    assert _generators(with_components) == _generators(without)
+    assert hilbert_profile(with_components) == hilbert_profile(without)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_arrangements())
+def test_pair_relations_match_a_sympy_construction(arr):
+    """d*P*rho - (rho . grad P)*(x, y, z) for rho = grad q_0 x grad q_j and P
+    the product of the other conics, coefficient by coefficient, and each
+    kills grad f."""
+    x, y, z = sympy.symbols("x y z")
+    v = (x, y, z)
+    monos = (x**2, y**2, z**2, x * y, x * z, y * z)
+    forms = [sympy.Poly(sum(c * m for c, m in zip(q.integer, monos)), *v) for q in arr.components]
+    k, d = len(forms), 2 * len(forms)
+    f = sympy.prod(forms)
+    rows = pair_relations([q.integer for q in arr.components])
+    assert rows.shape == (k - 1, 3 * degree_dimension(d - 2))
+    for j, row in zip(range(1, k), rows):
+        u, w = ([q.diff(t) for t in v] for q in (forms[0], forms[j]))
+        rho = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+        p = sympy.prod([forms[l] for l in range(1, k) if l != j]) + sympy.Poly(0, *v)
+        g = sum((r * p.diff(t) for r, t in zip(rho, v)), sympy.Poly(0, *v))
+        relation = [d * p * r - g * sympy.Poly(t, *v) for r, t in zip(rho, v)]
+        expected = [
+            relation[c].coeff_monomial(m) for c in range(3) for m in monomials_of_degree(d - 2)
+        ]
+        assert list(row) == expected
+        assert sum((r * f.diff(t) for r, t in zip(relation, v)), sympy.Poly(0, *v)).is_zero
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generic_arrangements_lift_no_kernel(seed, kernels):
+    for arr in _generic_arrangements(seed):
+        ctx = _context(arr)
+        mdr(ctx)
+        hilbert_profile(ctx)
+        assert kernels == [], arr
+
+
+@pytest.mark.parametrize("k, seed, lifts", [(5, 1, 0), (6, 1, 0), (7, 1, 0), (7, 4, 1)])
+def test_shifted_arrangements_lift_no_kernel_without_a_triple_point(k, seed, lifts, kernels):
+    """k = 7 seed 4 has a D4 point: its relations at d-2 number k, one more
+    than the pairs (0, j) give, so the walk lifts that kernel."""
+    ctx = _context(_shifted(k, seed))
+    assert mdr(ctx).r == ctx.d - 2
+    hilbert_profile(ctx)
+    matrix = syzygy_matrix(ctx, ctx.d - 2)
+    assert kernels == [(matrix.rows, matrix.cols)] * lifts
+    assert len(relation_generators(ctx)) == k - 1 + lifts
+
+
+def test_a_corrupted_pair_relation_raises(monkeypatch):
+    original = jacobian.pair_relations
+
+    def corrupted(conics):
+        rows = original(conics)
+        rows[-1, 0] += 1
+        return rows
+
+    monkeypatch.setattr(jacobian, "pair_relations", corrupted)
+    with pytest.raises(AssertionError, match="pair relation failed exact re-verification"):
+        relation_generators(_context(_generic_arrangements(1)[-1]))
+
+
+def test_a_failed_support_test_falls_back_to_the_lift(monkeypatch, kernels):
+    """The support test fails once, on the basis built from the pair
+    relations; the walk then lifts the kernel, whose own test passes."""
+    arr = _generic_arrangements(1)[-1]
+    tests = []
+    original = linalg._canonical_support
+
+    def fail_first(vectors, free):
+        tests.append(len(free))
+        return len(tests) > 1 and original(vectors, free)
+
+    monkeypatch.setattr(linalg, "_canonical_support", fail_first)
+    ctx = _context(arr)
+    generators = _generators(ctx)
+    assert len(tests) == 2 and kernels == [(syzygy_matrix(ctx, 6).rows, 84)]
+    monkeypatch.setattr(linalg, "_canonical_support", original)
+    assert generators == _generators(_context(arr, components=False))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ploski_m2", "ploski_m3", "ploski_m4", "ploski_m5"]
+    + [f"two_conics_a7_e{i}" for i in (1, 2, 3)],
+)
+def test_pair_relations_that_fall_short_leave_the_lift(name, monkeypatch, kernels):
+    """These pair relations lie in the span of the lower multiples, so the
+    kernel at d-2 is lifted, and the document is that of the walk without
+    components, byte for byte."""
+    arr = entry(name).arrangement()
+    d = 2 * arr.k
+
+    def document():
+        analysis = analyze_curve(arr.polynomial(), arrangement=arr, source=name)
+        return to_json(analysis_document(analysis))
+
+    with_components = document()
+    assert 3 * degree_dimension(d - 2) in [cols for _, cols in kernels]
+    original = JacobianContext.for_curve
+    monkeypatch.setattr(report.JacobianContext, "for_curve", lambda f, conics=None: original(f))
+    assert document() == with_components
+
+
+def test_analysis_refuses_an_arrangement_that_is_not_the_curve():
+    f = parse_polynomial("(x^2+y^2-z^2)*(x^2+3*y^2-5*z^2)")
+    arr = ConicArrangement.from_texts(["x^2+y^2-z^2", "x^2-y^2+2*z^2"])
+    with pytest.raises(ValueError, match="not a constant multiple of the curve"):
+        analyze_curve(f, arrangement=arr)
+    with pytest.raises(ValueError, match="not a constant multiple of the curve"):
+        analyze_curve(parse_polynomial("x^4+y^4+z^4"), arrangement=arr)
+
+
+def test_analysis_takes_a_constant_multiple_of_the_product():
+    arr = ConicArrangement.from_texts(["x^2+y^2-z^2", "x^2-y^2+2*z^2", "2*x^2+y^2-3*x*z"])
+    assert arr.polynomial() is arr.polynomial()
+    scaled = analyze_curve(arr.polynomial().scale(-3), arrangement=arr)
+    plain = analyze_curve(arr.polynomial(), arrangement=arr)
+    assert (scaled.witness, scaled.profile) == (plain.witness, plain.profile)
