@@ -91,9 +91,11 @@ def _resolve_input(text: str) -> ResolvedInput:
         raise InputError("empty expression: the input is blank")
     if text.startswith("corpus:"):
         e = entry(text[len("corpus:") :])
+        arrangement = e.arrangement()
         return ResolvedInput(
-            polynomial=e.polynomial,
-            arrangement=e.arrangement(),
+            # an arrangement's product is memoised, and analyze_curve reads it again
+            polynomial=e.polynomial if arrangement is None else arrangement.polynomial,
+            arrangement=arrangement,
             source=text,
             provenance=dict(e.provenance),
             assume_qh=e.assume_qh,

@@ -58,16 +58,32 @@ where it would otherwise lift the kernel at d-2, checks them exactly
 against A_{d-2}, and adds their residues to the multiples of the lower
 generators.  Where that closes the two-sided bound they span the kernel,
 and linalg.kernel_basis_from_span puts them in the standard form a lift
-returns, so the generators, the witness and the window are unchanged.  On
-a generic arrangement no kernel is then lifted at all.  Where they fall
-short (a triple point, a pencil) or the support test fails, the kernel is
-lifted.
+returns, so the generators, the witness and the window are unchanged.
+Where they fall short (a triple point) or the support test fails, the
+kernel is lifted.  k >= 3 conics in one pencil (their coefficient
+vectors span two dimensions, exactly) are not tried: their pairs are
+multiples of grad q_0 x grad q_1, a relation of degree 2 that the lower
+generators already span.
+
+On a generic arrangement the walk starts at the top instead of at 0:
+k >= 3 conics that span more than a pencil, every pair meeting in four
+distinct points (poly.meet_in_four_points, the discriminant of the
+pencil's determinant cubic).  A_{d-2} is built first, and the pair
+relations give its kernel B as above.  S is a domain, so x times a vector
+is a relation exactly when the vector is one: AR_{d-3} is AR_{d-2} cap
+x*S^3_{d-3}, and AR_e embeds in AR_{d-3} for e < d-3.  Where B, restricted
+to the columns whose monomial has no x, has rank |B| mod p (one minor,
+nonzero over Q), no combination of B is x times a vector, so there is no
+relation below d-2: the generators are B, and no A_e below d-2 is built
+or eliminated.  Otherwise the walk climbs from e = 0 as before, reusing
+A_{d-2}, its recorded leading monomials and the checked pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -91,6 +107,7 @@ from conicfree.poly import (
     HomogeneousPolynomial,
     Mono3,
     degree_dimension,
+    meet_in_four_points,
     monomials_of_degree,
 )
 
@@ -445,28 +462,63 @@ def _certified_rank(
     return lower
 
 
-def _pair_kernel(
-    ctx: JacobianContext, e: int, matrix: RatMatrix, found: list[Relation], known: np.ndarray
-) -> linalg.KernelBasis | None:
-    """The certified kernel of A_e (matrix) at e = d-2 from the pair relations
-    of ctx.conics, None elsewhere or where they do not close the bound.
+def _checked_pairs(ctx: JacobianContext, matrix: RatMatrix) -> np.ndarray:
+    """pair_relations(ctx.conics), checked exactly against matrix =
+    syzygy_matrix(ctx, d-2); a failure raises."""
+    pairs = pair_relations(ctx.conics)
+    if not _kills(_SparseRows(matrix.array), pairs.T):
+        raise AssertionError("a pair relation failed exact re-verification")
+    return pairs
 
-    The pair relations are checked exactly against matrix, and a failure
-    raises.  With their residues added to known (the multiples of the
+
+def _pair_kernel(
+    ctx: JacobianContext,
+    matrix: RatMatrix,
+    pairs: np.ndarray,
+    found: list[Relation],
+    known: np.ndarray,
+) -> linalg.KernelBasis | None:
+    """The certified kernel of A_{d-2} (matrix) from the checked pair
+    relations, None where they do not close the bound.
+
+    With the residues of pairs added to known (the multiples of the
     generators found below), a certified rank shows that these exact
     relations span the kernel; linalg.kernel_basis_from_span then puts them
     in standard form, or returns None, when the walk lifts the kernel.
     """
-    if e != ctx.d - 2 or ctx.conics is None or len(ctx.conics) < 2:
-        return None
-    pairs = pair_relations(ctx.conics)
-    if not _kills(_SparseRows(matrix.array), pairs.T):
-        raise AssertionError("a pair relation failed exact re-verification")
+    e = ctx.d - 2
     rank = _certified_rank(ctx, e, matrix, np.concatenate([known, residues_mod(pairs)]), (), {})
     if rank is None:
         return None
     spanning = np.concatenate([_relation_multiples(found, e), pairs])
     return linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
+
+
+def _no_x_multiple(kernel: linalg.KernelBasis, e: int) -> bool:
+    """Whether no nonzero vector in the span of the kernel vectors (in the
+    layout of syzygy_matrix(ctx, e)) is x times a vector of degree e-1, shown
+    by one minor mod p: their entries at the monomials free of x have rank
+    len(vectors) mod p, so over Q.  A combination that is x*v vanishes there.
+    """
+    free_of_x = np.flatnonzero(np.tile(_monomial_array(e)[:, 0] == 0, 3))
+    vectors = np.array(kernel.vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
+    return len(pivot_columns_mod(vectors[:, free_of_x])) == len(vectors)
+
+
+def _top_first(ctx: JacobianContext) -> tuple[RatMatrix, np.ndarray, linalg.KernelBasis | None]:
+    """A_{d-2}, the pair relations of ctx.conics checked against it, and the
+    kernel they certify with nothing found below (_pair_kernel), or None."""
+    matrix = syzygy_matrix(ctx, ctx.d - 2)
+    pairs = _checked_pairs(ctx, matrix)
+    return matrix, pairs, _pair_kernel(ctx, matrix, pairs, [], _relation_multiples((), ctx.d - 2))
+
+
+def _joining(e: int, known: np.ndarray, kernel: linalg.KernelBasis, cols: int) -> list[Relation]:
+    """The vectors of a certified kernel of A_e outside the span of known mod
+    p: the greedy mod-p column basis of known followed by the kernel."""
+    vectors = np.array(kernel.vectors, dtype=object).reshape(-1, cols)
+    basis = pivot_columns_mod(np.concatenate([known, vectors]).T)
+    return [(e, vectors[i - len(known)]) for i in basis if i >= len(known)]
 
 
 def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
@@ -479,14 +531,25 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     records the leading monomials of A_e wherever it eliminates it), they
     span its kernel; below the first relation, that is a certified full
     rank.  Elsewhere the certified kernel of A_e is taken, and its vectors
-    outside the span of those multiples mod p join: the greedy mod-p column
-    basis of the multiples followed by the kernel.  At e = d-2 with
-    ctx.conics known, that kernel comes from the pair relations where they
-    close the bound (_pair_kernel), else from a lift; both give the basis
-    linalg.kernel_basis returns, with every vector verified exactly, so
-    every generator is a relation.  The first generator is (d1, the first
-    vector of the certified kernel of A_d1): nothing precedes it, and a
-    primitive vector is nonzero mod p.
+    outside the span of those multiples mod p join (_joining).  At e = d-2
+    with ctx.conics known, that kernel comes from the pair relations where
+    they close the bound (_pair_kernel), else from a lift; both give the
+    basis linalg.kernel_basis returns, with every vector verified exactly,
+    so every generator is a relation.  The pair relations are not tried
+    for k >= 3 conics in one pencil: they are then multiples of the
+    degree-2 relation grad q_0 x grad q_1, which the lower generators
+    already span.  The first generator is (d1, the first vector of the
+    certified kernel of A_d1): nothing precedes it, and a primitive vector
+    is nonzero mod p.
+
+    On k >= 3 conics that span more than a pencil, every pair meeting in
+    four distinct points, the walk starts at the top (module docstring):
+    the pair kernel B of A_{d-2}, then one minor that shows no relation
+    below d-2 (_no_x_multiple).  Then B, joined as the walk joins it, is
+    the result; otherwise the walk runs from e = 0, reusing A_{d-2}, its
+    recorded leading monomials and the checked pairs.  Where it found
+    nothing below, it takes the top step's kernel as it stands, or lifts
+    where the pairs fell short there.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -498,19 +561,34 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """
     if ctx.generators is not None:
         return ctx.generators
+    top, conics = ctx.d - 2, ctx.conics
+    # the exact rank of the k x 6 coefficient matrix: 2 for k >= 3 conics in one pencil
+    span = 0 if conics is None else linalg.rank(RatMatrix(np.array(conics, dtype=object)))
     found: list[Relation] = []
+    # A_{d-2}, its checked pair relations and their kernel, once built
+    top_matrix = pairs = top_kernel = None
+    if span >= 3 and all(meet_in_four_points(a, b) for a, b in combinations(conics, 2)):
+        top_matrix, pairs, top_kernel = _top_first(ctx)
+        if top_kernel is not None and _no_x_multiple(top_kernel, top):
+            found = _joining(top, _relation_multiples((), top), top_kernel, top_matrix.cols)
+            object.__setattr__(ctx, "generators", tuple(found))
+            return ctx.generators
     for e in range(ctx.d - 1):
         residues = _residues(found)
         known = _relation_multiples(residues, e)
-        matrix = syzygy_matrix(ctx, e)
+        matrix = top_matrix if e == top and top_matrix is not None else syzygy_matrix(ctx, e)
         if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
             continue
-        kernel = _pair_kernel(ctx, e, matrix, found, known)
+        kernel = None
+        if e == top and top_matrix is not None and not found:
+            kernel = top_kernel  # what _pair_kernel would give again
+        elif e == top and (span >= 3 or len(conics or ()) == 2):
+            if pairs is None:
+                pairs = _checked_pairs(ctx, matrix)
+            kernel = _pair_kernel(ctx, matrix, pairs, found, known)
         if kernel is None:
             kernel = linalg.kernel_basis_certified(matrix)
-        kernel = np.array(kernel.vectors, dtype=object).reshape(-1, matrix.cols)
-        basis = pivot_columns_mod(np.concatenate([known, kernel]).T)
-        found.extend((e, kernel[i - len(known)]) for i in basis if i >= len(known))
+        found.extend(_joining(e, known, kernel, matrix.cols))
     object.__setattr__(ctx, "generators", tuple(found))
     return ctx.generators
 

@@ -42,15 +42,18 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
-from operator import mul
 
 from conicfree.linalg import _rat_reconstruct
 from conicfree.poly import (
     ConicForm,
     HomogeneousPolynomial,
     ProjectivePoint,
+    cofactors,
     conic_is_smooth,
+    conic_matrix,
+    determinant_cubic,
     expand_product,
+    meet_in_four_points,
 )
 
 
@@ -661,43 +664,26 @@ def _scan_with_shear(
     return located, len(quotient) - 1 - located_fiber_budget
 
 
-def _cofactors(m: list[list[int]]) -> list[int]:
-    """The nine signed cofactors of a 3x3 matrix, row by row."""
-    return [
-        m[r - 2][s - 2] * m[r - 1][s - 1] - m[r - 2][s - 1] * m[r - 1][s - 2]
-        for r in range(3)
-        for s in range(3)
-    ]
-
-
 def _distinct_common_points(qi: ConicForm, qj: ConicForm) -> int:
     """How many distinct points two smooth, distinct conics share over C.
 
     The Segre symbol of the pencil A + t*B of the conics' symmetric matrices
     fixes their intersection pattern, and c(t) = det(A + t*B) reads it off.
-    Four points when c has no multiple root.  A cubic over Q has at most one
-    multiple root t0, so t0 is rational; of order k, it merges k - 1 points,
-    and one more where A + t0*B has rank one (all cofactors zero).
+    Four points when c has no multiple root (meet_in_four_points).  A cubic
+    over Q has at most one multiple root t0, so t0 is rational; of order k,
+    it merges k - 1 points, and one more where A + t0*B has rank one (all
+    cofactors zero).
     """
-    a, b = (
-        [[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]]
-        for xx, yy, zz, xy, xz, yz in (qi.integer, qj.integer)
-    )
-    flat_a, flat_b, cof_a, cof_b = sum(a, []), sum(b, []), _cofactors(a), _cofactors(b)
-    cubic = [
-        sum(map(mul, flat_a[:3], cof_a[:3])),  # det A
-        sum(map(mul, flat_b, cof_a)),
-        sum(map(mul, flat_a, cof_b)),
-        sum(map(mul, flat_b[:3], cof_b[:3])),  # det B
-    ]
-    g = _poly_gcd(cubic, [cubic[1], 2 * cubic[2], 3 * cubic[3]])
-    order = len(g)  # of the multiple root, or 1 when there is none
-    if order == 1:
+    if meet_in_four_points(qi.integer, qj.integer):
         return 4
+    cubic = determinant_cubic(qi.integer, qj.integer)
+    g = _poly_gcd(cubic, [cubic[1], 2 * cubic[2], 3 * cubic[3]])
+    order = len(g)  # of the multiple root, >= 2 as the discriminant is 0
     # t0 = n/d is the root of g, or of g' when g is a square
     n, d = (-g[0], g[1]) if order == 2 else (-g[1], 2 * g[2])
+    a, b = conic_matrix(qi.integer), conic_matrix(qj.integer)
     member = [[d * u + n * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return 4 - (order - 1) - (not any(_cofactors(member)))
+    return 4 - (order - 1) - (not any(cofactors(member)))
 
 
 def _pair_scan(

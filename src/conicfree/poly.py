@@ -7,7 +7,10 @@ restricted to the rationals; every value is immutable after construction and
 every operation is pure, so the module is safe to use from multiple threads.
 A ConicForm computes its content-free integer coefficients (``integer``) on
 first use and caches them; the cached value is a function of the immutable
-fields, so two threads racing on it store equal tuples.
+fields, so two threads racing on it store equal tuples.  The conic helpers
+at the end (conic_matrix, determinant_cubic, meet_in_four_points) take
+those integer tuples; the survey and the relation walk both decide from
+here whether a pair meets in four distinct points.
 
 The expression grammar accepted by :func:`parse_polynomial`::
 
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, log10
-from operator import add
-from typing import Iterable
+from operator import add, mul
+from typing import Iterable, Sequence
 
 Mono3 = tuple[int, int, int]
 Mono2 = tuple[int, int]
@@ -656,3 +659,51 @@ def conic_is_smooth(q: ConicForm) -> bool:
     """
     xx, yy, zz, xy, xz, yz = q.integer
     return 4 * xx * yy * zz + xy * xz * yz - xx * yz * yz - yy * xz * xz - zz * xy * xy != 0
+
+
+def conic_matrix(q: Sequence[int]) -> list[list[int]]:
+    """2M for the integer conic q = (xx, yy, zz, xy, xz, yz) (ConicForm.integer),
+    M its symmetric matrix."""
+    xx, yy, zz, xy, xz, yz = q
+    return [[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]]
+
+
+def cofactors(m: list[list[int]]) -> list[int]:
+    """The nine signed cofactors of a 3x3 matrix, row by row."""
+    return [
+        m[r - 2][s - 2] * m[r - 1][s - 1] - m[r - 2][s - 1] * m[r - 1][s - 2]
+        for r in range(3)
+        for s in range(3)
+    ]
+
+
+def determinant_cubic(qi: Sequence[int], qj: Sequence[int]) -> list[int]:
+    """The coefficients c_0 .. c_3 of c(t) = det(A + t*B), A and B the
+    conic_matrix of the integer conics qi and qj.
+
+    For two smooth, distinct conics the Segre symbol of this pencil fixes
+    their intersection pattern; they meet in four distinct points exactly
+    when c has no multiple root (meet_in_four_points).
+    """
+    a, b = conic_matrix(qi), conic_matrix(qj)
+    flat_a, flat_b, cof_a, cof_b = sum(a, []), sum(b, []), cofactors(a), cofactors(b)
+    return [
+        sum(map(mul, flat_a[:3], cof_a[:3])),  # det A
+        sum(map(mul, flat_b, cof_a)),
+        sum(map(mul, flat_a, cof_b)),
+        sum(map(mul, flat_b[:3], cof_b[:3])),  # det B
+    ]
+
+
+def meet_in_four_points(qi: Sequence[int], qj: Sequence[int]) -> bool:
+    """Whether two smooth, distinct integer conics meet in four distinct
+    points over C: their determinant_cubic has a nonzero discriminant."""
+    c0, c1, c2, c3 = determinant_cubic(qi, qj)
+    return (
+        18 * c3 * c2 * c1 * c0
+        - 4 * c2**3 * c0
+        + c2**2 * c1**2
+        - 4 * c3 * c1**3
+        - 27 * c3**2 * c0**2
+    ) != 0
+

@@ -32,6 +32,23 @@ def test_analyze_corpus_entry(capsys):
     assert doc["checks"]["bezout_count"] is True
 
 
+def test_a_corpus_arrangement_is_expanded_once(monkeypatch, capsys):
+    """A corpus entry with components takes its curve from the arrangement's
+    memoised product, which analyze_curve reads again, and the entry's own
+    expansion is never run."""
+    from conicfree import cli
+    from conicfree.corpus import CorpusEntry
+
+    def refuse(self):
+        raise AssertionError("the corpus entry was expanded a second time")
+
+    monkeypatch.setattr(CorpusEntry, "polynomial", refuse)
+    resolved = cli._resolve_input("corpus:celal_three_conics")
+    assert resolved.f is resolved.arrangement.polynomial()
+    code, out, _ = run_cli(capsys, "analyze", "corpus:celal_three_conics", "--json")
+    assert code == 0 and json.loads(out)["tjurina"]["stabilized"] == 19
+
+
 def test_analyze_json_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "corpus:two_conics_a7_e1", "--json")
     _, out2, _ = run_cli(capsys, "analyze", "corpus:two_conics_a7_e1", "--json")
@@ -419,8 +436,14 @@ def test_an_arrangement_above_the_degree_limit_is_refused_before_expansion(
 ):
     from conicfree.locus import ConicArrangement
 
+    expand = ConicArrangement.polynomial
+
     def refuse(self):
-        raise AssertionError("the curve polynomial was expanded")
+        # a corpus entry's curve is its arrangement's product: only the
+        # arrangement above the limit must not be expanded
+        if self.k > 12:
+            raise AssertionError("the curve polynomial was expanded")
+        return expand(self)
 
     path = tmp_path / "thirteen.txt"
     path.write_text("".join(f"x^2+y^2-{k}*z^2\n" for k in range(1, 14)))

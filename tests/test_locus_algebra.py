@@ -37,6 +37,7 @@ from conicfree.poly import (
     ProjectivePoint,
     conic_is_smooth,
     dehomogenize,
+    determinant_cubic,
 )
 
 # ---------------------------------------------------------------------------
@@ -604,3 +605,21 @@ def test_distinct_common_points_read_each_segre_symbol(l1, l2, lam, count):
     assert conic_is_smooth(other)
     assert _distinct_points_oracle(q, l1, l2) == count
     assert _distinct_common_points(q, other) == count
+
+
+_small_conics = st.tuples(*[st.integers(-3, 3)] * 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_conics, _small_conics)
+def test_determinant_cubic_is_det_of_the_pencil(qi, qj):
+    import sympy
+
+    t = sympy.symbols("t")
+
+    def matrix(q):
+        xx, yy, zz, xy, xz, yz = q
+        return sympy.Matrix([[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]])
+
+    det = sympy.Poly((matrix(qi) + t * matrix(qj)).det(), t)
+    assert determinant_cubic(qi, qj) == [det.coeff_monomial(t**i) for i in range(4)]

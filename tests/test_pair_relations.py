@@ -2,13 +2,17 @@
 
 When the components are known, the relation walk takes the kernel at d-2
 from the closed-form relations of the pairs (0, j) where they span it, and
-lifts it otherwise.  These tests hold the relations against a sympy
-construction, the walk with components against the walk without them
-(generators, witness, window and the printed document), count the lifted
-kernels, and break the relations and the support test on purpose.
+lifts it otherwise; on a generic arrangement it starts there, and one
+minor shows that nothing lies below.  These tests hold the relations
+against a sympy construction, the walk with components against the walk
+without them (generators, witness, window and the printed document),
+count the lifted kernels and the matrices built, test the minor on its
+own, and break the relations, the minor and the support test on purpose.
 """
 
 import importlib.util
+import inspect
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -18,7 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicfree import jacobian, linalg, report
-from conicfree.corpus import entry
+from conicfree.corpus import corpus_entries, entry
 from conicfree.jacobian import (
     JacobianContext,
     hilbert_profile,
@@ -28,7 +32,12 @@ from conicfree.jacobian import (
     syzygy_matrix,
 )
 from conicfree.locus import ConicArrangement
-from conicfree.poly import ConicForm, degree_dimension, monomials_of_degree, parse_polynomial
+from conicfree.poly import (
+    ConicForm,
+    degree_dimension,
+    monomials_of_degree,
+    parse_polynomial,
+)
 from conicfree.report import analysis_document, analyze_curve, to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -215,6 +224,146 @@ def test_pair_relations_that_fall_short_leave_the_lift(name, monkeypatch, kernel
     original = JacobianContext.for_curve
     monkeypatch.setattr(report.JacobianContext, "for_curve", lambda f, conics=None: original(f))
     assert document() == with_components
+
+
+@lru_cache(maxsize=None)
+def _generic(k, seed):
+    """The benchmark's dense generic k conics of random.Random(seed)."""
+    inputs = _load("bench_inputs", "perfbench/inputs.py")
+    conics = inputs._generic_conics(random.Random(seed), k)
+    return ConicArrangement.from_texts([inputs.conic_text(q) for q in conics])
+
+
+def _assert_walks_agree(arr):
+    with_components, without = _context(arr), _context(arr, components=False)
+    assert _generators(with_components) == _generators(without)
+    assert mdr(with_components) == mdr(without)
+    assert hilbert_profile(with_components) == hilbert_profile(without)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_the_top_step_gives_the_generators_of_the_walk(k):
+    """Generic arrangements start at d-2 (the top step) and fall back on
+    nothing; their generators, witness and window are those of the walk
+    that knows no conics and climbs from degree 0."""
+    for seed in range(1, 21):
+        _assert_walks_agree(_generic(k, seed))
+
+
+@pytest.mark.parametrize("k, seed", [(5, 1), (6, 1), (7, 1), (7, 4)])
+def test_the_shifted_inputs_give_the_generators_of_the_walk(k, seed):
+    _assert_walks_agree(_shifted(k, seed))
+
+
+def _kernel_of(rows):
+    return linalg.KernelBasis(len(rows), tuple(tuple(int(v) for v in row) for row in rows))
+
+
+def test_the_x_minor_passes_on_the_pair_kernel_of_a_generic_arrangement():
+    ctx = _context(_generic(4, 1))
+    e = ctx.d - 2
+    generators = relation_generators(ctx)
+    assert [r for r, _ in generators] == [e] * 3
+    assert jacobian._no_x_multiple(_kernel_of([vec for _, vec in generators]), e)
+
+
+def test_the_x_minor_fails_on_a_span_that_holds_x_times_a_vector():
+    """x*w + y*u and y*u: neither is a multiple of x, but their difference is."""
+    ctx = _context(_generic(4, 1))
+    e = ctx.d - 2
+    (_, w), (_, u) = relation_generators(ctx)[:2]
+    # the multiples of a degree e-1 vector by x, y, z, in that order
+    x_w = jacobian._relation_multiples([(e - 1, w[: 3 * degree_dimension(e - 1)])], e)[0]
+    y_u = jacobian._relation_multiples([(e - 1, u[: 3 * degree_dimension(e - 1)])], e)[1]
+    assert jacobian._no_x_multiple(_kernel_of([x_w + y_u, y_u, w]), e) is False
+    assert jacobian._no_x_multiple(_kernel_of([x_w + y_u, w]), e)
+    # a real kernel with a relation below d-2: a pencil's, at d-2
+    pencil = entry("pencil_four_points_m3")
+    ctx = JacobianContext.for_curve(pencil.polynomial())
+    kernel = linalg.kernel_basis_certified(syzygy_matrix(ctx, ctx.d - 2))
+    assert not jacobian._no_x_multiple(kernel, ctx.d - 2)
+
+
+def test_a_generic_arrangement_builds_and_eliminates_only_the_top_degree(monkeypatch, kernels):
+    built = []
+    original = jacobian.syzygy_matrix
+
+    def spy(ctx, r):
+        built.append(r)
+        return original(ctx, r)
+
+    monkeypatch.setattr(jacobian, "syzygy_matrix", spy)
+    for k, seed in [(3, 1), (4, 2), (5, 3), (6, 4)]:
+        built.clear()
+        ctx = _context(_generic(k, seed))
+        mdr(ctx)
+        hilbert_profile(ctx)
+        d = ctx.d
+        assert [r for r in built if r <= d - 2] == [d - 2]
+        assert [s for s in ctx.leading if s <= d - 2] == [d - 2]
+        assert kernels == []
+
+
+def _pair_relation_calls(monkeypatch):
+    """For each call of pair_relations: whether the top step made it."""
+    original = jacobian.pair_relations
+    calls = []
+
+    def spy(conics):
+        calls.append(any(frame.function == "_top_first" for frame in inspect.stack()))
+        return original(conics)
+
+    monkeypatch.setattr(jacobian, "pair_relations", spy)
+    return calls
+
+
+def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatch, kernels):
+    """The walk then climbs from degree 0; with nothing found below d-2 it
+    takes the top step's kernel as it stands: A_{d-2} is built once, and the
+    pairs are built, checked and support-tested once, all in the top step."""
+    built, tests = [], []
+    build, support = jacobian.syzygy_matrix, linalg._canonical_support
+    monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
+    monkeypatch.setattr(
+        linalg, "_canonical_support", lambda *args: tests.append(1) or support(*args)
+    )
+    calls = _pair_relation_calls(monkeypatch)
+    monkeypatch.setattr(jacobian, "_no_x_multiple", lambda kernel, e: False)
+    arr = _generic(4, 2)
+    ctx = _context(arr)
+    generators = _generators(ctx)
+    d = ctx.d
+    assert built == [d - 2] + list(range(d - 2))
+    assert (calls, tests, kernels) == ([True], [1], [])
+    assert generators == _generators(_context(arr, components=False))
+
+
+def test_no_corpus_entry_takes_the_top_step(monkeypatch):
+    """Every corpus arrangement has a tangency or lies in one pencil."""
+    calls = _pair_relation_calls(monkeypatch)
+    for e in corpus_entries():
+        if e.arrangement() is not None:
+            relation_generators(_context(e.arrangement()))
+    assert calls and not any(calls)
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("pencil_four_points_m3", []), ("pencil_four_points_m6", []), ("ploski_m5", [])]
+    + [("ploski_m2", [False]), ("two_conics_a7_e1", [False]), ("generic", [True])],
+)
+def test_conics_in_one_pencil_build_no_pair_relation(name, calls, monkeypatch):
+    """For k >= 3 conics in one pencil the pairs are multiples of the
+    degree-2 relation grad q_0 x grad q_1, so they are not built; two conics
+    (a pencil too) build their one pair in the walk, and generic conics in
+    the top step."""
+    arr = _generic(3, 1) if name == "generic" else entry(name).arrangement()
+    pencil = sympy.Matrix([q.integer for q in arr.components]).rank() == 2
+    assert pencil == (name != "generic")
+    seen = _pair_relation_calls(monkeypatch)
+    ctx = _context(arr)
+    assert _generators(ctx) == _generators(_context(arr, components=False))
+    assert seen == calls
 
 
 def test_analysis_refuses_an_arrangement_that_is_not_the_curve():
