@@ -9,7 +9,11 @@ benchmark's ``perfbench/inputs.py`` (``_generic_conics``) from a fresh
 coefficient c at position i of a conic becomes c * s + (i mod 3) for
 s = 10^6 and 10^12, and three seeds on which the relation bound of the
 window needs leading terms above degree d-1: k = 7 seed 4 and k = 8 seeds
-4 and 19, each coefficient c made c + (i mod 3).  Every context is built
+4 and 19, each coefficient c made c + (i mod 3), and a ladder of tangent
+arrangements for k = 4..6 from one seed (``tangent_texts``): the first
+conic plus lam * (line)^2, the class the paper studies, where the relation
+walk takes its kernel at d-2 from the pair relations and the lower
+relations together.  Every context is built
 with the arrangement's integer conics where the checkout's
 ``JacobianContext.for_curve`` takes them, as ``analyze_curve`` builds it.
 
@@ -50,6 +54,7 @@ PENCIL_G = "x^2+3*y^2-4*z^2"
 GENERIC_SEED = 12345
 HEIGHTS = {"1e6": 10**6, "1e12": 10**12}  # the scales of the height inputs, by name
 SHIFTED_SEEDS = ((7, 4), (8, 4), (8, 19))  # (k, seed) of the shifted inputs at scale 1
+TANGENT_SEED = 1  # the seed of the tangent ladder, k = 4..6
 REPEATS = 3  # runs per side, for every input
 
 
@@ -69,6 +74,25 @@ def shifted_texts(k: int, seed: int, scale: int = 1) -> list[str]:
     return [inputs.conic_text(tuple(c * scale + i % 3 for i, c in enumerate(q))) for q in conics]
 
 
+def tangent_texts(k: int, seed: int) -> list[str]:
+    """A dense conic q drawn by _generic_conics from random.Random(seed),
+    then k - 1 conics q + lam * L^2 from the same generator, L a line with
+    coefficients in [-3, 3] and lam in 1..3, each smooth and new.  Each
+    touches q where L meets it: two A3 points, or one A7 point where L is
+    tangent to q.  The arrangement of k is the first k of the one of k + 1."""
+    inputs = _inputs()
+    rng = random.Random(seed)
+    conics = inputs._generic_conics(rng, 1)
+    while len(conics) < k:
+        a, b, c = (rng.randint(-3, 3) for _ in range(3))
+        lam = rng.randint(1, 3)
+        square = (a * a, b * b, c * c, 2 * a * b, 2 * a * c, 2 * b * c)
+        q = tuple(u + lam * v for u, v in zip(conics[0], square))
+        if inputs.conic_det(q) and not any(inputs.proportional(q, p) for p in conics):
+            conics.append(q)
+    return [inputs.conic_text(q) for q in conics]
+
+
 def arrangements() -> dict[str, list[str]]:
     """Input name -> component conic texts."""
     out = {}
@@ -84,6 +108,8 @@ def arrangements() -> dict[str, list[str]]:
         out[f"generic_k8_s{tag}"] = shifted_texts(8, GENERIC_SEED, scale)
     for k, seed in SHIFTED_SEEDS:
         out[f"generic_k{k}_seed{seed}"] = shifted_texts(k, seed)
+    for k in (4, 5, 6):
+        out[f"tangent_k{k}"] = tangent_texts(k, TANGENT_SEED)
     return out
 
 

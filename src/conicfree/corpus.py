@@ -411,10 +411,16 @@ def diagonal_germ_tau(g: AffinePolynomial) -> int | None:
 
 
 def analyze_entry(e: CorpusEntry) -> Analysis:
-    """Run an entry through the full analysis pipeline."""
+    """Run an entry through the full analysis pipeline.
+
+    An entry with components takes its curve from the arrangement's
+    memoised product, which analyze_curve reads again, so it is expanded
+    once.
+    """
+    arrangement = e.arrangement()
     return analyze_curve(
-        e.polynomial(),
-        arrangement=e.arrangement(),
+        e.polynomial() if arrangement is None else arrangement.polynomial(),
+        arrangement=arrangement,
         source=f"corpus:{e.name}",
         assume_qh=e.assume_qh,
     )
@@ -467,8 +473,10 @@ def check_entry(e: CorpusEntry, doc: dict) -> list[RegressionRow]:
         for point_text, value in exp.get(key, {}).items():
             rec = records.get(str(ProjectivePoint.parse(point_text)))
             add(f"{field_name}@{point_text}", value, rec[field_name] if rec else None)
-    for point_text, local in exp.get("germ_tau_at", {}).items():
-        germ = dehomogenize(e.polynomial(), ProjectivePoint.parse(point_text))
+    germs = exp.get("germ_tau_at", {})
+    f = e.polynomial() if germs else None
+    for point_text, local in germs.items():
+        germ = dehomogenize(f, ProjectivePoint.parse(point_text))
         add(f"germ_tau@{point_text}", local, diagonal_germ_tau(germ))
     return rows
 

@@ -53,30 +53,33 @@ Tohaneanu 2009): for the pairs (0, j), d*P*rho - (rho . grad P)*(x, y, z)
 with rho = grad q_0 x grad q_j and P the product of the other conics
 (pair_relations).  When the context carries the integer conics
 (ctx.conics, which report.analyze_curve passes from the arrangement; an
-expression is not factored and gets none), the walk builds them only
-where it would otherwise lift the kernel at d-2, checks them exactly
-against A_{d-2}, and adds their residues to the multiples of the lower
-generators.  Where that closes the two-sided bound they span the kernel,
-and linalg.kernel_basis_from_span puts them in the standard form a lift
+expression is not factored and gets none), one pair step (_pair_kernel)
+builds them, checks them exactly against A_{d-2} once per curve, and adds
+their residues to the multiples of the generators found below.  Where that
+closes the two-sided bound they span the kernel, and
+linalg.kernel_basis_from_span puts them in the standard form a lift
 returns, so the generators, the witness and the window are unchanged.
 Where they fall short (a triple point) or the support test fails, the
-kernel is lifted.  k >= 3 conics in one pencil (their coefficient
-vectors span two dimensions, exactly) are not tried: their pairs are
-multiples of grad q_0 x grad q_1, a relation of degree 2 that the lower
-generators already span.
+kernel is lifted.
 
-On a generic arrangement the walk starts at the top instead of at 0:
-k >= 3 conics that span more than a pencil, every pair meeting in four
-distinct points (poly.meet_in_four_points, the discriminant of the
-pencil's determinant cubic).  A_{d-2} is built first, and the pair
-relations give its kernel B as above.  S is a domain, so x times a vector
-is a relation exactly when the vector is one: AR_{d-3} is AR_{d-2} cap
-x*S^3_{d-3}, and AR_e embeds in AR_{d-3} for e < d-3.  Where B, restricted
-to the columns whose monomial has no x, has rank |B| mod p (one minor,
-nonzero over Q), no combination of B is x times a vector, so there is no
-relation below d-2: the generators are B, and no A_e below d-2 is built
-or eliminated.  Otherwise the walk climbs from e = 0 as before, reusing
-A_{d-2}, its recorded leading monomials and the checked pairs.
+One gate decides whether the pair step is tried: the k x 6 coefficient
+matrix of the k >= 2 conics has rank at least min(3, k) mod p.  It lets
+two conics in and keeps out k >= 3 conics in one pencil, whose pairs are
+multiples of grad q_0 x grad q_1, a relation of degree 2 that the lower
+generators already span.  A rank that the prime lowers only costs a lift.
+
+Where every pair also meets in four distinct points
+(poly.meet_in_four_points, the discriminant of the pencil's determinant
+cubic), the walk starts at the top: A_{d-2} is built first, and the pair
+step gives its kernel B with nothing below.  S is a domain, so x times a
+vector is a relation exactly when the vector is one: AR_{d-3} is
+AR_{d-2} cap x*S^3_{d-3}, and AR_e embeds in AR_{d-3} for e < d-3.  Where
+B, restricted to the columns whose monomial has no x, has rank |B| mod p
+(one minor, nonzero over Q), no combination of B is x times a vector, so
+there is no relation below d-2: the generators are B, and no A_e below d-2
+is built or eliminated.  Otherwise the walk climbs from e = 0, reusing
+A_{d-2}, its recorded leading monomials and B; where B fell short and
+generators turned up below, the pair step runs again with their multiples.
 """
 
 from __future__ import annotations
@@ -125,6 +128,9 @@ class JacobianContext:
     # relation_generators, None until it runs: the one relation walk per
     # curve, read by mdr and by the ranks of the Hilbert window
     generators: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # pair_relations(conics), None until _pair_kernel builds them and checks
+    # them exactly against A_{d-2}, once per curve
+    pairs: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
     # by degree s where A_s was eliminated: the grevlex leading monomials
     # mod p of the gradient ideal in degree s+d-1 (_leading_terms of A_s^T)
     leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -462,35 +468,30 @@ def _certified_rank(
     return lower
 
 
-def _checked_pairs(ctx: JacobianContext, matrix: RatMatrix) -> np.ndarray:
-    """pair_relations(ctx.conics), checked exactly against matrix =
-    syzygy_matrix(ctx, d-2); a failure raises."""
-    pairs = pair_relations(ctx.conics)
-    if not _kills(_SparseRows(matrix.array), pairs.T):
-        raise AssertionError("a pair relation failed exact re-verification")
-    return pairs
-
-
 def _pair_kernel(
-    ctx: JacobianContext,
-    matrix: RatMatrix,
-    pairs: np.ndarray,
-    found: list[Relation],
-    known: np.ndarray,
+    ctx: JacobianContext, matrix: RatMatrix, found: list[Relation], known: np.ndarray
 ) -> linalg.KernelBasis | None:
-    """The certified kernel of A_{d-2} (matrix) from the checked pair
-    relations, None where they do not close the bound.
+    """The certified kernel of A_{d-2} (matrix) from the pair relations of
+    ctx.conics, None where they do not close the bound.
 
-    With the residues of pairs added to known (the multiples of the
-    generators found below), a certified rank shows that these exact
-    relations span the kernel; linalg.kernel_basis_from_span then puts them
-    in standard form, or returns None, when the walk lifts the kernel.
+    The pairs are built and checked exactly against matrix on the first
+    call for a curve (a failure raises), and kept in ctx.pairs.  With their
+    residues added to known (the multiples of the generators found below),
+    a certified rank shows that these exact relations span the kernel;
+    linalg.kernel_basis_from_span then puts them in standard form, or
+    returns None, when the walk lifts the kernel.
     """
     e = ctx.d - 2
-    rank = _certified_rank(ctx, e, matrix, np.concatenate([known, residues_mod(pairs)]), (), {})
+    if ctx.pairs is None:
+        pairs = pair_relations(ctx.conics)
+        if not _kills(_SparseRows(matrix.array), pairs.T):
+            raise AssertionError("a pair relation failed exact re-verification")
+        object.__setattr__(ctx, "pairs", pairs)
+    multiples = np.concatenate([known, residues_mod(ctx.pairs)])
+    rank = _certified_rank(ctx, e, matrix, multiples, (), {})
     if rank is None:
         return None
-    spanning = np.concatenate([_relation_multiples(found, e), pairs])
+    spanning = np.concatenate([_relation_multiples(found, e), ctx.pairs])
     return linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
 
 
@@ -503,14 +504,6 @@ def _no_x_multiple(kernel: linalg.KernelBasis, e: int) -> bool:
     free_of_x = np.flatnonzero(np.tile(_monomial_array(e)[:, 0] == 0, 3))
     vectors = np.array(kernel.vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
     return len(pivot_columns_mod(vectors[:, free_of_x])) == len(vectors)
-
-
-def _top_first(ctx: JacobianContext) -> tuple[RatMatrix, np.ndarray, linalg.KernelBasis | None]:
-    """A_{d-2}, the pair relations of ctx.conics checked against it, and the
-    kernel they certify with nothing found below (_pair_kernel), or None."""
-    matrix = syzygy_matrix(ctx, ctx.d - 2)
-    pairs = _checked_pairs(ctx, matrix)
-    return matrix, pairs, _pair_kernel(ctx, matrix, pairs, [], _relation_multiples((), ctx.d - 2))
 
 
 def _joining(e: int, known: np.ndarray, kernel: linalg.KernelBasis, cols: int) -> list[Relation]:
@@ -531,25 +524,22 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     records the leading monomials of A_e wherever it eliminates it), they
     span its kernel; below the first relation, that is a certified full
     rank.  Elsewhere the certified kernel of A_e is taken, and its vectors
-    outside the span of those multiples mod p join (_joining).  At e = d-2
-    with ctx.conics known, that kernel comes from the pair relations where
-    they close the bound (_pair_kernel), else from a lift; both give the
-    basis linalg.kernel_basis returns, with every vector verified exactly,
-    so every generator is a relation.  The pair relations are not tried
-    for k >= 3 conics in one pencil: they are then multiples of the
-    degree-2 relation grad q_0 x grad q_1, which the lower generators
-    already span.  The first generator is (d1, the first vector of the
-    certified kernel of A_d1): nothing precedes it, and a primitive vector
-    is nonzero mod p.
+    outside the span of those multiples mod p join (_joining).  At e = d-2,
+    where the gate of the module docstring lets the conics in, that kernel
+    comes from the pair step (_pair_kernel) where the pairs close the bound,
+    else from a lift; both give the basis linalg.kernel_basis returns, with
+    every vector verified exactly, so every generator is a relation.  The
+    first generator is (d1, the first vector of the certified kernel of
+    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
 
-    On k >= 3 conics that span more than a pencil, every pair meeting in
-    four distinct points, the walk starts at the top (module docstring):
-    the pair kernel B of A_{d-2}, then one minor that shows no relation
-    below d-2 (_no_x_multiple).  Then B, joined as the walk joins it, is
-    the result; otherwise the walk runs from e = 0, reusing A_{d-2}, its
-    recorded leading monomials and the checked pairs.  Where it found
-    nothing below, it takes the top step's kernel as it stands, or lifts
-    where the pairs fell short there.
+    Where every pair of conics also meets in four distinct points, the walk
+    starts at the top (module docstring): the pair step with nothing below
+    gives the kernel B of A_{d-2}, and one minor shows that there is no
+    relation below d-2 (_no_x_multiple).  Then B, joined as the walk joins
+    it, is the result; otherwise the walk runs from e = 0 and, at d-2,
+    takes B as it stands.  Where B fell short, the pair step runs again
+    only if generators were found below, with their multiples; so A_{d-2}
+    is built once, and the pairs are built and checked once.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -561,16 +551,18 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """
     if ctx.generators is not None:
         return ctx.generators
-    top, conics = ctx.d - 2, ctx.conics
-    # the exact rank of the k x 6 coefficient matrix: 2 for k >= 3 conics in one pencil
-    span = 0 if conics is None else linalg.rank(RatMatrix(np.array(conics, dtype=object)))
-    found: list[Relation] = []
-    # A_{d-2}, its checked pair relations and their kernel, once built
-    top_matrix = pairs = top_kernel = None
-    if span >= 3 and all(meet_in_four_points(a, b) for a, b in combinations(conics, 2)):
-        top_matrix, pairs, top_kernel = _top_first(ctx)
+    top, conics, found = ctx.d - 2, ctx.conics or (), []
+    k = len(conics)
+    # the gate: the rank mod p of the k x 6 coefficient matrix, 2 for k >= 3
+    # conics in one pencil
+    try_pairs = k > 1 and len(pivot_columns_mod(np.array(conics, dtype=object))) >= min(3, k)
+    # A_{d-2} and its pair kernel, once the top step has built them
+    top_matrix = top_kernel = None
+    if try_pairs and all(meet_in_four_points(a, b) for a, b in combinations(conics, 2)):
+        top_matrix, none_below = syzygy_matrix(ctx, top), _relation_multiples((), top)
+        top_kernel = _pair_kernel(ctx, top_matrix, found, none_below)
         if top_kernel is not None and _no_x_multiple(top_kernel, top):
-            found = _joining(top, _relation_multiples((), top), top_kernel, top_matrix.cols)
+            found = _joining(top, none_below, top_kernel, top_matrix.cols)
             object.__setattr__(ctx, "generators", tuple(found))
             return ctx.generators
     for e in range(ctx.d - 1):
@@ -580,12 +572,13 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
             continue
         kernel = None
-        if e == top and top_matrix is not None and not found:
-            kernel = top_kernel  # what _pair_kernel would give again
-        elif e == top and (span >= 3 or len(conics or ()) == 2):
-            if pairs is None:
-                pairs = _checked_pairs(ctx, matrix)
-            kernel = _pair_kernel(ctx, matrix, pairs, found, known)
+        if e == top and try_pairs:
+            # the top step's kernel B, where it closed, is the whole kernel;
+            # else the pair step runs here, unless the top step ran it with
+            # the same (empty) multiples below
+            if top_kernel is None and (found or top_matrix is None):
+                top_kernel = _pair_kernel(ctx, matrix, found, known)
+            kernel = top_kernel
         if kernel is None:
             kernel = linalg.kernel_basis_certified(matrix)
         found.extend(_joining(e, known, kernel, matrix.cols))

@@ -1,6 +1,7 @@
 """scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
 with the curve's d1, a timed mdr plus window and a timed survey, on contexts that
-carry the arrangement's conics."""
+carry the arrangement's conics; the tangent ladder takes its kernel at d-2 from
+the pair relations."""
 
 import importlib.util
 import json
@@ -52,3 +53,29 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
     assert result["s"] > 0 and result["pipeline_s"] > 0 and result["survey_s"] > 0
     assert result["inventory"] == INVENTORY[name]
     assert result["complete"] == (name == "pencil_four_points_m7")
+
+
+def test_the_tangent_ladder_takes_its_kernel_at_d_minus_2_from_the_pairs(monkeypatch):
+    """The ladder's arrangements are nested, and each has d1 = d-3: the walk
+    lifts that kernel, and at d-2 the pair relations with the multiples of
+    the generators below close the bound, so no kernel is lifted there."""
+    from conicfree import linalg
+    from conicfree.locus import ConicArrangement
+    from conicfree.poly import degree_dimension
+    from conicfree.report import analyze_curve
+
+    script = _script()
+    lifts = []
+    original = linalg.kernel_basis_certified
+    monkeypatch.setattr(
+        linalg, "kernel_basis_certified", lambda matrix: lifts.append(matrix.cols) or original(matrix)
+    )
+    ladder = [script.tangent_texts(k, script.TANGENT_SEED) for k in (4, 5, 6)]
+    assert ladder[0] == ladder[1][:4] and ladder[1] == ladder[2][:5]
+    for texts in ladder:
+        arr = ConicArrangement.from_texts(texts)
+        d = 2 * arr.k
+        lifts.clear()
+        analysis = analyze_curve(arr.polynomial(), arrangement=arr)
+        assert analysis.witness.r == d - 3
+        assert lifts == [3 * degree_dimension(d - 3)]

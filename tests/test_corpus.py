@@ -151,6 +151,27 @@ def test_quick_regressions_pass():
     assert table.passed, table.render()
 
 
+def test_a_corpus_entry_is_expanded_and_parsed_once(monkeypatch):
+    """analyze_entry takes an arrangement entry's curve from the
+    arrangement's memoised product, and check_entry reads an entry's curve
+    once, not once per germ point."""
+    calls = []
+    original = CorpusEntry.polynomial
+
+    def refuse(self):
+        raise AssertionError("the corpus entry was expanded a second time")
+
+    monkeypatch.setattr(CorpusEntry, "polynomial", refuse)
+    assert run_regression(["celal_three_conics", "pencil_four_points_m6"]).passed
+    monkeypatch.setattr(CorpusEntry, "polynomial", lambda self: calls.append(1) or original(self))
+    e = entry("pencil_two_points_k3")
+    assert len(e.expected["germ_tau_at"]) == 2
+    doc = analysis_document(analyze_entry(e))
+    calls.clear()
+    assert all(row.ok for row in check_entry(e, doc))
+    assert calls == [1]
+
+
 def test_empty_selection_is_success():
     table = run_regression([])
     assert table.rows == () and table.passed

@@ -11,7 +11,6 @@ own, and break the relations, the minor and the support test on purpose.
 """
 
 import importlib.util
-import inspect
 import random
 from functools import lru_cache
 from pathlib import Path
@@ -22,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicfree import jacobian, linalg, report
-from conicfree.corpus import corpus_entries, entry
+from conicfree.corpus import analyze_entry, corpus_entries, entry
 from conicfree.jacobian import (
     JacobianContext,
     hilbert_profile,
@@ -241,7 +240,7 @@ def _assert_walks_agree(arr):
     assert hilbert_profile(with_components) == hilbert_profile(without)
 
 
-@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_the_top_step_gives_the_generators_of_the_walk(k):
     """Generic arrangements start at d-2 (the top step) and fall back on
     nothing; their generators, witness and window are those of the walk
@@ -293,7 +292,7 @@ def test_a_generic_arrangement_builds_and_eliminates_only_the_top_degree(monkeyp
         return original(ctx, r)
 
     monkeypatch.setattr(jacobian, "syzygy_matrix", spy)
-    for k, seed in [(3, 1), (4, 2), (5, 3), (6, 4)]:
+    for k, seed in [(2, 1), (3, 1), (4, 2), (5, 3), (6, 4)]:
         built.clear()
         ctx = _context(_generic(k, seed))
         mdr(ctx)
@@ -305,14 +304,23 @@ def test_a_generic_arrangement_builds_and_eliminates_only_the_top_degree(monkeyp
 
 
 def _pair_relation_calls(monkeypatch):
-    """For each call of pair_relations: whether the top step made it."""
-    original = jacobian.pair_relations
-    calls = []
+    """For each call of pair_relations: whether the top step made it, that
+    is, whether the curve had built no A_e with e < d-2 before it."""
+    build, original = jacobian.syzygy_matrix, jacobian.pair_relations
+    calls, built = [], []  # built: the curve whose matrices were built last, then its degrees
+
+    def spy_build(ctx, r):
+        if not built or built[0] is not ctx:
+            built[:] = [ctx]
+        built.append(r)
+        return build(ctx, r)
 
     def spy(conics):
-        calls.append(any(frame.function == "_top_first" for frame in inspect.stack()))
+        ctx = built[0]
+        calls.append(all(r >= ctx.d - 2 for r in built[1:]))
         return original(conics)
 
+    monkeypatch.setattr(jacobian, "syzygy_matrix", spy_build)
     monkeypatch.setattr(jacobian, "pair_relations", spy)
     return calls
 
@@ -364,6 +372,24 @@ def test_conics_in_one_pencil_build_no_pair_relation(name, calls, monkeypatch):
     ctx = _context(arr)
     assert _generators(ctx) == _generators(_context(arr, components=False))
     assert seen == calls
+
+
+def test_no_production_path_reaches_the_reference_engine(monkeypatch):
+    """linalg.rank and linalg.kernel_basis are the tests' reference engine:
+    the corpus, the benchmark's generic arrangements of seed 1 and a tangent
+    arrangement (the first conic plus multiples of squares of lines: two A3
+    points and one A7 point) are analyzed without them."""
+
+    def refuse(matrix):
+        raise AssertionError("the reference engine was called")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    for e in corpus_entries():
+        analyze_entry(e)
+    tangent = ConicArrangement.from_texts(["x^2+y^2-z^2", "2*x^2+y^2-z^2", "x^2+y^2-z^2+2*(x-z)^2"])
+    for arr in _generic_arrangements(1) + (tangent,):
+        analyze_curve(arr.polynomial(), arrangement=arr)
 
 
 def test_analysis_refuses_an_arrangement_that_is_not_the_curve():
