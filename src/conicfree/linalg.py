@@ -15,14 +15,14 @@ its own free column, so both engines return the same basis:
   matrix build to the certificate.  It eliminates A modulo one 31-bit
   prime, updating only the columns from each pivot on, records the pivot
   columns P and the pivot rows R, and solves A[R,P] X = A[R,F] over the
-  rationals for the free columns F: first from the echelon form itself,
-  then, if that single p-adic digit does not give a verified kernel, by
-  Dixon's p-adic lifting.  The lifting prime is the largest that keeps
-  every int64 product exact for the largest row l1 norm of the pivot block,
-  through which the residual is updated as a sparse matrix.  After every
-  digit the whole of X is reconstructed, and the lifting stops at the
-  first reconstruction whose kernel is certified, or at the Hadamard bound
-  of the system, where reconstruction is guaranteed.
+  rationals for the free columns F: first by back substitution on the
+  echelon form, then, if that single p-adic digit does not give a
+  verified kernel, by Dixon's p-adic lifting.  The lifting prime is the
+  largest that keeps every int64 product exact for the largest row l1 norm
+  of the pivot block, through which the residual is updated as a sparse
+  matrix.  After every digit the whole of X is reconstructed, and the
+  lifting stops at the first reconstruction whose kernel is certified, or
+  at the Hadamard bound of the system, where reconstruction is guaranteed.
 
   A rank r is accepted only with an exact certificate in both directions:
   the r x r minor A[R,P] is nonzero modulo the prime (rank >= r over the
@@ -43,13 +43,13 @@ its own free column, so both engines return the same basis:
   full-column-rank matrices take the same path.  Past a prime budget that
   no matrix reaches, the engine raises.
 
-The engine eliminates mod p in two ways, by what the caller reads.  Where
-a kernel is lifted (the certificate and the inverse mod q of Dixon's
-lifting), :func:`_rref_mod` builds the reduced row echelon form with the
-pivot rows.  Where only the pivot columns are read, :func:`_pivots_mod`
-builds a row echelon form: each step clears the pivot column below the
-pivot row only, and the pivot row is neither normalised nor kept.  The
-pivot columns depend only on the row space, so both give the same ones.
+One routine eliminates mod p, :func:`_echelon_mod`: a row echelon form
+whose steps clear the pivot column below the pivot row only, which keeps
+the pivot rows and their original indices.  Where only the pivot columns
+are read, that is all.  Where a solution is read (the first p-adic digit
+of the certificate, and b^-1 mod q for Dixon's lifting, from [b | I]),
+:func:`_back_substitute` solves the triangular system of the pivot rows on
+the free columns alone.
 
 :func:`pivot_columns_mod` and :func:`product_mod` work modulo one fixed
 prime, BOUND_PRIME, the first that the certified engine tries; the first
@@ -293,16 +293,18 @@ def _mod_array(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _rref_mod(
+def _echelon_mod(
     a: np.ndarray, p: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
-    """Reduced row echelon form of a mod p, in place.  Pivot rule: first nonzero row.
+    """Row echelon form of a mod p, in place.  Pivot rule: first nonzero row.
 
-    The entries of a lie in [0, p) with p < 2^31.  The rows from the current
-    one down are zero left of the pivot column, so each step updates only
-    the columns from the pivot on (only the pivot row's nonzero ones when
-    they are few).  Returns the pivot columns, the original indices of the
-    pivot rows (in pivot order) and the nonzero rows of the echelon form.
+    The entries of a lie in [0, p) with p < 2^31.  Each step clears the
+    pivot column in the rows below the pivot row only, without normalising
+    the pivot row; those rows are zero left of the pivot column, so only
+    the columns from the pivot on are updated (only the pivot row's nonzero
+    ones when they are few).  Returns the pivot columns, the original
+    indices of the pivot rows (in pivot order) and the nonzero rows U of the
+    echelon form, U = L a[pivot rows] for a unit lower triangular L.
     """
     nrows, ncols = a.shape
     order = list(range(nrows))
@@ -315,50 +317,15 @@ def _rref_mod(
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
+        row = a[pr, c:]
         if pr != r:
-            # both rows are zero left of c, so whole rows swap
-            a[[r, pr]] = a[[pr, r]]
+            # both rows are zero left of c
+            row = row.copy()
+            a[pr, c:] = a[r, c:]
+            a[r, c:] = row
             order[r], order[pr] = order[pr], order[r]
-        inv = pow(int(a[r, c]), -1, p)
-        row = a[r, c:] * inv % p
-        a[r, c:] = row
-        col = a[:, c].copy()
-        col[r] = 0
-        mask = col.nonzero()[0]
-        if mask.size:
-            cols = row.nonzero()[0]
-            if 2 * cols.size < row.size:
-                block = (mask[:, None], cols + c)
-                a[block] = (a[block] - col[mask, None] * row[cols]) % p
-            else:
-                a[mask, c:] = (a[mask, c:] - col[mask, None] * row) % p
-        pivot_cols.append(c)
-        r += 1
-    return tuple(pivot_cols), tuple(order[:r]), a[:r]
-
-
-def _pivots_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
-    """The pivot columns of the reduced echelon form of a mod p, a eliminated in place.
-
-    The entries of a lie in [0, p) with p < 2^31.  The pivot columns depend
-    only on the row space, so a row echelon form gives them: each step
-    clears the pivot column in the rows below the pivot row only, without
-    normalising it, and then overwrites the pivot row with the current one,
-    which is never read again (the order of the rows is not kept).
-    """
-    nrows, ncols = a.shape
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
         if nz.size > 1:
             below = r + nz[1:]
-            row = a[pr, c:]
             factor = a[below, c] * pow(int(row[0]), -1, p) % p
             cols = row.nonzero()[0]
             if 2 * cols.size < row.size:
@@ -366,11 +333,28 @@ def _pivots_mod(a: np.ndarray, p: int) -> tuple[int, ...]:
                 a[block] = (a[block] - factor[:, None] * row[cols]) % p
             else:
                 a[below, c:] = (a[below, c:] - factor[:, None] * row) % p
-        if pr != r:
-            a[pr, c:] = a[r, c:]
         pivot_cols.append(c)
         r += 1
-    return tuple(pivot_cols)
+    return tuple(pivot_cols), tuple(order[:r]), a[:r]
+
+
+def _back_substitute(
+    u: np.ndarray, pivots: tuple[int, ...], free: np.ndarray, p: int
+) -> np.ndarray:
+    """X with U[:, pivots] X = U[:, free] mod p, for the rows U of _echelon_mod.
+
+    U[:, pivots] is upper triangular with a nonzero diagonal.  X is solved
+    bottom row first, each solved row taken out of the right-hand sides of
+    the rows above that are nonzero in its pivot column.
+    """
+    x = u[:, free]
+    for i in range(len(pivots) - 1, -1, -1):
+        x[i] = x[i] * pow(int(u[i, pivots[i]]), -1, p) % p
+        col = u[:i, pivots[i]]
+        above = col.nonzero()[0]
+        if above.size:
+            x[above] = (x[above] - col[above, None] * x[i]) % p
+    return x
 
 
 # The prime of the one-prime helpers below: the first one the certified engine tries.
@@ -389,7 +373,7 @@ def pivot_columns_mod(a: np.ndarray) -> tuple[int, ...]:
     Their count is the rank mod p, which is at most the rank over the
     rationals: a nonzero minor mod p is nonzero over Q.
     """
-    return _pivots_mod(residues_mod(a), BOUND_PRIME)
+    return _echelon_mod(residues_mod(a), BOUND_PRIME)[0]
 
 
 def product_mod(a: np.ndarray, x: np.ndarray, l1: int) -> np.ndarray:
@@ -562,10 +546,10 @@ def _inverse_mod(b: np.ndarray, q: int) -> np.ndarray | None:
     """Inverse of the square integer matrix b modulo q, None when singular mod q."""
     r = len(b)
     aug = np.concatenate([_mod_array(b, q), np.eye(r, dtype=np.int64)], axis=1)
-    pivots, _, rref = _rref_mod(aug, q)
+    pivots, _, u = _echelon_mod(aug, q)
     if pivots != tuple(range(r)):
         return None
-    return np.ascontiguousarray(rref[:, r:])
+    return _back_substitute(u, pivots, np.arange(r, 2 * r), q)
 
 
 def _column_norms2(a: np.ndarray) -> list[int]:
@@ -638,7 +622,7 @@ def _lifted_kernel(
     a: np.ndarray,
     pivots: tuple[int, ...],
     pivot_rows: tuple[int, ...],
-    rref: np.ndarray,
+    u: np.ndarray,
     p: int,
 ) -> np.ndarray | None:
     """Standard-form kernel for the pivot columns of a mod-p elimination.
@@ -662,9 +646,9 @@ def _lifted_kernel(
         vectors[piv] = -nums.reshape(k, r).T
         return vectors if _kills(rows, vectors) else None
 
-    # The echelon form is b^-1 A[R,:] mod p, so its free columns are the
-    # first p-adic digit of the solution.
-    rec = _reconstruct_vector(rref[:, free].T.ravel(), p)
+    # The echelon rows are L A[R,:] mod p for an invertible L, so the
+    # solution of U[:,P] X = U[:,F] is b^-1 c mod p: the first p-adic digit.
+    rec = _reconstruct_vector(_back_substitute(u, pivots, free, p).T.ravel(), p)
     if rec is not None:
         found = certify(*rec)
         if found is not None:
@@ -783,8 +767,8 @@ def kernel_basis_certified(matrix: RatMatrix) -> KernelBasis:
     a = matrix.array
     budget = _prime_budget(a)
     for tried, p in enumerate(_primes_below(2**31), start=1):
-        pivots, pivot_rows, rref = _rref_mod(_mod_array(a, p), p)
-        found = _lifted_kernel(a, pivots, pivot_rows, rref, p)
+        pivots, pivot_rows, u = _echelon_mod(_mod_array(a, p), p)
+        found = _lifted_kernel(a, pivots, pivot_rows, u, p)
         free = np.delete(np.arange(matrix.cols), pivots)
         if found is not None and _canonical_support(found, free):
             columns = found.T.tolist()

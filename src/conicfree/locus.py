@@ -40,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import gcd, isqrt
 
-from conicfree.linalg import _rat_reconstruct
+from conicfree.linalg import _is_probable_prime, _rat_reconstruct
 from conicfree.poly import (
     ConicForm,
     HomogeneousPolynomial,
@@ -386,14 +386,6 @@ def _resultant_in_x(q1: IntConic, q2: IntConic) -> list[int]:
     return [u - v for u, v in zip(_mul_forms(ac, ac), _mul_forms(ab, bc))]
 
 
-def _primes():
-    p = 2
-    while True:
-        if all(p % d for d in range(2, isqrt(p) + 1)):
-            yield p
-        p += 1
-
-
 def _eval_mod(cs: list[int], t: int, m: int) -> int:
     total = 0
     for c in reversed(cs):
@@ -418,7 +410,7 @@ def _padic_rational_roots(g: list[int]) -> list[Fraction]:
     num_bound, den_bound = abs(g[0]), abs(g[-1])
     bound = 2 * num_bound * den_bound
     deriv = [i * c for i, c in enumerate(g)][1:]
-    for p in _primes():
+    for p in filter(_is_probable_prime, count(2)):
         if g[-1] % p == 0:
             continue
         residues = [r for r in range(p) if _eval_mod(g, r, p) == 0]

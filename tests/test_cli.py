@@ -644,3 +644,23 @@ def test_analyze_does_not_import_numpy_ma():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _run_module(*argv):
+    """``python -m conicfree`` with argv, importing this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(conicfree.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "conicfree", *argv], env=env, capture_output=True, timeout=300
+    )
+
+
+def test_python_dash_m_prints_what_main_prints(capsys):
+    """``python -m conicfree`` exits with main's code and prints its bytes;
+    a usage error exits 1 there too."""
+    code, out, _ = run_cli(capsys, "analyze", "corpus:two_conics_a7_e1", "--json")
+    done = _run_module("analyze", "corpus:two_conics_a7_e1", "--json")
+    assert done.returncode == code == 0, done.stderr
+    assert done.stdout == out.encode()
+    done = _run_module("analyze")
+    assert done.returncode == 1
+    assert b"the following arguments are required: input" in done.stderr

@@ -241,13 +241,13 @@ def test_a_small_matrix_is_certified_from_the_fourth_prime():
     """A 2 x 2 matrix takes the certified path too, past three bad primes."""
     m, primes = _bad_prime_diagonal()
     tried = []
-    rref = linalg._rref_mod
+    echelon = linalg._echelon_mod
 
     def spy(a, p):
         tried.append(p)
-        return rref(a, p)
+        return echelon(a, p)
 
-    with _exact_engine_refused(), mock.patch.object(linalg, "_rref_mod", spy):
+    with _exact_engine_refused(), mock.patch.object(linalg, "_echelon_mod", spy):
         assert kernel_basis_certified(m) == linalg.KernelBasis(0, ())
         assert tried == primes
         assert rank_certified(m) == 2
@@ -669,7 +669,7 @@ def _rref_reference(rows, ncols, p):
     """Reduced echelon form mod p in pure Python, first nonzero row as pivot.
 
     Returns the pivot columns, the original indices of the pivot rows and
-    the nonzero rows of the echelon form, as _rref_mod does."""
+    the nonzero rows of the reduced echelon form."""
     a = [[v % p for v in row] for row in rows]
     order = list(range(len(a)))
     pivots = []
@@ -720,17 +720,102 @@ def _sparse_integer_arrays(draw):
 @settings(max_examples=150, deadline=None)
 @given(a=_sparse_integer_arrays(), p=st.sampled_from([linalg.BOUND_PRIME, 2, 3, 7]))
 def test_pivot_kernel_and_reduced_form_match_a_reference(a, p):
-    """The row echelon pivot kernel and the reduced form agree with a pure
-    Python elimination mod p, on the residues of int64 and object arrays."""
+    """The row echelon form and its back substitution agree with a pure
+    Python reduced elimination mod p, on the residues of int64 and object
+    arrays: the same pivot columns and pivot rows, echelon rows that reduce
+    to the reference's, and a solution on the free columns that is the
+    reference's reduced rows there."""
     x = linalg.residues_mod(a) if p == linalg.BOUND_PRIME else linalg._mod_array(a, p)
     assert x.dtype == np.int64 and x.shape == a.shape
-    pivots, pivot_rows, echelon = _rref_reference(x.tolist(), a.shape[1], p)
-    assert linalg._pivots_mod(x.copy(), p) == linalg._rref_mod(x.copy(), p)[0] == pivots
-    got_pivots, got_rows, got_echelon = linalg._rref_mod(x.copy(), p)
+    pivots, pivot_rows, reduced = _rref_reference(x.tolist(), a.shape[1], p)
+    got_pivots, got_rows, got_echelon = linalg._echelon_mod(x.copy(), p)
+    assert got_pivots == pivots
     assert got_rows == pivot_rows
     assert got_echelon.dtype == np.int64 and got_echelon.shape == (len(pivots), a.shape[1])
-    assert got_echelon.tolist() == echelon
+    assert _rref_reference(got_echelon.tolist(), a.shape[1], p)[2] == reduced
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    solved = linalg._back_substitute(got_echelon, got_pivots, free, p)
+    assert solved.tolist() == [[row[c] for c in free.tolist()] for row in reduced]
     if p == linalg.BOUND_PRIME:
         assert linalg.pivot_columns_mod(a) == pivots
         assert len(linalg.pivot_columns_mod(a.T)) == len(pivots)
 
+
+def _solve_reference(b, c, q):
+    """X with b X = c mod q for a square b, by Gauss-Jordan on Python
+    integers; None when b is singular mod q."""
+    r = len(b)
+    rows = [[v % q for v in brow + crow] for brow, crow in zip(b, c)]
+    for i in range(r):
+        pr = next((j for j in range(i, r) if rows[j][i]), None)
+        if pr is None:
+            return None
+        rows[i], rows[pr] = rows[pr], rows[i]
+        inv = pow(rows[i][i], -1, q)
+        rows[i] = [v * inv % q for v in rows[i]]
+        for j in range(r):
+            if j != i and rows[j][i]:
+                factor = rows[j][i]
+                rows[j] = [(v - factor * w) % q for v, w in zip(rows[j], rows[i])]
+    return [row[r:] for row in rows]
+
+
+def _back_substitution_matches(a, q):
+    """The back substitution on the echelon form of a mod q against
+    _solve_reference on the same triangular system; returns (pivots, free)."""
+    pivots, _, u = linalg._echelon_mod(linalg._mod_array(a, q), q)
+    free = np.delete(np.arange(a.shape[1]), pivots)
+    got = linalg._back_substitute(u, pivots, free, q)
+    rows = u.tolist()
+    block = [[row[c] for c in pivots] for row in rows]
+    rhs = [[row[c] for c in free.tolist()] for row in rows]
+    expected = _solve_reference(block, rhs, q)
+    assert got.dtype == np.int64 and got.shape == (len(pivots), len(free))
+    assert got.tolist() == expected
+    return pivots, free
+
+
+# a prime of the size Dixon's lifting takes for a 6 x 6 pivot block
+_LIFTING_PRIME = next(linalg._primes_below(isqrt(linalg._INT64_MAX // 6) + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), q=st.sampled_from([2, 3, 7, linalg.BOUND_PRIME, _LIFTING_PRIME]))
+def test_back_substitution_and_inverse_match_a_python_solve(data, q):
+    """_inverse_mod is b^-1 mod q, or None exactly when b is singular mod q,
+    and the back substitution solves the echelon rows' triangular system,
+    both as Gauss-Jordan on Python integers does, on int64 and object b."""
+    r = data.draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    b = [data.draw(st.lists(entry, min_size=r, max_size=r)) for _ in range(r)]
+    if r > 1 and data.draw(st.booleans()):
+        # singular mod q, not necessarily over the rationals
+        i, j = data.draw(st.permutations(range(r)))[:2]
+        k, shift = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        b[i] = [k * v + q * shift for v in b[j]]
+    a = linalg.integer_zeros((r, r), max((abs(v) for row in b for v in row), default=0))
+    a[:] = b
+    identity = [[int(i == j) for j in range(r)] for i in range(r)]
+    expected = _solve_reference(b, identity, q)
+    got = linalg._inverse_mod(a, q)
+    if expected is None:
+        assert got is None
+    else:
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert (a.astype(object) @ got.astype(object) % q).tolist() == identity
+    extra = data.draw(st.integers(0, 3))
+    wide = np.concatenate([a, a[:, :extra] * 5 + 1], axis=1) if r else a
+    _back_substitution_matches(wide, q)
+    _back_substitution_matches(wide.T.copy(), q)
+
+
+def test_back_substitution_with_no_pivots_or_no_free_columns():
+    """A zero matrix has no pivots and an empty solution; a matrix of full
+    column rank has no free columns; a 0 x 0 b has the empty inverse."""
+    for q in (2, 3, 7, linalg.BOUND_PRIME, _LIFTING_PRIME):
+        assert _back_substitution_matches(np.zeros((3, 4), dtype=np.int64), q)[0] == ()
+        full = np.array([[1, 2, 0], [0, 1, 5], [0, 0, 1], [4, 4, 4]], dtype=np.int64)
+        pivots, free = _back_substitution_matches(full, q)
+        assert pivots == (0, 1, 2) and free.size == 0
+        assert linalg._inverse_mod(np.zeros((0, 0), dtype=np.int64), q).shape == (0, 0)
+        assert linalg._inverse_mod(np.zeros((2, 2), dtype=np.int64), q) is None

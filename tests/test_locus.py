@@ -529,10 +529,10 @@ def test_jet_table_is_keyed_by_the_integer_conic():
     assert len(jets) == 3
 
 
-def test_survey_invariant_under_rational_coordinate_changes():
-    """Random rational PGL(3) changes of coordinates of the corpus arrangements
-    keep the points and types, the pair multiplicities, the residuals and the
-    completeness, and the surveyed points map onto the transformed survey's."""
+def _moved_corpus_arrangements():
+    """(entry, arrangement, [(m, moved arrangement)] * 3) for the 15 corpus
+    arrangements, each moved by three seeded rational PGL(3) changes of
+    coordinates m."""
     import random
 
     from conicfree.corpus import corpus_entries
@@ -542,13 +542,23 @@ def test_survey_invariant_under_rational_coordinate_changes():
     assert len(entries) == 15
     for e in entries:
         arr = e.arrangement()
-        sv = survey(arr, assume_qh=e.assume_qh)
+        moves = []
         for _ in range(3):
             while True:
                 m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
                 if _det(m) != 0:
                     break
-            moved = ConicArrangement(tuple(_pull_back(q, m) for q in arr.components))
+            moves.append((m, ConicArrangement(tuple(_pull_back(q, m) for q in arr.components))))
+        yield e, arr, moves
+
+
+def test_survey_invariant_under_rational_coordinate_changes():
+    """Random rational PGL(3) changes of coordinates of the corpus arrangements
+    keep the points and types, the pair multiplicities, the residuals and the
+    completeness, and the surveyed points map onto the transformed survey's."""
+    for e, arr, moves in _moved_corpus_arrangements():
+        sv = survey(arr, assume_qh=e.assume_qh)
+        for m, moved in moves:
             tv = survey(moved, assume_qh=e.assume_qh)
             assert tv.inventory() == sv.inventory()
             assert tv.residual_per_pair == sv.residual_per_pair
@@ -563,6 +573,37 @@ def test_survey_invariant_under_rational_coordinate_changes():
                 )
                 images.append(image.point)
             assert sorted(images, key=lambda p: p.coords()) == [r.point for r in tv.records]
+
+
+def _invariants(arr, assume_qh):
+    """d1, tau, nu, the verdict, the effective inventory and whether a
+    modular point proves the arrangement supersolvable, from the analysis
+    document of the arrangement's curve."""
+    from conicfree.report import analysis_document, analyze_curve
+
+    analysis = analyze_curve(arr.polynomial(), arrangement=arr, assume_qh=assume_qh)
+    doc = analysis_document(analysis, supersolvable=True)
+    checks = doc["checks"]
+    return (
+        doc["mdr"]["d1"],
+        analysis.tau,
+        doc["freeness"]["nu"],
+        doc["freeness"]["verdict"],
+        checks["effective_inventory"],
+        checks["supersolvable"]["modular_point"] is not None,
+    )
+
+
+def test_analysis_invariant_under_rational_coordinate_changes():
+    """The same changes of coordinates keep d1, tau, nu, the verdict, the
+    effective inventory and the supersolvability answer of the analysis.
+    The moved conics are denser: their relation walks run Dixon's lifting,
+    which the corpus's own kernels never need."""
+    for e, arr, moves in _moved_corpus_arrangements():
+        expected = _invariants(arr, e.assume_qh)
+        assert expected[1] == e.expected.get("tau", expected[1]), e.name
+        for _, moved in moves:
+            assert _invariants(moved, e.assume_qh) == expected, e.name
 
 
 def _bench_inputs():

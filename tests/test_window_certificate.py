@@ -306,14 +306,14 @@ def test_relation_check_combines_many_rows_exactly():
 def test_each_canonical_kernel_takes_one_prime(monkeypatch):
     """The certified kernels of the relation walks of the corpus and of the
     generic octic, on fresh contexts, eliminate their matrix once: one
-    _rref_mod of its shape (the inverse of Dixon's lifting eliminates
+    _echelon_mod of its shape (the inverse of Dixon's lifting eliminates
     [b | I], of another shape)."""
     shapes, eliminations = [], []
-    rref, kernel = linalg._rref_mod, linalg.kernel_basis_certified
+    echelon, kernel = linalg._echelon_mod, linalg.kernel_basis_certified
 
-    def spy_rref(a, p):
+    def spy_echelon(a, p):
         shapes.append(a.shape)
-        return rref(a, p)
+        return echelon(a, p)
 
     def spy_kernel(matrix):
         shapes.clear()
@@ -322,7 +322,7 @@ def test_each_canonical_kernel_takes_one_prime(monkeypatch):
             eliminations.append(shapes.count(matrix.array.shape))
         return basis
 
-    monkeypatch.setattr(linalg, "_rref_mod", spy_rref)
+    monkeypatch.setattr(linalg, "_echelon_mod", spy_echelon)
     monkeypatch.setattr(linalg, "kernel_basis_certified", spy_kernel)
     curves = [JacobianContext.for_curve(e.polynomial()) for e in corpus_entries()]
     curves.append(_curve(_generic_texts(1)[-1]))
