@@ -7,14 +7,19 @@ generic arrangements of k = 5..8 and 10 dense conics drawn by the
 benchmark's ``perfbench/inputs.py`` (``_generic_conics``) from a fresh
 ``random.Random(12345)`` for each k, the k = 8 one at two heights: each
 coefficient c at position i of a conic becomes c * s + (i mod 3) for
-s = 10^6 and 10^12, and three seeds on which the relation bound of the
-window needs leading terms above degree d-1: k = 7 seed 4 and k = 8 seeds
-4 and 19, each coefficient c made c + (i mod 3), and a ladder of tangent
-arrangements for k = 4..6 from one seed (``tangent_texts``): the first
-conic plus lam * (line)^2, the class the paper studies, where the relation
-walk takes its kernel at d-2 from the pair relations and the lower
-relations together.  Every context is built
-with the arrangement's integer conics where the checkout's
+s = 10^6 and 10^12, and four inputs with each coefficient c made
+c + (i mod 3) (``shifted_texts``): k = 7 seed 4 (a D4 triple point), k = 8
+seeds 4 and 19 (an ordinary quadruple point), on which the relation bound
+of the window needs leading terms above degree d-1, and k = 12 seed 12345
+(an ordinary quadruple point), whose walk lifts a 1081 x 828 kernel at
+d-2.  Then the class the paper studies: a ladder of tangent arrangements
+for k = 4..6 from one seed (``tangent_texts``), the first conic plus
+lam * (line)^2, where the relation walk lifts its kernel at d1 = d-3 and
+the multiples of those generators close the bound at d-2, and one
+arrangement of k = 5 conics with an A7 point (``a7_texts``).  The special points are the
+ones the pair relations do not cover, so these inputs measure relations
+of the sub-arrangement at each point.  Every context is built with the
+arrangement's integer conics where the checkout's
 ``JacobianContext.for_curve`` takes them, as ``analyze_curve`` builds it.
 
     python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
@@ -29,7 +34,9 @@ runs them in (``pipeline_s``), then one ``survey`` of the arrangement
 machine's speed falls on both alike.  Each input is run REPEATS times per
 side.  The JSON file holds the machine's description, every time, the
 windows, taus, d1, survey inventories and completeness of both checkouts,
-and per input the speedup of the window (median before / median after).
+the (rows, cols) of each kernel that ``linalg.kernel_basis_certified``
+lifts in the timed mdr and window (``lifts``), and per input the speedup
+of the window (median before / median after) and whether the lifts moved.
 """
 
 from __future__ import annotations
@@ -53,8 +60,9 @@ PENCIL_F = "3*x^2+y^2-4*z^2"
 PENCIL_G = "x^2+3*y^2-4*z^2"
 GENERIC_SEED = 12345
 HEIGHTS = {"1e6": 10**6, "1e12": 10**12}  # the scales of the height inputs, by name
-SHIFTED_SEEDS = ((7, 4), (8, 4), (8, 19))  # (k, seed) of the shifted inputs at scale 1
+SHIFTED_SEEDS = ((7, 4), (8, 4), (8, 19), (12, 12345))  # (k, seed) of the shifted inputs at scale 1
 TANGENT_SEED = 1  # the seed of the tangent ladder, k = 4..6
+A7_SEED = 3  # the seed of the k = 5 arrangement with an A7 point
 REPEATS = 3  # runs per side, for every input
 
 
@@ -93,6 +101,30 @@ def tangent_texts(k: int, seed: int) -> list[str]:
     return [inputs.conic_text(q) for q in conics]
 
 
+def a7_texts(k: int, seed: int) -> list[str]:
+    """A smooth conic q through (0:0:1) (coefficients in [-5, 5], no z^2
+    term) from random.Random(seed), then q + lam * T^2, T = xz*x + yz*y its
+    tangent line at (0:0:1), then k - 2 conics q + lam * L^2 as in
+    tangent_texts, L not through (0:0:1), lam in 1..3, each smooth and new.
+    T^2 meets q only at (0:0:1), with multiplicity 4: an A7 point of q and
+    q + lam * T^2, where no other conic passes."""
+    inputs = _inputs()
+    rng = random.Random(seed)
+    q = (0,) * 6
+    while not inputs.conic_det(q):
+        q = tuple(rng.randint(-5, 5) if i != 2 else 0 for i in range(6))
+    conics, (a, b, c) = [q], (q[4], q[5], 0)
+    while len(conics) < k:
+        lam = rng.randint(1, 3)
+        square = (a * a, b * b, c * c, 2 * a * b, 2 * a * c, 2 * b * c)
+        p = tuple(u + lam * v for u, v in zip(q, square))
+        if inputs.conic_det(p) and not any(inputs.proportional(p, r) for r in conics):
+            conics.append(p)
+        if len(conics) > 1:  # T until its conic is in, then lines off (0:0:1)
+            a, b, c = rng.randint(-3, 3), rng.randint(-3, 3), rng.choice((-3, -2, -1, 1, 2, 3))
+    return [inputs.conic_text(p) for p in conics]
+
+
 def arrangements() -> dict[str, list[str]]:
     """Input name -> component conic texts."""
     out = {}
@@ -110,13 +142,16 @@ def arrangements() -> dict[str, list[str]]:
         out[f"generic_k{k}_seed{seed}"] = shifted_texts(k, seed)
     for k in (4, 5, 6):
         out[f"tangent_k{k}"] = tangent_texts(k, TANGENT_SEED)
+    out["a7_k5"] = a7_texts(5, A7_SEED)
     return out
 
 
 def time_one(src: str, name: str) -> dict:
     """Run in a child process: the timed window of one input, then mdr and the
-    window, then the survey of the arrangement."""
+    window, whose lifted kernels it records, then the survey of the
+    arrangement."""
     sys.path.insert(0, src)
+    from conicfree import linalg
     from conicfree.jacobian import JacobianContext, hilbert_profile, mdr
     from conicfree.locus import ConicArrangement, survey
     from conicfree.poly import parse_polynomial
@@ -132,10 +167,15 @@ def time_one(src: str, name: str) -> dict:
     profile = hilbert_profile(ctx)
     seconds = time.perf_counter() - t0
     ctx = JacobianContext.for_curve(f, **options)
+    lifts, lift = [], linalg.kernel_basis_certified
+    linalg.kernel_basis_certified = lambda matrix: lifts.append([matrix.rows, matrix.cols]) or lift(
+        matrix
+    )
     t0 = time.perf_counter()
     witness = mdr(ctx)
     hilbert_profile(ctx)
     pipeline = time.perf_counter() - t0
+    linalg.kernel_basis_certified = lift
     t0 = time.perf_counter()
     sv = survey(arr)
     survey_seconds = time.perf_counter() - t0
@@ -149,6 +189,7 @@ def time_one(src: str, name: str) -> dict:
         "s": seconds,
         "pipeline_s": pipeline,
         "survey_s": survey_seconds,
+        "lifts": lifts,
     }
 
 
@@ -191,7 +232,10 @@ def main() -> int:
                 result = json.loads(out)
                 entry = runs[side].setdefault(
                     name,
-                    {k: result[k] for k in ("d", "d1", "window", "tau", "inventory", "complete")}
+                    {
+                        k: result[k]
+                        for k in ("d", "d1", "window", "tau", "inventory", "complete", "lifts")
+                    }
                     | {"seconds": [], "pipeline_seconds": [], "survey_seconds": []},
                 )
                 entry["seconds"].append(round(result["s"], 3))
@@ -219,6 +263,10 @@ def main() -> int:
         },
         "same_window": {
             name: runs["before"][name]["window"] == runs["after"][name]["window"]
+            for name in runs["after"]
+        },
+        "same_lifts": {
+            name: runs["before"][name]["lifts"] == runs["after"][name]["lifts"]
             for name in runs["after"]
         },
         "same_survey": {

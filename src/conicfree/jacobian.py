@@ -31,9 +31,9 @@ cols - rank_p(F), where F holds the monomial multiples into degree s of
 exact relations: generators found by one walk per curve over degrees
 0 .. d-2 (a certified kernel only where the multiples of the lower ones
 fall short; mdr reads d1 and its witness off the first generator, or
-off the first Koszul relation when there is none) and the three Koszul
-relations (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1,
-re-verified exactly as one array product, once per curve (ctx.koszul).
+off the first Koszul relation when there is none) and the pool's
+candidates at d-1 (below): the three Koszul relations (f_y, -f_x, 0),
+(f_z, 0, -f_x), (0, f_z, -f_y) (ctx.koszul).
 rank_p(F_s) is bounded from below by leading terms too (three
 components), on a ladder of rungs t = min(s, d-1) .. s: every relation
 has degree <= d-1, so F_s = S_{s-t} F_t.  Each F_t is eliminated at most
@@ -47,48 +47,44 @@ bounds do not meet, the rank comes from the lifted-kernel certificate of
 linalg.rank_certified; a missing generator can only cause that fallback,
 never a wrong rank.
 
-A conic arrangement has closed-form relations in degree d-2, the
-logarithmic derivations of pairs of conics (K. Saito 1980; Schenck and
-Tohaneanu 2009): for the pairs (0, j), d*P*rho - (rho . grad P)*(x, y, z)
-with rho = grad q_0 x grad q_j and P the product of the other conics
-(pair_relations).  When the context carries the integer conics
-(ctx.conics, which report.analyze_curve passes from the arrangement; an
-expression is not factored and gets none), one pair step (_pair_kernel)
-builds them, checks them exactly against A_{d-2} once per curve, and adds
-their residues to the multiples of the generators found below.  Where that
-closes the two-sided bound they span the kernel, and
-linalg.kernel_basis_from_span puts them in the standard form a lift
-returns, so the generators, the witness and the window are unchanged.
-Where they fall short (a triple point) or the support test fails, the
-kernel is lifted.
+The walk and the window try a pool of exact candidate relations, by
+degree, before they lift a kernel; each family is built and checked
+exactly against A_e once per curve (_candidates).  At d-1 it holds the
+Koszul relations.  At d-2, where the context carries the integer conics
+of an arrangement (ctx.conics, which report.analyze_curve passes; an
+expression is not factored and gets none), it holds the logarithmic
+derivations of the pairs (0, j) (K. Saito 1980; Schenck and Tohaneanu
+2009): d*P*rho - (rho . grad P)*(x, y, z) with rho = grad q_0 x grad q_j
+and P the product of the other conics (pair_relations).  Where the
+multiples of the generators found below and the candidates of a degree
+close the two-sided bound, linalg.kernel_basis_from_span puts their span
+in the standard form a lift returns, so the generators, the witness and
+the window are unchanged; where they fall short (a triple point) or the
+support test fails, the kernel is lifted.  The pairs are admitted where
+the k x 6 coefficient matrix of the k >= 2 conics has rank at least
+min(3, k) mod p: two conics, but no k >= 3 conics in one pencil, whose
+pairs are multiples of grad q_0 x grad q_1, a relation of degree 2, and
+cannot close a bound the lower generators leave open.  A rank that the
+prime lowers only costs a lift.
 
-One gate decides whether the pair step is tried: the k x 6 coefficient
-matrix of the k >= 2 conics has rank at least min(3, k) mod p.  It lets
-two conics in and keeps out k >= 3 conics in one pencil, whose pairs are
-multiples of grad q_0 x grad q_1, a relation of degree 2 that the lower
-generators already span.  A rank that the prime lowers only costs a lift.
-
-Where every pair also meets in four distinct points
-(poly.meet_in_four_points, the discriminant of the pencil's determinant
-cubic), the walk starts at the top: A_{d-2} is built first, and the pair
-step gives its kernel B with nothing below.  S is a domain, so x times a
-vector is a relation exactly when the vector is one: AR_{d-3} is
-AR_{d-2} cap x*S^3_{d-3}, and AR_e embeds in AR_{d-3} for e < d-3.  Where
-B, restricted to the columns whose monomial has no x, has rank |B| mod p
-(one minor, nonzero over Q), no combination of B is x times a vector, so
-there is no relation below d-2: the generators are B, and no A_e below d-2
-is built or eliminated.  Otherwise the walk climbs from e = 0, reusing
-A_{d-2}, its recorded leading monomials and B; where B fell short and
-generators turned up below, the pair step runs again with their multiples.
+The walk starts at the pool's lowest degree e0 <= d-2, where it builds
+A_{e0} and takes its kernel B from the candidates alone.  S is a domain,
+so x times a vector is a relation exactly when the vector is one: for
+every curve AR_{e0-1} is AR_{e0} cap x*S^3_{e0-1}, and AR_e embeds in it
+for e < e0-1.  Where B, restricted to the columns whose monomial has no
+x, has rank |B| mod p (one minor, nonzero over Q), no combination of B is
+x times a vector, so no relation lies below e0: the generators are B, and
+no A_e below e0 is built.  Otherwise the walk climbs from e = 0, reusing
+A_{e0}, its recorded leading monomials and, where nothing turned up
+below, B.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations
 from math import gcd, lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 # the certified engine is called as linalg.rank_certified and
 # linalg.kernel_basis_certified, looked up at call time, so that code
@@ -110,7 +106,6 @@ from conicfree.poly import (
     HomogeneousPolynomial,
     Mono3,
     degree_dimension,
-    meet_in_four_points,
     monomials_of_degree,
 )
 
@@ -123,14 +118,14 @@ class JacobianContext:
     d: int
     partials: tuple[HomogeneousPolynomial, HomogeneousPolynomial, HomogeneousPolynomial]
     # the integer conics (ConicForm.integer) whose product is a constant
-    # times f, where known; the walk builds their pair relations at d-2
+    # times f, where known; their pair relations are the pool's family at d-2
     conics: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
     # relation_generators, None until it runs: the one relation walk per
     # curve, read by mdr and by the ranks of the Hilbert window
     generators: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    # pair_relations(conics), None until _pair_kernel builds them and checks
-    # them exactly against A_{d-2}, once per curve
-    pairs: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
+    # the pool, by degree e: the candidate relations of families[e], filled
+    # by _candidates on the first call for e, once per curve
+    pool: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # by degree s where A_s was eliminated: the grevlex leading monomials
     # mod p of the gradient ideal in degree s+d-1 (_leading_terms of A_s^T)
     leading: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -170,24 +165,36 @@ class JacobianContext:
         return sum(abs(v) for g in self.integer_partials for v in g.values())
 
     @cached_property
-    def koszul(self) -> tuple[Relation, ...]:
-        """(f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1, made
-        primitive, as object vectors in the layout of syzygy_matrix(ctx, d-1);
-        zero triples are left out, and the rest re-verified exactly, once per
-        curve, as one array product with that matrix (linalg._kills)."""
-        e = self.d - 1
+    def families(self) -> dict[int, Callable[[], np.ndarray]]:
+        """The pool's families by degree e, each a builder of exact relations
+        of degree e as rows in the layout of syzygy_matrix(ctx, e): the pair
+        relations of the conics at d-2, where the rank gate admits them, and
+        the Koszul relations at d-1."""
+        conics, pairs = self.conics or (), {}
+        k = len(conics)
+        # the rank gate (module docstring).  Without it, the seven corpus
+        # pencils of k >= 3 conics built pairs that cannot close: 0.3-2.4 ms
+        # more an entry, 94 -> 101 ms in all (best of 25, 2-core Xeon)
+        if k > 1 and len(pivot_columns_mod(np.array(conics, dtype=object))) >= min(3, k):
+            pairs[self.d - 2] = lambda: pair_relations(conics)
+        return pairs | {self.d - 1: self._koszul_rows}
+
+    def _koszul_rows(self) -> np.ndarray:
+        """(f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1."""
+        e, partials = self.d - 1, self.integer_partials
         n = degree_dimension(e)
-        partials = self.integer_partials
         rows = np.zeros((3, 3 * n), dtype=object)
         for row, (f, g) in zip(rows, ((0, 1), (0, 2), (1, 2))):
             for k, h, sign in ((f, g, 1), (g, f, -1)):
                 if partials[h]:
                     positions = _grlex_position(np.array(list(partials[h])), e)
                     row[k * n + positions] = [sign * c for c in partials[h].values()]
-        rows = rows[(rows != 0).any(axis=1)]
-        if not _kills(_SparseRows(syzygy_matrix(self, e).array), rows.T):
-            raise AssertionError("a Koszul relation failed exact re-verification")
-        return tuple((e, row // gcd(*row)) for row in rows)
+        return rows
+
+    @property
+    def koszul(self) -> tuple[Relation, ...]:
+        """The pool's Koszul relations, primitive, in degree d-1 (_candidates)."""
+        return _candidates(self, self.d - 1)
 
 
 @dataclass(frozen=True)
@@ -468,30 +475,41 @@ def _certified_rank(
     return lower
 
 
-def _pair_kernel(
-    ctx: JacobianContext, matrix: RatMatrix, found: list[Relation], known: np.ndarray
-) -> linalg.KernelBasis | None:
-    """The certified kernel of A_{d-2} (matrix) from the pair relations of
-    ctx.conics, None where they do not close the bound.
+def _candidates(
+    ctx: JacobianContext, e: int, matrix: RatMatrix | None = None
+) -> tuple[Relation, ...]:
+    """The pool's candidate relations of degree e (ctx.families[e]), primitive.
 
-    The pairs are built and checked exactly against matrix on the first
-    call for a curve (a failure raises), and kept in ctx.pairs.  With their
-    residues added to known (the multiples of the generators found below),
-    a certified rank shows that these exact relations span the kernel;
-    linalg.kernel_basis_from_span then puts them in standard form, or
-    returns None, when the walk lifts the kernel.
+    On the first call for a curve their family is built, zero rows are left
+    out, and the rest are checked exactly against matrix = A_e (built here
+    where not given) as one array product (linalg._kills), and kept in
+    ctx.pool; a row that is no relation raises.
     """
-    e = ctx.d - 2
-    if ctx.pairs is None:
-        pairs = pair_relations(ctx.conics)
-        if not _kills(_SparseRows(matrix.array), pairs.T):
-            raise AssertionError("a pair relation failed exact re-verification")
-        object.__setattr__(ctx, "pairs", pairs)
-    multiples = np.concatenate([known, residues_mod(ctx.pairs)])
-    rank = _certified_rank(ctx, e, matrix, multiples, (), {})
+    if e not in ctx.pool:
+        rows = ctx.families[e]()
+        rows = rows[(rows != 0).any(axis=1)]
+        if not _kills(_SparseRows((matrix or syzygy_matrix(ctx, e)).array), rows.T):
+            family = "Koszul" if e == ctx.d - 1 else "pair"
+            raise AssertionError(f"a {family} relation failed exact re-verification")
+        ctx.pool[e] = tuple((e, row // gcd(*row)) for row in rows)
+    return ctx.pool[e]
+
+
+def _span_kernel(
+    ctx: JacobianContext, e: int, matrix: RatMatrix, found: list[Relation]
+) -> linalg.KernelBasis | None:
+    """The certified kernel of A_e (matrix) spanned by the multiples of the
+    generators found below and the pool's candidates of degree e, None
+    where there are none or they do not close the bound.  A certified rank
+    shows that these exact relations span the kernel;
+    linalg.kernel_basis_from_span puts them in standard form, or returns
+    None, when the walk lifts the kernel."""
+    if e not in ctx.families:
+        return None
+    spanning = _relation_multiples(found + list(_candidates(ctx, e, matrix)), e)
+    rank = _certified_rank(ctx, e, matrix, residues_mod(spanning), (), {})
     if rank is None:
         return None
-    spanning = np.concatenate([_relation_multiples(found, e), ctx.pairs])
     return linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
 
 
@@ -517,29 +535,24 @@ def _joining(e: int, known: np.ndarray, kernel: linalg.KernelBasis, cols: int) -
 def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """Exact relations whose monomial multiples span every relation of degree <= d-2.
 
-    The one relation walk of a curve, memoised in ctx.generators.
-    It walks the degrees e = 0 .. d-2, where every kernel vector is a
-    relation that is not a Koszul one.  Where the multiples of the
-    relations found so far certify the rank of A_e (_certified_rank, which
-    records the leading monomials of A_e wherever it eliminates it), they
-    span its kernel; below the first relation, that is a certified full
-    rank.  Elsewhere the certified kernel of A_e is taken, and its vectors
-    outside the span of those multiples mod p join (_joining).  At e = d-2,
-    where the gate of the module docstring lets the conics in, that kernel
-    comes from the pair step (_pair_kernel) where the pairs close the bound,
-    else from a lift; both give the basis linalg.kernel_basis returns, with
-    every vector verified exactly, so every generator is a relation.  The
-    first generator is (d1, the first vector of the certified kernel of
-    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
-
-    Where every pair of conics also meets in four distinct points, the walk
-    starts at the top (module docstring): the pair step with nothing below
-    gives the kernel B of A_{d-2}, and one minor shows that there is no
-    relation below d-2 (_no_x_multiple).  Then B, joined as the walk joins
-    it, is the result; otherwise the walk runs from e = 0 and, at d-2,
-    takes B as it stands.  Where B fell short, the pair step runs again
-    only if generators were found below, with their multiples; so A_{d-2}
-    is built once, and the pairs are built and checked once.
+    The one relation walk of a curve, memoised in ctx.generators.  It
+    starts at the pool's lowest degree e0 <= d-2, if any (module
+    docstring): where the candidates alone span the kernel B of A_{e0}
+    (_span_kernel) and no relation lies below e0 (_no_x_multiple), B,
+    joined as the walk joins it, is the result.  Otherwise it climbs the
+    degrees e = 0 .. d-2, where every kernel vector is a relation that is
+    not a Koszul one.  Where the multiples of the relations found so far
+    certify the rank of A_e (_certified_rank, which records the leading
+    monomials of A_e wherever it eliminates it), they span its kernel;
+    below the first relation, that is a certified full rank.  Elsewhere the
+    kernel comes from those multiples with the pool's candidates of degree
+    e where they close the bound, else from a lift; both give the basis
+    linalg.kernel_basis returns, every vector verified exactly, and its
+    vectors outside the span of the multiples mod p join (_joining).  At
+    e0 the climb reuses A_{e0} and, where nothing was found below, the
+    start's kernel or its failure.  The first generator is (d1, the first
+    vector of the certified kernel of A_d1): nothing precedes it, and a
+    primitive vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -551,34 +564,18 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """
     if ctx.generators is not None:
         return ctx.generators
-    top, conics, found = ctx.d - 2, ctx.conics or (), []
-    k = len(conics)
-    # the gate: the rank mod p of the k x 6 coefficient matrix, 2 for k >= 3
-    # conics in one pencil
-    try_pairs = k > 1 and len(pivot_columns_mod(np.array(conics, dtype=object))) >= min(3, k)
-    # A_{d-2} and its pair kernel, once the top step has built them
-    top_matrix = top_kernel = None
-    if try_pairs and all(meet_in_four_points(a, b) for a, b in combinations(conics, 2)):
-        top_matrix, none_below = syzygy_matrix(ctx, top), _relation_multiples((), top)
-        top_kernel = _pair_kernel(ctx, top_matrix, found, none_below)
-        if top_kernel is not None and _no_x_multiple(top_kernel, top):
-            found = _joining(top, none_below, top_kernel, top_matrix.cols)
-            object.__setattr__(ctx, "generators", tuple(found))
-            return ctx.generators
-    for e in range(ctx.d - 1):
+    e0, found, climb = min(ctx.families), [], range(ctx.d - 1)
+    start = syzygy_matrix(ctx, e0) if e0 in climb else None
+    start_kernel = _span_kernel(ctx, e0, start, found) if start is not None else None
+    if start_kernel is not None and _no_x_multiple(start_kernel, e0):
+        found, climb = _joining(e0, _relation_multiples((), e0), start_kernel, start.cols), ()
+    for e in climb:
         residues = _residues(found)
         known = _relation_multiples(residues, e)
-        matrix = top_matrix if e == top and top_matrix is not None else syzygy_matrix(ctx, e)
+        matrix = start if e == e0 else syzygy_matrix(ctx, e)
         if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
             continue
-        kernel = None
-        if e == top and try_pairs:
-            # the top step's kernel B, where it closed, is the whole kernel;
-            # else the pair step runs here, unless the top step ran it with
-            # the same (empty) multiples below
-            if top_kernel is None and (found or top_matrix is None):
-                top_kernel = _pair_kernel(ctx, matrix, found, known)
-            kernel = top_kernel
+        kernel = start_kernel if e == e0 and not found else _span_kernel(ctx, e, matrix, found)
         if kernel is None:
             kernel = linalg.kernel_basis_certified(matrix)
         found.extend(_joining(e, known, kernel, matrix.cols))
@@ -591,15 +588,15 @@ def _syzygy_ranks(ctx: JacobianContext, degrees: list[int]) -> list[int]:
 
     Each rank is certified two-sided (_certified_rank): below by the multiples
     of the leading monomials recorded by relation_generators, the curve's
-    one relation walk; above by the multiples of its generators and, once a
-    degree reaches d-1, of the three Koszul relations (ctx.koszul), with one
-    ladder of rungs for all the degrees.  No kernel is lifted at degree s;
-    where the bounds do not meet, the rank comes from the lifted-kernel
-    certificate of linalg.rank_certified.
+    one relation walk; above by the multiples of its generators, which span
+    every relation of degree <= d-2, and of the pool's candidates of the
+    degrees above d-2 that the window reaches (the Koszul relations at
+    d-1), with one ladder of rungs for all the degrees.  No kernel is
+    lifted at degree s; where the bounds do not meet, the rank comes from
+    the lifted-kernel certificate of linalg.rank_certified.
     """
-    residues = _residues(relation_generators(ctx))
-    if max(degrees) >= ctx.d - 1:
-        residues += _residues(ctx.koszul)
+    pool = (r for e in ctx.families if ctx.d - 2 < e <= max(degrees) for r in _candidates(ctx, e))
+    residues = _residues([*relation_generators(ctx), *pool])
     rungs: dict[int, np.ndarray] = {}
 
     def rank(s: int) -> int:

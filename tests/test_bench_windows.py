@@ -1,7 +1,7 @@
 """scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
-with the curve's d1, a timed mdr plus window and a timed survey, on contexts that
-carry the arrangement's conics; the tangent ladder takes its kernel at d-2 from
-the pair relations."""
+with the curve's d1, a timed mdr plus window with its lifted kernels and a timed
+survey, on contexts that carry the arrangement's conics; the tangent ladder lifts
+no kernel at d-2."""
 
 import importlib.util
 import json
@@ -46,6 +46,8 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
     recorded = json.loads((ROOT / "BENCH_6.json").read_text())["runs"]["after"][name]
     result = _script().time_one(str(ROOT / "src"), name)
     assert lifts == ([] if name == "generic_k5" else [18, 18])
+    # the child records the lifts of the timed mdr and window: the second walk
+    assert result["lifts"] == ([] if name == "generic_k5" else [[136, 18]])
     assert {k: result[k] for k in ("d", "window", "tau")} == {
         k: recorded[k] for k in ("d", "window", "tau")
     }
@@ -57,8 +59,9 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
 
 def test_the_tangent_ladder_takes_its_kernel_at_d_minus_2_from_the_pairs(monkeypatch):
     """The ladder's arrangements are nested, and each has d1 = d-3: the walk
-    lifts that kernel, and at d-2 the pair relations with the multiples of
-    the generators below close the bound, so no kernel is lifted there."""
+    lifts that kernel, and at d-2 the multiples of the generators below
+    close the bound (the pairs alone fall short at the start), so no
+    kernel is lifted there."""
     from conicfree import linalg
     from conicfree.locus import ConicArrangement
     from conicfree.poly import degree_dimension

@@ -1,23 +1,29 @@
-"""Pair relations of a conic arrangement at degree d-2.
+"""Pair relations of a conic arrangement at degree d-2, the relation walk's pool.
 
-When the components are known, the relation walk takes the kernel at d-2
-from the closed-form relations of the pairs (0, j) where they span it, and
-lifts it otherwise; on a generic arrangement it starts there, and one
-minor shows that nothing lies below.  These tests hold the relations
-against a sympy construction, the walk with components against the walk
-without them (generators, witness, window and the printed document),
-count the lifted kernels and the matrices built, test the minor on its
-own, and break the relations, the minor and the support test on purpose.
+When the components are known, the pair relations of (0, j) join the
+pool of candidate relations at d-2 (with the Koszul relations at d-1),
+where the rank of the conics' coefficient matrix admits them.  The walk
+starts at that degree: where the pairs alone span the kernel and one
+minor shows that nothing lies below, it stops there; otherwise it climbs
+from degree 0 and takes the kernel at d-2 from the pairs and the lower
+generators where they span it, and lifts it otherwise.  These tests hold
+the relations against a sympy construction, the walk with components
+against the walk without them (generators, witness, window and the
+printed document), the minor against the exact engine's rank at d-3,
+count the lifted kernels, the matrices built and the pool's checks, test
+the minor on its own, and break the relations, the minor and the support
+test on purpose.
 """
 
 import importlib.util
 import random
+from unittest import mock
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conicfree import jacobian, linalg, report
@@ -59,6 +65,14 @@ def _generic_arrangements(seed):
 def _shifted(k, seed):
     texts = _load("bench_windows", "scripts/bench_windows.py").shifted_texts(k, seed)
     return ConicArrangement.from_texts(texts)
+
+
+@lru_cache(maxsize=None)
+def _generic(k, seed):
+    """The benchmark's dense generic k conics of random.Random(seed)."""
+    inputs = _load("bench_inputs", "perfbench/inputs.py")
+    conics = inputs._generic_conics(random.Random(seed), k)
+    return ConicArrangement.from_texts([inputs.conic_text(q) for q in conics])
 
 
 def _context(arr, components=True):
@@ -115,10 +129,23 @@ def _arrangements(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_arrangements())
+@example(_generic(3, 1))  # small draws mostly climb; the start settles these two
+@example(_generic(4, 2))
 def test_components_change_no_generator_witness_or_window(arr):
+    """d1, the generators and the window are those of the context built
+    without components.  Where the start settles the walk, so that no A_e
+    below d-2 is built, the exact engine gives A_{d-3} full column rank:
+    the x-minor was right that no relation lies below d-2."""
     with_components, without = _context(arr), _context(arr, components=False)
+    built, build = [], jacobian.syzygy_matrix
+    with mock.patch.object(jacobian, "syzygy_matrix", lambda c, r: built.append(r) or build(c, r)):
+        generators = _generators(with_components)
+    d = with_components.d
+    if min(built) == d - 2:
+        below = syzygy_matrix(with_components, d - 3)
+        assert linalg.rank(below) == below.cols
     assert mdr(with_components) == mdr(without)
-    assert _generators(with_components) == _generators(without)
+    assert generators == _generators(without)
     assert hilbert_profile(with_components) == hilbert_profile(without)
 
 
@@ -225,14 +252,6 @@ def test_pair_relations_that_fall_short_leave_the_lift(name, monkeypatch, kernel
     assert document() == with_components
 
 
-@lru_cache(maxsize=None)
-def _generic(k, seed):
-    """The benchmark's dense generic k conics of random.Random(seed)."""
-    inputs = _load("bench_inputs", "perfbench/inputs.py")
-    conics = inputs._generic_conics(random.Random(seed), k)
-    return ConicArrangement.from_texts([inputs.conic_text(q) for q in conics])
-
-
 def _assert_walks_agree(arr):
     with_components, without = _context(arr), _context(arr, components=False)
     assert _generators(with_components) == _generators(without)
@@ -252,6 +271,20 @@ def test_the_top_step_gives_the_generators_of_the_walk(k):
 @pytest.mark.parametrize("k, seed", [(5, 1), (6, 1), (7, 1), (7, 4)])
 def test_the_shifted_inputs_give_the_generators_of_the_walk(k, seed):
     _assert_walks_agree(_shifted(k, seed))
+
+
+def test_the_pairs_and_the_lower_generators_close_the_bound_together(kernels):
+    """Three conics whose pairs alone fall short at d-2 = 4, and whose
+    generator at d1 = 3 leaves the bound open there: the walk tries the
+    pool again with that generator's multiples, which closes it, so only
+    A_3 is lifted, where the walk without components lifts A_4 too."""
+    conics = ((-1, -2, 1, -1, 2, 3), (-2, -1, -3, 0, 1, -3), (0, -1, 5, 1, -2, -1))
+    arr = ConicArrangement(tuple(ConicForm(*q) for q in conics))
+    generators = _generators(_context(arr))
+    assert [e for e, _ in generators] == [3, 4]
+    assert kernels == [(45, 30)]
+    assert generators == _generators(_context(arr, components=False))
+    assert kernels == [(45, 30), (45, 30), (55, 45)]
 
 
 def _kernel_of(rows):
@@ -304,8 +337,8 @@ def test_a_generic_arrangement_builds_and_eliminates_only_the_top_degree(monkeyp
 
 
 def _pair_relation_calls(monkeypatch):
-    """For each call of pair_relations: whether the top step made it, that
-    is, whether the curve had built no A_e with e < d-2 before it."""
+    """For each call of pair_relations: whether the start made it, that is,
+    whether the curve had built no A_e with e < d-2 before it."""
     build, original = jacobian.syzygy_matrix, jacobian.pair_relations
     calls, built = [], []  # built: the curve whose matrices were built last, then its degrees
 
@@ -327,8 +360,8 @@ def _pair_relation_calls(monkeypatch):
 
 def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatch, kernels):
     """The walk then climbs from degree 0; with nothing found below d-2 it
-    takes the top step's kernel as it stands: A_{d-2} is built once, and the
-    pairs are built, checked and support-tested once, all in the top step."""
+    takes the start's kernel as it stands: A_{d-2} is built once, and the
+    pairs are built, checked and support-tested once, all at the start."""
     built, tests = [], []
     build, support = jacobian.syzygy_matrix, linalg._canonical_support
     monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
@@ -346,25 +379,16 @@ def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatc
     assert generators == _generators(_context(arr, components=False))
 
 
-def test_no_corpus_entry_takes_the_top_step(monkeypatch):
-    """Every corpus arrangement has a tangency or lies in one pencil."""
-    calls = _pair_relation_calls(monkeypatch)
-    for e in corpus_entries():
-        if e.arrangement() is not None:
-            relation_generators(_context(e.arrangement()))
-    assert calls and not any(calls)
-
-
 @pytest.mark.parametrize(
     "name, calls",
     [("pencil_four_points_m3", []), ("pencil_four_points_m6", []), ("ploski_m5", [])]
-    + [("ploski_m2", [False]), ("two_conics_a7_e1", [False]), ("generic", [True])],
+    + [("ploski_m2", [True]), ("two_conics_a7_e1", [True]), ("generic", [True])],
 )
 def test_conics_in_one_pencil_build_no_pair_relation(name, calls, monkeypatch):
     """For k >= 3 conics in one pencil the pairs are multiples of the
-    degree-2 relation grad q_0 x grad q_1, so they are not built; two conics
-    (a pencil too) build their one pair in the walk, and generic conics in
-    the top step."""
+    degree-2 relation grad q_0 x grad q_1, so the rank gate keeps them out
+    of the pool; every other arrangement, two conics in one pencil
+    included, builds its pairs once, at the start, before any lower A_e."""
     arr = _generic(3, 1) if name == "generic" else entry(name).arrangement()
     pencil = sympy.Matrix([q.integer for q in arr.components]).rank() == 2
     assert pencil == (name != "generic")
@@ -372,6 +396,73 @@ def test_conics_in_one_pencil_build_no_pair_relation(name, calls, monkeypatch):
     ctx = _context(arr)
     assert _generators(ctx) == _generators(_context(arr, components=False))
     assert seen == calls
+    assert (ctx.d - 2 in ctx.families) == bool(calls)
+
+
+# (rows, cols) of each kernel the analysis lifts, as recorded for the walk
+# with the four-points gate, the top step and the late pair attempt
+CORPUS_LIFTS = {
+    "celal_three_conics": [(36, 18), (45, 30)],
+    "p4_four_conics": [(66, 30), (91, 63)],
+    "pencil_four_points_m3": [(36, 18)],
+    "pencil_four_points_m4": [(55, 18)],
+    "pencil_four_points_m5": [(78, 18)],
+    "pencil_four_points_m6": [(105, 18)],
+    "pencil_two_points_k2": [(15, 9)],
+    "pencil_two_points_k3": [(28, 9)],
+    "pencil_two_points_k4": [(45, 9)],
+    "pencil_two_points_k5": [(66, 9)],
+    "pencil_two_points_k6": [(91, 9)],
+    "persson_deformed": [(45, 30)],
+    "persson_triconical": [(36, 18), (45, 30)],
+    "ploski_m2": [(15, 9), (21, 18)],
+    "ploski_m3": [(28, 9), (55, 45)],
+    "ploski_m4": [(45, 9), (105, 84)],
+    "ploski_m5": [(66, 9), (171, 135)],
+    "two_conics_a7_e1": [(15, 9), (21, 18)],
+    "two_conics_a7_e2": [(15, 9), (21, 18)],
+    "two_conics_a7_e3": [(15, 9), (21, 18)],
+}
+
+
+def _pinned_inputs():
+    """name -> (curve, arrangement or None, the recorded lifts)."""
+    script = _load("bench_windows", "scripts/bench_windows.py")
+    out = {}
+    for e in corpus_entries():
+        arr = e.arrangement()
+        f = e.polynomial() if arr is None else arr.polynomial()
+        out[e.name] = (f, arr, CORPUS_LIFTS[e.name])
+    for i, arr in enumerate(_generic_arrangements(1)):
+        out[f"generic_1_{i}"] = (arr.polynomial(), arr, [])
+    out["shifted_7_4"] = (_shifted(7, 4).polynomial(), _shifted(7, 4), [(351, 273)])
+    for k, lift in zip((4, 5, 6), ((91, 63), (153, 108), (231, 165))):
+        arr = ConicArrangement.from_texts(script.tangent_texts(k, 1))
+        out[f"tangent_{k}"] = (arr.polynomial(), arr, [lift])
+    return out
+
+
+def test_each_analysis_builds_its_start_once_and_checks_each_family_once(monkeypatch, kernels):
+    """Over the corpus, generic seed 1, shifted (7, 4) and the tangent ladder:
+    A_{d-2} is built once, whether the walk starts there or climbs to it,
+    each family of the pool is built and checked exactly once, every family
+    is reached, and the lifted kernels are those of the walk with the top
+    step."""
+    built, checks, pairs = [], [], []
+    build, kills, pair_relations_ = jacobian.syzygy_matrix, jacobian._kills, jacobian.pair_relations
+    monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
+    monkeypatch.setattr(jacobian, "_kills", lambda a, v: checks.append(v.shape[0]) or kills(a, v))
+    monkeypatch.setattr(jacobian, "pair_relations", lambda q: pairs.append(1) or pair_relations_(q))
+    for name, (f, arr, lifts) in _pinned_inputs().items():
+        for spy in (built, checks, pairs, kernels):
+            spy.clear()
+        ctx = analyze_curve(f, arrangement=arr).ctx
+        assert sorted(ctx.pool) == sorted(ctx.families), name
+        assert checks == [3 * degree_dimension(e) for e in sorted(ctx.families)], name
+        assert len(pairs) == (ctx.d - 2 in ctx.families), name
+        # the walk's top degree, where the pool starts it when it holds pairs
+        assert built.count(ctx.d - 2) == 1, name
+        assert kernels == lifts, name
 
 
 def test_no_production_path_reaches_the_reference_engine(monkeypatch):
