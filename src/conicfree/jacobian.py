@@ -8,8 +8,9 @@ with an explicit, exactly verified witness.
 
 The Hilbert value in degree t is dim S_t - rank A_s, s = t - d + 1, where
 A_s maps (a, b, c) of degree s to a*f_x + b*f_y + c*f_z; its kernel is
-AR(f)_s, the relations of degree s.  Kernels come from conicfree.linalg
-as primitive integer vectors, so a kernel vector is a relation as it
+AR(f)_s, the relations of degree s.  Every step reads the partials from
+one integer array, ctx.gradient.  Kernels come from conicfree.linalg as
+primitive integer vectors, so a kernel vector is a relation as it
 stands, and the witness of mdr is the first one with its sign fixed.
 A kernel in degree d-1 always exists: the Koszul relations.  So d1 is
 exact for every curve, and it is d-1 when the degrees below hold none.
@@ -101,22 +102,18 @@ from conicfree.linalg import (
     product_mod,
     residues_mod,
 )
-from conicfree.poly import (
-    VAR_NAMES,
-    HomogeneousPolynomial,
-    Mono3,
-    degree_dimension,
-    monomials_of_degree,
-)
+from conicfree.poly import HomogeneousPolynomial, degree_dimension, monomials_of_degree
 
 
 @dataclass(frozen=True)
 class JacobianContext:
-    """A curve together with its degree and partial derivatives."""
+    """A curve together with its degree and gradient."""
 
     f: HomogeneousPolynomial
     d: int
-    partials: tuple[HomogeneousPolynomial, HomogeneousPolynomial, HomogeneousPolynomial]
+    # f_x, f_y, f_z times the least integer that makes them integral: 3 x
+    # dim S_{d-1} Python ints, columns in the order of monomials_of_degree(d-1)
+    gradient: np.ndarray = field(compare=False, repr=False)
     # the integer conics (ConicForm.integer) whose product is a constant
     # times f, where known; their pair relations are the pool's family at d-2
     conics: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
@@ -134,35 +131,39 @@ class JacobianContext:
     def for_curve(
         cls, f: HomogeneousPolynomial, conics: Sequence[Sequence[int]] | None = None
     ) -> "JacobianContext":
-        """The context of f; conics, when given, are integer conics whose
-        product is a nonzero constant times f (report.analyze_curve checks
-        it), and a pair relation that is no relation of f raises."""
+        """The context of f; conics, when given, are integer conics (six
+        Python ints each) whose product is a nonzero constant times f
+        (report.analyze_curve checks it), and a pair relation that is no
+        relation of f raises.  With L the lcm of f's denominators, the least
+        scale of the gradient is L / gcd(L, content of grad(L*f)).
+        """
         if f.is_zero():
             raise ValueError("the zero polynomial does not define a curve")
         if f.degree < 2:
             raise ValueError("curve degree must be at least 2")
         if conics is not None:
-            conics = tuple(tuple(q) for q in conics)
+            conics = tuple(tuple(q) if isinstance(q, Sequence) else q for q in conics)
+            for q in conics:
+                if type(q) is not tuple or len(q) != 6 or any(type(c) is not int for c in q):
+                    raise ValueError(f"conic {q!r} is not six integers")
             if 2 * len(conics) != f.degree:
                 raise ValueError(f"{len(conics)} conics do not make a curve of degree {f.degree}")
-        partials = tuple(f.partial(v) for v in VAR_NAMES)
-        return cls(f=f, d=f.degree, partials=partials, conics=conics)
-
-    @cached_property
-    def integer_partials(self) -> tuple[dict[Mono3, int], ...]:
-        """The partials times the lcm of their coefficients' denominators."""
-        scale = lcm(*(c.denominator for g in self.partials for c in g.terms.values()))
-        return tuple({m: int(c * scale) for m, c in g.terms.items()} for g in self.partials)
+        scale = lcm(*(c.denominator for c in f.terms.values()))
+        coeffs = [int(f.terms.get(m, 0) * scale) for m in monomials_of_degree(f.degree)]
+        gradient = _gradient(np.array(coeffs, dtype=object), f.degree)
+        gradient //= gcd(scale, *gradient.flat)
+        gradient.flags.writeable = False
+        return cls(f=f, d=f.degree, gradient=gradient, conics=conics)
 
     @cached_property
     def row_l1(self) -> int:
-        """Sum of the l1 norms of the integer partials.
+        """Sum of the l1 norms of the rows of the gradient.
 
-        A row of syzygy_matrix(ctx, s) holds, per component, coefficients
-        of one integer partial at distinct monomials, so this bounds its l1
+        A row of syzygy_matrix(ctx, s) holds, per component, entries of one
+        row of the gradient at distinct monomials, so this bounds its l1
         norm in every degree s.
         """
-        return sum(abs(v) for g in self.integer_partials for v in g.values())
+        return int(abs(self.gradient).sum())
 
     @cached_property
     def families(self) -> dict[int, Callable[[], np.ndarray]]:
@@ -181,15 +182,9 @@ class JacobianContext:
 
     def _koszul_rows(self) -> np.ndarray:
         """(f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1."""
-        e, partials = self.d - 1, self.integer_partials
-        n = degree_dimension(e)
-        rows = np.zeros((3, 3 * n), dtype=object)
-        for row, (f, g) in zip(rows, ((0, 1), (0, 2), (1, 2))):
-            for k, h, sign in ((f, g, 1), (g, f, -1)):
-                if partials[h]:
-                    positions = _grlex_position(np.array(list(partials[h])), e)
-                    row[k * n + positions] = [sign * c for c in partials[h].values()]
-        return rows
+        fx, fy, fz = self.gradient
+        zero = np.zeros_like(fx)
+        return np.array([[fy, -fx, zero], [fz, zero, -fx], [zero, fz, -fy]]).reshape(3, -1)
 
     @property
     def koszul(self) -> tuple[Relation, ...]:
@@ -244,24 +239,19 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
     """Matrix of (a, b, c) -> a*f_x + b*f_y + c*f_z on degree-r coefficients.
 
     Rows are indexed by degree r+d-1 monomials in descending grlex order,
-    columns by (component, degree-r monomial), component-major.  The partials
-    are multiplied by the lcm of their coefficients' denominators, one
-    positive constant that changes neither the rank nor the kernel, so the
-    matrix is an integer array.
+    columns by (component, degree-r monomial), component-major.  The
+    entries are those of ctx.gradient, the partials times one positive
+    constant that changes neither the rank nor the kernel, so the matrix is
+    an integer array.
     """
     t = r + ctx.d - 1
     monos = _monomial_array(r)
     n = len(monos)
-    partials = ctx.integer_partials
-    a = integer_zeros(
-        (degree_dimension(t), 3 * n), max((abs(v) for g in partials for v in g.values()), default=0)
-    )
-    for k, g in enumerate(partials):
-        if not g:
-            continue
-        prods = np.array(list(g), dtype=np.int64)[:, None, :] + monos[None, :, :]
-        rows = _grlex_position(prods, t)
-        a[rows, k * n + np.arange(n)] = np.array(list(g.values()), dtype=a.dtype)[:, None]
+    a = integer_zeros((degree_dimension(t), 3 * n), int(abs(ctx.gradient).max()))
+    for k, g in enumerate(ctx.gradient):
+        nz = np.flatnonzero(g)
+        rows = _grlex_position(_monomial_array(ctx.d - 1)[nz][:, None, :] + monos[None, :, :], t)
+        a[rows, k * n + np.arange(n)] = g[nz][:, None]
     return RatMatrix(a)
 
 
@@ -308,10 +298,8 @@ def pair_relations(conics: Sequence[Sequence[int]]) -> np.ndarray:
     """
     k = len(conics)
     d = 2 * k
-    q = np.array(conics, dtype=object)
-    forms = q[:, [0, 3, 4, 1, 5, 2]]  # the order of monomials_of_degree(2)
-    # row c: the coefficients of the derivative in variable c, a linear form
-    grads = q[:, [[0, 3, 4], [3, 1, 5], [4, 5, 2]]] * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    forms = np.array(conics, dtype=object)[:, [0, 3, 4, 1, 5, 2]]  # monomials_of_degree(2)
+    grads = _gradient(forms, 2)
     u, w = grads[0], grads[1:]
     rho = _times(np.roll(u, -1, 0), 1, np.roll(w, -2, 1), 1) - _times(
         np.roll(u, -2, 0), 1, np.roll(w, -1, 1), 1
@@ -680,18 +668,26 @@ def mdr(ctx: JacobianContext) -> SyzygyWitness:
 
 
 def verify_witness(ctx: JacobianContext, witness: SyzygyWitness) -> bool:
-    """Exact expansion check of a*f_x + b*f_y + c*f_z = 0.
+    """Exact expansion check of a*f_x + b*f_y + c*f_z = 0, with a, b, c of degree r.
 
-    Expanded over the integers: the witness and the partials are each
-    scaled by one positive common denominator, which keeps a zero sum zero
-    and a nonzero one nonzero.
+    A nonzero component of another degree fails.  Expanded over the
+    integers: the witness and the partials (ctx.gradient) are each scaled
+    by one positive common denominator, which keeps a zero sum zero and a
+    nonzero one nonzero.  Each product monomial x^i y^j z^k of degree
+    D = r+d-1 is indexed by its exponents, at i*(D+1) + j, independently of
+    the layout of syzygy_matrix.
     """
+    if any(g.degree != witness.r and not g.is_zero() for g in witness.triple()):
+        return False
     den = lcm(*(c.denominator for g in witness.triple() for c in g.terms.values()))
-    total: dict[Mono3, int] = {}
-    for g, partial in zip(witness.triple(), ctx.integer_partials):
-        for (i, j, k), c in g.terms.items():
-            c = c.numerator * (den // c.denominator)
-            for (u, v, w), e in partial.items():
-                m = (i + u, j + v, k + w)
-                total[m] = total.get(m, 0) + c * e
-    return not any(total.values())
+    D = witness.r + ctx.d - 1
+    total = np.zeros((D + 1) ** 2, dtype=object)
+    for g, partial in zip(witness.triple(), ctx.gradient):
+        if not g.terms:
+            continue
+        nz = np.flatnonzero(partial)
+        coeffs = [c.numerator * (den // c.denominator) for c in g.terms.values()]
+        exponents = np.array(list(g.terms))[:, None, :] + _monomial_array(ctx.d - 1)[nz]
+        index = exponents[..., 0] * (D + 1) + exponents[..., 1]
+        np.add.at(total, index, np.array(coeffs, dtype=object)[:, None] * partial[nz])
+    return not total.any()

@@ -81,7 +81,7 @@ def test_smooth_curves_have_d1_equal_to_d_minus_one(f):
     d = ctx.d
     w = mdr(ctx)
     assert w.r == d - 1
-    fx, fy, fz = ctx.partials
+    fx, fy, fz = (f.partial(v) for v in "xyz")
     assert (w.a * fx + w.b * fy + w.c * fz).is_zero()
     assert exact_mdr(ctx).r == d - 1 and agrees_with_exact_mdr(ctx, w)
     rep = analyze_curve(f).report

@@ -1,12 +1,14 @@
 """Gradient-ideal analysis: Hilbert window, Tjurina numbers, relations."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conicfree import jacobian, linalg
-from conicfree.corpus import entry
+from conicfree.corpus import corpus_entries, entry
 from conicfree.jacobian import (
     MAX_WINDOW_EXTEND,
     JacobianContext,
@@ -166,6 +168,35 @@ def test_verify_witness_examples():
     one = HomogeneousPolynomial(0, {(0, 0, 0): 1})
     zero0 = HomogeneousPolynomial.zero(0)
     assert not verify_witness(ctx3, SyzygyWitness(r=0, a=one, b=zero0, c=zero0))
+    # 2x - 2y: x and y have distinct places in the expansion's index
+    conic = _ctx("x^2+y^2-z^2")
+    assert not verify_witness(conic, SyzygyWitness(r=0, a=one, b=-one, c=zero0))
+
+
+def test_verify_witness_refuses_a_component_of_another_degree():
+    """f_x = 0 for y*z*(y-z), so x*f_x vanishes, but x has degree 1, not r = 2."""
+    ctx = _ctx("y*z*(y-z)")
+    zero = HomogeneousPolynomial.zero(2)
+    x = HomogeneousPolynomial.variable("x")
+    assert not verify_witness(ctx, SyzygyWitness(r=2, a=x, b=zero, c=zero))
+    assert verify_witness(ctx, SyzygyWitness(r=1, a=x, b=zero, c=zero))
+
+
+@pytest.mark.parametrize("e", corpus_entries(), ids=lambda e: e.name)
+def test_a_corpus_witness_with_one_coefficient_changed_fails(e):
+    """Changing one coefficient of the witness by +-1, at any monomial of
+    any component, adds +-1 times a nonzero partial to the relation."""
+    arrangement = e.arrangement()
+    conics = None if arrangement is None else [q.integer for q in arrangement.components]
+    ctx = JacobianContext.for_curve(e.polynomial(), conics)
+    w = mdr(ctx)
+    assert verify_witness(ctx, w)
+    for k in range(3):
+        for m in monomials_of_degree(w.r):
+            for delta in (1, -1):
+                parts = list(w.triple())
+                parts[k] = parts[k] + HomogeneousPolynomial(w.r, {m: delta})
+                assert not verify_witness(ctx, SyzygyWitness(w.r, *parts)), (k, m, delta)
 
 
 def test_hilbert_function_matches_resolution_prediction():
@@ -254,13 +285,33 @@ def test_context_rejects_degenerate_input():
         JacobianContext.for_curve(HomogeneousPolynomial.zero(3))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [(2, 1, 0, 0, 2, 0.5), (2, 1, 0, 0, 2, "1"), (2, 1, 0, 0, 2), "2x^2+y^2+2xz", 2],
+    ids=["float", "str", "five", "text", "int"],
+)
+def test_context_rejects_a_conic_that_is_not_six_integers(bad):
+    f = parse_polynomial("(2*x^2+y^2+2*x*z)*(x^2+y^2-z^2)")
+    with pytest.raises(ValueError, match="not six integers"):
+        JacobianContext.for_curve(f, [bad, (1, 1, -1, 0, 0, 0)])
+
+
+def _partials(f):
+    return [f.partial(v) for v in "xyz"]
+
+
+def _least_scale(partials):
+    """The least positive integer whose multiple of every partial is integral."""
+    return lcm(*(c.denominator for g in partials for c in g.terms.values()))
+
+
 def _fraction_syzygy_matrix(ctx, r):
     """The matrix of syzygy_matrix with the partials' own Fraction coefficients."""
     t = r + ctx.d - 1
     row_index = {m: i for i, m in enumerate(monomials_of_degree(t))}
     monos = monomials_of_degree(r)
     entries = {}
-    for k, g in enumerate(ctx.partials):
+    for k, g in enumerate(_partials(ctx.f)):
         for j, mono in enumerate(monos):
             for gm, c in g.terms.items():
                 m = (gm[0] + mono[0], gm[1] + mono[1], gm[2] + mono[2])
@@ -285,7 +336,45 @@ def test_integer_syzygy_matrix_is_a_positive_multiple_of_the_fraction_build(f):
         assert m.entries.keys() == expected.keys()
         assert all(type(v) is int for v in m.entries.values())
         ratios = {Fraction(v) / expected[key] for key, v in m.entries.items()}
+        # the least scale, so every mod-p step sees the same matrix
+        assert ratios == {_least_scale(_partials(f))}
         assert len(ratios) == 1 and ratios.pop() > 0
+
+
+def _dense_gradient(f):
+    """The least integer multiple of f's partials, as lists over monomials_of_degree(d-1)."""
+    partials = _partials(f)
+    scale = _least_scale(partials)
+    monos = monomials_of_degree(f.degree - 1)
+    return [[int(g.terms.get(m, 0) * scale) for m in monos] for g in partials]
+
+
+@pytest.mark.parametrize("e", corpus_entries(), ids=lambda e: e.name)
+def test_gradient_is_the_least_integer_multiple_of_the_partials_on_the_corpus(e):
+    f = e.polynomial()
+    ctx = JacobianContext.for_curve(f)
+    assert ctx.gradient.shape == (3, len(monomials_of_degree(f.degree - 1)))
+    assert ctx.gradient.tolist() == _dense_gradient(f)
+    assert all(type(v) is int for v in ctx.gradient.flat)
+
+
+@st.composite
+def _rational_forms(draw):
+    """A nonzero form of degree 2..6 with rational coefficients, in a
+    nonempty subset of the variables: with fewer than three, a partial is zero."""
+    d = draw(st.integers(2, 6))
+    variables = draw(st.sets(st.sampled_from(range(3)), min_size=1))
+    monos = [m for m in monomials_of_degree(d) if all(m[v] == 0 for v in {0, 1, 2} - variables)]
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool)
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1))
+    return HomogeneousPolynomial(d, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_rational_forms())
+def test_gradient_is_the_least_integer_multiple_of_the_partials(f):
+    ctx = JacobianContext.for_curve(f)
+    assert ctx.gradient.tolist() == _dense_gradient(f)
 
 
 def test_rational_input_analyzes_like_its_denominator_cleared_copy():
