@@ -13,6 +13,10 @@ the same documents exactly when their outputs are equal:
 
     diff <(PYTHONPATH=OLD/src python scripts/document_digests.py) \\
          <(PYTHONPATH=src python scripts/document_digests.py)
+
+``scripts/document_digests.txt`` holds the output for the documents this
+checkout produces; CI diffs against it, and a change that means to change
+a document re-records it in the same commit.
 """
 
 from __future__ import annotations

@@ -68,16 +68,28 @@ pairs are multiples of grad q_0 x grad q_1, a relation of degree 2, and
 cannot close a bound the lower generators leave open.  A rank that the
 prime lowers only costs a lift.
 
-The walk starts at the pool's lowest degree e0 <= d-2, where it builds
-A_{e0} and takes its kernel B from the candidates alone.  S is a domain,
-so x times a vector is a relation exactly when the vector is one: for
-every curve AR_{e0-1} is AR_{e0} cap x*S^3_{e0-1}, and AR_e embeds in it
-for e < e0-1.  Where B, restricted to the columns whose monomial has no
-x, has rank |B| mod p (one minor, nonzero over Q), no combination of B is
-x times a vector, so no relation lies below e0: the generators are B, and
-no A_e below e0 is built.  Otherwise the walk climbs from e = 0, reusing
-A_{e0}, its recorded leading monomials and, where nothing turned up
-below, B.
+The walk tries its top degree d-2 early.  Before it climbs, and wherever
+generators have just joined at a degree e < d-3, it takes the top step:
+the step of degree d-2 with the multiples of the generators found so far
+and the pool's candidates there, never a lift.  Where that closes, a
+descent shows that the relations of the degrees strictly between e and
+d-2 are the multiples of those generators.  Let B_s be the multiples in
+degree s of the generators found, with the vectors joined at d-2 when
+s = d-2, and R_s those whose multiplier is free of x, with the joined
+vectors, so that B_s is x*B_{s-1} together with R_s.  S is a domain: if
+v is a relation of degree s-1 and B_s spans AR_s, then x*v = x*b + r with
+b in span B_{s-1} and r in span R_s, so r = x*(v - b) vanishes at the
+columns whose monomial is free of x.  Where R_s has full row rank there
+mod p (one minor, nonzero over Q), r = 0 and v = b: B_{s-1} spans
+AR_{s-1}.  One minor for each s = d-2 .. e+2 carries this down to e+1, and
+the walk ends.  Where the top step or a minor fails, the climb goes on at
+e+1 and reaches d-2 with A_{d-2}, its leading monomials and the top
+step's kernel or failure at hand.  The start is the top step with no
+generators (e = -1): generic arrangements, whose pairs span AR_{d-2},
+end there, and so does a curve with no relation below d-1.  In the
+corpus, the pencils pencil_four_points_m3..m6 (generators at 2, d-1,
+d-1, d-1) and pencil_two_points_k3..k6 (1, d-1, d-1) end after d1; the
+other entries have a generator at d-3 or d-2 and climb.
 """
 
 from __future__ import annotations
@@ -154,6 +166,16 @@ class JacobianContext:
         gradient //= gcd(scale, *gradient.flat)
         gradient.flags.writeable = False
         return cls(f=f, d=f.degree, gradient=gradient, conics=conics)
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, ...]:
+        """The nonzero columns of each row of the gradient."""
+        return tuple(np.flatnonzero(g) for g in self.gradient)
+
+    @cached_property
+    def max_entry(self) -> int:
+        """The largest absolute entry of the gradient, so of syzygy_matrix."""
+        return int(abs(self.gradient).max())
 
     @cached_property
     def row_l1(self) -> int:
@@ -244,22 +266,28 @@ def syzygy_matrix(ctx: JacobianContext, r: int) -> RatMatrix:
     constant that changes neither the rank nor the kernel, so the matrix is
     an integer array.
     """
-    t = r + ctx.d - 1
-    monos = _monomial_array(r)
-    n = len(monos)
-    a = integer_zeros((degree_dimension(t), 3 * n), int(abs(ctx.gradient).max()))
-    for k, g in enumerate(ctx.gradient):
-        nz = np.flatnonzero(g)
-        rows = _grlex_position(_monomial_array(ctx.d - 1)[nz][:, None, :] + monos[None, :, :], t)
-        a[rows, k * n + np.arange(n)] = g[nz][:, None]
+    n = degree_dimension(r)
+    a = integer_zeros((degree_dimension(r + ctx.d - 1), 3 * n), ctx.max_entry)
+    rows = _product_positions(ctx.d - 1, r)
+    for k, (nz, g) in enumerate(zip(ctx.support, ctx.gradient)):
+        a[rows[nz], k * n + np.arange(n)] = g[nz][:, None]
     return RatMatrix(a)
 
 
 @cache
 def _product_positions(s: int, t: int) -> np.ndarray:
     """Positions in monomials_of_degree(s + t) of each degree-s monomial
-    (rows) times each degree-t monomial (columns)."""
-    return _grlex_position(_monomial_array(s)[:, None, :] + _monomial_array(t)[None, :, :], s + t)
+    (rows) times each degree-t monomial (columns), read-only.
+
+    Every matrix layout is read from these tables.  They are int16 wherever
+    the positions fit, as they do in every degree the degree limit reaches
+    (dim S_78 = 3160), which keeps the tables of a whole session small.
+    """
+    products = _monomial_array(s)[:, None, :] + _monomial_array(t)[None, :, :]
+    positions = _grlex_position(products, s + t)
+    positions = positions.astype(np.int16 if degree_dimension(s + t) <= 2**15 else np.int64)
+    positions.flags.writeable = False
+    return positions
 
 
 def _times(a: np.ndarray, s: int, b: np.ndarray, t: int) -> np.ndarray:
@@ -325,8 +353,11 @@ MAX_WINDOW_EXTEND = 10  # extra window degrees; each one grows the window's matr
 _WEIGHED_ROWS = 2**16  # rows of relation multiples per int64 product in _relations_mod_p
 
 
-def _relation_multiples(relations: Sequence[Relation], s: int) -> np.ndarray:
-    """Every relation times every monomial of degree s - e, one row each.
+def _relation_multiples(
+    relations: Sequence[Relation], s: int, free_of_x: bool = False
+) -> np.ndarray:
+    """Every relation times every monomial of degree s - e, one row each, or
+    times the monomials free of x only (the last s - e + 1 of that degree).
 
     The rows are in the column layout of syzygy_matrix(ctx, s), with the
     dtype of the relation vectors; relations of degree above s give none.
@@ -336,12 +367,11 @@ def _relation_multiples(relations: Sequence[Relation], s: int) -> np.ndarray:
     for e, vec in relations:
         if e > s:
             continue
-        monos, mults = _monomial_array(e), _monomial_array(s - e)
+        positions = _product_positions(s - e, e)[-(s - e + 1) if free_of_x else 0 :]
         nz = np.flatnonzero(vec)
-        comp, j = np.divmod(nz, len(monos))
-        cols = comp * n + _grlex_position(monos[j][None, :, :] + mults[:, None, :], s)
-        block = np.zeros((len(mults), 3 * n), dtype=vec.dtype)
-        block[np.arange(len(mults))[:, None], cols] = vec[nz]
+        comp, j = np.divmod(nz, degree_dimension(e))
+        block = np.zeros((len(positions), 3 * n), dtype=vec.dtype)
+        block[np.arange(len(positions))[:, None], comp * n + positions[:, j]] = vec[nz]
         blocks.append(block)
     return np.concatenate(blocks)
 
@@ -387,11 +417,19 @@ def _leading_terms(rows: np.ndarray, t: int) -> np.ndarray:
     terms (component, monomial) of the span mod p, and their count is its
     rank mod p.  Returned as sorted column positions of rows.
     """
+    order = _grevlex_order(t, rows.shape[1])
+    return np.sort(order[list(pivot_columns_mod(rows[:, order]))])
+
+
+@cache
+def _grevlex_order(t: int, width: int) -> np.ndarray:
+    """The columns of width / dim S_t blocks of degree-t monomials (the
+    layout of _leading_terms) in descending module order, read-only."""
     monos = _monomial_array(t)
     grevlex = np.lexsort((monos[:, 1], monos[:, 2]))
-    order = np.arange(rows.shape[1]).reshape(-1, len(monos))[:, grevlex].ravel()
-    pivots = pivot_columns_mod(rows[:, order])
-    return np.sort(order[list(pivots)])
+    order = np.arange(width).reshape(-1, len(monos))[:, grevlex].ravel()
+    order.flags.writeable = False
+    return order
 
 
 def _leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
@@ -404,10 +442,9 @@ def _leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
     lower bound for its rank mod p.
     """
     comp, j = np.divmod(terms, degree_dimension(e))
-    products = _monomial_array(e)[j][:, None, :] + _monomial_array(s - e)[None, :, :]
     # at most three components, so the positions lie below 3 * dim S_s
     hit = np.zeros(3 * degree_dimension(s), dtype=bool)
-    hit[comp[:, None] * degree_dimension(s) + _grlex_position(products, s)] = True
+    hit[comp[:, None] * degree_dimension(s) + _product_positions(e, s - e)[j]] = True
     return np.flatnonzero(hit)
 
 
@@ -501,15 +538,24 @@ def _span_kernel(
     return linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
 
 
-def _no_x_multiple(kernel: linalg.KernelBasis, e: int) -> bool:
-    """Whether no nonzero vector in the span of the kernel vectors (in the
-    layout of syzygy_matrix(ctx, e)) is x times a vector of degree e-1, shown
-    by one minor mod p: their entries at the monomials free of x have rank
-    len(vectors) mod p, so over Q.  A combination that is x*v vanishes there.
+def _x_free_minors(found: Sequence[Relation], joined: Sequence[Relation], e: int, top: int) -> bool:
+    """Whether the multiples of found (of degrees <= e, or none and e = -1)
+    span every relation of the degrees e+1 .. top-1, given that with joined
+    they span the relations of degree top: one minor mod p per
+    s = top .. e+2 (module docstring).  The rows are the multiples of found
+    by the monomials free of x, and joined at s = top; their entries at the
+    monomials free of x must have rank len(rows) mod p, so over Q.
     """
-    free_of_x = np.flatnonzero(np.tile(_monomial_array(e)[:, 0] == 0, 3))
-    vectors = np.array(kernel.vectors, dtype=object).reshape(-1, 3 * degree_dimension(e))
-    return len(pivot_columns_mod(vectors[:, free_of_x])) == len(vectors)
+    residues = _residues(found)
+    for s in range(top, e + 1, -1):
+        rows = _relation_multiples(residues, s, free_of_x=True)
+        if s == top and joined:
+            rows = np.concatenate([rows, residues_mod(np.array([v for _, v in joined]))])
+        n = degree_dimension(s)  # the monomials free of x are the last s + 1
+        columns = (np.arange(3)[:, None] * n + np.arange(n - s - 1, n)).ravel()
+        if len(rows) and len(pivot_columns_mod(rows[:, columns])) < len(rows):
+            return False
+    return True
 
 
 def _joining(e: int, known: np.ndarray, kernel: linalg.KernelBasis, cols: int) -> list[Relation]:
@@ -524,23 +570,28 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """Exact relations whose monomial multiples span every relation of degree <= d-2.
 
     The one relation walk of a curve, memoised in ctx.generators.  It
-    starts at the pool's lowest degree e0 <= d-2, if any (module
-    docstring): where the candidates alone span the kernel B of A_{e0}
-    (_span_kernel) and no relation lies below e0 (_no_x_multiple), B,
-    joined as the walk joins it, is the result.  Otherwise it climbs the
-    degrees e = 0 .. d-2, where every kernel vector is a relation that is
-    not a Koszul one.  Where the multiples of the relations found so far
-    certify the rank of A_e (_certified_rank, which records the leading
-    monomials of A_e wherever it eliminates it), they span its kernel;
-    below the first relation, that is a certified full rank.  Elsewhere the
-    kernel comes from those multiples with the pool's candidates of degree
-    e where they close the bound, else from a lift; both give the basis
-    linalg.kernel_basis returns, every vector verified exactly, and its
-    vectors outside the span of the multiples mod p join (_joining).  At
-    e0 the climb reuses A_{e0} and, where nothing was found below, the
-    start's kernel or its failure.  The first generator is (d1, the first
-    vector of the certified kernel of A_d1): nothing precedes it, and a
-    primitive vector is nonzero mod p.
+    climbs the degrees e = 0 .. d-2, where every kernel vector is a
+    relation that is not a Koszul one.  Where the multiples of the
+    relations found so far certify the rank of A_e (_certified_rank, which
+    records the leading monomials of A_e wherever it eliminates it), they
+    span its kernel; below the first relation, that is a certified full
+    rank.  Elsewhere the kernel comes from those multiples with the pool's
+    candidates of degree e where they close the bound (_span_kernel), else
+    from a lift; both give the basis linalg.kernel_basis returns, every
+    vector verified exactly, and its vectors outside the span of the
+    multiples mod p join (_joining).
+
+    Before the climb, and wherever generators have just joined at a degree
+    e < d-3, the walk tries the top step and the descent (module
+    docstring): the same step at d-2, with no lift, and then one x-free
+    minor per degree d-2 .. e+2 (_x_free_minors).  Where all pass, no
+    relation but the multiples of the generators lies strictly between e
+    and d-2: the vectors joined at d-2 are the last generators, and the
+    walk ends.  Otherwise the climb goes on at e+1, and at d-2 it reuses
+    A_{d-2}, its leading monomials and, where nothing joined since, the
+    top step's kernel or its failure.  The first generator is (d1, the
+    first vector of the certified kernel of A_d1): nothing precedes it,
+    and a primitive vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -552,21 +603,38 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     """
     if ctx.generators is not None:
         return ctx.generators
-    e0, found, climb = min(ctx.families), [], range(ctx.d - 1)
-    start = syzygy_matrix(ctx, e0) if e0 in climb else None
-    start_kernel = _span_kernel(ctx, e0, start, found) if start is not None else None
-    if start_kernel is not None and _no_x_multiple(start_kernel, e0):
-        found, climb = _joining(e0, _relation_multiples((), e0), start_kernel, start.cols), ()
-    for e in climb:
+    top, found = ctx.d - 2, []
+    top_matrix = cache(lambda: syzygy_matrix(ctx, top))
+    # the top step by the number of generators it saw; None where it fell short
+    tops: dict[int, list[Relation] | None] = {}
+
+    def step(e: int, lift: bool) -> list[Relation] | None:
+        """The vectors of a certified kernel of A_e that join found; None
+        where the bound stays open and lift is False."""
         residues = _residues(found)
         known = _relation_multiples(residues, e)
-        matrix = start if e == e0 else syzygy_matrix(ctx, e)
-        if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
-            continue
-        kernel = start_kernel if e == e0 and not found else _span_kernel(ctx, e, matrix, found)
-        if kernel is None:
+        matrix = top_matrix() if e == top else syzygy_matrix(ctx, e)
+        kernel = None
+        if e != top or len(found) not in tops:
+            if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
+                return []
+            kernel = _span_kernel(ctx, e, matrix, found)
+        if kernel is None and lift:
             kernel = linalg.kernel_basis_certified(matrix)
-        found.extend(_joining(e, known, kernel, matrix.cols))
+        return None if kernel is None else _joining(e, known, kernel, matrix.cols)
+
+    joined: list[Relation] | None = None
+    for e in range(-1, top + 1):
+        if e >= 0:
+            joined = tops.get(len(found)) if e == top else None
+            if joined is None:
+                joined = step(e, lift=True)
+            found.extend(joined)
+        if e < top - 1 and (e < 0 or joined):
+            joined = tops[len(found)] = step(top, lift=False)
+            if joined is not None and _x_free_minors(found, joined, e, top):
+                found.extend(joined)
+                break
     object.__setattr__(ctx, "generators", tuple(found))
     return ctx.generators
 
@@ -682,10 +750,9 @@ def verify_witness(ctx: JacobianContext, witness: SyzygyWitness) -> bool:
     den = lcm(*(c.denominator for g in witness.triple() for c in g.terms.values()))
     D = witness.r + ctx.d - 1
     total = np.zeros((D + 1) ** 2, dtype=object)
-    for g, partial in zip(witness.triple(), ctx.gradient):
+    for g, partial, nz in zip(witness.triple(), ctx.gradient, ctx.support):
         if not g.terms:
             continue
-        nz = np.flatnonzero(partial)
         coeffs = [c.numerator * (den // c.denominator) for c in g.terms.values()]
         exponents = np.array(list(g.terms))[:, None, :] + _monomial_array(ctx.d - 1)[nz]
         index = exponents[..., 0] * (D + 1) + exponents[..., 1]

@@ -3,16 +3,18 @@
 When the components are known, the pair relations of (0, j) join the
 pool of candidate relations at d-2 (with the Koszul relations at d-1),
 where the rank of the conics' coefficient matrix admits them.  The walk
-starts at that degree: where the pairs alone span the kernel and one
-minor shows that nothing lies below, it stops there; otherwise it climbs
-from degree 0 and takes the kernel at d-2 from the pairs and the lower
-generators where they span it, and lifts it otherwise.  These tests hold
-the relations against a sympy construction, the walk with components
-against the walk without them (generators, witness, window and the
-printed document), the minor against the exact engine's rank at d-3,
-count the lifted kernels, the matrices built and the pool's checks, test
-the minor on its own, and break the relations, the minor and the support
-test on purpose.
+tries d-2 first, and again whenever generators join below d-3: where the
+pairs and the multiples of the generators found span the kernel there
+and one x-free minor per degree shows that nothing new lies between, it
+stops; otherwise it climbs and takes the kernel at d-2 from the pairs and
+the lower generators where they span it, and lifts it otherwise.  These
+tests hold the relations against a sympy construction, the walk with
+components against the walk without them (generators, witness, window
+and the printed document), the descent against the climb through every
+degree, the minor against the exact engine's rank at d-3, count the
+lifted kernels, the matrices built and the pool's checks, test the minors
+on their own, and break the relations, the minors and the support test on
+purpose.
 """
 
 import importlib.util
@@ -21,6 +23,7 @@ from unittest import mock
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
@@ -135,7 +138,7 @@ def test_components_change_no_generator_witness_or_window(arr):
     """d1, the generators and the window are those of the context built
     without components.  Where the start settles the walk, so that no A_e
     below d-2 is built, the exact engine gives A_{d-3} full column rank:
-    the x-minor was right that no relation lies below d-2."""
+    the minor was right that no relation lies below d-2."""
     with_components, without = _context(arr), _context(arr, components=False)
     built, build = [], jacobian.syzygy_matrix
     with mock.patch.object(jacobian, "syzygy_matrix", lambda c, r: built.append(r) or build(c, r)):
@@ -287,16 +290,12 @@ def test_the_pairs_and_the_lower_generators_close_the_bound_together(kernels):
     assert kernels == [(45, 30), (45, 30), (55, 45)]
 
 
-def _kernel_of(rows):
-    return linalg.KernelBasis(len(rows), tuple(tuple(int(v) for v in row) for row in rows))
-
-
 def test_the_x_minor_passes_on_the_pair_kernel_of_a_generic_arrangement():
     ctx = _context(_generic(4, 1))
     e = ctx.d - 2
     generators = relation_generators(ctx)
     assert [r for r, _ in generators] == [e] * 3
-    assert jacobian._no_x_multiple(_kernel_of([vec for _, vec in generators]), e)
+    assert jacobian._x_free_minors([], generators, -1, e)
 
 
 def test_the_x_minor_fails_on_a_span_that_holds_x_times_a_vector():
@@ -307,13 +306,88 @@ def test_the_x_minor_fails_on_a_span_that_holds_x_times_a_vector():
     # the multiples of a degree e-1 vector by x, y, z, in that order
     x_w = jacobian._relation_multiples([(e - 1, w[: 3 * degree_dimension(e - 1)])], e)[0]
     y_u = jacobian._relation_multiples([(e - 1, u[: 3 * degree_dimension(e - 1)])], e)[1]
-    assert jacobian._no_x_multiple(_kernel_of([x_w + y_u, y_u, w]), e) is False
-    assert jacobian._no_x_multiple(_kernel_of([x_w + y_u, w]), e)
+    joined = [(e, x_w + y_u), (e, y_u), (e, w)]
+    assert jacobian._x_free_minors([], joined, -1, e) is False
+    assert jacobian._x_free_minors([], joined[::2], -1, e)
     # a real kernel with a relation below d-2: a pencil's, at d-2
     pencil = entry("pencil_four_points_m3")
     ctx = JacobianContext.for_curve(pencil.polynomial())
     kernel = linalg.kernel_basis_certified(syzygy_matrix(ctx, ctx.d - 2))
-    assert not jacobian._no_x_multiple(kernel, ctx.d - 2)
+    joined = [(ctx.d - 2, np.array(vec, dtype=object)) for vec in kernel.vectors]
+    assert not jacobian._x_free_minors([], joined, -1, ctx.d - 2)
+
+
+@pytest.mark.parametrize(
+    "name, passes", [("pencil_four_points_m4", True), ("persson_triconical", False)]
+)
+def test_the_descent_minors_on_the_multiples_of_a_lower_generator(name, passes):
+    """The pencil's multiples of its generator at d1 = 2 span every relation
+    up to d-2, and the minors show it at each s = d-2 .. 4; the Persson
+    sextic's generator at 2 leaves out its generator at 3 = d-3, which x
+    times makes a combination of the degree-4 kernel divisible by x."""
+    ctx = JacobianContext.for_curve(entry(name).polynomial())
+    top = ctx.d - 2
+    (first, *_) = generators = relation_generators(ctx)
+    assert first[0] == 2 and len(generators) == 1 + (not passes)
+    kernel = linalg.kernel_basis_certified(syzygy_matrix(ctx, top))
+    known = jacobian._relation_multiples([first], top)
+    joined = jacobian._joining(top, known, kernel, 3 * degree_dimension(top))
+    assert jacobian._x_free_minors([first], joined, 2, top) is passes
+    # the multiples alone leave the x-free columns of every lower degree at full rank
+    assert jacobian._x_free_minors([first], [], 2, top - 1)
+
+
+def _walk(ctx):
+    return _generators(ctx), mdr(ctx), hilbert_profile(ctx)
+
+
+def _assert_the_descent_is_the_climb(f, conics):
+    """The walk's generators, witness and window equal those of the climb
+    through every degree, which the walk becomes when no descent passes."""
+    descent = _walk(JacobianContext.for_curve(f, conics))
+    with mock.patch.object(jacobian, "_x_free_minors", lambda found, joined, e, top: False):
+        assert descent == _walk(JacobianContext.for_curve(f, conics))
+
+
+def test_the_descent_gives_the_climb_on_the_corpus_and_the_tangent_ladder():
+    script = _load("bench_windows", "scripts/bench_windows.py")
+    for e in corpus_entries():
+        arr = e.arrangement()
+        if arr is None:
+            _assert_the_descent_is_the_climb(e.polynomial(), None)
+        else:
+            _assert_the_descent_is_the_climb(arr.polynomial(), [q.integer for q in arr.components])
+    for k in (4, 5, 6):
+        arr = ConicArrangement.from_texts(script.tangent_texts(k, 1))
+        _assert_the_descent_is_the_climb(arr.polynomial(), [q.integer for q in arr.components])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_arrangements())
+def test_the_descent_gives_the_climb(arr):
+    _assert_the_descent_is_the_climb(arr.polynomial(), [q.integer for q in arr.components])
+
+
+@pytest.mark.parametrize("m, lifts", [(6, [(105, 18)]), (8, [(171, 18)])])
+def test_a_pencil_builds_no_matrix_between_d1_and_the_top_degree(m, lifts, monkeypatch, kernels):
+    """Cost ladder: the pencils through four points (generators at 2 and
+    d-1) descend from d-2 once their generator at d1 = 2 has joined, so
+    the walk builds no A_e for 2 < e < d-2, and the analysis lifts only
+    the kernel at d1.  m = 6 is the corpus's, m = 8 (d = 16)
+    scripts/bench_windows.py's."""
+    name = f"pencil_four_points_m{m}"
+    if m <= 6:
+        arr = entry(name).arrangement()
+    else:
+        texts = _load("bench_windows", "scripts/bench_windows.py").arrangements()[name]
+        arr = ConicArrangement.from_texts(texts)
+    built, build = [], jacobian.syzygy_matrix
+    monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
+    analysis = analyze_curve(arr.polynomial(), arrangement=arr)
+    d = analysis.ctx.d
+    assert analysis.witness.r == 2
+    assert [e for e in built if e <= d - 2] == [d - 2, 0, 1, 2]
+    assert kernels == lifts
 
 
 def test_a_generic_arrangement_builds_and_eliminates_only_the_top_degree(monkeypatch, kernels):
@@ -369,7 +443,7 @@ def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatc
         linalg, "_canonical_support", lambda *args: tests.append(1) or support(*args)
     )
     calls = _pair_relation_calls(monkeypatch)
-    monkeypatch.setattr(jacobian, "_no_x_multiple", lambda kernel, e: False)
+    monkeypatch.setattr(jacobian, "_x_free_minors", lambda found, joined, e, top: False)
     arr = _generic(4, 2)
     ctx = _context(arr)
     generators = _generators(ctx)

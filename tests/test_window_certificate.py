@@ -174,21 +174,33 @@ def test_dropping_a_generator_falls_back(name, monkeypatch, fallbacks):
     assert profile.tau == e.expected["tau"]
 
 
+@pytest.fixture
+def fresh_tables():
+    """Clear the cached position tables before and after the test, so that
+    no table the test builds or changes outlives it."""
+    jacobian._product_positions.cache_clear()
+    yield
+    jacobian._product_positions.cache_clear()
+
+
 @pytest.mark.parametrize("name", FREE_SMALL + ("p4_four_conics", "pencil_four_points_m4"))
-def test_shifted_monomial_index_never_gives_a_wrong_tau(name, monkeypatch, fallbacks):
+def test_shifted_monomial_index_never_gives_a_wrong_tau(name, monkeypatch, fallbacks, fresh_tables):
+    """_relation_multiples reads its columns from a position table whose
+    first entry (x^(s-e) times x^e) is moved one monomial on: the window
+    either catches a row that is no relation or falls back to the right tau."""
     e, ctx = next(item for item in _corpus() if item[0].name == name)
     original_multiples = jacobian._relation_multiples
-    original_position = jacobian._grlex_position
+    original_positions = jacobian._product_positions
 
-    def shifted_position(exponents, t):
-        out = original_position(exponents, t).copy()
-        out.flat[0] = (out.flat[0] + 1) % degree_dimension(t)
+    def shifted_positions(s, t):
+        out = original_positions(s, t).copy()
+        out.flat[0] = (out.flat[0] + 1) % degree_dimension(s + t)
         return out
 
-    def shifted_multiples(relations, s):
+    def shifted_multiples(relations, s, **kwargs):
         with monkeypatch.context() as m:
-            m.setattr(jacobian, "_grlex_position", shifted_position)
-            return original_multiples(relations, s)
+            m.setattr(jacobian, "_product_positions", shifted_positions)
+            return original_multiples(relations, s, **kwargs)
 
     monkeypatch.setattr(jacobian, "_relation_multiples", shifted_multiples)
     try:
