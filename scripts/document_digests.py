@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Print the sha256 of ``conicfree analyze --json`` for a fixed set of inputs.
+"""Print the sha256 of ``conicfree analyze --json`` for a fixed set of inputs,
+with the shapes of the kernels the analysis lifts.
 
-One ``name sha256`` line per input, 311 in all: the 20 corpus entries
+One ``name sha256 lifts`` line per input, 311 in all: the 20 corpus entries
 (``corpus:<entry>``), the 270 generic arrangements of ``perfbench/inputs.py``
 seeds 1-30 (``generic:<seed>:<id>``), the 17 inputs of
 ``scripts/bench_windows.py`` (``bench:<name>``) and four expressions
 (``expr:<text>``).  An arrangement is written one conic per line to a file
 named after the input, in a temporary directory that is the working
 directory while the command runs, so its ``source`` is the same on every
-run.  Both helper files are read, never changed.  Two checkouts analyze
-the same documents exactly when their outputs are equal:
+run.  Both helper files are read, never changed.  ``lifts`` lists the
+``rowsxcols`` of every ``linalg.kernel_basis_certified`` call in call
+order, comma-separated, or ``-`` where there is none; the analysis looks
+that function up at call time, so a wrapper sees every call.  Two
+checkouts analyze the same documents, and lift the same kernels, exactly
+when their outputs are equal:
 
     diff <(PYTHONPATH=OLD/src python scripts/document_digests.py) \\
          <(PYTHONPATH=src python scripts/document_digests.py)
@@ -30,6 +35,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conicfree import linalg
 from conicfree.cli import main as conicfree_main
 from conicfree.corpus import corpus_entries
 
@@ -67,15 +73,28 @@ def inputs() -> list[tuple[str, str | list[str]]]:
 
 def digest(name: str, source: str | list[str]) -> str:
     """sha256 of the stdout of ``analyze --json`` for one input, run in the
-    working directory, where an arrangement's file is written."""
+    working directory, where an arrangement's file is written, and the
+    shapes of the kernels it lifts."""
     if isinstance(source, list):
         path = Path(name.replace(":", "_") + ".txt")
         path.write_text("".join(f"{text}\n" for text in source))
         source = str(path)
+    lifts: list[str] = []
+    lift = linalg.kernel_basis_certified
+
+    def spy(matrix):
+        lifts.append(f"{matrix.rows}x{matrix.cols}")
+        return lift(matrix)
+
     buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        conicfree_main(["analyze", "--json", source])
-    return hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    linalg.kernel_basis_certified = spy
+    try:
+        with contextlib.redirect_stdout(buffer):
+            conicfree_main(["analyze", "--json", source])
+    finally:
+        linalg.kernel_basis_certified = lift
+    sha = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    return f"{sha} {','.join(lifts) or '-'}"
 
 
 def main() -> int:

@@ -30,11 +30,11 @@ rank_p(A_s) <= rank A_s.  The relation search records them, and A_s is
 eliminated only where the two bounds fall short.  From above:
 cols - rank_p(F), where F holds the monomial multiples into degree s of
 exact relations: generators found by one walk per curve over degrees
-0 .. d-2 (a certified kernel only where the multiples of the lower ones
-fall short; mdr reads d1 and its witness off the first generator, or
-off the first Koszul relation when there is none) and the pool's
-candidates at d-1 (below): the three Koszul relations (f_y, -f_x, 0),
-(f_z, 0, -f_x), (0, f_z, -f_y) (ctx.koszul).
+0 .. d-2 (a certified kernel at the pool's degrees and where the
+multiples of the lower ones fall short; mdr reads d1 and its witness off
+the first generator, or off the first Koszul relation when there is
+none) and the pool's candidates at d-1 (below): the three Koszul
+relations (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) (ctx.koszul).
 rank_p(F_s) is bounded from below by leading terms too (three
 components), on a ladder of rungs t = min(s, d-1) .. s: every relation
 has degree <= d-1, so F_s = S_{s-t} F_t.  Each F_t is eliminated at most
@@ -56,16 +56,17 @@ of an arrangement (ctx.conics, which report.analyze_curve passes; an
 expression is not factored and gets none), it holds the logarithmic
 derivations of the pairs (0, j) (K. Saito 1980; Schenck and Tohaneanu
 2009): d*P*rho - (rho . grad P)*(x, y, z) with rho = grad q_0 x grad q_j
-and P the product of the other conics (pair_relations).  Where the
-multiples of the generators found below and the candidates of a degree
-close the two-sided bound, linalg.kernel_basis_from_span puts their span
-in the standard form a lift returns, so the generators, the witness and
-the window are unchanged; where they fall short (a triple point) or the
-support test fails, the kernel is lifted.  The pairs are admitted where
-the k x 6 coefficient matrix of the k >= 2 conics has rank at least
-min(3, k) mod p: two conics, but no k >= 3 conics in one pencil, whose
-pairs are multiples of grad q_0 x grad q_1, a relation of degree 2, and
-cannot close a bound the lower generators leave open.  A rank that the
+and P the product of the other conics (pair_relations).  At a degree of
+the pool the walk bounds once, with the multiples of the generators found
+below and the candidates together.  Where that closes the two-sided
+bound, linalg.kernel_basis_from_span puts their span in the standard form
+a lift returns, so the generators, the witness and the window are
+unchanged; where it falls short (a triple point) or the support test
+fails, the kernel is lifted.  The pairs are admitted where the k x 6
+coefficient matrix of the k >= 2 conics has rank at least min(3, k) mod
+p: two conics, but no k >= 3 conics in one pencil, whose pairs are
+multiples of grad q_0 x grad q_1, a relation of degree 2, and cannot
+close a bound the lower generators leave open.  A rank that the
 prime lowers only costs a lift.
 
 The walk tries its top degree d-2 early.  Before it climbs, and wherever
@@ -453,8 +454,8 @@ def _certified_rank(
     s: int,
     matrix: RatMatrix,
     multiples: np.ndarray,
-    residues: Sequence[Relation],
-    rungs: dict[int, np.ndarray],
+    residues: Sequence[Relation] = (),
+    rungs: dict[int, np.ndarray] | None = None,
 ) -> int | None:
     """rank A_s (matrix = syzygy_matrix(ctx, s)) when two bounds meet, else None.
 
@@ -468,6 +469,7 @@ def _certified_rank(
     independent kernel vectors.  rank_p(F_s) is bounded from below on the
     ladder of rungs t = min(s, d-1) .. s (module docstring), whose leading
     terms rungs records by t; the rung t = s eliminates multiples itself.
+    Below d-1 that is the only rung, so the walk passes no ladder.
     A_s is eliminated only when the last rung falls short and its leading
     monomials are not yet recorded; they then serve the degrees above.  A
     sum above cols can only come from a row that is not a relation, and
@@ -477,7 +479,7 @@ def _certified_rank(
     shift = ctx.d - 1
     e = max((r for r in ctx.leading if r <= s), default=None)
     lower = 0 if e is None else len(_leading_multiples(ctx.leading[e], e + shift, s + shift))
-    spanned = 0
+    spanned, rungs = 0, {} if rungs is None else rungs
     for t in range(min(s, shift), s + 1):
         if lower + spanned >= matrix.cols:
             break
@@ -520,24 +522,6 @@ def _candidates(
     return ctx.pool[e]
 
 
-def _span_kernel(
-    ctx: JacobianContext, e: int, matrix: RatMatrix, found: list[Relation]
-) -> linalg.KernelBasis | None:
-    """The certified kernel of A_e (matrix) spanned by the multiples of the
-    generators found below and the pool's candidates of degree e, None
-    where there are none or they do not close the bound.  A certified rank
-    shows that these exact relations span the kernel;
-    linalg.kernel_basis_from_span puts them in standard form, or returns
-    None, when the walk lifts the kernel."""
-    if e not in ctx.families:
-        return None
-    spanning = _relation_multiples(found + list(_candidates(ctx, e, matrix)), e)
-    rank = _certified_rank(ctx, e, matrix, residues_mod(spanning), (), {})
-    if rank is None:
-        return None
-    return linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
-
-
 def _x_free_minors(found: Sequence[Relation], joined: Sequence[Relation], e: int, top: int) -> bool:
     """Whether the multiples of found (of degrees <= e, or none and e = -1)
     span every relation of the degrees e+1 .. top-1, given that with joined
@@ -571,15 +555,18 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
 
     The one relation walk of a curve, memoised in ctx.generators.  It
     climbs the degrees e = 0 .. d-2, where every kernel vector is a
-    relation that is not a Koszul one.  Where the multiples of the
-    relations found so far certify the rank of A_e (_certified_rank, which
-    records the leading monomials of A_e wherever it eliminates it), they
-    span its kernel; below the first relation, that is a certified full
-    rank.  Elsewhere the kernel comes from those multiples with the pool's
-    candidates of degree e where they close the bound (_span_kernel), else
-    from a lift; both give the basis linalg.kernel_basis returns, every
-    vector verified exactly, and its vectors outside the span of the
-    multiples mod p join (_joining).
+    relation that is not a Koszul one.  Each step bounds the rank of A_e
+    once (_certified_rank, which records the leading monomials of A_e
+    wherever it eliminates it).  Outside the pool it bounds with the
+    multiples of the relations found so far: where they certify the rank
+    they span the kernel, and below the first relation that is a certified
+    full rank.  At a degree of the pool it bounds with those multiples and
+    the pool's candidates of degree e together, and where that closes,
+    linalg.kernel_basis_from_span puts their span in standard form.  Where
+    the bound stays open the kernel is lifted.  Both give the basis
+    linalg.kernel_basis returns, every vector verified exactly, and its
+    vectors outside the span of the multiples mod p join (_joining); where
+    the multiples alone span the kernel, none does.
 
     Before the climb, and wherever generators have just joined at a degree
     e < d-3, the walk tries the top step and the descent (module
@@ -604,21 +591,29 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     if ctx.generators is not None:
         return ctx.generators
     top, found = ctx.d - 2, []
-    top_matrix = cache(lambda: syzygy_matrix(ctx, top))
-    # the top step by the number of generators it saw; None where it fell short
-    tops: dict[int, list[Relation] | None] = {}
+    top_matrix = syzygy_matrix(ctx, top)
+    # the generator count the last top step saw, and the vectors it joined
+    # (None where it fell short)
+    last_top: tuple[int, list[Relation] | None] = (-1, None)
 
     def step(e: int, lift: bool) -> list[Relation] | None:
         """The vectors of a certified kernel of A_e that join found; None
-        where the bound stays open and lift is False."""
-        residues = _residues(found)
-        known = _relation_multiples(residues, e)
-        matrix = top_matrix() if e == top else syzygy_matrix(ctx, e)
+        where the bound stays open and lift is False.  At d-2 with the
+        generators the last top step saw, that step's vectors stand, or a
+        lift where it fell short."""
+        known = _relation_multiples(_residues(found), e)
+        matrix = top_matrix if e == top else syzygy_matrix(ctx, e)
         kernel = None
-        if e != top or len(found) not in tops:
-            if _certified_rank(ctx, e, matrix, known, residues, {}) is not None:
-                return []
-            kernel = _span_kernel(ctx, e, matrix, found)
+        if e == top and last_top[0] == len(found):
+            if last_top[1] is not None:
+                return last_top[1]
+        elif e in ctx.families:
+            spanning = _relation_multiples(found + list(_candidates(ctx, e, matrix)), e)
+            rank = _certified_rank(ctx, e, matrix, residues_mod(spanning))
+            if rank is not None:
+                kernel = linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
+        elif _certified_rank(ctx, e, matrix, known) is not None:
+            return []
         if kernel is None and lift:
             kernel = linalg.kernel_basis_certified(matrix)
         return None if kernel is None else _joining(e, known, kernel, matrix.cols)
@@ -626,12 +621,11 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     joined: list[Relation] | None = None
     for e in range(-1, top + 1):
         if e >= 0:
-            joined = tops.get(len(found)) if e == top else None
-            if joined is None:
-                joined = step(e, lift=True)
+            joined = step(e, lift=True)
             found.extend(joined)
         if e < top - 1 and (e < 0 or joined):
-            joined = tops[len(found)] = step(top, lift=False)
+            joined = step(top, lift=False)
+            last_top = (len(found), joined)
             if joined is not None and _x_free_minors(found, joined, e, top):
                 found.extend(joined)
                 break

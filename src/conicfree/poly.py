@@ -8,9 +8,8 @@ every operation is pure, so the module is safe to use from multiple threads.
 A ConicForm computes its content-free integer coefficients (``integer``) on
 first use and caches them; the cached value is a function of the immutable
 fields, so two threads racing on it store equal tuples.  The conic helpers
-at the end (conic_matrix, determinant_cubic, meet_in_four_points) take
-those integer tuples; the survey and the relation walk both decide from
-here whether a pair meets in four distinct points.
+at the end (conic_matrix, cofactors, determinant_cubic) take those integer
+tuples; the survey reads from them how many distinct points a pair shares.
 
 The expression grammar accepted by :func:`parse_polynomial`::
 
@@ -683,7 +682,7 @@ def determinant_cubic(qi: Sequence[int], qj: Sequence[int]) -> list[int]:
 
     For two smooth, distinct conics the Segre symbol of this pencil fixes
     their intersection pattern; they meet in four distinct points exactly
-    when c has no multiple root (meet_in_four_points).
+    when c has no multiple root.
     """
     a, b = conic_matrix(qi), conic_matrix(qj)
     flat_a, flat_b, cof_a, cof_b = sum(a, []), sum(b, []), cofactors(a), cofactors(b)
@@ -693,17 +692,3 @@ def determinant_cubic(qi: Sequence[int], qj: Sequence[int]) -> list[int]:
         sum(map(mul, flat_a, cof_b)),
         sum(map(mul, flat_b[:3], cof_b[:3])),  # det B
     ]
-
-
-def meet_in_four_points(qi: Sequence[int], qj: Sequence[int]) -> bool:
-    """Whether two smooth, distinct integer conics meet in four distinct
-    points over C: their determinant_cubic has a nonzero discriminant."""
-    c0, c1, c2, c3 = determinant_cubic(qi, qj)
-    return (
-        18 * c3 * c2 * c1 * c0
-        - 4 * c2**3 * c0
-        + c2**2 * c1**2
-        - 4 * c3 * c1**3
-        - 27 * c3**2 * c0**2
-    ) != 0
-

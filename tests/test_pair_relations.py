@@ -473,8 +473,8 @@ def test_conics_in_one_pencil_build_no_pair_relation(name, calls, monkeypatch):
     assert (ctx.d - 2 in ctx.families) == bool(calls)
 
 
-# (rows, cols) of each kernel the analysis lifts, as recorded for the walk
-# with the four-points gate, the top step and the late pair attempt
+# (rows, cols) of each kernel the analysis lifts, in call order, as
+# scripts/document_digests.txt records them for the corpus entries
 CORPUS_LIFTS = {
     "celal_three_conics": [(36, 18), (45, 30)],
     "p4_four_conics": [(66, 30), (91, 63)],
@@ -537,6 +537,33 @@ def test_each_analysis_builds_its_start_once_and_checks_each_family_once(monkeyp
         # the walk's top degree, where the pool starts it when it holds pairs
         assert built.count(ctx.d - 2) == 1, name
         assert kernels == lifts, name
+
+
+def test_the_walk_bounds_each_step_once(monkeypatch):
+    """Over the corpus, generic seed 1, shifted (7, 4) and the tangent
+    ladder, the walk calls _certified_rank once per degree it steps: once
+    at each degree below d-2 whose matrix it builds, and never twice in a
+    row, since a step at d-2 follows a step below it or the start.  At d-2
+    the multiples of the generators found and the pool's candidates are
+    bounded together."""
+    bounds, built = [], []
+    certified_rank, build = jacobian._certified_rank, jacobian.syzygy_matrix
+
+    def spy(ctx, s, *args):
+        bounds.append(s)
+        return certified_rank(ctx, s, *args)
+
+    monkeypatch.setattr(jacobian, "_certified_rank", spy)
+    monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
+    for name, (f, arr, _) in _pinned_inputs().items():
+        bounds.clear()
+        built.clear()
+        conics = None if arr is None else [q.integer for q in arr.components]
+        relation_generators(JacobianContext.for_curve(f, conics))
+        top = f.degree - 2
+        assert bounds and all(s != t for s, t in zip(bounds, bounds[1:])), (name, bounds)
+        assert [s for s in bounds if s < top] == [r for r in built if r < top], name
+        assert set(bounds) == set(built), name
 
 
 def test_no_production_path_reaches_the_reference_engine(monkeypatch):

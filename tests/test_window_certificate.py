@@ -183,11 +183,19 @@ def fresh_tables():
     jacobian._product_positions.cache_clear()
 
 
-@pytest.mark.parametrize("name", FREE_SMALL + ("p4_four_conics", "pencil_four_points_m4"))
+# what the window does with a shifted monomial index, by curve: every one
+# of these catches a row that is no relation
+SHIFTED_OUTCOMES = {
+    name: "raises" for name in FREE_SMALL + ("p4_four_conics", "pencil_four_points_m4")
+}
+
+
+@pytest.mark.parametrize("name", SHIFTED_OUTCOMES)
 def test_shifted_monomial_index_never_gives_a_wrong_tau(name, monkeypatch, fallbacks, fresh_tables):
     """_relation_multiples reads its columns from a position table whose
     first entry (x^(s-e) times x^e) is moved one monomial on: the window
-    either catches a row that is no relation or falls back to the right tau."""
+    either catches a row that is no relation or falls back to the right
+    tau, and each curve gives the outcome recorded for it."""
     e, ctx = next(item for item in _corpus() if item[0].name == name)
     original_multiples = jacobian._relation_multiples
     original_positions = jacobian._product_positions
@@ -203,13 +211,13 @@ def test_shifted_monomial_index_never_gives_a_wrong_tau(name, monkeypatch, fallb
             return original_multiples(relations, s, **kwargs)
 
     monkeypatch.setattr(jacobian, "_relation_multiples", shifted_multiples)
-    try:
+    if SHIFTED_OUTCOMES[name] == "raises":
+        with pytest.raises(AssertionError, match="not a relation"):
+            hilbert_profile(ctx)
+    else:
         profile = hilbert_profile(ctx)
-    except AssertionError as err:
-        assert "not a relation" in str(err)
-        return
-    assert fallbacks
-    assert profile.tau == e.expected["tau"]
+        assert fallbacks
+        assert profile.tau == e.expected["tau"]
 
 
 def test_a_row_that_is_no_relation_is_caught_mod_p():
