@@ -19,8 +19,8 @@ the multiples of those generators close the bound at d-2, and one
 arrangement of k = 5 conics with an A7 point (``a7_texts``).  The special points are the
 ones the pair relations do not cover, so these inputs measure relations
 of the sub-arrangement at each point.  Every context is built with the
-arrangement's integer conics where the checkout's
-``JacobianContext.for_curve`` takes them, as ``analyze_curve`` builds it.
+arrangement's integer conics, as ``analyze_curve`` builds it, so both
+checkouts must take them in ``JacobianContext.for_curve``.
 
     python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
 
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import inspect
 import json
 import os
 import platform
@@ -159,14 +158,12 @@ def time_one(src: str, name: str) -> dict:
     texts = arrangements()[name]
     f = parse_polynomial("*".join(f"({t})" for t in texts))
     arr = ConicArrangement.from_texts(texts)
-    # a checkout older than the pair relations takes the curve alone
-    takes_conics = "conics" in inspect.signature(JacobianContext.for_curve).parameters
-    options = {"conics": [q.integer for q in arr.components]} if takes_conics else {}
-    ctx = JacobianContext.for_curve(f, **options)
+    conics = [q.integer for q in arr.components]
+    ctx = JacobianContext.for_curve(f, conics)
     t0 = time.perf_counter()
     profile = hilbert_profile(ctx)
     seconds = time.perf_counter() - t0
-    ctx = JacobianContext.for_curve(f, **options)
+    ctx = JacobianContext.for_curve(f, conics)
     lifts, lift = [], linalg.kernel_basis_certified
     linalg.kernel_basis_certified = lambda matrix: lifts.append([matrix.rows, matrix.cols]) or lift(
         matrix

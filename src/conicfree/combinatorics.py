@@ -56,21 +56,16 @@ def bezout_count_check(w: WeakCombinatorialType) -> bool:
 
 def weak_type_from_survey(survey: LocusSurvey) -> WeakCombinatorialType | None:
     """Extract the weak type from a complete survey of supported types."""
-    if not survey.complete:
+    counts = survey.inventory()
+    if not survey.complete or not counts.keys() <= {"A1", "D4", "A3", "A5", "A7"}:
         return None
-    counts = {"A1": 0, "D4": 0, "A3": 0, "A5": 0, "A7": 0}
-    for rec in survey.records:
-        key = str(rec.sing_type)
-        if key not in counts:
-            return None
-        counts[key] += 1
     return WeakCombinatorialType(
         k=survey.arrangement.k,
-        n2=counts["A1"],
-        n3=counts["D4"],
-        t3=counts["A3"],
-        t5=counts["A5"],
-        t7=counts["A7"],
+        n2=counts.get("A1", 0),
+        n3=counts.get("D4", 0),
+        t3=counts.get("A3", 0),
+        t5=counts.get("A5", 0),
+        t7=counts.get("A7", 0),
     )
 
 

@@ -215,23 +215,20 @@ def ploski(m: int) -> CorpusEntry:
     )
 
 
-def pencil_four_points(m: int, lambdas: tuple[int, ...] | None = None) -> CorpusEntry:
+def pencil_four_points(m: int) -> CorpusEntry:
     """m members of the pencil of conics through four general points.
 
-    The four base points become ordinary m-fold points; the curve is
-    neither free nor nearly free (defect 3) for every m, yet it is
-    combinatorially supersolvable.
+    The members are f, g and f + lam*g for lam = 1 .. m-2.  The four base
+    points become ordinary m-fold points; the curve is neither free nor
+    nearly free (defect 3) for every m, yet it is combinatorially
+    supersolvable.
     """
     if not 3 <= m <= 6:
         raise ValueError("m ranges over 3..6 at desk scale")
-    if lambdas is None:
-        lambdas = tuple(range(1, m - 1))
-    if len(lambdas) != m - 2 or len(set(lambdas)) != m - 2 or min(lambdas) < 1:
-        raise ValueError("need m-2 distinct positive pencil parameters")
     f_text = "3*x^2+y^2-4*z^2"
     g_text = "x^2+3*y^2-4*z^2"
     components = [f_text, g_text]
-    for lam in lambdas:
+    for lam in range(1, m - 1):
         components.append(f"({f_text})+{lam}*({g_text})")
     base_points = ["(-1:-1:1)", "(-1:1:1)", "(1:-1:1)", "(1:1:1)"]
     type_name = "D4" if m == 3 else f"ordinary({m})"

@@ -81,11 +81,16 @@ vectors, so that B_s is x*B_{s-1} together with R_s.  S is a domain: if
 v is a relation of degree s-1 and B_s spans AR_s, then x*v = x*b + r with
 b in span B_{s-1} and r in span R_s, so r = x*(v - b) vanishes at the
 columns whose monomial is free of x.  Where R_s has full row rank there
-mod p (one minor, nonzero over Q), r = 0 and v = b: B_{s-1} spans
-AR_{s-1}.  One minor for each s = d-2 .. e+2 carries this down to e+1, and
-the walk ends.  Where the top step or a minor fails, the climb goes on at
-e+1 and reaches d-2 with A_{d-2}, its leading monomials and the top
-step's kernel or failure at hand.  The start is the top step with no
+mod p (a nonzero minor, so over Q), r = 0 and v = b: B_{s-1} spans
+AR_{s-1}.  One minor, at s = d-2, gives full rank at every s = d-3 .. e+2
+too: a dependency mod p of R_s at those columns, times y^(d-2-s), is one
+of R_{d-2}, since y^j times a monomial free of x is another one and
+F_p[y, z] is a domain.  So the descent reaches e+1, and the walk ends.
+The minor is sufficient, not necessary: a syzygy among the generators
+found can fail it where no relation is missing, and that costs a climb.
+Where the top step or the minor fails, the climb goes on at e+1 and
+reaches d-2 with A_{d-2}, its leading monomials and the top step's
+kernel or failure at hand.  The start is the top step with no
 generators (e = -1): generic arrangements, whose pairs span AR_{d-2},
 end there, and so does a curve with no relation below d-1.  In the
 corpus, the pencils pencil_four_points_m3..m6 (generators at 2, d-1,
@@ -522,24 +527,21 @@ def _candidates(
     return ctx.pool[e]
 
 
-def _x_free_minors(found: Sequence[Relation], joined: Sequence[Relation], e: int, top: int) -> bool:
-    """Whether the multiples of found (of degrees <= e, or none and e = -1)
-    span every relation of the degrees e+1 .. top-1, given that with joined
-    they span the relations of degree top: one minor mod p per
-    s = top .. e+2 (module docstring).  The rows are the multiples of found
-    by the monomials free of x, and joined at s = top; their entries at the
-    monomials free of x must have rank len(rows) mod p, so over Q.
+def _x_free_minor(found: Sequence[Relation], joined: Sequence[Relation], top: int) -> bool:
+    """Whether the multiples of found (of degrees <= e < top-1, or none and
+    e = -1) span every relation of the degrees e+1 .. top-1, given that
+    with joined they span the relations of degree top (module docstring).
+    The rows are the multiples of found by the monomials of degree top
+    free of x, and joined; their entries at the monomials free of x must
+    have rank len(rows) mod p, so over Q; then so have the rows of each
+    lower degree.
     """
-    residues = _residues(found)
-    for s in range(top, e + 1, -1):
-        rows = _relation_multiples(residues, s, free_of_x=True)
-        if s == top and joined:
-            rows = np.concatenate([rows, residues_mod(np.array([v for _, v in joined]))])
-        n = degree_dimension(s)  # the monomials free of x are the last s + 1
-        columns = (np.arange(3)[:, None] * n + np.arange(n - s - 1, n)).ravel()
-        if len(rows) and len(pivot_columns_mod(rows[:, columns])) < len(rows):
-            return False
-    return True
+    rows = _relation_multiples(_residues(found), top, free_of_x=True)
+    if joined:
+        rows = np.concatenate([rows, residues_mod(np.array([v for _, v in joined]))])
+    n = degree_dimension(top)  # the monomials free of x are the last top + 1
+    columns = (np.arange(3)[:, None] * n + np.arange(n - top - 1, n)).ravel()
+    return len(pivot_columns_mod(rows[:, columns])) == len(rows)
 
 
 def _joining(e: int, known: np.ndarray, kernel: linalg.KernelBasis, cols: int) -> list[Relation]:
@@ -571,14 +573,14 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     Before the climb, and wherever generators have just joined at a degree
     e < d-3, the walk tries the top step and the descent (module
     docstring): the same step at d-2, with no lift, and then one x-free
-    minor per degree d-2 .. e+2 (_x_free_minors).  Where all pass, no
-    relation but the multiples of the generators lies strictly between e
-    and d-2: the vectors joined at d-2 are the last generators, and the
-    walk ends.  Otherwise the climb goes on at e+1, and at d-2 it reuses
-    A_{d-2}, its leading monomials and, where nothing joined since, the
-    top step's kernel or its failure.  The first generator is (d1, the
-    first vector of the certified kernel of A_d1): nothing precedes it,
-    and a primitive vector is nonzero mod p.
+    minor at d-2 (_x_free_minor), which implies those of the degrees
+    below.  Where both pass, no relation but the multiples of the
+    generators lies strictly between e and d-2: the vectors joined at d-2
+    are the last generators, and the walk ends.  Otherwise the climb goes
+    on at e+1, and at d-2 it reuses A_{d-2}, its leading monomials and,
+    where nothing joined since, the top step's kernel or its failure.  The
+    first generator is (d1, the first vector of the certified kernel of
+    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -626,7 +628,7 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         if e < top - 1 and (e < 0 or joined):
             joined = step(top, lift=False)
             last_top = (len(found), joined)
-            if joined is not None and _x_free_minors(found, joined, e, top):
+            if joined is not None and _x_free_minor(found, joined, top):
                 found.extend(joined)
                 break
     object.__setattr__(ctx, "generators", tuple(found))

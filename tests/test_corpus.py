@@ -113,8 +113,6 @@ def test_family_parameter_validation():
     with pytest.raises(ValueError):
         pencil_four_points(7)
     with pytest.raises(ValueError):
-        pencil_four_points(4, lambdas=(1, 1))
-    with pytest.raises(ValueError):
         pencil_two_points(1)
     with pytest.raises(ValueError):
         two_conics_a7(4)

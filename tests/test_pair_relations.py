@@ -5,16 +5,16 @@ pool of candidate relations at d-2 (with the Koszul relations at d-1),
 where the rank of the conics' coefficient matrix admits them.  The walk
 tries d-2 first, and again whenever generators join below d-3: where the
 pairs and the multiples of the generators found span the kernel there
-and one x-free minor per degree shows that nothing new lies between, it
+and one x-free minor at d-2 shows that nothing new lies between, it
 stops; otherwise it climbs and takes the kernel at d-2 from the pairs and
 the lower generators where they span it, and lifts it otherwise.  These
 tests hold the relations against a sympy construction, the walk with
 components against the walk without them (generators, witness, window
 and the printed document), the descent against the climb through every
 degree, the minor against the exact engine's rank at d-3, count the
-lifted kernels, the matrices built and the pool's checks, test the minors
-on their own, and break the relations, the minors and the support test on
-purpose.
+lifted kernels, the matrices built and the pool's checks, test the minor
+on its own and its implication for the degrees below, and break the
+relations, the minor and the support test on purpose.
 """
 
 import importlib.util
@@ -295,7 +295,7 @@ def test_the_x_minor_passes_on_the_pair_kernel_of_a_generic_arrangement():
     e = ctx.d - 2
     generators = relation_generators(ctx)
     assert [r for r, _ in generators] == [e] * 3
-    assert jacobian._x_free_minors([], generators, -1, e)
+    assert jacobian._x_free_minor([], generators, e)
 
 
 def test_the_x_minor_fails_on_a_span_that_holds_x_times_a_vector():
@@ -307,14 +307,14 @@ def test_the_x_minor_fails_on_a_span_that_holds_x_times_a_vector():
     x_w = jacobian._relation_multiples([(e - 1, w[: 3 * degree_dimension(e - 1)])], e)[0]
     y_u = jacobian._relation_multiples([(e - 1, u[: 3 * degree_dimension(e - 1)])], e)[1]
     joined = [(e, x_w + y_u), (e, y_u), (e, w)]
-    assert jacobian._x_free_minors([], joined, -1, e) is False
-    assert jacobian._x_free_minors([], joined[::2], -1, e)
+    assert jacobian._x_free_minor([], joined, e) is False
+    assert jacobian._x_free_minor([], joined[::2], e)
     # a real kernel with a relation below d-2: a pencil's, at d-2
     pencil = entry("pencil_four_points_m3")
     ctx = JacobianContext.for_curve(pencil.polynomial())
     kernel = linalg.kernel_basis_certified(syzygy_matrix(ctx, ctx.d - 2))
     joined = [(ctx.d - 2, np.array(vec, dtype=object)) for vec in kernel.vectors]
-    assert not jacobian._x_free_minors([], joined, -1, ctx.d - 2)
+    assert not jacobian._x_free_minor([], joined, ctx.d - 2)
 
 
 @pytest.mark.parametrize(
@@ -322,9 +322,10 @@ def test_the_x_minor_fails_on_a_span_that_holds_x_times_a_vector():
 )
 def test_the_descent_minors_on_the_multiples_of_a_lower_generator(name, passes):
     """The pencil's multiples of its generator at d1 = 2 span every relation
-    up to d-2, and the minors show it at each s = d-2 .. 4; the Persson
-    sextic's generator at 2 leaves out its generator at 3 = d-3, which x
-    times makes a combination of the degree-4 kernel divisible by x."""
+    up to d-2, and the minor at d-2 shows it; the Persson sextic's
+    generator at 2 leaves out its generator at 3 = d-3, which x times makes
+    a combination of the degree-4 kernel divisible by x.  Either way the
+    multiples alone pass the minor at d-3 and at each degree from 4 to it."""
     ctx = JacobianContext.for_curve(entry(name).polynomial())
     top = ctx.d - 2
     (first, *_) = generators = relation_generators(ctx)
@@ -332,9 +333,45 @@ def test_the_descent_minors_on_the_multiples_of_a_lower_generator(name, passes):
     kernel = linalg.kernel_basis_certified(syzygy_matrix(ctx, top))
     known = jacobian._relation_multiples([first], top)
     joined = jacobian._joining(top, known, kernel, 3 * degree_dimension(top))
-    assert jacobian._x_free_minors([first], joined, 2, top) is passes
+    assert jacobian._x_free_minor([first], joined, top) is passes
     # the multiples alone leave the x-free columns of every lower degree at full rank
-    assert jacobian._x_free_minors([first], [], 2, top - 1)
+    assert jacobian._x_free_minor([first], [], top - 1)
+    assert all(jacobian._x_free_minor([first], [], s) for s in range(4, top - 1))
+
+
+@st.composite
+def _minor_rows(draw):
+    """(found, joined, e, top): one to three vectors of degrees <= e with
+    entries in -3 .. 3, each in the layout of syzygy_matrix(ctx, degree),
+    and up to two of degree top > e + 1.  They need not be relations: the
+    minor's implication is linear algebra."""
+    top = draw(st.integers(2, 6))
+    e = draw(st.integers(0, top - 2))
+
+    def vector(degree):
+        n = 3 * degree_dimension(degree)
+        return degree, np.array(draw(st.lists(_SMALL, min_size=n, max_size=n)), dtype=object)
+
+    found = [vector(draw(st.integers(0, e))) for _ in range(draw(st.integers(1, 3)))]
+    joined = [vector(top) for _ in range(draw(st.integers(0, 2)))]
+    return found, joined, e, top
+
+
+_BASIS_0 = [(0, np.array(v, dtype=object)) for v in ((1, 0, 0), (0, 1, 0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_minor_rows())
+@example((_BASIS_0, [], 0, 3))
+@example((_BASIS_0[:1], [(2, np.array([0] * 9 + [1] + [0] * 8, dtype=object))], 0, 2))
+def test_the_minor_at_the_top_implies_the_minors_below(case):
+    """A dependency of the x-free rows at s < top, times y^(top-s), is one of
+    the x-free rows at top: y^j times a monomial free of x is another, and
+    F_p[y, z] is a domain.  So one minor at top covers every s between."""
+    found, joined, e, top = case
+    if jacobian._x_free_minor(found, joined, top):
+        for s in range(e + 1, top):
+            assert jacobian._x_free_minor(found, [], s), s
 
 
 def _walk(ctx):
@@ -345,7 +382,7 @@ def _assert_the_descent_is_the_climb(f, conics):
     """The walk's generators, witness and window equal those of the climb
     through every degree, which the walk becomes when no descent passes."""
     descent = _walk(JacobianContext.for_curve(f, conics))
-    with mock.patch.object(jacobian, "_x_free_minors", lambda found, joined, e, top: False):
+    with mock.patch.object(jacobian, "_x_free_minor", lambda found, joined, top: False):
         assert descent == _walk(JacobianContext.for_curve(f, conics))
 
 
@@ -432,6 +469,50 @@ def _pair_relation_calls(monkeypatch):
     return calls
 
 
+def _syzygy_arrangement():
+    """Six conics whose three generators at d1 = 8 have a syzygy of degree 2."""
+    conics = (
+        (3, 0, 0, 3, -1, 1),
+        (-3, 2, -3, -1, -3, -3),
+        (-5, -1, -2, 2, -4, -6),
+        (1, -5, 4, 4, 2, 0),
+        (4, -3, 1, 9, -3, -1),
+        (3, 2, -3, 5, -5, -1),
+    )
+    return ConicArrangement(tuple(ConicForm(*q) for q in conics))
+
+
+def test_a_closed_top_step_whose_minor_fails_is_taken_at_the_top(monkeypatch, kernels):
+    """The generators at 8 of _syzygy_arrangement have a syzygy of degree 2:
+    their 18 multiples at d-2 = 10 have rank 17, and its part free of x is a
+    dependency of the minor's rows.  So the top step after them closes and
+    the minor fails, although no relation is missing: with the minor forced
+    to pass the generators are the same.  The walk climbs to 9 and takes
+    the top step's kernel at 10 as it stands, with no second bound there;
+    the span is put in standard form once, and only A_8 is lifted."""
+    bounds, spans = [], []
+    certified_rank, span = jacobian._certified_rank, linalg.kernel_basis_from_span
+
+    def spy(ctx, s, *args):
+        bounds.append(s)
+        return certified_rank(ctx, s, *args)
+
+    monkeypatch.setattr(jacobian, "_certified_rank", spy)
+    monkeypatch.setattr(linalg, "kernel_basis_from_span", lambda *a: spans.append(a) or span(*a))
+    arr = _syzygy_arrangement()
+    ctx = _context(arr)
+    generators = _generators(ctx)
+    assert [e for e, _ in generators] == [8, 8, 8]
+    assert bounds == [10, *range(9), 10, 9]
+    assert (len(spans), kernels) == (1, [(210, 135)])
+    found = relation_generators(ctx)
+    assert len(linalg.pivot_columns_mod(jacobian._relation_multiples(found, 10))) == 17
+    assert not jacobian._x_free_minor(found, [], 10)
+    assert (mdr(ctx).r, hilbert_profile(ctx).tau) == (8, 72)
+    with mock.patch.object(jacobian, "_x_free_minor", lambda found, joined, top: True):
+        assert _generators(_context(arr)) == generators
+
+
 def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatch, kernels):
     """The walk then climbs from degree 0; with nothing found below d-2 it
     takes the start's kernel as it stands: A_{d-2} is built once, and the
@@ -443,7 +524,7 @@ def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatc
         linalg, "_canonical_support", lambda *args: tests.append(1) or support(*args)
     )
     calls = _pair_relation_calls(monkeypatch)
-    monkeypatch.setattr(jacobian, "_x_free_minors", lambda found, joined, e, top: False)
+    monkeypatch.setattr(jacobian, "_x_free_minor", lambda found, joined, top: False)
     arr = _generic(4, 2)
     ctx = _context(arr)
     generators = _generators(ctx)
@@ -513,6 +594,8 @@ def _pinned_inputs():
     for k, lift in zip((4, 5, 6), ((91, 63), (153, 108), (231, 165))):
         arr = ConicArrangement.from_texts(script.tangent_texts(k, 1))
         out[f"tangent_{k}"] = (arr.polynomial(), arr, [lift])
+    arr = _syzygy_arrangement()
+    out["syzygy_6"] = (arr.polynomial(), arr, [(210, 135)])
     return out
 
 
