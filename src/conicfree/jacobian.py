@@ -37,16 +37,20 @@ none) and the pool's candidates at d-1 (below): the three Koszul
 relations (f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) (ctx.koszul).
 rank_p(F_s) is bounded from below by leading terms too (three
 components), on a ladder of rungs t = min(s, d-1) .. s: every relation
-has degree <= d-1, so F_s = S_{s-t} F_t.  Each F_t is eliminated at most
-once per window, and the ladder stops at the first rung that closes the
-bounds; its last rung is F_s itself, the only one in the walk (s <= d-2).
-The rungs are a truncated Groebner basis built degree by degree from
-Macaulay matrices (Lazard 1983; Faugere's F4, 1999).  Bounds that
-overlap, or a row of F that a fixed pseudo-random combination shows is
-no relation mod p, raise: either means a fault in building F.  Where the
-bounds do not meet, the rank comes from the lifted-kernel certificate of
-linalg.rank_certified; a missing generator can only cause that fallback,
-never a wrong rank.
+has degree <= d-1, so F_s = S_{s-t} F_t.  Each F_t is built and
+eliminated at most once per window, and the ladder stops at the first
+rung that closes the bounds; its last rung is F_s itself, the only one in
+the walk (s <= d-2).  So the window builds F_s only where the ladder
+reaches t = s, and A_s only where the last rung falls short or for the
+fallback; the bounds need neither, only cols = 3 dim S_s.  The rungs are
+a truncated Groebner basis built degree by degree from Macaulay matrices
+(Lazard 1983; Faugere's F4, 1999).  Each F_t is checked as it is
+eliminated: a fixed pseudo-random combination of its rows must be a
+relation mod p, mapped by the product with the gradient mod p and no
+A_t.  Bounds that overlap, or a row that this check catches, raise:
+either means a fault in building F.  Where the bounds do not meet, the
+rank comes from the lifted-kernel certificate of linalg.rank_certified;
+a missing generator can only cause that fallback, never a wrong rank.
 
 The walk and the window try a pool of exact candidate relations, by
 degree, before they lift a kernel; each family is built and checked
@@ -117,7 +121,6 @@ from conicfree.linalg import (
     integer_zeros,
     np,
     pivot_columns_mod,
-    product_mod,
     residues_mod,
 )
 from conicfree.poly import HomogeneousPolynomial, degree_dimension, monomials_of_degree
@@ -182,16 +185,6 @@ class JacobianContext:
     def max_entry(self) -> int:
         """The largest absolute entry of the gradient, so of syzygy_matrix."""
         return int(abs(self.gradient).max())
-
-    @cached_property
-    def row_l1(self) -> int:
-        """Sum of the l1 norms of the rows of the gradient.
-
-        A row of syzygy_matrix(ctx, s) holds, per component, entries of one
-        row of the gradient at distinct monomials, so this bounds its l1
-        norm in every degree s.
-        """
-        return int(abs(self.gradient).sum())
 
     @cached_property
     def families(self) -> dict[int, Callable[[], np.ndarray]]:
@@ -387,28 +380,44 @@ def _residues(relations: Sequence[Relation]) -> list[Relation]:
     return [(e, residues_mod(vec)) for e, vec in relations]
 
 
-def _relations_mod_p(matrix: RatMatrix, multiples: np.ndarray, l1: int) -> bool:
-    """Whether matrix kills one fixed pseudo-random combination of the rows mod p.
+def _image_mod_p(ctx: JacobianContext, t: int, vec: np.ndarray) -> np.ndarray:
+    """A_t @ vec mod p (A_t = syzygy_matrix(ctx, t)) with no A_t built, as
+    int64 in the order of monomials_of_degree(t+d-1).
 
-    The rows of multiples are residues mod p, int64 in [0, p), as
-    _relation_multiples makes them from _residues.  A row that is not a
-    relation mod p (a construction fault) leaves the product nonzero unless
-    the combination happens to cancel it.  The weights, in [1, 2^16), are
-    the top 16 bits of the Weyl sequence i * 0x9E3779B9 mod 2^32, reduced
-    mod 2^16 - 1, plus 1.  The combination is one int64 product per
-    _WEIGHED_ROWS rows, exact since 2^16 terms below 2^16 (p - 1) sum to
-    less than 2^63.  l1 bounds the row l1 norms of the matrix; where it is
-    small enough, linalg.product_mod multiplies the combination by the
-    matrix as one dense int64 product.
+    vec holds residues in [0, p) in the column layout of A_t, so the image
+    is the sum over c of vec_c times the gradient's row c: the term of the
+    degree-t monomial j and the degree-(d-1) monomial g, reduced mod p, is
+    added at _product_positions(t, d-1)[j, g].  g fixes j, so at most
+    3 dim S_{d-1} terms below 2^31 land on one monomial, at most 900 under
+    poly.MAX_DEGREE = 24; every int64 sum stays below 2^41, at any height.
     """
-    if not len(multiples):
+    terms = vec.reshape(3, -1, 1) * residues_mod(ctx.gradient)[:, None, :] % BOUND_PRIME
+    out = np.zeros(degree_dimension(t + ctx.d - 1), dtype=np.int64)
+    np.add.at(out, _product_positions(t, ctx.d - 1), terms.sum(axis=0))
+    return out % BOUND_PRIME
+
+
+def _relations_mod_p(ctx: JacobianContext, t: int, rows: np.ndarray) -> bool:
+    """Whether one fixed pseudo-random combination of rows is a relation mod p.
+
+    The rows are relation multiples in the column layout of
+    syzygy_matrix(ctx, t), residues mod p, int64 in [0, p), as
+    _relation_multiples makes them from _residues.  A row that is not a
+    relation mod p (a construction fault) leaves the image of the
+    combination (_image_mod_p) nonzero unless the combination happens to
+    cancel it.  The weights, in [1, 2^16), are the top 16 bits of the Weyl
+    sequence i * 0x9E3779B9 mod 2^32, reduced mod 2^16 - 1, plus 1.  The
+    combination is one int64 product per _WEIGHED_ROWS rows, exact since
+    2^16 terms below 2^16 (p - 1) sum to less than 2^63.
+    """
+    if not len(rows):
         return True
-    weights = (np.arange(1, len(multiples) + 1) * 0x9E3779B9 % 2**32 >> 16) % (2**16 - 1) + 1
+    weights = (np.arange(1, len(rows) + 1) * 0x9E3779B9 % 2**32 >> 16) % (2**16 - 1) + 1
     combo = sum(
-        weights[i : i + _WEIGHED_ROWS] @ multiples[i : i + _WEIGHED_ROWS] % BOUND_PRIME
-        for i in range(0, len(multiples), _WEIGHED_ROWS)
+        weights[i : i + _WEIGHED_ROWS] @ rows[i : i + _WEIGHED_ROWS] % BOUND_PRIME
+        for i in range(0, len(rows), _WEIGHED_ROWS)
     )
-    return not product_mod(matrix.array, combo % BOUND_PRIME, l1).any()
+    return not _image_mod_p(ctx, t, combo % BOUND_PRIME).any()
 
 
 def _leading_terms(rows: np.ndarray, t: int) -> np.ndarray:
@@ -457,54 +466,54 @@ def _leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
 def _certified_rank(
     ctx: JacobianContext,
     s: int,
-    matrix: RatMatrix,
-    multiples: np.ndarray,
+    matrix: RatMatrix | None,
+    multiples: np.ndarray | None,
     residues: Sequence[Relation] = (),
     rungs: dict[int, np.ndarray] | None = None,
 ) -> int | None:
-    """rank A_s (matrix = syzygy_matrix(ctx, s)) when two bounds meet, else None.
+    """rank A_s (= syzygy_matrix(ctx, s)) when two bounds meet, else None.
 
-    Both bounds count _leading_multiples of recorded _leading_terms.  The
-    lower one multiplies the leading monomials of J recorded in the highest
-    degree e <= s (ctx.leading): J is generated in degree d-1, so
-    J_{s+d-1} = S_{s-e} J_{e+d-1}, and the count is at most rank_p(A_s).
-    The rows of multiples (F_s, from residues) are relations (mod p), so
-    rank_p(A_s) <= rank <= cols - rank_p(F_s) over the rationals: a nonzero
-    minor mod p is nonzero over Q, and relations independent mod p are
-    independent kernel vectors.  rank_p(F_s) is bounded from below on the
-    ladder of rungs t = min(s, d-1) .. s (module docstring), whose leading
-    terms rungs records by t; the rung t = s eliminates multiples itself.
-    Below d-1 that is the only rung, so the walk passes no ladder.
-    A_s is eliminated only when the last rung falls short and its leading
-    monomials are not yet recorded; they then serve the degrees above.  A
-    sum above cols can only come from a row that is not a relation, and
-    raises; so does a row that _relations_mod_p catches before a rank is
-    accepted.
+    Both bounds count _leading_multiples of recorded _leading_terms, against
+    cols = 3 dim S_s.  The lower one multiplies the leading monomials of J
+    recorded in the highest degree e <= s (ctx.leading): J is generated in
+    degree d-1, so J_{s+d-1} = S_{s-e} J_{e+d-1}, and the count is at most
+    rank_p(A_s).  The rows of F_s, the multiples of residues, are relations
+    (mod p), so rank_p(A_s) <= rank <= cols - rank_p(F_s) over the
+    rationals: a nonzero minor mod p is nonzero over Q, and relations
+    independent mod p are independent kernel vectors.  rank_p(F_s) is
+    bounded from below on the ladder of rungs t = min(s, d-1) .. s (module
+    docstring), whose leading terms rungs records by t; each rung F_t is
+    built from residues, or is multiples where given (the walk's F_s, whose
+    only rung is t = s <= d-2), checked by _relations_mod_p and eliminated.
+    A_s, given as matrix or built here, is eliminated only when the last
+    rung falls short and its leading monomials are not yet recorded; they
+    then serve the degrees above.  A sum above cols can only come from a
+    row that is not a relation, and raises; so does a rung that
+    _relations_mod_p catches.
     """
-    shift = ctx.d - 1
+    shift, cols = ctx.d - 1, 3 * degree_dimension(s)
     e = max((r for r in ctx.leading if r <= s), default=None)
     lower = 0 if e is None else len(_leading_multiples(ctx.leading[e], e + shift, s + shift))
     spanned, rungs = 0, {} if rungs is None else rungs
     for t in range(min(s, shift), s + 1):
-        if lower + spanned >= matrix.cols:
+        if lower + spanned >= cols:
             break
         if t not in rungs:
-            rows = multiples if t == s else _relation_multiples(residues, t)
+            rows = _relation_multiples(residues, t) if multiples is None else multiples
+            if not _relations_mod_p(ctx, t, rows):
+                raise AssertionError("some row of the relation multiples is not a relation mod p")
             rungs[t] = _leading_terms(rows, t)
         spanned = len(_leading_multiples(rungs[t], t, s))
-    if lower + spanned < matrix.cols and e != s:
+    if lower + spanned < cols and e != s:
+        matrix = syzygy_matrix(ctx, s) if matrix is None else matrix
         ctx.leading[s] = _leading_terms(matrix.array.T, s + shift)
         lower = len(ctx.leading[s])
-    if lower + spanned > matrix.cols:
+    if lower + spanned > cols:
         raise AssertionError(
             f"{lower} leading monomials mod p and {spanned} independent relations "
-            f"exceed {matrix.cols} columns: some row is not a relation"
+            f"exceed {cols} columns: some row is not a relation"
         )
-    if lower + spanned < matrix.cols:
-        return None
-    if not _relations_mod_p(matrix, multiples, ctx.row_l1):
-        raise AssertionError("some row of the relation multiples is not a relation mod p")
-    return lower
+    return lower if lower + spanned == cols else None
 
 
 def _candidates(
@@ -643,19 +652,19 @@ def _syzygy_ranks(ctx: JacobianContext, degrees: list[int]) -> list[int]:
     one relation walk; above by the multiples of its generators, which span
     every relation of degree <= d-2, and of the pool's candidates of the
     degrees above d-2 that the window reaches (the Koszul relations at
-    d-1), with one ladder of rungs for all the degrees.  No kernel is
-    lifted at degree s; where the bounds do not meet, the rank comes from
-    the lifted-kernel certificate of linalg.rank_certified.
+    d-1), with one ladder of rungs for all the degrees, each rung built,
+    checked mod p and eliminated once.  Neither A_s nor F_s is built where
+    a lower rung closes the bounds.  No kernel is lifted at degree s; where
+    the bounds do not meet, the rank comes from the lifted-kernel
+    certificate of linalg.rank_certified, on A_s built for it.
     """
     pool = (r for e in ctx.families if ctx.d - 2 < e <= max(degrees) for r in _candidates(ctx, e))
     residues = _residues([*relation_generators(ctx), *pool])
     rungs: dict[int, np.ndarray] = {}
 
     def rank(s: int) -> int:
-        matrix = syzygy_matrix(ctx, s)
-        multiples = _relation_multiples(residues, s)
-        certified = _certified_rank(ctx, s, matrix, multiples, residues, rungs)
-        return linalg.rank_certified(matrix) if certified is None else certified
+        certified = _certified_rank(ctx, s, None, None, residues, rungs)
+        return linalg.rank_certified(syzygy_matrix(ctx, s)) if certified is None else certified
 
     return [rank(s) if s >= 0 else 0 for s in degrees]
 

@@ -51,11 +51,10 @@ of the certificate, and b^-1 mod q for Dixon's lifting, from [b | I]),
 :func:`_back_substitute` solves the triangular system of the pivot rows on
 the free columns alone.
 
-:func:`pivot_columns_mod` and :func:`product_mod` work modulo one fixed
-prime, BOUND_PRIME, the first that the certified engine tries; the first
-reads pivot columns only, and the second is one dense int64 product
-wherever a bound on the row l1 norms keeps it exact.  A rank mod p (the
-count of pivot columns) is a lower bound for the rank over the rationals;
+:func:`pivot_columns_mod` works modulo one fixed prime, BOUND_PRIME, the
+first that the certified engine tries, and reads pivot columns only.  A
+rank mod p (the count of pivot columns) is a lower bound for the rank
+over the rationals;
 the Hilbert window (conicfree.jacobian) pairs it with explicit exact
 relations for the upper bound and calls :func:`rank_certified` only where
 the two bounds do not meet.
@@ -374,26 +373,6 @@ def pivot_columns_mod(a: np.ndarray) -> tuple[int, ...]:
     rationals: a nonzero minor mod p is nonzero over Q.
     """
     return _echelon_mod(residues_mod(a), BOUND_PRIME)[0]
-
-
-def product_mod(a: np.ndarray, x: np.ndarray, l1: int) -> np.ndarray:
-    """a @ x modulo BOUND_PRIME for an integer array a and int64 x in [0, BOUND_PRIME).
-
-    l1 bounds every row l1 norm of a.  An int64 a with
-    l1 * (BOUND_PRIME - 1) <= 2^63 - 1 takes one dense int64 product: every
-    partial row sum is bounded by that.  Otherwise (an object array or a
-    larger bound) the product runs over the nonzero entries of a, each term
-    reduced before the row sums, so every step is exact in int64.
-    """
-    if a.dtype != object and l1 * (BOUND_PRIME - 1) <= _INT64_MAX:
-        return a @ x % BOUND_PRIME
-    rows, cols = np.nonzero(a)
-    terms = residues_mod(a[rows, cols]) * x[cols] % BOUND_PRIME
-    out = np.zeros(a.shape[0], dtype=np.int64)
-    if rows.size:
-        starts = np.flatnonzero(np.diff(rows, prepend=-1))
-        out[rows[starts]] = np.add.reduceat(terms, starts)
-    return out % BOUND_PRIME
 
 
 def _rat_reconstruct(a: int, m: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:

@@ -224,65 +224,83 @@ def test_a_row_that_is_no_relation_is_caught_mod_p():
     for name in FREE_SMALL + ("pencil_four_points_m4",):
         e, ctx = next(item for item in _corpus() if item[0].name == name)
         s = 2 * ctx.d - 5
-        matrix = syzygy_matrix(ctx, s)
         f = jacobian._relation_multiples(jacobian._residues(_relations(ctx)), s)
-        assert jacobian._relations_mod_p(matrix, f, ctx.row_l1)
+        assert jacobian._relations_mod_p(ctx, s, f)
         f[len(f) // 2, 0] = (f[len(f) // 2, 0] + 1) % linalg.BOUND_PRIME
-        assert not jacobian._relations_mod_p(matrix, f, ctx.row_l1), name
+        assert not jacobian._relations_mod_p(ctx, s, f), name
 
 
 _P = linalg.BOUND_PRIME
-_DENSE_L1 = (2**63 - 1) // (_P - 1)  # the largest row l1 norm of a dense product mod p
+# the largest row l1 norm of a dense int64 product mod p, the bound of the
+# dense check that the product with the gradient replaced
+_DENSE_L1 = (2**63 - 1) // (_P - 1)
 
 
+@lru_cache(maxsize=None)
 def _weights(n):
     """The weights of _relations_mod_p, from the Weyl sequence its docstring gives."""
-    return [((i * 0x9E3779B9) % 2**32 >> 16) % (2**16 - 1) + 1 for i in range(1, n + 1)]
+    return tuple(((i * 0x9E3779B9) % 2**32 >> 16) % (2**16 - 1) + 1 for i in range(1, n + 1))
+
+
+def _gradient_only(d, gradient):
+    """A context of degree d holding the gradient array and nothing else, the
+    two things the relation check reads."""
+    return JacobianContext(f=None, d=d, gradient=gradient)
+
+
+def _python_image(d, gradient, t, vec):
+    """A_t @ vec mod p in Python integers, built from the monomial lists: the
+    degree-t monomial j of component c times the degree-(d-1) monomial g,
+    with coefficient vec[c * dim S_t + j] * gradient[c][g]."""
+    monos, lower = monomials_of_degree(t), monomials_of_degree(d - 1)
+    index = {m: i for i, m in enumerate(monomials_of_degree(t + d - 1))}
+    out = [0] * len(index)
+    for c, row in enumerate(gradient):
+        for j, m in enumerate(monos):
+            for g, u in zip(lower, row):
+                out[index[tuple(a + b for a, b in zip(m, g))]] += vec[c * len(monos) + j] * u
+    return [v % _P for v in out]
 
 
 @st.composite
 def _relation_checks(draw):
-    """A matrix with the bound on its row l1 norms that the check is given,
-    and residues mod p as relation multiples.
+    """A degree d, a gradient, a degree t and residues mod p as relation
+    multiples of degree t.
 
-    The matrix is int64 with a row whose l1 norm is just below or just above
-    _DENSE_L1 (entries of one sign, so a dense product at the wrong side of
-    the bound overflows), small int64 with its own bound or one past
-    _DENSE_L1, or object with entries up to 2^80; it may have zero rows.
-    The multiples number 0 to 3 * 2^16, mostly p - 1, with a last row that
-    may cancel the combination.
+    The gradient is int64 with a row of one sign whose l1 norm is just below
+    or just above _DENSE_L1 (where the old dense product overflowed), small
+    int64, or object with entries up to 2^80, above 2^62; any row may be
+    zero.  The multiples number 0 to 3 * 2^16, mostly p - 1, with a last
+    row that may cancel the combination.
     """
-    cols = draw(st.integers(1, 4))
+    d, t = draw(st.integers(2, 3)), draw(st.integers(0, 1))
+    n = degree_dimension(d - 1)
     kind = draw(st.sampled_from(["below", "above", "small", "object"]))
     rows = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(3):
         if draw(st.booleans()):
-            rows.append([0] * cols)
+            rows.append([0] * n)
         elif kind == "object":
-            rows.append([draw(st.integers(-(2**80), 2**80)) for _ in range(cols)])
+            rows.append([draw(st.integers(-(2**80), 2**80)) for _ in range(n)])
         else:
-            rows.append([draw(st.integers(-3, 3)) for _ in range(cols)])
+            rows.append([draw(st.integers(-3, 3)) for _ in range(n)])
     if kind in ("below", "above"):
         total = _DENSE_L1 + (1 if kind == "above" else -draw(st.integers(0, 2)))
         sign = draw(st.sampled_from([1, -1]))
-        row = [total // cols] * cols
+        row = [total // n] * n
         row[0] += total - sum(row)
-        rows.insert(draw(st.integers(0, len(rows))), [sign * v for v in row])
-    matrix = np.zeros((len(rows), cols), dtype=object if kind == "object" else np.int64)
-    if rows:
-        matrix[:] = rows
-    l1 = max((sum(map(abs, row)) for row in rows), default=0)
-    if kind == "small" and draw(st.booleans()):
-        l1 = _DENSE_L1 + 1
-    n = draw(st.sampled_from([0, 1, 3, 2**16 - 1, 2**16, 2**16 + 2, 3 * 2**16]))
-    multiples = np.full((n, cols), _P - 1, dtype=np.int64)
-    for _ in range(draw(st.integers(0, 3)) if n else 0):
-        multiples[draw(st.integers(0, n - 1)), draw(st.integers(0, cols - 1))] = draw(
+        rows[draw(st.integers(0, 2))] = [sign * v for v in row]
+    gradient = np.array(rows, dtype=object if kind == "object" else np.int64)
+    cols = 3 * degree_dimension(t)
+    count = draw(st.sampled_from([0, 1, 3, 2**16 - 1, 2**16, 2**16 + 2, 3 * 2**16]))
+    multiples = np.full((count, cols), _P - 1, dtype=np.int64)
+    for _ in range(draw(st.integers(0, 3)) if count else 0):
+        multiples[draw(st.integers(0, count - 1)), draw(st.integers(0, cols - 1))] = draw(
             st.integers(0, _P - 1)
         )
-    if n and draw(st.booleans()):
+    if count and draw(st.booleans()):
         _cancel(multiples)
-    return matrix, l1, multiples
+    return d, gradient, t, multiples
 
 
 def _cancel(multiples):
@@ -293,34 +311,115 @@ def _cancel(multiples):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_relation_checks(), st.lists(st.sampled_from([0, 1, _P - 1]), min_size=4, max_size=4))
+@given(
+    _relation_checks(),
+    st.lists(st.sampled_from([0, 1, _P - 1]) | st.integers(0, _P - 1), min_size=9, max_size=9),
+)
 def test_relation_check_matches_a_python_reference(check, x):
-    """product_mod and _relations_mod_p against sums of Python integers mod p:
-    the dense int64 product at and past its bound, the sparse path on object
-    arrays, zero rows, and combinations of more than 2^16 rows."""
-    matrix, l1, multiples = check
-    a = matrix.tolist()
-    x = np.array(x[: matrix.shape[1]], dtype=np.int64)
-    got = linalg.product_mod(matrix, x, l1)
+    """_image_mod_p and _relations_mod_p against sums of Python integers mod
+    p: gradients of one sign at and past the old dense bound, object
+    gradients above 2^62, zero rows, no multiples, and combinations of more
+    than 2^16 rows.  Arbitrary residues in the vector make the sums at one
+    monomial overflow int64 unless each term is reduced first."""
+    d, gradient, t, multiples = check
+    ctx = _gradient_only(d, gradient)
+    rows = gradient.tolist()
+    x = np.array(x[: multiples.shape[1]], dtype=np.int64)
+    got = jacobian._image_mod_p(ctx, t, x)
     assert got.dtype == np.int64
-    assert got.tolist() == [sum(v * w for v, w in zip(row, x.tolist())) % _P for row in a]
+    assert got.tolist() == _python_image(d, rows, t, x.tolist())
     weights = _weights(len(multiples))
-    combo = [sum(w * v for w, v in zip(weights, col)) % _P for col in multiples.T.tolist()]
-    expected = all(sum(v * c for v, c in zip(row, combo)) % _P == 0 for row in a)
-    assert jacobian._relations_mod_p(linalg.RatMatrix(matrix), multiples, l1) is expected
+    combo = (np.array(weights, dtype=object).dot(multiples.astype(object)) % _P).tolist()
+    expected = not any(_python_image(d, rows, t, combo))
+    assert jacobian._relations_mod_p(ctx, t, multiples) is expected
 
 
 def test_relation_check_combines_many_rows_exactly():
     """3 * 2^16 rows of p - 1: one int64 product of them all would overflow,
-    and only an exact combination is 0 mod p."""
-    multiples = np.full((3 * 2**16, 2), _P - 1, dtype=np.int64)
+    and only an exact combination is 0 mod p.  A_0 is the gradient
+    transposed, invertible mod p here, in int64 and as an object array
+    above 2^62."""
+    multiples = np.full((3 * 2**16, 3), _P - 1, dtype=np.int64)
     _cancel(multiples)
-    matrix = linalg.RatMatrix(np.array([[1, 0], [0, 1], [5, -7]], dtype=np.int64))
-    for l1 in (12, _DENSE_L1 + 1):
-        assert jacobian._relations_mod_p(matrix, multiples, l1)
+    small = np.array([[1, 0, 0], [0, 1, 0], [5, -7, 1]], dtype=np.int64)
+    large = np.array([[2**70 + 1, 0, 0], [0, 1, 0], [5, -7, 2**63]], dtype=object)
+    for gradient in (small, large):
+        ctx = _gradient_only(2, gradient)
+        assert jacobian._relations_mod_p(ctx, 0, multiples)
         multiples[7, 1] -= 1
-        assert not jacobian._relations_mod_p(matrix, multiples, l1)
+        assert not jacobian._relations_mod_p(ctx, 0, multiples)
         multiples[7, 1] += 1
+
+
+def _python_matrix_image(a, vec):
+    """a @ vec mod p in Python integers, over the nonzero entries of a."""
+    out = [0] * a.shape[0]
+    rows, cols = np.nonzero(a)
+    for i, j, v in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        out[i] += v * vec[j]
+    return [v % _P for v in out]
+
+
+def test_the_gradient_image_is_the_window_matrix_times_the_vector():
+    """Oracle: at the rung d-1 and at each window degree s, _image_mod_p is
+    syzygy_matrix(ctx, t).array times the vector in Python integers mod p,
+    entry for entry, on the corpus and generic seed 1, for a pseudo-random
+    vector of residues and for the combination _relations_mod_p takes of the
+    relation multiples, whose image is 0."""
+    rng = np.random.default_rng(2303)
+    for ctx in [ctx for _, ctx in _corpus()] + list(_generic_inputs(1)):
+        residues = jacobian._residues(_relations(ctx))
+        for t in [ctx.d - 1] + _window_shifts(ctx):
+            a = syzygy_matrix(ctx, t).array
+            f = jacobian._relation_multiples(residues, t)
+            weights = np.array(_weights(len(f)), dtype=object)
+            combo = np.array(weights.dot(f.astype(object)) % _P, dtype=np.int64)
+            for vec in (rng.integers(0, _P, a.shape[1]), combo):
+                got = jacobian._image_mod_p(ctx, t, vec)
+                assert got.tolist() == _python_matrix_image(a, vec.tolist()), (ctx.d, t)
+            assert not got.any()
+
+
+def test_the_window_builds_only_what_it_eliminates(monkeypatch):
+    """The window's cost guard: with the relation walk run first,
+    hilbert_profile on the corpus and on generic seeds 1-3 builds one
+    matrix, A_{d-1} for the Koszul family's exact check, and builds relation
+    multiples only at the rungs it eliminates: no A_s and no F_s at a
+    window degree."""
+    built, multiples, rungs = [], [], []
+    build, multiply, leading = (
+        jacobian.syzygy_matrix,
+        jacobian._relation_multiples,
+        jacobian._leading_terms,
+    )
+
+    def spy_build(curve, r):
+        built.append(r)
+        return build(curve, r)
+
+    def spy_multiples(relations, s, **kwargs):
+        multiples.append(s)
+        return multiply(relations, s, **kwargs)
+
+    def spy_leading(rows, t):
+        if not _is_gradient_ideal(rows, t):
+            rungs.append(t)
+        return leading(rows, t)
+
+    curves = [ctx for _, ctx in _corpus()]
+    curves += [ctx for seed in (1, 2, 3) for ctx in _generic_inputs(seed)]
+    for ctx in curves:
+        ctx = _fresh(ctx)
+        relation_generators(ctx)
+        for calls in (built, multiples, rungs):
+            calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(jacobian, "syzygy_matrix", spy_build)
+            m.setattr(jacobian, "_relation_multiples", spy_multiples)
+            m.setattr(jacobian, "_leading_terms", spy_leading)
+            hilbert_profile(ctx)
+        assert built == [ctx.d - 1], ctx.f
+        assert multiples == rungs and rungs, ctx.f
 
 
 def test_each_canonical_kernel_takes_one_prime(monkeypatch):
