@@ -17,10 +17,13 @@ for k = 4..6 from one seed (``tangent_texts``), the first conic plus
 lam * (line)^2, where the relation walk lifts its kernel at d1 = d-3 and
 the multiples of those generators close the bound at d-2, and one
 arrangement of k = 5 conics with an A7 point (``a7_texts``).  The special points are the
-ones the pair relations do not cover, so these inputs measure relations
-of the sub-arrangement at each point.  Every context is built with the
-arrangement's integer conics, as ``analyze_curve`` builds it, so both
-checkouts must take them in ``JacobianContext.for_curve``.
+ones the pencil relations do not cover, so these inputs measure relations
+of the sub-arrangement at each point.  Last, a partial pencil: the two
+pencil conics above, their sum, and the first three generic conics of
+``random.Random(12345)`` (k = 6), whose pencil of three members gives a
+relation at d1 = d-4, so the walk lifts no kernel.  Every context is
+built with the arrangement's integer conics, as ``analyze_curve`` builds
+it, so both checkouts must take them in ``JacobianContext.for_curve``.
 
     python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
 
@@ -142,6 +145,9 @@ def arrangements() -> dict[str, list[str]]:
     for k in (4, 5, 6):
         out[f"tangent_k{k}"] = tangent_texts(k, TANGENT_SEED)
     out["a7_k5"] = a7_texts(5, A7_SEED)
+    generic = inputs._generic_conics(random.Random(GENERIC_SEED), 3)
+    partial = [PENCIL_F, PENCIL_G, f"({PENCIL_F})+({PENCIL_G})"]
+    out["partial_pencil_k6"] = partial + [inputs.conic_text(q) for q in generic]
     return out
 
 

@@ -2,9 +2,9 @@
 """Print the sha256 of ``conicfree analyze --json`` for a fixed set of inputs,
 with the shapes of the kernels the analysis lifts.
 
-One ``name sha256 lifts`` line per input, 311 in all: the 20 corpus entries
+One ``name sha256 lifts`` line per input, 312 in all: the 20 corpus entries
 (``corpus:<entry>``), the 270 generic arrangements of ``perfbench/inputs.py``
-seeds 1-30 (``generic:<seed>:<id>``), the 17 inputs of
+seeds 1-30 (``generic:<seed>:<id>``), the 18 inputs of
 ``scripts/bench_windows.py`` (``bench:<name>``) and four expressions
 (``expr:<text>``).  An arrangement is written one conic per line to a file
 named after the input, in a temporary directory that is the working

@@ -41,10 +41,10 @@ has degree <= d-1, so F_s = S_{s-t} F_t.  Each F_t is built and
 eliminated at most once per window, and the ladder stops at the first
 rung that closes the bounds; its last rung is F_s itself, the only one in
 the walk (s <= d-2).  So the window builds F_s only where the ladder
-reaches t = s, and A_s only where the last rung falls short or for the
-fallback; the bounds need neither, only cols = 3 dim S_s.  The rungs are
-a truncated Groebner basis built degree by degree from Macaulay matrices
-(Lazard 1983; Faugere's F4, 1999).  Each F_t is checked as it is
+reaches t = s, and A_s only where the last rung falls short, once for
+the bounds and a fallback; counting needs only cols = 3 dim S_s.  The
+rungs are a truncated Groebner basis built degree by degree from Macaulay
+matrices (Lazard 1983; Faugere's F4, 1999).  Each F_t is checked as it is
 eliminated: a fixed pseudo-random combination of its rows must be a
 relation mod p, mapped by the product with the gradient mod p and no
 A_t.  Bounds that overlap, or a row that this check catches, raise:
@@ -55,23 +55,17 @@ a missing generator can only cause that fallback, never a wrong rank.
 The walk and the window try a pool of exact candidate relations, by
 degree, before they lift a kernel; each family is built and checked
 exactly against A_e once per curve (_candidates).  At d-1 it holds the
-Koszul relations.  At d-2, where the context carries the integer conics
-of an arrangement (ctx.conics, which report.analyze_curve passes; an
-expression is not factored and gets none), it holds the logarithmic
-derivations of the pairs (0, j) (K. Saito 1980; Schenck and Tohaneanu
-2009): d*P*rho - (rho . grad P)*(x, y, z) with rho = grad q_0 x grad q_j
-and P the product of the other conics (pair_relations).  At a degree of
-the pool the walk bounds once, with the multiples of the generators found
-below and the candidates together.  Where that closes the two-sided
-bound, linalg.kernel_basis_from_span puts their span in the standard form
-a lift returns, so the generators, the witness and the window are
-unchanged; where it falls short (a triple point) or the support test
-fails, the kernel is lifted.  The pairs are admitted where the k x 6
-coefficient matrix of the k >= 2 conics has rank at least min(3, k) mod
-p: two conics, but no k >= 3 conics in one pencil, whose pairs are
-multiples of grad q_0 x grad q_1, a relation of degree 2, and cannot
-close a bound the lower generators leave open.  A rank that the
-prime lowers only costs a lift.
+Koszul relations.  Where the context carries an arrangement's integer
+conics (ctx.conics, from report.analyze_curve; an expression is not
+factored), each pencil that q_0 spans with another conic (conic_pencils,
+exact over Q) adds a logarithmic derivation of degree 2 + 2 * (the conics
+outside it) (pencil_relations): generic conics give the pairs (0, j) at
+d-2, k conics in one pencil one relation at 2.  At a degree of the pool
+the walk bounds once, with the multiples of the lower generators and the
+candidates together; where that closes, linalg.kernel_basis_from_span
+puts their span in the standard form a lift returns, so no output
+changes; where it falls short (a triple point, or a relation in the span
+of the lower generators) or the support test fails, a kernel is lifted.
 
 The walk tries its top degree d-2 early.  Before it climbs, and wherever
 generators have just joined at a degree e < d-3, it takes the top step:
@@ -97,15 +91,14 @@ reaches d-2 with A_{d-2}, its leading monomials and the top step's
 kernel or failure at hand.  The start is the top step with no
 generators (e = -1): generic arrangements, whose pairs span AR_{d-2},
 end there, and so does a curve with no relation below d-1.  In the
-corpus, the pencils pencil_four_points_m3..m6 (generators at 2, d-1,
-d-1, d-1) and pencil_two_points_k3..k6 (1, d-1, d-1) end after d1; the
-other entries have a generator at d-3 or d-2 and climb.
+corpus, pencil_four_points_m3..m6 (generators at 2, d-1, d-1, d-1) and
+pencil_two_points_k3..k6 (1, d-1, d-1) end after d1; the others climb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import gcd, lcm
 from typing import Callable, Sequence
 
@@ -136,7 +129,7 @@ class JacobianContext:
     # dim S_{d-1} Python ints, columns in the order of monomials_of_degree(d-1)
     gradient: np.ndarray = field(compare=False, repr=False)
     # the integer conics (ConicForm.integer) whose product is a constant
-    # times f, where known; their pair relations are the pool's family at d-2
+    # times f, where known; their pencil relations are families of the pool
     conics: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
     # relation_generators, None until it runs: the one relation walk per
     # curve, read by mdr and by the ranks of the Hilbert window
@@ -154,7 +147,7 @@ class JacobianContext:
     ) -> "JacobianContext":
         """The context of f; conics, when given, are integer conics (six
         Python ints each) whose product is a nonzero constant times f
-        (report.analyze_curve checks it), and a pair relation that is no
+        (report.analyze_curve checks it), and a pencil relation that is no
         relation of f raises.  With L the lcm of f's denominators, the least
         scale of the gradient is L / gcd(L, content of grad(L*f)).
         """
@@ -189,17 +182,14 @@ class JacobianContext:
     @cached_property
     def families(self) -> dict[int, Callable[[], np.ndarray]]:
         """The pool's families by degree e, each a builder of exact relations
-        of degree e as rows in the layout of syzygy_matrix(ctx, e): the pair
-        relations of the conics at d-2, where the rank gate admits them, and
-        the Koszul relations at d-1."""
-        conics, pairs = self.conics or (), {}
-        k = len(conics)
-        # the rank gate (module docstring).  Without it, the seven corpus
-        # pencils of k >= 3 conics built pairs that cannot close: 0.3-2.4 ms
-        # more an entry, 94 -> 101 ms in all (best of 25, 2-core Xeon)
-        if k > 1 and len(pivot_columns_mod(np.array(conics, dtype=object))) >= min(3, k):
-            pairs[self.d - 2] = lambda: pair_relations(conics)
-        return pairs | {self.d - 1: self._koszul_rows}
+        of degree e as rows in the layout of syzygy_matrix(ctx, e): the
+        pencils' relations, one family per pencil size (pencil_relations),
+        and the Koszul relations at d-1, an odd degree, so no pencil's."""
+        conics, pencils = self.conics or (), {}
+        for pencil in conic_pencils(conics):
+            pencils.setdefault(2 + 2 * (len(conics) - len(pencil)), []).append(pencil)
+        families = {e: partial(pencil_relations, conics, p) for e, p in sorted(pencils.items())}
+        return families | {self.d - 1: self._koszul_rows}
 
     def _koszul_rows(self) -> np.ndarray:
         """(f_y, -f_x, 0), (f_z, 0, -f_x), (0, f_z, -f_y) in degree d-1."""
@@ -312,35 +302,48 @@ def _gradient(p: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def pair_relations(conics: Sequence[Sequence[int]]) -> np.ndarray:
-    """The k-1 relations of degree d-2 = 2k-2 built from the pairs (0, j) of
-    k >= 2 integer conics (xx, yy, zz, xy, xz, yz), one row each in the
-    column layout of syzygy_matrix(ctx, d-2) for their product f.
+def conic_pencils(conics: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The pencils that q_0 spans with the other integer conics, as sorted
+    index lists, 0 first.  q_l is in the pencil of q_0 and q_j where
+    [q_0; q_j; q_l] has rank 2 over Q, that is, where the 2 x 2 minors of
+    [q_0; q_l] are a multiple of those of [q_0; q_j]; so each q_j is keyed,
+    exactly, by its minors made primitive, first nonzero one positive.  A
+    multiple of q_0 (no reduced curve has one) is in no pencil."""
+    q, pencils = np.array(conics, dtype=object), {}
+    for j in range(1, len(q)):
+        minors = (np.outer(q[0], q[j]) - np.outer(q[j], q[0]))[np.triu_indices(6, 1)]
+        if minors.any():
+            sign = 1 if minors[minors != 0][0] > 0 else -1
+            pencils.setdefault(tuple(minors // (sign * gcd(*minors))), [0]).append(j)
+    return list(pencils.values())
 
-    For rho = grad q_0 x grad q_j (degree 2) and P the product of the other
-    conics, theta = P*rho kills q_0 and q_j, so theta . grad f = g*f with
-    g = rho . grad P of degree d-3 (K. Saito 1980; Schenck and Tohaneanu
-    2009).  By Euler's identity, d*theta - g*(x, y, z) is a relation.
-    All k-1 pairs are built at once, on the first axis.
-    """
-    k = len(conics)
-    d = 2 * k
+
+def pencil_relations(conics: Sequence[Sequence[int]], pencils: list[list[int]]) -> np.ndarray:
+    """One relation per pencil of conic_pencils, all of m members, of the k
+    integer conics (xx, yy, zz, xy, xz, yz): rows of degree e = 2 + 2(k-m)
+    in the column layout of syzygy_matrix(ctx, e) for their product f.
+
+    rho = grad q_0 x grad q_j, q_j the pencil's second member, kills every
+    member a*q_0 + b*q_j.  So for P the product of the conics outside it,
+    theta = P*rho has theta . grad f = g*f, g = rho . grad P (K. Saito
+    1980; Schenck and Tohaneanu 2009), and by Euler's identity
+    d*theta - g*(x, y, z) is a relation: for m = 2 a pair's at d-2."""
+    k, n = len(conics), len(pencils)
     forms = np.array(conics, dtype=object)[:, [0, 3, 4, 1, 5, 2]]  # monomials_of_degree(2)
     grads = _gradient(forms, 2)
-    u, w = grads[0], grads[1:]
+    u, w = grads[0], grads[[pencil[1] for pencil in pencils]]
     rho = _times(np.roll(u, -1, 0), 1, np.roll(w, -2, 1), 1) - _times(
         np.roll(u, -2, 0), 1, np.roll(w, -1, 1), 1
     )
-    others = [[l for l in range(1, k) if l != j] for j in range(1, k)]
-    p, t = np.ones((k - 1, 1), dtype=object), 0
-    for m in range(k - 2):
-        p, t = _times(forms[[row[m] for row in others]], 2, p, t), t + 2
-    g = np.zeros((k - 1, degree_dimension(d - 3)), dtype=object)
-    if t:
+    outside = [[l for l in range(k) if l not in pencil] for pencil in pencils]
+    p, t = np.ones((n, 1), dtype=object), 0
+    for m in range(len(outside[0])):
+        p, t = _times(forms[[row[m] for row in outside]], 2, p, t), t + 2
+    rows = 2 * k * _times(rho, 2, p[:, None, :], t)
+    if t:  # g = 0 where P = 1, a full pencil
         g = _times(rho, 2, _gradient(p, t), t - 1).sum(axis=1)
-    theta = _times(rho, 2, p[:, None, :], t)
-    rows = d * theta - _times(np.eye(3, dtype=object), 1, g[:, None, :], d - 3)
-    return rows.reshape(k - 1, 3 * degree_dimension(d - 2))
+        rows -= _times(np.eye(3, dtype=object), 1, g[:, None, :], t + 1)
+    return rows.reshape(n, -1)
 
 
 # A relation of degree e: its integer coefficient vector in the column layout
@@ -466,7 +469,7 @@ def _leading_multiples(terms: np.ndarray, e: int, s: int) -> np.ndarray:
 def _certified_rank(
     ctx: JacobianContext,
     s: int,
-    matrix: RatMatrix | None,
+    matrix: Callable[[], RatMatrix],
     multiples: np.ndarray | None,
     residues: Sequence[Relation] = (),
     rungs: dict[int, np.ndarray] | None = None,
@@ -485,11 +488,11 @@ def _certified_rank(
     docstring), whose leading terms rungs records by t; each rung F_t is
     built from residues, or is multiples where given (the walk's F_s, whose
     only rung is t = s <= d-2), checked by _relations_mod_p and eliminated.
-    A_s, given as matrix or built here, is eliminated only when the last
-    rung falls short and its leading monomials are not yet recorded; they
-    then serve the degrees above.  A sum above cols can only come from a
-    row that is not a relation, and raises; so does a rung that
-    _relations_mod_p catches.
+    A_s, which matrix() gives, is eliminated only when the last rung falls
+    short and its leading monomials are not yet recorded; they then serve
+    the degrees above.  A sum above cols can only come from a row that is
+    not a relation, and raises; so does a rung that _relations_mod_p
+    catches.
     """
     shift, cols = ctx.d - 1, 3 * degree_dimension(s)
     e = max((r for r in ctx.leading if r <= s), default=None)
@@ -505,8 +508,7 @@ def _certified_rank(
             rungs[t] = _leading_terms(rows, t)
         spanned = len(_leading_multiples(rungs[t], t, s))
     if lower + spanned < cols and e != s:
-        matrix = syzygy_matrix(ctx, s) if matrix is None else matrix
-        ctx.leading[s] = _leading_terms(matrix.array.T, s + shift)
+        ctx.leading[s] = _leading_terms(matrix().array.T, s + shift)
         lower = len(ctx.leading[s])
     if lower + spanned > cols:
         raise AssertionError(
@@ -530,7 +532,7 @@ def _candidates(
         rows = ctx.families[e]()
         rows = rows[(rows != 0).any(axis=1)]
         if not _kills(_SparseRows((matrix or syzygy_matrix(ctx, e)).array), rows.T):
-            family = "Koszul" if e == ctx.d - 1 else "pair"
+            family = "Koszul" if e == ctx.d - 1 else "pencil"
             raise AssertionError(f"a {family} relation failed exact re-verification")
         ctx.pool[e] = tuple((e, row // gcd(*row)) for row in rows)
     return ctx.pool[e]
@@ -581,15 +583,12 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
 
     Before the climb, and wherever generators have just joined at a degree
     e < d-3, the walk tries the top step and the descent (module
-    docstring): the same step at d-2, with no lift, and then one x-free
-    minor at d-2 (_x_free_minor), which implies those of the degrees
-    below.  Where both pass, no relation but the multiples of the
-    generators lies strictly between e and d-2: the vectors joined at d-2
-    are the last generators, and the walk ends.  Otherwise the climb goes
-    on at e+1, and at d-2 it reuses A_{d-2}, its leading monomials and,
-    where nothing joined since, the top step's kernel or its failure.  The
-    first generator is (d1, the first vector of the certified kernel of
-    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
+    docstring): the step at d-2 with no lift, then one x-free minor there
+    (_x_free_minor).  Where both pass, the vectors joined at d-2 are the
+    last generators.  Otherwise the climb goes on at e+1 and reuses at d-2
+    what the top step built.  The first generator is (d1, the first vector
+    of the certified kernel of A_d1): nothing precedes it, and a primitive
+    vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -620,10 +619,10 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
                 return last_top[1]
         elif e in ctx.families:
             spanning = _relation_multiples(found + list(_candidates(ctx, e, matrix)), e)
-            rank = _certified_rank(ctx, e, matrix, residues_mod(spanning))
+            rank = _certified_rank(ctx, e, lambda: matrix, residues_mod(spanning))
             if rank is not None:
                 kernel = linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
-        elif _certified_rank(ctx, e, matrix, known) is not None:
+        elif _certified_rank(ctx, e, lambda: matrix, known) is not None:
             return []
         if kernel is None and lift:
             kernel = linalg.kernel_basis_certified(matrix)
@@ -656,15 +655,16 @@ def _syzygy_ranks(ctx: JacobianContext, degrees: list[int]) -> list[int]:
     checked mod p and eliminated once.  Neither A_s nor F_s is built where
     a lower rung closes the bounds.  No kernel is lifted at degree s; where
     the bounds do not meet, the rank comes from the lifted-kernel
-    certificate of linalg.rank_certified, on A_s built for it.
+    certificate of linalg.rank_certified, on the A_s the bounds built.
     """
     pool = (r for e in ctx.families if ctx.d - 2 < e <= max(degrees) for r in _candidates(ctx, e))
     residues = _residues([*relation_generators(ctx), *pool])
     rungs: dict[int, np.ndarray] = {}
 
     def rank(s: int) -> int:
-        certified = _certified_rank(ctx, s, None, None, residues, rungs)
-        return linalg.rank_certified(syzygy_matrix(ctx, s)) if certified is None else certified
+        matrix = cache(lambda: syzygy_matrix(ctx, s))
+        certified = _certified_rank(ctx, s, matrix, None, residues, rungs)
+        return linalg.rank_certified(matrix()) if certified is None else certified
 
     return [rank(s) if s >= 0 else 0 for s in degrees]
 
@@ -755,11 +755,11 @@ def verify_witness(ctx: JacobianContext, witness: SyzygyWitness) -> bool:
     den = lcm(*(c.denominator for g in witness.triple() for c in g.terms.values()))
     D = witness.r + ctx.d - 1
     total = np.zeros((D + 1) ** 2, dtype=object)
-    for g, partial, nz in zip(witness.triple(), ctx.gradient, ctx.support):
+    for g, derivative, nz in zip(witness.triple(), ctx.gradient, ctx.support):
         if not g.terms:
             continue
         coeffs = [c.numerator * (den // c.denominator) for c in g.terms.values()]
         exponents = np.array(list(g.terms))[:, None, :] + _monomial_array(ctx.d - 1)[nz]
         index = exponents[..., 0] * (D + 1) + exponents[..., 1]
-        np.add.at(total, index, np.array(coeffs, dtype=object)[:, None] * partial[nz])
+        np.add.at(total, index, np.array(coeffs, dtype=object)[:, None] * derivative[nz])
     return not total.any()

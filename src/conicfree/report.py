@@ -87,7 +87,7 @@ def analyze_curve(
 
     An arrangement must be the factorisation of f: f is a nonzero constant
     times its product, or ValueError is raised.  Its integer conics then
-    give the relation walk its pair relations.
+    give the relation walk its pencil relations.
     """
     check_window_extend(window_extend)
     conics = None

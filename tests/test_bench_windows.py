@@ -30,8 +30,8 @@ INVENTORY = {"pencil_four_points_m7": {"ordinary(7)": 4}, "generic_k5": {"A1": 1
 @pytest.mark.parametrize("name", ["pencil_four_points_m7", "generic_k5"])
 def test_time_one_returns_the_recorded_window(name, monkeypatch):
     """The generic input takes its kernel at d-2 from the pair relations of
-    its conics, so neither timed walk lifts one; the pencil lifts one at d1 = 2
-    in each."""
+    its conics, and the pencil its kernel at d1 = 2 from the pencil's
+    relation there, so no timed walk lifts one."""
     from conicfree import linalg
 
     monkeypatch.setattr(sys, "path", list(sys.path))  # time_one puts src first
@@ -45,9 +45,9 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
     monkeypatch.setattr(linalg, "kernel_basis_certified", spy)
     recorded = json.loads((ROOT / "BENCH_6.json").read_text())["runs"]["after"][name]
     result = _script().time_one(str(ROOT / "src"), name)
-    assert lifts == ([] if name == "generic_k5" else [18, 18])
+    assert lifts == []
     # the child records the lifts of the timed mdr and window: the second walk
-    assert result["lifts"] == ([] if name == "generic_k5" else [[136, 18]])
+    assert result["lifts"] == []
     assert {k: result[k] for k in ("d", "window", "tau")} == {
         k: recorded[k] for k in ("d", "window", "tau")
     }

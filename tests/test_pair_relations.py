@@ -1,20 +1,22 @@
-"""Pair relations of a conic arrangement at degree d-2, the relation walk's pool.
+"""Pencil relations of a conic arrangement, the relation walk's pool.
 
-When the components are known, the pair relations of (0, j) join the
-pool of candidate relations at d-2 (with the Koszul relations at d-1),
-where the rank of the conics' coefficient matrix admits them.  The walk
-tries d-2 first, and again whenever generators join below d-3: where the
-pairs and the multiples of the generators found span the kernel there
-and one x-free minor at d-2 shows that nothing new lies between, it
-stops; otherwise it climbs and takes the kernel at d-2 from the pairs and
-the lower generators where they span it, and lifts it otherwise.  These
-tests hold the relations against a sympy construction, the walk with
-components against the walk without them (generators, witness, window
-and the printed document), the descent against the climb through every
-degree, the minor against the exact engine's rank at d-3, count the
-lifted kernels, the matrices built and the pool's checks, test the minor
-on its own and its implication for the degrees below, and break the
-relations, the minor and the support test on purpose.
+When the components are known, each pencil that q_0 spans with another
+conic gives one relation, of degree 2 + 2 * (the conics outside it), to
+the pool of candidate relations (with the Koszul relations at d-1):
+generic conics give the pairs (0, j) at d-2, k conics in one pencil one
+relation at 2.  The walk tries d-2 first, and again whenever generators
+join below d-3: where the pool and the multiples of the generators found
+span the kernel there and one x-free minor at d-2 shows that nothing new
+lies between, it stops; otherwise it climbs, takes the kernel of each
+degree of the pool from its candidates and the lower generators where
+they span it, and lifts it otherwise.  These tests hold the pencils
+against sympy's rank and the relations against a sympy construction, the
+walk with components against the walk without them (generators, witness,
+window and the printed document), the descent against the climb through
+every degree, the minor against the exact engine's rank at d-3, count
+the lifted kernels, the matrices built and the pool's checks, test the
+minor on its own and its implication for the degrees below, and break
+the relations, the minor and the support test on purpose.
 """
 
 import importlib.util
@@ -33,9 +35,9 @@ from conicfree import jacobian, linalg, report
 from conicfree.corpus import analyze_entry, corpus_entries, entry
 from conicfree.jacobian import (
     JacobianContext,
+    conic_pencils,
     hilbert_profile,
     mdr,
-    pair_relations,
     relation_generators,
     syzygy_matrix,
 )
@@ -76,6 +78,17 @@ def _generic(k, seed):
     inputs = _load("bench_inputs", "perfbench/inputs.py")
     conics = inputs._generic_conics(random.Random(seed), k)
     return ConicArrangement.from_texts([inputs.conic_text(q) for q in conics])
+
+
+def _partial_pencil(k):
+    """The two pencil conics of scripts/bench_windows.py, their sum, and the
+    first k - 3 generic conics of random.Random(12345): one pencil of three
+    members through q_0, and a pair for each other conic."""
+    script = _load("bench_windows", "scripts/bench_windows.py")
+    inputs = _load("bench_inputs", "perfbench/inputs.py")
+    texts = [script.PENCIL_F, script.PENCIL_G, f"({script.PENCIL_F})+({script.PENCIL_G})"]
+    generic = inputs._generic_conics(random.Random(script.GENERIC_SEED), k - 3)
+    return ConicArrangement.from_texts(texts + [inputs.conic_text(q) for q in generic])
 
 
 def _context(arr, components=True):
@@ -154,29 +167,83 @@ def test_components_change_no_generator_witness_or_window(arr):
 
 @settings(max_examples=10, deadline=None)
 @given(_arrangements())
-def test_pair_relations_match_a_sympy_construction(arr):
-    """d*P*rho - (rho . grad P)*(x, y, z) for rho = grad q_0 x grad q_j and P
-    the product of the other conics, coefficient by coefficient, and each
-    kills grad f."""
+@example(_generic(4, 1))
+@example(_generic(2, 1))
+@example(entry("pencil_four_points_m4").arrangement())
+@example(_partial_pencil(6))
+def test_pencil_relations_match_a_sympy_construction(arr):
+    """Every row of every pencil family: d*P*rho - (rho . grad P)*(x, y, z)
+    for rho = grad q_0 x grad q_j, q_j the pencil's second member, and P
+    the product of the conics outside the pencil, coefficient by
+    coefficient, and each kills grad f.  The examples are generic conics,
+    two conics, a full pencil and a partial pencil."""
     x, y, z = sympy.symbols("x y z")
     v = (x, y, z)
     monos = (x**2, y**2, z**2, x * y, x * z, y * z)
     forms = [sympy.Poly(sum(c * m for c, m in zip(q.integer, monos)), *v) for q in arr.components]
     k, d = len(forms), 2 * len(forms)
     f = sympy.prod(forms)
-    rows = pair_relations([q.integer for q in arr.components])
-    assert rows.shape == (k - 1, 3 * degree_dimension(d - 2))
-    for j, row in zip(range(1, k), rows):
-        u, w = ([q.diff(t) for t in v] for q in (forms[0], forms[j]))
-        rho = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
-        p = sympy.prod([forms[l] for l in range(1, k) if l != j]) + sympy.Poly(0, *v)
-        g = sum((r * p.diff(t) for r, t in zip(rho, v)), sympy.Poly(0, *v))
-        relation = [d * p * r - g * sympy.Poly(t, *v) for r, t in zip(rho, v)]
-        expected = [
-            relation[c].coeff_monomial(m) for c in range(3) for m in monomials_of_degree(d - 2)
-        ]
-        assert list(row) == expected
-        assert sum((r * f.diff(t) for r, t in zip(relation, v)), sympy.Poly(0, *v)).is_zero
+    ctx = _context(arr)
+    pencils = conic_pencils([q.integer for q in arr.components])
+    built = 0
+    for e, family in ctx.families.items():
+        if e == d - 1:
+            continue
+        group = [pencil for pencil in pencils if 2 + 2 * (k - len(pencil)) == e]
+        rows = family()
+        assert rows.shape == (len(group), 3 * degree_dimension(e))
+        for pencil, row in zip(group, rows):
+            u, w = ([q.diff(t) for t in v] for q in (forms[0], forms[pencil[1]]))
+            rho = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+            p = sympy.prod([forms[l] for l in range(k) if l not in pencil]) + sympy.Poly(0, *v)
+            g = sum((r * p.diff(t) for r, t in zip(rho, v)), sympy.Poly(0, *v))
+            relation = [d * p * r - g * sympy.Poly(t, *v) for r, t in zip(rho, v)]
+            expected = [
+                relation[c].coeff_monomial(m) for c in range(3) for m in monomials_of_degree(e)
+            ]
+            assert list(row) == expected
+            assert sum((r * f.diff(t) for r, t in zip(relation, v)), sympy.Poly(0, *v)).is_zero
+        built += len(rows)
+    assert built == len(pencils)
+
+
+@st.composite
+def _pencil_arrangements(draw):
+    """q_0 and q_1, one or two members a*q_0 + b*q_1 (a, b nonzero), and up
+    to three dense conics, k <= 6 in all, every conic after q_0 at a drawn
+    place."""
+    nonzero = st.integers(1, 3).flatmap(lambda c: st.sampled_from((c, -c)))
+    q0, q1 = draw(st.tuples(*[_SMALL] * 6)), draw(st.tuples(*[_SMALL] * 6))
+    weights = draw(st.lists(st.tuples(nonzero, nonzero), min_size=1, max_size=2))
+    members = [tuple(a * u + b * w for u, w in zip(q0, q1)) for a, b in weights]
+    dense = draw(st.lists(st.tuples(*[_SMALL] * 6), max_size=4 - len(members)))
+    rest = draw(st.permutations([q1, *members, *dense]))
+    try:
+        return ConicArrangement(tuple(ConicForm(*q) for q in [q0, *rest]))
+    except ValueError:  # a zero or singular form, or two that coincide
+        assume(False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_pencil_arrangements())
+@example(_partial_pencil(6))
+def test_pencils_are_exact_and_their_relations_keep_the_walk(arr):
+    """Two conics after q_0 share a pencil exactly when sympy gives
+    [q_0; q_j; q_l] rank 2, each conic lies in one pencil, every row of
+    every family is a relation, and the generators are those of the walk
+    without components."""
+    conics = [q.integer for q in arr.components]
+    pencils = conic_pencils(conics)
+    assert sorted(j for pencil in pencils for j in pencil[1:]) == list(range(1, arr.k))
+    assert all(pencil[0] == 0 and pencil == sorted(pencil) for pencil in pencils)
+    for j in range(1, arr.k):
+        for l in range(j + 1, arr.k):
+            shared = any(j in pencil and l in pencil for pencil in pencils)
+            assert shared == (sympy.Matrix([conics[0], conics[j], conics[l]]).rank() == 2)
+    ctx = _context(arr)
+    for e, family in ctx.families.items():
+        assert not (syzygy_matrix(ctx, e).array @ family().T).any(), e
+    assert _generators(ctx) == _generators(_context(arr, components=False))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -200,17 +267,19 @@ def test_shifted_arrangements_lift_no_kernel_without_a_triple_point(k, seed, lif
     assert len(relation_generators(ctx)) == k - 1 + lifts
 
 
-def test_a_corrupted_pair_relation_raises(monkeypatch):
-    original = jacobian.pair_relations
+@pytest.mark.parametrize("name", ["generic", "pencil_four_points_m3"])
+def test_a_corrupted_pencil_relation_raises(name, monkeypatch):
+    original = jacobian.pencil_relations
 
-    def corrupted(conics):
-        rows = original(conics)
+    def corrupted(conics, pencils):
+        rows = original(conics, pencils)
         rows[-1, 0] += 1
         return rows
 
-    monkeypatch.setattr(jacobian, "pair_relations", corrupted)
-    with pytest.raises(AssertionError, match="pair relation failed exact re-verification"):
-        relation_generators(_context(_generic_arrangements(1)[-1]))
+    monkeypatch.setattr(jacobian, "pencil_relations", corrupted)
+    arr = _generic_arrangements(1)[-1] if name == "generic" else entry(name).arrangement()
+    with pytest.raises(AssertionError, match="pencil relation failed exact re-verification"):
+        relation_generators(_context(arr))
 
 
 def test_a_failed_support_test_falls_back_to_the_lift(monkeypatch, kernels):
@@ -237,10 +306,11 @@ def test_a_failed_support_test_falls_back_to_the_lift(monkeypatch, kernels):
     ["ploski_m2", "ploski_m3", "ploski_m4", "ploski_m5"]
     + [f"two_conics_a7_e{i}" for i in (1, 2, 3)],
 )
-def test_pair_relations_that_fall_short_leave_the_lift(name, monkeypatch, kernels):
-    """These pair relations lie in the span of the lower multiples, so the
-    kernel at d-2 is lifted, and the document is that of the walk without
-    components, byte for byte."""
+def test_pencil_relations_that_fall_short_leave_the_lift(name, monkeypatch, kernels):
+    """These conics lie in one pencil, whose relation at 2 lies in the span
+    of the multiples of the generator at d1 = 1, so the kernel at d-2 is
+    lifted, and the document is that of the walk without components, byte
+    for byte."""
     arr = entry(name).arrangement()
     d = 2 * arr.k
 
@@ -405,13 +475,13 @@ def test_the_descent_gives_the_climb(arr):
     _assert_the_descent_is_the_climb(arr.polynomial(), [q.integer for q in arr.components])
 
 
-@pytest.mark.parametrize("m, lifts", [(6, [(105, 18)]), (8, [(171, 18)])])
+@pytest.mark.parametrize("m, lifts", [(6, []), (8, [])])
 def test_a_pencil_builds_no_matrix_between_d1_and_the_top_degree(m, lifts, monkeypatch, kernels):
     """Cost ladder: the pencils through four points (generators at 2 and
     d-1) descend from d-2 once their generator at d1 = 2 has joined, so
-    the walk builds no A_e for 2 < e < d-2, and the analysis lifts only
-    the kernel at d1.  m = 6 is the corpus's, m = 8 (d = 16)
-    scripts/bench_windows.py's."""
+    the walk builds no A_e for 2 < e < d-2, and the analysis lifts no
+    kernel: the pencil's relation at 2 spans the one at d1.  m = 6 is the
+    corpus's, m = 8 (d = 16) scripts/bench_windows.py's."""
     name = f"pencil_four_points_m{m}"
     if m <= 6:
         arr = entry(name).arrangement()
@@ -447,10 +517,10 @@ def test_a_generic_arrangement_builds_and_eliminates_only_the_top_degree(monkeyp
         assert kernels == []
 
 
-def _pair_relation_calls(monkeypatch):
-    """For each call of pair_relations: whether the start made it, that is,
-    whether the curve had built no A_e with e < d-2 before it."""
-    build, original = jacobian.syzygy_matrix, jacobian.pair_relations
+def _pencil_relation_calls(monkeypatch):
+    """For each call of pencil_relations: whether the start made it, that
+    is, whether the curve had built no A_e with e < d-2 before it."""
+    build, original = jacobian.syzygy_matrix, jacobian.pencil_relations
     calls, built = [], []  # built: the curve whose matrices were built last, then its degrees
 
     def spy_build(ctx, r):
@@ -459,18 +529,20 @@ def _pair_relation_calls(monkeypatch):
         built.append(r)
         return build(ctx, r)
 
-    def spy(conics):
+    def spy(conics, pencils):
         ctx = built[0]
         calls.append(all(r >= ctx.d - 2 for r in built[1:]))
-        return original(conics)
+        return original(conics, pencils)
 
     monkeypatch.setattr(jacobian, "syzygy_matrix", spy_build)
-    monkeypatch.setattr(jacobian, "pair_relations", spy)
+    monkeypatch.setattr(jacobian, "pencil_relations", spy)
     return calls
 
 
 def _syzygy_arrangement():
-    """Six conics whose three generators at d1 = 8 have a syzygy of degree 2."""
+    """Six conics whose three generators at d1 = 8 have a syzygy of degree 2.
+    q_5 = 2 q_0 + q_1, so the pool holds one pencil relation at 8, which
+    leaves the bound there open."""
     conics = (
         (3, 0, 0, 3, -1, 1),
         (-3, 2, -3, -1, -3, -3),
@@ -523,7 +595,7 @@ def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatc
     monkeypatch.setattr(
         linalg, "_canonical_support", lambda *args: tests.append(1) or support(*args)
     )
-    calls = _pair_relation_calls(monkeypatch)
+    calls = _pencil_relation_calls(monkeypatch)
     monkeypatch.setattr(jacobian, "_x_free_minor", lambda found, joined, top: False)
     arr = _generic(4, 2)
     ctx = _context(arr)
@@ -535,23 +607,29 @@ def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatc
 
 
 @pytest.mark.parametrize(
-    "name, calls",
-    [("pencil_four_points_m3", []), ("pencil_four_points_m6", []), ("ploski_m5", [])]
-    + [("ploski_m2", [True]), ("two_conics_a7_e1", [True]), ("generic", [True])],
+    "name, rows, calls",
+    [("pencil_four_points_m3", {2: 1}, [False]), ("pencil_four_points_m6", {2: 1}, [False])]
+    + [("ploski_m5", {2: 1}, [False]), ("ploski_m2", {2: 1}, [True])]
+    + [("two_conics_a7_e1", {2: 1}, [True]), ("generic", {4: 2}, [True])]
+    + [("partial_pencil", {8: 1, 10: 3}, [True, False])],
 )
-def test_conics_in_one_pencil_build_no_pair_relation(name, calls, monkeypatch):
-    """For k >= 3 conics in one pencil the pairs are multiples of the
-    degree-2 relation grad q_0 x grad q_1, so the rank gate keeps them out
-    of the pool; every other arrangement, two conics in one pencil
-    included, builds its pairs once, at the start, before any lower A_e."""
-    arr = _generic(3, 1) if name == "generic" else entry(name).arrangement()
+def test_each_pencil_through_q0_gives_one_relation(name, rows, calls, monkeypatch):
+    """Generic conics give k-1 rows, the pairs, at d-2; k >= 2 conics in one
+    pencil one row, grad q_0 x grad q_1 times d, at degree 2; the partial
+    pencil (k = 6) one row at d-4 = 8 for its three members and a pair at
+    d-2 = 10 for each other conic.  Each family is built once: the start
+    builds the one at d-2 before any lower A_e, the climb those below."""
+    if name == "partial_pencil":
+        arr = _partial_pencil(6)
+    else:
+        arr = _generic(3, 1) if name == "generic" else entry(name).arrangement()
     pencil = sympy.Matrix([q.integer for q in arr.components]).rank() == 2
-    assert pencil == (name != "generic")
-    seen = _pair_relation_calls(monkeypatch)
+    assert pencil == (name not in ("generic", "partial_pencil"))
+    seen = _pencil_relation_calls(monkeypatch)
     ctx = _context(arr)
     assert _generators(ctx) == _generators(_context(arr, components=False))
     assert seen == calls
-    assert (ctx.d - 2 in ctx.families) == bool(calls)
+    assert {e: len(ctx.pool[e]) for e in ctx.families if e != ctx.d - 1} == rows
 
 
 # (rows, cols) of each kernel the analysis lifts, in call order, as
@@ -559,10 +637,10 @@ def test_conics_in_one_pencil_build_no_pair_relation(name, calls, monkeypatch):
 CORPUS_LIFTS = {
     "celal_three_conics": [(36, 18), (45, 30)],
     "p4_four_conics": [(66, 30), (91, 63)],
-    "pencil_four_points_m3": [(36, 18)],
-    "pencil_four_points_m4": [(55, 18)],
-    "pencil_four_points_m5": [(78, 18)],
-    "pencil_four_points_m6": [(105, 18)],
+    "pencil_four_points_m3": [],
+    "pencil_four_points_m4": [],
+    "pencil_four_points_m5": [],
+    "pencil_four_points_m6": [],
     "pencil_two_points_k2": [(15, 9)],
     "pencil_two_points_k3": [(28, 9)],
     "pencil_two_points_k4": [(45, 9)],
@@ -596,6 +674,8 @@ def _pinned_inputs():
         out[f"tangent_{k}"] = (arr.polynomial(), arr, [lift])
     arr = _syzygy_arrangement()
     out["syzygy_6"] = (arr.polynomial(), arr, [(210, 135)])
+    arr = _partial_pencil(6)
+    out["partial_pencil_6"] = (arr.polynomial(), arr, [])
     return out
 
 
@@ -605,18 +685,27 @@ def test_each_analysis_builds_its_start_once_and_checks_each_family_once(monkeyp
     each family of the pool is built and checked exactly once, every family
     is reached, and the lifted kernels are those of the walk with the top
     step."""
-    built, checks, pairs = [], [], []
-    build, kills, pair_relations_ = jacobian.syzygy_matrix, jacobian._kills, jacobian.pair_relations
+    built, checks, pencils = [], [], []
+    build, kills, pencil_relations_ = (
+        jacobian.syzygy_matrix,
+        jacobian._kills,
+        jacobian.pencil_relations,
+    )
     monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
     monkeypatch.setattr(jacobian, "_kills", lambda a, v: checks.append(v.shape[0]) or kills(a, v))
-    monkeypatch.setattr(jacobian, "pair_relations", lambda q: pairs.append(1) or pair_relations_(q))
+    monkeypatch.setattr(
+        jacobian, "pencil_relations", lambda *a: pencils.append(1) or pencil_relations_(*a)
+    )
     for name, (f, arr, lifts) in _pinned_inputs().items():
-        for spy in (built, checks, pairs, kernels):
+        for spy in (built, checks, pencils, kernels):
             spy.clear()
         ctx = analyze_curve(f, arrangement=arr).ctx
         assert sorted(ctx.pool) == sorted(ctx.families), name
-        assert checks == [3 * degree_dimension(e) for e in sorted(ctx.families)], name
-        assert len(pairs) == (ctx.d - 2 in ctx.families), name
+        # the start checks the family at d-2, the climb those below, the window d-1
+        order = sorted(ctx.families, key=lambda e: (e != ctx.d - 2, e))
+        assert checks == [3 * degree_dimension(e) for e in order], name
+        # one family at d-1, the Koszul relations, and one per pencil size
+        assert len(pencils) == len(ctx.families) - 1, name
         # the walk's top degree, where the pool starts it when it holds pairs
         assert built.count(ctx.d - 2) == 1, name
         assert kernels == lifts, name

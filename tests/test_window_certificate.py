@@ -174,6 +174,27 @@ def test_dropping_a_generator_falls_back(name, monkeypatch, fallbacks):
     assert profile.tau == e.expected["tau"]
 
 
+def test_a_fallback_builds_its_matrix_once(monkeypatch):
+    """Without its first generator the Persson sextic falls back at every
+    window degree 7, 8, 9: each A_s is built once, eliminated for its
+    leading monomials and then handed to the lifted-kernel rank.  The one
+    other matrix is A_5 = A_{d-1}, against which the Koszul relations are
+    checked."""
+    (persson,) = [e for e in corpus_entries() if e.name == "persson_triconical"]
+    ctx = JacobianContext.for_curve(persson.polynomial())
+    original = jacobian.relation_generators
+    original(ctx)
+    monkeypatch.setattr(jacobian, "relation_generators", lambda *args: original(*args)[1:])
+    built, build = [], jacobian.syzygy_matrix
+    monkeypatch.setattr(jacobian, "syzygy_matrix", lambda c, r: built.append(r) or build(c, r))
+    fallbacks = []
+    rank = linalg.rank_certified
+    monkeypatch.setattr(linalg, "rank_certified", lambda m: fallbacks.append(m.cols) or rank(m))
+    assert hilbert_profile(ctx).tau == 19
+    assert built == [5, 7, 8, 9]
+    assert fallbacks == [3 * degree_dimension(s) for s in (7, 8, 9)]
+
+
 @pytest.fixture
 def fresh_tables():
     """Clear the cached position tables before and after the test, so that
