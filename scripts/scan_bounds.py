@@ -6,6 +6,8 @@ degree d1 to satisfy both ceil((5/8)*2k - 2) <= d1 (Arnold exponent 5/8
 through the Dimca-Sernesi bound) and d1 <= (d-1)/2, while near freeness
 relaxes the upper bound to d/2.  The intervals empty out at k = 5 and k = 9
 respectively, which is the whole content of the component-count bounds.
+Exits 1 unless both scans pass: the admissible k are {2, 3, 4} for
+freeness and {2, .., 8} for near freeness.
 
 Usage: python scripts/scan_bounds.py [KMAX]
 """
@@ -30,7 +32,11 @@ def main() -> int:
         print(f"{k:3d} {fmt(lo_f, hi_f):>16s} {fmt(lo_n, hi_n):>22s}")
     print(f"\nadmissible for freeness: {list(char.admissible)}")
     print(f"admissible for near freeness: {list(nf.admissible)}")
-    return 0
+    expected = char.admissible == (2, 3, 4) and nf.admissible == tuple(range(2, 9))
+    if char.passed and nf.passed and expected:
+        return 0
+    print("FAILED: the admissible k are not {2, 3, 4} and {2, .., 8}")
+    return 1
 
 
 if __name__ == "__main__":

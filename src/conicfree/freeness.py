@@ -221,9 +221,6 @@ class DeformationCheck:
         """The deformed curve's verdict, nearly free, when every clause holds."""
         return NEARLY_FREE if self.passed else None
 
-    def failed_clauses(self) -> list[str]:
-        return [c.name for c in self.clauses if not c.ok]
-
 
 def check_deformation(before: dict, after: dict) -> DeformationCheck:
     """Check the tacnode-to-two-nodes deformation hypotheses clause by clause.

@@ -60,12 +60,13 @@ conics (ctx.conics, from report.analyze_curve; an expression is not
 factored), each pencil that q_0 spans with another conic (conic_pencils,
 exact over Q) adds a logarithmic derivation of degree 2 + 2 * (the conics
 outside it) (pencil_relations): generic conics give the pairs (0, j) at
-d-2, k conics in one pencil one relation at 2.  At a degree of the pool
-the walk bounds once, with the multiples of the lower generators and the
-candidates together; where that closes, linalg.kernel_basis_from_span
-puts their span in the standard form a lift returns, so no output
-changes; where it falls short (a triple point, or a relation in the span
-of the lower generators) or the support test fails, a kernel is lifted.
+d-2, k conics in one pencil one relation at 2.  At every degree the walk
+bounds once, with the multiples of the lower generators and the pool's
+candidates there (none outside the pool) together; where that closes
+with candidates, linalg.kernel_basis_from_span puts their span in the
+standard form a lift returns, so no output changes; where it falls short
+(a triple point, or a relation in the span of the lower generators) or
+the support test fails, a kernel is lifted.
 
 The walk tries its top degree d-2 early.  Before it climbs, and wherever
 generators have just joined at a degree e < d-3, it takes the top step:
@@ -87,8 +88,9 @@ F_p[y, z] is a domain.  So the descent reaches e+1, and the walk ends.
 The minor is sufficient, not necessary: a syzygy among the generators
 found can fail it where no relation is missing, and that costs a climb.
 Where the top step or the minor fails, the climb goes on at e+1 and
-reaches d-2 with A_{d-2}, its leading monomials and the top step's
-kernel or failure at hand.  The start is the top step with no
+reaches d-2 with A_{d-2}, its leading monomials and, where no generator
+joined since, the top step's rung at hand: the walk keeps its rungs by
+the count of generators found.  The start is the top step with no
 generators (e = -1): generic arrangements, whose pairs span AR_{d-2},
 end there, and so does a curve with no relation below d-1.  In the
 corpus, pencil_four_points_m3..m6 (generators at 2, d-1, d-1, d-1) and
@@ -470,9 +472,8 @@ def _certified_rank(
     ctx: JacobianContext,
     s: int,
     matrix: Callable[[], RatMatrix],
-    multiples: np.ndarray | None,
-    residues: Sequence[Relation] = (),
-    rungs: dict[int, np.ndarray] | None = None,
+    residues: Sequence[Relation],
+    rungs: dict[int, np.ndarray],
 ) -> int | None:
     """rank A_s (= syzygy_matrix(ctx, s)) when two bounds meet, else None.
 
@@ -485,9 +486,9 @@ def _certified_rank(
     rationals: a nonzero minor mod p is nonzero over Q, and relations
     independent mod p are independent kernel vectors.  rank_p(F_s) is
     bounded from below on the ladder of rungs t = min(s, d-1) .. s (module
-    docstring), whose leading terms rungs records by t; each rung F_t is
-    built from residues, or is multiples where given (the walk's F_s, whose
-    only rung is t = s <= d-2), checked by _relations_mod_p and eliminated.
+    docstring), whose leading terms rungs records by t; each rung F_t not
+    yet recorded is built from residues, checked by _relations_mod_p and
+    eliminated.  In the walk (s <= d-2) the only rung is t = s.
     A_s, which matrix() gives, is eliminated only when the last rung falls
     short and its leading monomials are not yet recorded; they then serve
     the degrees above.  A sum above cols can only come from a row that is
@@ -497,12 +498,12 @@ def _certified_rank(
     shift, cols = ctx.d - 1, 3 * degree_dimension(s)
     e = max((r for r in ctx.leading if r <= s), default=None)
     lower = 0 if e is None else len(_leading_multiples(ctx.leading[e], e + shift, s + shift))
-    spanned, rungs = 0, {} if rungs is None else rungs
+    spanned = 0
     for t in range(min(s, shift), s + 1):
         if lower + spanned >= cols:
             break
         if t not in rungs:
-            rows = _relation_multiples(residues, t) if multiples is None else multiples
+            rows = _relation_multiples(residues, t)
             if not _relations_mod_p(ctx, t, rows):
                 raise AssertionError("some row of the relation multiples is not a relation mod p")
             rungs[t] = _leading_terms(rows, t)
@@ -570,25 +571,24 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     climbs the degrees e = 0 .. d-2, where every kernel vector is a
     relation that is not a Koszul one.  Each step bounds the rank of A_e
     once (_certified_rank, which records the leading monomials of A_e
-    wherever it eliminates it).  Outside the pool it bounds with the
-    multiples of the relations found so far: where they certify the rank
-    they span the kernel, and below the first relation that is a certified
-    full rank.  At a degree of the pool it bounds with those multiples and
-    the pool's candidates of degree e together, and where that closes,
-    linalg.kernel_basis_from_span puts their span in standard form.  Where
-    the bound stays open the kernel is lifted.  Both give the basis
-    linalg.kernel_basis returns, every vector verified exactly, and its
-    vectors outside the span of the multiples mod p join (_joining); where
-    the multiples alone span the kernel, none does.
+    wherever it eliminates it), with the multiples of the relations found
+    so far and the pool's candidates of degree e together.  Where that
+    closes with no candidate, the multiples span the kernel (below the
+    first relation, a certified full rank) and none joins; where it closes
+    with candidates, linalg.kernel_basis_from_span puts their span in
+    standard form.  Where the bound stays open the kernel is lifted.  Both
+    give the basis linalg.kernel_basis returns, every vector verified
+    exactly, and its vectors outside the span of the multiples mod p join
+    (_joining).
 
     Before the climb, and wherever generators have just joined at a degree
     e < d-3, the walk tries the top step and the descent (module
     docstring): the step at d-2 with no lift, then one x-free minor there
     (_x_free_minor).  Where both pass, the vectors joined at d-2 are the
-    last generators.  Otherwise the climb goes on at e+1 and reuses at d-2
-    what the top step built.  The first generator is (d1, the first vector
-    of the certified kernel of A_d1): nothing precedes it, and a primitive
-    vector is nonzero mod p.
+    last generators.  Otherwise the climb goes on at e+1, and its step at
+    d-2 re-reads the top step's rung where no generator joined since.  The
+    first generator is (d1, the first vector of the certified kernel of
+    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -602,31 +602,29 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         return ctx.generators
     top, found = ctx.d - 2, []
     top_matrix = syzygy_matrix(ctx, top)
-    # the generator count the last top step saw, and the vectors it joined
-    # (None where it fell short)
-    last_top: tuple[int, list[Relation] | None] = (-1, None)
+    # the rungs eliminated, by the count of generators found: found only
+    # grows and a degree's candidates are fixed, so the count names the rows
+    rungs: dict[int, dict[int, np.ndarray]] = {}
 
     def step(e: int, lift: bool) -> list[Relation] | None:
         """The vectors of a certified kernel of A_e that join found; None
-        where the bound stays open and lift is False.  At d-2 with the
-        generators the last top step saw, that step's vectors stand, or a
-        lift where it fell short."""
-        known = _relation_multiples(_residues(found), e)
+        where the bound stays open and lift is False; none where it closes
+        with no candidate of the pool."""
         matrix = top_matrix if e == top else syzygy_matrix(ctx, e)
+        candidates = list(_candidates(ctx, e, matrix)) if e in ctx.families else []
+        residues = _residues(found + candidates)
+        rank = _certified_rank(ctx, e, lambda: matrix, residues, rungs.setdefault(len(found), {}))
         kernel = None
-        if e == top and last_top[0] == len(found):
-            if last_top[1] is not None:
-                return last_top[1]
-        elif e in ctx.families:
-            spanning = _relation_multiples(found + list(_candidates(ctx, e, matrix)), e)
-            rank = _certified_rank(ctx, e, lambda: matrix, residues_mod(spanning))
-            if rank is not None:
-                kernel = linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
-        elif _certified_rank(ctx, e, lambda: matrix, known) is not None:
-            return []
+        if rank is not None:
+            if not candidates:
+                return []
+            spanning = _relation_multiples(found + candidates, e)
+            kernel = linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
         if kernel is None and lift:
             kernel = linalg.kernel_basis_certified(matrix)
-        return None if kernel is None else _joining(e, known, kernel, matrix.cols)
+        if kernel is None:
+            return None
+        return _joining(e, _relation_multiples(residues[: len(found)], e), kernel, matrix.cols)
 
     joined: list[Relation] | None = None
     for e in range(-1, top + 1):
@@ -635,7 +633,6 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
             found.extend(joined)
         if e < top - 1 and (e < 0 or joined):
             joined = step(top, lift=False)
-            last_top = (len(found), joined)
             if joined is not None and _x_free_minor(found, joined, top):
                 found.extend(joined)
                 break
@@ -663,7 +660,7 @@ def _syzygy_ranks(ctx: JacobianContext, degrees: list[int]) -> list[int]:
 
     def rank(s: int) -> int:
         matrix = cache(lambda: syzygy_matrix(ctx, s))
-        certified = _certified_rank(ctx, s, matrix, None, residues, rungs)
+        certified = _certified_rank(ctx, s, matrix, residues, rungs)
         return linalg.rank_certified(matrix()) if certified is None else certified
 
     return [rank(s) if s >= 0 else 0 for s in degrees]

@@ -691,20 +691,19 @@ def kernel_basis_from_span(
     """The basis kernel_basis returns, from exact integer kernel vectors (the
     rows) that span a kernel of the given dimension, or None.
 
-    dimension rows independent mod p (all of them when there are no more)
-    are a rational basis.  Their echelon form from the right mod p puts its
-    pivots on the columns F where the vectors of their span end mod p;
-    their block on F is invertible mod p, so over Q.  Fraction-free
-    Gauss-Jordan on that block gives one vector per column of F, 0 in the
-    other columns of F, and _canonical_support proves F the rational free
-    set, or the result is None.
+    One echelon form mod p of the rows with their columns reversed gives
+    both: its pivot rows, dimension rows independent mod p, are a rational
+    basis, and its pivots lie on the columns F where the vectors of their
+    span end mod p; their block on F is invertible mod p, so over Q.
+    Fraction-free Gauss-Jordan on that block gives one vector per column of
+    F, 0 in the other columns of F, and _canonical_support proves F the
+    rational free set, or the result is None.
     """
-    if len(rows) > dimension:
-        rows = rows[list(pivot_columns_mod(rows.T))]
-    picked = rows.astype(object)
-    free = np.sort(matrix.cols - 1 - np.array(pivot_columns_mod(picked[:, ::-1]), dtype=np.int64))
+    pivots, independent, _ = _echelon_mod(residues_mod(rows[:, ::-1]), BOUND_PRIME)
+    free = np.sort(matrix.cols - 1 - np.array(pivots, dtype=np.int64))
     if len(free) != dimension:
         raise AssertionError(f"the rows have rank {len(free)} mod p, not {dimension}")
+    picked = rows[list(independent)].astype(object)
     for i, c in enumerate(free):
         r = i + int(np.flatnonzero(picked[i:, c])[0])
         picked[[i, r]] = picked[[r, i]]

@@ -192,15 +192,6 @@ class LocusSurvey:
             total += rec.tau
         return total
 
-    def record_at(self, point: ProjectivePoint) -> SingularPointRecord | None:
-        for rec in self.records:
-            if rec.point == point:
-                return rec
-        return None
-
-    def points_of_type(self, type_name: str) -> list[ProjectivePoint]:
-        return [rec.point for rec in self.records if str(rec.sing_type) == type_name]
-
 
 # ---------------------------------------------------------------------------
 # Integer conics

@@ -235,13 +235,6 @@ class HomogeneousPolynomial:
             out[tuple(m)] = c * mono[i]
         return HomogeneousPolynomial(self.degree - 1, out)
 
-    def evaluate(self, point: tuple[Fraction | int, ...]) -> Fraction:
-        px, py, pz = (Fraction(v) for v in point)
-        total = Fraction(0)
-        for (i, j, k), c in self.terms.items():
-            total += c * px**i * py**j * pz**k
-        return total
-
     def sorted_terms(self) -> list[tuple[Mono3, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
@@ -307,9 +300,6 @@ class AffinePolynomial:
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0, 0), Fraction(0))
 
     def sorted_terms(self) -> list[tuple[Mono2, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
@@ -629,17 +619,6 @@ class ConicForm:
                 (1, 0, 1): self.xz,
                 (0, 1, 1): self.yz,
             },
-        )
-
-    def evaluate(self, point: ProjectivePoint | tuple) -> Fraction:
-        x, y, z = point.coords() if isinstance(point, ProjectivePoint) else point
-        return (
-            self.xx * x * x
-            + self.yy * y * y
-            + self.zz * z * z
-            + self.xy * x * y
-            + self.xz * x * z
-            + self.yz * y * z
         )
 
     def is_proportional_to(self, other: "ConicForm") -> bool:

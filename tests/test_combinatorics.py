@@ -1,6 +1,9 @@
 """Counts, enumeration certificates, supersolvability."""
 
+import dataclasses
+import importlib.util
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +87,30 @@ def test_scan_preconditions():
         enumerate_theorem_char(3)
     with pytest.raises(ValueError):
         enumerate_nearly_free_bound(7)
+
+
+def _scan_bounds_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "scan_bounds.py"
+    spec = importlib.util.spec_from_file_location("scan_bounds", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scan_bounds_script_fails_on_a_falsified_scan(monkeypatch, capsys):
+    """scripts/scan_bounds.py exits 0 on the true scans and 1 when the
+    freeness scan reports a counterexample."""
+    script = _scan_bounds_script()
+    monkeypatch.setattr("sys.argv", ["scan_bounds.py", "12"])
+    assert script.main() == 0
+
+    def falsified(kmax):
+        cert = enumerate_theorem_char(kmax)
+        return dataclasses.replace(cert, counterexamples=({"k": 5, "interval": (5, 5)},))
+
+    monkeypatch.setattr(script, "enumerate_theorem_char", falsified)
+    assert script.main() == 1
+    assert "FAILED" in capsys.readouterr().out
 
 
 def test_supersolvable_single_point():

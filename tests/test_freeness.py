@@ -269,12 +269,16 @@ def test_deformation_check_passes_on_the_published_example():
     ]
 
 
+def _failed_clauses(check):
+    return [c.name for c in check.clauses if not c.ok]
+
+
 def test_deformation_check_same_curve_fails_inventory():
     before, _ = _persson_docs()
     check = check_deformation(before, before)
     assert not check.passed
-    assert "inventory" in check.failed_clauses()
-    assert "tjurina_drop" in check.failed_clauses()
+    assert "inventory" in _failed_clauses(check)
+    assert "tjurina_drop" in _failed_clauses(check)
 
 
 def test_deformation_check_eta_mismatch_detected():
@@ -284,13 +288,13 @@ def test_deformation_check_eta_mismatch_detected():
     fake_g = copy.deepcopy(doc_g)
     fake_g["freeness"]["eta"] = eta_of(doc_g["input"]["degree"], 1)
     check = check_deformation(doc_f, fake_g)
-    assert "eta_equal" in check.failed_clauses()
+    assert "eta_equal" in _failed_clauses(check)
 
 
 def test_deformation_check_requires_free_start():
     doc_f, doc_g = _persson_docs()
     check = check_deformation(doc_g, doc_f)
-    assert "before_free" in check.failed_clauses()
+    assert "before_free" in _failed_clauses(check)
 
 
 def test_deformation_check_reads_the_inventory_and_eta_of_the_document():
@@ -306,7 +310,7 @@ def test_deformation_check_reads_the_inventory_and_eta_of_the_document():
         edited = copy.deepcopy(after)
         edited[block][key] = value
         check = check_deformation(before, edited)
-        assert check.failed_clauses() == [clause] and check.conclusion is None
+        assert _failed_clauses(check) == [clause] and check.conclusion is None
 
 
 def test_deformation_check_reads_printed_documents_alike():

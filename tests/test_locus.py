@@ -28,6 +28,22 @@ PENCIL_F = "3*x^2+y^2-4*z^2"
 PENCIL_G = "x^2+3*y^2-4*z^2"
 
 
+def _conic_at(q, point):
+    """The conic q at a point (a ProjectivePoint or its coordinates), from
+    its six coefficients."""
+    x, y, z = point.coords() if isinstance(point, ProjectivePoint) else point
+    return q.xx * x * x + q.yy * y * y + q.zz * z * z + q.xy * x * y + q.xz * x * z + q.yz * y * z
+
+
+def _record_at(sv, point):
+    """The survey's record at point, or None."""
+    return next((rec for rec in sv.records if rec.point == point), None)
+
+
+def _points_of_type(sv, type_name):
+    return [rec.point for rec in sv.records if str(rec.sing_type) == type_name]
+
+
 def test_pair_single_fourth_order_contact():
     pair = rational_pair_intersections(
         ConicForm.parse(P4_COMPONENTS[1]), ConicForm.parse(P4_COMPONENTS[2])
@@ -239,7 +255,7 @@ def test_classify_ordinary_multiplicity_and_qh_flag():
 
 def test_survey_p4_finds_the_collinear_contact_points():
     sv = survey(ConicArrangement.from_texts(P4_COMPONENTS))
-    assert sorted(str(p) for p in sv.points_of_type("A7")) == [
+    assert sorted(str(p) for p in _points_of_type(sv, "A7")) == [
         "(-1:0:1)",
         "(-2:0:1)",
         "(0:0:1)",
@@ -349,7 +365,7 @@ def _rational_solutions_oracle(q1, q2):
     for vx in common_roots(e1.subs({z: 0, y: 1}), e2.subs({z: 0, y: 1}), x):
         found.add(ProjectivePoint.of(Fraction(str(vx)), 1, 0))
     # the remaining point (1:0:0)
-    if q1.evaluate((1, 0, 0)) == 0 and q2.evaluate((1, 0, 0)) == 0:
+    if _conic_at(q1, (1, 0, 0)) == 0 and _conic_at(q2, (1, 0, 0)) == 0:
         found.add(ProjectivePoint.of(1, 0, 0))
     return found
 
@@ -423,7 +439,7 @@ def test_pair_scan_bezout_bookkeeping_random(c1, c2):
     # Bezout bookkeeping holds on arbitrary smooth pairs
     assert sum(m for _, m in pair.points) + pair.residual == 4
     for pt, mult in pair.points:
-        assert q1.evaluate(pt) == 0 and q2.evaluate(pt) == 0
+        assert _conic_at(q1, pt) == 0 and _conic_at(q2, pt) == 0
         assert 1 <= mult <= 4
 
 
@@ -475,7 +491,7 @@ def test_pair_scan_against_independent_solver():
         assert {pt for pt, _ in pair.points} == expected
         if index < len(pairs):
             on_line += any(pt.z == 0 for pt in expected)
-            vanishing_lead += q1.evaluate((0, 1, 0)) == 0 == q2.evaluate((0, 1, 0))
+            vanishing_lead += _conic_at(q1, (0, 1, 0)) == 0 == _conic_at(q2, (0, 1, 0))
     assert on_line >= 20 and vanishing_lead >= 10
     assert sum(len(planted) for _, _, planted in large) >= 10
 
@@ -566,7 +582,7 @@ def test_survey_invariant_under_rational_coordinate_changes():
             inverse = _adjugate(m)
             images = []
             for rec in sv.records:
-                image = tv.record_at(ProjectivePoint.of(*_apply(inverse, rec.point.coords())))
+                image = _record_at(tv, ProjectivePoint.of(*_apply(inverse, rec.point.coords())))
                 assert image is not None, (e.name, rec.point)
                 assert (image.members, image.pair_mults, image.sing_type, image.mu, image.tau) == (
                     rec.members, rec.pair_mults, rec.sing_type, rec.mu, rec.tau
@@ -761,7 +777,7 @@ def test_contact_pair_is_certified_from_known_points(monkeypatch):
     sv = survey(arr)
     assert len(searched) == 2
     P, Q, R = (ProjectivePoint.of(*p) for p in ((0, 0, 1), (1, 1, 1), (-1, 1, 1)))
-    assert {p: sv.record_at(p).mult(1, 2) for p in (P, Q, R)} == {P: 2, Q: 1, R: 1}
+    assert {p: _record_at(sv, p).mult(1, 2) for p in (P, Q, R)} == {P: 2, Q: 1, R: 1}
     assert sv.residual_per_pair[(1, 2)] == 0
 
 
@@ -865,4 +881,4 @@ def test_a_new_point_on_the_fiber_of_a_known_point_is_located():
     assert locus._SHEAR_GRID[0] == (0, 0) and all(q.integer[0] for q in arr.components[1:])
     sv = _survey_matches_the_pair_oracle(arr)
     assert sv.inventory() == {"A1": 3, "D4": 1} and sv.residual_per_pair[(1, 2)] == 0
-    assert sv.record_at(ProjectivePoint.of(2, 1, 1)).members == (1, 2)
+    assert _record_at(sv, ProjectivePoint.of(2, 1, 1)).members == (1, 2)

@@ -21,8 +21,9 @@ the relations, the minor and the support test on purpose.
 
 import importlib.util
 import random
+import sys
 from unittest import mock
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -282,21 +283,25 @@ def test_a_corrupted_pencil_relation_raises(name, monkeypatch):
         relation_generators(_context(arr))
 
 
-def test_a_failed_support_test_falls_back_to_the_lift(monkeypatch, kernels):
-    """The support test fails once, on the basis built from the pair
-    relations; the walk then lifts the kernel, whose own test passes."""
+def test_a_support_test_failing_on_every_span_falls_back_to_the_lift(monkeypatch, kernels):
+    """The support test fails on every basis built from a span: the start's,
+    from the pair relations at d-2, and the climb's at d-2, which bounds
+    again and builds it again; the walk then lifts the kernel, whose own
+    test passes."""
     arr = _generic_arrangements(1)[-1]
     tests = []
     original = linalg._canonical_support
 
-    def fail_first(vectors, free):
-        tests.append(len(free))
-        return len(tests) > 1 and original(vectors, free)
+    def fail_from_span(vectors, free):
+        caller = sys._getframe(1).f_code.co_name
+        tests.append(caller)
+        return caller != "kernel_basis_from_span" and original(vectors, free)
 
-    monkeypatch.setattr(linalg, "_canonical_support", fail_first)
+    monkeypatch.setattr(linalg, "_canonical_support", fail_from_span)
     ctx = _context(arr)
     generators = _generators(ctx)
-    assert len(tests) == 2 and kernels == [(syzygy_matrix(ctx, 6).rows, 84)]
+    assert tests == ["kernel_basis_from_span"] * 2 + ["kernel_basis_certified"]
+    assert kernels == [(syzygy_matrix(ctx, 6).rows, 84)]
     monkeypatch.setattr(linalg, "_canonical_support", original)
     assert generators == _generators(_context(arr, components=False))
 
@@ -554,14 +559,14 @@ def _syzygy_arrangement():
     return ConicArrangement(tuple(ConicForm(*q) for q in conics))
 
 
-def test_a_closed_top_step_whose_minor_fails_is_taken_at_the_top(monkeypatch, kernels):
+def test_a_closed_top_step_whose_minor_fails_is_bounded_again_at_the_top(monkeypatch, kernels):
     """The generators at 8 of _syzygy_arrangement have a syzygy of degree 2:
     their 18 multiples at d-2 = 10 have rank 17, and its part free of x is a
     dependency of the minor's rows.  So the top step after them closes and
     the minor fails, although no relation is missing: with the minor forced
-    to pass the generators are the same.  The walk climbs to 9 and takes
-    the top step's kernel at 10 as it stands, with no second bound there;
-    the span is put in standard form once, and only A_8 is lifted."""
+    to pass the generators are the same.  The walk climbs to 9 and bounds
+    10 again with the same generators, which re-reads the top step's rung:
+    the span is put in standard form twice, and only A_8 is lifted."""
     bounds, spans = [], []
     certified_rank, span = jacobian._certified_rank, linalg.kernel_basis_from_span
 
@@ -575,8 +580,8 @@ def test_a_closed_top_step_whose_minor_fails_is_taken_at_the_top(monkeypatch, ke
     ctx = _context(arr)
     generators = _generators(ctx)
     assert [e for e, _ in generators] == [8, 8, 8]
-    assert bounds == [10, *range(9), 10, 9]
-    assert (len(spans), kernels) == (1, [(210, 135)])
+    assert bounds == [10, *range(9), 10, 9, 10]
+    assert (len(spans), kernels) == (2, [(210, 135)])
     found = relation_generators(ctx)
     assert len(linalg.pivot_columns_mod(jacobian._relation_multiples(found, 10))) == 17
     assert not jacobian._x_free_minor(found, [], 10)
@@ -585,10 +590,13 @@ def test_a_closed_top_step_whose_minor_fails_is_taken_at_the_top(monkeypatch, ke
         assert _generators(_context(arr)) == generators
 
 
-def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatch, kernels):
+def test_a_failed_x_minor_climbs_to_the_top_building_its_matrix_and_pairs_once(
+    monkeypatch, kernels
+):
     """The walk then climbs from degree 0; with nothing found below d-2 it
-    takes the start's kernel as it stands: A_{d-2} is built once, and the
-    pairs are built, checked and support-tested once, all at the start."""
+    bounds d-2 again with the start's rung: A_{d-2} is built once, the
+    pairs are built and checked once, at the start, and the support test
+    runs at the start and at the climb's d-2, with no lift."""
     built, tests = [], []
     build, support = jacobian.syzygy_matrix, linalg._canonical_support
     monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
@@ -602,7 +610,7 @@ def test_a_failed_x_minor_falls_back_to_the_walk_reusing_the_top_step(monkeypatc
     generators = _generators(ctx)
     d = ctx.d
     assert built == [d - 2] + list(range(d - 2))
-    assert (calls, tests, kernels) == ([True], [1], [])
+    assert (calls, tests, kernels) == ([True], [1, 1], [])
     assert generators == _generators(_context(arr, components=False))
 
 
@@ -736,6 +744,62 @@ def test_the_walk_bounds_each_step_once(monkeypatch):
         assert bounds and all(s != t for s, t in zip(bounds, bounds[1:])), (name, bounds)
         assert [s for s in bounds if s < top] == [r for r in built if r < top], name
         assert set(bounds) == set(built), name
+
+
+def test_no_walk_eliminates_a_rung_twice(monkeypatch):
+    """Over the corpus, generic seed 1, shifted (7, 4), the tangent ladder
+    and _syzygy_arrangement, no analysis builds and checks one rung twice:
+    the walk keeps the rungs it eliminated by the count of generators
+    found, so a step at d-2 after the top step with the same generators
+    re-reads its rung.  _relations_mod_p runs once per rung built."""
+    seen = []
+    original = jacobian._relations_mod_p
+
+    def spy(ctx, t, rows):
+        seen.append((t, rows.shape, rows.tobytes()))
+        return original(ctx, t, rows)
+
+    monkeypatch.setattr(jacobian, "_relations_mod_p", spy)
+    for name, (f, arr, _) in _pinned_inputs().items():
+        seen.clear()
+        analyze_curve(f, arrangement=arr)
+        assert seen and len(set(seen)) == len(seen), name
+
+
+@pytest.mark.parametrize(
+    "name, degrees",
+    [
+        ("persson_deformed", [3, 3, 3]),
+        ("celal_three_conics", [2, 3]),
+        ("p4_four_conics", [3, 5, 5]),
+    ],
+)
+def test_the_minor_alone_stops_a_descent_from_the_whole_top_kernel(name, degrees, monkeypatch):
+    """A family at d-2 that holds the certified kernel of A_{d-2} closes the
+    start's top step with no generator found, so only the x-free minor can
+    stop the descent there.  It does: the generators and d1 are those of
+    the walk without that family.  A minor that always passes takes the
+    whole kernel at d-2 as the generators, and d1 reads d-2."""
+    arr = entry(name).arrangement()
+    families = JacobianContext.families.func
+
+    def top_kernel(ctx):
+        kernel = linalg.kernel_basis_certified(syzygy_matrix(ctx, ctx.d - 2))
+        return np.array(kernel.vectors, dtype=object)
+
+    def with_the_top_kernel(ctx):
+        return families(ctx) | {ctx.d - 2: partial(top_kernel, ctx)}
+
+    plain = _context(arr)
+    expected = _generators(plain)
+    assert [e for e, _ in expected] == degrees
+    monkeypatch.setattr(JacobianContext, "families", property(with_the_top_kernel))
+    ctx, top = _context(arr), plain.d - 2
+    assert (_generators(ctx), mdr(ctx).r) == (expected, mdr(plain).r)
+    assert len(ctx.pool[top]) == linalg.kernel_basis_certified(syzygy_matrix(ctx, top)).dimension
+    monkeypatch.setattr(jacobian, "_x_free_minor", lambda found, joined, top: True)
+    ctx = _context(arr)
+    assert {e for e, _ in _generators(ctx)} == {top} and mdr(ctx).r == top
 
 
 def test_no_production_path_reaches_the_reference_engine(monkeypatch):

@@ -101,6 +101,12 @@ def test_monomials_of_degree_order_and_count():
     assert len(monomials_of_degree(7)) == 9 * 8 // 2
 
 
+def _evaluate(f, point):
+    """f at a point of Q^3, by summing its terms exactly."""
+    x, y, z = (Fraction(v) for v in point)
+    return sum((c * x**i * y**j * z**k for (i, j, k), c in f.terms.items()), Fraction(0))
+
+
 # random homogeneous polynomials for property tests
 def _poly_strategy(degree: int):
     monos = monomials_of_degree(degree)
@@ -167,7 +173,7 @@ def test_dehomogenize_circle_at_unit_point():
     f = parse_polynomial("x^2+y^2-z^2")
     g = dehomogenize(f, (0, 1, 1))
     assert g == AffinePolynomial({(2, 0): 1, (0, 2): 1, (0, 1): 2})
-    assert g.constant_term() == 0
+    assert g.terms.get((0, 0), 0) == 0
 
 
 def test_dehomogenize_chart_x():
@@ -181,7 +187,7 @@ def test_dehomogenize_chart_x():
 def test_dehomogenize_off_curve_nonzero_constant():
     f = parse_polynomial("x^2+y^2-z^2")
     g = dehomogenize(f, (0, 0, 1))
-    assert g.constant_term() == -1
+    assert g.terms.get((0, 0), 0) == -1
 
 
 _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
@@ -213,7 +219,7 @@ def test_dehomogenize_evaluates_like_the_form_in_its_chart(f, p, u, v):
     local = sum(
         (coeff * u**a * v**b for (a, b), coeff in g.terms.items()), Fraction(0)
     )
-    assert local == f.evaluate(tuple(c))
+    assert local == _evaluate(f, c)
 
 
 def test_projective_point_canonical_form():
