@@ -60,7 +60,15 @@ conics (ctx.conics, from report.analyze_curve; an expression is not
 factored), each pencil that q_0 spans with another conic (conic_pencils,
 exact over Q) adds a logarithmic derivation of degree 2 + 2 * (the conics
 outside it) (pencil_relations): generic conics give the pairs (0, j) at
-d-2, k conics in one pencil one relation at 2.  At every degree the walk
+d-2, k conics in one pencil one relation at 2.  A pencil that holds a
+double line L^2 (a member of rank one, poly.rank_one_member: two A3
+contacts where L is secant to q_0, one A7 where it is tangent) gives
+rho_L = grad q_0 x grad L at 1 + 2 * (the conics outside) instead
+(double_line_relations), and where L is tangent a second one at d-2
+(tangent_relations: _theta, whose products with grad L and grad q_0 are
+multiples of F_u and L*F_v for the pencil's product F(q_0, L^2), so it
+kills F); a full tangent pencil is free with exponents (1, d-2).
+lifted_relations lifts every family to f.  At every degree the walk
 bounds once, with the multiples of the lower generators and the pool's
 candidates there (none outside the pool) together; where that closes
 with candidates, linalg.kernel_basis_from_span puts their span in the
@@ -93,8 +101,9 @@ joined since, the top step's rung at hand: the walk keeps its rungs by
 the count of generators found.  The start is the top step with no
 generators (e = -1): generic arrangements, whose pairs span AR_{d-2},
 end there, and so does a curve with no relation below d-1.  In the
-corpus, pencil_four_points_m3..m6 (generators at 2, d-1, d-1, d-1) and
-pencil_two_points_k3..k6 (1, d-1, d-1) end after d1; the others climb.
+corpus, pencil_four_points_m3..m6 (generators at 2, d-1, d-1, d-1),
+pencil_two_points_k3..k6 (1, d-1, d-1), ploski_m2..m5 and
+two_conics_a7_e1..e3 (1, d-2) end after d1; the others climb.
 """
 
 from __future__ import annotations
@@ -118,7 +127,14 @@ from conicfree.linalg import (
     pivot_columns_mod,
     residues_mod,
 )
-from conicfree.poly import HomogeneousPolynomial, degree_dimension, monomials_of_degree
+from conicfree.poly import (
+    HomogeneousPolynomial,
+    cofactors,
+    conic_matrix,
+    degree_dimension,
+    monomials_of_degree,
+    rank_one_member,
+)
 
 
 @dataclass(frozen=True)
@@ -184,13 +200,30 @@ class JacobianContext:
     @cached_property
     def families(self) -> dict[int, Callable[[], np.ndarray]]:
         """The pool's families by degree e, each a builder of exact relations
-        of degree e as rows in the layout of syzygy_matrix(ctx, e): the
-        pencils' relations, one family per pencil size (pencil_relations),
-        and the Koszul relations at d-1, an odd degree, so no pencil's."""
-        conics, pencils = self.conics or (), {}
+        of degree e as rows in the layout of syzygy_matrix(ctx, e).  Each
+        pencil of q_0 (conic_pencils) gives rho at 2 + 2 * (the conics
+        outside it) (pencil_relations, batched per pencil size) or, where
+        poly.rank_one_member finds a double line L^2 in it, rho_L one degree
+        lower (double_line_relations) and, where L is tangent to q_0 (a root
+        of order 3), theta at d-2 (tangent_relations); the relations of one
+        degree form one family.  The Koszul relations sit at d-1, an odd
+        degree above every pencil's."""
+        conics, groups = self.conics or (), {}
         for pencil in conic_pencils(conics):
-            pencils.setdefault(2 + 2 * (len(conics) - len(pencil)), []).append(pencil)
-        families = {e: partial(pencil_relations, conics, p) for e, p in sorted(pencils.items())}
+            outside = 2 * (len(conics) - len(pencil))
+            order, line = rank_one_member(conics[0], conics[pencil[1]])
+            if line is None:
+                kinds = [(2 + outside, pencil_relations, pencil)]
+            else:
+                kinds = [(1 + outside, double_line_relations, (pencil, line))]
+                if order == 3:
+                    kinds.append((self.d - 2, tangent_relations, (pencil, line)))
+            for e, build, item in kinds:
+                groups.setdefault(e, {}).setdefault(build, []).append(item)
+        families = {
+            e: partial(_stacked, [partial(build, conics, items) for build, items in group.items()])
+            for e, group in sorted(groups.items())
+        }
         return families | {self.d - 1: self._koszul_rows}
 
     def _koszul_rows(self) -> np.ndarray:
@@ -320,32 +353,142 @@ def conic_pencils(conics: Sequence[Sequence[int]]) -> list[list[int]]:
     return list(pencils.values())
 
 
+_CONIC_ORDER = [0, 3, 4, 1, 5, 2]  # (xx, yy, zz, xy, xz, yz) in monomials_of_degree(2)
+
+
+def _stacked(builders: Sequence[Callable[[], np.ndarray]]) -> np.ndarray:
+    """The rows of every builder, one family of the pool."""
+    return np.concatenate([build() for build in builders])
+
+
+def _cross(u: np.ndarray, e: int, w: np.ndarray, t: int) -> np.ndarray:
+    """u x w for vector fields of degrees e and t, components on axis -2."""
+    return _times(np.roll(u, -1, -2), e, np.roll(w, -2, -2), t) - _times(
+        np.roll(u, -2, -2), e, np.roll(w, -1, -2), t
+    )
+
+
+def lifted_relations(
+    conics: Sequence[Sequence[int]], pencils: list[list[int]], deltas: np.ndarray, e: int
+) -> np.ndarray:
+    """Relations of the product f of the k integer conics, one per pencil of
+    one size m, from relations delta of degree e of its members' product g
+    (n x 3 x dim S_e): rows of degree e + 2(k-m) in the column layout of
+    syzygy_matrix(ctx, .) for f.
+
+    For P the product of the conics outside the pencil, theta = P*delta has
+    theta . grad f = f*(delta . grad P) (K. Saito 1980; Schenck and
+    Tohaneanu 2009), and by Euler's identity d*theta - (delta . grad P)*(x,
+    y, z) is a relation of f, d = 2k."""
+    k, n = len(conics), len(pencils)
+    forms = np.array(conics, dtype=object)[:, _CONIC_ORDER]
+    outside = [[l for l in range(k) if l not in pencil] for pencil in pencils]
+    p, t = np.ones((n, 1), dtype=object), 0
+    for m in range(len(outside[0])):
+        p, t = _times(forms[[row[m] for row in outside]], 2, p, t), t + 2
+    rows = 2 * k * _times(deltas, e, p[:, None, :], t)
+    if t:  # delta . grad P = 0 where P = 1, a full pencil
+        g = _times(deltas, e, _gradient(p, t), t - 1).sum(axis=1)
+        rows -= _times(np.eye(3, dtype=object), 1, g[:, None, :], e + t - 1)
+    return rows.reshape(n, -1)
+
+
 def pencil_relations(conics: Sequence[Sequence[int]], pencils: list[list[int]]) -> np.ndarray:
     """One relation per pencil of conic_pencils, all of m members, of the k
     integer conics (xx, yy, zz, xy, xz, yz): rows of degree e = 2 + 2(k-m)
     in the column layout of syzygy_matrix(ctx, e) for their product f.
 
     rho = grad q_0 x grad q_j, q_j the pencil's second member, kills every
-    member a*q_0 + b*q_j.  So for P the product of the conics outside it,
-    theta = P*rho has theta . grad f = g*f, g = rho . grad P (K. Saito
-    1980; Schenck and Tohaneanu 2009), and by Euler's identity
-    d*theta - g*(x, y, z) is a relation: for m = 2 a pair's at d-2."""
-    k, n = len(conics), len(pencils)
-    forms = np.array(conics, dtype=object)[:, [0, 3, 4, 1, 5, 2]]  # monomials_of_degree(2)
-    grads = _gradient(forms, 2)
-    u, w = grads[0], grads[[pencil[1] for pencil in pencils]]
-    rho = _times(np.roll(u, -1, 0), 1, np.roll(w, -2, 1), 1) - _times(
-        np.roll(u, -2, 0), 1, np.roll(w, -1, 1), 1
-    )
-    outside = [[l for l in range(k) if l not in pencil] for pencil in pencils]
-    p, t = np.ones((n, 1), dtype=object), 0
-    for m in range(len(outside[0])):
-        p, t = _times(forms[[row[m] for row in outside]], 2, p, t), t + 2
-    rows = 2 * k * _times(rho, 2, p[:, None, :], t)
-    if t:  # g = 0 where P = 1, a full pencil
-        g = _times(rho, 2, _gradient(p, t), t - 1).sum(axis=1)
-        rows -= _times(np.eye(3, dtype=object), 1, g[:, None, :], t + 1)
-    return rows.reshape(n, -1)
+    member a*q_0 + b*q_j, and lifted_relations lifts it to f: for m = 2 a
+    pair's relation at d-2.  Where the pencil holds a double line L^2, rho
+    is L times double_line_relations' rho_L, up to a constant."""
+    grads = _gradient(np.array(conics, dtype=object)[:, _CONIC_ORDER], 2)
+    rho = _cross(grads[0], 1, grads[[pencil[1] for pencil in pencils]], 1)
+    return lifted_relations(conics, pencils, rho, 2)
+
+
+def double_line_relations(
+    conics: Sequence[Sequence[int]], lines: list[tuple[list[int], tuple[int, ...]]]
+) -> np.ndarray:
+    """One relation per (pencil, L) of pencils of one size m that hold the
+    double line L^2 (poly.rank_one_member), as pencil_relations lays them
+    out, of degree 1 + 2(k-m): rho_L = grad q_0 x grad L kills q_0 and L,
+    so every member a*q_0 + b*L^2, and lifted_relations lifts it to f."""
+    grad = _gradient(np.array(conics[0], dtype=object)[_CONIC_ORDER], 2)
+    ells = np.array([line for _, line in lines], dtype=object)[:, :, None]
+    return lifted_relations(conics, [pencil for pencil, _ in lines], _cross(grad, 1, ells, 0), 1)
+
+
+def tangent_relations(
+    conics: Sequence[Sequence[int]], lines: list[tuple[list[int], tuple[int, ...]]]
+) -> np.ndarray:
+    """One relation of degree d-2 per (pencil, L) whose double line L^2 is
+    tangent to q_0: _theta of the pencil, lifted to f by lifted_relations."""
+    rows = [
+        lifted_relations(conics, [pencil], _theta(conics, pencil, line)[None], 2 * len(pencil) - 2)
+        for pencil, line in lines
+    ]
+    return np.concatenate(rows)
+
+
+def _theta(
+    conics: Sequence[Sequence[int]], pencil: list[int], ell: tuple[int, ...]
+) -> np.ndarray:
+    """The relation theta of degree 2m-2 of g = F(q, L^2), the product of
+    the pencil's m members a_j*q + b_j*L^2, q = q_0 and L = ell . (x, y, z)
+    tangent to q, made primitive (3 x dim S_{2m-2}); with rho_L it makes g
+    free with exponents (1, 2m-2) (K. Saito 1980; A. Dimca and G. Sticlaru
+    2018).
+
+    With c = F_u(1, 0), G = (F_u - c*u^(m-1))/v, F_v and G at (q, L^2),
+    A = conic_matrix(q), P = adj(A) ell (tangency: ell . P = 0), i the first
+    index with ell_i != 0, a = (column i of A) . (x, y, z) = q_(x_i) and
+    E = (x, y, z):
+
+    theta = -2 ell_i^2 det(A) L G E - c det(A) q^(m-2) (-ell_i a E
+            + (2 ell_i q + L a) e_i) + (4 ell_i^2 (F_v + q G) + c q^(m-2) a^2) P.
+
+    With K = ell_i^2 det(A), theta . ell = -2K F_u and theta . grad q =
+    4K L F_v, so theta . grad g = F_u theta . grad q + 2 L F_v theta . ell
+    = 0.
+    """
+    m, forms = len(pencil), np.array([conics[j] for j in pencil], dtype=object)[:, _CONIC_ORDER]
+    q, line = forms[0], np.array(ell, dtype=object)
+    square = _times(line, 1, line, 1)
+    # each member as a*q + b*L^2, read at two coefficients where q, L^2 are independent
+    r, t = next((r, t) for r in range(6) for t in range(r) if q[r] * square[t] != q[t] * square[r])
+    f = [1]  # F(u, v) = sum f[j] u^(m-j) v^j
+    for w in forms:
+        a, b = w[r] * square[t] - w[t] * square[r], q[r] * w[t] - q[t] * w[r]
+        f = [a * hi + b * lo for hi, lo in zip(f + [0], [0] + f)]
+    powers, squares = [np.ones(1, dtype=object)], [np.ones(1, dtype=object)]
+    for j in range(m - 1):
+        powers.append(_times(powers[j], 2 * j, q, 2))
+        squares.append(_times(squares[j], 2 * j, square, 2))
+
+    def binary(coeffs: list[int], top: int) -> np.ndarray:
+        """The sum of coeffs[j] q^(top-j) L^(2j), of degree 2 top."""
+        return sum(
+            c * _times(powers[top - j], 2 * (top - j), squares[j], 2 * j)
+            for j, c in enumerate(coeffs)
+        )
+
+    c = m * f[0]
+    g = binary([(m - 1 - j) * f[j + 1] for j in range(m - 1)], m - 2)
+    fv_qg = binary([m * f[j + 1] for j in range(m)], m - 1)  # F_v + q G
+    matrix = conic_matrix(conics[0])
+    cof = cofactors(matrix)
+    det = sum(matrix[0][s] * cof[s] for s in range(3))
+    p = [sum(cof[3 * r + s] * ell[s] for s in range(3)) for r in range(3)]
+    i = next(r for r in range(3) if ell[r])
+    li, col = ell[i], np.array([row[i] for row in matrix], dtype=object)
+    qm, e = powers[m - 2], 2 * m - 4  # q^(m-2)
+    u = -2 * li * li * det * _times(line, 1, g, e) + c * det * li * _times(qm, e, col, 1)
+    v = -c * det * _times(qm, e, 2 * li * q + _times(line, 1, col, 1), 2)
+    w = 4 * li * li * fv_qg + c * _times(qm, e, _times(col, 1, col, 1), 2)
+    theta = _times(np.eye(3, dtype=object), 1, u, e + 1) + np.outer(p, w)
+    theta[i] += v
+    return theta // gcd(*theta.flat)
 
 
 # A relation of degree e: its integer coefficient vector in the column layout

@@ -48,11 +48,9 @@ from conicfree.poly import (
     ConicForm,
     HomogeneousPolynomial,
     ProjectivePoint,
-    cofactors,
     conic_is_smooth,
-    conic_matrix,
-    determinant_cubic,
     expand_product,
+    rank_one_member,
 )
 
 
@@ -651,21 +649,13 @@ def _distinct_common_points(qi: ConicForm, qj: ConicForm) -> int:
 
     The Segre symbol of the pencil A + t*B of the conics' symmetric matrices
     fixes their intersection pattern, and c(t) = det(A + t*B) reads it off.
-    Four points when c has no multiple root: gcd(c, c') is a constant (c
-    has degree 3, as det B != 0).  A cubic over Q has at most one multiple
-    root t0, so t0 is rational; of order k, it merges k - 1 points, and one
-    more where A + t0*B has rank one (all cofactors zero).
+    Four points when c has no multiple root (c has degree 3, as det B !=
+    0).  A cubic over Q has at most one multiple root t0, so t0 is
+    rational; of order k, it merges k - 1 points, and one more where
+    A + t0*B has rank one, a double line (poly.rank_one_member).
     """
-    cubic = determinant_cubic(qi.integer, qj.integer)
-    g = _poly_gcd(cubic, [cubic[1], 2 * cubic[2], 3 * cubic[3]])
-    order = len(g)  # of the multiple root; 1 where there is none
-    if order == 1:
-        return 4
-    # t0 = n/d is the root of g, or of g' when g is a square
-    n, d = (-g[0], g[1]) if order == 2 else (-g[1], 2 * g[2])
-    a, b = conic_matrix(qi.integer), conic_matrix(qj.integer)
-    member = [[d * u + n * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
-    return 4 - (order - 1) - (not any(cofactors(member)))
+    order, line = rank_one_member(qi.integer, qj.integer)
+    return 4 - (order - 1) - (line is not None)
 
 
 def _pair_scan(

@@ -8,8 +8,9 @@ every operation is pure, so the module is safe to use from multiple threads.
 A ConicForm computes its content-free integer coefficients (``integer``) on
 first use and caches them; the cached value is a function of the immutable
 fields, so two threads racing on it store equal tuples.  The conic helpers
-at the end (conic_matrix, cofactors, determinant_cubic) take those integer
-tuples; the survey reads from them how many distinct points a pair shares.
+at the end (conic_matrix, cofactors, determinant_cubic, rank_one_member)
+take those integer tuples; the survey reads from them how many distinct
+points a pair shares, and the relation walk the double line of a pencil.
 
 The expression grammar accepted by :func:`parse_polynomial`::
 
@@ -648,10 +649,11 @@ def conic_matrix(q: Sequence[int]) -> list[list[int]]:
 
 def cofactors(m: list[list[int]]) -> list[int]:
     """The nine signed cofactors of a 3x3 matrix, row by row."""
+    (a, b, c), (d, e, f), (g, h, i) = m
     return [
-        m[r - 2][s - 2] * m[r - 1][s - 1] - m[r - 2][s - 1] * m[r - 1][s - 2]
-        for r in range(3)
-        for s in range(3)
+        e * i - f * h, f * g - d * i, d * h - e * g,
+        c * h - b * i, a * i - c * g, b * g - a * h,
+        b * f - c * e, c * d - a * f, a * e - b * d,
     ]
 
 
@@ -671,3 +673,31 @@ def determinant_cubic(qi: Sequence[int], qj: Sequence[int]) -> list[int]:
         sum(map(mul, flat_a, cof_b)),
         sum(map(mul, flat_b[:3], cof_b[:3])),  # det B
     ]
+
+
+def rank_one_member(qi: Sequence[int], qj: Sequence[int]) -> tuple[int, tuple[int, ...] | None]:
+    """The multiple root t0 of determinant_cubic(qi, qj) for two smooth
+    integer conics: its order (1 where there is none) and, where the member
+    qi + t0*qj is a double line L^2 (rank one: all cofactors zero), L as a
+    primitive integer triple with its first nonzero entry positive.
+
+    A cubic c_0 + c_1 t + c_2 t^2 + c_3 t^3 (c_3 = det B != 0) has a
+    multiple root exactly where its discriminant is zero, so generic pairs
+    stop there; a cubic over Q has at most one multiple root, so t0 is
+    rational: -c_2 / (3 c_3) of order 3 where c_2^2 = 3 c_1 c_3, else
+    (9 c_0 c_3 - c_1 c_2) / (2 (c_2^2 - 3 c_1 c_3)) of order 2.  A singular
+    conic gives (1, None).
+    """
+    c0, c1, c2, c3 = determinant_cubic(qi, qj)
+    disc = (c1 * c2) ** 2 - 4 * (c0 * c2**3 + c1**3 * c3) + c0 * c3 * (18 * c1 * c2 - 27 * c0 * c3)
+    if disc or not c0 * c3:
+        return 1, None
+    top = c2 * c2 - 3 * c1 * c3
+    order, n, d = (3, -c2, 3 * c3) if top == 0 else (2, 9 * c0 * c3 - c1 * c2, 2 * top)
+    a, b = conic_matrix(qi), conic_matrix(qj)
+    member = [[d * u + n * v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+    if any(cofactors(member)):
+        return order, None
+    row = next(r for r in member if any(r))
+    g = gcd(*row) * (1 if next(v for v in row if v) > 0 else -1)
+    return order, tuple(v // g for v in row)

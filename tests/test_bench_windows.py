@@ -1,7 +1,7 @@
 """scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
 with the curve's d1, a timed mdr plus window with its lifted kernels and a timed
 survey, on contexts that carry the arrangement's conics; the tangent ladder lifts
-no kernel at d-2."""
+no kernel."""
 
 import importlib.util
 import json
@@ -57,14 +57,14 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
     assert result["complete"] == (name == "pencil_four_points_m7")
 
 
-def test_the_tangent_ladder_takes_its_kernel_at_d_minus_2_from_the_pairs(monkeypatch):
-    """The ladder's arrangements are nested, and each has d1 = d-3: the walk
-    lifts that kernel, and at d-2 the multiples of the generators below
-    close the bound (the pairs alone fall short at the start), so no
-    kernel is lifted there."""
+def test_the_tangent_ladder_takes_its_kernels_from_the_double_line_pencils(monkeypatch):
+    """The ladder's arrangements are nested, and each has d1 = d-3.  Each
+    conic after q_0 spans a pencil with it that holds a double line L^2, so
+    rho_L = grad q_0 x grad L, lifted by the other conics, is a candidate
+    at d-3, and theta one at d-2 where L is tangent to q_0: the walk takes
+    its kernel at d1 from them, and no kernel is lifted at all."""
     from conicfree import linalg
     from conicfree.locus import ConicArrangement
-    from conicfree.poly import degree_dimension
     from conicfree.report import analyze_curve
 
     script = _script()
@@ -81,4 +81,4 @@ def test_the_tangent_ladder_takes_its_kernel_at_d_minus_2_from_the_pairs(monkeyp
         lifts.clear()
         analysis = analyze_curve(arr.polynomial(), arrangement=arr)
         assert analysis.witness.r == d - 3
-        assert lifts == [3 * degree_dimension(d - 3)]
+        assert lifts == []

@@ -22,6 +22,7 @@ from conicfree.locus import (
     _binary_form_fibers,
     _distinct_common_points,
     _fiber_points,
+    _poly_gcd,
     _rational_roots,
     _resultant_in_x,
     _shear_conic,
@@ -38,6 +39,7 @@ from conicfree.poly import (
     conic_is_smooth,
     dehomogenize,
     determinant_cubic,
+    rank_one_member,
 )
 
 # ---------------------------------------------------------------------------
@@ -599,6 +601,22 @@ def test_distinct_common_points_match_the_line_pair_oracle(pencil):
     q, lam, l1, l2 = pencil
     count = _distinct_common_points(q, _plus_line_pair(q, lam, l1, l2))
     assert count == _distinct_points_oracle(q, l1, l2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pencil=_line_pair_pencils())
+def test_rank_one_member_reads_the_multiple_root_as_the_gcd_does(pencil):
+    """The discriminant rule gives the order of the multiple root that
+    gcd(c, c') gives (its degree plus one), and the member there is the
+    double line L^2 exactly when l1 = l2 up to scale, with L = l1."""
+    q, lam, l1, l2 = pencil
+    cubic = determinant_cubic(q.integer, _plus_line_pair(q, lam, l1, l2).integer)
+    order, line = rank_one_member(q.integer, _plus_line_pair(q, lam, l1, l2).integer)
+    assert order == len(_poly_gcd(cubic, [cubic[1], 2 * cubic[2], 3 * cubic[3]]))
+    same = not any(_line_through(l1, l2))
+    assert (line is not None) == same
+    if same:
+        assert not any(_line_through(line, l1)) and order >= 2
 
 
 # one pair per Segre symbol: the unit circle q with P = (1:0:1) and T = x - z

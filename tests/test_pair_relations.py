@@ -4,12 +4,15 @@ When the components are known, each pencil that q_0 spans with another
 conic gives one relation, of degree 2 + 2 * (the conics outside it), to
 the pool of candidate relations (with the Koszul relations at d-1):
 generic conics give the pairs (0, j) at d-2, k conics in one pencil one
-relation at 2.  The walk tries d-2 first, and again whenever generators
-join below d-3: where the pool and the multiples of the generators found
-span the kernel there and one x-free minor at d-2 shows that nothing new
-lies between, it stops; otherwise it climbs, takes the kernel of each
-degree of the pool from its candidates and the lower generators where
-they span it, and lifts it otherwise.  These tests hold the pencils
+relation at 2; a pencil that holds a double line L^2 gives rho_L =
+grad q_0 x grad L one degree lower instead, and theta at d-2 where L is
+tangent to q_0 (tests/test_double_line_relations.py).  The walk tries
+d-2 first, and again whenever generators join below d-3: where the pool
+and the multiples of the generators found span the kernel there and one
+x-free minor at d-2 shows that nothing new lies between, it stops;
+otherwise it climbs, takes the kernel of each degree of the pool from
+its candidates and the lower generators where they span it, and lifts it
+otherwise.  These tests hold the pencils
 against sympy's rank and the relations against a sympy construction, the
 walk with components against the walk without them (generators, witness,
 window and the printed document), the descent against the climb through
@@ -48,6 +51,7 @@ from conicfree.poly import (
     degree_dimension,
     monomials_of_degree,
     parse_polynomial,
+    rank_one_member,
 )
 from conicfree.report import analysis_document, analyze_curve, to_json
 
@@ -172,40 +176,43 @@ def test_components_change_no_generator_witness_or_window(arr):
 @example(_generic(2, 1))
 @example(entry("pencil_four_points_m4").arrangement())
 @example(_partial_pencil(6))
+@example(entry("ploski_m3").arrangement())
 def test_pencil_relations_match_a_sympy_construction(arr):
     """Every row of every pencil family: d*P*rho - (rho . grad P)*(x, y, z)
-    for rho = grad q_0 x grad q_j, q_j the pencil's second member, and P
-    the product of the conics outside the pencil, coefficient by
-    coefficient, and each kills grad f.  The examples are generic conics,
-    two conics, a full pencil and a partial pencil."""
+    for rho = grad q_0 x grad q_j, q_j the pencil's second member, or rho =
+    grad q_0 x grad L where the pencil holds a double line L^2, and P the
+    product of the conics outside the pencil, coefficient by coefficient,
+    and each kills grad f.  Where L is tangent to q_0 the family at d-2
+    holds theta too (tangent_relations; tests/test_double_line_relations.py
+    holds it against sympy).  The examples are generic conics, two
+    conics, a full pencil, a partial pencil and the Płoski curve m = 3."""
     x, y, z = sympy.symbols("x y z")
     v = (x, y, z)
     monos = (x**2, y**2, z**2, x * y, x * z, y * z)
-    forms = [sympy.Poly(sum(c * m for c, m in zip(q.integer, monos)), *v) for q in arr.components]
+    conics = [q.integer for q in arr.components]
+    forms = [sympy.Poly(sum(c * m for c, m in zip(q, monos)), *v) for q in conics]
     k, d = len(forms), 2 * len(forms)
     f = sympy.prod(forms)
+    expected = {}
+    for pencil in conic_pencils(conics):
+        order, line = rank_one_member(conics[0], conics[pencil[1]])
+        u = [forms[0].diff(t) for t in v]
+        w = [forms[pencil[1]].diff(t) for t in v] if line is None else list(line)
+        rho = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
+        p = sympy.prod([forms[l] for l in range(k) if l not in pencil]) + sympy.Poly(0, *v)
+        g = sum((r * p.diff(t) for r, t in zip(rho, v)), sympy.Poly(0, *v))
+        relation = [d * p * r - g * sympy.Poly(t, *v) for r, t in zip(rho, v)]
+        e = (2 if line is None else 1) + 2 * (k - len(pencil))
+        assert sum((r * f.diff(t) for r, t in zip(relation, v)), sympy.Poly(0, *v)).is_zero
+        row = [relation[c].coeff_monomial(m) for c in range(3) for m in monomials_of_degree(e)]
+        expected.setdefault(e, []).append(tuple(row))
+        if line is not None and order == 3:
+            theta = jacobian.tangent_relations(conics, [(pencil, line)])
+            expected.setdefault(d - 2, []).extend(map(tuple, theta))
     ctx = _context(arr)
-    pencils = conic_pencils([q.integer for q in arr.components])
-    built = 0
-    for e, family in ctx.families.items():
-        if e == d - 1:
-            continue
-        group = [pencil for pencil in pencils if 2 + 2 * (k - len(pencil)) == e]
-        rows = family()
-        assert rows.shape == (len(group), 3 * degree_dimension(e))
-        for pencil, row in zip(group, rows):
-            u, w = ([q.diff(t) for t in v] for q in (forms[0], forms[pencil[1]]))
-            rho = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
-            p = sympy.prod([forms[l] for l in range(k) if l not in pencil]) + sympy.Poly(0, *v)
-            g = sum((r * p.diff(t) for r, t in zip(rho, v)), sympy.Poly(0, *v))
-            relation = [d * p * r - g * sympy.Poly(t, *v) for r, t in zip(rho, v)]
-            expected = [
-                relation[c].coeff_monomial(m) for c in range(3) for m in monomials_of_degree(e)
-            ]
-            assert list(row) == expected
-            assert sum((r * f.diff(t) for r, t in zip(relation, v)), sympy.Poly(0, *v)).is_zero
-        built += len(rows)
-    assert built == len(pencils)
+    assert sorted(ctx.families) == sorted(expected) + [d - 1]
+    for e, rows in expected.items():
+        assert sorted(map(tuple, ctx.families[e]())) == sorted(rows), e
 
 
 @st.composite
@@ -311,23 +318,23 @@ def test_a_support_test_failing_on_every_span_falls_back_to_the_lift(monkeypatch
     ["ploski_m2", "ploski_m3", "ploski_m4", "ploski_m5"]
     + [f"two_conics_a7_e{i}" for i in (1, 2, 3)],
 )
-def test_pencil_relations_that_fall_short_leave_the_lift(name, monkeypatch, kernels):
-    """These conics lie in one pencil, whose relation at 2 lies in the span
-    of the multiples of the generator at d1 = 1, so the kernel at d-2 is
-    lifted, and the document is that of the walk without components, byte
-    for byte."""
+def test_double_line_pencils_lift_no_kernel_and_keep_the_document(name, monkeypatch, kernels):
+    """These conics lie in one pencil, which holds a double line L^2 tangent
+    to q_0: rho_L gives the kernel at d1 = 1 and theta, with the multiples
+    of rho_L, the one at d-2, so no kernel is lifted, and the document is
+    that of the walk without components, byte for byte."""
     arr = entry(name).arrangement()
-    d = 2 * arr.k
 
     def document():
         analysis = analyze_curve(arr.polynomial(), arrangement=arr, source=name)
         return to_json(analysis_document(analysis))
 
     with_components = document()
-    assert 3 * degree_dimension(d - 2) in [cols for _, cols in kernels]
+    assert kernels == []
     original = JacobianContext.for_curve
     monkeypatch.setattr(report.JacobianContext, "for_curve", lambda f, conics=None: original(f))
     assert document() == with_components
+    assert kernels
 
 
 def _assert_walks_agree(arr):
@@ -352,17 +359,20 @@ def test_the_shifted_inputs_give_the_generators_of_the_walk(k, seed):
 
 
 def test_the_pairs_and_the_lower_generators_close_the_bound_together(kernels):
-    """Three conics whose pairs alone fall short at d-2 = 4, and whose
-    generator at d1 = 3 leaves the bound open there: the walk tries the
-    pool again with that generator's multiples, which closes it, so only
-    A_3 is lifted, where the walk without components lifts A_4 too."""
+    """Three conics whose pair (0, 1) alone falls short at d-2 = 4, and
+    whose generator at d1 = 3 leaves the bound open there: the walk tries
+    the pool again with that generator's multiples, which closes it.  The
+    generator is rho_L of the pencil of q_0 and q_2, which holds a double
+    line secant to q_0, lifted by q_1, so no kernel is lifted, where the
+    walk without components lifts A_3 and A_4."""
     conics = ((-1, -2, 1, -1, 2, 3), (-2, -1, -3, 0, 1, -3), (0, -1, 5, 1, -2, -1))
     arr = ConicArrangement(tuple(ConicForm(*q) for q in conics))
+    assert rank_one_member(conics[0], conics[2]) == (2, (1, 1, -2))
     generators = _generators(_context(arr))
     assert [e for e, _ in generators] == [3, 4]
-    assert kernels == [(45, 30)]
+    assert kernels == []
     assert generators == _generators(_context(arr, components=False))
-    assert kernels == [(45, 30), (45, 30), (55, 45)]
+    assert kernels == [(45, 30), (55, 45)]
 
 
 def test_the_x_minor_passes_on_the_pair_kernel_of_a_generic_arrangement():
@@ -617,16 +627,18 @@ def test_a_failed_x_minor_climbs_to_the_top_building_its_matrix_and_pairs_once(
 @pytest.mark.parametrize(
     "name, rows, calls",
     [("pencil_four_points_m3", {2: 1}, [False]), ("pencil_four_points_m6", {2: 1}, [False])]
-    + [("ploski_m5", {2: 1}, [False]), ("ploski_m2", {2: 1}, [True])]
-    + [("two_conics_a7_e1", {2: 1}, [True]), ("generic", {4: 2}, [True])]
+    + [("ploski_m5", {1: 1, 8: 1}, []), ("ploski_m2", {1: 1, 2: 1}, [])]
+    + [("two_conics_a7_e1", {1: 1, 2: 1}, []), ("generic", {4: 2}, [True])]
     + [("partial_pencil", {8: 1, 10: 3}, [True, False])],
 )
-def test_each_pencil_through_q0_gives_one_relation(name, rows, calls, monkeypatch):
+def test_each_pencil_through_q0_gives_its_relations(name, rows, calls, monkeypatch):
     """Generic conics give k-1 rows, the pairs, at d-2; k >= 2 conics in one
-    pencil one row, grad q_0 x grad q_1 times d, at degree 2; the partial
-    pencil (k = 6) one row at d-4 = 8 for its three members and a pair at
-    d-2 = 10 for each other conic.  Each family is built once: the start
-    builds the one at d-2 before any lower A_e, the climb those below."""
+    pencil one row, grad q_0 x grad q_1 times d, at degree 2, or, where the
+    pencil holds a double line L^2 tangent to q_0 (Płoski, two conics with
+    an A7 point), rho_L at 1 and theta at d-2 and no pencil_relations call;
+    the partial pencil (k = 6) one row at d-4 = 8 for its three members and
+    a pair at d-2 = 10 for each other conic.  Each family is built once: the
+    start builds the one at d-2 before any lower A_e, the climb those below."""
     if name == "partial_pencil":
         arr = _partial_pencil(6)
     else:
@@ -644,7 +656,7 @@ def test_each_pencil_through_q0_gives_one_relation(name, rows, calls, monkeypatc
 # scripts/document_digests.txt records them for the corpus entries
 CORPUS_LIFTS = {
     "celal_three_conics": [(36, 18), (45, 30)],
-    "p4_four_conics": [(66, 30), (91, 63)],
+    "p4_four_conics": [(66, 30)],
     "pencil_four_points_m3": [],
     "pencil_four_points_m4": [],
     "pencil_four_points_m5": [],
@@ -655,14 +667,14 @@ CORPUS_LIFTS = {
     "pencil_two_points_k5": [(66, 9)],
     "pencil_two_points_k6": [(91, 9)],
     "persson_deformed": [(45, 30)],
-    "persson_triconical": [(36, 18), (45, 30)],
-    "ploski_m2": [(15, 9), (21, 18)],
-    "ploski_m3": [(28, 9), (55, 45)],
-    "ploski_m4": [(45, 9), (105, 84)],
-    "ploski_m5": [(66, 9), (171, 135)],
-    "two_conics_a7_e1": [(15, 9), (21, 18)],
-    "two_conics_a7_e2": [(15, 9), (21, 18)],
-    "two_conics_a7_e3": [(15, 9), (21, 18)],
+    "persson_triconical": [(36, 18)],
+    "ploski_m2": [],
+    "ploski_m3": [],
+    "ploski_m4": [],
+    "ploski_m5": [],
+    "two_conics_a7_e1": [],
+    "two_conics_a7_e2": [],
+    "two_conics_a7_e3": [],
 }
 
 
@@ -677,9 +689,9 @@ def _pinned_inputs():
     for i, arr in enumerate(_generic_arrangements(1)):
         out[f"generic_1_{i}"] = (arr.polynomial(), arr, [])
     out["shifted_7_4"] = (_shifted(7, 4).polynomial(), _shifted(7, 4), [(351, 273)])
-    for k, lift in zip((4, 5, 6), ((91, 63), (153, 108), (231, 165))):
+    for k in (4, 5, 6):
         arr = ConicArrangement.from_texts(script.tangent_texts(k, 1))
-        out[f"tangent_{k}"] = (arr.polynomial(), arr, [lift])
+        out[f"tangent_{k}"] = (arr.polynomial(), arr, [])
     arr = _syzygy_arrangement()
     out["syzygy_6"] = (arr.polynomial(), arr, [(210, 135)])
     arr = _partial_pencil(6)
@@ -693,27 +705,32 @@ def test_each_analysis_builds_its_start_once_and_checks_each_family_once(monkeyp
     each family of the pool is built and checked exactly once, every family
     is reached, and the lifted kernels are those of the walk with the top
     step."""
-    built, checks, pencils = [], [], []
-    build, kills, pencil_relations_ = (
-        jacobian.syzygy_matrix,
-        jacobian._kills,
-        jacobian.pencil_relations,
-    )
+    built, checks, builds = [], [], []
+    build, kills = jacobian.syzygy_matrix, jacobian._kills
     monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
     monkeypatch.setattr(jacobian, "_kills", lambda a, v: checks.append(v.shape[0]) or kills(a, v))
-    monkeypatch.setattr(
-        jacobian, "pencil_relations", lambda *a: pencils.append(1) or pencil_relations_(*a)
-    )
+    for name in ("pencil_relations", "double_line_relations", "tangent_relations"):
+        original = getattr(jacobian, name)
+
+        def spy(*args, name=name, original=original):
+            rows = original(*args)
+            builds.append((name, rows.shape[1]))
+            return rows
+
+        monkeypatch.setattr(jacobian, name, spy)
     for name, (f, arr, lifts) in _pinned_inputs().items():
-        for spy in (built, checks, pencils, kernels):
+        for spy in (built, checks, builds, kernels):
             spy.clear()
         ctx = analyze_curve(f, arrangement=arr).ctx
         assert sorted(ctx.pool) == sorted(ctx.families), name
         # the start checks the family at d-2, the climb those below, the window d-1
         order = sorted(ctx.families, key=lambda e: (e != ctx.d - 2, e))
         assert checks == [3 * degree_dimension(e) for e in order], name
-        # one family at d-1, the Koszul relations, and one per pencil size
-        assert len(pencils) == len(ctx.families) - 1, name
+        # one family at d-1, the Koszul relations; each builder of the others
+        # runs once per degree it serves, and every degree has one
+        assert len(set(builds)) == len(builds), name
+        widths = {3 * degree_dimension(e) for e in ctx.families if e != ctx.d - 1}
+        assert {width for _, width in builds} == widths, name
         # the walk's top degree, where the pool starts it when it holds pairs
         assert built.count(ctx.d - 2) == 1, name
         assert kernels == lifts, name
