@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print the sha256 of ``conicfree analyze --json`` for a fixed set of inputs,
-with the shapes of the kernels the analysis lifts.
+with the shapes of the kernels the analysis lifts and of the standard forms
+it builds from a span.
 
-One ``name sha256 lifts`` line per input, 312 in all: the 20 corpus entries
+One ``name sha256 lifts forms`` line per input, 312 in all: the 20 corpus entries
 (``corpus:<entry>``), the 270 generic arrangements of ``perfbench/inputs.py``
 seeds 1-30 (``generic:<seed>:<id>``), the 18 inputs of
 ``scripts/bench_windows.py`` (``bench:<name>``) and four expressions
@@ -11,10 +12,13 @@ named after the input, in a temporary directory that is the working
 directory while the command runs, so its ``source`` is the same on every
 run.  Both helper files are read, never changed.  ``lifts`` lists the
 ``rowsxcols`` of every ``linalg.kernel_basis_certified`` call in call
-order, comma-separated, or ``-`` where there is none; the analysis looks
-that function up at call time, so a wrapper sees every call.  Two
-checkouts analyze the same documents, and lift the same kernels, exactly
-when their outputs are equal:
+order, comma-separated, or ``-`` where there is none; ``forms`` lists, the
+same way, the ``rowsxcols`` of every basis ``linalg.kernel_basis_from_span``
+builds (its dimension by the matrix's columns), which the relation walk
+does only at d1, where it reads the witness.  The analysis looks both
+functions up at call time, so a wrapper sees every call.  Two checkouts
+analyze the same documents, lift the same kernels and build the same
+standard forms exactly when their outputs are equal:
 
     diff <(PYTHONPATH=OLD/src python scripts/document_digests.py) \\
          <(PYTHONPATH=src python scripts/document_digests.py)
@@ -73,28 +77,33 @@ def inputs() -> list[tuple[str, str | list[str]]]:
 
 def digest(name: str, source: str | list[str]) -> str:
     """sha256 of the stdout of ``analyze --json`` for one input, run in the
-    working directory, where an arrangement's file is written, and the
-    shapes of the kernels it lifts."""
+    working directory, where an arrangement's file is written, the shapes
+    of the kernels it lifts and those of the standard forms it builds."""
     if isinstance(source, list):
         path = Path(name.replace(":", "_") + ".txt")
         path.write_text("".join(f"{text}\n" for text in source))
         source = str(path)
     lifts: list[str] = []
-    lift = linalg.kernel_basis_certified
+    forms: list[str] = []
+    lift, span = linalg.kernel_basis_certified, linalg.kernel_basis_from_span
 
-    def spy(matrix):
+    def spy_lift(matrix):
         lifts.append(f"{matrix.rows}x{matrix.cols}")
         return lift(matrix)
 
+    def spy_span(matrix, rows, dimension):
+        forms.append(f"{dimension}x{matrix.cols}")
+        return span(matrix, rows, dimension)
+
     buffer = io.StringIO()
-    linalg.kernel_basis_certified = spy
+    linalg.kernel_basis_certified, linalg.kernel_basis_from_span = spy_lift, spy_span
     try:
         with contextlib.redirect_stdout(buffer):
             conicfree_main(["analyze", "--json", source])
     finally:
-        linalg.kernel_basis_certified = lift
+        linalg.kernel_basis_certified, linalg.kernel_basis_from_span = lift, span
     sha = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
-    return f"{sha} {','.join(lifts) or '-'}"
+    return f"{sha} {','.join(lifts) or '-'} {','.join(forms) or '-'}"
 
 
 def main() -> int:

@@ -70,11 +70,14 @@ multiples of F_u and L*F_v for the pencil's product F(q_0, L^2), so it
 kills F); a full tangent pencil is free with exponents (1, d-2).
 lifted_relations lifts every family to f.  At every degree the walk
 bounds once, with the multiples of the lower generators and the pool's
-candidates there (none outside the pool) together; where that closes
-with candidates, linalg.kernel_basis_from_span puts their span in the
-standard form a lift returns, so no output changes; where it falls short
-(a triple point, or a relation in the span of the lower generators) or
-the support test fails, a kernel is lifted.
+candidates there (none outside the pool) together.  Where that closes
+with candidates, they and the multiples span AR_e: above d1 the
+candidates outside the span of the multiples mod p join as they stand,
+and at d1, where the witness is read, linalg.kernel_basis_from_span puts
+their span in the standard form a lift returns, so no output changes.
+Where the bound falls short (a triple point, or a relation in the span
+of the lower generators) or the support test at d1 fails, a kernel is
+lifted.
 
 The walk tries its top degree d-2 early.  Before it climbs, and wherever
 generators have just joined at a degree e < d-3, it takes the top step:
@@ -97,12 +100,13 @@ The minor is sufficient, not necessary: a syzygy among the generators
 found can fail it where no relation is missing, and that costs a climb.
 Where the top step or the minor fails, the climb goes on at e+1 and
 reaches d-2 with A_{d-2}, its leading monomials and, where no generator
-joined since, the top step's rung at hand: the walk keeps its rungs by
-the count of generators found.  The start is the top step with no
-generators (e = -1): generic arrangements, whose pairs span AR_{d-2},
-end there, and so does a curve with no relation below d-1.  In the
-corpus, pencil_four_points_m3..m6 (generators at 2, d-1, d-1, d-1),
-pencil_two_points_k3..k6 (1, d-1, d-1), ploski_m2..m5 and
+joined since, the top step's outcome at hand: the walk keeps its steps
+at d-2 by the count of generators found, and lifts there only where the
+top step stayed open or its support test failed.  The start is the top
+step with no generators (e = -1): generic arrangements, whose pairs span
+AR_{d-2}, end there, and so does a curve with no relation below d-1.
+In the corpus, pencil_four_points_m3..m6 (generators at 2, d-1, d-1,
+d-1), pencil_two_points_k3..k6 (1, d-1, d-1), ploski_m2..m5 and
 two_conics_a7_e1..e3 (1, d-2) end after d1; the others climb.
 """
 
@@ -699,10 +703,10 @@ def _x_free_minor(found: Sequence[Relation], joined: Sequence[Relation], top: in
     return len(pivot_columns_mod(rows[:, columns])) == len(rows)
 
 
-def _joining(e: int, known: np.ndarray, kernel: linalg.KernelBasis, cols: int) -> list[Relation]:
-    """The vectors of a certified kernel of A_e outside the span of known mod
-    p: the greedy mod-p column basis of known followed by the kernel."""
-    vectors = np.array(kernel.vectors, dtype=object).reshape(-1, cols)
+def _joining(e: int, known: np.ndarray, vectors: Sequence, cols: int) -> list[Relation]:
+    """The vectors, relations of degree e, outside the span of known mod p:
+    the greedy mod-p column basis of known followed by the vectors."""
+    vectors = np.array(vectors, dtype=object).reshape(-1, cols)
     basis = pivot_columns_mod(np.concatenate([known, vectors]).T)
     return [(e, vectors[i - len(known)]) for i in basis if i >= len(known)]
 
@@ -717,21 +721,27 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
     wherever it eliminates it), with the multiples of the relations found
     so far and the pool's candidates of degree e together.  Where that
     closes with no candidate, the multiples span the kernel (below the
-    first relation, a certified full rank) and none joins; where it closes
-    with candidates, linalg.kernel_basis_from_span puts their span in
-    standard form.  Where the bound stays open the kernel is lifted.  Both
-    give the basis linalg.kernel_basis returns, every vector verified
-    exactly, and its vectors outside the span of the multiples mod p join
+    first relation, a certified full rank) and none joins.  Where it closes
+    with candidates, they span it with the multiples: above d1 the
+    candidates, exact relations checked by _candidates, are the vectors
+    offered; at d1, where no generator precedes,
+    linalg.kernel_basis_from_span puts their span in standard form.
+    Where the bound stays open, or that form fails its support test, the
+    kernel is lifted.  The standard form and the lift give the basis
+    linalg.kernel_basis returns, every vector verified exactly.  The
+    vectors offered outside the span of the multiples mod p join
     (_joining).
 
     Before the climb, and wherever generators have just joined at a degree
     e < d-3, the walk tries the top step and the descent (module
     docstring): the step at d-2 with no lift, then one x-free minor there
     (_x_free_minor).  Where both pass, the vectors joined at d-2 are the
-    last generators.  Otherwise the climb goes on at e+1, and its step at
-    d-2 re-reads the top step's rung where no generator joined since.  The
-    first generator is (d1, the first vector of the certified kernel of
-    A_d1): nothing precedes it, and a primitive vector is nonzero mod p.
+    last generators.  Otherwise the climb goes on at e+1, and where no
+    generator joined since, its step at d-2 reads the top step's vectors,
+    or lifts where the top step had none.  The first generator is (d1, the
+    first vector of the certified kernel of A_d1): nothing precedes it,
+    and a primitive vector is nonzero mod p.  Above d1 a generator is a
+    pool row where the bound closed with candidates, else a lifted one.
 
     The generators are minimal, and their degrees are the curve's exponents
     below d-1, when at each degree the multiples of the lower generators
@@ -745,29 +755,38 @@ def relation_generators(ctx: JacobianContext) -> tuple[Relation, ...]:
         return ctx.generators
     top, found = ctx.d - 2, []
     top_matrix = syzygy_matrix(ctx, top)
-    # the rungs eliminated, by the count of generators found: found only
-    # grows and a degree's candidates are fixed, so the count names the rows
-    rungs: dict[int, dict[int, np.ndarray]] = {}
+    # the steps at d-2, by the count of generators found: found only grows
+    # and a degree's candidates are fixed, so the count names the step
+    tops: dict[int, list[Relation] | None] = {}
 
     def step(e: int, lift: bool) -> list[Relation] | None:
-        """The vectors of a certified kernel of A_e that join found; None
-        where the bound stays open and lift is False; none where it closes
-        with no candidate of the pool."""
+        """The relations of degree e that join found; none where the bound
+        closes with no candidate of the pool; None where neither the bound
+        nor a lift, which lift allows, gives the kernel."""
+        tried = e == top and len(found) in tops
+        if tried and tops[len(found)] is not None:
+            return tops[len(found)]
         matrix = top_matrix if e == top else syzygy_matrix(ctx, e)
         candidates = list(_candidates(ctx, e, matrix)) if e in ctx.families else []
         residues = _residues(found + candidates)
-        rank = _certified_rank(ctx, e, lambda: matrix, residues, rungs.setdefault(len(found), {}))
-        kernel = None
+        rank = None if tried else _certified_rank(ctx, e, lambda: matrix, residues, {})
+        vectors = None
         if rank is not None:
             if not candidates:
                 return []
-            spanning = _relation_multiples(found + candidates, e)
-            kernel = linalg.kernel_basis_from_span(matrix, spanning, matrix.cols - rank)
-        if kernel is None and lift:
-            kernel = linalg.kernel_basis_certified(matrix)
-        if kernel is None:
-            return None
-        return _joining(e, _relation_multiples(residues[: len(found)], e), kernel, matrix.cols)
+            vectors = [v for _, v in candidates]
+            if not found:  # d1: the witness is the standard form's first vector
+                kernel = linalg.kernel_basis_from_span(matrix, np.array(vectors), matrix.cols - rank)
+                vectors = None if kernel is None else kernel.vectors
+        if vectors is None and lift:
+            vectors = linalg.kernel_basis_certified(matrix).vectors
+        joined = None
+        if vectors is not None:
+            known = _relation_multiples(residues[: len(found)], e)
+            joined = _joining(e, known, vectors, matrix.cols)
+        if e == top:
+            tops[len(found)] = joined
+        return joined
 
     joined: list[Relation] | None = None
     for e in range(-1, top + 1):

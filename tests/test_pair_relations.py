@@ -27,6 +27,7 @@ import random
 import sys
 from unittest import mock
 from functools import lru_cache, partial
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,7 @@ from conicfree.poly import (
     rank_one_member,
 )
 from conicfree.report import analysis_document, analyze_curve, to_json
+from walks import assert_same_walk
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,21 +155,20 @@ def _arrangements(draw):
 @example(_generic(3, 1))  # small draws mostly climb; the start settles these two
 @example(_generic(4, 2))
 def test_components_change_no_generator_witness_or_window(arr):
-    """d1, the generators and the window are those of the context built
-    without components.  Where the start settles the walk, so that no A_e
-    below d-2 is built, the exact engine gives A_{d-3} full column rank:
-    the minor was right that no relation lies below d-2."""
+    """d1, the witness, the generator degrees and their span, and the window
+    are those of the context built without components (assert_same_walk).
+    Where the start settles the walk, so that no A_e below d-2 is built,
+    the exact engine gives A_{d-3} full column rank: the minor was right
+    that no relation lies below d-2."""
     with_components, without = _context(arr), _context(arr, components=False)
     built, build = [], jacobian.syzygy_matrix
     with mock.patch.object(jacobian, "syzygy_matrix", lambda c, r: built.append(r) or build(c, r)):
-        generators = _generators(with_components)
+        relation_generators(with_components)
     d = with_components.d
     if min(built) == d - 2:
         below = syzygy_matrix(with_components, d - 3)
         assert linalg.rank(below) == below.cols
-    assert mdr(with_components) == mdr(without)
-    assert generators == _generators(without)
-    assert hilbert_profile(with_components) == hilbert_profile(without)
+    assert_same_walk(with_components, without)
 
 
 @settings(max_examples=10, deadline=None)
@@ -238,8 +239,8 @@ def _pencil_arrangements(draw):
 def test_pencils_are_exact_and_their_relations_keep_the_walk(arr):
     """Two conics after q_0 share a pencil exactly when sympy gives
     [q_0; q_j; q_l] rank 2, each conic lies in one pencil, every row of
-    every family is a relation, and the generators are those of the walk
-    without components."""
+    every family is a relation, and the walk is that without components
+    (assert_same_walk)."""
     conics = [q.integer for q in arr.components]
     pencils = conic_pencils(conics)
     assert sorted(j for pencil in pencils for j in pencil[1:]) == list(range(1, arr.k))
@@ -251,7 +252,7 @@ def test_pencils_are_exact_and_their_relations_keep_the_walk(arr):
     ctx = _context(arr)
     for e, family in ctx.families.items():
         assert not (syzygy_matrix(ctx, e).array @ family().T).any(), e
-    assert _generators(ctx) == _generators(_context(arr, components=False))
+    assert_same_walk(ctx, _context(arr, components=False))
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -291,10 +292,10 @@ def test_a_corrupted_pencil_relation_raises(name, monkeypatch):
 
 
 def test_a_support_test_failing_on_every_span_falls_back_to_the_lift(monkeypatch, kernels):
-    """The support test fails on every basis built from a span: the start's,
-    from the pair relations at d-2, and the climb's at d-2, which bounds
-    again and builds it again; the walk then lifts the kernel, whose own
-    test passes."""
+    """The support test fails on the basis the start builds from the pair
+    relations at d-2.  The climb's step at d-2, with no generator found
+    since, reads that outcome and lifts the kernel, whose own test
+    passes."""
     arr = _generic_arrangements(1)[-1]
     tests = []
     original = linalg._canonical_support
@@ -307,7 +308,7 @@ def test_a_support_test_failing_on_every_span_falls_back_to_the_lift(monkeypatch
     monkeypatch.setattr(linalg, "_canonical_support", fail_from_span)
     ctx = _context(arr)
     generators = _generators(ctx)
-    assert tests == ["kernel_basis_from_span"] * 2 + ["kernel_basis_certified"]
+    assert tests == ["kernel_basis_from_span", "kernel_basis_certified"]
     assert kernels == [(syzygy_matrix(ctx, 6).rows, 84)]
     monkeypatch.setattr(linalg, "_canonical_support", original)
     assert generators == _generators(_context(arr, components=False))
@@ -364,15 +365,19 @@ def test_the_pairs_and_the_lower_generators_close_the_bound_together(kernels):
     the pool again with that generator's multiples, which closes it.  The
     generator is rho_L of the pencil of q_0 and q_2, which holds a double
     line secant to q_0, lifted by q_1, so no kernel is lifted, where the
-    walk without components lifts A_3 and A_4."""
+    walk without components lifts A_3 and A_4; the pair joins at 4 as it
+    stands, and the walks agree (assert_same_walk)."""
     conics = ((-1, -2, 1, -1, 2, 3), (-2, -1, -3, 0, 1, -3), (0, -1, 5, 1, -2, -1))
     arr = ConicArrangement(tuple(ConicForm(*q) for q in conics))
     assert rank_one_member(conics[0], conics[2]) == (2, (1, 1, -2))
-    generators = _generators(_context(arr))
+    ctx, without = _context(arr), _context(arr, components=False)
+    generators = _generators(ctx)
     assert [e for e, _ in generators] == [3, 4]
+    assert generators[1] == (4, tuple(ctx.pool[4][0][1]))
     assert kernels == []
-    assert generators == _generators(_context(arr, components=False))
+    relation_generators(without)
     assert kernels == [(45, 30), (55, 45)]
+    assert_same_walk(ctx, without)
 
 
 def test_the_x_minor_passes_on_the_pair_kernel_of_a_generic_arrangement():
@@ -417,7 +422,7 @@ def test_the_descent_minors_on_the_multiples_of_a_lower_generator(name, passes):
     assert first[0] == 2 and len(generators) == 1 + (not passes)
     kernel = linalg.kernel_basis_certified(syzygy_matrix(ctx, top))
     known = jacobian._relation_multiples([first], top)
-    joined = jacobian._joining(top, known, kernel, 3 * degree_dimension(top))
+    joined = jacobian._joining(top, known, kernel.vectors, 3 * degree_dimension(top))
     assert jacobian._x_free_minor([first], joined, top) is passes
     # the multiples alone leave the x-free columns of every lower degree at full rank
     assert jacobian._x_free_minor([first], [], top - 1)
@@ -569,14 +574,16 @@ def _syzygy_arrangement():
     return ConicArrangement(tuple(ConicForm(*q) for q in conics))
 
 
-def test_a_closed_top_step_whose_minor_fails_is_bounded_again_at_the_top(monkeypatch, kernels):
+def test_a_closed_top_step_whose_minor_fails_is_read_again_at_the_top(monkeypatch, kernels):
     """The generators at 8 of _syzygy_arrangement have a syzygy of degree 2:
     their 18 multiples at d-2 = 10 have rank 17, and its part free of x is a
     dependency of the minor's rows.  So the top step after them closes and
     the minor fails, although no relation is missing: with the minor forced
-    to pass the generators are the same.  The walk climbs to 9 and bounds
-    10 again with the same generators, which re-reads the top step's rung:
-    the span is put in standard form twice, and only A_8 is lifted."""
+    to pass the walk is the same (assert_same_walk).  The walk climbs to 9
+    and, with the same generators at 10, reads the top step's outcome
+    instead of bounding 10 again.  The generators found, all at d1 = 8,
+    come from the lift of A_8, and no span is put in standard form: the
+    pool's candidates at 10 join as they stand."""
     bounds, spans = [], []
     certified_rank, span = jacobian._certified_rank, linalg.kernel_basis_from_span
 
@@ -590,23 +597,25 @@ def test_a_closed_top_step_whose_minor_fails_is_bounded_again_at_the_top(monkeyp
     ctx = _context(arr)
     generators = _generators(ctx)
     assert [e for e, _ in generators] == [8, 8, 8]
-    assert bounds == [10, *range(9), 10, 9, 10]
-    assert (len(spans), kernels) == (2, [(210, 135)])
+    assert bounds == [10, *range(9), 10, 9]
+    assert (len(spans), kernels) == (0, [(210, 135)])
     found = relation_generators(ctx)
     assert len(linalg.pivot_columns_mod(jacobian._relation_multiples(found, 10))) == 17
     assert not jacobian._x_free_minor(found, [], 10)
     assert (mdr(ctx).r, hilbert_profile(ctx).tau) == (8, 72)
     with mock.patch.object(jacobian, "_x_free_minor", lambda found, joined, top: True):
-        assert _generators(_context(arr)) == generators
+        forced = _context(arr)
+        relation_generators(forced)
+    assert_same_walk(forced, ctx)
 
 
 def test_a_failed_x_minor_climbs_to_the_top_building_its_matrix_and_pairs_once(
     monkeypatch, kernels
 ):
     """The walk then climbs from degree 0; with nothing found below d-2 it
-    bounds d-2 again with the start's rung: A_{d-2} is built once, the
-    pairs are built and checked once, at the start, and the support test
-    runs at the start and at the climb's d-2, with no lift."""
+    reads the start's outcome at d-2: A_{d-2} is built once, the pairs are
+    built and checked once, and the support test runs once, at the start,
+    with no lift."""
     built, tests = [], []
     build, support = jacobian.syzygy_matrix, linalg._canonical_support
     monkeypatch.setattr(jacobian, "syzygy_matrix", lambda ctx, r: built.append(r) or build(ctx, r))
@@ -620,7 +629,7 @@ def test_a_failed_x_minor_climbs_to_the_top_building_its_matrix_and_pairs_once(
     generators = _generators(ctx)
     d = ctx.d
     assert built == [d - 2] + list(range(d - 2))
-    assert (calls, tests, kernels) == ([True], [1, 1], [])
+    assert (calls, tests, kernels) == ([True], [1], [])
     assert generators == _generators(_context(arr, components=False))
 
 
@@ -638,7 +647,8 @@ def test_each_pencil_through_q0_gives_its_relations(name, rows, calls, monkeypat
     an A7 point), rho_L at 1 and theta at d-2 and no pencil_relations call;
     the partial pencil (k = 6) one row at d-4 = 8 for its three members and
     a pair at d-2 = 10 for each other conic.  Each family is built once: the
-    start builds the one at d-2 before any lower A_e, the climb those below."""
+    start builds the one at d-2 before any lower A_e, the climb those below.
+    The walk is that without components (assert_same_walk)."""
     if name == "partial_pencil":
         arr = _partial_pencil(6)
     else:
@@ -647,8 +657,9 @@ def test_each_pencil_through_q0_gives_its_relations(name, rows, calls, monkeypat
     assert pencil == (name not in ("generic", "partial_pencil"))
     seen = _pencil_relation_calls(monkeypatch)
     ctx = _context(arr)
-    assert _generators(ctx) == _generators(_context(arr, components=False))
+    relation_generators(ctx)
     assert seen == calls
+    assert_same_walk(ctx, _context(arr, components=False))
     assert {e: len(ctx.pool[e]) for e in ctx.families if e != ctx.d - 1} == rows
 
 
@@ -766,9 +777,9 @@ def test_the_walk_bounds_each_step_once(monkeypatch):
 def test_no_walk_eliminates_a_rung_twice(monkeypatch):
     """Over the corpus, generic seed 1, shifted (7, 4), the tangent ladder
     and _syzygy_arrangement, no analysis builds and checks one rung twice:
-    the walk keeps the rungs it eliminated by the count of generators
-    found, so a step at d-2 after the top step with the same generators
-    re-reads its rung.  _relations_mod_p runs once per rung built."""
+    the walk keeps its steps at d-2 by the count of generators found, so a
+    step at d-2 after the top step with the same generators reads its
+    outcome.  _relations_mod_p runs once per rung built."""
     seen = []
     original = jacobian._relations_mod_p
 
@@ -781,6 +792,42 @@ def test_no_walk_eliminates_a_rung_twice(monkeypatch):
         seen.clear()
         analyze_curve(f, arrangement=arr)
         assert seen and len(set(seen)) == len(seen), name
+
+
+def test_the_walk_builds_a_standard_form_only_at_d1(monkeypatch):
+    """Cost ladder: over _pinned_inputs() (the corpus among them) and the
+    a7_k5, tangent-ladder and partial-pencil inputs of
+    scripts/bench_windows.py, linalg.kernel_basis_from_span runs at most
+    once per analysis, at the degree of the walk's first generator, where
+    the witness is read: above d1 the pool's candidates join as they
+    stand."""
+    script = _load("bench_windows", "scripts/bench_windows.py")
+    inputs = {name: (f, arr) for name, (f, arr, _) in _pinned_inputs().items()}
+    for name, texts in script.arrangements().items():
+        if name == "a7_k5" or name.startswith(("tangent_", "partial_pencil")):
+            arr = ConicArrangement.from_texts(texts)
+            inputs[f"bench:{name}"] = (arr.polynomial(), arr)
+    degrees, span = [], linalg.kernel_basis_from_span
+
+    def spy(matrix, rows, dimension):
+        degrees.append(next(e for e in count() if 3 * degree_dimension(e) == matrix.cols))
+        return span(matrix, rows, dimension)
+
+    monkeypatch.setattr(linalg, "kernel_basis_from_span", spy)
+    for name, (f, arr) in inputs.items():
+        degrees.clear()
+        generators = analyze_curve(f, arrangement=arr).ctx.generators
+        assert degrees in ([], [generators[0][0]]), (name, degrees)
+
+
+@pytest.mark.parametrize("name", ["ploski_m5", "p4_four_conics"])
+def test_the_generators_above_d1_are_rows_of_the_pool(name):
+    ctx = _context(entry(name).arrangement())
+    generators = relation_generators(ctx)
+    above = [(e, vec) for e, vec in generators if e > generators[0][0]]
+    assert above
+    for e, vec in above:
+        assert any(np.array_equal(vec, row) for _, row in ctx.pool[e]), e
 
 
 @pytest.mark.parametrize(
