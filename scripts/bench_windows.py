@@ -35,11 +35,17 @@ comparable with the earlier BENCH files), then ``mdr`` followed by
 runs them in (``pipeline_s``), then one ``survey`` of the arrangement
 (``survey_s``); the two checkouts alternate run by run, so drift in the
 machine's speed falls on both alike.  Each input is run REPEATS times per
-side.  The JSON file holds the machine's description, every time, the
+side.  Wall-clock medians of so few runs cannot resolve a change of a few
+ms, so each child then also takes the CPU time (``time.process_time``) of
+mdr plus the window on a fresh context and of the survey of a freshly
+parsed arrangement, the best of BEST_OF runs each (``pipeline_cpu_s``,
+``survey_cpu_s``); the best over all runs of a side is kept beside the
+medians.  The JSON file holds the machine's description, every time, the
 windows, taus, d1, survey inventories and completeness of both checkouts,
 the (rows, cols) of each kernel that ``linalg.kernel_basis_certified``
 lifts in the timed mdr and window (``lifts``), and per input the speedup
-of the window (median before / median after) and whether the lifts moved.
+of the window (median before / median after), that of the survey's best
+CPU time, and whether the lifts moved.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ SHIFTED_SEEDS = ((7, 4), (8, 4), (8, 19), (12, 12345))  # (k, seed) of the shift
 TANGENT_SEED = 1  # the seed of the tangent ladder, k = 4..6
 A7_SEED = 3  # the seed of the k = 5 arrangement with an A7 point
 REPEATS = 3  # runs per side, for every input
+BEST_OF = 5  # CPU-timed runs of mdr plus the window, and of the survey, in each child
 
 
 @cache
@@ -154,7 +161,8 @@ def arrangements() -> dict[str, list[str]]:
 def time_one(src: str, name: str) -> dict:
     """Run in a child process: the timed window of one input, then mdr and the
     window, whose lifted kernels it records, then the survey of the
-    arrangement."""
+    arrangement; last the best CPU time of BEST_OF runs of mdr and the
+    window, and of BEST_OF surveys."""
     sys.path.insert(0, src)
     from conicfree import linalg
     from conicfree.jacobian import JacobianContext, hilbert_profile, mdr
@@ -182,6 +190,17 @@ def time_one(src: str, name: str) -> dict:
     t0 = time.perf_counter()
     sv = survey(arr)
     survey_seconds = time.perf_counter() - t0
+    pipeline_cpu, survey_cpu = [], []
+    for _ in range(BEST_OF):
+        ctx = JacobianContext.for_curve(f, conics)
+        t0 = time.process_time()
+        mdr(ctx)
+        hilbert_profile(ctx)
+        pipeline_cpu.append(time.process_time() - t0)
+        fresh = ConicArrangement.from_texts(texts)
+        t0 = time.process_time()
+        survey(fresh)
+        survey_cpu.append(time.process_time() - t0)
     return {
         "d": ctx.d,
         "d1": witness.r,
@@ -192,6 +211,8 @@ def time_one(src: str, name: str) -> dict:
         "s": seconds,
         "pipeline_s": pipeline,
         "survey_s": survey_seconds,
+        "pipeline_cpu_s": min(pipeline_cpu),
+        "survey_cpu_s": min(survey_cpu),
         "lifts": lifts,
     }
 
@@ -239,29 +260,52 @@ def main() -> int:
                         k: result[k]
                         for k in ("d", "d1", "window", "tau", "inventory", "complete", "lifts")
                     }
-                    | {"seconds": [], "pipeline_seconds": [], "survey_seconds": []},
+                    | {
+                        "seconds": [],
+                        "pipeline_seconds": [],
+                        "survey_seconds": [],
+                        "pipeline_cpu_seconds": [],
+                        "survey_cpu_seconds": [],
+                    },
                 )
                 entry["seconds"].append(round(result["s"], 3))
                 entry["pipeline_seconds"].append(round(result["pipeline_s"], 3))
                 entry["survey_seconds"].append(round(result["survey_s"], 5))
+                entry["pipeline_cpu_seconds"].append(round(result["pipeline_cpu_s"], 5))
+                entry["survey_cpu_seconds"].append(round(result["survey_cpu_s"], 6))
         for side in sides:
             entry = runs[side][name]
             entry["median_s"] = round(statistics.median(entry["seconds"]), 3)
             entry["median_pipeline_s"] = round(statistics.median(entry["pipeline_seconds"]), 3)
             entry["median_survey_s"] = round(statistics.median(entry["survey_seconds"]), 5)
+            entry["best_pipeline_cpu_s"] = min(entry["pipeline_cpu_seconds"])
+            entry["best_survey_cpu_s"] = min(entry["survey_cpu_seconds"])
             print(f"{side:6s} {name:24s} tau={entry['tau']} d1={entry['d1']} median "
                   f"{entry['median_s']} s, with mdr {entry['median_pipeline_s']} s, "
-                  f"survey {entry['median_survey_s']} s", flush=True)
+                  f"survey {entry['median_survey_s']} s; best CPU with mdr "
+                  f"{entry['best_pipeline_cpu_s']} s, survey {entry['best_survey_cpu_s']} s",
+                  flush=True)
 
     doc = {
         "what": "seconds of one hilbert_profile call per input on a fresh context (seconds), "
         "of mdr then hilbert_profile on another (pipeline_seconds), and of one survey of "
         "the arrangement (survey_seconds), each input in a fresh process; the two "
-        "checkouts alternate run by run",
+        "checkouts alternate run by run; then in each process the best CPU seconds of "
+        f"{BEST_OF} runs of mdr then hilbert_profile on fresh contexts "
+        f"(pipeline_cpu_seconds) and of {BEST_OF} surveys of freshly parsed "
+        "arrangements (survey_cpu_seconds), and per side the best of these "
+        "(best_pipeline_cpu_s, best_survey_cpu_s)",
         "machine": machine(),
         "runs": runs,
         "speedup": {
             name: round(runs["before"][name]["median_s"] / runs["after"][name]["median_s"], 1)
+            for name in runs["after"]
+        },
+        "survey_cpu_speedup": {
+            name: round(
+                runs["before"][name]["best_survey_cpu_s"] / runs["after"][name]["best_survey_cpu_s"],
+                2,
+            )
             for name in runs["after"]
         },
         "same_window": {

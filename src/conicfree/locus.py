@@ -2,8 +2,9 @@
 
 Locates the rational intersection points of every pair of components by
 resultant elimination with rational-root extraction, measures local
-intersection multiplicities twice (resultant root order and branch jets,
-which must agree), and classifies each singular point by its branch data:
+intersection multiplicities twice (resultant root order, and the tangents
+with branch jets where the tangents agree; the two must agree), and
+classifies each singular point by its branch data:
 two-branch tangencies of order m give the A-series point A_{2m-1}, ordinary
 points give the triple point or ordinary r-fold types, and everything else
 is reported as a raw descriptor with its branch-count Milnor number.
@@ -30,9 +31,9 @@ A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
 each component's ``ConicForm.integer``, computed once per form and cached on
 it: shears, resultants, rational fibers as coprime integer pairs, fiber
-points, root finding and jets are all integer arithmetic, and the jets of a
-survey are keyed by the integer conic and the point.  Fraction appears only
-in the returned roots and in the jet coefficients.
+points, root finding and jets are all integer arithmetic, and the tangents
+and jets of a survey are keyed by the integer conic and the point.  Fraction
+appears only in the returned roots and in the jet coefficients.
 """
 
 from __future__ import annotations
@@ -245,6 +246,32 @@ def _affine_conic_coefficients(
     )
 
 
+def _checked_tangent(
+    q: ConicForm, point: ProjectivePoint, a00: int, t10: int, t01: int
+) -> tuple[int, int]:
+    """The affine tangent line t10*u + t01*v = 0 of q at point, as coprime
+    integers whose last nonzero one is positive.
+
+    (a00, t10, t01) are the first three entries of the local equation of
+    :func:`_affine_conic_coefficients`; a point off q (a00 != 0) or a
+    singular point of q raises ValueError.
+    """
+    if a00 != 0:
+        raise ValueError(f"point {point} does not lie on the conic {q}")
+    if t10 == 0 and t01 == 0:
+        raise ValueError(f"conic is singular at {point}")
+    g = gcd(t10, t01)
+    if t01 < 0 or (t01 == 0 and t10 < 0):
+        g = -g
+    return t10 // g, t01 // g
+
+
+def _tangent(q: ConicForm, point: ProjectivePoint) -> tuple[int, int]:
+    """The tangent of q at point, as :attr:`BranchJet.tangent` holds it."""
+    _, _, (a00, t10, t01, _, _, _) = _affine_conic_coefficients(q.integer, point)
+    return _checked_tangent(q, point, a00, t10, t01)
+
+
 def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     """Fourth-order jet of the conic at a rational point on it.
 
@@ -256,10 +283,7 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     chart, s, (a00, t10, t01, a20, a11, a02) = _affine_conic_coefficients(
         q.integer, point
     )
-    if a00 != 0:
-        raise ValueError(f"point {point} does not lie on the conic {q}")
-    if t10 == 0 and t01 == 0:
-        raise ValueError(f"conic is singular at {point}")
+    tangent = _checked_tangent(q, point, a00, t10, t01)
     swapped = t01 == 0
     a10, a01 = t10, t01
     if swapped:
@@ -269,33 +293,41 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
     # b11 are its U^2 and U*V coefficients times a01^2 and a01.
     b20 = (a20 * a01 - a11 * a10) * a01 + a02 * a10 * a10
     b11 = a11 * a01 - 2 * a02 * a10
-    ti, tj = t10 // gcd(t10, t01), t01 // gcd(t10, t01)
-    if tj < 0 or (tj == 0 and ti < 0):
-        ti, tj = -ti, -tj
     return BranchJet(
         center=point,
         chart=chart,
         swapped=swapped,
         shear=Fraction(a10, a01),
-        tangent=(ti, tj),
+        tangent=tangent,
         c2=Fraction(-b20 * s, a01**3),
         c3=Fraction(b11 * b20 * s * s, a01**5),
         c4=Fraction(-b20 * (b11 * b11 + a02 * b20) * s**3, a01**7),
     )
 
 
-# Jets computed during one survey, keyed by (integer conic, point).
-JetTable = dict[tuple[IntConic, ProjectivePoint], BranchJet]
+class JetTable(dict):
+    """The jets of one survey, keyed by (integer conic, point), and beside
+    them in ``tangents`` the tangent lines, keyed alike.
+
+    A plain dict serves as a jet table too; the tangents are then computed
+    afresh on each call.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tangents: dict[tuple[IntConic, ProjectivePoint], tuple[int, int]] = {}
 
 
-def _jet(q: ConicForm, point: ProjectivePoint, jets: JetTable | None) -> BranchJet:
-    if jets is None:
-        return branch_jet(q, point)
+def _tabled(table: dict | None, build, q: ConicForm, point: ProjectivePoint):
+    """build(q, point), taken from (and added to) table under (q.integer,
+    point) when a table is given."""
+    if table is None:
+        return build(q, point)
     key = (q.integer, point)
-    jet = jets.get(key)
-    if jet is None:
-        jet = jets[key] = branch_jet(q, point)
-    return jet
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(q, point)
+    return value
 
 
 def local_intersection_multiplicity(
@@ -303,19 +335,23 @@ def local_intersection_multiplicity(
     qj: ConicForm,
     p: ProjectivePoint | tuple,
     *,
-    jets: JetTable | None = None,
+    jets: dict | None = None,
 ) -> int:
     """Intersection multiplicity of two smooth conics at a common rational point.
 
-    1 for distinct tangents, otherwise the vanishing order of the jet
-    difference (2, 3 or 4; order 5 would force the conics to coincide).
-    Jets are taken from (and added to) ``jets`` when a table is given.
+    1 for distinct tangents, read from the tangents alone; otherwise the
+    vanishing order of the difference of the two branch jets (2, 3 or 4;
+    order 5 would force the conics to coincide), so a jet is built only
+    where the tangents agree.  Jets are taken from (and added to) ``jets``
+    when a table is given, and tangents from (and to) its ``tangents`` when
+    it is a :class:`JetTable`.
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
-    ji = _jet(qi, point, jets)
-    jj = _jet(qj, point, jets)
-    if ji.tangent != jj.tangent:
+    tangents = getattr(jets, "tangents", None)
+    if _tabled(tangents, _tangent, qi, point) != _tabled(tangents, _tangent, qj, point):
         return 1
+    ji = _tabled(jets, branch_jet, qi, point)
+    jj = _tabled(jets, branch_jet, qj, point)
     if ji.c2 != jj.c2:
         return 2
     if ji.c3 != jj.c3:
@@ -581,7 +617,7 @@ def _scan_with_shear(
     qi: ConicForm,
     qj: ConicForm,
     known: dict[ProjectivePoint, int],
-    jets: JetTable | None,
+    jets: dict | None,
 ) -> tuple[list[tuple[ProjectivePoint, int]], int]:
     """Locate rational common points through one projection.
 
@@ -662,12 +698,17 @@ def _pair_scan(
     qi: ConicForm,
     qj: ConicForm,
     known: list[ProjectivePoint],
-    jets: JetTable | None,
+    jets: dict | None,
 ) -> PairIntersections:
     """The rational common points of two smooth, distinct conics, of which
     ``known`` are already located; see :func:`_scan_with_shear`.  The
-    unlocated ones, counted by :func:`_distinct_common_points`, carry the
-    residual budget and are transversal exactly when each carries one.
+    multiplicity at each point comes from
+    :func:`local_intersection_multiplicity`, called through the module for
+    every point: from the tangents alone where they differ, from jets (at
+    most one per conic and point in ``jets``) where they agree.  The
+    unlocated common points, counted by :func:`_distinct_common_points`,
+    carry the residual budget and are transversal exactly when each carries
+    one.
     """
     mults = {pt: local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in known}
     located, residual = _scan_with_shear(qi, qj, mults, jets)
@@ -683,7 +724,7 @@ def _pair_scan(
 
 
 def rational_pair_intersections(
-    qi: ConicForm, qj: ConicForm, *, jets: JetTable | None = None
+    qi: ConicForm, qj: ConicForm, *, jets: dict | None = None
 ) -> PairIntersections:
     """All rational common points of two conics, with local multiplicities.
 
@@ -711,7 +752,7 @@ def classify_point(
     p: ProjectivePoint | tuple,
     assume_qh: bool = False,
     *,
-    jets: JetTable | None = None,
+    jets: dict | None = None,
 ) -> SingularPointRecord:
     """Branch data and local type of a singular point of the arrangement.
 
@@ -784,15 +825,18 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     earlier pairs located on both of its conics (:func:`_pair_scan`), whose
     fiber forms divide its resultant exactly, raised to their jet
     multiplicities, before only the quotient is root-searched; so the
-    pair's resultant root orders and jets must agree at known and new points
-    alike.  Per-pair residuals track the multiplicity still unlocated; the
-    survey is complete exactly when every pair's budget is explained by
-    classified rational points.
+    pair's resultant root orders and jet multiplicities (read from the
+    tangents where they differ, from jets where they agree) must agree at
+    known and new points alike.  The survey's :class:`JetTable` holds each
+    tangent and each jet at most once per (integer conic, point).  Per-pair
+    residuals, tallied from the records' own pair multiplicities, track the
+    multiplicity still unlocated; the survey is complete exactly when every
+    pair's budget is explained by classified rational points.
     """
     comps = arr.components
     # the arrangement already checked that its components are smooth and
     # pairwise distinct, so the pairs go straight to the scan
-    jets: JetTable = {}  # each (component, point) jet is built once per survey
+    jets = JetTable()  # each (component, point) tangent and jet at most once per survey
     # point -> {(i, j): multiplicity} for every pair that located it
     located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
     members: dict[ProjectivePoint, list[int]] = {}  # the components through each point
@@ -810,12 +854,14 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
         _classify(pt, members[pt], located[pt], assume_qh)
         for pt in sorted(located, key=lambda p: p.coords())
     )
-    residual_per_pair: dict[tuple[int, int], int] = {}
-    for i, j in combinations(range(arr.k), 2):
-        explained = sum(rec.mult(i, j) for rec in records)
-        if explained > 4:
-            raise AssertionError(f"pair ({i},{j}) exceeds its Bezout budget: {explained}")
-        residual_per_pair[(i, j)] = 4 - explained
+    explained = dict.fromkeys(combinations(range(arr.k), 2), 0)
+    for rec in records:
+        for pair, m in rec.pair_mults.items():
+            explained[pair] += m
+    for (i, j), total in explained.items():
+        if total > 4:
+            raise AssertionError(f"pair ({i},{j}) exceeds its Bezout budget: {total}")
+    residual_per_pair = {pair: 4 - total for pair, total in explained.items()}
     complete = all(v == 0 for v in residual_per_pair.values())
     return LocusSurvey(
         arrangement=arr,

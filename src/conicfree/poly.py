@@ -354,6 +354,16 @@ class ProjectivePoint:
     def coords(self) -> tuple[int, int, int]:
         return (self.x, self.y, self.z)
 
+    def __hash__(self) -> int:
+        # The hash of the coordinates, as the dataclass would give, computed
+        # once per point: points key the survey's tables at every lookup.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.x, self.y, self.z))
+            object.__setattr__(self, "_hash", value)
+            return value
+
     def __str__(self) -> str:
         return f"({self.x}:{self.y}:{self.z})"
 

@@ -1,7 +1,7 @@
 """scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
-with the curve's d1, a timed mdr plus window with its lifted kernels and a timed
-survey, on contexts that carry the arrangement's conics; the tangent ladder lifts
-no kernel."""
+with the curve's d1, a timed mdr plus window with its lifted kernels, a timed
+survey and the best CPU times of both, on contexts that carry the
+arrangement's conics; the tangent ladder lifts no kernel."""
 
 import importlib.util
 import json
@@ -53,6 +53,7 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
     }
     assert result["d1"] == D1[name]
     assert result["s"] > 0 and result["pipeline_s"] > 0 and result["survey_s"] > 0
+    assert result["pipeline_cpu_s"] > 0 and result["survey_cpu_s"] > 0
     assert result["inventory"] == INVENTORY[name]
     assert result["complete"] == (name == "pencil_four_points_m7")
 

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicfree.locus import (
     ConicArrangement,
+    JetTable,
     NotSingularError,
     SingType,
     branch_jet,
@@ -16,7 +17,7 @@ from conicfree.locus import (
     rational_pair_intersections,
     survey,
 )
-from conicfree.poly import ConicForm, ProjectivePoint, dehomogenize
+from conicfree.poly import ConicForm, ProjectivePoint, conic_is_smooth, dehomogenize
 
 P4_COMPONENTS = [
     "x^2+y^2-z^2",
@@ -187,6 +188,14 @@ def test_branch_jet_reproduces_local_equation_to_order_four():
 def test_branch_jet_requires_point_on_conic():
     with pytest.raises(ValueError):
         branch_jet(ConicForm.parse("x^2+y^2-z^2"), (0, 0, 1))
+
+
+@pytest.mark.parametrize("jets", [None, {}, JetTable()])
+def test_multiplicity_refuses_a_singular_point_of_a_conic(jets):
+    """The line pair x*y is singular at (0:0:1), where the tangents are read."""
+    line_pair, parabola = ConicForm.parse("x*y"), ConicForm.parse("x^2-y*z")
+    with pytest.raises(ValueError, match="conic is singular at"):
+        local_intersection_multiplicity(line_pair, parabola, (0, 0, 1), jets=jets)
 
 
 def test_local_multiplicity_ladder():
@@ -509,23 +518,114 @@ def test_mu_formula_for_a_series(c, lin):
     assert str(rec.sing_type) == f"A{2 * m - 1}"
 
 
-def test_survey_builds_each_branch_jet_once(monkeypatch):
-    """One jet per (component, point) in a survey: 8 members x 4 base points."""
+def _jet_rule(qi, qj, point):
+    """The multiplicity by the fourth-order jet rule: both branch jets built,
+    then compared term by term (tangent, c2, c3, c4)."""
+    ji, jj = branch_jet(qi, point), branch_jet(qj, point)
+    for order, field in enumerate(("tangent", "c2", "c3", "c4"), start=1):
+        if getattr(ji, field) != getattr(jj, field):
+            return order
+    raise AssertionError("the conics agree to order 4")
+
+
+def _line_product(a, b):
+    """The conic a*b of two lines given by their (x, y, z) coefficients."""
+    return (
+        a[0] * b[0],
+        a[1] * b[1],
+        a[2] * b[2],
+        a[0] * b[1] + a[1] * b[0],
+        a[0] * b[2] + a[2] * b[0],
+        a[1] * b[2] + a[2] * b[1],
+    )
+
+
+_small = st.integers(-4, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    c=st.integers(1, 4),
+    q=st.tuples(_small, _small, _small, _small, _small),
+    secant=st.tuples(_small, _small),
+    off=st.tuples(_small, _small, st.sampled_from([-2, -1, 1, 3])),
+    lam=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    m=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+)
+def test_tangents_first_agree_with_the_jet_rule_on_planted_contact(c, q, secant, off, lam, m):
+    """q through P = (0:0:1) with tangent T there, and q' = q + lam*A*B with
+    A*B = S*N, T*N, T*S or T*T (S a secant through P, N a line off it), so
+    that q and q' meet at P with multiplicity c = 1..4.  Moved by a rational
+    PGL(3), the multiplicity read from the tangents first equals c and the
+    jet rule, with or without tables; a point off a conic still raises."""
+    xx, yy, xy, xz, yz = q
+    tangent, secant = (xz, yz, 0), (*secant, 0)
+    assume(secant[0] * tangent[1] != secant[1] * tangent[0])
+    lines = {1: (secant, off), 2: (tangent, off), 3: (tangent, secant), 4: (tangent, tangent)}[c]
+    base = ConicForm(xx, yy, 0, xy, xz, yz)
+    touching = ConicForm(
+        *(u + lam * v for u, v in zip((xx, yy, 0, xy, xz, yz), _line_product(*lines)))
+    )
+    assume(conic_is_smooth(base) and conic_is_smooth(touching))
+    move = [m[0:3], m[3:6], m[6:9]]
+    assume(_det(move) != 0)
+    qi, qj = _pull_back(base, move), _pull_back(touching, move)
+    point = ProjectivePoint.of(*_apply(_adjugate(move), (0, 0, 1)))
+    assert _conic_at(qi, point) == _conic_at(qj, point) == 0
+    for jets in (None, {}, JetTable()):
+        assert local_intersection_multiplicity(qi, qj, point, jets=jets) == c
+    assert _jet_rule(qi, qj, point) == c
+    # a smooth conic holds at most two of three points on the line z = 0
+    outside = next(
+        ProjectivePoint.of(*pt) for pt in ((1, 0, 0), (0, 1, 0), (1, 1, 0)) if _conic_at(qi, pt) != 0
+    )
+    for jets in (None, JetTable()):
+        with pytest.raises(ValueError, match="does not lie on the conic"):
+            local_intersection_multiplicity(qi, qj, outside, jets=jets)
+
+
+def _spy_on_branch_jets(monkeypatch):
+    """The (integer conic, point) of every branch_jet the survey builds."""
     import conicfree.locus as locus
 
-    f, g = PENCIL_F, PENCIL_G
-    arr = ConicArrangement.from_texts([f, g] + [f"({f})+{lam}*({g})" for lam in range(1, 7)])
-    calls = []
+    built = []
     real = locus.branch_jet
 
     def counting(q, p):
-        calls.append((q, p))
+        built.append((q.integer, p))
         return real(q, p)
 
     monkeypatch.setattr(locus, "branch_jet", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["pencil_m8", "contact_triple", "celal_three_conics"])
+def test_survey_builds_a_branch_jet_only_where_two_conics_share_a_tangent(name, monkeypatch):
+    """Transverse pairs are told from their tangents: the 8-member pencil,
+    whose 4 base points are ordinary, builds no jet at all.  Where two
+    conics touch, each of them gets one jet at that point, and no more."""
+    from conicfree.corpus import entry
+
+    f, g = PENCIL_F, PENCIL_G
+    arr = {
+        "pencil_m8": lambda: ConicArrangement.from_texts(
+            [f, g] + [f"({f})+{lam}*({g})" for lam in range(1, 7)]
+        ),
+        "contact_triple": lambda: ConicArrangement.from_texts(CONTACT_TRIPLE),
+        "celal_three_conics": lambda: entry("celal_three_conics").arrangement(),
+    }[name]()
+    built = _spy_on_branch_jets(monkeypatch)
     sv = survey(arr)
-    assert sv.inventory() == {"ordinary(8)": 4} and sv.complete
-    assert len(calls) == len(set(calls)) == 32
+    assert sv.complete
+    contacts = {
+        (arr.components[c].integer, rec.point)
+        for rec in sv.records
+        for pair, m in rec.pair_mults.items()
+        if m > 1
+        for c in pair
+    }
+    assert len(built) == len(set(built)) and set(built) == contacts
+    assert len(built) == {"pencil_m8": 0, "contact_triple": 4, "celal_three_conics": 6}[name]
 
 
 def test_jet_table_is_keyed_by_the_integer_conic():
