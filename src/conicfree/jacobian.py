@@ -137,6 +137,7 @@ from conicfree.poly import (
     conic_matrix,
     degree_dimension,
     monomials_of_degree,
+    pencil_key,
     rank_one_member,
 )
 
@@ -346,14 +347,14 @@ def conic_pencils(conics: Sequence[Sequence[int]]) -> list[list[int]]:
     index lists, 0 first.  q_l is in the pencil of q_0 and q_j where
     [q_0; q_j; q_l] has rank 2 over Q, that is, where the 2 x 2 minors of
     [q_0; q_l] are a multiple of those of [q_0; q_j]; so each q_j is keyed,
-    exactly, by its minors made primitive, first nonzero one positive.  A
-    multiple of q_0 (no reduced curve has one) is in no pencil."""
-    q, pencils = np.array(conics, dtype=object), {}
-    for j in range(1, len(q)):
-        minors = (np.outer(q[0], q[j]) - np.outer(q[j], q[0]))[np.triu_indices(6, 1)]
-        if minors.any():
-            sign = 1 if minors[minors != 0][0] > 0 else -1
-            pencils.setdefault(tuple(minors // (sign * gcd(*minors))), [0]).append(j)
+    exactly, by its minors made primitive, first nonzero one positive
+    (poly.pencil_key).  A multiple of q_0 (no reduced curve has one) is in
+    no pencil."""
+    pencils: dict[tuple[int, ...], list[int]] = {}
+    for j in range(1, len(conics)):
+        key = pencil_key(conics[0], conics[j])
+        if any(key):
+            pencils.setdefault(key, [0]).append(j)
     return list(pencils.values())
 
 

@@ -18,14 +18,17 @@ determinant cubic of the pair's pencil counts the distinct common points
 over C, and the unlocated ones are transversal exactly when they number as
 many as the residual.
 
-A survey locates each point once.  Every pair takes one path and one
-projection: its resultant is divided exactly by the fiber forms of the
-points already located on both conics, each raised to that point's jet
-multiplicity, and only the quotient is searched for rational roots, so the
-resultant and the jets still measure every multiplicity twice and must
-agree.  A pair fully explained by located points (as any two members of a
-pencil with rational base points) leaves a nonzero constant, and no root
-search at all.
+A survey locates each point once and scans each pencil with a rational
+base point once.  A scanned pair takes one projection: its resultant is divided exactly by the fiber
+forms of the points already located on both conics, each raised to that
+point's jet multiplicity, and only the quotient is searched for rational
+roots, so the resultant and the jets still measure every multiplicity twice
+and must agree.  A pair fully explained by located points leaves a nonzero
+constant, and no root search at all.  A pair that spans the pencil of a
+pair already scanned (poly.pencil_key) takes that pair's intersection, as
+two members of one pencil generate one ideal; its own tangents and jets
+must give the same multiplicities, and its resultant is the scanned one
+times a nonzero square.
 
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
@@ -39,7 +42,7 @@ appears only in the returned roots and in the jet coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, isqrt
@@ -51,6 +54,7 @@ from conicfree.poly import (
     ProjectivePoint,
     conic_is_smooth,
     expand_product,
+    pencil_key,
     rank_one_member,
 )
 
@@ -252,9 +256,10 @@ def _checked_tangent(
     """The affine tangent line t10*u + t01*v = 0 of q at point, as coprime
     integers whose last nonzero one is positive.
 
-    (a00, t10, t01) are the first three entries of the local equation of
-    :func:`_affine_conic_coefficients`; a point off q (a00 != 0) or a
-    singular point of q raises ValueError.
+    (t10, t01) are the linear terms of the local equation of
+    :func:`_affine_conic_coefficients` and a00 is a nonzero multiple of its
+    constant term q(point); a point off q (a00 != 0) or a singular point of
+    q raises ValueError.
     """
     if a00 != 0:
         raise ValueError(f"point {point} does not lie on the conic {q}")
@@ -267,9 +272,21 @@ def _checked_tangent(
 
 
 def _tangent(q: ConicForm, point: ProjectivePoint) -> tuple[int, int]:
-    """The tangent of q at point, as :attr:`BranchJet.tangent` holds it."""
-    _, _, (a00, t10, t01, _, _, _) = _affine_conic_coefficients(q.integer, point)
-    return _checked_tangent(q, point, a00, t10, t01)
+    """The tangent of q at point, as :attr:`BranchJet.tangent` holds it.
+
+    Read from the gradient g of the integer conic at the point alone: the
+    linear terms of :func:`_affine_conic_coefficients` are g's entries off
+    the chart's axis, and point . g = 2*q(point) by Euler's identity, so
+    the local equation is left to :func:`branch_jet`, which needs it only
+    where two tangents agree.
+    """
+    x, y, z = point.coords()
+    xx, yy, zz, xy, xz, yz = q.integer
+    gx = 2 * xx * x + xy * y + xz * z
+    gy = xy * x + 2 * yy * y + yz * z
+    gz = xz * x + yz * y + 2 * zz * z
+    t10, t01 = (gx, gy) if z else ((gx, gz) if y else (gy, gz))
+    return _checked_tangent(q, point, x * gx + y * gy + z * gz, t10, t01)
 
 
 def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
@@ -701,12 +718,13 @@ def _pair_scan(
     jets: dict | None,
 ) -> PairIntersections:
     """The rational common points of two smooth, distinct conics, of which
-    ``known`` are already located; see :func:`_scan_with_shear`.  The
-    multiplicity at each point comes from
-    :func:`local_intersection_multiplicity`, called through the module for
-    every point: from the tangents alone where they differ, from jets (at
-    most one per conic and point in ``jets``) where they agree.  The
-    unlocated common points, counted by :func:`_distinct_common_points`,
+    ``known`` are already located; see :func:`_scan_with_shear`.  A survey
+    scans only the first pair of each pencil this way (the others take its
+    result through :func:`_pencil_scan`).  The multiplicity at each point
+    comes from :func:`local_intersection_multiplicity`, called through the
+    module for every point: from the tangents alone where they differ, from
+    jets (at most one per conic and point in ``jets``) where they agree.
+    The unlocated common points, counted by :func:`_distinct_common_points`,
     carry the residual budget and are transversal exactly when each carries
     one.
     """
@@ -818,20 +836,52 @@ def _classify(
     )
 
 
+def _pencil_scan(
+    qi: ConicForm, qj: ConicForm, scan: PairIntersections, jets: dict | None
+) -> PairIntersections:
+    """The intersection of a pair that spans the pencil of a scanned pair.
+
+    Two distinct members of one pencil generate the same ideal, so the pair
+    meets at the scanned pair's points, with its multiplicities, residual
+    and transversality.  The resultant agrees too: every factor of the
+    Bezoutian in :func:`_resultant_in_x` is a 2 x 2 minor of the pair's
+    coefficient rows, so under one shear the resultant of (alpha*q_a +
+    beta*q_b, gamma*q_a + delta*q_b) is (alpha*delta - beta*gamma)^2 times
+    that of (q_a, q_b), with the same fibers and root orders.  The pair's
+    own multiplicity at each point, from
+    :func:`local_intersection_multiplicity` through the module, must equal
+    the scanned one.
+    """
+    for pt, m in scan.points:
+        own = local_intersection_multiplicity(qi, qj, pt, jets=jets)
+        if own != m:
+            raise AssertionError(
+                f"multiplicity {own} at {pt} disagrees with {m} of the pencil's scanned pair"
+            )
+    return scan
+
+
 def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     """Locate, classify and account for the rational singular points.
 
-    Each point is located once: every pair is scanned with the points that
+    Each point is located once: a pair is scanned with the points that
     earlier pairs located on both of its conics (:func:`_pair_scan`), whose
     fiber forms divide its resultant exactly, raised to their jet
     multiplicities, before only the quotient is root-searched; so the
     pair's resultant root orders and jet multiplicities (read from the
     tangents where they differ, from jets where they agree) must agree at
-    known and new points alike.  The survey's :class:`JetTable` holds each
-    tangent and each jet at most once per (integer conic, point).  Per-pair
-    residuals, tallied from the records' own pair multiplicities, track the
-    multiplicity still unlocated; the survey is complete exactly when every
-    pair's budget is explained by classified rational points.
+    known and new points alike, and its located multiplicities and residual
+    must make four.  A pencil with a rational base point is scanned once: a
+    pair with a known point whose pencil (poly.pencil_key) an earlier pair
+    through that point spans takes that pair's intersection, its own
+    multiplicities checked against it (:func:`_pencil_scan`).  A pair with
+    no known point is scanned and pays no key: an earlier pair of its
+    pencil would have located any rational base point on both of its
+    conics.  The survey's :class:`JetTable` holds each tangent and each jet
+    at most once per (integer conic, point).  Per-pair residuals, tallied
+    from the records' own pair multiplicities, track the multiplicity still
+    unlocated; the survey is complete exactly when every pair's budget is
+    explained by classified rational points.
     """
     comps = arr.components
     # the arrangement already checked that its components are smooth and
@@ -840,14 +890,36 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     # point -> {(i, j): multiplicity} for every pair that located it
     located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
     members: dict[ProjectivePoint, list[int]] = {}  # the components through each point
+    scans: dict[tuple[int, int], PairIntersections] = {}  # every pair surveyed so far
+
+    @cache
+    def key(i: int, j: int) -> tuple[int, ...]:
+        return pencil_key(comps[i].integer, comps[j].integer)
+
     residual_transversal = True
     for i, j in combinations(range(arr.k), 2):
         known = [pt for pt, on in members.items() if i in on and j in on]
-        pair = _pair_scan(comps[i], comps[j], known, jets)
+        source = None
+        if known:
+            # a pair of the same pencil meets (i, j) at every point, so it
+            # located the first known one
+            source = next((p for p in located[known[0]] if key(*p) == key(i, j)), None)
+        if source is not None:
+            pair = _pencil_scan(comps[i], comps[j], scans[source], jets)
+        else:
+            pair = _pair_scan(comps[i], comps[j], known, jets)
+        scans[i, j] = pair
+        bezout = pair.residual
         for pt, m in pair.points:
+            bezout += m
             located.setdefault(pt, {})[(i, j)] = m
             if pt not in members:
                 members[pt] = _members(comps, pt)
+        if bezout != 4:
+            raise AssertionError(
+                f"pair ({i},{j}) located {list(pair.points)} with residual "
+                f"{pair.residual}, not the four points Bezout counts"
+            )
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False
     records = tuple(

@@ -8,9 +8,10 @@ every operation is pure, so the module is safe to use from multiple threads.
 A ConicForm computes its content-free integer coefficients (``integer``) on
 first use and caches them; the cached value is a function of the immutable
 fields, so two threads racing on it store equal tuples.  The conic helpers
-at the end (conic_matrix, cofactors, determinant_cubic, rank_one_member)
-take those integer tuples; the survey reads from them how many distinct
-points a pair shares, and the relation walk the double line of a pencil.
+at the end (pencil_key, conic_matrix, cofactors, determinant_cubic,
+rank_one_member) take those integer tuples; the survey reads from them
+which pairs span one pencil and how many distinct points a pair shares, and
+the relation walk the pencils of q_0 and the double line of a pencil.
 
 The expression grammar accepted by :func:`parse_polynomial`::
 
@@ -648,6 +649,32 @@ def conic_is_smooth(q: ConicForm) -> bool:
     """
     xx, yy, zz, xy, xz, yz = q.integer
     return 4 * xx * yy * zz + xy * xz * yz - xx * yz * yz - yy * xz * xz - zz * xy * xy != 0
+
+
+def pencil_key(qi: Sequence[int], qj: Sequence[int]) -> tuple[int, ...]:
+    """The pencil that the integer conics qi and qj span: the 15 minors
+    qi[a]*qj[b] - qj[a]*qi[b] (a < b, in lexicographic order) of [qi; qj],
+    made primitive with the first nonzero one positive.
+
+    The minors of [alpha*qi + beta*qj; gamma*qi + delta*qj] are those of
+    [qi; qj] times alpha*delta - beta*gamma, so two pairs of conics get one
+    key exactly when they span one pencil.  Proportional conics span none
+    and get the 15 zeros.
+    """
+    a0, a1, a2, a3, a4, a5 = qi
+    b0, b1, b2, b3, b4, b5 = qj
+    minors = (
+        a0 * b1 - b0 * a1, a0 * b2 - b0 * a2, a0 * b3 - b0 * a3, a0 * b4 - b0 * a4,
+        a0 * b5 - b0 * a5, a1 * b2 - b1 * a2, a1 * b3 - b1 * a3, a1 * b4 - b1 * a4,
+        a1 * b5 - b1 * a5, a2 * b3 - b2 * a3, a2 * b4 - b2 * a4, a2 * b5 - b2 * a5,
+        a3 * b4 - b3 * a4, a3 * b5 - b3 * a5, a4 * b5 - b4 * a5,
+    )
+    g = gcd(*minors)
+    if not g:
+        return minors
+    if next(filter(None, minors)) < 0:
+        g = -g
+    return tuple([m // g for m in minors])
 
 
 def conic_matrix(q: Sequence[int]) -> list[list[int]]:

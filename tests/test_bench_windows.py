@@ -83,3 +83,36 @@ def test_the_tangent_ladder_takes_its_kernels_from_the_double_line_pencils(monke
         analysis = analyze_curve(arr.polynomial(), arrangement=arr)
         assert analysis.witness.r == d - 3
         assert lifts == []
+
+
+def test_the_survey_scans_each_pencil_once_and_keys_no_generic_pair(monkeypatch):
+    """The 8-member pencil (the one of test_locus's
+    test_survey_scans_one_pair_of_a_pencil_and_of_a_contact_pair) and the
+    7-member one take one pair scan instead of 28 and 21; the
+    partial pencil, whose three pencil conics share four base points,
+    takes 13 of its 15, keying only the three pencil pairs.  The generic
+    arrangements of k = 5..8 scan all of their pairs, and as no pair has a
+    point already located on both of its conics, no pencil key is computed."""
+    import conicfree.locus as locus
+    from conicfree.locus import ConicArrangement, survey
+
+    script = _script()
+    texts = script.arrangements()
+    pencil = [script.PENCIL_F, script.PENCIL_G]
+    assert texts["pencil_four_points_m8"] == pencil + [
+        f"({script.PENCIL_F})+{lam}*({script.PENCIL_G})" for lam in range(1, 7)
+    ]
+    scans, keys = [], []
+    scan, key = locus._pair_scan, locus.pencil_key
+    monkeypatch.setattr(locus, "_pair_scan", lambda *args: scans.append(args) or scan(*args))
+    monkeypatch.setattr(locus, "pencil_key", lambda *args: keys.append(args) or key(*args))
+    expected = {
+        "pencil_four_points_m7": (1, 21),
+        "pencil_four_points_m8": (1, 28),
+        "partial_pencil_k6": (13, 3),
+    } | {f"generic_k{k}": (k * (k - 1) // 2, 0) for k in (5, 6, 7, 8)}
+    for name, counts in expected.items():
+        scans.clear()
+        keys.clear()
+        survey(ConicArrangement.from_texts(texts[name]))
+        assert (len(scans), len(keys)) == counts, name

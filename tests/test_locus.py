@@ -786,6 +786,28 @@ def test_survey_refuses_a_point_a_member_pair_scan_missed(monkeypatch):
         survey(arr)
 
 
+def test_survey_refuses_a_pair_scan_that_misses_a_base_point_of_its_pencil(monkeypatch):
+    """The first pair of the pencil F, G, F + G is the only one scanned; if
+    its scan drops one of the four base points, the later pairs would take
+    three points from it and the survey would pass as merely incomplete.
+    The scanned pair's located multiplicities and residual make three, not
+    four, so the survey refuses it."""
+    import dataclasses
+
+    import conicfree.locus as locus
+
+    arr = ConicArrangement.from_texts([PENCIL_F, PENCIL_G, f"({PENCIL_F})+({PENCIL_G})"])
+    real = locus._pair_scan
+
+    def drops_a_point(*args):
+        pair = real(*args)
+        return dataclasses.replace(pair, points=pair.points[:-1])
+
+    monkeypatch.setattr(locus, "_pair_scan", drops_a_point)
+    with pytest.raises(AssertionError, match="located"):
+        survey(arr)
+
+
 def _survey_matches_the_pair_oracle(arr, assume_qh=False):
     """Every pair's multiplicities over the survey records and its residual
     equal a standalone rational_pair_intersections of the pair, and the
@@ -846,6 +868,149 @@ def test_survey_pairs_match_the_pair_oracle_on_moved_pencils(seed):
     moved = ConicArrangement(tuple(_pull_back(q, m) for q in pencil.components))
     sv = _survey_matches_the_pair_oracle(moved)
     assert sv.inventory() == {"ordinary(6)": 4} and sv.complete
+
+
+# Pencils of the members s*F + t*G, with a rational base point P of every member:
+#   "four": y*z - x*z and x*z - x*y, base points (1:0:0), (0:1:0), (0:0:1), (1:1:1);
+#   "conjugate": x^2 + y^2 - z^2 and y*(y - 2*z), base points (1:0:1), (-1:0:1)
+#     and the conjugate pair (+-sqrt(-3):2:1);
+#   "a3": x^2 + y^2 - z^2 and y^2, two A3 points (1:0:1), (-1:0:1);
+#   "a7": x^2 + y^2 - z^2 and (y - z)^2, tangent at its one A7 point (0:1:1).
+PENCIL_FAMILIES = {
+    "four": ((0, 0, 0, 0, -1, 1), (0, 0, 0, -1, 1, 0), (1, 0, 0)),
+    "conjugate": ((1, 1, -1, 0, 0, 0), (0, 1, 0, 0, 0, -2), (1, 0, 1)),
+    "a3": ((1, 1, -1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 1)),
+    "a7": ((1, 1, -1, 0, 0, 0), (0, 1, 1, 0, 0, -2), (0, 1, 1)),
+}
+
+
+def _spy_on_pair_results(monkeypatch):
+    """(integer conic, integer conic) -> PairIntersections for every pair
+    the survey scans (locus._pair_scan), and the same for every pair that
+    takes its pencil's scan (locus._pencil_scan)."""
+    import conicfree.locus as locus
+
+    scanned, inherited = {}, {}
+    for name, results in (("_pair_scan", scanned), ("_pencil_scan", inherited)):
+
+        def spy(qi, qj, *args, real=getattr(locus, name), results=results):
+            results[qi.integer, qj.integer] = real(qi, qj, *args)
+            return results[qi.integer, qj.integer]
+
+        monkeypatch.setattr(locus, name, spy)
+    return scanned, inherited
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    family=st.sampled_from(sorted(PENCIL_FAMILIES)),
+    lams=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(-6, 6)),
+        min_size=3,
+        max_size=6,
+        unique_by=lambda st_: Fraction(st_[1], st_[0]),
+    ),
+    outside=st.tuples(*[st.integers(-4, 4)] * 6),
+    through=st.booleans(),
+    position=st.integers(0, 6),
+    m=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
+)
+def test_every_pencil_pair_matches_its_own_pair_scan(family, lams, outside, through, position, m):
+    """A pencil of 3-6 members (rational base points, a conjugate pair of
+    them, or a double line giving A3 or A7 points) and one conic outside
+    it (through the base point P or not), at a drawn position, moved by a
+    random integer PGL(3).  The survey scans the pencil once, and every
+    pair's points, multiplicities, residual and transversality equal
+    rational_pair_intersections of that pair alone."""
+    from math import comb
+
+    from conicfree.locus import _evaluate
+    from conicfree.poly import pencil_key
+
+    f, g, base = PENCIL_FAMILIES[family]
+    members = [tuple(s * u + t * v for u, v in zip(f, g)) for s, t in lams]
+    members = [q for q in members if conic_is_smooth(ConicForm(*q))]
+    assume(len(members) >= 3)
+    if through:
+        # subtract q(P) from the square of P's first nonzero coordinate, 1 at P
+        square = next(c for c in range(3) if base[c])
+        value = _evaluate(outside, *base)
+        outside = tuple(c - value * (n == square) for n, c in enumerate(outside))
+    assume(any(outside) and conic_is_smooth(ConicForm(*outside)))
+    assume(pencil_key(f, g) not in (pencil_key(f, outside), pencil_key(g, outside)))
+    move = [m[0:3], m[3:6], m[6:9]]
+    assume(_det(move) != 0)
+    conics = members[:position] + [outside] + members[position:]
+    arr = ConicArrangement(tuple(_pull_back(ConicForm(*q), move) for q in conics))
+    with pytest.MonkeyPatch.context() as mp:
+        scanned, inherited = _spy_on_pair_results(mp)
+        sv = survey(arr)
+    assert len(inherited) == comb(len(members), 2) - 1
+    assert len(scanned) + len(inherited) == comb(arr.k, 2)
+    oracles = {}
+    for i, j in sv.residual_per_pair:
+        qi, qj = arr.components[i], arr.components[j]
+        oracle = oracles[i, j] = rational_pair_intersections(qi, qj)
+        surveyed = scanned.get((qi.integer, qj.integer)) or inherited[qi.integer, qj.integer]
+        assert surveyed == oracle, (i, j)
+        assert {rec.point: rec.mult(i, j) for rec in sv.records if rec.mult(i, j)} == dict(
+            oracle.points
+        ), (i, j)
+        assert sv.residual_per_pair[i, j] == oracle.residual, (i, j)
+    assert sv.residual_transversal == all(
+        o.residual_transversal for o in oracles.values() if o.residual
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    qa=st.tuples(*[st.integers(-9, 9)] * 6),
+    qb=st.tuples(*[st.integers(-9, 9)] * 6),
+    change=st.tuples(*[st.integers(-5, 5)] * 4),
+    shear=st.tuples(st.integers(-2, 4), st.integers(-2, 4)),  # the shears of locus._SHEAR_GRID
+)
+def test_resultant_of_two_pencil_members_is_a_square_multiple(qa, qb, change, shear):
+    """Under one shear, the Bezoutian of (alpha*q_a + beta*q_b, gamma*q_a +
+    delta*q_b) is exactly (alpha*delta - beta*gamma)^2 times that of (q_a,
+    q_b), with the same fibers and root orders where both are nonzero."""
+    from conicfree.locus import _binary_form_fibers, _resultant_in_x, _shear_conic
+
+    alpha, beta, gamma, delta = change
+    qi = tuple(alpha * u + beta * v for u, v in zip(qa, qb))
+    qj = tuple(gamma * u + delta * v for u, v in zip(qa, qb))
+    a, b = shear
+    res = _resultant_in_x(_shear_conic(qa, a, b), _shear_conic(qb, a, b))
+    det = alpha * delta - beta * gamma
+    assert _resultant_in_x(_shear_conic(qi, a, b), _shear_conic(qj, a, b)) == [
+        det * det * c for c in res
+    ]
+    if det and any(res):
+        fibers = _binary_form_fibers(res)
+        assert _binary_form_fibers([det * det * c for c in res]) == fibers
+
+
+def test_survey_refuses_a_wrong_multiplicity_on_a_pair_that_takes_its_pencil_scan(monkeypatch):
+    """In the pencil F, G, F + G only the pair (0, 1) is scanned; a
+    multiplicity that is wrong on the pair (1, 2) alone, at one base point,
+    must still be refused."""
+    import conicfree.locus as locus
+
+    arr = ConicArrangement.from_texts([PENCIL_F, PENCIL_G, f"({PENCIL_F})+({PENCIL_G})"])
+    pair = {arr.components[1].integer, arr.components[2].integer}
+    base = ProjectivePoint.of(1, 1, 1)
+    real = locus.local_intersection_multiplicity
+
+    def corrupted(qi, qj, p, *, jets=None):
+        if {qi.integer, qj.integer} == pair and p == base:
+            return 2
+        return real(qi, qj, p, jets=jets)
+
+    scanned, inherited = _spy_on_pair_results(monkeypatch)
+    assert survey(arr).inventory() == {"D4": 4}
+    assert len(scanned) == 1 and len(inherited) == 2
+    monkeypatch.setattr(locus, "local_intersection_multiplicity", corrupted)
+    with pytest.raises(AssertionError, match="pencil's scanned pair"):
+        survey(arr)
 
 
 # x^2 - y*z and x^2 + y^2 - 2*y*z = (x^2 - y*z) + y*(y - z) meet on y*(y - z):

@@ -17,6 +17,7 @@ from conicfree.poly import (
     dehomogenize,
     monomials_of_degree,
     parse_polynomial,
+    pencil_key,
 )
 
 X, Y, Z = (HomogeneousPolynomial.variable(v) for v in "xyz")
@@ -306,6 +307,45 @@ def test_proportionality_matches_the_fraction_ratios(q, other, c, scaled):
     assert other.is_proportional_to(q) is _proportional_by_ratios(q, other)
     if scaled:
         assert q.is_proportional_to(other)
+
+
+_int_conics = st.tuples(*[st.integers(-4, 4)] * 6)
+
+
+def _outer_minor_key(qi, qj):
+    """The pencil key as jacobian.conic_pencils built it before pencil_key:
+    the upper triangle of outer(qi, qj) - outer(qj, qi) over object arrays,
+    made primitive with the first nonzero entry positive."""
+    from math import gcd
+
+    import numpy as np
+
+    a, b = np.array(qi, dtype=object), np.array(qj, dtype=object)
+    minors = (np.outer(a, b) - np.outer(b, a))[np.triu_indices(6, 1)]
+    if not minors.any():
+        return tuple(minors)
+    sign = 1 if minors[minors != 0][0] > 0 else -1
+    return tuple(minors // (sign * gcd(*minors)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(qi=_int_conics, qj=_int_conics, change=st.tuples(*[st.integers(-3, 3)] * 4))
+def test_pencil_key_names_the_pencil_a_pair_spans(qi, qj, change):
+    """The key equals the outer-product construction it replaced, is zero
+    exactly for proportional conics, and is the same for every basis
+    (alpha*qi + beta*qj, gamma*qi + delta*qj) of the pencil."""
+    key = pencil_key(qi, qj)
+    assert key == _outer_minor_key(qi, qj)
+    assert all(type(m) is int for m in key)
+    proportional = all(u * w == v * t for u, v in zip(qi, qj) for t, w in zip(qi, qj))
+    assert (not any(key)) is proportional
+    alpha, beta, gamma, delta = change
+    ri = tuple(alpha * u + beta * v for u, v in zip(qi, qj))
+    rj = tuple(gamma * u + delta * v for u, v in zip(qi, qj))
+    if alpha * delta - beta * gamma and not proportional:
+        assert pencil_key(ri, rj) == pencil_key(rj, ri) == key
+    else:
+        assert not any(pencil_key(ri, rj))
 
 
 def test_conic_rejects_wrong_degree_and_zero():
