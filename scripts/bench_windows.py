@@ -40,10 +40,14 @@ ms, so each child then also takes the CPU time (``time.process_time``) of
 mdr plus the window on a fresh context and of the survey of a freshly
 parsed arrangement, the best of BEST_OF runs each (``pipeline_cpu_s``,
 ``survey_cpu_s``); the best over all runs of a side is kept beside the
-medians.  The JSON file holds the machine's description, every time, the
-windows, taus, d1, survey inventories and completeness of both checkouts,
-the (rows, cols) of each kernel that ``linalg.kernel_basis_certified``
-lifts in the timed mdr and window (``lifts``), and per input the speedup
+medians.  Beside them each child counts the ``locus._pair_scan`` calls of
+one more, untimed survey (``pair_scans``): a survey CPU time that moves
+while this count repeats moved with the machine, not with the survey's
+path.  The JSON file holds the machine's description, every time, the
+windows, taus, d1, survey inventories, completeness and pair-scan counts of
+both checkouts, the (rows, cols) of each kernel that
+``linalg.kernel_basis_certified`` lifts in the timed mdr and window
+(``lifts``), and per input the speedup
 of the window (median before / median after), that of the survey's best
 CPU time, and whether the lifts moved.
 """
@@ -161,10 +165,10 @@ def arrangements() -> dict[str, list[str]]:
 def time_one(src: str, name: str) -> dict:
     """Run in a child process: the timed window of one input, then mdr and the
     window, whose lifted kernels it records, then the survey of the
-    arrangement; last the best CPU time of BEST_OF runs of mdr and the
-    window, and of BEST_OF surveys."""
+    arrangement; then the best CPU time of BEST_OF runs of mdr and the
+    window, and of BEST_OF surveys; last the pair scans of one survey."""
     sys.path.insert(0, src)
-    from conicfree import linalg
+    from conicfree import linalg, locus
     from conicfree.jacobian import JacobianContext, hilbert_profile, mdr
     from conicfree.locus import ConicArrangement, survey
     from conicfree.poly import parse_polynomial
@@ -201,6 +205,10 @@ def time_one(src: str, name: str) -> dict:
         t0 = time.process_time()
         survey(fresh)
         survey_cpu.append(time.process_time() - t0)
+    scans, scan = [], locus._pair_scan
+    locus._pair_scan = lambda *args: scans.append(1) or scan(*args)
+    survey(ConicArrangement.from_texts(texts))
+    locus._pair_scan = scan
     return {
         "d": ctx.d,
         "d1": witness.r,
@@ -213,6 +221,7 @@ def time_one(src: str, name: str) -> dict:
         "survey_s": survey_seconds,
         "pipeline_cpu_s": min(pipeline_cpu),
         "survey_cpu_s": min(survey_cpu),
+        "pair_scans": len(scans),
         "lifts": lifts,
     }
 
@@ -258,7 +267,8 @@ def main() -> int:
                     name,
                     {
                         k: result[k]
-                        for k in ("d", "d1", "window", "tau", "inventory", "complete", "lifts")
+                        for k in ("d", "d1", "window", "tau", "inventory", "complete")
+                        + ("lifts", "pair_scans")
                     }
                     | {
                         "seconds": [],
@@ -283,7 +293,8 @@ def main() -> int:
             print(f"{side:6s} {name:24s} tau={entry['tau']} d1={entry['d1']} median "
                   f"{entry['median_s']} s, with mdr {entry['median_pipeline_s']} s, "
                   f"survey {entry['median_survey_s']} s; best CPU with mdr "
-                  f"{entry['best_pipeline_cpu_s']} s, survey {entry['best_survey_cpu_s']} s",
+                  f"{entry['best_pipeline_cpu_s']} s, survey {entry['best_survey_cpu_s']} s "
+                  f"({entry['pair_scans']} pair scans)",
                   flush=True)
 
     doc = {
@@ -294,7 +305,8 @@ def main() -> int:
         f"{BEST_OF} runs of mdr then hilbert_profile on fresh contexts "
         f"(pipeline_cpu_seconds) and of {BEST_OF} surveys of freshly parsed "
         "arrangements (survey_cpu_seconds), and per side the best of these "
-        "(best_pipeline_cpu_s, best_survey_cpu_s)",
+        "(best_pipeline_cpu_s, best_survey_cpu_s); pair_scans counts the "
+        "locus._pair_scan calls of one more survey in the process",
         "machine": machine(),
         "runs": runs,
         "speedup": {

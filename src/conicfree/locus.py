@@ -18,17 +18,17 @@ determinant cubic of the pair's pencil counts the distinct common points
 over C, and the unlocated ones are transversal exactly when they number as
 many as the residual.
 
-A survey locates each point once and scans each pencil with a rational
-base point once.  A scanned pair takes one projection: its resultant is divided exactly by the fiber
-forms of the points already located on both conics, each raised to that
-point's jet multiplicity, and only the quotient is searched for rational
-roots, so the resultant and the jets still measure every multiplicity twice
-and must agree.  A pair fully explained by located points leaves a nonzero
-constant, and no root search at all.  A pair that spans the pencil of a
-pair already scanned (poly.pencil_key) takes that pair's intersection, as
-two members of one pencil generate one ideal; its own tangents and jets
-must give the same multiplicities, and its resultant is the scanned one
-times a nonzero square.
+A survey locates each point once and scans each pencil once: every pair is
+keyed by the pencil it spans (poly.pencil_key), the first pair of a pencil
+is scanned, and every later pair of it takes that scan, as two members of
+one pencil generate one ideal; its own tangents and jets must give the same
+multiplicities, and its resultant is the scanned one times a nonzero
+square.  A scanned pair takes one projection: its resultant is divided
+exactly by the fiber forms of the points already located on both conics,
+each raised to that point's jet multiplicity, and only the quotient is
+searched for rational roots, so the resultant and the jets still measure
+every multiplicity twice and must agree.  A pair fully explained by located
+points leaves a nonzero constant, and no root search at all.
 
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
@@ -42,12 +42,12 @@ appears only in the returned roots and in the jet coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations, count
 from math import gcd, isqrt
 
-from conicfree.linalg import _is_probable_prime, _rat_reconstruct
+from conicfree.linalg import _is_probable_prime, _primitive, _rat_reconstruct
 from conicfree.poly import (
     ConicForm,
     HomogeneousPolynomial,
@@ -434,7 +434,7 @@ def _eval_mod(cs: list[int], t: int, m: int) -> int:
     return total
 
 
-def _padic_rational_roots(g: list[int]) -> list[Fraction]:
+def _padic_rational_roots(g: tuple[int, ...]) -> list[Fraction]:
     """Rational roots of a squarefree integer polynomial with g(0) != 0.
 
     A root n/d in lowest terms has |n| <= |g(0)| and d <= |lc(g)|, so d is
@@ -526,12 +526,7 @@ def _rational_roots(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list
     return roots, cs
 
 
-def _primitive(f: list[int]) -> list[int]:
-    g = gcd(*f)
-    return [c // g for c in f]
-
-
-def _poly_gcd(f: list[int], g: list[int]) -> list[int]:
+def _poly_gcd(f: list[int], g: list[int]) -> tuple[int, ...]:
     """Primitive gcd of integer polynomials (low-to-high, no trailing zeros,
     f nonzero), by primitive pseudo-remainder sequences."""
     a, b = _primitive(f), (_primitive(g) if g else [])
@@ -548,7 +543,7 @@ def _poly_gcd(f: list[int], g: list[int]) -> list[int]:
     return a
 
 
-def _squarefree_part(cs: list[int]) -> list[int]:
+def _squarefree_part(cs: list[int]) -> tuple[int, ...]:
     """cs / gcd(cs, cs') as a primitive integer polynomial."""
     g = _poly_gcd(cs, [i * c for i, c in enumerate(cs)][1:])
     # exact long division cs / g over the integers (g is primitive, so the
@@ -630,73 +625,6 @@ _SHEAR_GRID = sorted(
 )
 
 
-def _scan_with_shear(
-    qi: ConicForm,
-    qj: ConicForm,
-    known: dict[ProjectivePoint, int],
-    jets: dict | None,
-) -> tuple[list[tuple[ProjectivePoint, int]], int]:
-    """Locate rational common points through one projection.
-
-    The projection is from (1:0:0) after the first shear (a, b) of the grid
-    that keeps that point off both conics.  ``known`` maps points already
-    located on both conics to their jet multiplicities.  The resultant is
-    divided exactly by each known point's fiber form, raised to the jet
-    multiplicities summed on that fiber, and only the quotient is searched
-    for rational roots: none are searched when it is a nonzero constant.  On
-    each fiber the search finds, the points not already known must carry the
-    quotient's root order in jet multiplicities.  Returns (all located
-    points with jet multiplicities, residual budget).
-    """
-    # a smooth conic holds at most two of the grid's points (1:a:b) on each
-    # line y = a*x, 14 of 49, so some shear keeps (1:0:0) off both conics
-    for a, b in _SHEAR_GRID:  # pragma: no branch
-        ti, tj = _shear_conic(qi.integer, a, b), _shear_conic(qj.integer, a, b)
-        if ti[0] and tj[0]:
-            break
-    quotient = _resultant_in_x(ti, tj)
-    known_fibers: dict[tuple[int, int], int] = {}
-    for pt, m in known.items():
-        x, y, z = pt.coords()
-        # the fiber (y0 : z0) of the point, coprime with z0 > 0, or (1 : 0)
-        y0, z0 = y - a * x, z - b * x
-        g = -gcd(y0, z0) if z0 < 0 or (z0 == 0 and y0 < 0) else gcd(y0, z0)
-        fiber = (y0 // g, z0 // g)
-        known_fibers[fiber] = known_fibers.get(fiber, 0) + m
-    for (y0, z0), m in known_fibers.items():
-        for _ in range(m):
-            # the form must vanish on the fiber; on (1:0) its degree drops
-            if _eval_homogeneous(quotient, y0, z0) != 0:
-                raise AssertionError(
-                    f"jet multiplicities {list(known.values())} disagree with the "
-                    f"resultant at ({y0}:{z0})"
-                )
-            quotient = _deflate(quotient, y0, z0) if z0 else quotient[:-1]
-    located = list(known.items())
-    located_fiber_budget = 0
-    for (y0, z0), mult in _binary_form_fibers(quotient):
-        points = _fiber_points(ti, tj, y0, z0)
-        if points is None:
-            # a conjugate pair of points sharing this rational fiber; by
-            # symmetry each carries multiplicity mult/2
-            if mult % 2 != 0:
-                raise AssertionError(
-                    "odd resultant order split over a conjugate point pair"
-                )
-            continue
-        mapped = [ProjectivePoint.of(x, y + a * x, z + b * x) for x, y, z in points]
-        new = [pt for pt in mapped if pt not in known]
-        jet_mults = [local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in new]
-        if sum(jet_mults) != mult:
-            raise AssertionError(
-                f"jet multiplicities {jet_mults} disagree with resultant order {mult}"
-            )
-        located.extend(zip(new, jet_mults))
-        located_fiber_budget += mult
-    located.sort(key=lambda pm: pm[0].coords())
-    return located, len(quotient) - 1 - located_fiber_budget
-
-
 def _distinct_common_points(qi: ConicForm, qj: ConicForm) -> int:
     """How many distinct points two smooth, distinct conics share over C.
 
@@ -718,18 +646,71 @@ def _pair_scan(
     jets: dict | None,
 ) -> PairIntersections:
     """The rational common points of two smooth, distinct conics, of which
-    ``known`` are already located; see :func:`_scan_with_shear`.  A survey
-    scans only the first pair of each pencil this way (the others take its
-    result through :func:`_pencil_scan`).  The multiplicity at each point
-    comes from :func:`local_intersection_multiplicity`, called through the
-    module for every point: from the tangents alone where they differ, from
-    jets (at most one per conic and point in ``jets``) where they agree.
-    The unlocated common points, counted by :func:`_distinct_common_points`,
+    ``known`` are already located, through one projection.
+
+    The projection is from (1:0:0) after the first shear (a, b) of the grid
+    that keeps that point off both conics.  The resultant is divided exactly
+    by each known point's fiber form, raised to the jet multiplicities summed
+    on that fiber, and only the quotient is searched for rational roots:
+    none are searched when it is a nonzero constant.  On each fiber the
+    search finds, the points not already known must carry the quotient's
+    root order in jet multiplicities.  The multiplicity at each point comes
+    from :func:`local_intersection_multiplicity`, called through the module
+    for every point: from the tangents alone where they differ, from jets
+    (at most one per conic and point in ``jets``) where they agree.  The
+    unlocated common points, counted by :func:`_distinct_common_points`,
     carry the residual budget and are transversal exactly when each carries
-    one.
+    one.  A survey scans only the first pair of each pencil this way (the
+    others take its result through :func:`_pencil_scan`).
     """
     mults = {pt: local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in known}
-    located, residual = _scan_with_shear(qi, qj, mults, jets)
+    # a smooth conic holds at most two of the grid's points (1:a:b) on each
+    # line y = a*x, 14 of 49, so some shear keeps (1:0:0) off both conics
+    for a, b in _SHEAR_GRID:  # pragma: no branch
+        ti, tj = _shear_conic(qi.integer, a, b), _shear_conic(qj.integer, a, b)
+        if ti[0] and tj[0]:
+            break
+    quotient = _resultant_in_x(ti, tj)
+    known_fibers: dict[tuple[int, int], int] = {}
+    for pt, m in mults.items():
+        x, y, z = pt.coords()
+        # the fiber (y0 : z0) of the point, coprime with z0 > 0, or (1 : 0)
+        y0, z0 = y - a * x, z - b * x
+        g = -gcd(y0, z0) if z0 < 0 or (z0 == 0 and y0 < 0) else gcd(y0, z0)
+        fiber = (y0 // g, z0 // g)
+        known_fibers[fiber] = known_fibers.get(fiber, 0) + m
+    for (y0, z0), m in known_fibers.items():
+        for _ in range(m):
+            # the form must vanish on the fiber; on (1:0) its degree drops
+            if _eval_homogeneous(quotient, y0, z0) != 0:
+                raise AssertionError(
+                    f"jet multiplicities {list(mults.values())} disagree with the "
+                    f"resultant at ({y0}:{z0})"
+                )
+            quotient = _deflate(quotient, y0, z0) if z0 else quotient[:-1]
+    located = list(mults.items())
+    located_fiber_budget = 0
+    for (y0, z0), mult in _binary_form_fibers(quotient):
+        points = _fiber_points(ti, tj, y0, z0)
+        if points is None:
+            # a conjugate pair of points sharing this rational fiber; by
+            # symmetry each carries multiplicity mult/2
+            if mult % 2 != 0:
+                raise AssertionError(
+                    "odd resultant order split over a conjugate point pair"
+                )
+            continue
+        mapped = [ProjectivePoint.of(x, y + a * x, z + b * x) for x, y, z in points]
+        new = [pt for pt in mapped if pt not in mults]
+        jet_mults = [local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in new]
+        if sum(jet_mults) != mult:
+            raise AssertionError(
+                f"jet multiplicities {jet_mults} disagree with resultant order {mult}"
+            )
+        located.extend(zip(new, jet_mults))
+        located_fiber_budget += mult
+    located.sort(key=lambda pm: pm[0].coords())
+    residual = len(quotient) - 1 - located_fiber_budget
     transversal = True
     if residual:
         unlocated = _distinct_common_points(qi, qj) - len(located)
@@ -864,24 +845,21 @@ def _pencil_scan(
 def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     """Locate, classify and account for the rational singular points.
 
-    Each point is located once: a pair is scanned with the points that
-    earlier pairs located on both of its conics (:func:`_pair_scan`), whose
-    fiber forms divide its resultant exactly, raised to their jet
-    multiplicities, before only the quotient is root-searched; so the
-    pair's resultant root orders and jet multiplicities (read from the
-    tangents where they differ, from jets where they agree) must agree at
-    known and new points alike, and its located multiplicities and residual
-    must make four.  A pencil with a rational base point is scanned once: a
-    pair with a known point whose pencil (poly.pencil_key) an earlier pair
-    through that point spans takes that pair's intersection, its own
-    multiplicities checked against it (:func:`_pencil_scan`).  A pair with
-    no known point is scanned and pays no key: an earlier pair of its
-    pencil would have located any rational base point on both of its
-    conics.  The survey's :class:`JetTable` holds each tangent and each jet
-    at most once per (integer conic, point).  Per-pair residuals, tallied
-    from the records' own pair multiplicities, track the multiplicity still
-    unlocated; the survey is complete exactly when every pair's budget is
-    explained by classified rational points.
+    Every pair is keyed by the pencil it spans (poly.pencil_key), and each
+    pencil is scanned once.  The first pair of a pencil is scanned with the
+    points that earlier pairs located on both of its conics
+    (:func:`_pair_scan`), whose fiber forms divide its resultant exactly,
+    raised to their jet multiplicities, before only the quotient is
+    root-searched; so the pair's resultant root orders and jet
+    multiplicities (read from the tangents where they differ, from jets
+    where they agree) must agree at known and new points alike.  Every
+    later pair of that pencil takes the scan, its own multiplicities checked
+    against it (:func:`_pencil_scan`).  Each pair's located multiplicities
+    and residual must make four, and its residual is the multiplicity still
+    unlocated.  The survey's :class:`JetTable` holds each tangent and each
+    jet at most once per (integer conic, point).  The survey is complete
+    exactly when every pair's budget is explained by classified rational
+    points.
     """
     comps = arr.components
     # the arrangement already checked that its components are smooth and
@@ -890,25 +868,16 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     # point -> {(i, j): multiplicity} for every pair that located it
     located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
     members: dict[ProjectivePoint, list[int]] = {}  # the components through each point
-    scans: dict[tuple[int, int], PairIntersections] = {}  # every pair surveyed so far
-
-    @cache
-    def key(i: int, j: int) -> tuple[int, ...]:
-        return pencil_key(comps[i].integer, comps[j].integer)
-
+    pencils: dict[tuple[int, ...], PairIntersections] = {}  # pencil -> its first pair's scan
+    residual_per_pair: dict[tuple[int, int], int] = {}
     residual_transversal = True
     for i, j in combinations(range(arr.k), 2):
-        known = [pt for pt, on in members.items() if i in on and j in on]
-        source = None
-        if known:
-            # a pair of the same pencil meets (i, j) at every point, so it
-            # located the first known one
-            source = next((p for p in located[known[0]] if key(*p) == key(i, j)), None)
-        if source is not None:
-            pair = _pencil_scan(comps[i], comps[j], scans[source], jets)
+        key = pencil_key(comps[i].integer, comps[j].integer)
+        if key in pencils:
+            pair = _pencil_scan(comps[i], comps[j], pencils[key], jets)
         else:
-            pair = _pair_scan(comps[i], comps[j], known, jets)
-        scans[i, j] = pair
+            known = [pt for pt, on in members.items() if i in on and j in on]
+            pair = pencils[key] = _pair_scan(comps[i], comps[j], known, jets)
         bezout = pair.residual
         for pt, m in pair.points:
             bezout += m
@@ -920,26 +889,18 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
                 f"pair ({i},{j}) located {list(pair.points)} with residual "
                 f"{pair.residual}, not the four points Bezout counts"
             )
+        residual_per_pair[i, j] = pair.residual
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False
     records = tuple(
         _classify(pt, members[pt], located[pt], assume_qh)
         for pt in sorted(located, key=lambda p: p.coords())
     )
-    explained = dict.fromkeys(combinations(range(arr.k), 2), 0)
-    for rec in records:
-        for pair, m in rec.pair_mults.items():
-            explained[pair] += m
-    for (i, j), total in explained.items():
-        if total > 4:
-            raise AssertionError(f"pair ({i},{j}) exceeds its Bezout budget: {total}")
-    residual_per_pair = {pair: 4 - total for pair, total in explained.items()}
-    complete = all(v == 0 for v in residual_per_pair.values())
     return LocusSurvey(
         arrangement=arr,
         records=records,
         residual_per_pair=residual_per_pair,
-        complete=complete,
+        complete=not any(residual_per_pair.values()),
         assume_qh=assume_qh,
         residual_transversal=residual_transversal,
     )

@@ -1,7 +1,8 @@
 """scripts/bench_windows.py: one timed window reproduces the one recorded in BENCH_6.json,
 with the curve's d1, a timed mdr plus window with its lifted kernels, a timed
 survey and the best CPU times of both, on contexts that carry the
-arrangement's conics; the tangent ladder lifts no kernel."""
+arrangement's conics, and the survey's pair-scan count; the tangent ladder
+lifts no kernel."""
 
 import importlib.util
 import json
@@ -25,6 +26,8 @@ def _script():
 D1 = {"pencil_four_points_m7": 2, "generic_k5": 8}
 # the generic conics meet in four transverse points per pair, one of them rational
 INVENTORY = {"pencil_four_points_m7": {"ordinary(7)": 4}, "generic_k5": {"A1": 1}}
+# the survey scans the pencil's first pair alone, and every generic pair
+PAIR_SCANS = {"pencil_four_points_m7": 1, "generic_k5": 10}
 
 
 @pytest.mark.parametrize("name", ["pencil_four_points_m7", "generic_k5"])
@@ -54,6 +57,7 @@ def test_time_one_returns_the_recorded_window(name, monkeypatch):
     assert result["d1"] == D1[name]
     assert result["s"] > 0 and result["pipeline_s"] > 0 and result["survey_s"] > 0
     assert result["pipeline_cpu_s"] > 0 and result["survey_cpu_s"] > 0
+    assert result["pair_scans"] == PAIR_SCANS[name]
     assert result["inventory"] == INVENTORY[name]
     assert result["complete"] == (name == "pencil_four_points_m7")
 
@@ -85,14 +89,15 @@ def test_the_tangent_ladder_takes_its_kernels_from_the_double_line_pencils(monke
         assert lifts == []
 
 
-def test_the_survey_scans_each_pencil_once_and_keys_no_generic_pair(monkeypatch):
-    """The 8-member pencil (the one of test_locus's
+def test_the_survey_scans_each_pencil_once(monkeypatch):
+    """Every pair is keyed by its pencil, once.  The 8-member pencil (the
+    one of test_locus's
     test_survey_scans_one_pair_of_a_pencil_and_of_a_contact_pair) and the
-    7-member one take one pair scan instead of 28 and 21; the
-    partial pencil, whose three pencil conics share four base points,
-    takes 13 of its 15, keying only the three pencil pairs.  The generic
-    arrangements of k = 5..8 scan all of their pairs, and as no pair has a
-    point already located on both of its conics, no pencil key is computed."""
+    7-member one take one pair scan instead of 28 and 21; the partial
+    pencil, whose three pencil conics share four base points, takes 13 of
+    its 15.  The generic arrangements of k = 5..8 span a pencil per pair
+    and scan all of them.  The 8 members (x^2 - 2z^2) + lam*(y^2 - 3z^2),
+    whose four base points are all irrational, take one scan too."""
     import conicfree.locus as locus
     from conicfree.locus import ConicArrangement, survey
 
@@ -102,6 +107,7 @@ def test_the_survey_scans_each_pencil_once_and_keys_no_generic_pair(monkeypatch)
     assert texts["pencil_four_points_m8"] == pencil + [
         f"({script.PENCIL_F})+{lam}*({script.PENCIL_G})" for lam in range(1, 7)
     ]
+    texts["irrational_pencil_m8"] = [f"(x^2-2*z^2)+{lam}*(y^2-3*z^2)" for lam in range(1, 9)]
     scans, keys = [], []
     scan, key = locus._pair_scan, locus.pencil_key
     monkeypatch.setattr(locus, "_pair_scan", lambda *args: scans.append(args) or scan(*args))
@@ -109,8 +115,9 @@ def test_the_survey_scans_each_pencil_once_and_keys_no_generic_pair(monkeypatch)
     expected = {
         "pencil_four_points_m7": (1, 21),
         "pencil_four_points_m8": (1, 28),
-        "partial_pencil_k6": (13, 3),
-    } | {f"generic_k{k}": (k * (k - 1) // 2, 0) for k in (5, 6, 7, 8)}
+        "partial_pencil_k6": (13, 15),
+        "irrational_pencil_m8": (1, 28),
+    } | {f"generic_k{k}": (k * (k - 1) // 2,) * 2 for k in (5, 6, 7, 8)}
     for name, counts in expected.items():
         scans.clear()
         keys.clear()

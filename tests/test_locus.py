@@ -870,17 +870,20 @@ def test_survey_pairs_match_the_pair_oracle_on_moved_pencils(seed):
     assert sv.inventory() == {"ordinary(6)": 4} and sv.complete
 
 
-# Pencils of the members s*F + t*G, with a rational base point P of every member:
+# Pencils of the members s*F + t*G, with a rational base point P of every
+# member, or None where the base points are all irrational:
 #   "four": y*z - x*z and x*z - x*y, base points (1:0:0), (0:1:0), (0:0:1), (1:1:1);
 #   "conjugate": x^2 + y^2 - z^2 and y*(y - 2*z), base points (1:0:1), (-1:0:1)
 #     and the conjugate pair (+-sqrt(-3):2:1);
 #   "a3": x^2 + y^2 - z^2 and y^2, two A3 points (1:0:1), (-1:0:1);
-#   "a7": x^2 + y^2 - z^2 and (y - z)^2, tangent at its one A7 point (0:1:1).
+#   "a7": x^2 + y^2 - z^2 and (y - z)^2, tangent at its one A7 point (0:1:1);
+#   "irrational": x^2 - 2*z^2 and y^2 - 3*z^2, base points (+-sqrt2:+-sqrt3:1).
 PENCIL_FAMILIES = {
     "four": ((0, 0, 0, 0, -1, 1), (0, 0, 0, -1, 1, 0), (1, 0, 0)),
     "conjugate": ((1, 1, -1, 0, 0, 0), (0, 1, 0, 0, 0, -2), (1, 0, 1)),
     "a3": ((1, 1, -1, 0, 0, 0), (0, 1, 0, 0, 0, 0), (1, 0, 1)),
     "a7": ((1, 1, -1, 0, 0, 0), (0, 1, 1, 0, 0, -2), (0, 1, 1)),
+    "irrational": ((1, 0, -2, 0, 0, 0), (0, 1, -3, 0, 0, 0), None),
 }
 
 
@@ -911,15 +914,15 @@ def _spy_on_pair_results(monkeypatch):
         unique_by=lambda st_: Fraction(st_[1], st_[0]),
     ),
     outside=st.tuples(*[st.integers(-4, 4)] * 6),
-    through=st.booleans(),
+    data=st.data(),
     position=st.integers(0, 6),
     m=st.lists(st.integers(-3, 3), min_size=9, max_size=9),
 )
-def test_every_pencil_pair_matches_its_own_pair_scan(family, lams, outside, through, position, m):
+def test_every_pencil_pair_matches_its_own_pair_scan(family, lams, outside, data, position, m):
     """A pencil of 3-6 members (rational base points, a conjugate pair of
-    them, or a double line giving A3 or A7 points) and one conic outside
-    it (through the base point P or not), at a drawn position, moved by a
-    random integer PGL(3).  The survey scans the pencil once, and every
+    them, a double line giving A3 or A7 points, or no rational base point)
+    and one conic outside it (through a rational base point P or not), at a
+    drawn position, moved by a random integer PGL(3).  The survey scans the pencil once, and every
     pair's points, multiplicities, residual and transversality equal
     rational_pair_intersections of that pair alone."""
     from math import comb
@@ -931,7 +934,7 @@ def test_every_pencil_pair_matches_its_own_pair_scan(family, lams, outside, thro
     members = [tuple(s * u + t * v for u, v in zip(f, g)) for s, t in lams]
     members = [q for q in members if conic_is_smooth(ConicForm(*q))]
     assume(len(members) >= 3)
-    if through:
+    if base is not None and data.draw(st.booleans(), label="through"):
         # subtract q(P) from the square of P's first nonzero coordinate, 1 at P
         square = next(c for c in range(3) if base[c])
         value = _evaluate(outside, *base)
