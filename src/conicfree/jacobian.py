@@ -57,17 +57,18 @@ degree, before they lift a kernel; each family is built and checked
 exactly against A_e once per curve (_candidates).  At d-1 it holds the
 Koszul relations.  Where the context carries an arrangement's integer
 conics (ctx.conics, from report.analyze_curve; an expression is not
-factored), each pencil that q_0 spans with another conic (conic_pencils,
-exact over Q) adds a logarithmic derivation of degree 2 + 2 * (the conics
-outside it) (pencil_relations): generic conics give the pairs (0, j) at
-d-2, k conics in one pencil one relation at 2.  A pencil that holds a
-double line L^2 (a member of rank one, poly.rank_one_member: two A3
-contacts where L is secant to q_0, one A7 where it is tangent) gives
-rho_L = grad q_0 x grad L at 1 + 2 * (the conics outside) instead
-(double_line_relations), and where L is tangent a second one at d-2
-(tangent_relations: _theta, whose products with grad L and grad q_0 are
-multiples of F_u and L*F_v for the pencil's product F(q_0, L^2), so it
-kills F); a full tangent pencil is free with exponents (1, d-2).
+factored), each pencil that q_0 spans with another conic (ctx.pencils,
+poly.pencil_table, exact over Q) adds a logarithmic derivation of degree
+2 + 2 * (the conics outside it) (pencil_relations): generic conics give
+the pairs (0, j) at d-2, k conics in one pencil one relation at 2.  A
+pencil that holds a double line L^2 (a member of rank one, read by the
+pencil's poly.Pencil.rank_one: two A3 contacts where L is secant to q_0,
+one A7 where it is tangent) gives rho_L = grad q_0 x grad L at
+1 + 2 * (the conics outside) instead (double_line_relations), and where L
+is tangent a second one at d-2 (tangent_relations: _theta, whose products
+with grad L and grad q_0 are multiples of F_u and L*F_v for the pencil's
+product F(q_0, L^2), so it kills F); a full tangent pencil is free with
+exponents (1, d-2).
 lifted_relations lifts every family to f.  At every degree the walk
 bounds once, with the multiples of the lower generators and the pool's
 candidates there (none outside the pool) together.  Where that closes
@@ -133,12 +134,12 @@ from conicfree.linalg import (
 )
 from conicfree.poly import (
     HomogeneousPolynomial,
+    Pencil,
     cofactors,
     conic_matrix,
     degree_dimension,
     monomials_of_degree,
-    pencil_key,
-    rank_one_member,
+    pencil_table,
 )
 
 
@@ -154,6 +155,8 @@ class JacobianContext:
     # the integer conics (ConicForm.integer) whose product is a constant
     # times f, where known; their pencil relations are families of the pool
     conics: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
+    # the pencil of every pair of those conics (poly.pencil_table), empty without them
+    pencils: dict[tuple[int, int], Pencil] = field(default_factory=dict, compare=False, repr=False)
     # relation_generators, None until it runs: the one relation walk per
     # curve, read by mdr and by the ranks of the Hilbert window
     generators: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -166,13 +169,15 @@ class JacobianContext:
 
     @classmethod
     def for_curve(
-        cls, f: HomogeneousPolynomial, conics: Sequence[Sequence[int]] | None = None
+        cls, f: HomogeneousPolynomial, conics: Sequence | None = None, pencils: dict | None = None
     ) -> "JacobianContext":
         """The context of f; conics, when given, are integer conics (six
         Python ints each) whose product is a nonzero constant times f
         (report.analyze_curve checks it), and a pencil relation that is no
-        relation of f raises.  With L the lcm of f's denominators, the least
-        scale of the gradient is L / gcd(L, content of grad(L*f)).
+        relation of f raises.  pencils, when given, is pencil_table of those
+        conics (an arrangement's ConicArrangement.pencils); without it the
+        context builds that table.  With L the lcm of f's denominators, the
+        least scale of the gradient is L / gcd(L, content of grad(L*f)).
         """
         if f.is_zero():
             raise ValueError("the zero polynomial does not define a curve")
@@ -185,12 +190,15 @@ class JacobianContext:
                     raise ValueError(f"conic {q!r} is not six integers")
             if 2 * len(conics) != f.degree:
                 raise ValueError(f"{len(conics)} conics do not make a curve of degree {f.degree}")
+            pencils = pencil_table(conics) if pencils is None else pencils
+        elif pencils is not None:
+            raise ValueError("a pencil table needs the conics it was built from")
         scale = lcm(*(c.denominator for c in f.terms.values()))
         coeffs = [int(f.terms.get(m, 0) * scale) for m in monomials_of_degree(f.degree)]
         gradient = _gradient(np.array(coeffs, dtype=object), f.degree)
         gradient //= gcd(scale, *gradient.flat)
         gradient.flags.writeable = False
-        return cls(f=f, d=f.degree, gradient=gradient, conics=conics)
+        return cls(f=f, d=f.degree, gradient=gradient, conics=conics, pencils=pencils or {})
 
     @cached_property
     def support(self) -> tuple[np.ndarray, ...]:
@@ -206,27 +214,28 @@ class JacobianContext:
     def families(self) -> dict[int, Callable[[], np.ndarray]]:
         """The pool's families by degree e, each a builder of exact relations
         of degree e as rows in the layout of syzygy_matrix(ctx, e).  Each
-        pencil of q_0 (conic_pencils) gives rho at 2 + 2 * (the conics
-        outside it) (pencil_relations, batched per pencil size) or, where
-        poly.rank_one_member finds a double line L^2 in it, rho_L one degree
+        pencil of q_0 (read from ctx.pencils at the pairs (0, j), j its
+        second member, so by ascending second member) gives rho at 2 + 2 *
+        (the conics outside it) (pencil_relations, batched per pencil size)
+        or, where its rank_one holds a double line L^2, rho_L one degree
         lower (double_line_relations) and, where L is tangent to q_0 (a root
         of order 3), theta at d-2 (tangent_relations); the relations of one
         degree form one family.  The Koszul relations sit at d-1, an odd
         degree above every pencil's."""
-        conics, groups = self.conics or (), {}
-        for pencil in conic_pencils(conics):
-            outside = 2 * (len(conics) - len(pencil))
-            order, line = rank_one_member(conics[0], conics[pencil[1]])
+        groups = {}
+        for pencil in [p for (i, j), p in self.pencils.items() if (i, j) == (0, p.members[1])]:
+            outside = self.d - 2 * len(pencil.members)
+            order, line = pencil.rank_one
             if line is None:
-                kinds = [(2 + outside, pencil_relations, pencil)]
+                kinds = [(2 + outside, pencil_relations)]
             else:
-                kinds = [(1 + outside, double_line_relations, (pencil, line))]
+                kinds = [(1 + outside, double_line_relations)]
                 if order == 3:
-                    kinds.append((self.d - 2, tangent_relations, (pencil, line)))
-            for e, build, item in kinds:
-                groups.setdefault(e, {}).setdefault(build, []).append(item)
+                    kinds.append((self.d - 2, tangent_relations))
+            for e, build in kinds:
+                groups.setdefault(e, {}).setdefault(build, []).append(pencil)
         families = {
-            e: partial(_stacked, [partial(build, conics, items) for build, items in group.items()])
+            e: partial(_stacked, [partial(build, self.conics, ps) for build, ps in group.items()])
             for e, group in sorted(groups.items())
         }
         return families | {self.d - 1: self._koszul_rows}
@@ -342,22 +351,6 @@ def _gradient(p: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def conic_pencils(conics: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The pencils that q_0 spans with the other integer conics, as sorted
-    index lists, 0 first.  q_l is in the pencil of q_0 and q_j where
-    [q_0; q_j; q_l] has rank 2 over Q, that is, where the 2 x 2 minors of
-    [q_0; q_l] are a multiple of those of [q_0; q_j]; so each q_j is keyed,
-    exactly, by its minors made primitive, first nonzero one positive
-    (poly.pencil_key).  A multiple of q_0 (no reduced curve has one) is in
-    no pencil."""
-    pencils: dict[tuple[int, ...], list[int]] = {}
-    for j in range(1, len(conics)):
-        key = pencil_key(conics[0], conics[j])
-        if any(key):
-            pencils.setdefault(key, [0]).append(j)
-    return list(pencils.values())
-
-
 _CONIC_ORDER = [0, 3, 4, 1, 5, 2]  # (xx, yy, zz, xy, xz, yz) in monomials_of_degree(2)
 
 
@@ -374,20 +367,21 @@ def _cross(u: np.ndarray, e: int, w: np.ndarray, t: int) -> np.ndarray:
 
 
 def lifted_relations(
-    conics: Sequence[Sequence[int]], pencils: list[list[int]], deltas: np.ndarray, e: int
+    conics: Sequence[Sequence[int]], members: list[list[int]], deltas: np.ndarray, e: int
 ) -> np.ndarray:
-    """Relations of the product f of the k integer conics, one per pencil of
-    one size m, from relations delta of degree e of its members' product g
-    (n x 3 x dim S_e): rows of degree e + 2(k-m) in the column layout of
-    syzygy_matrix(ctx, .) for f.
+    """Relations of the product f of the k integer conics, one per member
+    set S of members, all of one size m (a pencil's members, or any other
+    m of the conics), from relations delta of degree e of the product g of
+    S's conics (n x 3 x dim S_e): rows of degree e + 2(k-m) in the column
+    layout of syzygy_matrix(ctx, .) for f.
 
-    For P the product of the conics outside the pencil, theta = P*delta has
+    For P the product of the conics outside S, theta = P*delta has
     theta . grad f = f*(delta . grad P) (K. Saito 1980; Schenck and
     Tohaneanu 2009), and by Euler's identity d*theta - (delta . grad P)*(x,
     y, z) is a relation of f, d = 2k."""
-    k, n = len(conics), len(pencils)
+    k, n = len(conics), len(members)
     forms = np.array(conics, dtype=object)[:, _CONIC_ORDER]
-    outside = [[l for l in range(k) if l not in pencil] for pencil in pencils]
+    outside = [[l for l in range(k) if l not in inside] for inside in members]
     p, t = np.ones((n, 1), dtype=object), 0
     for m in range(len(outside[0])):
         p, t = _times(forms[[row[m] for row in outside]], 2, p, t), t + 2
@@ -398,52 +392,48 @@ def lifted_relations(
     return rows.reshape(n, -1)
 
 
-def pencil_relations(conics: Sequence[Sequence[int]], pencils: list[list[int]]) -> np.ndarray:
-    """One relation per pencil of conic_pencils, all of m members, of the k
-    integer conics (xx, yy, zz, xy, xz, yz): rows of degree e = 2 + 2(k-m)
-    in the column layout of syzygy_matrix(ctx, e) for their product f.
+def pencil_relations(conics: Sequence[Sequence[int]], pencils: list[Pencil]) -> np.ndarray:
+    """One relation per pencil of q_0 (poly.Pencil), all of m members, of
+    the k integer conics (xx, yy, zz, xy, xz, yz): rows of degree
+    e = 2 + 2(k-m) in the column layout of syzygy_matrix(ctx, e) for their
+    product f.
 
     rho = grad q_0 x grad q_j, q_j the pencil's second member, kills every
-    member a*q_0 + b*q_j, and lifted_relations lifts it to f: for m = 2 a
-    pair's relation at d-2.  Where the pencil holds a double line L^2, rho
-    is L times double_line_relations' rho_L, up to a constant."""
+    member a*q_0 + b*q_j, and lifted_relations lifts it to f by the
+    pencil's members: for m = 2 a pair's relation at d-2.  Where the
+    pencil holds a double line L^2, rho is L times double_line_relations'
+    rho_L, up to a constant."""
     grads = _gradient(np.array(conics, dtype=object)[:, _CONIC_ORDER], 2)
-    rho = _cross(grads[0], 1, grads[[pencil[1] for pencil in pencils]], 1)
-    return lifted_relations(conics, pencils, rho, 2)
+    rho = _cross(grads[0], 1, grads[[p.members[1] for p in pencils]], 1)
+    return lifted_relations(conics, [p.members for p in pencils], rho, 2)
 
 
-def double_line_relations(
-    conics: Sequence[Sequence[int]], lines: list[tuple[list[int], tuple[int, ...]]]
-) -> np.ndarray:
-    """One relation per (pencil, L) of pencils of one size m that hold the
-    double line L^2 (poly.rank_one_member), as pencil_relations lays them
-    out, of degree 1 + 2(k-m): rho_L = grad q_0 x grad L kills q_0 and L,
-    so every member a*q_0 + b*L^2, and lifted_relations lifts it to f."""
+def double_line_relations(conics: Sequence[Sequence[int]], pencils: list[Pencil]) -> np.ndarray:
+    """One relation per pencil of q_0 of one size m whose rank_one holds a
+    double line L^2, as pencil_relations lays them out, of degree
+    1 + 2(k-m): rho_L = grad q_0 x grad L kills q_0 and L, so every member
+    a*q_0 + b*L^2, and lifted_relations lifts it to f."""
     grad = _gradient(np.array(conics[0], dtype=object)[_CONIC_ORDER], 2)
-    ells = np.array([line for _, line in lines], dtype=object)[:, :, None]
-    return lifted_relations(conics, [pencil for pencil, _ in lines], _cross(grad, 1, ells, 0), 1)
+    ells = np.array([p.rank_one[1] for p in pencils], dtype=object)[:, :, None]
+    return lifted_relations(conics, [p.members for p in pencils], _cross(grad, 1, ells, 0), 1)
 
 
-def tangent_relations(
-    conics: Sequence[Sequence[int]], lines: list[tuple[list[int], tuple[int, ...]]]
-) -> np.ndarray:
-    """One relation of degree d-2 per (pencil, L) whose double line L^2 is
+def tangent_relations(conics: Sequence[Sequence[int]], pencils: list[Pencil]) -> np.ndarray:
+    """One relation of degree d-2 per pencil of q_0 whose double line L^2 is
     tangent to q_0: _theta of the pencil, lifted to f by lifted_relations."""
     rows = [
-        lifted_relations(conics, [pencil], _theta(conics, pencil, line)[None], 2 * len(pencil) - 2)
-        for pencil, line in lines
+        lifted_relations(conics, [p.members], _theta(conics, p)[None], 2 * len(p.members) - 2)
+        for p in pencils
     ]
     return np.concatenate(rows)
 
 
-def _theta(
-    conics: Sequence[Sequence[int]], pencil: list[int], ell: tuple[int, ...]
-) -> np.ndarray:
+def _theta(conics: Sequence[Sequence[int]], pencil: Pencil) -> np.ndarray:
     """The relation theta of degree 2m-2 of g = F(q, L^2), the product of
     the pencil's m members a_j*q + b_j*L^2, q = q_0 and L = ell . (x, y, z)
-    tangent to q, made primitive (3 x dim S_{2m-2}); with rho_L it makes g
-    free with exponents (1, 2m-2) (K. Saito 1980; A. Dimca and G. Sticlaru
-    2018).
+    (ell the double line of the pencil's rank_one) tangent to q, made
+    primitive (3 x dim S_{2m-2}); with rho_L it makes g free with exponents
+    (1, 2m-2) (K. Saito 1980; A. Dimca and G. Sticlaru 2018).
 
     With c = F_u(1, 0), G = (F_u - c*u^(m-1))/v, F_v and G at (q, L^2),
     A = conic_matrix(q), P = adj(A) ell (tangency: ell . P = 0), i the first
@@ -457,7 +447,8 @@ def _theta(
     4K L F_v, so theta . grad g = F_u theta . grad q + 2 L F_v theta . ell
     = 0.
     """
-    m, forms = len(pencil), np.array([conics[j] for j in pencil], dtype=object)[:, _CONIC_ORDER]
+    members, ell = pencil.members, pencil.rank_one[1]
+    m, forms = len(members), np.array([conics[j] for j in members], dtype=object)[:, _CONIC_ORDER]
     q, line = forms[0], np.array(ell, dtype=object)
     square = _times(line, 1, line, 1)
     # each member as a*q + b*L^2, read at two coefficients where q, L^2 are independent

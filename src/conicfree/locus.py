@@ -18,17 +18,20 @@ determinant cubic of the pair's pencil counts the distinct common points
 over C, and the unlocated ones are transversal exactly when they number as
 many as the residual.
 
-A survey locates each point once and scans each pencil once: every pair is
-keyed by the pencil it spans (poly.pencil_key), the first pair of a pencil
-is scanned, and every later pair of it takes that scan, as two members of
-one pencil generate one ideal; its own tangents and jets must give the same
-multiplicities, and its resultant is the scanned one times a nonzero
-square.  A scanned pair takes one projection: its resultant is divided
-exactly by the fiber forms of the points already located on both conics,
-each raised to that point's jet multiplicity, and only the quotient is
-searched for rational roots, so the resultant and the jets still measure
-every multiplicity twice and must agree.  A pair fully explained by located
-points leaves a nonzero constant, and no root search at all.
+A survey locates each point once and scans each pencil once: every pair
+reads the pencil it spans from the arrangement's table (poly.pencil_table,
+built once per arrangement and shared with the relation walk), the first
+pair of a pencil is scanned, and every later pair of it takes that scan,
+as two members of one pencil generate one ideal; its own tangents and jets
+must give the same multiplicities, and its resultant is the scanned one
+times a nonzero square.  A scanned pair takes one projection: its
+resultant is divided exactly by the fiber forms of the points already
+located on both conics, each raised to that point's jet multiplicity, and
+only the quotient is searched for rational roots, so the resultant and the
+jets still measure every multiplicity twice and must agree.  A pair fully
+explained by located points leaves a nonzero constant, and no root search
+at all.  A scanned pair's unlocated points are counted by its Pencil
+(common_points), whose double line is read only where a residual is left.
 
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
@@ -41,6 +44,7 @@ appears only in the returned roots and in the jet coefficients.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,11 +55,11 @@ from conicfree.linalg import _is_probable_prime, _primitive, _rat_reconstruct
 from conicfree.poly import (
     ConicForm,
     HomogeneousPolynomial,
+    Pencil,
     ProjectivePoint,
     conic_is_smooth,
     expand_product,
-    pencil_key,
-    rank_one_member,
+    pencil_table,
 )
 
 
@@ -126,6 +130,12 @@ class ConicArrangement:
     def polynomial(self) -> HomogeneousPolynomial:
         return self.product
 
+    @cached_property
+    def pencils(self) -> dict[tuple[int, int], Pencil]:
+        """The pencil of every pair of components (poly.pencil_table), built
+        on first use only; the survey and the relation walk read it."""
+        return pencil_table([q.integer for q in self.components])
+
 
 @dataclass(frozen=True)
 class BranchJet:
@@ -180,20 +190,12 @@ class LocusSurvey:
     residual_transversal: bool = True
 
     def inventory(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rec in self.records:
-            key = str(rec.sing_type)
-            counts[key] = counts.get(key, 0) + 1
-        return counts
+        return dict(Counter(str(rec.sing_type) for rec in self.records))
 
     def local_tau_total(self) -> int | None:
         """Sum of local Tjurina numbers, or None when any is unknown."""
-        total = 0
-        for rec in self.records:
-            if rec.tau is None:
-                return None
-            total += rec.tau
-        return total
+        taus = [rec.tau for rec in self.records]
+        return None if None in taus else sum(taus)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +326,7 @@ def branch_jet(q: ConicForm, p: ProjectivePoint | tuple) -> BranchJet:
 
 class JetTable(dict):
     """The jets of one survey, keyed by (integer conic, point), and beside
-    them in ``tangents`` the tangent lines, keyed alike.
-
-    A plain dict serves as a jet table too; the tangents are then computed
-    afresh on each call.
-    """
+    them in ``tangents`` the tangent lines, keyed alike."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -352,19 +350,18 @@ def local_intersection_multiplicity(
     qj: ConicForm,
     p: ProjectivePoint | tuple,
     *,
-    jets: dict | None = None,
+    jets: JetTable | None = None,
 ) -> int:
     """Intersection multiplicity of two smooth conics at a common rational point.
 
     1 for distinct tangents, read from the tangents alone; otherwise the
     vanishing order of the difference of the two branch jets (2, 3 or 4;
     order 5 would force the conics to coincide), so a jet is built only
-    where the tangents agree.  Jets are taken from (and added to) ``jets``
-    when a table is given, and tangents from (and to) its ``tangents`` when
-    it is a :class:`JetTable`.
+    where the tangents agree.  Jets and tangents are taken from (and added
+    to) ``jets`` and its ``tangents`` when a table is given.
     """
     point = p if isinstance(p, ProjectivePoint) else ProjectivePoint.of(*p)
-    tangents = getattr(jets, "tangents", None)
+    tangents = None if jets is None else jets.tangents
     if _tabled(tangents, _tangent, qi, point) != _tabled(tangents, _tangent, qj, point):
         return 1
     ji = _tabled(jets, branch_jet, qi, point)
@@ -625,28 +622,12 @@ _SHEAR_GRID = sorted(
 )
 
 
-def _distinct_common_points(qi: ConicForm, qj: ConicForm) -> int:
-    """How many distinct points two smooth, distinct conics share over C.
-
-    The Segre symbol of the pencil A + t*B of the conics' symmetric matrices
-    fixes their intersection pattern, and c(t) = det(A + t*B) reads it off.
-    Four points when c has no multiple root (c has degree 3, as det B !=
-    0).  A cubic over Q has at most one multiple root t0, so t0 is
-    rational; of order k, it merges k - 1 points, and one more where
-    A + t0*B has rank one, a double line (poly.rank_one_member).
-    """
-    order, line = rank_one_member(qi.integer, qj.integer)
-    return 4 - (order - 1) - (line is not None)
-
-
 def _pair_scan(
-    qi: ConicForm,
-    qj: ConicForm,
-    known: list[ProjectivePoint],
-    jets: dict | None,
+    qi: ConicForm, qj: ConicForm, pencil: Pencil, known: list, jets: JetTable | None
 ) -> PairIntersections:
-    """The rational common points of two smooth, distinct conics, of which
-    ``known`` are already located, through one projection.
+    """The rational common points of two smooth, distinct conics, the first
+    two members of ``pencil``, of which ``known`` are already located,
+    through one projection.
 
     The projection is from (1:0:0) after the first shear (a, b) of the grid
     that keeps that point off both conics.  The resultant is divided exactly
@@ -658,7 +639,7 @@ def _pair_scan(
     from :func:`local_intersection_multiplicity`, called through the module
     for every point: from the tangents alone where they differ, from jets
     (at most one per conic and point in ``jets``) where they agree.  The
-    unlocated common points, counted by :func:`_distinct_common_points`,
+    unlocated common points, counted by the pencil's ``common_points``,
     carry the residual budget and are transversal exactly when each carries
     one.  A survey scans only the first pair of each pencil this way (the
     others take its result through :func:`_pencil_scan`).
@@ -713,7 +694,7 @@ def _pair_scan(
     residual = len(quotient) - 1 - located_fiber_budget
     transversal = True
     if residual:
-        unlocated = _distinct_common_points(qi, qj) - len(located)
+        unlocated = pencil.common_points - len(located)
         if not 0 < unlocated <= residual:
             raise AssertionError(
                 f"{unlocated} unlocated points cannot carry the residual budget {residual}"
@@ -723,7 +704,7 @@ def _pair_scan(
 
 
 def rational_pair_intersections(
-    qi: ConicForm, qj: ConicForm, *, jets: dict | None = None
+    qi: ConicForm, qj: ConicForm, *, jets: JetTable | None = None
 ) -> PairIntersections:
     """All rational common points of two conics, with local multiplicities.
 
@@ -732,14 +713,14 @@ def rational_pair_intersections(
     resultant root order of one projection and are cross-checked against
     branch jets.  The unlocated points are transversal exactly when there
     are as many of them as the residual, counted from the pencil's
-    determinant cubic (:func:`_distinct_common_points`).  Jets are shared
-    through ``jets`` when given.
+    determinant cubic (poly.Pencil.common_points of the pair's one-pair
+    pencil_table).  Jets are shared through ``jets`` when given.
     """
     if not conic_is_smooth(qi) or not conic_is_smooth(qj):
         raise ValueError("both conics must be smooth")
     if qi.is_proportional_to(qj):
         raise ValueError("conics coincide")
-    return _pair_scan(qi, qj, [], jets)
+    return _pair_scan(qi, qj, pencil_table([qi.integer, qj.integer])[0, 1], [], jets)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +732,7 @@ def classify_point(
     p: ProjectivePoint | tuple,
     assume_qh: bool = False,
     *,
-    jets: dict | None = None,
+    jets: JetTable | None = None,
 ) -> SingularPointRecord:
     """Branch data and local type of a singular point of the arrangement.
 
@@ -818,7 +799,7 @@ def _classify(
 
 
 def _pencil_scan(
-    qi: ConicForm, qj: ConicForm, scan: PairIntersections, jets: dict | None
+    qi: ConicForm, qj: ConicForm, scan: PairIntersections, jets: JetTable | None
 ) -> PairIntersections:
     """The intersection of a pair that spans the pencil of a scanned pair.
 
@@ -845,9 +826,9 @@ def _pencil_scan(
 def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     """Locate, classify and account for the rational singular points.
 
-    Every pair is keyed by the pencil it spans (poly.pencil_key), and each
-    pencil is scanned once.  The first pair of a pencil is scanned with the
-    points that earlier pairs located on both of its conics
+    Every pair reads the pencil it spans from the arrangement's table
+    (ConicArrangement.pencils), and each pencil is scanned once.  The first
+    pair of a pencil is scanned with the points that earlier pairs located on both of its conics
     (:func:`_pair_scan`), whose fiber forms divide its resultant exactly,
     raised to their jet multiplicities, before only the quotient is
     root-searched; so the pair's resultant root orders and jet
@@ -868,27 +849,24 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     # point -> {(i, j): multiplicity} for every pair that located it
     located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
     members: dict[ProjectivePoint, list[int]] = {}  # the components through each point
-    pencils: dict[tuple[int, ...], PairIntersections] = {}  # pencil -> its first pair's scan
+    scans: dict[Pencil, PairIntersections] = {}  # pencil -> its first pair's scan
     residual_per_pair: dict[tuple[int, int], int] = {}
     residual_transversal = True
-    for i, j in combinations(range(arr.k), 2):
-        key = pencil_key(comps[i].integer, comps[j].integer)
-        if key in pencils:
-            pair = _pencil_scan(comps[i], comps[j], pencils[key], jets)
+    for (i, j), pencil in arr.pencils.items():
+        if pencil in scans:
+            pair = _pencil_scan(comps[i], comps[j], scans[pencil], jets)
         else:
             known = [pt for pt, on in members.items() if i in on and j in on]
-            pair = pencils[key] = _pair_scan(comps[i], comps[j], known, jets)
-        bezout = pair.residual
-        for pt, m in pair.points:
-            bezout += m
-            located.setdefault(pt, {})[(i, j)] = m
-            if pt not in members:
-                members[pt] = _members(comps, pt)
-        if bezout != 4:
+            pair = scans[pencil] = _pair_scan(comps[i], comps[j], pencil, known, jets)
+        if pair.residual + sum(m for _, m in pair.points) != 4:
             raise AssertionError(
                 f"pair ({i},{j}) located {list(pair.points)} with residual "
                 f"{pair.residual}, not the four points Bezout counts"
             )
+        for pt, m in pair.points:
+            located.setdefault(pt, {})[(i, j)] = m
+            if pt not in members:
+                members[pt] = _members(comps, pt)
         residual_per_pair[i, j] = pair.residual
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False

@@ -9,9 +9,11 @@ A ConicForm computes its content-free integer coefficients (``integer``) on
 first use and caches them; the cached value is a function of the immutable
 fields, so two threads racing on it store equal tuples.  The conic helpers
 at the end (pencil_key, conic_matrix, cofactors, determinant_cubic,
-rank_one_member) take those integer tuples; the survey reads from them
-which pairs span one pencil and how many distinct points a pair shares, and
-the relation walk the pencils of q_0 and the double line of a pencil.
+rank_one_member) take those integer tuples, and pencil_table keys every
+pair of a list of them once: one Pencil per pencil they span, with its
+members and, on first use, its double line.  The survey reads from it how
+many distinct points a pair shares, and the relation walk the pencils of
+q_0 and their double lines.
 
 The expression grammar accepted by :func:`parse_polynomial`::
 
@@ -28,9 +30,10 @@ part of the grammar).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from math import gcd, lcm, log10
 from operator import add, mul
 from typing import Iterable, Sequence
@@ -674,7 +677,7 @@ def pencil_key(qi: Sequence[int], qj: Sequence[int]) -> tuple[int, ...]:
         return minors
     if next(filter(None, minors)) < 0:
         g = -g
-    return tuple([m // g for m in minors])
+    return minors if g == 1 else tuple([m // g for m in minors])
 
 
 def conic_matrix(q: Sequence[int]) -> list[list[int]]:
@@ -738,3 +741,48 @@ def rank_one_member(qi: Sequence[int], qj: Sequence[int]) -> tuple[int, tuple[in
     row = next(r for r in member if any(r))
     g = gcd(*row) * (1 if next(v for v in row if v) > 0 else -1)
     return order, tuple(v // g for v in row)
+
+
+@dataclass(eq=False)
+class Pencil:
+    """A pencil that integer conics span: the sorted indices of its
+    members among them, and rank_one, the rank_one_member of its first two
+    members, computed on first use only."""
+
+    conics: Sequence[Sequence[int]] = field(repr=False)
+    members: list[int]
+
+    @cached_property
+    def rank_one(self) -> tuple[int, tuple[int, ...] | None]:
+        return rank_one_member(self.conics[self.members[0]], self.conics[self.members[1]])
+
+    @property
+    def common_points(self) -> int:
+        """How many distinct points two members share over C.
+
+        The Segre symbol of the pencil A + t*B of two members' symmetric
+        matrices fixes their intersection pattern, and c(t) = det(A + t*B)
+        reads it off.  Four points when c has no multiple root (c has degree
+        3, as det B != 0).  A cubic over Q has at most one multiple root t0,
+        so t0 is rational; of order k, it merges k - 1 points, and one more
+        where A + t0*B has rank one, a double line (rank_one).
+        """
+        return 5 - self.rank_one[0] - (self.rank_one[1] is not None)
+
+
+def pencil_table(conics: Sequence[Sequence[int]]) -> dict[tuple[int, int], Pencil]:
+    """The pencil of every pair (i, j), i < j, of the integer conics, in
+    the order of itertools.combinations: each pair is keyed once
+    (pencil_key), and the pairs of one key share one Pencil.  So the first
+    pair of a pencil is its first two members, and each later member j
+    joins at the pair (first member, j).  A pair of proportional conics (no
+    reduced curve has one) spans no pencil and has no entry.
+    """
+    table, pencils = {}, {}  # pair -> its pencil, and key -> pencil
+    for i, j in combinations(range(len(conics)), 2):
+        key = pencil_key(conics[i], conics[j])
+        if any(key):
+            pencil = table[i, j] = pencils.get(key) or pencils.setdefault(key, Pencil(conics, [i]))
+            if pencil.members[0] == i:
+                pencil.members.append(j)
+    return table

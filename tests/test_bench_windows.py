@@ -90,8 +90,9 @@ def test_the_tangent_ladder_takes_its_kernels_from_the_double_line_pencils(monke
 
 
 def test_the_survey_scans_each_pencil_once(monkeypatch):
-    """Every pair is keyed by its pencil, once.  The 8-member pencil (the
-    one of test_locus's
+    """Every pair is keyed by its pencil, once (poly.pencil_key, in the
+    arrangement's pencil_table).  The 8-member pencil (the one of
+    test_locus's
     test_survey_scans_one_pair_of_a_pencil_and_of_a_contact_pair) and the
     7-member one take one pair scan instead of 28 and 21; the partial
     pencil, whose three pencil conics share four base points, takes 13 of
@@ -99,6 +100,7 @@ def test_the_survey_scans_each_pencil_once(monkeypatch):
     and scan all of them.  The 8 members (x^2 - 2z^2) + lam*(y^2 - 3z^2),
     whose four base points are all irrational, take one scan too."""
     import conicfree.locus as locus
+    import conicfree.poly as poly
     from conicfree.locus import ConicArrangement, survey
 
     script = _script()
@@ -109,9 +111,9 @@ def test_the_survey_scans_each_pencil_once(monkeypatch):
     ]
     texts["irrational_pencil_m8"] = [f"(x^2-2*z^2)+{lam}*(y^2-3*z^2)" for lam in range(1, 9)]
     scans, keys = [], []
-    scan, key = locus._pair_scan, locus.pencil_key
+    scan, key = locus._pair_scan, poly.pencil_key
     monkeypatch.setattr(locus, "_pair_scan", lambda *args: scans.append(args) or scan(*args))
-    monkeypatch.setattr(locus, "pencil_key", lambda *args: keys.append(args) or key(*args))
+    monkeypatch.setattr(poly, "pencil_key", lambda *args: keys.append(args) or key(*args))
     expected = {
         "pencil_four_points_m7": (1, 21),
         "pencil_four_points_m8": (1, 28),

@@ -9,11 +9,12 @@ under rational changes of coordinates, and hold: every row against sympy,
 independently of the pool's exact check; a full tangent pencil against
 Saito's criterion rho_L x theta = c * grad f, c a nonzero constant, which
 makes it free with exponents (1, d-2); a secant pencil against theta; a
-corrupted theta against the pool's check; and the walk with components
-against the walk without them.  Then the cost ladder: the inputs whose
-kernels these relations span lift none, the Płoski walks do not climb,
-and generic arrangements, which hold no double line, make the calls they
-make with the rule switched off.
+corrupted theta against the pool's check; the walk with components
+against the walk without them; and a context given the arrangement's
+pencil table against one that builds its own.  Then the cost ladder: the
+inputs whose kernels these relations span lift none, the Płoski walks do
+not climb, and generic arrangements, which hold no double line, make the
+calls they make with the rule switched off.
 """
 
 import importlib.util
@@ -25,17 +26,13 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conicfree import jacobian, linalg
+from conicfree import jacobian, linalg, poly
 from conicfree.corpus import entry
-from conicfree.jacobian import (
-    JacobianContext,
-    conic_pencils,
-    relation_generators,
-)
+from conicfree.jacobian import JacobianContext, relation_generators
 from conicfree.locus import ConicArrangement
 from conicfree.poly import ConicForm, conic_matrix, monomials_of_degree, rank_one_member
 from conicfree.report import analyze_curve
-from walks import assert_same_walk
+from walks import assert_same_families, assert_same_walk
 
 ROOT = Path(__file__).resolve().parent.parent
 X, Y, Z = sympy.symbols("x y z")
@@ -94,7 +91,7 @@ def _double_line_pencils(draw):
         assume(False)
     pencil = sorted([0] + [j + 1 for j, i in enumerate(order) if i < m])
     # a dense conic that falls into the pencil would change it
-    assume(pencil in conic_pencils([c.integer for c in arr.components]))
+    assume(arr.pencils[0, pencil[1]].members == pencil)
     return arr, pencil, tangent
 
 
@@ -120,7 +117,7 @@ def _cross(u, w):
 
 def _theta_calls(monkeypatch):
     calls, original = [], jacobian._theta
-    monkeypatch.setattr(jacobian, "_theta", lambda *a: calls.append(a[1]) or original(*a))
+    monkeypatch.setattr(jacobian, "_theta", lambda *a: calls.append(a[1].members) or original(*a))
     return calls
 
 
@@ -176,6 +173,22 @@ def test_double_line_pencils_give_rho_l_and_theta_where_l_is_tangent(pencil):
 def test_the_walk_with_double_line_pencils_is_the_walk_without_components(pencil):
     arr, _, _ = pencil
     assert_same_walk(_context(arr), _context(arr, components=False))
+
+
+@settings(max_examples=15, deadline=None)
+@given(_double_line_pencils())
+def test_a_context_given_the_arrangement_table_is_one_built_from_its_conics(pencil):
+    """pencils= changes no output: the context given the arrangement's
+    pencil table (ConicArrangement.pencils, as analyze_curve passes it)
+    and the one that builds its own from the conics hold the same families
+    row for row, and their walks agree."""
+    arr, _, _ = pencil
+    conics = [q.integer for q in arr.components]
+    given = JacobianContext.for_curve(arr.polynomial(), conics, arr.pencils)
+    assert given.pencils is arr.pencils
+    built = _context(arr)
+    assert_same_families(given, built)
+    assert_same_walk(given, built)
 
 
 @pytest.mark.parametrize("name", ["ploski_m3", "two_conics_a7_e2", "a7_5_3"])
@@ -265,5 +278,5 @@ def test_generic_arrangements_make_the_calls_of_the_walk_without_the_rule(monkey
         return list(calls)
 
     with_rule = run()
-    monkeypatch.setattr(jacobian, "rank_one_member", lambda qi, qj: (1, None))
+    monkeypatch.setattr(poly, "rank_one_member", lambda qi, qj: (1, None))
     assert with_rule == run() and with_rule

@@ -118,10 +118,11 @@ def test_pair_residual_transversality_of_irrational_points(q1, q2, transversal):
 
 @pytest.mark.parametrize("wrong", [0, 5])
 def test_pair_refuses_a_point_count_that_cannot_carry_the_residual(wrong, monkeypatch):
-    """0 unlocated points for a residual of 4, or 5 points for it."""
-    import conicfree.locus as locus
+    """0 unlocated points for a residual of 4, or 5 points for it, counted
+    by the pair's Pencil."""
+    from conicfree.poly import Pencil
 
-    monkeypatch.setattr(locus, "_distinct_common_points", lambda qi, qj: wrong)
+    monkeypatch.setattr(Pencil, "common_points", property(lambda pencil: wrong))
     with pytest.raises(AssertionError, match="cannot carry the residual budget 4"):
         rational_pair_intersections(
             ConicForm.parse("x^2+y^2-z^2"), ConicForm.parse("2*x^2+y^2-4*x*z+3*z^2")
@@ -190,7 +191,7 @@ def test_branch_jet_requires_point_on_conic():
         branch_jet(ConicForm.parse("x^2+y^2-z^2"), (0, 0, 1))
 
 
-@pytest.mark.parametrize("jets", [None, {}, JetTable()])
+@pytest.mark.parametrize("jets", [None, JetTable()])
 def test_multiplicity_refuses_a_singular_point_of_a_conic(jets):
     """The line pair x*y is singular at (0:0:1), where the tangents are read."""
     line_pair, parabola = ConicForm.parse("x*y"), ConicForm.parse("x^2-y*z")
@@ -572,7 +573,7 @@ def test_tangents_first_agree_with_the_jet_rule_on_planted_contact(c, q, secant,
     qi, qj = _pull_back(base, move), _pull_back(touching, move)
     point = ProjectivePoint.of(*_apply(_adjugate(move), (0, 0, 1)))
     assert _conic_at(qi, point) == _conic_at(qj, point) == 0
-    for jets in (None, {}, JetTable()):
+    for jets in (None, JetTable()):
         assert local_intersection_multiplicity(qi, qj, point, jets=jets) == c
     assert _jet_rule(qi, qj, point) == c
     # a smooth conic holds at most two of three points on the line z = 0
@@ -633,7 +634,7 @@ def test_jet_table_is_keyed_by_the_integer_conic():
     copy of a component finds the jet its original left in the table."""
     q, r = ConicForm.parse("x^2-y*z"), ConicForm.parse("x^2-y*z+3*y^2")
     p = ProjectivePoint.of(0, 0, 1)
-    jets = {}
+    jets = JetTable()
     assert local_intersection_multiplicity(q, r, p, jets=jets) == 4
     assert jets.keys() == {(q.integer, p), (r.integer, p)}
     half = ConicForm(*(Fraction(-1, 2) * c for c in (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)))
@@ -642,7 +643,7 @@ def test_jet_table_is_keyed_by_the_integer_conic():
     assert len(jets) == 3 and jets[(half.integer, p)] == branch_jet(half, p)
     third = ConicForm(*(Fraction(1, 3) * c for c in (q.xx, q.yy, q.zz, q.xy, q.xz, q.yz)))
     assert local_intersection_multiplicity(third, r, p, jets=jets) == 4
-    assert len(jets) == 3
+    assert len(jets) == 3 and jets.tangents.keys() == jets.keys()
 
 
 def _moved_corpus_arrangements():
@@ -823,7 +824,9 @@ def _survey_matches_the_pair_oracle(arr, assume_qh=False):
         assert residual == oracle.residual, (i, j)
     real = locus._pair_scan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(locus, "_pair_scan", lambda qi, qj, known, jets: real(qi, qj, [], jets))
+        mp.setattr(
+            locus, "_pair_scan", lambda qi, qj, pencil, known, jets: real(qi, qj, pencil, [], jets)
+        )
         assert survey(arr, assume_qh=assume_qh) == sv
     return sv
 
@@ -1098,7 +1101,7 @@ def test_partly_explained_pair_divides_out_the_located_point(monkeypatch):
 
     arr, q0, q2, d4 = _celal_pair_through_the_d4_point()
     forms = _spy_on_root_searches(monkeypatch, "_binary_form_fibers")
-    pair = locus._pair_scan(q0, q2, [d4], {})
+    pair = locus._pair_scan(q0, q2, arr.pencils[0, 2], [d4], JetTable())
     # the D4 fiber is divided out, so only a binary cubic is left
     assert [len(form) - 1 for form in forms] == [3]
     assert pair == rational_pair_intersections(q0, q2)
@@ -1125,7 +1128,7 @@ def test_partly_explained_pair_refuses_a_corrupted_jet_multiplicity(monkeypatch)
 
     monkeypatch.setattr(locus, "local_intersection_multiplicity", corrupted)
     with pytest.raises(AssertionError, match="disagree with the resultant"):
-        locus._pair_scan(q0, q2, [d4], {})
+        locus._pair_scan(q0, q2, arr.pencils[0, 2], [d4], JetTable())
     with pytest.raises(AssertionError, match="disagree with the resultant"):
         survey(arr)
 

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from conicfree.locus import (
     _affine_conic_coefficients,
     _binary_form_fibers,
-    _distinct_common_points,
     _fiber_points,
     _poly_gcd,
     _rational_roots,
@@ -36,9 +35,12 @@ from conicfree.poly import (
     ConicForm,
     HomogeneousPolynomial,
     ProjectivePoint,
+    cofactors,
     conic_is_smooth,
+    conic_matrix,
     dehomogenize,
     determinant_cubic,
+    pencil_table,
     rank_one_member,
 )
 
@@ -578,8 +580,10 @@ def _distinct_points_oracle(q: ConicForm, l1: tuple, l2: tuple) -> int:
 def _line_pair_pencils(draw):
     """(q, lam, l1, l2) for the pair q, q + lam*l1*l2, with P a rational
     point of q and T its tangent there.  The Segre symbol of the pencil is
-    [1,1,1] for general lines, [2,1] for l1 = T, [(1,1),1] for l1 = l2,
-    [3] for l1 = T and l2 through P, and [(2,1)] for l1 = l2 = T."""
+    [1,1,1] for general lines, [2,1] for l1 = T, [(1,1),1] for l1 = l2 and
+    for two distinct tangents of q (the pencil then holds the square of
+    their chord of contact), [3] for l1 = T and l2 through P, and [(2,1)]
+    for l1 = l2 = T."""
     from hypothesis import assume
 
     q, p = draw(_conics_through_a_point())
@@ -595,11 +599,17 @@ def _line_pair_pencils(draw):
     return q, lam, l1, l2
 
 
+def _common_points(qi, qj):
+    """The distinct common points of two conics, counted by the Pencil of
+    their one-pair pencil_table."""
+    return pencil_table([qi.integer, qj.integer])[0, 1].common_points
+
+
 @settings(max_examples=60, deadline=None)
 @given(pencil=_line_pair_pencils())
 def test_distinct_common_points_match_the_line_pair_oracle(pencil):
     q, lam, l1, l2 = pencil
-    count = _distinct_common_points(q, _plus_line_pair(q, lam, l1, l2))
+    count = _common_points(q, _plus_line_pair(q, lam, l1, l2))
     assert count == _distinct_points_oracle(q, l1, l2)
 
 
@@ -607,16 +617,26 @@ def test_distinct_common_points_match_the_line_pair_oracle(pencil):
 @given(pencil=_line_pair_pencils())
 def test_rank_one_member_reads_the_multiple_root_as_the_gcd_does(pencil):
     """The discriminant rule gives the order of the multiple root that
-    gcd(c, c') gives (its degree plus one), and the member there is the
-    double line L^2 exactly when l1 = l2 up to scale, with L = l1."""
+    gcd(c, c') gives (its degree plus one), and the member there is a
+    double line L^2 exactly when q = a*L^2 + b*l1*l2: when l1 = l2 up to
+    scale, with L = l1, or when l1 and l2 are two distinct tangents of q
+    (ell . adj(A) ell = 0, A the matrix of q), with L their chord of
+    contact."""
     q, lam, l1, l2 = pencil
     cubic = determinant_cubic(q.integer, _plus_line_pair(q, lam, l1, l2).integer)
     order, line = rank_one_member(q.integer, _plus_line_pair(q, lam, l1, l2).integer)
     assert order == len(_poly_gcd(cubic, [cubic[1], 2 * cubic[2], 3 * cubic[3]]))
+    adjugate = cofactors(conic_matrix(q.integer))  # symmetric, as A is
+    touches = [
+        sum(adjugate[3 * r + s] * ell[r] * ell[s] for r in range(3) for s in range(3)) == 0
+        for ell in (l1, l2)
+    ]
     same = not any(_line_through(l1, l2))
-    assert (line is not None) == same
+    assert (line is not None) == (same or all(touches))
+    if line is not None:
+        assert order >= 2
     if same:
-        assert not any(_line_through(line, l1)) and order >= 2
+        assert not any(_line_through(line, l1))
 
 
 # one pair per Segre symbol: the unit circle q with P = (1:0:1) and T = x - z
@@ -635,7 +655,7 @@ def test_distinct_common_points_read_each_segre_symbol(l1, l2, lam, count):
     other = _plus_line_pair(q, lam, l1, l2)
     assert conic_is_smooth(other)
     assert _distinct_points_oracle(q, l1, l2) == count
-    assert _distinct_common_points(q, other) == count
+    assert _common_points(q, other) == count
 
 
 _small_conics = st.tuples(*[st.integers(-3, 3)] * 6)

@@ -40,7 +40,6 @@ from conicfree import jacobian, linalg, report
 from conicfree.corpus import analyze_entry, corpus_entries, entry
 from conicfree.jacobian import (
     JacobianContext,
-    conic_pencils,
     hilbert_profile,
     mdr,
     relation_generators,
@@ -52,6 +51,7 @@ from conicfree.poly import (
     degree_dimension,
     monomials_of_degree,
     parse_polynomial,
+    pencil_table,
     rank_one_member,
 )
 from conicfree.report import analysis_document, analyze_curve, to_json
@@ -101,6 +101,13 @@ def _partial_pencil(k):
 def _context(arr, components=True):
     conics = [q.integer for q in arr.components] if components else None
     return JacobianContext.for_curve(arr.polynomial(), conics)
+
+
+def _pencils_of_q0(conics):
+    """The pencils of pencil_table(conics) whose first member is q_0, by
+    ascending second member: each read at its pair (0, j), j that member."""
+    table = pencil_table(conics)
+    return [pencil for (i, j), pencil in table.items() if i == 0 and j == pencil.members[1]]
 
 
 def _generators(ctx):
@@ -195,8 +202,10 @@ def test_pencil_relations_match_a_sympy_construction(arr):
     k, d = len(forms), 2 * len(forms)
     f = sympy.prod(forms)
     expected = {}
-    for pencil in conic_pencils(conics):
+    for record in _pencils_of_q0(conics):
+        pencil = record.members
         order, line = rank_one_member(conics[0], conics[pencil[1]])
+        assert record.rank_one == (order, line)
         u = [forms[0].diff(t) for t in v]
         w = [forms[pencil[1]].diff(t) for t in v] if line is None else list(line)
         rho = [u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0]]
@@ -208,7 +217,7 @@ def test_pencil_relations_match_a_sympy_construction(arr):
         row = [relation[c].coeff_monomial(m) for c in range(3) for m in monomials_of_degree(e)]
         expected.setdefault(e, []).append(tuple(row))
         if line is not None and order == 3:
-            theta = jacobian.tangent_relations(conics, [(pencil, line)])
+            theta = jacobian.tangent_relations(conics, [record])
             expected.setdefault(d - 2, []).extend(map(tuple, theta))
     ctx = _context(arr)
     assert sorted(ctx.families) == sorted(expected) + [d - 1]
@@ -238,17 +247,20 @@ def _pencil_arrangements(draw):
 @example(_partial_pencil(6))
 def test_pencils_are_exact_and_their_relations_keep_the_walk(arr):
     """Two conics after q_0 share a pencil exactly when sympy gives
-    [q_0; q_j; q_l] rank 2, each conic lies in one pencil, every row of
-    every family is a relation, and the walk is that without components
+    [q_0; q_j; q_l] rank 2, and the table's pair (j, l) then reads the
+    Pencil of (0, j); each conic lies in one pencil, every row of every
+    family is a relation, and the walk is that without components
     (assert_same_walk)."""
     conics = [q.integer for q in arr.components]
-    pencils = conic_pencils(conics)
+    table = pencil_table(conics)
+    pencils = [pencil.members for pencil in _pencils_of_q0(conics)]
     assert sorted(j for pencil in pencils for j in pencil[1:]) == list(range(1, arr.k))
     assert all(pencil[0] == 0 and pencil == sorted(pencil) for pencil in pencils)
     for j in range(1, arr.k):
         for l in range(j + 1, arr.k):
             shared = any(j in pencil and l in pencil for pencil in pencils)
             assert shared == (sympy.Matrix([conics[0], conics[j], conics[l]]).rank() == 2)
+            assert (table[j, l] is table[0, j]) == shared
     ctx = _context(arr)
     for e, family in ctx.families.items():
         assert not (syzygy_matrix(ctx, e).array @ family().T).any(), e
@@ -333,7 +345,7 @@ def test_double_line_pencils_lift_no_kernel_and_keep_the_document(name, monkeypa
     with_components = document()
     assert kernels == []
     original = JacobianContext.for_curve
-    monkeypatch.setattr(report.JacobianContext, "for_curve", lambda f, conics=None: original(f))
+    monkeypatch.setattr(report.JacobianContext, "for_curve", lambda f, *tables: original(f))
     assert document() == with_components
     assert kernels
 

@@ -313,7 +313,7 @@ _int_conics = st.tuples(*[st.integers(-4, 4)] * 6)
 
 
 def _outer_minor_key(qi, qj):
-    """The pencil key as jacobian.conic_pencils built it before pencil_key:
+    """The pencil key as the relation pool built it before pencil_key:
     the upper triangle of outer(qi, qj) - outer(qj, qi) over object arrays,
     made primitive with the first nonzero entry positive."""
     from math import gcd
