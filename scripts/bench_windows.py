@@ -24,11 +24,10 @@ pencil conics above, their sum, and the first three generic conics of
 relation at d1 = d-4, so the walk lifts no kernel.  Every context is
 built with the arrangement's integer conics, as ``analyze_curve`` builds
 it, so both checkouts must take them in ``JacobianContext.for_curve``.
-``analyze_curve`` also passes the arrangement's pencil table
-(``pencils=``), which older checkouts do not take; so each context here
-builds its own table, with C(k, 2) pair keys where checkouts before the
-table keyed k - 1: a few microseconds each, as a ``rank_one_member``
-call costs, against milliseconds for the window.
+Such a context builds its pencil table (``poly.pencil_table``) on first
+use, with C(k, 2) pair keys where checkouts before the table keyed k - 1:
+a few microseconds a key, as a ``rank_one_member`` call costs (timeit on
+random small pairs), against milliseconds for the window.
 
     python scripts/bench_windows.py --before OLD/src --out BENCH.json [--after NEW/src]
 

@@ -155,8 +155,6 @@ class JacobianContext:
     # the integer conics (ConicForm.integer) whose product is a constant
     # times f, where known; their pencil relations are families of the pool
     conics: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
-    # the pencil of every pair of those conics (poly.pencil_table), empty without them
-    pencils: dict[tuple[int, int], Pencil] = field(default_factory=dict, compare=False, repr=False)
     # relation_generators, None until it runs: the one relation walk per
     # curve, read by mdr and by the ranks of the Hilbert window
     generators: tuple | None = field(default=None, init=False, compare=False, repr=False)
@@ -169,15 +167,13 @@ class JacobianContext:
 
     @classmethod
     def for_curve(
-        cls, f: HomogeneousPolynomial, conics: Sequence | None = None, pencils: dict | None = None
+        cls, f: HomogeneousPolynomial, conics: Sequence[Sequence[int]] | None = None
     ) -> "JacobianContext":
         """The context of f; conics, when given, are integer conics (six
         Python ints each) whose product is a nonzero constant times f
         (report.analyze_curve checks it), and a pencil relation that is no
-        relation of f raises.  pencils, when given, is pencil_table of those
-        conics (an arrangement's ConicArrangement.pencils); without it the
-        context builds that table.  With L the lcm of f's denominators, the
-        least scale of the gradient is L / gcd(L, content of grad(L*f)).
+        relation of f raises.  With L the lcm of f's denominators, the least
+        scale of the gradient is L / gcd(L, content of grad(L*f)).
         """
         if f.is_zero():
             raise ValueError("the zero polynomial does not define a curve")
@@ -190,15 +186,18 @@ class JacobianContext:
                     raise ValueError(f"conic {q!r} is not six integers")
             if 2 * len(conics) != f.degree:
                 raise ValueError(f"{len(conics)} conics do not make a curve of degree {f.degree}")
-            pencils = pencil_table(conics) if pencils is None else pencils
-        elif pencils is not None:
-            raise ValueError("a pencil table needs the conics it was built from")
         scale = lcm(*(c.denominator for c in f.terms.values()))
         coeffs = [int(f.terms.get(m, 0) * scale) for m in monomials_of_degree(f.degree)]
         gradient = _gradient(np.array(coeffs, dtype=object), f.degree)
         gradient //= gcd(scale, *gradient.flat)
         gradient.flags.writeable = False
-        return cls(f=f, d=f.degree, gradient=gradient, conics=conics, pencils=pencils or {})
+        return cls(f=f, d=f.degree, gradient=gradient, conics=conics)
+
+    @cached_property
+    def pencils(self) -> dict[tuple[int, int], Pencil]:
+        """The pencil of every pair of the conics (poly.pencil_table), empty
+        without them; built on first use only."""
+        return pencil_table(self.conics) if self.conics else {}
 
     @cached_property
     def support(self) -> tuple[np.ndarray, ...]:

@@ -20,18 +20,19 @@ many as the residual.
 
 A survey locates each point once and scans each pencil once: every pair
 reads the pencil it spans from the arrangement's table (poly.pencil_table,
-built once per arrangement and shared with the relation walk), the first
-pair of a pencil is scanned, and every later pair of it takes that scan,
-as two members of one pencil generate one ideal; its own tangents and jets
-must give the same multiplicities, and its resultant is the scanned one
-times a nonzero square.  A scanned pair takes one projection: its
-resultant is divided exactly by the fiber forms of the points already
-located on both conics, each raised to that point's jet multiplicity, and
-only the quotient is searched for rational roots, so the resultant and the
-jets still measure every multiplicity twice and must agree.  A pair fully
-explained by located points leaves a nonzero constant, and no root search
-at all.  A scanned pair's unlocated points are counted by its Pencil
-(common_points), whose double line is read only where a residual is left.
+built once per arrangement; the relation walk builds the same table from
+its context's conics), the first pair of a pencil is scanned, and every
+later pair of it takes that scan, as two members of one pencil generate one
+ideal; its own tangents and jets must give the same multiplicities, and its
+resultant is the scanned one times a nonzero square.  A scanned pair takes
+one projection: its resultant is divided exactly by the fiber forms of the
+points already located on both conics, each raised to that point's jet
+multiplicity, and only the quotient is searched for rational roots, so the
+resultant and the jets still measure every multiplicity twice and must
+agree.  A pair fully explained by located points leaves a nonzero constant,
+and no root search at all.  A scanned pair's unlocated points are counted
+by its Pencil (common_points), whose double line is read only where a
+residual is left.
 
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
@@ -44,7 +45,6 @@ appears only in the returned roots and in the jet coefficients.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -133,7 +133,7 @@ class ConicArrangement:
     @cached_property
     def pencils(self) -> dict[tuple[int, int], Pencil]:
         """The pencil of every pair of components (poly.pencil_table), built
-        on first use only; the survey and the relation walk read it."""
+        on first use only; the survey reads it."""
         return pencil_table([q.integer for q in self.components])
 
 
@@ -190,12 +190,20 @@ class LocusSurvey:
     residual_transversal: bool = True
 
     def inventory(self) -> dict[str, int]:
-        return dict(Counter(str(rec.sing_type) for rec in self.records))
+        counts: dict[str, int] = {}
+        for rec in self.records:
+            key = str(rec.sing_type)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
 
     def local_tau_total(self) -> int | None:
         """Sum of local Tjurina numbers, or None when any is unknown."""
-        taus = [rec.tau for rec in self.records]
-        return None if None in taus else sum(taus)
+        total = 0
+        for rec in self.records:
+            if rec.tau is None:
+                return None
+            total += rec.tau
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +631,11 @@ _SHEAR_GRID = sorted(
 
 
 def _pair_scan(
-    qi: ConicForm, qj: ConicForm, pencil: Pencil, known: list, jets: JetTable | None
+    qi: ConicForm,
+    qj: ConicForm,
+    pencil: Pencil,
+    known: list[ProjectivePoint],
+    jets: JetTable | None,
 ) -> PairIntersections:
     """The rational common points of two smooth, distinct conics, the first
     two members of ``pencil``, of which ``known`` are already located,
@@ -828,10 +840,10 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
 
     Every pair reads the pencil it spans from the arrangement's table
     (ConicArrangement.pencils), and each pencil is scanned once.  The first
-    pair of a pencil is scanned with the points that earlier pairs located on both of its conics
-    (:func:`_pair_scan`), whose fiber forms divide its resultant exactly,
-    raised to their jet multiplicities, before only the quotient is
-    root-searched; so the pair's resultant root orders and jet
+    pair of a pencil is scanned with the points that earlier pairs located
+    on both of its conics (:func:`_pair_scan`), whose fiber forms divide its
+    resultant exactly, raised to their jet multiplicities, before only the
+    quotient is root-searched; so the pair's resultant root orders and jet
     multiplicities (read from the tangents where they differ, from jets
     where they agree) must agree at known and new points alike.  Every
     later pair of that pencil takes the scan, its own multiplicities checked
@@ -858,15 +870,17 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
         else:
             known = [pt for pt, on in members.items() if i in on and j in on]
             pair = scans[pencil] = _pair_scan(comps[i], comps[j], pencil, known, jets)
-        if pair.residual + sum(m for _, m in pair.points) != 4:
+        bezout = pair.residual
+        for pt, m in pair.points:
+            bezout += m
+            located.setdefault(pt, {})[(i, j)] = m
+            if pt not in members:
+                members[pt] = _members(comps, pt)
+        if bezout != 4:
             raise AssertionError(
                 f"pair ({i},{j}) located {list(pair.points)} with residual "
                 f"{pair.residual}, not the four points Bezout counts"
             )
-        for pt, m in pair.points:
-            located.setdefault(pt, {})[(i, j)] = m
-            if pt not in members:
-                members[pt] = _members(comps, pt)
         residual_per_pair[i, j] = pair.residual
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False

@@ -30,7 +30,7 @@ part of the grammar).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -677,7 +677,7 @@ def pencil_key(qi: Sequence[int], qj: Sequence[int]) -> tuple[int, ...]:
         return minors
     if next(filter(None, minors)) < 0:
         g = -g
-    return minors if g == 1 else tuple([m // g for m in minors])
+    return tuple([m // g for m in minors])
 
 
 def conic_matrix(q: Sequence[int]) -> list[list[int]]:
@@ -743,18 +743,21 @@ def rank_one_member(qi: Sequence[int], qj: Sequence[int]) -> tuple[int, tuple[in
     return order, tuple(v // g for v in row)
 
 
-@dataclass(eq=False)
 class Pencil:
     """A pencil that integer conics span: the sorted indices of its
     members among them, and rank_one, the rank_one_member of its first two
     members, computed on first use only."""
 
-    conics: Sequence[Sequence[int]] = field(repr=False)
-    members: list[int]
+    __slots__ = ("conics", "members", "_rank_one")
 
-    @cached_property
+    def __init__(self, conics: Sequence[Sequence[int]], members: list[int]) -> None:
+        self.conics, self.members, self._rank_one = conics, members, None
+
+    @property
     def rank_one(self) -> tuple[int, tuple[int, ...] | None]:
-        return rank_one_member(self.conics[self.members[0]], self.conics[self.members[1]])
+        if self._rank_one is None:
+            self._rank_one = rank_one_member(*[self.conics[i] for i in self.members[:2]])
+        return self._rank_one
 
     @property
     def common_points(self) -> int:
@@ -767,7 +770,8 @@ class Pencil:
         so t0 is rational; of order k, it merges k - 1 points, and one more
         where A + t0*B has rank one, a double line (rank_one).
         """
-        return 5 - self.rank_one[0] - (self.rank_one[1] is not None)
+        order, line = self.rank_one
+        return 5 - order - (line is not None)
 
 
 def pencil_table(conics: Sequence[Sequence[int]]) -> dict[tuple[int, int], Pencil]:

@@ -86,19 +86,18 @@ def analyze_curve(
     """Run the full pipeline: relation degree, Tjurina window, verdict, survey.
 
     An arrangement must be the factorisation of f: f is a nonzero constant
-    times its product, or ValueError is raised.  Its integer conics and
-    its pencil table (ConicArrangement.pencils, which the survey reads
-    too) then give the relation walk its pencil relations.
+    times its product, or ValueError is raised.  Its integer conics then
+    give the relation walk its pencil relations.
     """
     check_window_extend(window_extend)
-    conics = pencils = None
+    conics = None
     if arrangement is not None:
         product = arrangement.product
         lead = next(iter(product.terms))
         if f != product and f != product.scale(f.terms.get(lead, 0) / product.terms[lead]):
             raise ValueError("the arrangement's product is not a constant multiple of the curve")
-        conics, pencils = [q.integer for q in arrangement.components], arrangement.pencils
-    ctx = JacobianContext.for_curve(f, conics, pencils)
+        conics = [q.integer for q in arrangement.components]
+    ctx = JacobianContext.for_curve(f, conics)
     witness = mdr(ctx)
     profile = hilbert_profile(ctx, extend=window_extend)
     tau = profile.tau

@@ -9,12 +9,11 @@ under rational changes of coordinates, and hold: every row against sympy,
 independently of the pool's exact check; a full tangent pencil against
 Saito's criterion rho_L x theta = c * grad f, c a nonzero constant, which
 makes it free with exponents (1, d-2); a secant pencil against theta; a
-corrupted theta against the pool's check; the walk with components
-against the walk without them; and a context given the arrangement's
-pencil table against one that builds its own.  Then the cost ladder: the
-inputs whose kernels these relations span lift none, the Płoski walks do
-not climb, and generic arrangements, which hold no double line, make the
-calls they make with the rule switched off.
+corrupted theta against the pool's check; and the walk with components
+against the walk without them.  Then the cost ladder: the inputs whose
+kernels these relations span lift none, the Płoski walks do not climb,
+and generic arrangements, which hold no double line, make the calls they
+make with the rule switched off.
 """
 
 import importlib.util
@@ -32,7 +31,7 @@ from conicfree.jacobian import JacobianContext, relation_generators
 from conicfree.locus import ConicArrangement
 from conicfree.poly import ConicForm, conic_matrix, monomials_of_degree, rank_one_member
 from conicfree.report import analyze_curve
-from walks import assert_same_families, assert_same_walk
+from walks import assert_same_walk
 
 ROOT = Path(__file__).resolve().parent.parent
 X, Y, Z = sympy.symbols("x y z")
@@ -173,22 +172,6 @@ def test_double_line_pencils_give_rho_l_and_theta_where_l_is_tangent(pencil):
 def test_the_walk_with_double_line_pencils_is_the_walk_without_components(pencil):
     arr, _, _ = pencil
     assert_same_walk(_context(arr), _context(arr, components=False))
-
-
-@settings(max_examples=15, deadline=None)
-@given(_double_line_pencils())
-def test_a_context_given_the_arrangement_table_is_one_built_from_its_conics(pencil):
-    """pencils= changes no output: the context given the arrangement's
-    pencil table (ConicArrangement.pencils, as analyze_curve passes it)
-    and the one that builds its own from the conics hold the same families
-    row for row, and their walks agree."""
-    arr, _, _ = pencil
-    conics = [q.integer for q in arr.components]
-    given = JacobianContext.for_curve(arr.polynomial(), conics, arr.pencils)
-    assert given.pencils is arr.pencils
-    built = _context(arr)
-    assert_same_families(given, built)
-    assert_same_walk(given, built)
 
 
 @pytest.mark.parametrize("name", ["ploski_m3", "two_conics_a7_e2", "a7_5_3"])

@@ -19,7 +19,6 @@ from conicfree.jacobian import (
     syzygy_matrix,
     verify_witness,
 )
-from conicfree.locus import ConicArrangement
 from conicfree.poly import HomogeneousPolynomial, monomials_of_degree, parse_polynomial
 from conicfree.report import analyze_curve
 from exact_engine import exact_mdr, exact_window
@@ -295,12 +294,6 @@ def test_context_rejects_a_conic_that_is_not_six_integers(bad):
     f = parse_polynomial("(2*x^2+y^2+2*x*z)*(x^2+y^2-z^2)")
     with pytest.raises(ValueError, match="not six integers"):
         JacobianContext.for_curve(f, [bad, (1, 1, -1, 0, 0, 0)])
-
-
-def test_context_rejects_a_pencil_table_without_its_conics():
-    arr = ConicArrangement.from_texts(["2*x^2+y^2+2*x*z", "x^2+y^2-z^2"])
-    with pytest.raises(ValueError, match="needs the conics"):
-        JacobianContext.for_curve(arr.polynomial(), pencils=arr.pencils)
 
 
 def _partials(f):

@@ -345,7 +345,7 @@ def test_double_line_pencils_lift_no_kernel_and_keep_the_document(name, monkeypa
     with_components = document()
     assert kernels == []
     original = JacobianContext.for_curve
-    monkeypatch.setattr(report.JacobianContext, "for_curve", lambda f, *tables: original(f))
+    monkeypatch.setattr(report.JacobianContext, "for_curve", lambda f, conics=None: original(f))
     assert document() == with_components
     assert kernels
 

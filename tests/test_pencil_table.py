@@ -1,9 +1,9 @@
-"""The pencil table of an arrangement (poly.pencil_table), which the survey
-and the relation pool share.
+"""The pencil table of an arrangement (poly.pencil_table), from which the
+survey and the relation pool read their pencils.
 
-One analysis keys each pair of conics once and reads each pencil's double
-line at most once; a context given the arrangement's table has the pool
-and the walk of one that builds its own from the conics; and the table
+One analysis keys each pair of conics once per table (the survey's
+ConicArrangement.pencils and the context's JacobianContext.pencils) and
+reads each pencil's double line at most once per table; and the table
 itself shares one Pencil among the pairs of one pencil, with its members
 sorted and its first pair its first two members.
 """
@@ -19,12 +19,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicfree import poly
-from conicfree.corpus import corpus_entries, entry
-from conicfree.jacobian import JacobianContext
+from conicfree.corpus import entry
 from conicfree.locus import ConicArrangement
 from conicfree.poly import pencil_key, pencil_table
 from conicfree.report import analyze_curve
-from walks import assert_same_families, assert_same_walk
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,45 +57,28 @@ RANK_ONE_CALLS_BEFORE = {
 
 
 @pytest.mark.parametrize("name", sorted(RANK_ONE_CALLS_BEFORE))
-def test_one_analysis_keys_each_pair_once_and_reads_each_double_line_at_most_once(
+def test_one_analysis_keys_each_pair_once_per_table_and_reads_each_double_line_at_most_once(
     name, monkeypatch
 ):
-    """analyze_curve keys C(k, 2) pairs, where the survey and the pool
-    keyed theirs apart (generic k = 4: 9, the pencil m = 6: 20), and calls
-    rank_one_member at most once per pencil, never more often than before."""
+    """analyze_curve builds two tables, the survey's and the context's, so
+    it keys at most 2 C(k, 2) pairs (before the table: C(k, 2) + k - 1,
+    generic k = 4: 9, the pencil m = 6: 20); each table reads a pencil's
+    double line at most once, from its first two members, so
+    rank_one_member runs at most twice per pencil, never more often than
+    before."""
     keys, ranks = [], []
     key, rank = poly.pencil_key, poly.rank_one_member
     monkeypatch.setattr(poly, "pencil_key", lambda *args: keys.append(args) or key(*args))
     monkeypatch.setattr(poly, "rank_one_member", lambda *args: ranks.append(args) or rank(*args))
     arr = ConicArrangement.from_texts(_texts(name))
-    analysis = analyze_curve(arr.polynomial(), arrangement=arr)
-    assert analysis.ctx.pencils is arr.pencils
+    analyze_curve(arr.polynomial(), arrangement=arr)
+    assert len(arr.pencils) == comb(arr.k, 2)
+    assert len(keys) <= 2 * comb(arr.k, 2)
     pencils = {id(pencil): pencil for pencil in arr.pencils.values()}.values()
-    assert len(keys) == comb(arr.k, 2) == len(arr.pencils)
     firsts = [tuple(pencil.conics[i] for i in pencil.members[:2]) for pencil in pencils]
-    assert len(ranks) == len(set(ranks)) and set(ranks) <= set(firsts)
+    assert set(ranks) <= set(firsts)
+    assert all(ranks.count(pair) <= 2 for pair in firsts)
     assert len(ranks) <= RANK_ONE_CALLS_BEFORE[name]
-
-
-def _assert_the_table_changes_nothing(arr):
-    f, conics = arr.polynomial(), [q.integer for q in arr.components]
-    given = JacobianContext.for_curve(f, conics, arr.pencils)
-    built = JacobianContext.for_curve(f, conics)
-    assert given.pencils is arr.pencils and built.pencils is not arr.pencils
-    assert {ij: p.members for ij, p in given.pencils.items()} == {
-        ij: p.members for ij, p in built.pencils.items()
-    }
-    assert_same_families(given, built)
-    assert_same_walk(given, built)
-
-
-@pytest.mark.parametrize("name", [e.name for e in corpus_entries() if e.component_texts])
-def test_a_context_given_the_arrangement_table_is_one_built_from_its_conics(name):
-    """pencils= changes no output: the pencils, every family row for row at
-    every degree, the generators, mdr and the window are those of the
-    context that builds its own table (the double-line pencils are drawn in
-    tests/test_double_line_relations.py)."""
-    _assert_the_table_changes_nothing(entry(name).arrangement())
 
 
 _int_conics = st.tuples(*[st.integers(-3, 3)] * 6)
@@ -131,4 +112,4 @@ def test_the_table_shares_one_pencil_per_key(bases, weights):
         mine = [ij for ij in pairs if table[ij] is pencil]
         assert pencil.members == sorted({i for ij in mine for i in ij})
         assert mine[0] == tuple(pencil.members[:2])
-        assert "rank_one" not in vars(pencil)
+        assert pencil._rank_one is None

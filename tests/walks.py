@@ -1,7 +1,5 @@
 """Two relation walks of one curve, compared by what the analysis reads of them.
 
-Two pools of one curve are compared family by family, row for row.
-
 Below d1 no walk finds a relation, and at d1 both put the kernel in the
 standard form linalg.kernel_basis returns, so the witness is one vector.
 Above d1 a walk may take the pool's candidates where another lifts or
@@ -31,12 +29,3 @@ def assert_same_walk(ctx, other):
         assert ranks[0] == ranks[1] == ranks[2], (e, ranks)
     assert mdr(ctx) == mdr(other)
     assert hilbert_profile(ctx) == hilbert_profile(other)
-
-
-def assert_same_families(ctx, other):
-    """The pools of two contexts of one curve hold the same families: the
-    same degrees, in one order, and at each degree the same rows in the
-    same order."""
-    assert list(ctx.families) == list(other.families)
-    for e, family in ctx.families.items():
-        assert np.array_equal(family(), other.families[e]()), e
