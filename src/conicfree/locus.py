@@ -18,21 +18,17 @@ determinant cubic of the pair's pencil counts the distinct common points
 over C, and the unlocated ones are transversal exactly when they number as
 many as the residual.
 
-A survey locates each point once and scans each pencil once: every pair
-reads the pencil it spans from the arrangement's table (poly.pencil_table,
-built once per arrangement; the relation walk builds the same table from
-its context's conics), the first pair of a pencil is scanned, and every
-later pair of it takes that scan, as two members of one pencil generate one
-ideal; its own tangents and jets must give the same multiplicities, and its
-resultant is the scanned one times a nonzero square.  A scanned pair takes
-one projection: its resultant is divided exactly by the fiber forms of the
-points already located on both conics, each raised to that point's jet
-multiplicity, and only the quotient is searched for rational roots, so the
-resultant and the jets still measure every multiplicity twice and must
-agree.  A pair fully explained by located points leaves a nonzero constant,
-and no root search at all.  A scanned pair's unlocated points are counted
-by its Pencil (common_points), whose double line is read only where a
-residual is left.
+A survey scans each pencil once: every pair reads the pencil it spans from
+the arrangement's table (poly.pencil_table, built once per arrangement; the
+relation walk builds the same table from its context's conics), the first
+pair of a pencil is scanned, and every later pair of it takes that scan, as
+two members of one pencil generate one ideal; its own tangents and jets
+must give the same multiplicities, and its resultant is the scanned one
+times a nonzero square.  A scanned pair takes one projection, and its whole
+resultant is searched for rational roots, so the resultant and the jets
+measure every multiplicity twice and must agree.  A scanned pair's
+unlocated points are counted by its Pencil (common_points), whose double
+line is read only where a residual is left.
 
 A conic is defined up to scale, and every survey output is invariant under
 scaling one component.  So the survey works on content-free integer conics,
@@ -479,7 +475,7 @@ def _padic_rational_roots(g: tuple[int, ...]) -> list[Fraction]:
 
 def _eval_homogeneous(cs: list[int], n: int, d: int) -> int:
     """d^deg * f(n/d) = sum(cs[i] * n^i * d^(deg-i)), which is zero exactly
-    when n/d is a root (d != 0); at (n, d) = (1, 0) it is cs[-1]."""
+    when n/d is a root (d != 0)."""
     total, d_power = 0, 1
     for c in reversed(cs):
         total = total * n + c * d_power
@@ -631,23 +627,15 @@ _SHEAR_GRID = sorted(
 
 
 def _pair_scan(
-    qi: ConicForm,
-    qj: ConicForm,
-    pencil: Pencil,
-    known: list[ProjectivePoint],
-    jets: JetTable | None,
+    qi: ConicForm, qj: ConicForm, pencil: Pencil, jets: JetTable | None
 ) -> PairIntersections:
     """The rational common points of two smooth, distinct conics, the first
-    two members of ``pencil``, of which ``known`` are already located,
-    through one projection.
+    two members of ``pencil``, through one projection.
 
     The projection is from (1:0:0) after the first shear (a, b) of the grid
-    that keeps that point off both conics.  The resultant is divided exactly
-    by each known point's fiber form, raised to the jet multiplicities summed
-    on that fiber, and only the quotient is searched for rational roots:
-    none are searched when it is a nonzero constant.  On each fiber the
-    search finds, the points not already known must carry the quotient's
-    root order in jet multiplicities.  The multiplicity at each point comes
+    that keeps that point off both conics, and the whole resultant is
+    searched for rational roots.  On each fiber the search finds, the common
+    points must carry the resultant's root order in multiplicities, each
     from :func:`local_intersection_multiplicity`, called through the module
     for every point: from the tangents alone where they differ, from jets
     (at most one per conic and point in ``jets``) where they agree.  The
@@ -656,34 +644,15 @@ def _pair_scan(
     one.  A survey scans only the first pair of each pencil this way (the
     others take its result through :func:`_pencil_scan`).
     """
-    mults = {pt: local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in known}
     # a smooth conic holds at most two of the grid's points (1:a:b) on each
     # line y = a*x, 14 of 49, so some shear keeps (1:0:0) off both conics
     for a, b in _SHEAR_GRID:  # pragma: no branch
         ti, tj = _shear_conic(qi.integer, a, b), _shear_conic(qj.integer, a, b)
         if ti[0] and tj[0]:
             break
-    quotient = _resultant_in_x(ti, tj)
-    known_fibers: dict[tuple[int, int], int] = {}
-    for pt, m in mults.items():
-        x, y, z = pt.coords()
-        # the fiber (y0 : z0) of the point, coprime with z0 > 0, or (1 : 0)
-        y0, z0 = y - a * x, z - b * x
-        g = -gcd(y0, z0) if z0 < 0 or (z0 == 0 and y0 < 0) else gcd(y0, z0)
-        fiber = (y0 // g, z0 // g)
-        known_fibers[fiber] = known_fibers.get(fiber, 0) + m
-    for (y0, z0), m in known_fibers.items():
-        for _ in range(m):
-            # the form must vanish on the fiber; on (1:0) its degree drops
-            if _eval_homogeneous(quotient, y0, z0) != 0:
-                raise AssertionError(
-                    f"jet multiplicities {list(mults.values())} disagree with the "
-                    f"resultant at ({y0}:{z0})"
-                )
-            quotient = _deflate(quotient, y0, z0) if z0 else quotient[:-1]
-    located = list(mults.items())
+    located = []
     located_fiber_budget = 0
-    for (y0, z0), mult in _binary_form_fibers(quotient):
+    for (y0, z0), mult in _binary_form_fibers(_resultant_in_x(ti, tj)):
         points = _fiber_points(ti, tj, y0, z0)
         if points is None:
             # a conjugate pair of points sharing this rational fiber; by
@@ -694,16 +663,15 @@ def _pair_scan(
                 )
             continue
         mapped = [ProjectivePoint.of(x, y + a * x, z + b * x) for x, y, z in points]
-        new = [pt for pt in mapped if pt not in mults]
-        jet_mults = [local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in new]
+        jet_mults = [local_intersection_multiplicity(qi, qj, pt, jets=jets) for pt in mapped]
         if sum(jet_mults) != mult:
             raise AssertionError(
                 f"jet multiplicities {jet_mults} disagree with resultant order {mult}"
             )
-        located.extend(zip(new, jet_mults))
+        located.extend(zip(mapped, jet_mults))
         located_fiber_budget += mult
     located.sort(key=lambda pm: pm[0].coords())
-    residual = len(quotient) - 1 - located_fiber_budget
+    residual = 4 - located_fiber_budget
     transversal = True
     if residual:
         unlocated = pencil.common_points - len(located)
@@ -732,7 +700,7 @@ def rational_pair_intersections(
         raise ValueError("both conics must be smooth")
     if qi.is_proportional_to(qj):
         raise ValueError("conics coincide")
-    return _pair_scan(qi, qj, pencil_table([qi.integer, qj.integer])[0, 1], [], jets)
+    return _pair_scan(qi, qj, pencil_table([qi.integer, qj.integer])[0, 1], jets)
 
 
 # ---------------------------------------------------------------------------
@@ -840,15 +808,13 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
 
     Every pair reads the pencil it spans from the arrangement's table
     (ConicArrangement.pencils), and each pencil is scanned once.  The first
-    pair of a pencil is scanned with the points that earlier pairs located
-    on both of its conics (:func:`_pair_scan`), whose fiber forms divide its
-    resultant exactly, raised to their jet multiplicities, before only the
-    quotient is root-searched; so the pair's resultant root orders and jet
-    multiplicities (read from the tangents where they differ, from jets
-    where they agree) must agree at known and new points alike.  Every
-    later pair of that pencil takes the scan, its own multiplicities checked
-    against it (:func:`_pencil_scan`).  Each pair's located multiplicities
-    and residual must make four, and its residual is the multiplicity still
+    pair of a pencil is scanned (:func:`_pair_scan`): its whole resultant is
+    root-searched, and the resultant root orders and the multiplicities
+    (read from the tangents where they differ, from jets where they agree)
+    must agree at every point it locates.  Every later pair of that pencil
+    takes the scan, its own multiplicities checked against it
+    (:func:`_pencil_scan`).  Each pair's located multiplicities and
+    residual must make four, and its residual is the multiplicity still
     unlocated.  The survey's :class:`JetTable` holds each tangent and each
     jet at most once per (integer conic, point).  The survey is complete
     exactly when every pair's budget is explained by classified rational
@@ -860,7 +826,6 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
     jets = JetTable()  # each (component, point) tangent and jet at most once per survey
     # point -> {(i, j): multiplicity} for every pair that located it
     located: dict[ProjectivePoint, dict[tuple[int, int], int]] = {}
-    members: dict[ProjectivePoint, list[int]] = {}  # the components through each point
     scans: dict[Pencil, PairIntersections] = {}  # pencil -> its first pair's scan
     residual_per_pair: dict[tuple[int, int], int] = {}
     residual_transversal = True
@@ -868,14 +833,11 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
         if pencil in scans:
             pair = _pencil_scan(comps[i], comps[j], scans[pencil], jets)
         else:
-            known = [pt for pt, on in members.items() if i in on and j in on]
-            pair = scans[pencil] = _pair_scan(comps[i], comps[j], pencil, known, jets)
+            pair = scans[pencil] = _pair_scan(comps[i], comps[j], pencil, jets)
         bezout = pair.residual
         for pt, m in pair.points:
             bezout += m
             located.setdefault(pt, {})[(i, j)] = m
-            if pt not in members:
-                members[pt] = _members(comps, pt)
         if bezout != 4:
             raise AssertionError(
                 f"pair ({i},{j}) located {list(pair.points)} with residual "
@@ -885,7 +847,7 @@ def survey(arr: ConicArrangement, assume_qh: bool = False) -> LocusSurvey:
         if pair.residual and not pair.residual_transversal:
             residual_transversal = False
     records = tuple(
-        _classify(pt, members[pt], located[pt], assume_qh)
+        _classify(pt, _members(comps, pt), located[pt], assume_qh)
         for pt in sorted(located, key=lambda p: p.coords())
     )
     return LocusSurvey(
