@@ -1080,6 +1080,19 @@ def _spy_on_root_searches(monkeypatch, name="_rational_roots"):
     return searched
 
 
+def test_contact_pair_is_certified_from_its_whole_resultant(monkeypatch):
+    """The contact pair (1, 2) meets points that the earlier pairs located;
+    it root-searches its own resultant like every other pair, and its
+    multiplicities there are P: 2, Q: 1, R: 1 with nothing left over."""
+    arr = ConicArrangement.from_texts(CONTACT_TRIPLE)
+    searched = _spy_on_root_searches(monkeypatch)
+    sv = survey(arr)
+    assert len(searched) == 3
+    P, Q, R = (ProjectivePoint.of(*p) for p in ((0, 0, 1), (1, 1, 1), (-1, 1, 1)))
+    assert {p: _record_at(sv, p).mult(1, 2) for p in (P, Q, R)} == {P: 2, Q: 1, R: 1}
+    assert sv.residual_per_pair[(1, 2)] == 0
+
+
 def test_known_point_certificate_refuses_corrupted_jet_multiplicities(monkeypatch):
     """Multiplicities P: 1, Q: 2 still sum to four, but the resultant's root
     orders (2 on P's fiber, 1 on Q's) refuse them."""
